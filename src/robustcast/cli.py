@@ -12,8 +12,6 @@ import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-import numpy as np
-
 from ._util import derive_seed
 from .dataio import RawSeries, SynthConfig, gen_synthetic, load_csv, save_csv
 from .evaluation import (
@@ -25,13 +23,13 @@ from .evaluation import (
     METHOD_RETRAIN_ORACLE,
     METHOD_RF_FIXED,
     METHOD_RF_LEARNED,
-    EvalResult,
     GridSpec,
     HorizonData,
     RetrainOracle,
     emit_report,
     q_sweep,
     run_grid,
+    summary_csv,
 )
 from .exceptions import ConfigError, DataError, RobustcastError
 from .models import Architecture
@@ -78,6 +76,37 @@ class RunConfig:
     qsweep_method: str
 
 
+# Every key a run config may hold; a nested dict is a block of its own.
+_CONFIG_KEYS = {
+    "seed": None, "out_dir": None, "target_plant": None, "max_lag": None, "horizons": None,
+    "family": None, "adaptive": None, "hidden": None,
+    "data": {"csv": None, "synth": dict.fromkeys((
+        "n_plants", "n_periods", "ar_coefficient", "cross_plant_correlation",
+        "noise_std", "obs_noise_std", "seed",
+    ))},
+    "split": dict.fromkeys(("train_frac", "val_frac")),
+    "train": dict.fromkeys((
+        "learning_rate", "max_iters", "patience", "batch_size", "weight_decay", "shuffle",
+    )),
+    "partition": dict.fromkeys(("mode", "q_max", "epsilon", "budget")),
+    "grid": dict.fromkeys(("p01", "p11", "methods", "runs")),
+    "q_sweep": dict.fromkeys(("q_list", "p01", "p11", "method")),
+}
+
+
+def _check_keys(obj, keys: dict = _CONFIG_KEYS, where: str = "") -> None:
+    """Reject any key, at any level, that the run config has no use for;
+    `where` is the dotted path prefix of `obj` ("" at the top)."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where.rstrip('.') or 'the run config'} must be a JSON object")
+    unknown = sorted(set(obj) - set(keys))
+    if unknown:
+        raise ConfigError("unknown config key(s): " + ", ".join(where + k for k in unknown))
+    for key, sub in keys.items():
+        if sub is not None and key in obj:
+            _check_keys(obj[key], sub, f"{where}{key}.")
+
+
 def parse_run_config(obj: dict) -> RunConfig:
     try:
         data = obj.get("data", {})
@@ -91,6 +120,7 @@ def parse_run_config(obj: dict) -> RunConfig:
                 ar_coefficient=s.get("ar_coefficient", 0.97),
                 cross_plant_correlation=s.get("cross_plant_correlation", 0.5),
                 noise_std=s.get("noise_std", 0.2),
+                obs_noise_std=s.get("obs_noise_std", 0.0),
                 seed=s.get("seed", obj.get("seed", 0)),
             )
         if (csv_path is None) == (synth is None):
@@ -157,6 +187,7 @@ def load_run_config(path: str, seed_override: int | None, out_override: str | No
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+    _check_keys(obj)
     cfg = parse_run_config(obj)
     if seed_override is not None:
         cfg = replace(
@@ -395,23 +426,14 @@ def cmd_report(cfg: RunConfig) -> int:
     grid_path = Path(cfg.out_dir) / "grid.csv"
     if not grid_path.exists():
         raise DataError(f"no grid.csv in {cfg.out_dir}; run the evaluate subcommand first")
-    rows = grid_path.read_text(encoding="utf-8").strip().split("\n")[1:]
-    cells: dict[tuple, list[float]] = {}
-    order: list[tuple] = []
-    for row in rows:
-        method, h, p01, p11, run, value = row.split(",")
-        key = (method, h, p01, p11)
-        if key not in cells:
-            cells[key] = []
-            order.append(key)
-        cells[key].append(float(value))
-    lines = ["method,h,p01,p11,mean_nrmse,std_nrmse,runs"]
-    for key in order:
-        values = cells[key]
-        mean = float(np.mean(values))
-        std = float(np.std(values))
-        lines.append(f"{','.join(key)},{mean!r},{std!r},{len(values)}")
-    out = "\n".join(lines) + "\n"
+    rows = []
+    for lineno, line in enumerate(grid_path.read_text(encoding="utf-8").strip().split("\n")[1:], 2):
+        try:
+            method, h, p01, p11, _run, value = line.split(",")
+            rows.append((method, int(h), float(p01), float(p11), float(value)))
+        except ValueError:
+            raise DataError(f"{grid_path} line {lineno}: malformed grid row {line!r}") from None
+    out = summary_csv(rows)
     (Path(cfg.out_dir) / "summary.csv").write_text(out, encoding="utf-8")
     print(out, end="")
     return 0
@@ -436,6 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         cfg = load_run_config(args.config, args.seed, args.out)
         if args.command == "synth":
             return cmd_synth(cfg)

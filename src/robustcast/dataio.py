@@ -8,7 +8,6 @@ measurement columns are maskable.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -384,58 +383,3 @@ def split_sequential(
     val = ds.rows(n_train, n_tv)
     test = ds.rows(n_tv, n)
     return train, val, test
-
-
-def raw_to_json(raw: RawSeries) -> dict:
-    return {
-        "timestamps": raw.timestamps.tolist(),
-        "values": raw.values.tolist(),
-        "capacities": raw.capacities.tolist(),
-        "weather": None if raw.weather is None else raw.weather.tolist(),
-    }
-
-
-def raw_from_json(obj: dict) -> RawSeries:
-    return RawSeries(
-        timestamps=np.asarray(obj["timestamps"], dtype=np.int64),
-        values=np.asarray(obj["values"], dtype=np.float64),
-        capacities=np.asarray(obj["capacities"], dtype=np.float64),
-        weather=None if obj.get("weather") is None else np.asarray(obj["weather"], dtype=np.float64),
-    )
-
-
-def dataset_to_json(ds: Dataset) -> dict:
-    return {
-        "X": ds.X.tolist(),
-        "y": ds.y.tolist(),
-        "descriptors": [
-            {"kind": d.kind, "plant": d.plant, "lag": d.lag} for d in ds.descriptors
-        ],
-        "P": list(ds.maskable),
-        "horizon": ds.horizon,
-        "max_lag": ds.max_lag,
-        "obs_periods": ds.obs_periods.tolist(),
-    }
-
-
-def dataset_from_json(obj: dict) -> Dataset:
-    return Dataset(
-        X=np.asarray(obj["X"], dtype=np.float64),
-        y=np.asarray(obj["y"], dtype=np.float64),
-        descriptors=tuple(
-            FeatureDescriptor(kind=d["kind"], plant=d.get("plant"), lag=d.get("lag"))
-            for d in obj["descriptors"]
-        ),
-        maskable=tuple(obj["P"]),
-        horizon=obj["horizon"],
-        max_lag=obj["max_lag"],
-        obs_periods=np.asarray(obj["obs_periods"], dtype=np.int64),
-    )
-
-
-def save_dataset(ds: Dataset, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(dataset_to_json(ds)), encoding="utf-8")
-
-
-def load_dataset(path: str | Path) -> Dataset:
-    return dataset_from_json(json.loads(Path(path).read_text(encoding="utf-8")))

@@ -19,12 +19,18 @@ from .missingness import (
     MissingPattern,
     column_means,
     expand_obs_mask,
+    impute_mean,
     impute_persistence,
-    patterns_to_matrix,
     simulate_markov,
 )
 from .models import Architecture, ModelParams, predict
-from .partition import FixedPartition, Partition, predict_deployed_rows, predict_fixed_rows
+from .partition import (
+    FixedPartition,
+    Partition,
+    predict_deployed_rows,
+    predict_fixed_rows,
+    predict_grouped,
+)
 from .training import TrainConfig, train_nominal
 
 METHOD_IMP_PERSISTENCE = "imp-persistence"
@@ -229,17 +235,16 @@ class RetrainOracle:
             self._cache[key] = res.params
         return self._cache[key]
 
-    def predict_rows(self, X: np.ndarray, patterns: list[MissingPattern]) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        preds = np.empty(X.shape[0])
-        groups: dict[bytes, list[int]] = {}
-        for i, pat in enumerate(patterns):
-            groups.setdefault(pat.key(), []).append(i)
-        for key, rows in groups.items():
-            pat = patterns[rows[0]]
-            params = self.params_for(pat)
-            preds[rows] = predict(params, X[rows], pat.bits)
-        return preds
+    def predict_rows(self, X: np.ndarray, patterns: np.ndarray) -> np.ndarray:
+        """Predict each row of X with the model of its pattern (one row of the
+        (n, p) bit matrix); rows sharing a pattern run one forward pass."""
+        uniq, keys = np.unique(patterns, axis=0, return_inverse=True)
+
+        def group(key, rows):
+            bits = uniq[key]
+            return self.params_for(MissingPattern(bits=bits)), bits
+
+        return predict_grouped(X, keys.reshape(-1), group)
 
 
 def predict_method(
@@ -247,9 +252,10 @@ def predict_method(
     artifact,
     hd: HorizonData,
     mask,
-    test_patterns: list[MissingPattern],
+    test_patterns: np.ndarray,
 ) -> np.ndarray:
-    """Predictions of one method on the test rows under a realized mask."""
+    """Predictions of one method on the test rows under a realized mask;
+    test_patterns is the test rows' (n, p) bit matrix."""
     x_test = hd.test.X
     if method == METHOD_IMP_PERSISTENCE:
         filled_values = impute_persistence(hd.raw.values, mask)
@@ -266,8 +272,7 @@ def predict_method(
         zero = np.zeros(hd.test.p, dtype=np.uint8)
         return predict(artifact, x_filled, zero)
     if method == METHOD_IMP_MEAN:
-        bits = patterns_to_matrix(test_patterns).astype(np.float64)
-        x_filled = x_test * (1.0 - bits) + hd.train_means * bits
+        x_filled = impute_mean(x_test, test_patterns, hd.train_means)
         zero = np.zeros(hd.test.p, dtype=np.uint8)
         return predict(artifact, x_filled, zero)
     if method in (METHOD_RF_LEARNED, METHOD_ARF_LEARNED):
@@ -299,8 +304,7 @@ def _evaluate_cell(args) -> list[CellResult]:
     )
     for h in spec.horizons:
         hd = hds[h]
-        patterns = expand_obs_mask(mask, hd.dataset)
-        test_patterns = patterns[hd.test_start : hd.test_start + hd.test.n]
+        test_patterns = expand_obs_mask(mask, hd.dataset)[hd.test_start : hd.test_start + hd.test.n]
         for method in spec.methods:
             artifact = artifacts[(method, h)]
             preds = predict_method(method, artifact, hd, mask, test_patterns)
@@ -408,6 +412,20 @@ def q_sweep(
     return rows
 
 
+def summary_csv(rows) -> str:
+    """summary.csv text from (method, h, p01, p11, nrmse) rows: mean and
+    population std of nrmse per cell, cells in order of first appearance."""
+    cells: dict[tuple, list[float]] = {}
+    for method, h, p01, p11, value in rows:
+        cells.setdefault((method, h, p01, p11), []).append(value)
+    lines = ["method,h,p01,p11,mean_nrmse,std_nrmse,runs"]
+    for (method, h, p01, p11), values in cells.items():
+        mean = float(np.mean(values))
+        std = float(np.std(values))
+        lines.append(f"{method},{h},{p01!r},{p11!r},{mean!r},{std!r},{len(values)}")
+    return "\n".join(lines) + "\n"
+
+
 def emit_report(
     result: EvalResult,
     out_dir: str | Path,
@@ -432,18 +450,8 @@ def emit_report(
     written.append(grid_path)
 
     summary_path = out_dir / "summary.csv"
-    lines = ["method,h,p01,p11,mean_nrmse,std_nrmse,runs"]
-    seen: list[tuple] = []
-    for rec in result.records:
-        cell = (rec.method, rec.horizon, rec.p01, rec.p11)
-        if cell not in seen:
-            seen.append(cell)
-    for method, h, p01, p11 in seen:
-        values = result.cell_nrmse(method, h, p01, p11)
-        mean = float(np.mean(values))
-        std = float(np.std(values))
-        lines.append(f"{method},{h},{p01!r},{p11!r},{mean!r},{std!r},{len(values)}")
-    summary_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = [(rec.method, rec.horizon, rec.p01, rec.p11, rec.nrmse) for rec in result.records]
+    summary_path.write_text(summary_csv(rows), encoding="utf-8")
     written.append(summary_path)
 
     if qsweep_rows is not None:

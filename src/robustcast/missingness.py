@@ -19,7 +19,6 @@ __all__ = [
     "apply_mask",
     "simulate_markov",
     "expand_obs_mask",
-    "patterns_to_matrix",
     "impute_persistence",
     "column_means",
     "impute_mean",
@@ -38,6 +37,18 @@ class MissingPattern:
             raise DomainError("pattern bits must be a vector")
         if np.any(self.bits > 1):
             raise DomainError("pattern bits must be 0 or 1")
+
+    @staticmethod
+    def bits_of(pattern) -> np.ndarray:
+        """The uint8 bits of a pattern given either as a MissingPattern or as
+        raw bits: one vector, or an (n, p) matrix with one pattern per row."""
+        if isinstance(pattern, MissingPattern):
+            return pattern.bits
+        bits = np.asarray(pattern, dtype=np.uint8)
+        # max() is the cheapest check on the per-row deployment path
+        if bits.size and bits.max() > 1:
+            raise DomainError("pattern bits must be 0 or 1")
+        return bits
 
     @classmethod
     def zeros(cls, n_features: int) -> "MissingPattern":
@@ -68,9 +79,6 @@ class MissingPattern:
     def key(self) -> bytes:
         """Hashable identity for caches and routing comparisons."""
         return self.bits.tobytes()
-
-    def same(self, other: "MissingPattern") -> bool:
-        return self.bits.shape == other.bits.shape and bool(np.all(self.bits == other.bits))
 
     def validate_support(self, maskable: tuple[int, ...]) -> None:
         outside = np.ones(self.n_features, dtype=bool)
@@ -137,8 +145,9 @@ def simulate_markov(cfg: MissingnessConfig, n_periods: int, n_plants: int) -> Ob
     return ObsMaskSeries(mask=mask)
 
 
-def expand_obs_mask(mask: ObsMaskSeries, ds: Dataset) -> list[MissingPattern]:
-    """Translate plant-level missingness into per-row feature patterns.
+def expand_obs_mask(mask: ObsMaskSeries, ds: Dataset) -> np.ndarray:
+    """Translate plant-level missingness into per-row feature patterns,
+    returned as an (n, p) uint8 bit matrix with one pattern per row.
 
     The feature (plant s, lag k) of a row at period t is missing iff the
     plant-s measurement was missing at period t - k. Weather and bias are
@@ -154,12 +163,7 @@ def expand_obs_mask(mask: ObsMaskSeries, ds: Dataset) -> list[MissingPattern]:
         for lag in range(ds.max_lag + 1):
             bits[:, col] = mask.mask[obs - lag, plant]
             col += 1
-    return [MissingPattern(bits=row) for row in bits]
-
-
-def patterns_to_matrix(patterns: list[MissingPattern]) -> np.ndarray:
-    """Stack patterns into an (n, p) uint8 matrix for vectorized evaluation."""
-    return np.stack([pat.bits for pat in patterns], axis=0)
+    return bits
 
 
 def impute_persistence(values: np.ndarray, mask: ObsMaskSeries) -> np.ndarray:
@@ -181,10 +185,12 @@ def column_means(ds: Dataset) -> np.ndarray:
     return ds.X.mean(axis=0)
 
 
-def impute_mean(x: np.ndarray, pattern: MissingPattern, means: np.ndarray) -> np.ndarray:
-    """Replace missing coordinates with precomputed training-set column means."""
+def impute_mean(x: np.ndarray, pattern, means: np.ndarray) -> np.ndarray:
+    """Replace missing coordinates with precomputed training-set column means.
+    The pattern is one MissingPattern or bit vector for every row of x, or an
+    (n, p) bit matrix with one pattern per row."""
     x = np.asarray(x, dtype=np.float64)
-    bits = pattern.bits.astype(np.float64)
+    bits = MissingPattern.bits_of(pattern).astype(np.float64)
     return x * (1.0 - bits) + np.asarray(means, dtype=np.float64) * bits
 
 

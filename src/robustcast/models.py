@@ -273,11 +273,6 @@ def mse_loss(params: ModelParams, X: np.ndarray, y: np.ndarray, alpha) -> float:
     return float(np.mean((preds - y) ** 2))
 
 
-def squared_errors(params: ModelParams, X: np.ndarray, y: np.ndarray, alpha) -> np.ndarray:
-    preds = predict(params, X, alpha)
-    return (preds - np.asarray(y, dtype=np.float64)) ** 2
-
-
 def loss_and_grad(
     params: ModelParams,
     X: np.ndarray,

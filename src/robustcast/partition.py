@@ -27,7 +27,7 @@ from .adversarial import (
 )
 from .dataio import Dataset
 from .exceptions import CapacityError, ConfigError, DomainError
-from .missingness import MissingPattern, patterns_to_matrix
+from .missingness import MissingPattern
 from .models import Architecture, ModelParams, params_from_json, params_to_json, predict
 from .training import TrainConfig, train_nominal
 
@@ -157,43 +157,87 @@ def enumerate_patterns(uset: UncertaintySet) -> list[MissingPattern]:
     return out
 
 
-def locate(partition: Partition, pattern: MissingPattern) -> int:
-    """Walk the tree on the pattern's bits; returns the leaf subset id. The
-    walk accepts any support-valid pattern, including ones whose missing
-    count exceeds the training budget (deployment never clamps)."""
-    node = partition.root
+def locate(partition: Partition, pattern) -> int:
+    """Walk the tree on the pattern's bits (a MissingPattern or one bit
+    vector); returns the leaf subset id. The walk accepts any support-valid
+    pattern, including ones whose missing count exceeds the training budget
+    (deployment never clamps)."""
+    return _leaf_of(partition.root, MissingPattern.bits_of(pattern))
+
+
+def _leaf_of(node: TreeNode, bits: np.ndarray) -> int:
     while not node.is_leaf:
-        node = node.missing if pattern.bits[node.feature] else node.available
+        node = node.missing if bits[node.feature] else node.available
     return node.subset_id
 
 
-def predict_deployed(partition: Partition, x: np.ndarray, pattern: MissingPattern) -> float:
-    """Route the pattern to its leaf, then use the optimistic parameters when
-    the pattern equals the leaf's optimistic pattern exactly, otherwise the
-    adversarial parameters."""
-    subset = partition.subsets[locate(partition, pattern)]
-    params = subset.params_opt if pattern.same(subset.opt_pattern) else subset.params_adv
-    return float(predict(params, np.asarray(x, dtype=np.float64)[None, :], pattern)[0])
+def _bit_matrix(patterns, n_features: int) -> np.ndarray:
+    bits = MissingPattern.bits_of(patterns)
+    if bits.ndim != 2 or bits.shape[1] != n_features:
+        raise DomainError(f"patterns must form an (n, {n_features}) bit matrix")
+    return bits
 
 
-def predict_deployed_rows(
-    partition: Partition, X: np.ndarray, patterns: list[MissingPattern]
-) -> np.ndarray:
-    """Batched deployment: rows are grouped by (leaf, parameter choice) so
-    each group runs one vectorized forward pass."""
+def locate_rows(partition: Partition, bits: np.ndarray) -> np.ndarray:
+    """Batched `locate`: the leaf subset id of every row of an (n, p) bit
+    matrix, routing all rows at once with one boolean row mask per node."""
+    bits = _bit_matrix(bits, partition.uncertainty.n_features)
+    leaf = np.empty(bits.shape[0], dtype=np.int64)
+    stack = [(partition.root, np.ones(bits.shape[0], dtype=bool))]
+    while stack:
+        node, rows = stack.pop()
+        if node.is_leaf:
+            leaf[rows] = node.subset_id
+        else:
+            missing = bits[:, node.feature] != 0
+            stack += [(node.missing, rows & missing), (node.available, rows & ~missing)]
+    return leaf
+
+
+def predict_deployed(partition: Partition, x: np.ndarray, pattern) -> float:
+    """Route the pattern (a MissingPattern or one bit vector) to its leaf,
+    then use the optimistic parameters when the pattern equals the leaf's
+    optimistic pattern exactly, otherwise the adversarial parameters."""
+    bits = MissingPattern.bits_of(pattern)
+    subset = partition.subsets[_leaf_of(partition.root, bits)]
+    use_opt = bits.tobytes() == subset.opt_pattern.key()
+    params = subset.params_opt if use_opt else subset.params_adv
+    return float(predict(params, np.asarray(x, dtype=np.float64)[None, :], bits)[0])
+
+
+def predict_grouped(X: np.ndarray, keys: np.ndarray, group) -> np.ndarray:
+    """Predict every row of X with the model its integer key selects.
+
+    Rows sharing a key run one vectorized forward pass over their rows in
+    ascending order; group(key, rows) returns the (params, alpha) pair that
+    pass uses.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     preds = np.empty(X.shape[0])
-    groups: dict[tuple[int, bool], list[int]] = {}
-    for i, pat in enumerate(patterns):
-        leaf = locate(partition, pat)
-        use_opt = pat.same(partition.subsets[leaf].opt_pattern)
-        groups.setdefault((leaf, use_opt), []).append(i)
-    for (leaf, use_opt), rows in groups.items():
-        subset = partition.subsets[leaf]
-        params = subset.params_opt if use_opt else subset.params_adv
-        bits = patterns_to_matrix([patterns[i] for i in rows])
-        preds[rows] = predict(params, X[rows], bits)
+    order = np.argsort(keys, kind="stable")
+    uniq, starts = np.unique(keys[order], return_index=True)
+    for key, rows in zip(uniq.tolist(), np.split(order, starts[1:])):
+        params, alpha = group(key, rows)
+        preds[rows] = predict(params, X[rows], alpha)
     return preds
+
+
+def predict_deployed_rows(partition: Partition, X: np.ndarray, patterns: np.ndarray) -> np.ndarray:
+    """Batched `predict_deployed` over an (n, p) bit matrix, one pattern per
+    row: rows are grouped by (leaf, parameter choice) so each group runs one
+    vectorized forward pass."""
+    bits = _bit_matrix(patterns, partition.uncertainty.n_features)
+    leaf = locate_rows(partition, bits)
+    opt = np.zeros((max(partition.subsets) + 1, bits.shape[1]), dtype=np.uint8)
+    for sid, subset in partition.subsets.items():
+        opt[sid] = subset.opt_pattern.bits
+    use_opt = (bits == opt[leaf]).all(axis=1)
+
+    def group(key, rows):
+        subset = partition.subsets[key // 2]
+        return (subset.params_opt if key % 2 else subset.params_adv), bits[rows]
+
+    return predict_grouped(X, 2 * leaf + use_opt, group)
 
 
 def route_fixed(fixed: FixedPartition, pattern: MissingPattern) -> int:
@@ -202,19 +246,12 @@ def route_fixed(fixed: FixedPartition, pattern: MissingPattern) -> int:
     return min(pattern.popcount(), fixed.uncertainty.budget)
 
 
-def predict_fixed_rows(
-    fixed: FixedPartition, X: np.ndarray, patterns: list[MissingPattern]
-) -> np.ndarray:
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    preds = np.empty(X.shape[0])
-    groups: dict[int, list[int]] = {}
-    for i, pat in enumerate(patterns):
-        groups.setdefault(route_fixed(fixed, pat), []).append(i)
-    for subset_idx, rows in groups.items():
-        params = fixed.subsets[subset_idx].params
-        bits = patterns_to_matrix([patterns[i] for i in rows])
-        preds[rows] = predict(params, X[rows], bits)
-    return preds
+def predict_fixed_rows(fixed: FixedPartition, X: np.ndarray, patterns: np.ndarray) -> np.ndarray:
+    """Batched fixed-partition prediction over an (n, p) bit matrix: each row
+    uses the subset `route_fixed` picks for its pattern."""
+    bits = _bit_matrix(patterns, fixed.uncertainty.n_features)
+    keys = np.minimum(bits.sum(axis=1), fixed.uncertainty.budget)
+    return predict_grouped(X, keys, lambda key, rows: (fixed.subsets[key].params, bits[rows]))
 
 
 def _scope_for(subset: UncertaintySubset, uset: UncertaintySet) -> AdvSearchScope:
@@ -453,14 +490,20 @@ def _node_from_json(obj: dict) -> TreeNode:
     )
 
 
+def _uset_to_json(uset: UncertaintySet) -> dict:
+    return {"n_features": uset.n_features, "maskable": list(uset.maskable), "budget": uset.budget}
+
+
+def _uset_from_json(obj: dict) -> UncertaintySet:
+    return UncertaintySet(
+        n_features=obj["n_features"], maskable=tuple(obj["maskable"]), budget=obj["budget"]
+    )
+
+
 def partition_to_json(partition: Partition) -> dict:
     return {
         "kind": "learned",
-        "uncertainty": {
-            "n_features": partition.uncertainty.n_features,
-            "maskable": list(partition.uncertainty.maskable),
-            "budget": partition.uncertainty.budget,
-        },
+        "uncertainty": _uset_to_json(partition.uncertainty),
         "config": {
             "max_subsets": partition.config.max_subsets,
             "epsilon": partition.config.epsilon,
@@ -488,11 +531,7 @@ def partition_to_json(partition: Partition) -> dict:
 
 
 def partition_from_json(obj: dict) -> Partition:
-    uset = UncertaintySet(
-        n_features=obj["uncertainty"]["n_features"],
-        maskable=tuple(obj["uncertainty"]["maskable"]),
-        budget=obj["uncertainty"]["budget"],
-    )
+    uset = _uset_from_json(obj["uncertainty"])
     pcfg = PartitionConfig(
         max_subsets=obj["config"]["max_subsets"], epsilon=obj["config"]["epsilon"]
     )
@@ -525,11 +564,7 @@ def partition_from_json(obj: dict) -> Partition:
 def fixed_to_json(fixed: FixedPartition) -> dict:
     return {
         "kind": "fixed",
-        "uncertainty": {
-            "n_features": fixed.uncertainty.n_features,
-            "maskable": list(fixed.uncertainty.maskable),
-            "budget": fixed.uncertainty.budget,
-        },
+        "uncertainty": _uset_to_json(fixed.uncertainty),
         "subsets": [
             {"count": s.count, "val_loss": s.val_loss, "params": params_to_json(s.params)}
             for s in fixed.subsets
@@ -538,11 +573,7 @@ def fixed_to_json(fixed: FixedPartition) -> dict:
 
 
 def fixed_from_json(obj: dict) -> FixedPartition:
-    uset = UncertaintySet(
-        n_features=obj["uncertainty"]["n_features"],
-        maskable=tuple(obj["uncertainty"]["maskable"]),
-        budget=obj["uncertainty"]["budget"],
-    )
+    uset = _uset_from_json(obj["uncertainty"])
     subsets = [
         FixedSubset(
             count=s["count"], params=params_from_json(s["params"]), val_loss=s["val_loss"]

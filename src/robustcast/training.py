@@ -200,12 +200,3 @@ def train_nominal(
     )
     constant = lambda k, params: pattern
     return run_training_loop(train, val, params0, cfg, constant, constant)
-
-
-def trace_to_csv(result: TrainResult, path) -> None:
-    """Debug dump of the loss trace (iteration, train_loss, val_loss)."""
-    lines = ["iteration,train_loss,val_loss"]
-    for rec in result.trace:
-        lines.append(f"{rec.iteration},{rec.train_loss!r},{rec.val_loss!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")

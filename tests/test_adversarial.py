@@ -78,7 +78,7 @@ class TestFindAdversarial:
         base = MissingPattern.from_missing(3, [1])
         scope = AdvSearchScope(free=(0,), budget=1, base=base)
         res = find_adversarial(np.array([[1.0, 1.0, 1.0]]), np.array([4.0]), scope, params)
-        assert res.pattern.same(base)
+        np.testing.assert_array_equal(res.pattern.bits, base.bits)
 
     def test_empty_dataset_errors(self):
         params = lr_params([1.0], maskable=(0,))

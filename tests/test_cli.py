@@ -1,10 +1,15 @@
 import json
+from pathlib import Path
 
 import numpy as np
+import pytest
 
-from robustcast.cli import main
-from robustcast.dataio import load_csv, save_csv, RawSeries
+from robustcast.cli import main, parse_run_config
+from robustcast.dataio import load_csv, save_csv, RawSeries, SynthConfig
 from robustcast.partition import load_artifact, Partition
+from robustcast.training import TrainConfig
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def base_config(out_dir, **overrides):
@@ -69,7 +74,48 @@ class TestSynth:
         assert main(["synth", "--config", str(path)]) == 2
 
 
+class TestRunConfig:
+    def test_readme_config_reaches_the_run_config(self):
+        text = README.read_text(encoding="utf-8").split("### Run config", 1)[1]
+        obj = json.loads(text.split("```json", 1)[1].split("```", 1)[0])
+        cfg = parse_run_config(obj)
+        assert cfg.synth == SynthConfig(**obj["data"]["synth"])
+        assert cfg.synth.obs_noise_std == 0.3
+        assert cfg.train == TrainConfig(seed=obj["seed"], **obj["train"])
+        top = ("seed", "out_dir", "target_plant", "max_lag", "family", "adaptive")
+        assert [getattr(cfg, k) for k in top] == [obj[k] for k in top]
+        assert (list(cfg.horizons), list(cfg.hidden)) == (obj["horizons"], obj["hidden"])
+        split = obj["split"]
+        assert (cfg.train_frac, cfg.val_frac) == (split["train_frac"], split["val_frac"])
+        part = obj["partition"]
+        assert (cfg.partition_mode, cfg.partition.max_subsets, cfg.partition.epsilon, cfg.budget) \
+            == (part["mode"], part["q_max"], part["epsilon"], part["budget"])
+        grid = obj["grid"]
+        assert (list(cfg.grid_p01), list(cfg.grid_p11), list(cfg.grid_methods), cfg.grid_runs) \
+            == (grid["p01"], grid["p11"], grid["methods"], grid["runs"])
+        qs = obj["q_sweep"]
+        assert (list(cfg.qsweep_list), cfg.qsweep_p01, cfg.qsweep_p11) \
+            == (qs["q_list"], qs["p01"], qs["p11"])
+
+    @pytest.mark.parametrize("block", [(), ("data",), ("data", "synth"), ("train",),
+                                       ("split",), ("partition",), ("grid",)])
+    def test_unknown_key_exits_2(self, tmp_path, block):
+        config = base_config(tmp_path / "out")
+        target = config
+        for key in block:
+            target = target[key]
+        target["bogus"] = 1
+        path = write_config(tmp_path, config)
+        assert main(["train", "--config", str(path)]) == 2
+        assert not (tmp_path / "out").exists()
+
+
 class TestTrain:
+    def test_jobs_below_one_exits_2(self, tmp_path):
+        path = write_config(tmp_path, base_config(tmp_path / "out"))
+        assert main(["train", "--config", str(path), "--jobs", "0"]) == 2
+        assert not (tmp_path / "out").exists()
+
     def test_learned_mode_writes_partition_and_bounds(self, tmp_path):
         out = tmp_path / "out"
         path = write_config(tmp_path, base_config(

@@ -6,12 +6,8 @@ from robustcast.dataio import (
     RawSeries,
     SynthConfig,
     build_supervised,
-    dataset_from_json,
-    dataset_to_json,
     gen_synthetic,
     load_csv,
-    raw_from_json,
-    raw_to_json,
     save_csv,
     split_sequential,
 )
@@ -224,21 +220,3 @@ class TestSplitSequential:
         ds = build_supervised(raw, 0, 1, 1)
         with pytest.raises(ConfigError):
             split_sequential(ds, 1.0, 0.15)
-
-
-class TestJsonRoundtrip:
-    def test_raw_series(self):
-        raw = gen_synthetic(SynthConfig(2, 25, 0.9, 0.4, 0.2, seed=8))
-        back = raw_from_json(raw_to_json(raw))
-        np.testing.assert_array_equal(back.values, raw.values)
-        np.testing.assert_array_equal(back.timestamps, raw.timestamps)
-        np.testing.assert_array_equal(back.weather, raw.weather)
-
-    def test_dataset(self):
-        raw = gen_synthetic(SynthConfig(2, 25, 0.9, 0.4, 0.2, seed=8))
-        ds = build_supervised(raw, 0, 1, 1)
-        back = dataset_from_json(dataset_to_json(ds))
-        np.testing.assert_array_equal(back.X, ds.X)
-        np.testing.assert_array_equal(back.y, ds.y)
-        assert back.maskable == ds.maskable
-        assert back.descriptors == ds.descriptors

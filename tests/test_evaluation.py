@@ -115,7 +115,7 @@ class TestRunGrid:
         base_preds = predict(base.params, hd.test.X, zero.bits)
         expected_imp = nrmse(base_preds, hd.test.y)
         from robustcast.partition import predict_deployed_rows
-        part_preds = predict_deployed_rows(part, hd.test.X, [zero] * hd.test.n)
+        part_preds = predict_deployed_rows(part, hd.test.X, np.tile(zero.bits, (hd.test.n, 1)))
         expected_part = nrmse(part_preds, hd.test.y)
         for rec in result.records:
             if rec.method == METHOD_IMP_PERSISTENCE:

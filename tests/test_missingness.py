@@ -83,8 +83,9 @@ class TestExpandObsMask:
     def test_zero_mask_zero_patterns(self):
         ds = self.make_ds()
         mask = ObsMaskSeries(mask=np.zeros((30, 2), dtype=np.uint8))
-        patterns = expand_obs_mask(mask, ds)
-        assert all(p.popcount() == 0 for p in patterns)
+        bits = expand_obs_mask(mask, ds)
+        assert bits.shape == (ds.n, ds.p) and bits.dtype == np.uint8
+        assert not bits.any()
 
     def test_single_mask_bit_hits_expected_lags(self):
         tau = 2
@@ -92,29 +93,29 @@ class TestExpandObsMask:
         t_star, s_star = 10, 1
         grid = np.zeros((30, 2), dtype=np.uint8)
         grid[t_star, s_star] = 1
-        patterns = expand_obs_mask(ObsMaskSeries(mask=grid), ds)
-        for i, pat in enumerate(patterns):
+        bits = expand_obs_mask(ObsMaskSeries(mask=grid), ds)
+        for i, row in enumerate(bits):
             t = int(ds.obs_periods[i])
             expected = set()
             for k in range(tau + 1):
                 if t - k == t_star:
                     expected.add(s_star * (tau + 1) + k)
-            assert set(pat.missing_indices()) == expected
-        hits = [i for i, p in enumerate(patterns) if p.popcount() > 0]
+            assert set(np.flatnonzero(row).tolist()) == expected
+        hits = np.flatnonzero(bits.sum(axis=1)).tolist()
         assert len(hits) == tau + 1
 
     def test_all_ones_mask_saturates_maskable(self):
         ds = self.make_ds()
         mask = ObsMaskSeries(mask=np.ones((30, 2), dtype=np.uint8))
-        patterns = expand_obs_mask(mask, ds)
-        assert all(p.popcount() == len(ds.maskable) for p in patterns)
+        bits = expand_obs_mask(mask, ds)
+        assert np.all(bits.sum(axis=1) == len(ds.maskable))
 
     def test_never_sets_bits_outside_maskable(self):
         ds = self.make_ds()
         rng = np.random.default_rng(0)
         mask = ObsMaskSeries(mask=(rng.random((30, 2)) < 0.5).astype(np.uint8))
-        for pat in expand_obs_mask(mask, ds):
-            pat.validate_support(ds.maskable)
+        for row in expand_obs_mask(mask, ds):
+            MissingPattern(bits=row).validate_support(ds.maskable)
 
 
 class TestImputation:

@@ -192,7 +192,7 @@ class TestLearnPartition:
         assert miss.fixed[j_star] == 1
         assert avail.opt_pattern.bits[j_star] == 0
         assert miss.opt_pattern.bits[j_star] == 1
-        assert avail.opt_pattern.same(root.opt_pattern)
+        np.testing.assert_array_equal(avail.opt_pattern.bits, root.opt_pattern.bits)
         assert j_star not in avail.free and j_star not in miss.free
 
     def test_bound_inheritance_equalities(self):
@@ -286,10 +286,23 @@ class TestPredictDeployed:
         part = manual_partition()
         rng = np.random.default_rng(3)
         X = rng.uniform(0, 1, (6, 3))
-        patterns = [MissingPattern(bits=(rng.random(3) < 0.5).astype(np.uint8)) for _ in range(6)]
+        patterns = (rng.random((6, 3)) < 0.5).astype(np.uint8)
         batched = predict_deployed_rows(part, X, patterns)
         for i in range(6):
             assert batched[i] == pytest.approx(predict_deployed(part, X[i], patterns[i]))
+        with pytest.raises(DomainError):
+            predict_deployed_rows(part, X, patterns[:, :2])
+
+    def test_raw_bits_outside_zero_one_rejected(self):
+        part = manual_partition()
+        x = np.array([1.0, 1.0, 1.0])
+        bad = np.array([0, 2, 0])
+        with pytest.raises(DomainError):
+            predict_deployed(part, x, bad)
+        with pytest.raises(DomainError):
+            locate(part, bad)
+        with pytest.raises(DomainError):
+            predict_deployed_rows(part, x[None, :], bad[None, :])
 
 
 class TestFixedPartition:
@@ -365,9 +378,11 @@ class TestSerialization:
         assert isinstance(back, FixedPartition)
         rng = np.random.default_rng(2)
         X = rng.uniform(0, 1, (5, 3))
-        patterns = [MissingPattern.from_missing(3, [0]) for _ in range(5)]
+        patterns = np.tile(MissingPattern.from_missing(3, [0]).bits, (5, 1))
         np.testing.assert_allclose(predict_fixed_rows(back, X, patterns),
                                    predict_fixed_rows(fixed, X, patterns))
+        with pytest.raises(DomainError):
+            predict_fixed_rows(fixed, X, patterns[0])
 
     def test_bounds_table_shape(self):
         part = manual_partition()
