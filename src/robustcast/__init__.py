@@ -21,6 +21,7 @@ from .exceptions import (
     ConfigError,
     DataError,
     DomainError,
+    NumericalError,
     OrderError,
     ParseError,
     RobustcastError,

@@ -15,7 +15,6 @@ from pathlib import Path
 from ._util import derive_seed
 from .dataio import RawSeries, SynthConfig, gen_synthetic, load_csv, save_csv
 from .evaluation import (
-    ALL_METHODS,
     METHOD_ARF_FIXED,
     METHOD_ARF_LEARNED,
     METHOD_IMP_MEAN,
@@ -76,38 +75,71 @@ class RunConfig:
     qsweep_method: str
 
 
-# Every key a run config may hold; a nested dict is a block of its own.
+# Every key a run config may hold, with the JSON type of its value: a nested
+# dict is a block of its own, [kind] a list of that kind, and float admits
+# integers too. None in a tuple admits null (the key then takes its default).
 _CONFIG_KEYS = {
-    "seed": None, "out_dir": None, "target_plant": None, "max_lag": None, "horizons": None,
-    "family": None, "adaptive": None, "hidden": None,
-    "data": {"csv": None, "synth": dict.fromkeys((
-        "n_plants", "n_periods", "ar_coefficient", "cross_plant_correlation",
-        "noise_std", "obs_noise_std", "seed",
-    ))},
-    "split": dict.fromkeys(("train_frac", "val_frac")),
-    "train": dict.fromkeys((
-        "learning_rate", "max_iters", "patience", "batch_size", "weight_decay", "shuffle",
-    )),
-    "partition": dict.fromkeys(("mode", "q_max", "epsilon", "budget")),
-    "grid": dict.fromkeys(("p01", "p11", "methods", "runs")),
-    "q_sweep": dict.fromkeys(("q_list", "p01", "p11", "method")),
+    "seed": int, "out_dir": str, "target_plant": int, "max_lag": int, "horizons": [int],
+    "family": str, "adaptive": bool, "hidden": [int],
+    "data": {"csv": (str, None), "synth": {
+        "n_plants": int, "n_periods": int, "ar_coefficient": float,
+        "cross_plant_correlation": float, "noise_std": float, "obs_noise_std": float,
+        "seed": int,
+    }},
+    "split": {"train_frac": float, "val_frac": float},
+    "train": {
+        "learning_rate": float, "max_iters": int, "patience": int, "batch_size": int,
+        "weight_decay": float, "shuffle": bool,
+    },
+    "partition": {"mode": str, "q_max": int, "epsilon": float, "budget": (int, None)},
+    "grid": {"p01": [float], "p11": [float], "methods": [str], "runs": int},
+    "q_sweep": {"q_list": [int], "p01": float, "p11": float, "method": str},
 }
 
 
-def _check_keys(obj, keys: dict = _CONFIG_KEYS, where: str = "") -> None:
-    """Reject any key, at any level, that the run config has no use for;
-    `where` is the dotted path prefix of `obj` ("" at the top)."""
+def _is_kind(value, kind) -> bool:
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(_is_kind(v, kind[0]) for v in value)
+    if isinstance(kind, tuple):
+        return any(value is None if k is None else _is_kind(value, k) for k in kind)
+    if kind is bool:
+        return isinstance(value, bool)
+    # bool is an int subclass, but true is neither a count nor a rate
+    numeric = (int, float) if kind is float else kind
+    return isinstance(value, numeric) and not isinstance(value, bool)
+
+
+def _kind_name(kind) -> str:
+    if isinstance(kind, list):
+        return f"a list, each item {_kind_name(kind[0])}"
+    if isinstance(kind, tuple):
+        return " or ".join("null" if k is None else _kind_name(k) for k in kind)
+    return {int: "an integer", float: "a number", bool: "true or false", str: "a string"}[kind]
+
+
+def _check_config(obj, keys: dict = _CONFIG_KEYS, where: str = "", allow_unknown=False) -> None:
+    """Reject a value of the wrong type and, unless allow_unknown, any key
+    the run config has no use for, at any level; `where` is the dotted path
+    prefix of `obj` ("" at the top)."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{where.rstrip('.') or 'the run config'} must be a JSON object")
     unknown = sorted(set(obj) - set(keys))
-    if unknown:
+    if unknown and not allow_unknown:
         raise ConfigError("unknown config key(s): " + ", ".join(where + k for k in unknown))
-    for key, sub in keys.items():
-        if sub is not None and key in obj:
-            _check_keys(obj[key], sub, f"{where}{key}.")
+    for key, kind in keys.items():
+        if key not in obj:
+            continue
+        if isinstance(kind, dict):
+            _check_config(obj[key], kind, f"{where}{key}.", allow_unknown)
+        elif not _is_kind(obj[key], kind):
+            raise ConfigError(f"{where}{key} must be {_kind_name(kind)}, got {obj[key]!r}")
 
 
 def parse_run_config(obj: dict) -> RunConfig:
+    """The RunConfig a run config describes. A value of the wrong type
+    raises ConfigError; unknown keys are ignored here (load_run_config
+    rejects them), so a caller can still list them."""
+    _check_config(obj, allow_unknown=True)
     try:
         data = obj.get("data", {})
         csv_path = data.get("csv")
@@ -187,7 +219,7 @@ def load_run_config(path: str, seed_override: int | None, out_override: str | No
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
-    _check_keys(obj)
+    _check_config(obj)
     cfg = parse_run_config(obj)
     if seed_override is not None:
         cfg = replace(

@@ -33,5 +33,9 @@ class SizeError(DataError):
     """A data segment is empty or too short for the requested operation."""
 
 
+class NumericalError(RobustcastError):
+    """A computation produced a non-finite value, e.g. a diverged training loss."""
+
+
 class CapacityError(RobustcastError):
     """Guarded combinatorial operation asked to exceed its size limit."""

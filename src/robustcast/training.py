@@ -7,6 +7,7 @@ exactly comparable.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -14,7 +15,7 @@ import numpy as np
 
 from ._util import rng_for
 from .dataio import Dataset
-from .exceptions import ConfigError, SizeError
+from .exceptions import ConfigError, NumericalError, SizeError
 from .missingness import MissingPattern
 from .models import Architecture, ModelParams, init_params, loss_and_grad, mse_loss
 
@@ -129,7 +130,9 @@ def run_training_loop(
     seed-derived permutation is used when cfg.shuffle is set). The training
     pattern for an epoch is picked before its updates; the validation pattern
     is picked after them. Returns the parameters with the lowest validation
-    mean squared error seen.
+    mean squared error seen. A non-finite training (mini-batch) or validation
+    loss raises NumericalError naming the iteration: a diverged fit never
+    improves on the best, so it would otherwise end as the initial params.
     """
     if train.n == 0 or val.n == 0:
         raise SizeError("training and validation splits must be non-empty")
@@ -154,10 +157,14 @@ def run_training_loop(
             loss, grads = loss_and_grad(
                 params, train.X[idx], train.y[idx], alpha_train, cfg.weight_decay
             )
+            if not math.isfinite(loss):
+                raise NumericalError(f"training loss is {loss} at iteration {k}")
             params, state = adam_step(params, grads, state, cfg.learning_rate)
             batch_losses.append(loss)
         alpha_val = pick_val_pattern(k, params)
         val_loss = mse_loss(params, val.X, val.y, alpha_val)
+        if not math.isfinite(val_loss):
+            raise NumericalError(f"validation loss is {val_loss} at iteration {k}")
         trace.append(IterationRecord(k, float(np.mean(batch_losses)), val_loss))
         if val_loss < best_loss:
             best_params = params.copy()

@@ -3,7 +3,6 @@ and reused by the evaluation-trend and acceptance tests."""
 import time
 from dataclasses import dataclass
 
-import numpy as np
 import pytest
 
 from robustcast.dataio import SynthConfig, gen_synthetic

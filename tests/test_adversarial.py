@@ -2,9 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robustcast.adversarial import (
     AdvSearchScope,
+    _pattern_losses,
     find_adversarial,
     greedy_split_feature,
     sample_fixed_adversarial,
@@ -149,6 +152,156 @@ class TestFindAdversarial:
         losses = {j: mse_loss(params, X, y, scope.base.with_missing(j)) for j in free}
         expected = max(free, key=lambda j: (losses[j], -j))
         assert greedy_split_feature(X, y, scope, params) == expected
+
+
+def greedy_oracle(X, y, scope, params):
+    """The search scored one candidate at a time with mse_loss; returns the
+    pattern, the steps and, per round, the stacked candidate bits with their
+    losses."""
+    current = scope.base
+    best = mse_loss(params, X, y, current)
+    candidates = list(scope.free)
+    steps, rounds = [], []
+    while current.popcount() < scope.budget and candidates:
+        patterns = [current.with_missing(j) for j in candidates]
+        losses = [mse_loss(params, X, y, pattern) for pattern in patterns]
+        rounds.append((np.array([pattern.bits for pattern in patterns]), losses))
+        pick = int(np.argmax(losses))
+        if losses[pick] < best:
+            break
+        current, best = patterns[pick], losses[pick]
+        steps.append((candidates.pop(pick), best))
+    return current, steps, rounds
+
+
+@st.composite
+def lr_searches(draw):
+    """A linear model (plain or adaptive, random D), a data set whose columns
+    are scaled by up to 1e3, and a scope with a random base and budget.
+
+    At least two rows: the closed form's rounding error scales with
+    c + v'Gv, not with the loss, so it is large relative to a loss near 0.
+    A single row whose prediction nearly equals its target gets there by
+    chance (4e-9 relative in 1 of 4000 random one-row searches); with two
+    or more rows the largest seen was 8e-12."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = draw(st.integers(2, 9))
+    n = draw(st.integers(2, 40))
+    maskable = tuple(sorted(draw(st.sets(st.integers(0, p - 1), min_size=1, max_size=p))))
+    base_missing = draw(st.sets(st.sampled_from(maskable), max_size=len(maskable) - 1))
+    budget = draw(st.integers(len(base_missing), len(maskable)))
+    adaptive = draw(st.booleans())
+    params = init_params(Architecture(input_dim=p), "lr", adaptive, seed=0, maskable=maskable)
+    params.arrays["w"] = rng.normal(0.0, 1.0, p)
+    if adaptive:
+        params.arrays["D"] = rng.normal(0.0, 1.0, params.arrays["D"].shape)
+    X = rng.normal(0.0, 1.0, (n, p)) * 10.0 ** rng.uniform(0.0, 3.0, p)
+    y = X @ rng.normal(0.0, 1.0, p) + rng.normal(0.0, 1.0, n)
+    base = MissingPattern.from_missing(p, sorted(base_missing))
+    free = tuple(j for j in maskable if j not in base_missing)
+    return X, y, AdvSearchScope(free=free, budget=budget, base=base), params
+
+
+class TestRoundScorer:
+    @settings(max_examples=150, deadline=None)
+    @given(lr_searches())
+    def test_closed_form_matches_per_candidate_greedy(self, search):
+        X, y, scope, params = search
+        pattern, steps, rounds = greedy_oracle(X, y, scope, params)
+        score = _pattern_losses(X, y, params)
+        for stack, losses in rounds:
+            np.testing.assert_allclose(score(stack), losses, rtol=1e-9)
+        res = find_adversarial(X, y, scope, params)
+        np.testing.assert_array_equal(res.pattern.bits, pattern.bits)
+        assert [j for j, _ in res.steps] == [j for j, _ in steps]
+        np.testing.assert_allclose([l for _, l in res.steps], [l for _, l in steps], rtol=1e-9)
+        if rounds:
+            first = rounds[0][1]
+            expected = scope.free[max(range(len(first)), key=lambda i: (first[i], -i))]
+            assert greedy_split_feature(X, y, scope, params) == expected
+
+    @settings(max_examples=50, deadline=None)
+    @given(lr_searches(), st.data())
+    def test_free_feature_outside_maskable_raises(self, search, data):
+        X, y, scope, params = search
+        outside = [j for j in range(params.n_features) if j not in params.maskable]
+        if not outside:
+            return
+        j = data.draw(st.sampled_from(outside))
+        room = scope.base.popcount() < scope.budget
+        bad = AdvSearchScope(free=scope.free + (j,), budget=scope.budget, base=scope.base)
+        if room:
+            with pytest.raises(DomainError):
+                find_adversarial(X, y, bad, params)
+        else:  # no round runs, so no candidate is checked
+            find_adversarial(X, y, bad, params)
+        with pytest.raises(DomainError):
+            greedy_split_feature(X, y, bad, params)
+
+    def test_a_row_scores_the_same_in_any_stack(self):
+        # so a pattern that leaves the effective weights unchanged ties the
+        # incumbent exactly, whatever round and position it is scored in
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            p = int(rng.integers(2, 20))
+            maskable = tuple(range(int(rng.integers(1, p + 1))))
+            adaptive = bool(seed % 2)
+            params = init_params(Architecture(input_dim=p), "lr", adaptive, seed=0,
+                                 maskable=maskable)
+            params.arrays["w"] = rng.normal(0.0, 1.0, p)
+            if adaptive:
+                params.arrays["D"] = rng.normal(0.0, 1.0, params.arrays["D"].shape)
+            n = int(rng.integers(2, 50))
+            X = rng.normal(0.0, 1.0, (n, p)) * 10.0 ** rng.uniform(0.0, 3.0, p)
+            score = _pattern_losses(X, rng.normal(0.0, 100.0, n), params)
+            stack = np.zeros((int(rng.integers(2, 30)), p), dtype=np.uint8)
+            stack[:, : len(maskable)] = rng.uniform(size=(len(stack), len(maskable))) < 0.4
+            whole = score(stack)
+            for i in range(len(stack)):
+                assert score(stack[i : i + 1])[0] == whole[i]
+                assert score(stack[i:])[0] == whole[i]
+
+    def test_base_outside_maskable_raises_even_without_a_round(self):
+        params = lr_params([1.0, 1.0, 1.0], maskable=(0, 1))
+        base = MissingPattern.from_missing(3, [2])
+        scope = AdvSearchScope(free=(), budget=1, base=base)
+        with pytest.raises(DomainError):
+            find_adversarial(np.ones((4, 3)), np.zeros(4), scope, params)
+
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_unchanged_weights_tie_and_are_accepted_in_index_order(self, adaptive):
+        # Features 0-2 carry zero weight (and zero correction): removing any
+        # leaves every prediction as it is, so each candidate ties the
+        # incumbent exactly and the lowest index is accepted each round.
+        rng = np.random.default_rng(5)
+        params = init_params(Architecture(input_dim=4), "lr", adaptive, seed=0,
+                             maskable=(0, 1, 2))
+        params.arrays["w"] = np.array([0.0, 0.0, 0.0, 1.7])
+        X = rng.normal(0.0, 100.0, (30, 4))
+        y = rng.normal(0.0, 1.0, 30)
+        scope = AdvSearchScope(free=(0, 1, 2), budget=2, base=MissingPattern.zeros(4))
+        res = find_adversarial(X, y, scope, params)
+        base_loss = float(_pattern_losses(X, y, params)(scope.base.bits[None, :])[0])
+        assert res.steps == [(0, base_loss), (1, base_loss)]
+        assert res.pattern.missing_indices() == (0, 1)
+
+    def test_network_family_matches_per_candidate_greedy(self):
+        rng = np.random.default_rng(8)
+        p, maskable = 5, (0, 1, 2, 3)
+        params = init_params(Architecture(input_dim=p, hidden=(6, 4)), "nn", True, seed=3,
+                             maskable=maskable)
+        for name in params.block_names():
+            params.arrays[name] = rng.normal(0.0, 0.5, params.arrays[name].shape)
+        X = rng.normal(0.0, 1.0, (25, p))
+        y = rng.normal(0.0, 1.0, 25)
+        scope = AdvSearchScope(free=maskable, budget=3, base=MissingPattern.zeros(p))
+        pattern, steps, rounds = greedy_oracle(X, y, scope, params)
+        res = find_adversarial(X, y, scope, params)
+        np.testing.assert_array_equal(res.pattern.bits, pattern.bits)
+        assert res.steps == steps
+        score = _pattern_losses(X, y, params)
+        for stack, losses in rounds:
+            assert score(stack).tolist() == losses
 
 
 class TestSampleFixedAdversarial:

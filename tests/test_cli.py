@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from robustcast.cli import main, parse_run_config
+from robustcast.exceptions import ConfigError
 from robustcast.dataio import load_csv, save_csv, RawSeries, SynthConfig
 from robustcast.partition import load_artifact, Partition
 from robustcast.training import TrainConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
 
 
 def base_config(out_dir, **overrides):
@@ -97,6 +99,52 @@ class TestRunConfig:
         assert (list(cfg.qsweep_list), cfg.qsweep_p01, cfg.qsweep_p11) \
             == (qs["q_list"], qs["p01"], qs["p11"])
 
+    @pytest.mark.parametrize("key, value", [
+        (("adaptive",), "false"),
+        (("train", "shuffle"), "no"),
+        (("max_lag",), 1.5),
+        (("max_lag",), True),
+        (("horizons",), [1, 2.0]),
+        (("train", "learning_rate"), "0.01"),
+        (("split", "val_frac"), False),
+        (("grid", "p01"), ["0.2"]),
+    ])
+    def test_value_of_the_wrong_type_exits_2(self, tmp_path, key, value):
+        config = base_config(tmp_path / "out")
+        target = config
+        for name in key[:-1]:
+            target = target[name]
+        target[key[-1]] = value
+        with pytest.raises(ConfigError, match=key[-1]):
+            parse_run_config(config)
+        path = write_config(tmp_path, config)
+        assert main(["train", "--config", str(path)]) == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_numbers_may_be_integers_and_budget_null(self):
+        config = base_config("out")
+        config["train"]["weight_decay"] = 0
+        config["partition"]["budget"] = None
+        cfg = parse_run_config(config)
+        assert cfg.train.weight_decay == 0 and cfg.budget is None
+
+    @pytest.mark.parametrize("name", ["eval-grid", "lr-pipeline", "nn-train"])
+    def test_benchmark_configs_reach_the_run_config(self, name):
+        obj = json.loads((WORKLOADS / f"{name}.json").read_text(encoding="utf-8"))
+        cfg = parse_run_config(obj)
+        assert cfg.synth == SynthConfig(**obj["data"]["synth"])
+        assert cfg.train == TrainConfig(seed=obj["seed"], **obj["train"])
+        top = ("seed", "out_dir", "target_plant", "max_lag", "family", "adaptive")
+        assert [getattr(cfg, k) for k in top] == [obj[k] for k in top]
+        assert list(cfg.horizons) == obj["horizons"]
+        assert list(cfg.hidden) == obj.get("hidden", list(cfg.hidden))
+        assert (cfg.train_frac, cfg.val_frac) == tuple(obj["split"].values())
+        part, grid = obj["partition"], obj["grid"]
+        assert (cfg.partition.max_subsets, cfg.partition.epsilon, cfg.budget) \
+            == (part["q_max"], part["epsilon"], part.get("budget"))
+        assert (list(cfg.grid_p01), list(cfg.grid_p11), list(cfg.grid_methods), cfg.grid_runs) \
+            == (grid["p01"], grid["p11"], grid["methods"], grid["runs"])
+
     @pytest.mark.parametrize("block", [(), ("data",), ("data", "synth"), ("train",),
                                        ("split",), ("partition",), ("grid",)])
     def test_unknown_key_exits_2(self, tmp_path, block):
@@ -111,6 +159,14 @@ class TestRunConfig:
 
 
 class TestTrain:
+    def test_diverged_training_exits_4(self, tmp_path, capsys):
+        config = base_config(tmp_path / "out", family="nn", hidden=[8, 8])
+        config["train"]["learning_rate"] = 1e200
+        path = write_config(tmp_path, config)
+        with np.errstate(all="ignore"):
+            assert main(["train", "--config", str(path)]) == 4
+        assert "loss is" in capsys.readouterr().err
+
     def test_jobs_below_one_exits_2(self, tmp_path):
         path = write_config(tmp_path, base_config(tmp_path / "out"))
         assert main(["train", "--config", str(path), "--jobs", "0"]) == 2

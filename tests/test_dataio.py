@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from robustcast.dataio import (
-    Dataset,
     RawSeries,
     SynthConfig,
     build_supervised,

@@ -9,7 +9,6 @@ from robustcast.missingness import MissingPattern
 from robustcast.models import Architecture, init_params
 from robustcast.partition import (
     FixedPartition,
-    FixedSubset,
     Partition,
     PartitionConfig,
     TreeNode,

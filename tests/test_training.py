@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from robustcast.dataio import Dataset, FeatureDescriptor, SynthConfig, build_supervised, gen_synthetic, split_sequential
-from robustcast.exceptions import ConfigError, SizeError
+from robustcast.exceptions import ConfigError, NumericalError, SizeError
 from robustcast.missingness import MissingPattern
 from robustcast.models import Architecture, init_params, mse_loss
 from robustcast.training import (
     TrainConfig,
     adam_step,
     init_optimizer,
+    run_training_loop,
     train_nominal,
 )
 
@@ -156,3 +157,26 @@ class TestTrainNominal:
             TrainConfig(patience=0)
         with pytest.raises(ConfigError):
             TrainConfig(batch_size=0)
+
+
+class TestNonFiniteLoss:
+    def test_diverged_training_loss_raises_at_its_iteration(self):
+        raw = gen_synthetic(SynthConfig(2, 300, 0.95, 0.5, 0.4, seed=3))
+        ds = build_supervised(raw, 0, 1, 1)
+        train, val, _ = split_sequential(ds, 0.5, 0.2)
+        arch = Architecture(input_dim=ds.p, hidden=(8, 8), bias_index=ds.bias_index)
+        cfg = TrainConfig(learning_rate=1e200, max_iters=5, patience=5, batch_size=64, seed=0)
+        with np.errstate(all="ignore"), pytest.raises(NumericalError,
+                                                      match="training loss .* iteration 0"):
+            train_nominal(train, val, MissingPattern.zeros(ds.p), cfg, arch, "nn", False)
+
+    def test_non_finite_validation_loss_raises_at_its_iteration(self):
+        ds = line_dataset(n=200, noise=0.1, seed=2)
+        train, val = split_sequential(ds, 0.6, 0.25)[:2]
+        val.y[3] = np.nan
+        arch = Architecture(input_dim=2, bias_index=1)
+        cfg = TrainConfig(learning_rate=1e-2, max_iters=5, patience=5, batch_size=64, seed=0)
+        params0 = init_params(arch, "lr", False, cfg.seed, maskable=train.maskable)
+        zero = lambda k, params: MissingPattern.zeros(2)
+        with pytest.raises(NumericalError, match="validation loss is nan at iteration 0"):
+            run_training_loop(train, val, params0, cfg, zero, zero)
