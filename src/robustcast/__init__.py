@@ -49,6 +49,7 @@ from .partition import (
     learn_partition,
     locate,
     predict_deployed,
+    truncate,
 )
 from .adversarial import (
     AdvSearchScope,

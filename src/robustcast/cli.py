@@ -15,6 +15,7 @@ from pathlib import Path
 from ._util import derive_seed
 from .dataio import RawSeries, SynthConfig, gen_synthetic, load_csv, save_csv
 from .evaluation import (
+    ALL_METHODS,
     METHOD_ARF_FIXED,
     METHOD_ARF_LEARNED,
     METHOD_IMP_MEAN,
@@ -40,10 +41,12 @@ from .partition import (
     learn_partition,
     load_artifact,
     save_artifact,
+    truncate,
 )
 from .training import TrainConfig
 
 DEFAULT_HIDDEN = (50, 50, 50, 50)
+LEARNED_METHODS = (METHOD_RF_LEARNED, METHOD_ARF_LEARNED)
 
 
 @dataclass(frozen=True)
@@ -177,7 +180,23 @@ def parse_run_config(obj: dict) -> RunConfig:
         if mode not in ("learned", "fixed", "nominal"):
             raise ConfigError(f"partition.mode must be learned|fixed|nominal, got {mode!r}")
         grid = obj.get("grid", {})
+        grid_methods = tuple(grid.get("methods", [METHOD_IMP_PERSISTENCE, METHOD_ARF_LEARNED]))
+        unknown = [m for m in grid_methods if m not in ALL_METHODS]
+        if unknown:
+            raise ConfigError(
+                f"grid.methods: unknown method(s) {', '.join(map(repr, unknown))}; "
+                f"known: {', '.join(ALL_METHODS)}"
+            )
         qs = obj.get("q_sweep")
+        if qs is not None:
+            q_method = qs.get("method", METHOD_ARF_LEARNED)
+            if q_method not in LEARNED_METHODS:
+                raise ConfigError(
+                    f"q_sweep.method must be a learned method ({' or '.join(LEARNED_METHODS)}), "
+                    f"got {q_method!r}"
+                )
+            if not qs["q_list"] or min(qs["q_list"]) < 1:
+                raise ConfigError(f"q_sweep.q_list must list Q values >= 1, got {qs['q_list']!r}")
         split = obj.get("split", {})
         return RunConfig(
             seed=obj.get("seed", 0),
@@ -201,12 +220,12 @@ def parse_run_config(obj: dict) -> RunConfig:
             has_grid="grid" in obj,
             grid_p01=tuple(grid.get("p01", [0.05, 0.1, 0.2])),
             grid_p11=tuple(grid.get("p11", [0.0, 0.8, 0.9])),
-            grid_methods=tuple(grid.get("methods", [METHOD_IMP_PERSISTENCE, METHOD_ARF_LEARNED])),
+            grid_methods=grid_methods,
             grid_runs=grid.get("runs", 10),
-            qsweep_list=tuple(qs["q_list"]) if qs else None,
-            qsweep_p01=qs.get("p01", 0.2) if qs else 0.2,
-            qsweep_p11=qs.get("p11", 0.9) if qs else 0.9,
-            qsweep_method=qs.get("method", METHOD_ARF_LEARNED) if qs else METHOD_ARF_LEARNED,
+            qsweep_list=tuple(qs["q_list"]) if qs is not None else None,
+            qsweep_p01=qs.get("p01", 0.2) if qs is not None else 0.2,
+            qsweep_p11=qs.get("p11", 0.9) if qs is not None else 0.9,
+            qsweep_method=q_method if qs is not None else METHOD_ARF_LEARNED,
         )
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed run config: {exc}") from exc
@@ -289,31 +308,38 @@ def cmd_synth(cfg: RunConfig) -> int:
     return 0
 
 
-def _train_one_method(method, cfg, hd, arch, uset, h, jobs, out_dir, base_params_path):
+def _train_one_method(method, cfg, hd, arch, uset, h, jobs, in_grid):
     seed = derive_seed(cfg.seed, "train", method, h)
     adaptive = method in (METHOD_ARF_LEARNED, METHOD_ARF_FIXED)
     tcfg = replace(cfg.train, seed=seed)
-    if method in (METHOD_RF_LEARNED, METHOD_ARF_LEARNED):
-        part = learn_partition(
-            hd.train, hd.val, uset, cfg.partition, tcfg, arch, cfg.family, adaptive
+    out_dir = Path(cfg.out_dir)
+    if method in LEARNED_METHODS:
+        # Growth is greedy and seeds each subset by its id, so the tree for
+        # any smaller Q is a cut of one growth to the largest Q the run needs.
+        sweep = cfg.qsweep_list if cfg.qsweep_list and method == cfg.qsweep_method else ()
+        q_grow = max(sweep + ((cfg.partition.max_subsets,) if in_grid else ()))
+        grown = learn_partition(
+            hd.train, hd.val, uset, replace(cfg.partition, max_subsets=q_grow), tcfg, arch,
+            cfg.family, adaptive,
         )
-        path = _artifact_path(out_dir, method, h)
-        save_artifact(part, path)
-        table = bounds_table(part)
-        (Path(out_dir) / f"bounds_{method}_h{h}.txt").write_text(table, encoding="utf-8")
-        print(f"[h={h}] {method}: {len(part.leaf_ids)} subsets, "
-              f"max relgap {part.max_relgap():.4%}")
-        print(table, end="")
-        return path
-    if method in (METHOD_RF_FIXED, METHOD_ARF_FIXED):
+        if in_grid:
+            part = truncate(grown, cfg.partition.max_subsets)
+            save_artifact(part, _artifact_path(cfg.out_dir, method, h))
+            table = bounds_table(part)
+            (out_dir / f"bounds_{method}_h{h}.txt").write_text(table, encoding="utf-8")
+            print(f"[h={h}] {method}: {len(part.leaf_ids)} subsets, "
+                  f"max relgap {part.max_relgap():.4%}")
+            print(table, end="")
+        for q in sweep:
+            part = truncate(grown, q)
+            save_artifact(part, out_dir / f"{method}_q{q}_h{h}.json")
+            print(f"[h={h}] {method} Q={q}: max relgap {part.max_relgap():.4%}")
+    elif method in (METHOD_RF_FIXED, METHOD_ARF_FIXED):
         part = fixed_partition(
             hd.train, hd.val, uset, tcfg, arch, cfg.family, adaptive, jobs=jobs
         )
-        path = _artifact_path(out_dir, method, h)
-        save_artifact(part, path)
+        save_artifact(part, _artifact_path(cfg.out_dir, method, h))
         print(f"[h={h}] {method}: {len(part.subsets)} equality subsets")
-        return path
-    return base_params_path
 
 
 def cmd_train(cfg: RunConfig, jobs: int = 1) -> int:
@@ -324,7 +350,10 @@ def cmd_train(cfg: RunConfig, jobs: int = 1) -> int:
     hds = _horizon_data(cfg, raw)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    methods = _methods_to_train(cfg)
+    grid_methods = _methods_to_train(cfg)
+    methods = grid_methods
+    if cfg.qsweep_list and cfg.qsweep_method not in methods:
+        methods += (cfg.qsweep_method,)
 
     for h, hd in hds.items():
         arch = _arch_for(cfg, hd)
@@ -339,35 +368,17 @@ def cmd_train(cfg: RunConfig, jobs: int = 1) -> int:
             cfg.family,
             adaptive=False,
         )
-        base_path = _artifact_path(cfg.out_dir, "base", h)
-        save_artifact(base.params, base_path)
+        save_artifact(base.params, _artifact_path(cfg.out_dir, "base", h))
         print(f"[h={h}] base model: validation loss {base.val_loss:.6e}")
         for method in methods:
             if method in (METHOD_IMP_PERSISTENCE, METHOD_IMP_MEAN, METHOD_RETRAIN_ORACLE):
                 continue
             try:
                 _train_one_method(
-                    method, cfg, hd, arch, uset, h, jobs, cfg.out_dir, base_path
+                    method, cfg, hd, arch, uset, h, jobs, in_grid=method in grid_methods
                 )
             except RobustcastError as exc:
                 raise RobustcastError(f"training {method} at h={h} failed: {exc}") from exc
-        if cfg.qsweep_list:
-            for q in cfg.qsweep_list:
-                seed = derive_seed(cfg.seed, "train", cfg.qsweep_method, h)
-                adaptive = cfg.qsweep_method in (METHOD_ARF_LEARNED,)
-                tcfg = replace(cfg.train, seed=seed)
-                part = learn_partition(
-                    hd.train,
-                    hd.val,
-                    uset,
-                    PartitionConfig(max_subsets=q, epsilon=cfg.partition.epsilon),
-                    tcfg,
-                    arch,
-                    cfg.family,
-                    adaptive,
-                )
-                save_artifact(part, Path(cfg.out_dir) / f"{cfg.qsweep_method}_q{q}_h{h}.json")
-                print(f"[h={h}] {cfg.qsweep_method} Q={q}: max relgap {part.max_relgap():.4%}")
     return 0
 
 

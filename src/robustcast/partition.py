@@ -319,7 +319,6 @@ def learn_partition(
     node_of = {0: TreeNode(subset_id=0)}
     root = node_of[0]
     leaf_ids = [0]
-    next_id = 1
 
     while len(leaf_ids) < pcfg.max_subsets:
         candidates = [i for i in leaf_ids if _splittable(subsets[i], uset)]
@@ -335,8 +334,7 @@ def learn_partition(
         j_star = greedy_split_feature(train.X, train.y, _scope_for(parent, uset), parent.params_opt)
         free_child = tuple(j for j in parent.free if j != j_star)
 
-        avail_id, miss_id = next_id, next_id + 1
-        next_id += 2
+        avail_id, miss_id = len(subsets), len(subsets) + 1
 
         avail_fixed = dict(parent.fixed)
         avail_fixed[j_star] = 0
@@ -385,18 +383,65 @@ def learn_partition(
         parent.split_feature = j_star
         subsets[avail_id] = avail_subset
         subsets[miss_id] = miss_subset
-        node = node_of[chosen]
-        node.feature = j_star
-        node.available = TreeNode(subset_id=avail_id)
-        node.missing = TreeNode(subset_id=miss_id)
-        node_of[avail_id] = node.available
-        node_of[miss_id] = node.missing
-        leaf_ids = [i for i in leaf_ids if i != chosen] + [avail_id, miss_id]
+        leaf_ids = _split_leaf(node_of, leaf_ids, chosen, j_star)
 
     for subset in subsets.values():
         subset.validate()
     return Partition(
         uncertainty=uset, config=pcfg, root=root, subsets=subsets, leaf_ids=leaf_ids
+    )
+
+
+def _split_leaf(node_of: dict, leaf_ids: list[int], chosen: int, feature: int) -> list[int]:
+    """Split leaf `chosen` on `feature` into the next two subset ids, which
+    are 2k - 1 (available) and 2k (missing) for the k-th split; returns the
+    new leaf order."""
+    avail_id = len(node_of)
+    node = node_of[chosen]
+    node.feature = feature
+    node.available = node_of[avail_id] = TreeNode(subset_id=avail_id)
+    node.missing = node_of[avail_id + 1] = TreeNode(subset_id=avail_id + 1)
+    return [i for i in leaf_ids if i != chosen] + [avail_id, avail_id + 1]
+
+
+def truncate(partition: Partition, q: int) -> Partition:
+    """The partition `learn_partition` grows with max_subsets=q, cut from
+    `partition`, grown by `learn_partition` with the same arguments and at
+    least q subsets (or stopped early, below its max_subsets).
+
+    Growth is greedy and every subset trains from seeds derived from (seed,
+    subset id), so growing to q subsets performs the first q - 1 splits of
+    any longer growth. Split k created subsets 2k - 1 and 2k, whose
+    parent_id names the leaf it split; the tree, the leaf order and the
+    split features are replayed from those. The subsets share their
+    parameters with `partition`. When q equals config.max_subsets the input
+    itself is returned.
+    """
+    if q < 1:
+        raise ConfigError(f"cannot cut a partition to {q} subsets; need q >= 1")
+    grown_to = partition.config.max_subsets
+    if q == grown_to:
+        return partition
+    if q > grown_to and len(partition.leaf_ids) == grown_to:
+        raise ConfigError(
+            f"cannot cut {q} subsets from a partition grown to max_subsets={grown_to}"
+        )
+    subsets = {0: replace(partition.subsets[0], split_feature=None)}
+    node_of = {0: TreeNode(subset_id=0)}
+    leaf_ids = [0]
+    for k in range(1, min(q, len(partition.leaf_ids))):
+        chosen = partition.subsets[2 * k - 1].parent_id
+        feature = partition.subsets[chosen].split_feature
+        subsets[chosen].split_feature = feature
+        for sid in (2 * k - 1, 2 * k):
+            subsets[sid] = replace(partition.subsets[sid], split_feature=None)
+        leaf_ids = _split_leaf(node_of, leaf_ids, chosen, feature)
+    return Partition(
+        uncertainty=partition.uncertainty,
+        config=replace(partition.config, max_subsets=q),
+        root=node_of[0],
+        subsets=subsets,
+        leaf_ids=leaf_ids,
     )
 
 

@@ -18,7 +18,9 @@ from robustcast.evaluation import (
 )
 from robustcast.missingness import MissingPattern
 from robustcast.models import Architecture
-from robustcast.partition import Partition, PartitionConfig, UncertaintySet, learn_partition
+from robustcast.partition import (
+    Partition, PartitionConfig, UncertaintySet, learn_partition, truncate,
+)
 from robustcast.training import TrainConfig, train_nominal
 
 TREND_SYNTH = SynthConfig(
@@ -61,12 +63,11 @@ def trend_setup() -> TrendSetup:
         maskable=hd.dataset.maskable,
         budget=len(hd.dataset.maskable),
     )
-    partitions = {
-        q: learn_partition(
-            hd.train, hd.val, uset, PartitionConfig(q, 0.0), TREND_TRAIN, arch, "lr", True
-        )
-        for q in TREND_Q_LIST
-    }
+    grown = learn_partition(
+        hd.train, hd.val, uset, PartitionConfig(max(TREND_Q_LIST), 0.0), TREND_TRAIN, arch,
+        "lr", True,
+    )
+    partitions = {q: truncate(grown, q) for q in TREND_Q_LIST}
     base = train_nominal(
         hd.train, hd.val, MissingPattern.zeros(hd.dataset.p), TREND_TRAIN, arch, "lr", False
     )

@@ -1,13 +1,18 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from robustcast import cli
+from robustcast._util import derive_seed
 from robustcast.cli import main, parse_run_config
 from robustcast.exceptions import ConfigError
 from robustcast.dataio import load_csv, save_csv, RawSeries, SynthConfig
-from robustcast.partition import load_artifact, Partition
+from robustcast.partition import (
+    Partition, PartitionConfig, learn_partition, load_artifact, partition_to_json,
+)
 from robustcast.training import TrainConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -153,6 +158,24 @@ class TestRunConfig:
         for key in block:
             target = target[key]
         target["bogus"] = 1
+        path = write_config(tmp_path, config)
+        assert main(["train", "--config", str(path)]) == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value, match", [
+        ("q_sweep", {"q_list": [1, 2], "method": "arf-fixed"}, "q_sweep.method"),
+        ("q_sweep", {"q_list": [1, 2], "method": "imp-mean"}, "q_sweep.method"),
+        ("q_sweep", {"q_list": [1, 2], "method": "nonsense"}, "q_sweep.method"),
+        ("q_sweep", {"q_list": []}, "q_sweep.q_list"),
+        ("q_sweep", {"q_list": [2, 0]}, "q_sweep.q_list"),
+        ("q_sweep", {"q_list": [-1]}, "q_sweep.q_list"),
+        ("grid", {"p01": [0.2], "p11": [0.5], "methods": ["imp-mean", "nonsense"], "runs": 1},
+         "nonsense"),
+    ])
+    def test_config_that_would_fail_after_training_exits_2(self, tmp_path, key, value, match):
+        config = base_config(tmp_path / "out", **{key: value})
+        with pytest.raises(ConfigError, match=match):
+            parse_run_config(config)
         path = write_config(tmp_path, config)
         assert main(["train", "--config", str(path)]) == 2
         assert not (tmp_path / "out").exists()
@@ -327,3 +350,41 @@ class TestQSweepCli:
         qsweep = (out / "qsweep.csv").read_text().strip().split("\n")
         assert qsweep[0] == "Q,mean_nrmse,max_relgap"
         assert len(qsweep) == 3
+
+    @pytest.mark.parametrize("sweep_method", ["arf-learned", "rf-learned"])
+    def test_one_growth_per_method_and_horizon(self, tmp_path, monkeypatch, sweep_method):
+        # the grid tree (q_max 2) and every sweep point are cut from one
+        # growth per (method, h), and each file is the direct growth's JSON
+        out = tmp_path / "out"
+        config = base_config(
+            out,
+            horizons=[1, 2],
+            grid={"p01": [0.2], "p11": [0.8], "methods": ["arf-learned"], "runs": 1},
+            q_sweep={"q_list": [3, 1, 2], "p01": 0.2, "p11": 0.8, "method": sweep_method},
+        )
+        grown = []
+
+        def counting(train, val, uset, pcfg, *args):
+            grown.append((args[-1], train.horizon, pcfg.max_subsets))
+            return learn_partition(train, val, uset, pcfg, *args)
+
+        monkeypatch.setattr(cli, "learn_partition", counting)
+        assert main(["train", "--config", str(write_config(tmp_path, config))]) == 0
+        if sweep_method == "arf-learned":
+            assert sorted(grown) == [(True, 1, 3), (True, 2, 3)]
+        else:
+            assert sorted(grown) == [(False, 1, 3), (False, 2, 3), (True, 1, 2), (True, 2, 2)]
+
+        cfg = parse_run_config(config)
+        hds = cli._horizon_data(cfg, cli._load_raw(cfg))
+        expected = {f"arf-learned_h{h}.json": ("arf-learned", h, 2) for h in (1, 2)}
+        expected.update({f"{sweep_method}_q{q}_h{h}.json": (sweep_method, h, q)
+                         for q in (1, 2, 3) for h in (1, 2)})
+        for name, (method, h, q) in expected.items():
+            hd = hds[h]
+            direct = learn_partition(
+                hd.train, hd.val, cli._uset_for(cfg, hd), PartitionConfig(q, 0.0),
+                replace(cfg.train, seed=derive_seed(cfg.seed, "train", method, h)),
+                cli._arch_for(cfg, hd), "lr", method == "arf-learned",
+            )
+            assert (out / name).read_text() == json.dumps(partition_to_json(direct)), name

@@ -20,6 +20,7 @@ from robustcast.partition import (
     learn_partition,
     load_artifact,
     locate,
+    locate_rows,
     partition_from_json,
     partition_to_json,
     predict_deployed,
@@ -28,6 +29,7 @@ from robustcast.partition import (
     rel_gap,
     route_fixed,
     save_artifact,
+    truncate,
 )
 from robustcast.training import TrainConfig, train_nominal
 
@@ -340,6 +342,56 @@ class TestFixedPartition:
                                 Architecture(input_dim=3, bias_index=2), "lr", False)
         np.testing.assert_array_equal(fixed.subsets[0].params.arrays["w"],
                                       nominal.params.arrays["w"])
+
+
+class TestTruncate:
+    """A partition cut to q subsets from a longer growth must be the one
+    learn_partition grows with max_subsets=q, byte for byte."""
+
+    Q_MAX = 5
+
+    # `early` is an epsilon that stops growth at 4 leaves: lr splits the
+    # leaves with gaps 16, 36 and 7.6 and stops at 1.4, nn splits 12, 17 and
+    # 3.1 and stops at 2.3
+    @pytest.mark.parametrize("family, hidden, iters, early", [
+        pytest.param("lr", (), 100, 3.0, id="lr"),
+        pytest.param("nn", (6, 6), 50, 2.8, id="nn6x6"),
+    ])
+    # budget 1 runs out of splittable leaves at 3 leaves
+    @pytest.mark.parametrize("budget, stop_early, full", [
+        pytest.param(3, False, True, id="epsilon0"),
+        pytest.param(3, True, False, id="early-epsilon"),
+        pytest.param(1, False, False, id="budget1"),
+    ])
+    def test_cut_is_the_direct_growth(self, family, hidden, iters, early, budget, stop_early,
+                                      full):
+        ds = toy_dataset(3, seed=21, n=300)
+        train, val, _ = split_sequential(ds, 0.6, 0.25)
+        uset = UncertaintySet(n_features=4, maskable=(0, 1, 2), budget=budget)
+        arch = Architecture(input_dim=4, hidden=hidden, bias_index=3)
+        epsilon = early if stop_early else 0.0
+
+        def learn(q):
+            return learn_partition(train, val, uset, PartitionConfig(q, epsilon),
+                                   quick_cfg(seed=3, iters=iters), arch, family, True)
+
+        grown = learn(self.Q_MAX)
+        assert (len(grown.leaf_ids) == self.Q_MAX) == full
+        grown_json = json.dumps(partition_to_json(grown))
+        assert truncate(grown, self.Q_MAX) is grown
+        patterns = np.array([pat.bits for pat in enumerate_patterns(uset)])
+        for q in range(1, self.Q_MAX + 2):
+            if q > self.Q_MAX and full:
+                with pytest.raises(ConfigError):
+                    truncate(grown, q)
+                continue
+            cut, direct = truncate(grown, q), learn(q)
+            assert json.dumps(partition_to_json(cut)) == json.dumps(partition_to_json(direct))
+            np.testing.assert_array_equal(locate_rows(cut, patterns),
+                                          locate_rows(direct, patterns))
+        assert json.dumps(partition_to_json(grown)) == grown_json
+        with pytest.raises(ConfigError):
+            truncate(grown, 0)
 
 
 class TestSerialization:
