@@ -1,4 +1,4 @@
-"""Seed derivation and JSON helpers used by several modules."""
+"""Seed derivation, JSON and worker-pool helpers used by several modules."""
 from __future__ import annotations
 
 import hashlib
@@ -35,3 +35,14 @@ def array_to_json(arr: np.ndarray) -> dict:
 
 def array_from_json(obj: dict) -> np.ndarray:
     return np.asarray(obj["data"], dtype=np.float64).reshape(obj["shape"], order="C")
+
+
+def map_jobs(fn, tasks: list, jobs: int) -> list:
+    """[fn(task) for task in tasks], run in a pool of `jobs` worker processes
+    when jobs > 1 and there is more than one task; fn must be picklable."""
+    if jobs > 1 and len(tasks) > 1:
+        import concurrent.futures as cf
+
+        with cf.ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, tasks))
+    return [fn(task) for task in tasks]

@@ -29,8 +29,6 @@ from .models import (
     LR,
     Architecture,
     ModelParams,
-    _bits_from,
-    _check_support,
     _mask_columns,
     mse_loss,
 )
@@ -87,8 +85,7 @@ def _pattern_losses(
     adaptive = params.adaptive and bool(params.maskable)
 
     def score(stack: np.ndarray) -> np.ndarray:
-        stack = _bits_from(stack, params.n_features)
-        _check_support(stack, params)
+        stack = MissingPattern.bits_of(stack, params.n_features, params.maskable, ndim=2)
         v = w
         if adaptive:
             a = _mask_columns(stack, params.maskable)
@@ -197,16 +194,6 @@ def train_adversarial(
     pick_train = lambda k, params: find_adversarial(train.X, train.y, scope, params).pattern
     pick_val = lambda k, params: find_adversarial(val.X, val.y, scope, params).pattern
     return run_training_loop(train, val, warm_start, cfg, pick_train, pick_val)
-
-
-def steps_to_csv(result: AdversarialPattern, path) -> None:
-    """Dump the accepted greedy steps (step, chosen feature, loss) for
-    interpretability reports."""
-    lines = ["step,feature,loss"]
-    for i, (feature, loss) in enumerate(result.steps):
-        lines.append(f"{i},{feature},{loss!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def sample_fixed_adversarial(

@@ -348,12 +348,15 @@ def cmd_train(cfg: RunConfig, jobs: int = 1) -> int:
 
     raw = _load_raw(cfg)
     hds = _horizon_data(cfg, raw)
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     grid_methods = _methods_to_train(cfg)
     methods = grid_methods
     if cfg.qsweep_list and cfg.qsweep_method not in methods:
         methods += (cfg.qsweep_method,)
+    if METHOD_RETRAIN_ORACLE in methods:
+        for hd in hds.values():
+            RetrainOracle.check_capacity(hd.train)
+    out_dir = Path(cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     for h, hd in hds.items():
         arch = _arch_for(cfg, hd)

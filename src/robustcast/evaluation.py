@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._util import derive_seed
+from ._util import derive_seed, map_jobs
 from .dataio import Dataset, RawSeries, build_supervised, split_sequential
 from .exceptions import CapacityError, ConfigError, DomainError, SizeError
 from .missingness import (
@@ -212,10 +212,7 @@ class RetrainOracle:
         family: str,
         adaptive: bool,
     ):
-        if len(train.maskable) > ORACLE_MASKABLE_LIMIT:
-            raise CapacityError(
-                f"retrain oracle limited to {ORACLE_MASKABLE_LIMIT} maskable features"
-            )
+        RetrainOracle.check_capacity(train)
         self.train = train
         self.val = val
         self.cfg = cfg
@@ -223,6 +220,15 @@ class RetrainOracle:
         self.family = family
         self.adaptive = adaptive
         self._cache: dict[bytes, ModelParams] = {}
+
+    @staticmethod
+    def check_capacity(train: Dataset) -> None:
+        """Raise CapacityError when the data have too many maskable features
+        for a model per pattern."""
+        if len(train.maskable) > ORACLE_MASKABLE_LIMIT:
+            raise CapacityError(
+                f"retrain oracle limited to {ORACLE_MASKABLE_LIMIT} maskable features"
+            )
 
     def params_for(self, pattern: MissingPattern) -> ModelParams:
         key = pattern.key()
@@ -349,15 +355,8 @@ def run_grid(
         for run in range(spec.runs)
     ]
     result = EvalResult()
-    if jobs > 1 and len(tasks) > 1:
-        import concurrent.futures as cf
-
-        with cf.ProcessPoolExecutor(max_workers=jobs) as pool:
-            for records in pool.map(_evaluate_cell, tasks):
-                result.records.extend(records)
-    else:
-        for task in tasks:
-            result.records.extend(_evaluate_cell(task))
+    for records in map_jobs(_evaluate_cell, tasks, jobs):
+        result.records.extend(records)
     result.records.sort(
         key=lambda r: (
             spec.methods.index(r.method),

@@ -2,15 +2,14 @@
 the imputation baselines used for comparison."""
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
+from functools import lru_cache
 
 import numpy as np
 
 from ._util import derive_seed
 from .dataio import Dataset
-from .exceptions import ConfigError, DomainError, ParseError
+from .exceptions import ConfigError, DomainError
 
 __all__ = [
     "MissingPattern",
@@ -32,22 +31,42 @@ class MissingPattern:
     bits: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "bits", np.asarray(self.bits, dtype=np.uint8))
-        if self.bits.ndim != 1:
-            raise DomainError("pattern bits must be a vector")
-        if np.any(self.bits > 1):
-            raise DomainError("pattern bits must be 0 or 1")
+        object.__setattr__(self, "bits", MissingPattern.bits_of(self.bits, None, ndim=1))
 
     @staticmethod
-    def bits_of(pattern) -> np.ndarray:
+    def bits_of(
+        pattern, n_features: int | None, maskable=None, ndim: int | None = None
+    ) -> np.ndarray:
         """The uint8 bits of a pattern given either as a MissingPattern or as
-        raw bits: one vector, or an (n, p) matrix with one pattern per row."""
+        raw bits: one vector, or an (n, p) matrix with one pattern per row.
+
+        Every pattern enters the library through this check. It raises
+        DomainError unless each entry is 0 or 1, the rank is `ndim` (1 or 2
+        when None), the width is `n_features` (any when None) and, when
+        `maskable` is given, no feature outside it is marked missing.
+        """
         if isinstance(pattern, MissingPattern):
-            return pattern.bits
-        bits = np.asarray(pattern, dtype=np.uint8)
-        # max() is the cheapest check on the per-row deployment path
-        if bits.size and bits.max() > 1:
-            raise DomainError("pattern bits must be 0 or 1")
+            bits = pattern.bits
+        else:
+            bits = np.asarray(pattern)
+            if bits.dtype != np.uint8:
+                # uint8 values above 1 fail the comparison below; other
+                # dtypes could round or wrap into 0/1 when cast
+                if not ((bits == 0) | (bits == 1)).all():
+                    raise DomainError("pattern bits must be 0 or 1")
+                bits = bits.astype(np.uint8)
+        if bits.ndim not in ((1, 2) if ndim is None else (ndim,)):
+            raise DomainError(f"pattern bits must have rank {ndim or '1 or 2'}, got {bits.ndim}")
+        width = bits.shape[-1]
+        if n_features is not None and width != n_features:
+            raise DomainError(f"pattern width {width} does not match {n_features} features")
+        allowed = _allowed_bits(width, None if maskable is None else tuple(maskable))
+        if (bits > allowed).any():
+            flat = bits.reshape(-1, width)
+            if flat.max() > 1:
+                raise DomainError("pattern bits must be 0 or 1")
+            bad = np.flatnonzero((flat > allowed).any(axis=0))
+            raise DomainError(f"pattern marks non-maskable feature(s) {bad.tolist()} as missing")
         return bits
 
     @classmethod
@@ -80,12 +99,17 @@ class MissingPattern:
         """Hashable identity for caches and routing comparisons."""
         return self.bits.tobytes()
 
-    def validate_support(self, maskable: tuple[int, ...]) -> None:
-        outside = np.ones(self.n_features, dtype=bool)
-        outside[list(maskable)] = False
-        if np.any(self.bits[outside] == 1):
-            bad = np.flatnonzero(self.bits & outside)
-            raise DomainError(f"pattern marks non-maskable feature(s) {bad.tolist()} as missing")
+
+@lru_cache(maxsize=64)
+def _allowed_bits(width: int, maskable: tuple[int, ...] | None) -> np.ndarray:
+    """The largest bit each feature may hold: 1 on the maskable set (every
+    feature when None), 0 elsewhere; read-only, as callers share it."""
+    allowed = np.ones(width, dtype=np.uint8)
+    if maskable is not None:
+        allowed[:] = 0
+        allowed[list(maskable)] = 1
+    allowed.setflags(write=False)
+    return allowed
 
 
 @dataclass(frozen=True)
@@ -108,21 +132,16 @@ class ObsMaskSeries:
     mask: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "mask", np.asarray(self.mask, dtype=np.uint8))
-        if self.mask.ndim != 2:
-            raise DomainError("mask must be a (periods, plants) matrix")
-        if np.any(self.mask > 1):
-            raise DomainError("mask entries must be 0 or 1")
+        object.__setattr__(self, "mask", MissingPattern.bits_of(self.mask, None, ndim=2))
 
 
-def apply_mask(x: np.ndarray, pattern: MissingPattern, maskable: tuple[int, ...]) -> np.ndarray:
-    """Zero out the missing features of x; features off the maskable set pass
-    through untouched and may not be marked missing."""
+def apply_mask(x: np.ndarray, pattern, maskable: tuple[int, ...]) -> np.ndarray:
+    """Zero out the missing features of x given one pattern (a MissingPattern
+    or one bit vector); features off the maskable set pass through untouched
+    and may not be marked missing."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != pattern.n_features:
-        raise DomainError("feature vector and pattern lengths disagree")
-    pattern.validate_support(maskable)
-    return x * (1.0 - pattern.bits)
+    bits = MissingPattern.bits_of(pattern, x.shape[-1], maskable, ndim=1)
+    return x * (1.0 - bits)
 
 
 def simulate_markov(cfg: MissingnessConfig, n_periods: int, n_plants: int) -> ObsMaskSeries:
@@ -190,31 +209,6 @@ def impute_mean(x: np.ndarray, pattern, means: np.ndarray) -> np.ndarray:
     The pattern is one MissingPattern or bit vector for every row of x, or an
     (n, p) bit matrix with one pattern per row."""
     x = np.asarray(x, dtype=np.float64)
-    bits = MissingPattern.bits_of(pattern).astype(np.float64)
+    bits = MissingPattern.bits_of(pattern, x.shape[-1]).astype(np.float64)
     return x * (1.0 - bits) + np.asarray(means, dtype=np.float64) * bits
 
-
-def mask_to_csv(mask: ObsMaskSeries, path: str | Path) -> None:
-    """Persist a simulated mask so a grid run can be replayed exactly."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["period"] + [f"plant_{s}" for s in range(mask.mask.shape[1])])
-        for t in range(mask.mask.shape[0]):
-            writer.writerow([t] + [int(v) for v in mask.mask[t]])
-
-
-def mask_from_csv(path: str | Path) -> ObsMaskSeries:
-    path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[0] != "period":
-            raise ParseError(f"{path}: expected mask header starting with 'period'")
-        rows = []
-        for lineno, cells in enumerate(reader, start=2):
-            try:
-                rows.append([int(c) for c in cells[1:]])
-            except ValueError as exc:
-                raise ParseError(f"{path} line {lineno}: {exc}") from None
-    return ObsMaskSeries(mask=np.asarray(rows, dtype=np.uint8))

@@ -71,10 +71,6 @@ class ModelParams:
     def n_hidden_layers(self) -> int:
         return sum(1 for k in self.arrays if k.startswith("W") and k != "w_out")
 
-    @property
-    def hidden_widths(self) -> tuple[int, ...]:
-        return tuple(self.arrays[f"W{m}"].shape[0] for m in range(self.n_hidden_layers))
-
     def block_names(self) -> list[str]:
         """Canonical block order used for vectorization and optimizer state."""
         if self.family == LR:
@@ -162,25 +158,6 @@ def init_params(
     )
 
 
-def _bits_from(alpha, n_features: int) -> np.ndarray:
-    if isinstance(alpha, MissingPattern):
-        bits = alpha.bits
-    else:
-        bits = np.asarray(alpha, dtype=np.uint8)
-    if bits.shape[-1] != n_features:
-        raise DomainError("pattern length does not match feature count")
-    return bits
-
-
-def _check_support(bits: np.ndarray, params: ModelParams) -> None:
-    outside = np.ones(params.n_features, dtype=bool)
-    if params.maskable:
-        outside[list(params.maskable)] = False
-    flat = bits.reshape(-1, params.n_features)
-    if np.any(flat[:, outside] == 1):
-        raise DomainError("pattern marks a non-maskable feature as missing")
-
-
 def _mask_columns(bits: np.ndarray, maskable: tuple[int, ...]) -> np.ndarray:
     """Restrict bits to the maskable coordinates, as float (n, |P|) or (|P|,)."""
     cols = list(maskable)
@@ -191,8 +168,7 @@ def predict(params: ModelParams, X: np.ndarray, alpha) -> np.ndarray:
     """Batched prediction. alpha may be a single pattern shared by every row
     or an (n, p) bit matrix with one pattern per row."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    bits = _bits_from(alpha, params.n_features)
-    _check_support(bits, params)
+    bits = MissingPattern.bits_of(alpha, params.n_features, params.maskable)
     per_row = bits.ndim == 2
     if per_row and bits.shape[0] != X.shape[0]:
         raise DomainError("per-row pattern count does not match batch size")
@@ -291,10 +267,7 @@ def loss_and_grad(
     n = X.shape[0]
     if n == 0:
         raise SizeError("empty batch")
-    bits = _bits_from(alpha, params.n_features)
-    if bits.ndim != 1:
-        raise DomainError("training uses one pattern per batch")
-    _check_support(bits, params)
+    bits = MissingPattern.bits_of(alpha, params.n_features, params.maskable, ndim=1)
     xm = X * (1.0 - bits.astype(np.float64))
     grads: dict[str, np.ndarray] = {}
 

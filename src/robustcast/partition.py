@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._util import derive_seed
+from ._util import derive_seed, map_jobs
 from .adversarial import (
     AdvSearchScope,
     greedy_split_feature,
@@ -162,7 +162,7 @@ def locate(partition: Partition, pattern) -> int:
     vector); returns the leaf subset id. The walk accepts any support-valid
     pattern, including ones whose missing count exceeds the training budget
     (deployment never clamps)."""
-    return _leaf_of(partition.root, MissingPattern.bits_of(pattern))
+    return _leaf_of(partition.root, _pattern_bits(partition.uncertainty, pattern, ndim=1))
 
 
 def _leaf_of(node: TreeNode, bits: np.ndarray) -> int:
@@ -171,17 +171,14 @@ def _leaf_of(node: TreeNode, bits: np.ndarray) -> int:
     return node.subset_id
 
 
-def _bit_matrix(patterns, n_features: int) -> np.ndarray:
-    bits = MissingPattern.bits_of(patterns)
-    if bits.ndim != 2 or bits.shape[1] != n_features:
-        raise DomainError(f"patterns must form an (n, {n_features}) bit matrix")
-    return bits
+def _pattern_bits(uset: UncertaintySet, patterns, ndim: int) -> np.ndarray:
+    return MissingPattern.bits_of(patterns, uset.n_features, uset.maskable, ndim=ndim)
 
 
 def locate_rows(partition: Partition, bits: np.ndarray) -> np.ndarray:
     """Batched `locate`: the leaf subset id of every row of an (n, p) bit
     matrix, routing all rows at once with one boolean row mask per node."""
-    bits = _bit_matrix(bits, partition.uncertainty.n_features)
+    bits = _pattern_bits(partition.uncertainty, bits, ndim=2)
     leaf = np.empty(bits.shape[0], dtype=np.int64)
     stack = [(partition.root, np.ones(bits.shape[0], dtype=bool))]
     while stack:
@@ -198,7 +195,7 @@ def predict_deployed(partition: Partition, x: np.ndarray, pattern) -> float:
     """Route the pattern (a MissingPattern or one bit vector) to its leaf,
     then use the optimistic parameters when the pattern equals the leaf's
     optimistic pattern exactly, otherwise the adversarial parameters."""
-    bits = MissingPattern.bits_of(pattern)
+    bits = _pattern_bits(partition.uncertainty, pattern, ndim=1)
     subset = partition.subsets[_leaf_of(partition.root, bits)]
     use_opt = bits.tobytes() == subset.opt_pattern.key()
     params = subset.params_opt if use_opt else subset.params_adv
@@ -226,7 +223,7 @@ def predict_deployed_rows(partition: Partition, X: np.ndarray, patterns: np.ndar
     """Batched `predict_deployed` over an (n, p) bit matrix, one pattern per
     row: rows are grouped by (leaf, parameter choice) so each group runs one
     vectorized forward pass."""
-    bits = _bit_matrix(patterns, partition.uncertainty.n_features)
+    bits = _pattern_bits(partition.uncertainty, patterns, ndim=2)
     leaf = locate_rows(partition, bits)
     opt = np.zeros((max(partition.subsets) + 1, bits.shape[1]), dtype=np.uint8)
     for sid, subset in partition.subsets.items():
@@ -249,7 +246,7 @@ def route_fixed(fixed: FixedPartition, pattern: MissingPattern) -> int:
 def predict_fixed_rows(fixed: FixedPartition, X: np.ndarray, patterns: np.ndarray) -> np.ndarray:
     """Batched fixed-partition prediction over an (n, p) bit matrix: each row
     uses the subset `route_fixed` picks for its pattern."""
-    bits = _bit_matrix(patterns, fixed.uncertainty.n_features)
+    bits = _pattern_bits(fixed.uncertainty, patterns, ndim=2)
     keys = np.minimum(bits.sum(axis=1), fixed.uncertainty.budget)
     return predict_grouped(X, keys, lambda key, rows: (fixed.subsets[key].params, bits[rows]))
 
@@ -466,33 +463,15 @@ def fixed_partition(
     cfg0 = replace(train_cfg, seed=derive_seed(train_cfg.seed, "fixed", 0))
     base = train_nominal(train, val, zero, cfg0, arch, family, adaptive)
     subsets = [FixedSubset(count=0, params=base.params, val_loss=base.val_loss)]
-    counts = list(range(1, uset.budget + 1))
-    if jobs > 1 and len(counts) > 1:
-        import concurrent.futures as cf
-
-        with cf.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {
-                count: pool.submit(
-                    _train_fixed_subset,
-                    train, val, uset, train_cfg, arch, family, adaptive, base.params, count,
-                )
-                for count in counts
-            }
-            results = {count: fut.result() for count, fut in futures.items()}
-    else:
-        results = {
-            count: _train_fixed_subset(
-                train, val, uset, train_cfg, arch, family, adaptive, base.params, count
-            )
-            for count in counts
-        }
-    for count in counts:
-        params, val_loss = results[count]
+    counts = range(1, uset.budget + 1)
+    tasks = [(train, val, train_cfg, arch, family, adaptive, base.params, c) for c in counts]
+    for count, (params, val_loss) in zip(counts, map_jobs(_train_fixed_subset, tasks, jobs)):
         subsets.append(FixedSubset(count=count, params=params, val_loss=val_loss))
     return FixedPartition(uncertainty=uset, subsets=subsets)
 
 
-def _train_fixed_subset(train, val, uset, train_cfg, arch, family, adaptive, warm, count):
+def _train_fixed_subset(task):
+    train, val, train_cfg, arch, family, adaptive, warm, count = task
     cfg = replace(train_cfg, seed=derive_seed(train_cfg.seed, "fixed", count))
     res = train_sampled_adversarial(
         train, val, count, cfg, arch, family, adaptive, warm_start=warm

@@ -199,7 +199,7 @@ def train_nominal(
     parameters (with fresh optimizer state); adversarial training relies on
     this to fine-tune from the optimistic fit.
     """
-    pattern.validate_support(train.maskable)
+    MissingPattern.bits_of(pattern, train.p, train.maskable, ndim=1)
     params0 = (
         warm_start.copy()
         if warm_start is not None

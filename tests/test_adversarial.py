@@ -427,16 +427,3 @@ class TestTrainSampledAdversarial:
         for name in a.params.block_names():
             np.testing.assert_array_equal(a.params.arrays[name], b.params.arrays[name])
 
-
-class TestStepsToCsv:
-    def test_dump(self, tmp_path):
-        from robustcast.adversarial import steps_to_csv
-
-        params = lr_params([3.0, 1.0, 0.0], maskable=(0, 1))
-        scope = AdvSearchScope(free=(0, 1), budget=2, base=MissingPattern.zeros(3))
-        res = find_adversarial(np.array([[1.0, 1.0, 1.0]]), np.array([4.0]), scope, params)
-        path = tmp_path / "steps.csv"
-        steps_to_csv(res, path)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "step,feature,loss"
-        assert len(lines) == 3

@@ -257,6 +257,37 @@ class TestTrain:
         assert part.root.feature == 0
         assert part.root.missing.feature == 1
 
+    def test_oversized_retrain_oracle_exits_4_before_training(self, tmp_path, capsys):
+        # the lr-pipeline data shape: 4 plants at lags 0-2 give 12 maskable features
+        out = tmp_path / "out"
+        config = base_config(out, max_lag=2, grid={
+            "p01": [0.2], "p11": [0.5], "methods": ["imp-mean", "retrain-oracle"], "runs": 1,
+        })
+        config["data"]["synth"]["n_plants"] = 4
+        assert main(["train", "--config", str(write_config(tmp_path, config))]) == 4
+        assert "retrain oracle limited to 10 maskable features" in capsys.readouterr().err
+        assert not list(out.glob("base_h*.json"))
+
+    def test_out_dir_does_not_depend_on_jobs(self, tmp_path):
+        # budget 2 trains two fixed subsets and the grid has two cells, so
+        # --jobs 2 takes both process-pool paths
+        outs = {}
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            config = base_config(
+                out,
+                partition={"mode": "learned", "q_max": 2, "epsilon": 0.0, "budget": 2},
+                grid={"p01": [0.2, 0.4], "p11": [0.5], "methods": ["arf-fixed", "arf-learned"],
+                      "runs": 1},
+                q_sweep={"q_list": [1, 2], "p01": 0.2, "p11": 0.5},
+            )
+            path = write_config(tmp_path, config, name=f"jobs{jobs}.json")
+            for command in ("train", "evaluate"):
+                assert main([command, "--config", str(path), "--jobs", jobs]) == 0
+            outs[jobs] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert {"arf-fixed_h1.json", "arf-learned_q2_h1.json", "qsweep.csv"} <= set(outs["1"])
+        assert outs["1"] == outs["2"]
+
     def test_rerun_is_deterministic(self, tmp_path):
         out = tmp_path / "out"
         path = write_config(tmp_path, base_config(

@@ -12,8 +12,6 @@ from robustcast.missingness import (
     expand_obs_mask,
     impute_mean,
     impute_persistence,
-    mask_from_csv,
-    mask_to_csv,
     simulate_markov,
 )
 
@@ -114,8 +112,7 @@ class TestExpandObsMask:
         ds = self.make_ds()
         rng = np.random.default_rng(0)
         mask = ObsMaskSeries(mask=(rng.random((30, 2)) < 0.5).astype(np.uint8))
-        for row in expand_obs_mask(mask, ds):
-            MissingPattern(bits=row).validate_support(ds.maskable)
+        MissingPattern.bits_of(expand_obs_mask(mask, ds), ds.p, ds.maskable, ndim=2)
 
 
 class TestImputation:
@@ -158,11 +155,3 @@ class TestImputation:
         out = impute_mean(x, full, means)
         np.testing.assert_allclose(out[list(ds.maskable)], means[list(ds.maskable)])
 
-
-class TestMaskCsv:
-    def test_roundtrip(self, tmp_path):
-        mask = simulate_markov(MissingnessConfig(0.3, 0.6, seed=9), 40, 3)
-        path = tmp_path / "mask.csv"
-        mask_to_csv(mask, path)
-        back = mask_from_csv(path)
-        np.testing.assert_array_equal(back.mask, mask.mask)
