@@ -15,7 +15,6 @@ from pathlib import Path
 from ._util import derive_seed
 from .dataio import RawSeries, SynthConfig, gen_synthetic, load_csv, save_csv
 from .evaluation import (
-    ALL_METHODS,
     METHOD_ARF_FIXED,
     METHOD_ARF_LEARNED,
     METHOD_IMP_MEAN,
@@ -32,6 +31,7 @@ from .evaluation import (
     summary_csv,
 )
 from .exceptions import ConfigError, DataError, RobustcastError
+from .missingness import MissingnessConfig
 from .models import Architecture
 from .partition import (
     PartitionConfig,
@@ -164,29 +164,28 @@ def parse_run_config(obj: dict) -> RunConfig:
         family = obj.get("family", "lr")
         if family not in ("lr", "nn"):
             raise ConfigError(f"family must be 'lr' or 'nn', got {family!r}")
-        tr = obj.get("train", {})
-        default_decay = 1e-5 if family == "nn" else 0.0
+        # the config classes hold the defaults, except weight_decay (by family) and seed
+        tr = {k: v for k, v in obj.get("train", {}).items() if k in _CONFIG_KEYS["train"]}
         train_cfg = TrainConfig(
-            learning_rate=tr.get("learning_rate", 1e-3),
-            max_iters=tr.get("max_iters", 1000),
-            patience=tr.get("patience", 20),
-            batch_size=tr.get("batch_size", 512),
-            weight_decay=tr.get("weight_decay", default_decay),
-            seed=obj.get("seed", 0),
-            shuffle=tr.get("shuffle", False),
+            **{"weight_decay": 1e-5 if family == "nn" else 0.0, **tr}, seed=obj.get("seed", 0)
         )
         part = obj.get("partition", {})
         mode = part.get("mode", "learned")
         if mode not in ("learned", "fixed", "nominal"):
             raise ConfigError(f"partition.mode must be learned|fixed|nominal, got {mode!r}")
+        pcfg = PartitionConfig(
+            **{field: part[key] for key, field in (("q_max", "max_subsets"), ("epsilon", "epsilon"))
+               if key in part}
+        )
         grid = obj.get("grid", {})
-        grid_methods = tuple(grid.get("methods", [METHOD_IMP_PERSISTENCE, METHOD_ARF_LEARNED]))
-        unknown = [m for m in grid_methods if m not in ALL_METHODS]
-        if unknown:
-            raise ConfigError(
-                f"grid.methods: unknown method(s) {', '.join(map(repr, unknown))}; "
-                f"known: {', '.join(ALL_METHODS)}"
-            )
+        spec = GridSpec(
+            p01_list=tuple(grid.get("p01", [0.05, 0.1, 0.2])),
+            p11_list=tuple(grid.get("p11", [0.0, 0.8, 0.9])),
+            horizons=tuple(obj.get("horizons", [1])),
+            methods=tuple(grid.get("methods", [METHOD_IMP_PERSISTENCE, METHOD_ARF_LEARNED])),
+            runs=grid.get("runs", 10),
+            base_seed=obj.get("seed", 0),
+        )
         qs = obj.get("q_sweep")
         if qs is not None:
             q_method = qs.get("method", METHOD_ARF_LEARNED)
@@ -197,15 +196,16 @@ def parse_run_config(obj: dict) -> RunConfig:
                 )
             if not qs["q_list"] or min(qs["q_list"]) < 1:
                 raise ConfigError(f"q_sweep.q_list must list Q values >= 1, got {qs['q_list']!r}")
+            MissingnessConfig(p01=qs.get("p01", 0.2), p11=qs.get("p11", 0.9), seed=spec.base_seed)
         split = obj.get("split", {})
         return RunConfig(
-            seed=obj.get("seed", 0),
+            seed=spec.base_seed,
             out_dir=obj.get("out_dir", "runs/out"),
             csv_path=csv_path,
             synth=synth,
             target_plant=obj.get("target_plant", 0),
             max_lag=obj.get("max_lag", 2),
-            horizons=tuple(obj.get("horizons", [1])),
+            horizons=spec.horizons,
             family=family,
             adaptive=obj.get("adaptive", True),
             hidden=tuple(obj.get("hidden", DEFAULT_HIDDEN)),
@@ -213,15 +213,13 @@ def parse_run_config(obj: dict) -> RunConfig:
             val_frac=split.get("val_frac", 0.15),
             train=train_cfg,
             partition_mode=mode,
-            partition=PartitionConfig(
-                max_subsets=part.get("q_max", 10), epsilon=part.get("epsilon", 0.001)
-            ),
+            partition=pcfg,
             budget=part.get("budget"),
             has_grid="grid" in obj,
-            grid_p01=tuple(grid.get("p01", [0.05, 0.1, 0.2])),
-            grid_p11=tuple(grid.get("p11", [0.0, 0.8, 0.9])),
-            grid_methods=grid_methods,
-            grid_runs=grid.get("runs", 10),
+            grid_p01=spec.p01_list,
+            grid_p11=spec.p11_list,
+            grid_methods=spec.methods,
+            grid_runs=spec.runs,
             qsweep_list=tuple(qs["q_list"]) if qs is not None else None,
             qsweep_p01=qs.get("p01", 0.2) if qs is not None else 0.2,
             qsweep_p11=qs.get("p11", 0.9) if qs is not None else 0.9,

@@ -95,6 +95,15 @@ class RawSeries:
         return self.values.shape[1]
 
 
+def maskable_indices(maskable, n_features: int) -> tuple[int, ...]:
+    """The maskable feature indices as a sorted tuple; DomainError for any
+    index outside range(n_features)."""
+    out = tuple(sorted(int(j) for j in maskable))
+    if out and not (0 <= out[0] and out[-1] < n_features):
+        raise DomainError(f"maskable indices {list(out)} out of range for {n_features} features")
+    return out
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Supervised matrix with one row per observation period.
@@ -121,8 +130,7 @@ class Dataset:
             raise DomainError("X, y, obs_periods row counts disagree")
         if len(self.descriptors) != p:
             raise DomainError("descriptor count does not match feature count")
-        if any(j < 0 or j >= p for j in self.maskable):
-            raise DomainError("maskable index out of range")
+        object.__setattr__(self, "maskable", maskable_indices(self.maskable, p))
 
     @property
     def n(self) -> int:

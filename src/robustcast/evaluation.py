@@ -111,13 +111,22 @@ class GridSpec:
     base_seed: int
 
     def __post_init__(self):
-        if not self.p01_list or not self.p11_list or not self.horizons or not self.methods:
-            raise ConfigError("grid lists must be non-empty")
+        lists = {"grid.p01": self.p01_list, "grid.p11": self.p11_list,
+                 "horizons": self.horizons, "grid.methods": self.methods}
+        for name, values in lists.items():
+            if not values or len(set(values)) < len(values):
+                raise ConfigError(f"{name} needs one or more distinct values, got {list(values)}")
         if self.runs < 1:
-            raise ConfigError("runs must be >= 1")
-        for m in self.methods:
-            if m not in ALL_METHODS:
-                raise ConfigError(f"unknown method {m!r}")
+            raise ConfigError(f"grid.runs must be >= 1, got {self.runs}")
+        unknown = [m for m in self.methods if m not in ALL_METHODS]
+        if unknown:
+            raise ConfigError(
+                f"grid.methods: unknown method(s) {', '.join(map(repr, unknown))}; "
+                f"known: {', '.join(ALL_METHODS)}"
+            )
+        for p01 in self.p01_list:
+            for p11 in self.p11_list:
+                MissingnessConfig(p01=p01, p11=p11, seed=self.base_seed)
 
 
 @dataclass

@@ -8,7 +8,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._util import derive_seed
-from .dataio import Dataset
+from .dataio import Dataset, maskable_indices
 from .exceptions import ConfigError, DomainError
 
 __all__ = [
@@ -103,11 +103,12 @@ class MissingPattern:
 @lru_cache(maxsize=64)
 def _allowed_bits(width: int, maskable: tuple[int, ...] | None) -> np.ndarray:
     """The largest bit each feature may hold: 1 on the maskable set (every
-    feature when None), 0 elsewhere; read-only, as callers share it."""
+    feature when None), 0 elsewhere; read-only, as callers share it.
+    DomainError when a maskable index lies outside range(width)."""
     allowed = np.ones(width, dtype=np.uint8)
     if maskable is not None:
         allowed[:] = 0
-        allowed[list(maskable)] = 1
+        allowed[list(maskable_indices(maskable, width))] = 1
     allowed.setflags(write=False)
     return allowed
 
@@ -122,7 +123,9 @@ class MissingnessConfig:
 
     def __post_init__(self):
         if not (0.0 <= self.p01 <= 1.0) or not (0.0 <= self.p11 <= 1.0):
-            raise ConfigError("transition probabilities must lie in [0, 1]")
+            raise ConfigError(
+                f"transition probabilities must lie in [0, 1], got p01={self.p01}, p11={self.p11}"
+            )
 
 
 @dataclass(frozen=True)

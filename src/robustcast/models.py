@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._util import array_from_json, array_to_json
+from .dataio import maskable_indices
 from .exceptions import ConfigError, DomainError, SizeError
 from .missingness import MissingPattern
 
@@ -122,7 +123,7 @@ def init_params(
         raise ConfigError(f"unknown family {family!r}")
     if family == NN and not arch.hidden:
         raise ConfigError("network family needs at least one hidden layer")
-    maskable = tuple(sorted(int(j) for j in maskable))
+    maskable = maskable_indices(maskable, arch.input_dim)
     n_mask = len(maskable)
     rng = np.random.default_rng(seed)
     p = arch.input_dim

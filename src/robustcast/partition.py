@@ -7,13 +7,17 @@ availability, each leaf is a subset carrying an optimistic pattern (all free
 features available), two trained parameter sets, and validation-loss bounds.
 Splitting always targets the leaf with the largest relative gap; the child
 that keeps the split feature available inherits the optimistic side, the
-child that fixes it missing inherits the adversarial side.
+child that fixes it missing inherits the adversarial side. The subsets are
+the whole tree: split k creates subsets 2k - 1 (available) and 2k (missing),
+whose parent_id names the leaf it split, and that leaf records the split
+feature. Routing, the leaf list and each subset's equality constraints are
+derived from them.
 """
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,8 +29,8 @@ from .adversarial import (
     train_adversarial,
     train_sampled_adversarial,
 )
-from .dataio import Dataset
-from .exceptions import CapacityError, ConfigError, DomainError
+from .dataio import Dataset, maskable_indices
+from .exceptions import CapacityError, ConfigError, DomainError, ParseError
 from .missingness import MissingPattern
 from .models import Architecture, ModelParams, params_from_json, params_to_json, predict
 from .training import TrainConfig, train_nominal
@@ -45,7 +49,7 @@ class UncertaintySet:
     budget: int
 
     def __post_init__(self):
-        object.__setattr__(self, "maskable", tuple(sorted(int(j) for j in self.maskable)))
+        object.__setattr__(self, "maskable", maskable_indices(self.maskable, self.n_features))
         if not (0 <= self.budget <= len(self.maskable)):
             raise DomainError("budget must lie in [0, |maskable|]")
 
@@ -70,11 +74,10 @@ def rel_gap(lower: float, upper: float) -> float:
 
 @dataclass
 class UncertaintySubset:
-    """One cell of a partition, with its equality constraints, its optimistic
-    pattern, both trained parameter sets, and validation-loss bounds."""
+    """One cell of a partition: its optimistic pattern, the features still
+    free in it, both trained parameter sets, and validation-loss bounds."""
 
     subset_id: int
-    fixed: dict[int, int]
     opt_pattern: MissingPattern
     free: tuple[int, ...]
     params_opt: ModelParams
@@ -90,36 +93,36 @@ class UncertaintySubset:
     def relgap(self) -> float:
         return rel_gap(self.lower_bound, self.upper_bound)
 
-    def validate(self) -> None:
-        for j, bit in self.fixed.items():
-            if int(self.opt_pattern.bits[j]) != bit:
-                raise DomainError("optimistic pattern disagrees with a fixed coordinate")
-        if any(j in self.fixed for j in self.free):
-            raise DomainError("free features overlap fixed coordinates")
-
-
-@dataclass
-class TreeNode:
-    subset_id: int
-    feature: int | None = None
-    available: "TreeNode | None" = None
-    missing: "TreeNode | None" = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
-
 
 @dataclass
 class Partition:
+    """A learned partition, held as its subsets alone (see the module
+    docstring). Construction derives the routing table, one entry per subset
+    id: (split feature, available child, missing child), or None for a leaf;
+    it raises DomainError when the subsets do not form such a tree."""
+
     uncertainty: UncertaintySet
     config: PartitionConfig
-    root: TreeNode
     subsets: dict[int, UncertaintySubset]
-    leaf_ids: list[int]
+
+    def __post_init__(self):
+        self._route = _routing_table(self.subsets)
+
+    @property
+    def leaf_ids(self) -> list[int]:
+        """Leaf subset ids, ascending: each split appends two ids above all
+        existing ones."""
+        return [sid for sid, node in enumerate(self._route) if node is None]
 
     def leaves(self) -> list[UncertaintySubset]:
         return [self.subsets[i] for i in self.leaf_ids]
+
+    def fixed(self, sid: int) -> dict[int, int]:
+        """The equality constraints of subset `sid`: each maskable feature no
+        longer free in it, with the bit its optimistic pattern holds there."""
+        subset = self.subsets[sid]
+        bits = subset.opt_pattern.bits
+        return {j: int(bits[j]) for j in self.uncertainty.maskable if j not in subset.free}
 
     def max_relgap(self) -> float:
         return max(self.subsets[i].relgap for i in self.leaf_ids)
@@ -157,18 +160,38 @@ def enumerate_patterns(uset: UncertaintySet) -> list[MissingPattern]:
     return out
 
 
+def _routing_table(subsets: dict[int, UncertaintySubset]) -> list:
+    n = len(subsets)
+    if n % 2 == 0 or sorted(subsets) != list(range(n)):
+        raise DomainError(f"subset ids must be 0..2k for k splits, got {sorted(subsets)}")
+    route = [None] * n
+    for avail in range(1, n, 2):
+        parent = subsets[avail].parent_id
+        split = subsets[parent] if parent in range(avail) else None
+        if split is None or split.split_feature not in split.free or route[parent] \
+                or subsets[avail + 1].parent_id != parent:
+            raise DomainError(f"subsets {avail} and {avail + 1} do not split one earlier leaf")
+        route[parent] = (split.split_feature, avail, avail + 1)
+    if any(s.subset_id != i or (route[i] is None) != (s.split_feature is None)
+           for i, s in subsets.items()):
+        raise DomainError("a subset's id or split feature disagrees with its children")
+    return route
+
+
 def locate(partition: Partition, pattern) -> int:
     """Walk the tree on the pattern's bits (a MissingPattern or one bit
     vector); returns the leaf subset id. The walk accepts any support-valid
     pattern, including ones whose missing count exceeds the training budget
     (deployment never clamps)."""
-    return _leaf_of(partition.root, _pattern_bits(partition.uncertainty, pattern, ndim=1))
+    return _leaf_of(partition, _pattern_bits(partition.uncertainty, pattern, ndim=1))
 
 
-def _leaf_of(node: TreeNode, bits: np.ndarray) -> int:
-    while not node.is_leaf:
-        node = node.missing if bits[node.feature] else node.available
-    return node.subset_id
+def _leaf_of(partition: Partition, bits: np.ndarray) -> int:
+    route, sid = partition._route, 0
+    while route[sid] is not None:
+        feature, avail, miss = route[sid]
+        sid = miss if bits[feature] else avail
+    return sid
 
 
 def _pattern_bits(uset: UncertaintySet, patterns, ndim: int) -> np.ndarray:
@@ -180,14 +203,15 @@ def locate_rows(partition: Partition, bits: np.ndarray) -> np.ndarray:
     matrix, routing all rows at once with one boolean row mask per node."""
     bits = _pattern_bits(partition.uncertainty, bits, ndim=2)
     leaf = np.empty(bits.shape[0], dtype=np.int64)
-    stack = [(partition.root, np.ones(bits.shape[0], dtype=bool))]
+    stack = [(0, np.ones(bits.shape[0], dtype=bool))]
     while stack:
-        node, rows = stack.pop()
-        if node.is_leaf:
-            leaf[rows] = node.subset_id
+        sid, rows = stack.pop()
+        if partition._route[sid] is None:
+            leaf[rows] = sid
         else:
-            missing = bits[:, node.feature] != 0
-            stack += [(node.missing, rows & missing), (node.available, rows & ~missing)]
+            feature, avail, miss = partition._route[sid]
+            missing = bits[:, feature] != 0
+            stack += [(miss, rows & missing), (avail, rows & ~missing)]
     return leaf
 
 
@@ -196,7 +220,7 @@ def predict_deployed(partition: Partition, x: np.ndarray, pattern) -> float:
     then use the optimistic parameters when the pattern equals the leaf's
     optimistic pattern exactly, otherwise the adversarial parameters."""
     bits = _pattern_bits(partition.uncertainty, pattern, ndim=1)
-    subset = partition.subsets[_leaf_of(partition.root, bits)]
+    subset = partition.subsets[_leaf_of(partition, bits)]
     use_opt = bits.tobytes() == subset.opt_pattern.key()
     params = subset.params_opt if use_opt else subset.params_adv
     return float(predict(params, np.asarray(x, dtype=np.float64)[None, :], bits)[0])
@@ -225,9 +249,7 @@ def predict_deployed_rows(partition: Partition, X: np.ndarray, patterns: np.ndar
     vectorized forward pass."""
     bits = _pattern_bits(partition.uncertainty, patterns, ndim=2)
     leaf = locate_rows(partition, bits)
-    opt = np.zeros((max(partition.subsets) + 1, bits.shape[1]), dtype=np.uint8)
-    for sid, subset in partition.subsets.items():
-        opt[sid] = subset.opt_pattern.bits
+    opt = np.array([partition.subsets[i].opt_pattern.bits for i in range(len(partition.subsets))])
     use_opt = (bits == opt[leaf]).all(axis=1)
 
     def group(key, rows):
@@ -304,7 +326,6 @@ def learn_partition(
     adv_res = adversarial(0, root_scope, opt_res.params)
     root_subset = UncertaintySubset(
         subset_id=0,
-        fixed={},
         opt_pattern=zero,
         free=uset.maskable,
         params_opt=opt_res.params,
@@ -313,17 +334,15 @@ def learn_partition(
         upper_bound=adv_res.val_loss,
     )
     subsets = {0: root_subset}
-    node_of = {0: TreeNode(subset_id=0)}
-    root = node_of[0]
-    leaf_ids = [0]
 
-    while len(leaf_ids) < pcfg.max_subsets:
-        candidates = [i for i in leaf_ids if _splittable(subsets[i], uset)]
+    while (len(subsets) + 1) // 2 < pcfg.max_subsets:
+        candidates = [
+            i for i, s in subsets.items() if s.split_feature is None and _splittable(s, uset)
+        ]
         if not candidates:
             break
         gaps = [subsets[i].relgap for i in candidates]
-        best = max(gaps)
-        if best <= pcfg.epsilon:
+        if max(gaps) <= pcfg.epsilon:
             break
         chosen = candidates[int(np.argmax(gaps))]  # argmax keeps the lowest id on ties
         parent = subsets[chosen]
@@ -333,11 +352,8 @@ def learn_partition(
 
         avail_id, miss_id = len(subsets), len(subsets) + 1
 
-        avail_fixed = dict(parent.fixed)
-        avail_fixed[j_star] = 0
         avail_subset = UncertaintySubset(
             subset_id=avail_id,
-            fixed=avail_fixed,
             opt_pattern=parent.opt_pattern,
             free=free_child,
             params_opt=parent.params_opt,
@@ -346,7 +362,6 @@ def learn_partition(
             upper_bound=parent.upper_bound,
             parent_id=chosen,
             lb_inherited=True,
-            ub_inherited=False,
         )
         adv_res = adversarial(avail_id, _scope_for(avail_subset, uset), avail_subset.params_opt)
         # The child's subset is contained in the parent's, so the parent's
@@ -359,13 +374,10 @@ def learn_partition(
         else:
             avail_subset.ub_inherited = True
 
-        miss_fixed = dict(parent.fixed)
-        miss_fixed[j_star] = 1
         miss_pattern = parent.opt_pattern.with_missing(j_star)
         opt_res = nominal(miss_id, miss_pattern)
         miss_subset = UncertaintySubset(
             subset_id=miss_id,
-            fixed=miss_fixed,
             opt_pattern=miss_pattern,
             free=free_child,
             params_opt=opt_res.params,
@@ -373,32 +385,14 @@ def learn_partition(
             lower_bound=opt_res.val_loss,
             upper_bound=parent.upper_bound,
             parent_id=chosen,
-            lb_inherited=False,
             ub_inherited=True,
         )
 
         parent.split_feature = j_star
         subsets[avail_id] = avail_subset
         subsets[miss_id] = miss_subset
-        leaf_ids = _split_leaf(node_of, leaf_ids, chosen, j_star)
 
-    for subset in subsets.values():
-        subset.validate()
-    return Partition(
-        uncertainty=uset, config=pcfg, root=root, subsets=subsets, leaf_ids=leaf_ids
-    )
-
-
-def _split_leaf(node_of: dict, leaf_ids: list[int], chosen: int, feature: int) -> list[int]:
-    """Split leaf `chosen` on `feature` into the next two subset ids, which
-    are 2k - 1 (available) and 2k (missing) for the k-th split; returns the
-    new leaf order."""
-    avail_id = len(node_of)
-    node = node_of[chosen]
-    node.feature = feature
-    node.available = node_of[avail_id] = TreeNode(subset_id=avail_id)
-    node.missing = node_of[avail_id + 1] = TreeNode(subset_id=avail_id + 1)
-    return [i for i in leaf_ids if i != chosen] + [avail_id, avail_id + 1]
+    return Partition(uncertainty=uset, config=pcfg, subsets=subsets)
 
 
 def truncate(partition: Partition, q: int) -> Partition:
@@ -408,11 +402,11 @@ def truncate(partition: Partition, q: int) -> Partition:
 
     Growth is greedy and every subset trains from seeds derived from (seed,
     subset id), so growing to q subsets performs the first q - 1 splits of
-    any longer growth. Split k created subsets 2k - 1 and 2k, whose
-    parent_id names the leaf it split; the tree, the leaf order and the
-    split features are replayed from those. The subsets share their
-    parameters with `partition`. When q equals config.max_subsets the input
-    itself is returned.
+    any longer growth. Split k created subsets 2k - 1 and 2k, so the cut
+    keeps the subsets below 2q - 1 and clears the split feature of those
+    whose children it drops. The subsets share their parameters with
+    `partition`. When q equals config.max_subsets the input itself is
+    returned.
     """
     if q < 1:
         raise ConfigError(f"cannot cut a partition to {q} subsets; need q >= 1")
@@ -423,22 +417,13 @@ def truncate(partition: Partition, q: int) -> Partition:
         raise ConfigError(
             f"cannot cut {q} subsets from a partition grown to max_subsets={grown_to}"
         )
-    subsets = {0: replace(partition.subsets[0], split_feature=None)}
-    node_of = {0: TreeNode(subset_id=0)}
-    leaf_ids = [0]
-    for k in range(1, min(q, len(partition.leaf_ids))):
-        chosen = partition.subsets[2 * k - 1].parent_id
-        feature = partition.subsets[chosen].split_feature
-        subsets[chosen].split_feature = feature
-        for sid in (2 * k - 1, 2 * k):
-            subsets[sid] = replace(partition.subsets[sid], split_feature=None)
-        leaf_ids = _split_leaf(node_of, leaf_ids, chosen, feature)
+    n = 2 * min(q, len(partition.leaf_ids)) - 1
+    splits = {sid: node[0] for sid, node in enumerate(partition._route) if node and node[2] < n}
+    subsets = {i: replace(partition.subsets[i], split_feature=splits.get(i)) for i in range(n)}
     return Partition(
         uncertainty=partition.uncertainty,
         config=replace(partition.config, max_subsets=q),
-        root=node_of[0],
         subsets=subsets,
-        leaf_ids=leaf_ids,
     )
 
 
@@ -492,51 +477,28 @@ def bounds_table(partition: Partition) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _node_to_json(node: TreeNode) -> dict:
-    if node.is_leaf:
-        return {"subset": node.subset_id}
-    return {
-        "subset": node.subset_id,
-        "feature": node.feature,
-        "available": _node_to_json(node.available),
-        "missing": _node_to_json(node.missing),
-    }
+def _tree_to_json(partition: Partition, sid: int = 0) -> dict:
+    if partition._route[sid] is None:
+        return {"subset": sid}
+    feature, avail, miss = partition._route[sid]
+    return {"subset": sid, "feature": feature, "available": _tree_to_json(partition, avail),
+            "missing": _tree_to_json(partition, miss)}
 
 
-def _node_from_json(obj: dict) -> TreeNode:
-    if "feature" not in obj:
-        return TreeNode(subset_id=obj["subset"])
-    return TreeNode(
-        subset_id=obj["subset"],
-        feature=obj["feature"],
-        available=_node_from_json(obj["available"]),
-        missing=_node_from_json(obj["missing"]),
-    )
-
-
-def _uset_to_json(uset: UncertaintySet) -> dict:
-    return {"n_features": uset.n_features, "maskable": list(uset.maskable), "budget": uset.budget}
-
-
-def _uset_from_json(obj: dict) -> UncertaintySet:
-    return UncertaintySet(
-        n_features=obj["n_features"], maskable=tuple(obj["maskable"]), budget=obj["budget"]
-    )
+def _fixed_to_json(partition: Partition, sid: int) -> dict:
+    return {str(j): bit for j, bit in partition.fixed(sid).items()}
 
 
 def partition_to_json(partition: Partition) -> dict:
     return {
         "kind": "learned",
-        "uncertainty": _uset_to_json(partition.uncertainty),
-        "config": {
-            "max_subsets": partition.config.max_subsets,
-            "epsilon": partition.config.epsilon,
-        },
-        "tree": _node_to_json(partition.root),
-        "leaf_ids": list(partition.leaf_ids),
+        "uncertainty": asdict(partition.uncertainty),
+        "config": asdict(partition.config),
+        "tree": _tree_to_json(partition),
+        "leaf_ids": partition.leaf_ids,
         "subsets": {
             str(sid): {
-                "fixed": {str(j): bit for j, bit in sorted(s.fixed.items())},
+                "fixed": _fixed_to_json(partition, sid),
                 "opt_pattern": s.opt_pattern.bits.tolist(),
                 "free": list(s.free),
                 "LB": s.lower_bound,
@@ -555,16 +517,14 @@ def partition_to_json(partition: Partition) -> dict:
 
 
 def partition_from_json(obj: dict) -> Partition:
-    uset = _uset_from_json(obj["uncertainty"])
-    pcfg = PartitionConfig(
-        max_subsets=obj["config"]["max_subsets"], epsilon=obj["config"]["epsilon"]
-    )
+    """The partition the file's subsets describe. Its `tree`, `leaf_ids` and
+    per-subset `fixed` are derived values; DomainError when any of them
+    disagrees with what the subsets imply."""
     subsets = {}
     for sid_str, s in obj["subsets"].items():
         sid = int(sid_str)
         subsets[sid] = UncertaintySubset(
             subset_id=sid,
-            fixed={int(j): bit for j, bit in s["fixed"].items()},
             opt_pattern=MissingPattern(bits=np.asarray(s["opt_pattern"], dtype=np.uint8)),
             free=tuple(s["free"]),
             params_opt=params_from_json(s["params_opt"]),
@@ -576,19 +536,18 @@ def partition_from_json(obj: dict) -> Partition:
             ub_inherited=s["ub_inherited"],
             split_feature=s["split_feature"],
         )
-    return Partition(
-        uncertainty=uset,
-        config=pcfg,
-        root=_node_from_json(obj["tree"]),
-        subsets=subsets,
-        leaf_ids=list(obj["leaf_ids"]),
-    )
+    uset, pcfg = UncertaintySet(**obj["uncertainty"]), PartitionConfig(**obj["config"])
+    part = Partition(uncertainty=uset, config=pcfg, subsets=subsets)
+    stored = (obj["tree"], obj["leaf_ids"], [s["fixed"] for s in obj["subsets"].values()])
+    if stored != (_tree_to_json(part), part.leaf_ids, [_fixed_to_json(part, i) for i in subsets]):
+        raise DomainError("the stored tree, leaf_ids or fixed disagree with what the subsets imply")
+    return part
 
 
 def fixed_to_json(fixed: FixedPartition) -> dict:
     return {
         "kind": "fixed",
-        "uncertainty": _uset_to_json(fixed.uncertainty),
+        "uncertainty": asdict(fixed.uncertainty),
         "subsets": [
             {"count": s.count, "val_loss": s.val_loss, "params": params_to_json(s.params)}
             for s in fixed.subsets
@@ -597,14 +556,11 @@ def fixed_to_json(fixed: FixedPartition) -> dict:
 
 
 def fixed_from_json(obj: dict) -> FixedPartition:
-    uset = _uset_from_json(obj["uncertainty"])
     subsets = [
-        FixedSubset(
-            count=s["count"], params=params_from_json(s["params"]), val_loss=s["val_loss"]
-        )
+        FixedSubset(s["count"], params_from_json(s["params"]), s["val_loss"])
         for s in obj["subsets"]
     ]
-    return FixedPartition(uncertainty=uset, subsets=subsets)
+    return FixedPartition(uncertainty=UncertaintySet(**obj["uncertainty"]), subsets=subsets)
 
 
 def save_artifact(obj: Partition | FixedPartition | ModelParams, path: str | Path) -> None:
@@ -620,12 +576,21 @@ def save_artifact(obj: Partition | FixedPartition | ModelParams, path: str | Pat
 
 
 def load_artifact(path: str | Path):
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    kind = obj.get("kind")
-    if kind == "learned":
-        return partition_from_json(obj)
-    if kind == "fixed":
-        return fixed_from_json(obj)
-    if kind == "model":
-        return params_from_json(obj["params"])
-    raise DomainError(f"unknown artifact kind {kind!r}")
+    """The artifact saved at `path`. ParseError when the file is not valid
+    JSON or lacks a key; DomainError when a value is inadmissible."""
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        kind = obj["kind"]
+        if kind == "learned":
+            return partition_from_json(obj)
+        if kind == "fixed":
+            return fixed_from_json(obj)
+        if kind == "model":
+            return params_from_json(obj["params"])
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"artifact {path} is not valid JSON: {exc}") from None
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"artifact {path} is malformed: {exc!r}") from None
+    except DomainError as exc:
+        raise DomainError(f"artifact {path}: {exc}") from None
+    raise DomainError(f"artifact {path}: unknown kind {kind!r}")

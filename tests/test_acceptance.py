@@ -219,7 +219,7 @@ def test_criterion_4_partition_structure():
         hits = [
             leaf.subset_id
             for leaf in part6.leaves()
-            if all(pattern.bits[j] == bit for j, bit in leaf.fixed.items())
+            if all(pattern.bits[j] == bit for j, bit in part6.fixed(leaf.subset_id).items())
         ]
         cover_ok &= hits == [locate(part6, pattern)] and hits[0] in leafset
 

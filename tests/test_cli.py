@@ -133,6 +133,17 @@ class TestRunConfig:
         cfg = parse_run_config(config)
         assert cfg.train.weight_decay == 0 and cfg.budget is None
 
+    def test_absent_keys_take_the_config_class_defaults(self):
+        config = base_config("out")
+        del config["train"], config["partition"]
+        cfg = parse_run_config(config)
+        assert cfg.train == TrainConfig(seed=7)
+        assert cfg.partition == PartitionConfig()
+        config.update(family="nn", train={"patience": 3}, partition={"epsilon": 0.5})
+        cfg = parse_run_config(config)
+        assert cfg.train == TrainConfig(patience=3, weight_decay=1e-5, seed=7)
+        assert cfg.partition == PartitionConfig(epsilon=0.5)
+
     @pytest.mark.parametrize("name", ["eval-grid", "lr-pipeline", "nn-train"])
     def test_benchmark_configs_reach_the_run_config(self, name):
         obj = json.loads((WORKLOADS / f"{name}.json").read_text(encoding="utf-8"))
@@ -171,6 +182,21 @@ class TestRunConfig:
         ("q_sweep", {"q_list": [-1]}, "q_sweep.q_list"),
         ("grid", {"p01": [0.2], "p11": [0.5], "methods": ["imp-mean", "nonsense"], "runs": 1},
          "nonsense"),
+        ("grid", {"p01": [0.2], "p11": [0.5], "methods": ["imp-mean"], "runs": 0}, "grid.runs"),
+        ("grid", {"p01": [1.5], "p11": [0.5], "methods": ["imp-mean"], "runs": 1}, "p01=1.5"),
+        ("grid", {"p01": [0.2], "p11": [-0.1], "methods": ["imp-mean"], "runs": 1}, "p11=-0.1"),
+        ("grid", {"p01": [], "p11": [0.5], "methods": ["imp-mean"], "runs": 1}, "grid.p01"),
+        ("grid", {"p01": [0.2], "p11": [0.5], "methods": [], "runs": 1}, "grid.methods"),
+        ("horizons", [], "horizons"),
+        ("q_sweep", {"q_list": [1, 2], "p01": 2.0}, "p01=2.0"),
+        # a repeated value would fold two cells into one summary row
+        ("horizons", [1, 1], "horizons"),
+        ("grid", {"p01": [0.2, 0.2], "p11": [0.5], "methods": ["imp-mean"], "runs": 1},
+         "grid.p01"),
+        ("grid", {"p01": [0.2], "p11": [0.5, 0.5], "methods": ["imp-mean"], "runs": 1},
+         "grid.p11"),
+        ("grid", {"p01": [0.2], "p11": [0.5], "methods": ["imp-mean", "imp-mean"], "runs": 1},
+         "grid.methods"),
     ])
     def test_config_that_would_fail_after_training_exits_2(self, tmp_path, key, value, match):
         config = base_config(tmp_path / "out", **{key: value})
@@ -254,8 +280,8 @@ class TestTrain:
         assert sorted(part.leaf_ids) == [1, 3, 4]
         assert part.subsets[0].split_feature == 0
         assert part.subsets[2].split_feature == 1
-        assert part.root.feature == 0
-        assert part.root.missing.feature == 1
+        # the second split is on the missing side of the first
+        assert part.fixed(4) == {0: 1, 1: 1}
 
     def test_oversized_retrain_oracle_exits_4_before_training(self, tmp_path, capsys):
         # the lr-pipeline data shape: 4 plants at lags 0-2 give 12 maskable features
@@ -320,6 +346,21 @@ class TestEvaluate:
         )
         path = write_config(tmp_path, config)
         assert main(["evaluate", "--config", str(path)]) == 2
+
+    def test_corrupt_artifact_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        config = base_config(
+            out, grid={"p01": [0.2], "p11": [0.5], "methods": ["arf-learned"], "runs": 1}
+        )
+        path = write_config(tmp_path, config)
+        assert main(["train", "--config", str(path)]) == 0
+        artifact = out / "arf-learned_h1.json"
+        artifact.write_bytes(artifact.read_bytes()[:100])
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(artifact) in err
+        assert not (out / "grid.csv").exists()
 
     def test_artifact_feature_mismatch_exits_2(self, tmp_path):
         out = tmp_path / "out"

@@ -1,17 +1,18 @@
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from robustcast.dataio import Dataset, FeatureDescriptor, split_sequential
-from robustcast.exceptions import CapacityError, ConfigError, DomainError
+from robustcast.exceptions import CapacityError, ConfigError, DomainError, ParseError
 from robustcast.missingness import MissingPattern
 from robustcast.models import Architecture, init_params
 from robustcast.partition import (
     FixedPartition,
     Partition,
     PartitionConfig,
-    TreeNode,
     UncertaintySet,
     UncertaintySubset,
     bounds_table,
@@ -93,32 +94,28 @@ def manual_partition(n_features=3):
     arch = Architecture(input_dim=n_features)
     params = init_params(arch, "lr", False, seed=0, maskable=maskable)
 
-    def subset(sid, fixed, opt_bits, free):
+    def subset(sid, opt_bits, free, parent=None, split=None):
         return UncertaintySubset(
             subset_id=sid,
-            fixed=fixed,
             opt_pattern=MissingPattern(bits=np.array(opt_bits, dtype=np.uint8)),
             free=free,
             params_opt=params,
             params_adv=params,
             lower_bound=0.1,
             upper_bound=0.2,
+            parent_id=parent,
+            split_feature=split,
         )
 
     subsets = {
-        0: subset(0, {}, [0, 0, 0], (0, 1, 2)),
-        1: subset(1, {0: 0}, [0, 0, 0], (1, 2)),
-        2: subset(2, {0: 1}, [1, 0, 0], (1, 2)),
-        3: subset(3, {0: 1, 1: 0}, [1, 0, 0], (2,)),
-        4: subset(4, {0: 1, 1: 1}, [1, 1, 0], (2,)),
+        0: subset(0, [0, 0, 0], (0, 1, 2), split=0),
+        1: subset(1, [0, 0, 0], (1, 2), parent=0),
+        2: subset(2, [1, 0, 0], (1, 2), parent=0, split=1),
+        3: subset(3, [1, 0, 0], (2,), parent=2),
+        4: subset(4, [1, 1, 0], (2,), parent=2),
     }
-    root = TreeNode(subset_id=0, feature=0,
-                    available=TreeNode(subset_id=1),
-                    missing=TreeNode(subset_id=2, feature=1,
-                                     available=TreeNode(subset_id=3),
-                                     missing=TreeNode(subset_id=4)))
     return Partition(uncertainty=uset, config=PartitionConfig(max_subsets=3, epsilon=0.0),
-                     root=root, subsets=subsets, leaf_ids=[1, 3, 4])
+                     subsets=subsets)
 
 
 class TestLocate:
@@ -136,9 +133,9 @@ class TestLocate:
         part = manual_partition()
         for pattern in enumerate_patterns(part.uncertainty):
             hits = []
-            for leaf in part.leaves():
-                if all(pattern.bits[j] == bit for j, bit in leaf.fixed.items()):
-                    hits.append(leaf.subset_id)
+            for sid in part.leaf_ids:
+                if all(pattern.bits[j] == bit for j, bit in part.fixed(sid).items()):
+                    hits.append(sid)
             assert hits == [locate(part, pattern)]
 
 
@@ -160,7 +157,8 @@ class TestLearnPartition:
                                "lr", False)
         assert part.leaf_ids == [0]
         assert part.subsets[0].free == (0, 1, 2)
-        assert part.root.is_leaf
+        assert part.subsets[0].split_feature is None
+        assert part.fixed(0) == {}
 
     def test_retraining_recovery_with_full_enumeration(self):
         # Budget 3 over 3 features, enough subsets, epsilon 0: the tree must
@@ -189,8 +187,8 @@ class TestLearnPartition:
         root = part.subsets[0]
         j_star = root.split_feature
         avail, miss = part.subsets[1], part.subsets[2]
-        assert avail.fixed[j_star] == 0
-        assert miss.fixed[j_star] == 1
+        assert part.fixed(1) == {j_star: 0}
+        assert part.fixed(2) == {j_star: 1}
         assert avail.opt_pattern.bits[j_star] == 0
         assert miss.opt_pattern.bits[j_star] == 1
         np.testing.assert_array_equal(avail.opt_pattern.bits, root.opt_pattern.bits)
@@ -336,7 +334,6 @@ class TestFixedPartition:
                                 "lr", False)
         assert len(fixed.subsets) == 1
         from robustcast._util import derive_seed
-        from dataclasses import replace
         nominal = train_nominal(train, val, MissingPattern.zeros(3),
                                 replace(cfg, seed=derive_seed(cfg.seed, "fixed", 0)),
                                 Architecture(input_dim=3, bias_index=2), "lr", False)
@@ -453,3 +450,118 @@ class TestValidation:
             PartitionConfig(max_subsets=0)
         with pytest.raises(ConfigError):
             PartitionConfig(epsilon=-1.0)
+
+    def test_uncertainty_set_maskable_range(self):
+        for maskable in [(5,), (-1, 0), (0, 4)]:
+            with pytest.raises(DomainError, match="out of range"):
+                UncertaintySet(n_features=4, maskable=maskable, budget=1)
+
+
+class TestSubsetsFormTheTree:
+    """A Partition is its subsets: construction derives the routing table
+    from parent_id and split_feature and rejects subsets that form no tree."""
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda subsets: subsets.pop(4), id="missing-id"),
+        pytest.param(lambda subsets: subsets.pop(0), id="no-root"),
+        pytest.param(lambda subsets: setattr(subsets[4], "parent_id", 1), id="split-siblings"),
+        pytest.param(lambda subsets: setattr(subsets[3], "parent_id", 4), id="later-parent"),
+        pytest.param(lambda subsets: setattr(subsets[1], "parent_id", None), id="orphan"),
+        pytest.param(lambda subsets: setattr(subsets[2], "split_feature", None), id="unsplit"),
+        pytest.param(lambda subsets: setattr(subsets[1], "split_feature", 2), id="split-leaf"),
+        pytest.param(lambda subsets: setattr(subsets[2], "split_feature", 0), id="fixed-split"),
+        pytest.param(lambda subsets: setattr(subsets[3], "subset_id", 4), id="wrong-id"),
+        pytest.param(lambda subsets: subsets.update({5: replace(subsets[3], subset_id=5),
+                                                     6: replace(subsets[4], subset_id=6)}),
+                     id="split-twice"),
+    ])
+    def test_subsets_that_form_no_tree_are_rejected(self, edit):
+        part = manual_partition()
+        subsets = {sid: replace(s) for sid, s in part.subsets.items()}
+        edit(subsets)
+        with pytest.raises(DomainError):
+            Partition(part.uncertainty, part.config, subsets)
+
+    def test_routing_table_leaves_and_constraints(self):
+        part = manual_partition()
+        assert part.leaf_ids == [1, 3, 4]
+        assert [part.fixed(sid) for sid in range(5)] == [
+            {}, {0: 0}, {0: 1}, {0: 1, 1: 0}, {0: 1, 1: 1}]
+        tree = partition_to_json(part)["tree"]
+        assert tree == {"subset": 0, "feature": 0, "available": {"subset": 1},
+                        "missing": {"subset": 2, "feature": 1, "available": {"subset": 3},
+                                    "missing": {"subset": 4}}}
+
+    def test_cut_clears_the_split_of_a_leaf_it_restores(self):
+        part = manual_partition()
+        cut = truncate(part, 2)
+        assert cut.leaf_ids == [1, 2]
+        assert [s.split_feature for s in cut.subsets.values()] == [0, None, None]
+        assert part.subsets[2].split_feature == 1
+
+
+GOLDEN = Path(__file__).parent / "data" / "learned_lr_q5.json"
+# The leaf of every admissible pattern, keyed by the bits of the maskable
+# features 0-2 (the bias, feature 3, is never missing), recorded when the
+# artifact was written.
+GOLDEN_ROUTES = {(0, 0, 0): 3, (0, 0, 1): 3, (0, 1, 0): 5, (0, 1, 1): 5,
+                 (1, 0, 0): 4, (1, 0, 1): 4, (1, 1, 0): 7, (1, 1, 1): 8}
+
+
+def _swap_root_children(obj):
+    tree = obj["tree"]
+    tree["available"], tree["missing"] = tree["missing"], tree["available"]
+
+
+class TestGoldenArtifact:
+    """A learned lr artifact (3 maskable features, budget 3, q = 5), written
+    by learn_partition and save_artifact when a partition still stored its
+    tree, leaf list and equality constraints next to its subsets. Those three
+    are now derived from the subsets; the file must load, route and save as
+    it did, and a copy whose stored values the subsets contradict must not
+    load."""
+
+    def test_load_then_save_reproduces_the_bytes(self, tmp_path):
+        save_artifact(load_artifact(GOLDEN), tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == GOLDEN.read_bytes()
+
+    def test_every_admissible_pattern_reaches_its_recorded_leaf(self):
+        part = load_artifact(GOLDEN)
+        assert part.leaf_ids == [3, 4, 5, 7, 8]
+        patterns = enumerate_patterns(part.uncertainty)
+        expected = [GOLDEN_ROUTES[tuple(pat.bits[:3].tolist())] for pat in patterns]
+        assert len(expected) == 8
+        assert [locate(part, pat) for pat in patterns] == expected
+        assert locate_rows(part, np.array([pat.bits for pat in patterns])).tolist() == expected
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda obj: obj["tree"].update(feature=0), id="tree-feature"),
+        pytest.param(lambda obj: obj["tree"]["missing"]["missing"].update(feature=1),
+                     id="tree-deep-feature"),
+        pytest.param(_swap_root_children, id="tree-children"),
+        pytest.param(lambda obj: obj["tree"]["available"].pop("feature"), id="tree-shape"),
+        pytest.param(lambda obj: obj.update(leaf_ids=[3, 4, 5, 8, 7]), id="leaf-order"),
+        pytest.param(lambda obj: obj.update(leaf_ids=[3, 4, 5, 7]), id="leaf-missing"),
+        pytest.param(lambda obj: obj["subsets"]["4"]["fixed"].update({"0": 0}), id="fixed-bit"),
+        pytest.param(lambda obj: obj["subsets"]["8"]["fixed"].pop("2"), id="fixed-key"),
+        pytest.param(lambda obj: obj["subsets"]["0"].update(split_feature=0), id="split-feature"),
+        pytest.param(lambda obj: obj["subsets"]["7"].update(parent_id=5), id="parent-id"),
+    ])
+    def test_a_stored_value_the_subsets_contradict_is_rejected(self, tmp_path, edit):
+        obj = json.loads(GOLDEN.read_text(encoding="utf-8"))
+        edit(obj)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        with pytest.raises(DomainError, match="edited.json"):
+            load_artifact(path)
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda text: text[:100], id="cut-to-100-bytes"),
+        pytest.param(lambda text: text.replace('"LB"', '"lb"', 1), id="missing-key"),
+        pytest.param(lambda text: "[]", id="not-an-object"),
+    ])
+    def test_a_corrupt_file_is_a_parse_error_naming_it(self, tmp_path, edit):
+        path = tmp_path / "corrupt.json"
+        path.write_text(edit(GOLDEN.read_text(encoding="utf-8")), encoding="utf-8")
+        with pytest.raises(ParseError, match="corrupt.json"):
+            load_artifact(path)

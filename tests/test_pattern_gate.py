@@ -1,7 +1,8 @@
 """Every entry point that takes missing-data patterns accepts exactly the
 0/1, right-rank, right-width, support-valid ones and raises DomainError for
 all others, whatever the container (list, float, int, uint8 or bool array,
-MissingPattern)."""
+MissingPattern). A maskable set with an index outside the feature range is
+rejected wherever it is given."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,6 @@ from robustcast.partition import (
     FixedSubset,
     Partition,
     PartitionConfig,
-    TreeNode,
     UncertaintySet,
     UncertaintySubset,
     locate,
@@ -30,12 +30,15 @@ KINDS = ("list", "float64", "int64", "uint8", "bool", "pattern")
 
 @st.composite
 def cases(draw):
-    """A model width p and maskable set, and a drawn input: rank 1 or 2,
-    width p - 1, p or p + 1, 0/1 entries with up to two replaced by a value
-    from NOT_BITS, held in one of KINDS (falling back to float64 when the
-    kind cannot hold the values)."""
+    """A model width p and maskable set (in a quarter of the cases with one
+    index outside range(p)), and a drawn input: rank 1 or 2, width p - 1, p
+    or p + 1, 0/1 entries with up to two replaced by a value from NOT_BITS,
+    held in one of KINDS (falling back to float64 when the kind cannot hold
+    the values)."""
     p = draw(st.integers(2, 5))
     maskable = tuple(sorted(draw(st.sets(st.integers(0, p - 1)))))
+    if draw(st.integers(0, 3)) == 0:
+        maskable += (draw(st.sampled_from((-1, -p, p, p + 2))),)
     rank = draw(st.sampled_from((1, 2)))
     n = draw(st.integers(1, 3))
     width = draw(st.sampled_from((p - 1, p, p + 1)))
@@ -70,8 +73,8 @@ def fixtures(p: int, maskable: tuple[int, ...], n: int):
     params = init_params(Architecture(input_dim=p), "lr", True, seed=0, maskable=maskable)
     params = params.from_vector(np.random.default_rng(1).normal(size=params.to_vector().size))
     uset = UncertaintySet(n_features=p, maskable=maskable, budget=len(maskable))
-    leaf = UncertaintySubset(0, {}, MissingPattern.zeros(p), maskable, params, params, 1.0, 2.0)
-    learned = Partition(uset, PartitionConfig(1, 0.0), TreeNode(0), {0: leaf}, [0])
+    leaf = UncertaintySubset(0, MissingPattern.zeros(p), maskable, params, params, 1.0, 2.0)
+    learned = Partition(uset, PartitionConfig(1, 0.0), {0: leaf})
     fixed = FixedPartition(uset, [FixedSubset(c, params, 1.0) for c in range(len(maskable) + 1)])
     X = np.random.default_rng(2).uniform(0.5, 1.5, (n, p))
     return params, learned, fixed, X, X.sum(axis=1)
@@ -102,6 +105,18 @@ def test_every_entry_point_takes_exactly_the_valid_patterns(case):
     outside = [j for j in range(values.shape[-1]) if j not in maskable]
     support_ok = not np.any(values.reshape(-1, values.shape[-1])[:, outside] == 1)
 
+    if not all(0 <= j < p for j in maskable):
+        zero = np.zeros(p, dtype=np.uint8)
+        for build in (
+            lambda: MissingPattern.bits_of(zero, p, maskable),
+            lambda: apply_mask(np.ones(p), zero, maskable),
+            lambda: init_params(Architecture(input_dim=p), "lr", True, seed=0, maskable=maskable),
+            lambda: UncertaintySet(n_features=p, maskable=maskable, budget=0),
+        ):
+            with pytest.raises(DomainError):
+                build()
+        return
+
     if zero_one and values.ndim == 1:
         np.testing.assert_array_equal(MissingPattern(bits=bits).bits, values.astype(np.uint8))
     else:
@@ -130,6 +145,15 @@ def test_pattern_rejects_what_is_not_one_bit_vector(bits):
 def test_obs_mask_rejects_what_is_not_a_bit_matrix(mask):
     with pytest.raises(DomainError):
         ObsMaskSeries(mask=mask)
+
+
+def test_negative_maskable_index_does_not_wrap_onto_the_bias():
+    with pytest.raises(DomainError, match="out of range"):
+        apply_mask(np.ones(3), [0, 0, 1], (-1,))
+    with pytest.raises(DomainError, match="out of range"):
+        init_params(Architecture(input_dim=3, bias_index=2), "lr", True, seed=0, maskable=(-1,))
+    with pytest.raises(DomainError, match="out of range"):
+        UncertaintySet(n_features=3, maskable=(5,), budget=1)
 
 
 def test_bit_of_two_on_the_bias_column_is_rejected_not_negated():

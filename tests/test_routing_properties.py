@@ -11,7 +11,6 @@ from robustcast.partition import (
     FixedSubset,
     Partition,
     PartitionConfig,
-    TreeNode,
     UncertaintySet,
     UncertaintySubset,
     locate,
@@ -42,39 +41,31 @@ def random_params(uset: UncertaintySet, rng: np.random.Generator) -> ModelParams
 
 @st.composite
 def partitions(draw) -> Partition:
-    """A random tree grown the way learn_partition grows one: each split takes
-    a leaf with a free feature and budget room, and fixes one free feature
-    available in one child and missing in the other."""
+    """A random tree grown the way learn_partition grows one, held as its
+    subsets alone: split k picks a leaf with a free feature and budget room,
+    records one of its free features as the split feature, and adds subset
+    2k - 1, which keeps that feature available, and 2k, which marks it
+    missing."""
     uset = draw(usets())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    zero = MissingPattern.zeros(uset.n_features)
 
-    def subset(sid, fixed, opt, free, parent):
-        return UncertaintySubset(sid, fixed, opt, free, random_params(uset, rng),
+    def subset(sid, opt, free, parent):
+        return UncertaintySubset(sid, opt, free, random_params(uset, rng),
                                  random_params(uset, rng), 1.0, 2.0, parent_id=parent)
 
-    subsets = {0: subset(0, {}, zero, uset.maskable, None)}
-    nodes = {0: TreeNode(subset_id=0)}
-    leaf_ids = [0]
+    subsets = {0: subset(0, MissingPattern.zeros(uset.n_features), uset.maskable, None)}
     for _ in range(draw(st.integers(0, 6))):
-        splittable = [i for i in leaf_ids
-                      if subsets[i].free and subsets[i].opt_pattern.popcount() < uset.budget]
+        splittable = [i for i, s in subsets.items() if s.split_feature is None
+                      and s.free and s.opt_pattern.popcount() < uset.budget]
         if not splittable:
             break
-        sid = draw(st.sampled_from(splittable))
-        parent = subsets[sid]
-        j = draw(st.sampled_from(parent.free))
+        parent = subsets[draw(st.sampled_from(splittable))]
+        j = parent.split_feature = draw(st.sampled_from(parent.free))
         free = tuple(f for f in parent.free if f != j)
-        avail, miss = len(subsets), len(subsets) + 1
-        subsets[avail] = subset(avail, {**parent.fixed, j: 0}, parent.opt_pattern, free, sid)
-        subsets[miss] = subset(miss, {**parent.fixed, j: 1},
-                               parent.opt_pattern.with_missing(j), free, sid)
-        node = nodes[sid]
-        node.feature = j
-        node.available = nodes[avail] = TreeNode(subset_id=avail)
-        node.missing = nodes[miss] = TreeNode(subset_id=miss)
-        leaf_ids = [i for i in leaf_ids if i != sid] + [avail, miss]
-    return Partition(uset, PartitionConfig(), nodes[0], subsets, leaf_ids)
+        for opt in (parent.opt_pattern, parent.opt_pattern.with_missing(j)):
+            sid = len(subsets)
+            subsets[sid] = subset(sid, opt, free, parent.subset_id)
+    return Partition(uset, PartitionConfig(), subsets)
 
 
 def random_bits(uset: UncertaintySet, n: int, seed: int, opt_patterns=()) -> np.ndarray:
@@ -101,6 +92,16 @@ def test_every_row_reaches_the_leaf_locate_finds(part, n, seed):
     leaves = locate_rows(part, bits)
     assert leaves.tolist() == [locate(part, MissingPattern(bits=row)) for row in bits]
     assert set(leaves.tolist()) <= set(part.leaf_ids)
+
+
+@SETTINGS
+@given(part=partitions(), n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_each_pattern_meets_the_constraints_of_exactly_the_leaf_it_reaches(part, n, seed):
+    bits = random_bits(part.uncertainty, n, seed, leaf_opt_patterns(part))
+    for row, leaf in zip(bits, locate_rows(part, bits).tolist()):
+        hits = [sid for sid in part.leaf_ids
+                if all(row[j] == bit for j, bit in part.fixed(sid).items())]
+        assert hits == [leaf]
 
 
 @SETTINGS
