@@ -9,10 +9,12 @@ uniform-sampling variant replaces the search for equality-budget subsets.
 Each round scores all its candidates together. For the linear family the
 loss at pattern a is a quadratic form in the effective weights
 v = (w + D a_P) * (1 - a): with the Gram statistics G = X'X/n, b = X'y/n and
-c = y'y/n of the split, taken once per search, the loss is
-v'Gv - 2 v'b + c, so a round of k candidates costs O(k p^2) rather than k
-predictions over the split. The network family scores each candidate with a
-forward pass (mse_loss).
+c = y'y/n of the split, the loss is v'Gv - 2 v'b + c, so a round of k
+candidates costs O(k p^2) rather than k predictions over the split. The
+network family runs one forward pass per candidate into buffers kept for the
+split, with the operations of mse_loss in their order, so each loss is
+mse_loss's bit for bit. What a split contributes (G, b and c, or the buffers)
+is a SplitScorer; training makes one per split and reuses it in every search.
 """
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ from .models import (
     Architecture,
     ModelParams,
     _mask_columns,
-    mse_loss,
+    _nn_forward,
 )
 from .training import TrainConfig, TrainResult, run_training_loop, train_nominal
 
@@ -62,39 +64,94 @@ class AdversarialPattern:
     steps: list[tuple[int, float]] = field(default_factory=list)
 
 
-def _pattern_losses(
-    X: np.ndarray, y: np.ndarray, params: ModelParams
-) -> Callable[[np.ndarray], np.ndarray]:
-    """The scorer of one search: it maps a (k, p) stack of pattern bits to
-    the k full-data mean squared errors, checking their support once.
+def _shape(params: ModelParams) -> tuple:
+    return (params.family, params.n_features) + tuple(
+        params.arrays[f"W{m}"].shape for m in range(params.n_hidden_layers)
+    )
 
-    A linear model scores the stack in closed form from G, b and c (see the
-    module docstring), taken here once. Every row is reduced in the same
-    order whatever the stack size (_row_sums), so a pattern that leaves v
-    unchanged scores exactly what the incumbent did and the >= acceptance
-    test keeps it. The network family calls mse_loss once per row.
+
+class SplitScorer:
+    """What scoring patterns on one data split keeps between searches.
+
+    A linear model keeps the split's Gram statistics G, b and c; a network
+    keeps an (n, p) masked-input buffer and an (n, width) activation buffer
+    per hidden layer. Both depend on the data and the model's shape, not on
+    its parameters, so training builds one per split and binds each search's
+    parameters. The buffers make one scorer unfit for concurrent searches.
     """
-    y = np.asarray(y, dtype=np.float64)
-    if params.family != LR:
-        return lambda stack: np.array([mse_loss(params, X, y, bits) for bits in stack])
-    n = X.shape[0]
-    gram = X.T @ X / n
-    xty = X.T @ y / n
-    yty = float(y @ y) / n
-    w = params.arrays["w"]
-    adaptive = params.adaptive and bool(params.maskable)
 
-    def score(stack: np.ndarray) -> np.ndarray:
-        stack = MissingPattern.bits_of(stack, params.n_features, params.maskable, ndim=2)
-        v = w
-        if adaptive:
-            a = _mask_columns(stack, params.maskable)
-            v = w + _row_sums(a[:, None, :] * params.arrays["D"])
-        v = v * (1.0 - stack)
-        quad = _row_sums((v[:, :, None] * v[:, None, :] * gram).reshape(len(v), -1))
-        return quad - 2.0 * _row_sums(v * xty) + yty
+    def __init__(self, X: np.ndarray, y: np.ndarray, params: ModelParams):
+        self.X = X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        self.y = y = np.asarray(y, dtype=np.float64)
+        n = X.shape[0]
+        if n == 0:
+            raise SizeError("pattern scoring needs a non-empty data set")
+        self.shape = _shape(params)
+        if params.family == LR:
+            self.gram = X.T @ X / n
+            self.xty = X.T @ y / n
+            self.yty = float(y @ y) / n
+        else:
+            self.xm = np.empty_like(X)
+            # Layer m reads only layer m - 1's output, so the layers take the
+            # two halves of one block in turn: less memory held through
+            # training, and one block to hand back when the scorer goes.
+            widths = [params.arrays[f"W{m}"].shape[0] for m in range(params.n_hidden_layers)]
+            half = n * max(widths)
+            block = np.empty(2 * half)
+            self.layers = [
+                block[m % 2 * half : m % 2 * half + n * w].reshape(n, w)
+                for m, w in enumerate(widths)
+            ]
 
-    return score
+    def bind(self, params: ModelParams) -> Callable[[np.ndarray], np.ndarray]:
+        """The scorer of one search: it maps a (k, p) stack of pattern bits
+        to the k full-data mean squared errors, checking the stack once.
+
+        A linear model scores the stack in closed form (see the module
+        docstring). Every row is reduced in the same order whatever the stack
+        size (_row_sums), so a pattern that leaves v unchanged scores exactly
+        what the incumbent did and the >= acceptance test keeps it. A network
+        scores row by row: it masks X into the input buffer and runs
+        _nn_forward into the layer buffers. Those are the operations of
+        mse_loss in its order, so each loss is mse_loss's bit for bit, but
+        no activation is allocated per candidate.
+        """
+        if _shape(params) != self.shape:
+            raise DomainError(f"parameters of shape {_shape(params)} bound to a scorer "
+                              f"built for {self.shape}")
+
+        def check(stack: np.ndarray) -> np.ndarray:
+            return MissingPattern.bits_of(stack, params.n_features, params.maskable, ndim=2)
+
+        if params.family != LR:
+            X, y, xm, layers = self.X, self.y, self.xm, self.layers
+
+            def score(stack: np.ndarray) -> np.ndarray:
+                stack = check(stack)
+                losses = np.empty(len(stack))
+                for i, bits in enumerate(stack):
+                    np.multiply(X, 1.0 - bits, out=xm)
+                    preds = _nn_forward(params, xm, bits, False, layers)[0]
+                    losses[i] = np.mean((preds - y) ** 2)
+                return losses
+
+            return score
+        gram, xty, yty = self.gram, self.xty, self.yty
+        w = params.arrays["w"]
+        adaptive = params.adaptive and bool(params.maskable)
+
+        def score(stack: np.ndarray) -> np.ndarray:
+            stack = check(stack)
+            v = w
+            if adaptive:
+                a = _mask_columns(stack, params.maskable)
+                v = w + _row_sums(a[:, None, :] * params.arrays["D"])
+            v = v * (1.0 - stack)
+            quad = _row_sums((v[:, :, None] * v[:, None, :] * gram).reshape(len(v), -1))
+            return quad - 2.0 * _row_sums(v * xty) + yty
+
+        return score
 
 
 def _row_sums(x: np.ndarray) -> np.ndarray:
@@ -116,6 +173,8 @@ def find_adversarial(
     y: np.ndarray,
     scope: AdvSearchScope,
     params: ModelParams,
+    *,
+    split: SplitScorer | None = None,
 ) -> AdversarialPattern:
     """Greedy search for a worst-case pattern within the scope.
 
@@ -124,15 +183,16 @@ def find_adversarial(
     stops at the budget or as soon as the best candidate strictly decreases
     the incumbent loss. The accepted-loss sequence is non-decreasing.
 
-    A round scores all its candidates at once. For a linear model each loss
-    is v'Gv - 2 v'b + c over the candidate's effective weights
-    v = (w + D a_P) * (1 - a), so the search passes over the data once, for
-    the Gram statistics, instead of once per candidate.
+    A round scores all its candidates at once (SplitScorer.bind). split is
+    the SplitScorer of this X and y to reuse; without one the search builds
+    its own, so for a linear model it passes over the data once, for the
+    Gram statistics, instead of once per candidate.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if X.shape[0] == 0:
-        raise SizeError("adversarial search needs a non-empty data set")
-    score = _pattern_losses(X, y, params)
+    if split is None:
+        split = SplitScorer(X, y, params)
+    elif split.X is not X or split.y is not y:
+        raise DomainError("split scorer was built from another data set")
+    score = split.bind(params)
     bits = scope.base.bits.copy()
     best_loss = float(score(bits[None, :])[0])
     candidates = list(scope.free)
@@ -162,10 +222,7 @@ def greedy_split_feature(
     candidates = list(scope.free)
     if not candidates:
         return None
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if X.shape[0] == 0:
-        raise SizeError("split-feature search needs a non-empty data set")
-    losses = _pattern_losses(X, y, params)(_with_each(scope.base.bits, candidates))
+    losses = SplitScorer(X, y, params).bind(params)(_with_each(scope.base.bits, candidates))
     return candidates[int(np.argmax(losses))]
 
 
@@ -191,8 +248,14 @@ def train_adversarial(
         warm_start = train_nominal(
             train, val, scope.base, cfg, arch, family, adaptive
         ).params
-    pick_train = lambda k, params: find_adversarial(train.X, train.y, scope, params).pattern
-    pick_val = lambda k, params: find_adversarial(val.X, val.y, scope, params).pattern
+    train_split = SplitScorer(train.X, train.y, warm_start)
+    val_split = SplitScorer(val.X, val.y, warm_start)
+    pick_train = lambda k, params: find_adversarial(
+        train.X, train.y, scope, params, split=train_split
+    ).pattern
+    pick_val = lambda k, params: find_adversarial(
+        val.X, val.y, scope, params, split=val_split
+    ).pattern
     return run_training_loop(train, val, warm_start, cfg, pick_train, pick_val)
 
 

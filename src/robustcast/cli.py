@@ -194,8 +194,9 @@ def parse_run_config(obj: dict) -> RunConfig:
                     f"q_sweep.method must be a learned method ({' or '.join(LEARNED_METHODS)}), "
                     f"got {q_method!r}"
                 )
-            if not qs["q_list"] or min(qs["q_list"]) < 1:
-                raise ConfigError(f"q_sweep.q_list must list Q values >= 1, got {qs['q_list']!r}")
+            q_list = qs["q_list"]
+            if not q_list or min(q_list) < 1 or len(set(q_list)) < len(q_list):
+                raise ConfigError(f"q_sweep.q_list must list distinct Q values >= 1, got {q_list!r}")
             MissingnessConfig(p01=qs.get("p01", 0.2), p11=qs.get("p11", 0.9), seed=spec.base_seed)
         split = obj.get("split", {})
         return RunConfig(

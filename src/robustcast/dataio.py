@@ -97,10 +97,12 @@ class RawSeries:
 
 def maskable_indices(maskable, n_features: int) -> tuple[int, ...]:
     """The maskable feature indices as a sorted tuple; DomainError for any
-    index outside range(n_features)."""
+    index outside range(n_features) and for a repeated index."""
     out = tuple(sorted(int(j) for j in maskable))
     if out and not (0 <= out[0] and out[-1] < n_features):
         raise DomainError(f"maskable indices {list(out)} out of range for {n_features} features")
+    if len(set(out)) != len(out):
+        raise DomainError(f"maskable indices {list(out)} repeat an index")
     return out
 
 

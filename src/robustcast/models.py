@@ -192,38 +192,49 @@ def forward(params: ModelParams, x: np.ndarray, alpha) -> float:
     return float(predict(params, np.asarray(x, dtype=np.float64)[None, :], alpha)[0])
 
 
-def _nn_forward(params: ModelParams, xm: np.ndarray, bits: np.ndarray, per_row: bool):
-    """Forward pass; returns (predictions, cache) where the cache holds the
-    layer inputs and pre-activations needed by backprop."""
-    m_layers = params.n_hidden_layers
+def _nn_forward(
+    params: ModelParams,
+    xm: np.ndarray,
+    bits: np.ndarray,
+    per_row: bool,
+    layers: list[np.ndarray] | None = None,
+):
+    """Forward pass over the masked inputs xm; returns (predictions, gs, a).
+
+    gs[m] is the input of hidden layer m and gs[-1] the output of the last
+    one, which is all backprop needs: a ReLU unit is active exactly where its
+    output is > 0. a is the pattern on the maskable columns (None for a
+    non-adaptive model). Each layer's pre-activation is summed in place,
+    into layers[m] when the caller gives (n, width_m) buffers for it, so a
+    scorer running many forwards allocates no activations per pass. Layer m
+    reads only gs[m], so layers[m] may share memory with layers[m - 2]; gs
+    then holds the caller's buffers, of which only the last two are intact.
+    """
     adaptive = params.adaptive and bool(params.maskable)
     a = _mask_columns(bits, params.maskable) if adaptive else None
-    g = xm
-    inputs = []
-    preacts = []
-    for m in range(m_layers):
-        w = params.arrays[f"W{m}"]
-        b = params.arrays[f"b{m}"]
-        z = g @ w.T + b
+    gs = [xm]
+    for m in range(params.n_hidden_layers):
+        g, w = gs[-1], params.arrays[f"W{m}"]
+        z = g @ w.T if layers is None else np.matmul(g, w.T, out=layers[m])
+        z += params.arrays[f"b{m}"]
         if adaptive:
             d = params.arrays[f"D{m}"]
             if per_row:
-                z = z + np.einsum("ij,ij->i", g, a @ d.T)[:, None]
+                z += np.einsum("ij,ij->i", g, a @ d.T)[:, None]
             else:
-                z = z + (g @ (d @ a))[:, None]
-        inputs.append(g)
-        preacts.append(z)
-        g = z if m == 0 else np.maximum(z, 0.0)
-    w_out = params.arrays["w_out"]
-    preds = g @ w_out + params.arrays["b_out"][0]
+                z += (g @ (d @ a))[:, None]
+        if m:
+            np.maximum(z, 0.0, out=z)
+        gs.append(z)
+    g = gs[-1]
+    preds = g @ params.arrays["w_out"] + params.arrays["b_out"][0]
     if adaptive:
         d_out = params.arrays["D_out"]
         if per_row:
             preds = preds + np.einsum("ij,ij->i", g, a @ d_out.T)
         else:
             preds = preds + g @ (d_out @ a)
-    cache = (inputs, preacts, g, a)
-    return preds, cache
+    return preds, gs, a
 
 
 def _decayed_mask(params: ModelParams, name: str) -> np.ndarray | float:
@@ -286,12 +297,13 @@ def loss_and_grad(
         if params.adaptive:
             grads["D"] = np.outer(gw, a) if adaptive else np.zeros_like(params.arrays["D"])
     else:
-        preds, (inputs, preacts, g_last, a) = _nn_forward(params, xm, bits, per_row=False)
+        preds, gs, a = _nn_forward(params, xm, bits, per_row=False)
         resid = preds - y
         loss = float(np.mean(resid**2))
         r = (2.0 / n) * resid
         adaptive = a is not None
         w_out = params.arrays["w_out"]
+        g_last = gs[-1]
         grads["w_out"] = g_last.T @ r
         grads["b_out"] = np.array([r.sum()])
         if params.adaptive:
@@ -301,8 +313,8 @@ def loss_and_grad(
         w_eff = w_out + params.arrays["D_out"] @ a if adaptive else w_out
         dg = np.outer(r, w_eff)
         for m in range(params.n_hidden_layers - 1, -1, -1):
-            delta = dg if m == 0 else dg * (preacts[m] > 0.0)
-            g_in = inputs[m]
+            delta = dg if m == 0 else dg * (gs[m + 1] > 0.0)
+            g_in = gs[m]
             grads[f"W{m}"] = delta.T @ g_in
             grads[f"b{m}"] = delta.sum(axis=0)
             w = params.arrays[f"W{m}"]

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from robustcast.adversarial import (
     AdvSearchScope,
-    _pattern_losses,
+    SplitScorer,
     find_adversarial,
     greedy_split_feature,
     sample_fixed_adversarial,
@@ -25,6 +25,11 @@ def lr_params(w, maskable):
     params = init_params(Architecture(input_dim=len(w)), "lr", False, seed=0, maskable=maskable)
     params.arrays["w"] = np.asarray(w, dtype=np.float64)
     return params
+
+
+def pattern_losses(X, y, params):
+    """The round scorer of one search over X, y at params."""
+    return SplitScorer(X, y, params).bind(params)
 
 
 def brute_force_max(X, y, scope, params):
@@ -208,7 +213,7 @@ class TestRoundScorer:
     def test_closed_form_matches_per_candidate_greedy(self, search):
         X, y, scope, params = search
         pattern, steps, rounds = greedy_oracle(X, y, scope, params)
-        score = _pattern_losses(X, y, params)
+        score = pattern_losses(X, y, params)
         for stack, losses in rounds:
             np.testing.assert_allclose(score(stack), losses, rtol=1e-9)
         res = find_adversarial(X, y, scope, params)
@@ -253,7 +258,7 @@ class TestRoundScorer:
                 params.arrays["D"] = rng.normal(0.0, 1.0, params.arrays["D"].shape)
             n = int(rng.integers(2, 50))
             X = rng.normal(0.0, 1.0, (n, p)) * 10.0 ** rng.uniform(0.0, 3.0, p)
-            score = _pattern_losses(X, rng.normal(0.0, 100.0, n), params)
+            score = pattern_losses(X, rng.normal(0.0, 100.0, n), params)
             stack = np.zeros((int(rng.integers(2, 30)), p), dtype=np.uint8)
             stack[:, : len(maskable)] = rng.uniform(size=(len(stack), len(maskable))) < 0.4
             whole = score(stack)
@@ -281,7 +286,7 @@ class TestRoundScorer:
         y = rng.normal(0.0, 1.0, 30)
         scope = AdvSearchScope(free=(0, 1, 2), budget=2, base=MissingPattern.zeros(4))
         res = find_adversarial(X, y, scope, params)
-        base_loss = float(_pattern_losses(X, y, params)(scope.base.bits[None, :])[0])
+        base_loss = float(pattern_losses(X, y, params)(scope.base.bits[None, :])[0])
         assert res.steps == [(0, base_loss), (1, base_loss)]
         assert res.pattern.missing_indices() == (0, 1)
 
@@ -299,9 +304,94 @@ class TestRoundScorer:
         res = find_adversarial(X, y, scope, params)
         np.testing.assert_array_equal(res.pattern.bits, pattern.bits)
         assert res.steps == steps
-        score = _pattern_losses(X, y, params)
+        score = pattern_losses(X, y, params)
         for stack, losses in rounds:
             assert score(stack).tolist() == losses
+
+
+@st.composite
+def nn_searches(draw):
+    """A network (1-4 hidden layers of width 1-60, plain or adaptive) with
+    random weights, a second parameter set of the same shape, n >= 1 rows,
+    and a scope over an empty, partial or full maskable set with a random
+    base pattern and budget."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 40))
+    hidden = tuple(draw(st.lists(st.integers(1, 60), min_size=1, max_size=4)))
+    size = {"empty": 0, "partial": draw(st.integers(1, max(p - 1, 1))), "full": p}[
+        draw(st.sampled_from(["empty", "partial", "full"]))
+    ]
+    maskable = tuple(sorted(rng.choice(p, size=size, replace=False).tolist()))
+    base_missing = sorted(j for j in maskable if rng.uniform() < 0.3)
+    budget = draw(st.integers(len(base_missing), len(maskable)))
+    adaptive = draw(st.booleans())
+    arch = Architecture(input_dim=p, hidden=hidden)
+    params, other = (
+        init_params(arch, "nn", adaptive, seed=seed, maskable=maskable) for seed in (0, 1)
+    )
+    for theta in (params, other):
+        for name in theta.block_names():
+            theta.arrays[name] = rng.normal(0.0, 0.5, theta.arrays[name].shape)
+    X = rng.normal(0.0, 1.0, (n, p)) * 10.0 ** rng.uniform(0.0, 2.0, p)
+    y = rng.normal(0.0, 1.0, n)
+    base = MissingPattern.from_missing(p, base_missing)
+    free = tuple(j for j in maskable if j not in base_missing)
+    return X, y, AdvSearchScope(free=free, budget=budget, base=base), params, other
+
+
+class TestNetworkScorer:
+    @settings(max_examples=100, deadline=None)
+    @given(nn_searches(), st.data())
+    def test_buffered_scorer_equals_mse_loss(self, search, data):
+        X, y, scope, params, other = search
+        split = SplitScorer(X, y, params)
+        score = split.bind(params)
+        pattern, steps, rounds = greedy_oracle(X, y, scope, params)
+        for stack, losses in rounds:
+            assert score(stack).tolist() == losses
+        res = find_adversarial(X, y, scope, params, split=split)
+        np.testing.assert_array_equal(res.pattern.bits, pattern.bits)
+        assert res.steps == steps
+        if rounds:
+            first = rounds[0][1]
+            expected = scope.free[max(range(len(first)), key=lambda i: (first[i], -i))]
+            assert greedy_split_feature(X, y, scope, params) == expected
+        # one reused scorer gives a row the same loss in any stack, at any
+        # position, and after the split's buffers served other parameters
+        p, maskable = params.n_features, list(params.maskable)
+        stack = np.zeros((data.draw(st.integers(1, 12)), p), dtype=np.uint8)
+        stack[:, maskable] = data.draw(st.lists(
+            st.lists(st.integers(0, 1), min_size=len(maskable), max_size=len(maskable)),
+            min_size=len(stack), max_size=len(stack),
+        ))
+        whole = score(stack)
+        assert whole.tolist() == [mse_loss(params, X, y, bits) for bits in stack]
+        assert split.bind(other)(stack).tolist() == [
+            mse_loss(other, X, y, bits) for bits in stack
+        ]
+        for i in range(len(stack)):
+            assert score(stack[i : i + 1])[0] == whole[i]
+            assert score(stack[i:])[0] == whole[i]
+        assert score(stack[::-1]).tolist() == whole[::-1].tolist()
+
+    def test_split_built_from_other_data_raises(self):
+        params = init_params(Architecture(input_dim=3, hidden=(4,)), "nn", True, 0, (0, 1))
+        X, y = np.ones((5, 3)), np.zeros(5)
+        scope = AdvSearchScope(free=(0, 1), budget=1, base=MissingPattern.zeros(3))
+        split = SplitScorer(X, y, params)
+        with pytest.raises(DomainError, match="another data set"):
+            find_adversarial(X.copy(), y, scope, params, split=split)
+        with pytest.raises(DomainError, match="another data set"):
+            find_adversarial(X, y.copy(), scope, params, split=split)
+
+    @pytest.mark.parametrize("family, hidden", [("nn", (4, 2)), ("nn", (5,)), ("lr", ())])
+    def test_parameters_of_another_shape_raise(self, family, hidden):
+        arch = Architecture(input_dim=3, hidden=(4,))
+        split = SplitScorer(np.ones((5, 3)), np.zeros(5), init_params(arch, "nn", False, 0))
+        other = init_params(Architecture(input_dim=3, hidden=hidden), family, False, 0)
+        with pytest.raises(DomainError, match="shape"):
+            split.bind(other)
 
 
 class TestSampleFixedAdversarial:

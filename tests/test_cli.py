@@ -197,6 +197,8 @@ class TestRunConfig:
          "grid.p11"),
         ("grid", {"p01": [0.2], "p11": [0.5], "methods": ["imp-mean", "imp-mean"], "runs": 1},
          "grid.methods"),
+        # a repeated Q would cut and write the same sweep artifact twice
+        ("q_sweep", {"q_list": [2, 2]}, "q_sweep.q_list"),
     ])
     def test_config_that_would_fail_after_training_exits_2(self, tmp_path, key, value, match):
         config = base_config(tmp_path / "out", **{key: value})

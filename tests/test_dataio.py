@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,11 @@ class TestBuildSupervised:
         ds = build_supervised(raw, 0, max_lag=2, horizon=1)
         assert ds.p == 26
         assert len(ds.maskable) == 24
+
+    def test_repeated_maskable_index_rejected(self):
+        ds = build_supervised(gen_synthetic(SynthConfig(2, 20, 0.9, 0.4, 0.2, seed=5)), 0, 1, 1)
+        with pytest.raises(DomainError, match="repeat"):
+            replace(ds, maskable=(0, 0, 1))
 
     def test_hand_enumerated_single_plant(self):
         raw = RawSeries(

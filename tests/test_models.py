@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from robustcast.exceptions import DomainError, SizeError
 from robustcast.missingness import MissingPattern
@@ -37,6 +39,23 @@ def randomized(params, rng, scale=0.5):
     return params
 
 
+def relu_margin(params, X, bits):
+    """Smallest |pre-activation| over the ReLU layers (m >= 1), from a plain
+    forward pass written out here: near 0 a finite difference crosses a kink."""
+    a = bits[list(params.maskable)].astype(np.float64)
+    g = X * (1.0 - bits)
+    margin = np.inf
+    for m in range(params.n_hidden_layers):
+        z = g @ params.arrays[f"W{m}"].T + params.arrays[f"b{m}"]
+        if params.adaptive and params.maskable:
+            z = z + (g @ (params.arrays[f"D{m}"] @ a))[:, None]
+        if m:
+            margin = min(margin, float(np.abs(z).min()))
+            z = np.maximum(z, 0.0)
+        g = z
+    return margin
+
+
 class TestInitParams:
     def test_adaptive_init_equals_base_init_forward(self):
         arch = Architecture(input_dim=5, hidden=(4, 4))
@@ -62,6 +81,14 @@ class TestInitParams:
         adaptive = init_params(Architecture(input_dim=4), "lr", True, seed=1, maskable=(0, 1))
         assert adaptive.block_names() == ["w", "D"]
         assert np.all(adaptive.arrays["D"] == 0.0)
+
+
+    @pytest.mark.parametrize("family", ["lr", "nn"])
+    def test_repeated_maskable_index_rejected(self, family):
+        # (0, 0) would give feature 0 two adaptive columns
+        arch = Architecture(input_dim=3, hidden=(4,) if family == "nn" else ())
+        with pytest.raises(DomainError, match="repeat"):
+            init_params(arch, family, True, seed=0, maskable=(0, 0))
 
 
 class TestForward:
@@ -192,6 +219,32 @@ class TestLossAndGrad:
             for i, g_fd in fd.items():
                 denom = max(1.0, abs(analytic[i]), abs(g_fd))
                 assert abs(analytic[i] - g_fd) / denom < 1e-6
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["lr", "nn"]), st.booleans())
+    def test_gradient_matches_finite_differences_at_random_shapes(self, seed, family, adaptive):
+        rng = np.random.default_rng(seed)
+        p = int(rng.integers(1, 7))
+        hidden = tuple(int(w) for w in rng.integers(1, 7, rng.integers(1, 4)))
+        maskable = tuple(sorted(rng.choice(p, size=int(rng.integers(0, p + 1)), replace=False)))
+        bias_index = int(rng.integers(0, p)) if rng.uniform() < 0.5 else None
+        arch = Architecture(input_dim=p, hidden=hidden if family == "nn" else (),
+                            bias_index=bias_index)
+        params = randomized(init_params(arch, family, adaptive, seed=0, maskable=maskable), rng)
+        n = int(rng.integers(1, 9))
+        X = rng.normal(0.0, 1.0, (n, p))
+        y = rng.normal(0.0, 1.0, n)
+        bits = np.zeros(p, dtype=np.uint8)
+        bits[list(maskable)] = rng.uniform(size=len(maskable)) < 0.5
+        wd = float(rng.choice([0.0, 1e-3]))
+        if family == "nn":
+            assume(relu_margin(params, X, bits) > 1e-3)  # no kink within the FD step
+        _, grads = loss_and_grad(params, X, y, bits, wd)
+        analytic = np.concatenate([grads[k].ravel() for k in params.block_names()])
+        coords = rng.choice(analytic.size, size=min(analytic.size, 40), replace=False)
+        for i, g_fd in finite_difference_gradient(params, X, y, bits, wd, coords=coords).items():
+            denom = max(1.0, abs(analytic[i]), abs(g_fd))
+            assert abs(analytic[i] - g_fd) / denom < 1e-6
 
     def test_bias_feature_excluded_from_decay(self):
         arch = Architecture(input_dim=3, bias_index=2)

@@ -456,6 +456,11 @@ class TestValidation:
             with pytest.raises(DomainError, match="out of range"):
                 UncertaintySet(n_features=4, maskable=maskable, budget=1)
 
+    def test_uncertainty_set_repeated_maskable_index(self):
+        # (0, 0) would enumerate every pattern over feature 0 twice
+        with pytest.raises(DomainError, match="repeat"):
+            UncertaintySet(n_features=3, maskable=(0, 0), budget=2)
+
 
 class TestSubsetsFormTheTree:
     """A Partition is its subsets: construction derives the routing table
