@@ -285,6 +285,10 @@ def gen_synthetic(cfg: SynthConfig) -> RawSeries:
     Values are logistic(z + obs_noise_std * e_t) with e_t iid standard normal
     (drawn after all u); the weather column is the trailing mean of plant 0
     over WEATHER_WINDOW periods ending WEATHER_LAG periods before each row.
+    Each full window is summed left to right, then divided by WEATHER_WINDOW:
+    bit for bit what ``ndarray.mean`` returns for a slice that short. The
+    first WEATHER_WINDOW + WEATHER_LAG - 1 periods average the shorter window
+    they have (plant 0's first value where that window is empty).
     """
     s = cfg.n_plants
     t_periods = cfg.n_periods
@@ -306,13 +310,17 @@ def gen_synthetic(cfg: SynthConfig) -> RawSeries:
 
     weather = np.empty(t_periods, dtype=np.float64)
     ref = values[:, 0]
-    for t in range(t_periods):
+    first_full = WEATHER_WINDOW + WEATHER_LAG - 1
+    for t in range(min(first_full, t_periods)):
         hi = t - WEATHER_LAG + 1
-        lo = max(0, hi - WEATHER_WINDOW)
-        if hi <= 0:
-            weather[t] = ref[0]
-        else:
-            weather[t] = ref[lo:hi].mean()
+        weather[t] = ref[0] if hi <= 0 else ref[:hi].mean()
+    n_full = t_periods - first_full
+    if n_full > 0:
+        # window of period first_full + i: ref[i : i + WEATHER_WINDOW]
+        total = ref[:n_full].copy()
+        for k in range(1, WEATHER_WINDOW):
+            total += ref[k : k + n_full]
+        weather[first_full:] = total / WEATHER_WINDOW
 
     capacities = np.full(s, 100.0)
     return RawSeries(
@@ -321,6 +329,15 @@ def gen_synthetic(cfg: SynthConfig) -> RawSeries:
         capacities=capacities,
         weather=weather,
     )
+
+
+def lagged_values(values: np.ndarray, obs: np.ndarray, max_lag: int) -> np.ndarray:
+    """The measurement columns of the rows observing periods `obs`: column
+    plant * (max_lag + 1) + lag holds values[obs - lag, plant] (plant-major,
+    lag-minor), as an (n, S * (max_lag + 1)) C-ordered matrix."""
+    lags = np.arange(max_lag + 1)
+    gathered = values[obs[:, None] - lags]  # (n, lags, plants)
+    return gathered.transpose(0, 2, 1).reshape(len(obs), -1)
 
 
 def build_supervised(
@@ -345,12 +362,12 @@ def build_supervised(
         )
 
     obs = np.arange(max_lag, max_lag + n, dtype=np.int64)
-    cols: list[np.ndarray] = []
-    descriptors: list[FeatureDescriptor] = []
-    for plant in range(s):
-        for lag in range(max_lag + 1):
-            cols.append(raw.values[obs - lag, plant])
-            descriptors.append(FeatureDescriptor(kind=MEASUREMENT, plant=plant, lag=lag))
+    cols = [lagged_values(raw.values, obs, max_lag)]
+    descriptors = [
+        FeatureDescriptor(kind=MEASUREMENT, plant=plant, lag=lag)
+        for plant in range(s)
+        for lag in range(max_lag + 1)
+    ]
     if raw.weather is not None:
         cols.append(raw.weather[obs])
         descriptors.append(FeatureDescriptor(kind=WEATHER))

@@ -12,11 +12,12 @@ from typing import NamedTuple
 import numpy as np
 
 from ._util import derive_seed, map_jobs
-from .dataio import Dataset, RawSeries, build_supervised, split_sequential
+from .dataio import Dataset, RawSeries, build_supervised, lagged_values, split_sequential
 from .exceptions import CapacityError, ConfigError, DomainError, SizeError
 from .missingness import (
     MissingnessConfig,
     MissingPattern,
+    ObsMaskSeries,
     column_means,
     expand_obs_mask,
     impute_mean,
@@ -203,6 +204,15 @@ class HorizonData:
             target_plant=target_plant,
         )
 
+    def filled_test_X(self, filled_values: np.ndarray) -> np.ndarray:
+        """The test rows' inputs with every lagged measurement read from
+        filled_values, a (T, S) series such as the persistence-filled one;
+        the weather and bias columns are copied from test.X."""
+        x = self.test.X.copy()
+        lagged = lagged_values(filled_values, self.test.obs_periods, self.test.max_lag)
+        x[:, : lagged.shape[1]] = lagged
+        return x
+
 
 class RetrainOracle:
     """Dedicated model per realized pattern, trained on demand and cached.
@@ -266,26 +276,18 @@ def predict_method(
     method: str,
     artifact,
     hd: HorizonData,
-    mask,
     test_patterns: np.ndarray,
+    filled: np.ndarray | None,
 ) -> np.ndarray:
     """Predictions of one method on the test rows under a realized mask;
-    test_patterns is the test rows' (n, p) bit matrix."""
+    test_patterns is the test rows' (n, p) bit matrix and filled the raw
+    series after persistence imputation (read by imp-persistence only)."""
     x_test = hd.test.X
     if method == METHOD_IMP_PERSISTENCE:
-        filled_values = impute_persistence(hd.raw.values, mask)
-        filled_raw = RawSeries(
-            timestamps=hd.raw.timestamps,
-            values=filled_values,
-            capacities=hd.raw.capacities,
-            weather=hd.raw.weather,
-        )
-        filled_ds = build_supervised(
-            filled_raw, hd.target_plant, hd.dataset.max_lag, hd.dataset.horizon
-        )
-        x_filled = filled_ds.X[hd.test_start : hd.test_start + hd.test.n]
+        if filled is None:
+            raise ConfigError("imp-persistence needs the persistence-filled series")
         zero = np.zeros(hd.test.p, dtype=np.uint8)
-        return predict(artifact, x_filled, zero)
+        return predict(artifact, hd.filled_test_X(filled), zero)
     if method == METHOD_IMP_MEAN:
         x_filled = impute_mean(x_test, test_patterns, hd.train_means)
         zero = np.zeros(hd.test.p, dtype=np.uint8)
@@ -305,24 +307,32 @@ def predict_method(
     raise ConfigError(f"unknown method {method!r}")
 
 
+def _cell_mask(spec: GridSpec, raw: RawSeries, i01: int, i11: int, run: int) -> ObsMaskSeries:
+    """The mask of one (cell, run), seeded by the base seed and the indices."""
+    cfg = MissingnessConfig(
+        p01=spec.p01_list[i01],
+        p11=spec.p11_list[i11],
+        seed=derive_seed(spec.base_seed, "grid", i01, i11, run),
+    )
+    return simulate_markov(cfg, raw.n_periods, raw.n_plants)
+
+
 def _evaluate_cell(args) -> list[CellResult]:
     spec, hds, artifacts, i01, i11, run = args
     p01 = spec.p01_list[i01]
     p11 = spec.p11_list[i11]
-    seed = derive_seed(spec.base_seed, "grid", i01, i11, run)
     records = []
-    any_hd = next(iter(hds.values()))
-    mask = simulate_markov(
-        MissingnessConfig(p01=p01, p11=p11, seed=seed),
-        any_hd.raw.n_periods,
-        any_hd.raw.n_plants,
-    )
+    raw = next(iter(hds.values())).raw
+    mask = _cell_mask(spec, raw, i01, i11, run)
+    filled = None
+    if METHOD_IMP_PERSISTENCE in spec.methods:
+        filled = impute_persistence(raw.values, mask)
     for h in spec.horizons:
         hd = hds[h]
-        test_patterns = expand_obs_mask(mask, hd.dataset)[hd.test_start : hd.test_start + hd.test.n]
+        test_patterns = expand_obs_mask(mask, hd.test)
         for method in spec.methods:
             artifact = artifacts[(method, h)]
-            preds = predict_method(method, artifact, hd, mask, test_patterns)
+            preds = predict_method(method, artifact, hd, test_patterns, filled)
             err = (preds - hd.test.y) ** 2
             records.append(
                 CellResult(
@@ -347,9 +357,10 @@ def run_grid(
     """Score every (cell, run, horizon, method) combination.
 
     One mask is simulated per (cell, run) from a seed derived from the base
-    seed and the cell/run indices, then shared by all horizons and methods.
-    Results are keyed records, so parallel execution (jobs > 1) returns the
-    same output as sequential.
+    seed and the cell/run indices, then shared by all horizons and methods;
+    so is its persistence-filled series, since every horizon's data must come
+    from one raw series. Results are keyed records, so parallel execution
+    (jobs > 1) returns the same output as sequential.
     """
     for h in spec.horizons:
         if h not in hds:
@@ -357,6 +368,9 @@ def run_grid(
         for method in spec.methods:
             if (method, h) not in artifacts:
                 raise ConfigError(f"missing artifact for method {method!r} at horizon {h}")
+    raw = next(iter(hds.values())).raw
+    if any(hd.raw is not raw for hd in hds.values()):
+        raise ConfigError("every horizon's data must come from one raw series")
     tasks = [
         (spec, hds, artifacts, i01, i11, run)
         for i01 in range(len(spec.p01_list))
@@ -385,6 +399,17 @@ class QSweepRow:
     max_relgap: float
 
 
+def _sweep_run(args) -> list[float]:
+    """Test nrmse of each partition on one run's mask."""
+    spec, hd, partitions, run = args
+    test_patterns = expand_obs_mask(_cell_mask(spec, hd.raw, 0, 0, run), hd.test)
+    method = spec.methods[0]
+    return [
+        nrmse(predict_method(method, part, hd, test_patterns, None), hd.test.y)
+        for part in partitions
+    ]
+
+
 def q_sweep(
     partitions: dict[int, Partition],
     method: str,
@@ -397,27 +422,29 @@ def q_sweep(
     jobs: int = 1,
 ) -> list[QSweepRow]:
     """Mean test nrmse and max leaf relative gap per subset count, at one
-    missingness cell, averaged over seeded runs. Rows are ordered by count."""
-    rows = []
-    for q in sorted(partitions):
-        spec = GridSpec(
-            p01_list=(p01,),
-            p11_list=(p11,),
-            horizons=(horizon,),
-            methods=(method,),
-            runs=runs,
-            base_seed=base_seed,
+    missingness cell, averaged over seeded runs. Each run's mask is simulated
+    once and scores every partition. Rows are ordered by count."""
+    spec = GridSpec(
+        p01_list=(p01,),
+        p11_list=(p11,),
+        horizons=(horizon,),
+        methods=(method,),
+        runs=runs,
+        base_seed=base_seed,
+    )
+    if horizon not in hds:
+        raise ConfigError(f"no data prepared for horizon {horizon}")
+    qs = sorted(partitions)
+    tasks = [(spec, hds[horizon], [partitions[q] for q in qs], run) for run in range(runs)]
+    per_run = map_jobs(_sweep_run, tasks, jobs)
+    return [
+        QSweepRow(
+            n_subsets=q,
+            mean_nrmse=float(np.mean([scores[i] for scores in per_run])),
+            max_relgap=partitions[q].max_relgap(),
         )
-        res = run_grid(spec, hds, {(method, horizon): partitions[q]}, jobs=jobs)
-        values = res.cell_nrmse(method, horizon, p01, p11)
-        rows.append(
-            QSweepRow(
-                n_subsets=q,
-                mean_nrmse=float(np.mean(values)),
-                max_relgap=partitions[q].max_relgap(),
-            )
-        )
-    return rows
+        for i, q in enumerate(qs)
+    ]
 
 
 def summary_csv(rows) -> str:

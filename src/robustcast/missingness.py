@@ -150,21 +150,31 @@ def apply_mask(x: np.ndarray, pattern, maskable: tuple[int, ...]) -> np.ndarray:
 def simulate_markov(cfg: MissingnessConfig, n_periods: int, n_plants: int) -> ObsMaskSeries:
     """Simulate one independent availability chain per plant.
 
-    Every chain starts available at period 0; each plant draws from its own
-    seed-derived stream, so plants could be simulated in parallel without
-    changing the output.
+    Every chain starts available at period 0, and plant s draws its uniforms
+    u from its own seed-derived stream. A chain moves to 1 at period t iff
+    u_t < p11 when it was 1 and u_t < p01 when it was 0, so with a = u < p01
+    and b = u < p11 the chain is an exact scan over the periods: where
+    a_t = b_t it is reset to a_t whatever came before; elsewhere it keeps its
+    value (a_t = 0, b_t = 1) or flips (a_t = 1, b_t = 0, only when
+    p01 > p11). Its state is the value at the last reset XOR the parity of
+    the flips since then. DomainError for a negative size.
     """
-    mask = np.zeros((n_periods, n_plants), dtype=np.uint8)
+    for name, size in (("n_periods", n_periods), ("n_plants", n_plants)):
+        if size < 0:
+            raise DomainError(f"{name} must be >= 0, got {size}")
+    u = np.empty((n_periods, n_plants), dtype=np.float64)
     for s in range(n_plants):
-        rng = np.random.default_rng(derive_seed(cfg.seed, "plant", s))
-        u = rng.random(n_periods)
-        state = 0
-        col = mask[:, s]
-        for t in range(1, n_periods):
-            threshold = cfg.p11 if state else cfg.p01
-            state = 1 if u[t] < threshold else 0
-            col[t] = state
-    return ObsMaskSeries(mask=mask)
+        u[:, s] = np.random.default_rng(derive_seed(cfg.seed, "plant", s)).random(n_periods)
+    a = u < cfg.p01
+    b = u < cfg.p11
+    a[:1] = b[:1] = False  # period 0: a reset to 0
+    flips = np.bitwise_xor.accumulate(a & ~b, axis=0)  # parity of the flips so far
+    last_reset = np.maximum.accumulate(
+        np.where(a == b, np.arange(n_periods)[:, None], 0), axis=0
+    )
+    # flips since the last reset = flips so far XOR flips up to that reset
+    state = np.take_along_axis(a ^ flips, last_reset, axis=0) ^ flips
+    return ObsMaskSeries(mask=state.view(np.uint8))
 
 
 def expand_obs_mask(mask: ObsMaskSeries, ds: Dataset) -> np.ndarray:

@@ -1,9 +1,15 @@
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robustcast.dataio import (
+    WEATHER_LAG,
+    WEATHER_WINDOW,
     RawSeries,
     SynthConfig,
     build_supervised,
@@ -19,6 +25,19 @@ from robustcast.exceptions import (
     ParseError,
     SizeError,
 )
+
+
+@st.composite
+def synth_configs(draw):
+    return SynthConfig(
+        n_plants=draw(st.integers(1, 4)),
+        n_periods=draw(st.integers(1, 40)),
+        ar_coefficient=draw(st.floats(0.0, 0.999)),
+        cross_plant_correlation=draw(st.floats(0.0, 0.999)),
+        noise_std=draw(st.floats(0.0, 2.0)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        obs_noise_std=draw(st.one_of(st.just(0.0), st.floats(0.01, 1.0))),
+    )
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -74,8 +93,50 @@ class TestLoadCsv:
         np.testing.assert_array_equal(back.values, raw.values)
         np.testing.assert_array_equal(back.weather, raw.weather)
 
+    @settings(max_examples=60, deadline=None)
+    @given(cfg=synth_configs(), with_weather=st.booleans())
+    def test_round_trip_is_exact(self, cfg, with_weather):
+        raw = gen_synthetic(cfg)
+        if not with_weather:
+            raw = replace(raw, weather=None)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "rt.csv"
+            save_csv(raw, path)
+            back = load_csv(path)
+        assert back.timestamps.tobytes() == raw.timestamps.tobytes()
+        assert back.values.shape == raw.values.shape
+        assert back.values.tobytes() == raw.values.tobytes()
+        if with_weather:
+            assert back.weather.tobytes() == raw.weather.tobytes()
+        else:
+            assert back.weather is None
+        assert back.capacities.tolist() == [1.0] * raw.n_plants  # not stored in the file
+
+
+def weather_loop(values):
+    """The per-period weather column gen_synthetic computed before it summed
+    whole windows at once, kept as its oracle."""
+    t_periods = values.shape[0]
+    ref = values[:, 0]
+    weather = np.empty(t_periods, dtype=np.float64)
+    for t in range(t_periods):
+        hi = t - WEATHER_LAG + 1
+        lo = max(0, hi - WEATHER_WINDOW)
+        weather[t] = ref[0] if hi <= 0 else ref[lo:hi].mean()
+    return weather
+
 
 class TestGenSynthetic:
+    @settings(max_examples=150, deadline=None)
+    @given(cfg=synth_configs())
+    def test_weather_equals_per_period_mean(self, cfg):
+        raw = gen_synthetic(cfg)
+        assert raw.weather.tobytes() == weather_loop(raw.values).tobytes()
+
+    def test_weather_equals_per_period_mean_on_a_long_series(self):
+        raw = gen_synthetic(SynthConfig(4, 8003, 0.97, 0.6, 0.5, seed=1))
+        assert raw.weather.tobytes() == weather_loop(raw.values).tobytes()
+
     def test_same_seed_identical(self):
         cfg = SynthConfig(3, 200, 0.9, 0.5, 0.3, seed=11)
         a = gen_synthetic(cfg)

@@ -1,7 +1,21 @@
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from robustcast.dataio import SynthConfig, gen_synthetic
+import robustcast.evaluation as evaluation
+from robustcast.dataio import (
+    RawSeries,
+    SynthConfig,
+    build_supervised,
+    gen_synthetic,
+    load_csv,
+    save_csv,
+)
 from robustcast.evaluation import (
     METHOD_ARF_LEARNED,
     METHOD_IMP_MEAN,
@@ -15,11 +29,19 @@ from robustcast.evaluation import (
     dm_test,
     emit_report,
     nrmse,
+    predict_method,
+    q_sweep,
     run_grid,
 )
 from robustcast.exceptions import ConfigError, DomainError, SizeError
-from robustcast.missingness import MissingPattern
-from robustcast.models import Architecture
+from robustcast.missingness import (
+    MissingnessConfig,
+    MissingPattern,
+    expand_obs_mask,
+    impute_persistence,
+    simulate_markov,
+)
+from robustcast.models import Architecture, init_params, predict
 from robustcast.partition import PartitionConfig, UncertaintySet, learn_partition
 from robustcast.training import TrainConfig, train_nominal
 
@@ -182,6 +204,88 @@ class TestRunGrid:
         assert one_sided_oracle_better < 0.1
 
 
+def persistence_rebuild(hd, filled_values):
+    """The test rows of a whole supervised matrix rebuilt from the filled
+    series: how imp-persistence built its inputs before it gathered only the
+    test rows, kept as the gather's oracle."""
+    filled_raw = RawSeries(
+        timestamps=hd.raw.timestamps,
+        values=filled_values,
+        capacities=hd.raw.capacities,
+        weather=hd.raw.weather,
+    )
+    ds = build_supervised(filled_raw, hd.target_plant, hd.dataset.max_lag, hd.dataset.horizon)
+    return ds.X[hd.test_start : hd.test_start + hd.test.n]
+
+
+class TestPersistence:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_plants=st.integers(1, 3),
+        n_periods=st.integers(30, 120),
+        max_lag=st.sampled_from([0, 2]),
+        horizon=st.integers(1, 3),
+        p01=st.floats(0.0, 1.0),
+        p11=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        from_csv=st.booleans(),
+    )
+    def test_test_rows_gather_equals_whole_rebuild(
+        self, n_plants, n_periods, max_lag, horizon, p01, p11, seed, from_csv
+    ):
+        raw = gen_synthetic(SynthConfig(n_plants, n_periods, 0.9, 0.4, 0.3, seed=seed))
+        if from_csv:  # CSV data without a weather column
+            with tempfile.TemporaryDirectory() as tmp:
+                save_csv(replace(raw, weather=None), Path(tmp) / "series.csv")
+                raw = load_csv(Path(tmp) / "series.csv")
+        hd = HorizonData.build(raw, n_plants - 1, max_lag, horizon, 0.5, 0.2)
+        mask = simulate_markov(MissingnessConfig(p01, p11, seed=seed), n_periods, n_plants)
+        filled = impute_persistence(raw.values, mask)
+        want = persistence_rebuild(hd, filled)
+        got = hd.filled_test_X(filled)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+        arch = Architecture(input_dim=hd.dataset.p, bias_index=hd.dataset.bias_index)
+        params = init_params(arch, "lr", False, seed % 1000)
+        zero = np.zeros(hd.dataset.p, dtype=np.uint8)
+        preds = predict_method(
+            METHOD_IMP_PERSISTENCE, params, hd, expand_obs_mask(mask, hd.test), filled
+        )
+        assert preds.tobytes() == predict(params, want, zero).tobytes()
+
+    def test_filled_once_per_cell_across_horizons(self, monkeypatch):
+        raw = gen_synthetic(SynthConfig(2, 300, 0.95, 0.6, 0.4, seed=1))
+        hds = {h: HorizonData.build(raw, 0, 1, h, 0.5, 0.2) for h in (1, 3)}
+        arch = Architecture(input_dim=hds[1].dataset.p, bias_index=hds[1].dataset.bias_index)
+        params = init_params(arch, "lr", False, 0)
+        spec = GridSpec(p01_list=(0.2,), p11_list=(0.5, 0.9), horizons=(1, 3),
+                        methods=(METHOD_IMP_PERSISTENCE,), runs=2, base_seed=3)
+        artifacts = {(METHOD_IMP_PERSISTENCE, h): params for h in (1, 3)}
+        calls = []
+
+        def counted(values, mask):
+            calls.append(mask)
+            return impute_persistence(values, mask)
+
+        monkeypatch.setattr(evaluation, "impute_persistence", counted)
+        result = run_grid(spec, hds, artifacts)
+        assert len(calls) == 4 and len(result.records) == 8  # 2 cells x 2 runs x 2 horizons
+
+    def test_horizons_from_different_series_rejected(self):
+        hds = {
+            h: HorizonData.build(gen_synthetic(SynthConfig(2, 300, 0.9, 0.4, 0.3, seed=h)),
+                                 0, 1, h, 0.5, 0.2)
+            for h in (1, 2)
+        }
+        arch = Architecture(input_dim=hds[1].dataset.p, bias_index=hds[1].dataset.bias_index)
+        params = init_params(arch, "lr", False, 0)
+        spec = GridSpec(p01_list=(0.2,), p11_list=(0.5,), horizons=(1, 2),
+                        methods=(METHOD_IMP_MEAN,), runs=1, base_seed=3)
+        with pytest.raises(ConfigError, match="one raw series"):
+            run_grid(spec, hds, {(METHOD_IMP_MEAN, h): params for h in (1, 2)})
+
+
 class TestEmitReport:
     def run_small(self, seed=8):
         raw, hd, arch, cfg, base, uset = small_setup(seed=seed)
@@ -225,6 +329,30 @@ class TestQSweepTrend:
         # gain at least 2 nrmse points over the single-subset model.
         rows = {r.n_subsets: r for r in trend_setup.qsweep_rows}
         assert rows[10].mean_nrmse <= rows[1].mean_nrmse - 2.0
+
+    def test_rows_equal_one_grid_per_q_for_any_jobs(self, trend_setup, monkeypatch):
+        # Oracle: a one-cell grid per Q, which re-simulates the same masks.
+        hds = {1: trend_setup.hd}
+        runs, cell = 3, (0.2, 0.9)
+        oracle = []
+        for q, part in sorted(trend_setup.partitions.items()):
+            spec = GridSpec(p01_list=(cell[0],), p11_list=(cell[1],), horizons=(1,),
+                            methods=(METHOD_ARF_LEARNED,), runs=runs, base_seed=5)
+            res = run_grid(spec, hds, {(METHOD_ARF_LEARNED, 1): part})
+            oracle.append(float(np.mean(res.cell_nrmse(METHOD_ARF_LEARNED, 1, *cell))))
+        masks = []
+
+        def counted(cfg, n_periods, n_plants):
+            masks.append(cfg)
+            return simulate_markov(cfg, n_periods, n_plants)
+
+        monkeypatch.setattr(evaluation, "simulate_markov", counted)
+        rows = q_sweep(trend_setup.partitions, METHOD_ARF_LEARNED, 1, *cell, runs, 5, hds)
+        assert len(masks) == runs  # one mask per run, shared by every Q
+        assert [r.n_subsets for r in rows] == sorted(trend_setup.partitions)
+        assert [r.mean_nrmse for r in rows] == oracle
+        par = q_sweep(trend_setup.partitions, METHOD_ARF_LEARNED, 1, *cell, runs, 5, hds, jobs=2)
+        assert par == rows
 
     def test_single_subset_row_is_the_plain_robust_model(self, trend_setup):
         part = trend_setup.partitions[1]

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from robustcast._util import derive_seed
 from robustcast.dataio import SynthConfig, build_supervised, gen_synthetic
 from robustcast.exceptions import ConfigError, DomainError
 from robustcast.missingness import (
@@ -35,7 +38,48 @@ class TestApplyMask:
             apply_mask(x, pattern, maskable=(0, 1))
 
 
+def markov_loop(cfg, n_periods, n_plants):
+    """The per-period simulator that the scan in simulate_markov replaced,
+    kept as its oracle."""
+    mask = np.zeros((n_periods, n_plants), dtype=np.uint8)
+    for s in range(n_plants):
+        rng = np.random.default_rng(derive_seed(cfg.seed, "plant", s))
+        u = rng.random(n_periods)
+        state = 0
+        col = mask[:, s]
+        for t in range(1, n_periods):
+            threshold = cfg.p11 if state else cfg.p01
+            state = 1 if u[t] < threshold else 0
+            col[t] = state
+    return mask
+
+
+PROBABILITIES = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
 class TestSimulateMarkov:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        p01=PROBABILITIES,
+        p11=PROBABILITIES,
+        n_periods=st.integers(0, 300),
+        n_plants=st.integers(0, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(p01=0.9, p11=0.1, n_periods=400, n_plants=3, seed=0)  # flips happen
+    @example(p01=1.0, p11=0.0, n_periods=7, n_plants=2, seed=1)  # flips every period
+    def test_scan_equals_per_period_loop(self, p01, p11, n_periods, n_plants, seed):
+        cfg = MissingnessConfig(p01, p11, seed=seed)
+        got = simulate_markov(cfg, n_periods, n_plants).mask
+        want = markov_loop(cfg, n_periods, n_plants)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("sizes,name", [((-1, 2), "n_periods"), ((3, -1), "n_plants")])
+    def test_negative_size_raises_domain_error(self, sizes, name):
+        with pytest.raises(DomainError, match=name):
+            simulate_markov(MissingnessConfig(0.2, 0.9, seed=1), *sizes)
+
     def test_never_missing_when_p01_zero(self):
         mask = simulate_markov(MissingnessConfig(0.0, 0.9, seed=1), 500, 3)
         assert mask.mask.sum() == 0
