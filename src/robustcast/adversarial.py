@@ -27,14 +27,8 @@ from ._util import rng_for
 from .dataio import Dataset
 from .exceptions import DomainError, SizeError
 from .missingness import MissingPattern
-from .models import (
-    LR,
-    Architecture,
-    ModelParams,
-    _mask_columns,
-    _nn_forward,
-)
-from .training import TrainConfig, TrainResult, run_training_loop, train_nominal
+from .models import LR, ModelParams, _mask_columns, _nn_forward
+from .training import TrainConfig, TrainResult, run_training_loop
 
 
 @dataclass(frozen=True)
@@ -231,23 +225,16 @@ def train_adversarial(
     val: Dataset,
     scope: AdvSearchScope,
     cfg: TrainConfig,
-    arch: Architecture,
-    family: str,
-    adaptive: bool,
-    warm_start: ModelParams | None = None,
+    warm_start: ModelParams,
 ) -> TrainResult:
     """Adversarial training over the scope.
 
-    Starts from the optimistic parameters (trained at the base pattern unless
-    warm_start supplies them), then per iteration: search a worst-case
-    pattern on the training split, run one epoch of updates against it, and
-    score validation at a freshly searched validation-split pattern.
-    Optimizer moments start fresh; the warm start carries parameters only.
+    Starts from warm_start, the optimistic parameters trained at the base
+    pattern, then per iteration: search a worst-case pattern on the training
+    split, run one epoch of updates against it, and score validation at a
+    freshly searched validation-split pattern. Optimizer moments start
+    fresh; the warm start carries parameters only.
     """
-    if warm_start is None:
-        warm_start = train_nominal(
-            train, val, scope.base, cfg, arch, family, adaptive
-        ).params
     train_split = SplitScorer(train.X, train.y, warm_start)
     val_split = SplitScorer(val.X, val.y, warm_start)
     pick_train = lambda k, params: find_adversarial(
@@ -278,18 +265,12 @@ def train_sampled_adversarial(
     val: Dataset,
     count: int,
     cfg: TrainConfig,
-    arch: Architecture,
-    family: str,
-    adaptive: bool,
-    warm_start: ModelParams | None = None,
+    warm_start: ModelParams,
 ) -> TrainResult:
-    """Sampling variant for equality-budget subsets: each iteration draws one
-    fresh uniform pattern with exactly `count` features missing for the
-    training epoch and another for the validation score."""
-    if warm_start is None:
-        warm_start = train_nominal(
-            train, val, MissingPattern.zeros(train.p), cfg, arch, family, adaptive
-        ).params
+    """Sampling variant for equality-budget subsets, starting from
+    warm_start: each iteration draws one fresh uniform pattern with exactly
+    `count` features missing for the training epoch and another for the
+    validation score."""
     rng_train = rng_for(cfg.seed, "sample-train", count)
     rng_val = rng_for(cfg.seed, "sample-val", count)
     pick_train = lambda k, params: sample_fixed_adversarial(

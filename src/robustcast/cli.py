@@ -17,11 +17,11 @@ from .dataio import RawSeries, SynthConfig, gen_synthetic, load_csv, save_csv
 from .evaluation import (
     METHOD_ARF_FIXED,
     METHOD_ARF_LEARNED,
-    METHOD_IMP_MEAN,
     METHOD_IMP_PERSISTENCE,
     METHOD_RETRAIN_ORACLE,
     METHOD_RF_FIXED,
     METHOD_RF_LEARNED,
+    METHODS,
     GridSpec,
     HorizonData,
     RetrainOracle,
@@ -31,9 +31,11 @@ from .evaluation import (
     summary_csv,
 )
 from .exceptions import ConfigError, DataError, RobustcastError
-from .missingness import MissingnessConfig
-from .models import Architecture
+from .missingness import MissingnessConfig, MissingPattern
+from .models import Architecture, ModelParams
 from .partition import (
+    FixedPartition,
+    Partition,
     PartitionConfig,
     UncertaintySet,
     bounds_table,
@@ -43,10 +45,9 @@ from .partition import (
     save_artifact,
     truncate,
 )
-from .training import TrainConfig
+from .training import TrainConfig, train_nominal
 
 DEFAULT_HIDDEN = (50, 50, 50, 50)
-LEARNED_METHODS = (METHOD_RF_LEARNED, METHOD_ARF_LEARNED)
 
 
 @dataclass(frozen=True)
@@ -186,18 +187,19 @@ def parse_run_config(obj: dict) -> RunConfig:
             runs=grid.get("runs", 10),
             base_seed=obj.get("seed", 0),
         )
-        qs = obj.get("q_sweep")
-        if qs is not None:
-            q_method = qs.get("method", METHOD_ARF_LEARNED)
-            if q_method not in LEARNED_METHODS:
+        has_sweep = "q_sweep" in obj
+        qs = {"p01": 0.2, "p11": 0.9, "method": METHOD_ARF_LEARNED, **obj.get("q_sweep", {})}
+        if has_sweep:
+            learned = [m for m, entry in METHODS.items() if entry.artifact is Partition]
+            if qs["method"] not in learned:
                 raise ConfigError(
-                    f"q_sweep.method must be a learned method ({' or '.join(LEARNED_METHODS)}), "
-                    f"got {q_method!r}"
+                    f"q_sweep.method must be a learned method ({' or '.join(learned)}), "
+                    f"got {qs['method']!r}"
                 )
             q_list = qs["q_list"]
             if not q_list or min(q_list) < 1 or len(set(q_list)) < len(q_list):
                 raise ConfigError(f"q_sweep.q_list must list distinct Q values >= 1, got {q_list!r}")
-            MissingnessConfig(p01=qs.get("p01", 0.2), p11=qs.get("p11", 0.9), seed=spec.base_seed)
+            MissingnessConfig(p01=qs["p01"], p11=qs["p11"], seed=spec.base_seed)
         split = obj.get("split", {})
         return RunConfig(
             seed=spec.base_seed,
@@ -221,10 +223,10 @@ def parse_run_config(obj: dict) -> RunConfig:
             grid_p11=spec.p11_list,
             grid_methods=spec.methods,
             grid_runs=spec.runs,
-            qsweep_list=tuple(qs["q_list"]) if qs is not None else None,
-            qsweep_p01=qs.get("p01", 0.2) if qs is not None else 0.2,
-            qsweep_p11=qs.get("p11", 0.9) if qs is not None else 0.9,
-            qsweep_method=q_method if qs is not None else METHOD_ARF_LEARNED,
+            qsweep_list=tuple(qs["q_list"]) if has_sweep else None,
+            qsweep_p01=qs["p01"],
+            qsweep_p11=qs["p11"],
+            qsweep_method=qs["method"],
         )
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed run config: {exc}") from exc
@@ -308,22 +310,24 @@ def cmd_synth(cfg: RunConfig) -> int:
 
 
 def _train_one_method(method, cfg, hd, arch, uset, h, jobs, in_grid):
-    seed = derive_seed(cfg.seed, "train", method, h)
-    adaptive = method in (METHOD_ARF_LEARNED, METHOD_ARF_FIXED)
-    tcfg = replace(cfg.train, seed=seed)
+    """Train and save the partition artifacts of one method at horizon h.
+    The imputation methods score the base model and the oracle trains at
+    evaluation, so neither has anything to train here."""
+    entry = METHODS[method]
+    tcfg = replace(cfg.train, seed=derive_seed(cfg.seed, "train", method, h))
     out_dir = Path(cfg.out_dir)
-    if method in LEARNED_METHODS:
+    if entry.artifact is Partition:
         # Growth is greedy and seeds each subset by its id, so the tree for
         # any smaller Q is a cut of one growth to the largest Q the run needs.
         sweep = cfg.qsweep_list if cfg.qsweep_list and method == cfg.qsweep_method else ()
         q_grow = max(sweep + ((cfg.partition.max_subsets,) if in_grid else ()))
         grown = learn_partition(
             hd.train, hd.val, uset, replace(cfg.partition, max_subsets=q_grow), tcfg, arch,
-            cfg.family, adaptive,
+            cfg.family, entry.adaptive,
         )
         if in_grid:
             part = truncate(grown, cfg.partition.max_subsets)
-            save_artifact(part, _artifact_path(cfg.out_dir, method, h))
+            save_artifact(part, _artifact_path(cfg.out_dir, entry.stem, h))
             table = bounds_table(part)
             (out_dir / f"bounds_{method}_h{h}.txt").write_text(table, encoding="utf-8")
             print(f"[h={h}] {method}: {len(part.leaf_ids)} subsets, "
@@ -331,20 +335,17 @@ def _train_one_method(method, cfg, hd, arch, uset, h, jobs, in_grid):
             print(table, end="")
         for q in sweep:
             part = truncate(grown, q)
-            save_artifact(part, out_dir / f"{method}_q{q}_h{h}.json")
+            save_artifact(part, _artifact_path(cfg.out_dir, f"{entry.stem}_q{q}", h))
             print(f"[h={h}] {method} Q={q}: max relgap {part.max_relgap():.4%}")
-    elif method in (METHOD_RF_FIXED, METHOD_ARF_FIXED):
+    elif entry.artifact is FixedPartition:
         part = fixed_partition(
-            hd.train, hd.val, uset, tcfg, arch, cfg.family, adaptive, jobs=jobs
+            hd.train, hd.val, uset, tcfg, arch, cfg.family, entry.adaptive, jobs=jobs
         )
-        save_artifact(part, _artifact_path(cfg.out_dir, method, h))
+        save_artifact(part, _artifact_path(cfg.out_dir, entry.stem, h))
         print(f"[h={h}] {method}: {len(part.subsets)} equality subsets")
 
 
 def cmd_train(cfg: RunConfig, jobs: int = 1) -> int:
-    from .missingness import MissingPattern
-    from .training import train_nominal
-
     raw = _load_raw(cfg)
     hds = _horizon_data(cfg, raw)
     grid_methods = _methods_to_train(cfg)
@@ -373,8 +374,6 @@ def cmd_train(cfg: RunConfig, jobs: int = 1) -> int:
         save_artifact(base.params, _artifact_path(cfg.out_dir, "base", h))
         print(f"[h={h}] base model: validation loss {base.val_loss:.6e}")
         for method in methods:
-            if method in (METHOD_IMP_PERSISTENCE, METHOD_IMP_MEAN, METHOD_RETRAIN_ORACLE):
-                continue
             try:
                 _train_one_method(
                     method, cfg, hd, arch, uset, h, jobs, in_grid=method in grid_methods
@@ -384,43 +383,35 @@ def cmd_train(cfg: RunConfig, jobs: int = 1) -> int:
     return 0
 
 
+def _load_checked(path: Path, kind: type, hd: HorizonData):
+    """The artifact saved at path, which must exist, be a `kind` and fit the
+    feature count of hd; anything else is a ConfigError (exit 2)."""
+    if not path.exists():
+        raise ConfigError(f"missing artifact {path}; run the train subcommand first")
+    artifact = load_artifact(path)
+    if not isinstance(artifact, kind):
+        raise ConfigError(
+            f"artifact {path} holds a {type(artifact).__name__}, its method needs a {kind.__name__}"
+        )
+    width = artifact.n_features if kind is ModelParams else artifact.uncertainty.n_features
+    if width != hd.dataset.p:
+        raise ConfigError(f"artifact {path} was trained for p={width}, data has p={hd.dataset.p}")
+    return artifact
+
+
 def _load_artifacts(cfg: RunConfig, hds: dict[int, HorizonData]) -> dict:
     artifacts: dict[tuple[str, int], object] = {}
     for h, hd in hds.items():
         for method in cfg.grid_methods:
-            if method in (METHOD_IMP_PERSISTENCE, METHOD_IMP_MEAN):
-                path = _artifact_path(cfg.out_dir, "base", h)
-                if not path.exists():
-                    raise ConfigError(f"missing artifact {path}; run the train subcommand first")
-                params = load_artifact(path)
-                if params.n_features != hd.dataset.p:
-                    raise ConfigError(
-                        f"artifact {path} was trained for p={params.n_features}, "
-                        f"data has p={hd.dataset.p}"
-                    )
-                artifacts[(method, h)] = params
-            elif method == METHOD_RETRAIN_ORACLE:
-                seed = derive_seed(cfg.seed, "train", method, h)
+            entry = METHODS[method]
+            if entry.artifact is RetrainOracle:
+                tcfg = replace(cfg.train, seed=derive_seed(cfg.seed, "train", method, h))
                 artifacts[(method, h)] = RetrainOracle(
-                    hd.train,
-                    hd.val,
-                    replace(cfg.train, seed=seed),
-                    _arch_for(cfg, hd),
-                    cfg.family,
-                    cfg.adaptive,
+                    hd.train, hd.val, tcfg, _arch_for(cfg, hd), cfg.family, cfg.adaptive
                 )
             else:
-                path = _artifact_path(cfg.out_dir, method, h)
-                if not path.exists():
-                    raise ConfigError(f"missing artifact {path}; run the train subcommand first")
-                artifact = load_artifact(path)
-                expect_p = getattr(artifact, "uncertainty", None)
-                if expect_p is not None and expect_p.n_features != hd.dataset.p:
-                    raise ConfigError(
-                        f"artifact {path} was trained for p={expect_p.n_features}, "
-                        f"data has p={hd.dataset.p}"
-                    )
-                artifacts[(method, h)] = artifact
+                path = _artifact_path(cfg.out_dir, entry.stem, h)
+                artifacts[(method, h)] = _load_checked(path, entry.artifact, hd)
     return artifacts
 
 
@@ -443,12 +434,12 @@ def cmd_evaluate(cfg: RunConfig, jobs: int = 1) -> int:
     qrows = None
     if cfg.qsweep_list:
         h = cfg.horizons[0]
-        partitions = {}
-        for q in cfg.qsweep_list:
-            path = Path(cfg.out_dir) / f"{cfg.qsweep_method}_q{q}_h{h}.json"
-            if not path.exists():
-                raise ConfigError(f"missing sweep artifact {path}; run the train subcommand first")
-            partitions[q] = load_artifact(path)
+        entry = METHODS[cfg.qsweep_method]
+        partitions = {
+            q: _load_checked(_artifact_path(cfg.out_dir, f"{entry.stem}_q{q}", h), entry.artifact,
+                             hds[h])
+            for q in cfg.qsweep_list
+        }
         qrows = q_sweep(
             partitions,
             cfg.qsweep_method,

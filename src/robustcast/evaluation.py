@@ -41,15 +41,6 @@ METHOD_RF_LEARNED = "rf-learned"
 METHOD_ARF_FIXED = "arf-fixed"
 METHOD_ARF_LEARNED = "arf-learned"
 METHOD_RETRAIN_ORACLE = "retrain-oracle"
-ALL_METHODS = (
-    METHOD_IMP_PERSISTENCE,
-    METHOD_IMP_MEAN,
-    METHOD_RF_FIXED,
-    METHOD_RF_LEARNED,
-    METHOD_ARF_FIXED,
-    METHOD_ARF_LEARNED,
-    METHOD_RETRAIN_ORACLE,
-)
 
 ORACLE_MASKABLE_LIMIT = 10
 
@@ -119,11 +110,11 @@ class GridSpec:
                 raise ConfigError(f"{name} needs one or more distinct values, got {list(values)}")
         if self.runs < 1:
             raise ConfigError(f"grid.runs must be >= 1, got {self.runs}")
-        unknown = [m for m in self.methods if m not in ALL_METHODS]
+        unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ConfigError(
                 f"grid.methods: unknown method(s) {', '.join(map(repr, unknown))}; "
-                f"known: {', '.join(ALL_METHODS)}"
+                f"known: {', '.join(METHODS)}"
             )
         for p01 in self.p01_list:
             for p11 in self.p11_list:
@@ -179,7 +170,6 @@ class HorizonData:
     test: Dataset
     test_start: int
     train_means: np.ndarray
-    target_plant: int
 
     @classmethod
     def build(
@@ -201,7 +191,6 @@ class HorizonData:
             test=test,
             test_start=train.n + val.n,
             train_means=column_means(train),
-            target_plant=target_plant,
         )
 
     def filled_test_X(self, filled_values: np.ndarray) -> np.ndarray:
@@ -272,6 +261,27 @@ class RetrainOracle:
         return predict_grouped(X, keys.reshape(-1), group)
 
 
+class Method(NamedTuple):
+    """What a method name means: the artifact type `train` writes and
+    `evaluate` scores, its file stem (`{stem}_h{h}.json`; the oracle is built
+    at evaluation), and whether it adapts (None: the run config says)."""
+
+    artifact: type
+    stem: str | None
+    adaptive: bool | None
+
+
+METHODS = {
+    METHOD_IMP_PERSISTENCE: Method(ModelParams, "base", False),
+    METHOD_IMP_MEAN: Method(ModelParams, "base", False),
+    METHOD_RF_FIXED: Method(FixedPartition, METHOD_RF_FIXED, False),
+    METHOD_RF_LEARNED: Method(Partition, METHOD_RF_LEARNED, False),
+    METHOD_ARF_FIXED: Method(FixedPartition, METHOD_ARF_FIXED, True),
+    METHOD_ARF_LEARNED: Method(Partition, METHOD_ARF_LEARNED, True),
+    METHOD_RETRAIN_ORACLE: Method(RetrainOracle, None, None),
+}
+
+
 def predict_method(
     method: str,
     artifact,
@@ -281,30 +291,28 @@ def predict_method(
 ) -> np.ndarray:
     """Predictions of one method on the test rows under a realized mask;
     test_patterns is the test rows' (n, p) bit matrix and filled the raw
-    series after persistence imputation (read by imp-persistence only)."""
+    series after persistence imputation (read by imp-persistence only).
+    The artifact must be of the type METHODS gives the method."""
+    if method not in METHODS:
+        raise ConfigError(f"unknown method {method!r}")
+    kind = METHODS[method].artifact
+    if not isinstance(artifact, kind):
+        raise ConfigError(
+            f"method {method} needs a {kind.__name__} artifact, got {type(artifact).__name__}"
+        )
     x_test = hd.test.X
-    if method == METHOD_IMP_PERSISTENCE:
-        if filled is None:
-            raise ConfigError("imp-persistence needs the persistence-filled series")
-        zero = np.zeros(hd.test.p, dtype=np.uint8)
-        return predict(artifact, hd.filled_test_X(filled), zero)
-    if method == METHOD_IMP_MEAN:
-        x_filled = impute_mean(x_test, test_patterns, hd.train_means)
-        zero = np.zeros(hd.test.p, dtype=np.uint8)
-        return predict(artifact, x_filled, zero)
-    if method in (METHOD_RF_LEARNED, METHOD_ARF_LEARNED):
-        if not isinstance(artifact, Partition):
-            raise ConfigError(f"method {method} needs a learned partition artifact")
+    if kind is Partition:
         return predict_deployed_rows(artifact, x_test, test_patterns)
-    if method in (METHOD_RF_FIXED, METHOD_ARF_FIXED):
-        if not isinstance(artifact, FixedPartition):
-            raise ConfigError(f"method {method} needs a fixed partition artifact")
+    if kind is FixedPartition:
         return predict_fixed_rows(artifact, x_test, test_patterns)
-    if method == METHOD_RETRAIN_ORACLE:
-        if not isinstance(artifact, RetrainOracle):
-            raise ConfigError("retrain-oracle needs its trainer context")
+    if kind is RetrainOracle:
         return artifact.predict_rows(x_test, test_patterns)
-    raise ConfigError(f"unknown method {method!r}")
+    zero = np.zeros(hd.test.p, dtype=np.uint8)
+    if method == METHOD_IMP_MEAN:
+        return predict(artifact, impute_mean(x_test, test_patterns, hd.train_means), zero)
+    if filled is None:
+        raise ConfigError("imp-persistence needs the persistence-filled series")
+    return predict(artifact, hd.filled_test_X(filled), zero)
 
 
 def _cell_mask(spec: GridSpec, raw: RawSeries, i01: int, i11: int, run: int) -> ObsMaskSeries:
@@ -421,9 +429,10 @@ def q_sweep(
     hds: dict[int, HorizonData],
     jobs: int = 1,
 ) -> list[QSweepRow]:
-    """Mean test nrmse and max leaf relative gap per subset count, at one
-    missingness cell, averaged over seeded runs. Each run's mask is simulated
-    once and scores every partition. Rows are ordered by count."""
+    """Mean test nrmse and max leaf relative gap per subset count of a
+    learned-partition method, at one missingness cell, averaged over seeded
+    runs. Each run's mask is simulated once and scores every partition. Rows
+    are ordered by count."""
     spec = GridSpec(
         p01_list=(p01,),
         p11_list=(p11,),
@@ -434,6 +443,8 @@ def q_sweep(
     )
     if horizon not in hds:
         raise ConfigError(f"no data prepared for horizon {horizon}")
+    if method not in METHODS or METHODS[method].artifact is not Partition:
+        raise ConfigError(f"q_sweep needs a learned-partition method, got {method!r}")
     qs = sorted(partitions)
     tasks = [(spec, hds[horizon], [partitions[q] for q in qs], run) for run in range(runs)]
     per_run = map_jobs(_sweep_run, tasks, jobs)

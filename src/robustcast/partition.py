@@ -316,9 +316,7 @@ def learn_partition(
 
     def adversarial(subset_id: int, scope: AdvSearchScope, warm: ModelParams):
         cfg = replace(adv_cfg, seed=derive_seed(base_seed, "part-adv", subset_id))
-        return train_adversarial(
-            train, val, scope, cfg, arch, family, adaptive, warm_start=warm
-        )
+        return train_adversarial(train, val, scope, cfg, warm)
 
     zero = MissingPattern.zeros(train.p)
     opt_res = nominal(0, zero)
@@ -449,18 +447,16 @@ def fixed_partition(
     base = train_nominal(train, val, zero, cfg0, arch, family, adaptive)
     subsets = [FixedSubset(count=0, params=base.params, val_loss=base.val_loss)]
     counts = range(1, uset.budget + 1)
-    tasks = [(train, val, train_cfg, arch, family, adaptive, base.params, c) for c in counts]
+    tasks = [(train, val, train_cfg, base.params, c) for c in counts]
     for count, (params, val_loss) in zip(counts, map_jobs(_train_fixed_subset, tasks, jobs)):
         subsets.append(FixedSubset(count=count, params=params, val_loss=val_loss))
     return FixedPartition(uncertainty=uset, subsets=subsets)
 
 
 def _train_fixed_subset(task):
-    train, val, train_cfg, arch, family, adaptive, warm, count = task
+    train, val, train_cfg, warm, count = task
     cfg = replace(train_cfg, seed=derive_seed(train_cfg.seed, "fixed", count))
-    res = train_sampled_adversarial(
-        train, val, count, cfg, arch, family, adaptive, warm_start=warm
-    )
+    res = train_sampled_adversarial(train, val, count, cfg, warm)
     return res.params, res.val_loss
 
 

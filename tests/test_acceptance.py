@@ -174,10 +174,7 @@ def test_criterion_3_reduction_identities():
     cfg = TrainConfig(learning_rate=5e-3, max_iters=60, patience=15, batch_size=128, seed=32)
     pat = MissingPattern.from_missing(ds.p, [0])
     theta_opt = train_nominal(train, val, pat, cfg, arch2, "lr", True).params
-    adv = train_adversarial(
-        train, val, AdvSearchScope(free=(), budget=2, base=pat),
-        cfg, arch2, "lr", True, warm_start=theta_opt,
-    )
+    adv = train_adversarial(train, val, AdvSearchScope(free=(), budget=2, base=pat), cfg, theta_opt)
     fine = train_nominal(train, val, pat, cfg, arch2, "lr", True, warm_start=theta_opt)
     gap = abs(adv.val_loss - fine.val_loss)
     ok = exact and identity and gap < 1e-9

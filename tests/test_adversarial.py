@@ -440,7 +440,7 @@ class TestTrainAdversarial:
         base = MissingPattern.from_missing(3, [0])
         theta_opt = train_nominal(train, val, base, cfg, arch, "lr", False).params
         scope = AdvSearchScope(free=(), budget=2, base=base)
-        adv = train_adversarial(train, val, scope, cfg, arch, "lr", False, warm_start=theta_opt)
+        adv = train_adversarial(train, val, scope, cfg, theta_opt)
         finetune = train_nominal(train, val, base, cfg, arch, "lr", False, warm_start=theta_opt)
         assert abs(adv.val_loss - finetune.val_loss) < 1e-9
 
@@ -452,12 +452,10 @@ class TestTrainAdversarial:
         zero = MissingPattern.zeros(3)
         theta_opt = train_nominal(train, val, zero, cfg, arch, "lr", False).params
         gamma0 = train_adversarial(
-            train, val, AdvSearchScope(free=(0, 1), budget=0, base=zero),
-            cfg, arch, "lr", False, warm_start=theta_opt,
+            train, val, AdvSearchScope(free=(0, 1), budget=0, base=zero), cfg, theta_opt
         )
         empty = train_adversarial(
-            train, val, AdvSearchScope(free=(), budget=0, base=zero),
-            cfg, arch, "lr", False, warm_start=theta_opt,
+            train, val, AdvSearchScope(free=(), budget=0, base=zero), cfg, theta_opt
         )
         assert abs(gamma0.val_loss - empty.val_loss) < 1e-12
 
@@ -472,7 +470,7 @@ class TestTrainAdversarial:
         zero = MissingPattern.zeros(3)
         scope = AdvSearchScope(free=(0, 1), budget=1, base=zero)
         opt = train_nominal(train, val, zero, cfg, arch, "lr", False)
-        adv = train_adversarial(train, val, scope, cfg, arch, "lr", False, warm_start=opt.params)
+        adv = train_adversarial(train, val, scope, cfg, opt.params)
 
         def worst_case(params):
             patterns = [zero, zero.with_missing(0), zero.with_missing(1)]
@@ -486,7 +484,8 @@ class TestTrainAdversarial:
         arch = Architecture(input_dim=3, bias_index=2)
         cfg = TrainConfig(learning_rate=5e-3, max_iters=30, patience=6, batch_size=64, seed=11)
         scope = AdvSearchScope(free=(0, 1), budget=2, base=MissingPattern.zeros(3))
-        res = train_adversarial(train, val, scope, cfg, arch, "lr", True)
+        warm = train_nominal(train, val, scope.base, cfg, arch, "lr", True).params
+        res = train_adversarial(train, val, scope, cfg, warm)
         assert np.isfinite(res.trace[0].val_loss)
         running_min = np.inf
         for rec in res.trace:
@@ -502,7 +501,7 @@ class TestTrainSampledAdversarial:
         cfg = TrainConfig(learning_rate=5e-3, max_iters=20, patience=10, batch_size=64, seed=12)
         zero = MissingPattern.zeros(3)
         warm = train_nominal(train, val, zero, cfg, arch, "lr", False).params
-        sampled = train_sampled_adversarial(train, val, 0, cfg, arch, "lr", False, warm_start=warm)
+        sampled = train_sampled_adversarial(train, val, 0, cfg, warm)
         finetune = train_nominal(train, val, zero, cfg, arch, "lr", False, warm_start=warm)
         assert abs(sampled.val_loss - finetune.val_loss) < 1e-12
 
@@ -511,8 +510,9 @@ class TestTrainSampledAdversarial:
         train, val, _ = split_sequential(ds, 0.6, 0.25)
         arch = Architecture(input_dim=3, bias_index=2)
         cfg = TrainConfig(learning_rate=5e-3, max_iters=15, patience=5, batch_size=64, seed=13)
-        a = train_sampled_adversarial(train, val, 1, cfg, arch, "lr", True)
-        b = train_sampled_adversarial(train, val, 1, cfg, arch, "lr", True)
+        warm = train_nominal(train, val, MissingPattern.zeros(3), cfg, arch, "lr", True).params
+        a = train_sampled_adversarial(train, val, 1, cfg, warm)
+        b = train_sampled_adversarial(train, val, 1, cfg, warm)
         assert a.val_loss == b.val_loss
         for name in a.params.block_names():
             np.testing.assert_array_equal(a.params.arrays[name], b.params.arrays[name])

@@ -10,6 +10,7 @@ from robustcast._util import derive_seed
 from robustcast.cli import main, parse_run_config
 from robustcast.exceptions import ConfigError
 from robustcast.dataio import load_csv, save_csv, RawSeries, SynthConfig
+from robustcast.evaluation import METHODS
 from robustcast.partition import (
     Partition, PartitionConfig, learn_partition, load_artifact, partition_to_json,
 )
@@ -372,6 +373,46 @@ class TestEvaluate:
         config["max_lag"] = 3  # changes p, so trained artifacts no longer fit
         path2 = write_config(tmp_path, config, name="config2.json")
         assert main(["evaluate", "--config", str(path2)]) == 2
+
+    @pytest.mark.parametrize("case", ["base holds a partition", "sweep point holds a fixed one",
+                                      "sweep point of another width"])
+    def test_artifact_of_the_wrong_kind_or_width_exits_2(self, tmp_path, capsys, case):
+        out = tmp_path / "out"
+        config = base_config(
+            out,
+            grid={"p01": [0.2], "p11": [0.5], "methods": ["imp-mean", "arf-learned", "arf-fixed"],
+                  "runs": 1},
+            q_sweep={"q_list": [1, 2], "p01": 0.2, "p11": 0.5},
+        )
+        path = write_config(tmp_path, config)
+        assert main(["train", "--config", str(path)]) == 0
+        if case == "base holds a partition":
+            source, name, match = out / "arf-learned_h1.json", "base_h1.json", "Partition"
+        elif case == "sweep point holds a fixed one":
+            source, name, match = out / "arf-fixed_h1.json", "arf-learned_q1_h1.json", "FixedPartition"
+        else:
+            narrow = base_config(tmp_path / "narrow", max_lag=0, q_sweep=config["q_sweep"])
+            assert main(["train", "--config", str(write_config(tmp_path, narrow, "n.json"))]) == 0
+            name, match = "arf-learned_q1_h1.json", "trained for p="
+            source = tmp_path / "narrow" / name
+        target = out / name
+        target.write_bytes(source.read_bytes())
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(target) in err and match in err
+        assert not (out / "grid.csv").exists()
+
+    @pytest.mark.parametrize("method", list(METHODS))
+    def test_every_method_trains_and_evaluates(self, tmp_path, method):
+        out = tmp_path / "out"
+        grid = {"p01": [0.2], "p11": [0.5], "methods": [method], "runs": 2}
+        path = write_config(tmp_path, base_config(out, grid=grid))
+        assert main(["train", "--config", str(path)]) == 0
+        assert main(["evaluate", "--config", str(path)]) == 0
+        rows = [r.split(",") for r in (out / "grid.csv").read_text().strip().split("\n")[1:]]
+        assert [r[:5] for r in rows] == [[method, "1", "0.2", "0.5", str(run)] for run in (0, 1)]
+        assert all(np.isfinite(float(r[5])) for r in rows)
 
     def test_success_exit_zero_and_reports_written(self, tmp_path):
         out = tmp_path / "out"

@@ -22,6 +22,7 @@ from robustcast.evaluation import (
     METHOD_IMP_PERSISTENCE,
     METHOD_RETRAIN_ORACLE,
     METHOD_RF_LEARNED,
+    METHODS,
     EvalResult,
     GridSpec,
     HorizonData,
@@ -42,7 +43,9 @@ from robustcast.missingness import (
     simulate_markov,
 )
 from robustcast.models import Architecture, init_params, predict
-from robustcast.partition import PartitionConfig, UncertaintySet, learn_partition
+from robustcast.partition import (
+    FixedPartition, FixedSubset, PartitionConfig, UncertaintySet, learn_partition,
+)
 from robustcast.training import TrainConfig, train_nominal
 
 
@@ -204,7 +207,7 @@ class TestRunGrid:
         assert one_sided_oracle_better < 0.1
 
 
-def persistence_rebuild(hd, filled_values):
+def persistence_rebuild(hd, target_plant, filled_values):
     """The test rows of a whole supervised matrix rebuilt from the filled
     series: how imp-persistence built its inputs before it gathered only the
     test rows, kept as the gather's oracle."""
@@ -214,7 +217,7 @@ def persistence_rebuild(hd, filled_values):
         capacities=hd.raw.capacities,
         weather=hd.raw.weather,
     )
-    ds = build_supervised(filled_raw, hd.target_plant, hd.dataset.max_lag, hd.dataset.horizon)
+    ds = build_supervised(filled_raw, target_plant, hd.dataset.max_lag, hd.dataset.horizon)
     return ds.X[hd.test_start : hd.test_start + hd.test.n]
 
 
@@ -241,7 +244,7 @@ class TestPersistence:
         hd = HorizonData.build(raw, n_plants - 1, max_lag, horizon, 0.5, 0.2)
         mask = simulate_markov(MissingnessConfig(p01, p11, seed=seed), n_periods, n_plants)
         filled = impute_persistence(raw.values, mask)
-        want = persistence_rebuild(hd, filled)
+        want = persistence_rebuild(hd, n_plants - 1, filled)
         got = hd.filled_test_X(filled)
         assert got.shape == want.shape and got.flags.c_contiguous
         assert got.tobytes() == want.tobytes()
@@ -358,6 +361,46 @@ class TestQSweepTrend:
         part = trend_setup.partitions[1]
         assert part.subsets[0].split_feature is None
         assert len(part.leaf_ids) == 1
+
+
+class TestMethodArtifacts:
+    @pytest.fixture(scope="class")
+    def kinds(self):
+        """hd and one artifact of each kind METHODS names, by type name."""
+        raw = gen_synthetic(SynthConfig(2, 300, 0.95, 0.6, 0.4, seed=1))
+        hd = HorizonData.build(raw, 0, 1, 1, 0.5, 0.2)
+        arch = Architecture(input_dim=hd.dataset.p, bias_index=hd.dataset.bias_index)
+        cfg = TrainConfig(max_iters=5, seed=0)
+        uset = UncertaintySet(hd.dataset.p, hd.dataset.maskable, len(hd.dataset.maskable))
+        params = init_params(arch, "lr", False, 0)
+        part = learn_partition(hd.train, hd.val, uset, PartitionConfig(2, 0.0), cfg, arch,
+                               "lr", True)
+        return hd, {
+            "ModelParams": params,
+            "Partition": part,
+            "FixedPartition": FixedPartition(uset, [FixedSubset(0, params, 0.0)]),
+            "RetrainOracle": RetrainOracle(hd.train, hd.val, cfg, arch, "lr", False),
+        }
+
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_artifact_of_another_kind_raises_config_error(self, kinds, method):
+        hd, artifacts = kinds
+        kind = METHODS[method].artifact.__name__
+        assert kind in artifacts
+        patterns = np.zeros((hd.test.n, hd.test.p), dtype=np.uint8)
+        for name, artifact in artifacts.items():
+            if name != kind:
+                with pytest.raises(ConfigError, match=f"{method} needs a {kind} artifact"):
+                    predict_method(method, artifact, hd, patterns, hd.raw.values)
+
+    @pytest.mark.parametrize("method, kind", [("imp-mean", "Partition"),
+                                              ("arf-fixed", "FixedPartition")])
+    def test_sweep_of_a_method_without_learned_partitions_raises_config_error(
+        self, kinds, method, kind
+    ):
+        hd, artifacts = kinds
+        with pytest.raises(ConfigError, match=f"learned-partition method, got '{method}'"):
+            q_sweep({2: artifacts[kind]}, method, 1, 0.2, 0.9, 1, 5, {1: hd})
 
 
 class TestRetrainOracleGuards:
