@@ -1,9 +1,13 @@
 """Seed derivation, JSON and worker-pool helpers used by several modules."""
 from __future__ import annotations
 
+import base64
 import hashlib
+import math
 
 import numpy as np
+
+from .exceptions import ParseError
 
 
 def derive_seed(base: int, *parts: int | str) -> int:
@@ -28,13 +32,26 @@ def rng_for(base: int, *parts: int | str) -> np.random.Generator:
 
 
 def array_to_json(arr: np.ndarray) -> dict:
-    """Encode an array as shape + row-major flat data (floats round-trip exactly)."""
-    a = np.asarray(arr, dtype=np.float64)
-    return {"shape": list(a.shape), "data": a.ravel(order="C").tolist()}
+    """Encode an array exactly: its shape and the base64 of its little-endian
+    float64 bytes in C order."""
+    a = np.asarray(arr, dtype="<f8")
+    return {"shape": list(a.shape), "f8": base64.b64encode(a.tobytes()).decode("ascii")}
 
 
 def array_from_json(obj: dict) -> np.ndarray:
-    return np.asarray(obj["data"], dtype=np.float64).reshape(obj["shape"], order="C")
+    """The array `array_to_json` encoded, as a fresh, owned, writeable float64
+    array; ParseError when the shape is no list of counts, the base64 is
+    malformed or its byte count does not match the shape."""
+    shape = obj["shape"]
+    if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+        raise ParseError(f"array shape {shape!r} is not a list of counts")
+    try:
+        raw = base64.b64decode(obj["f8"], validate=True)
+    except ValueError as exc:  # binascii.Error included
+        raise ParseError(f"array data is not base64: {exc}") from None
+    if len(raw) != 8 * math.prod(shape):
+        raise ParseError(f"array of shape {shape} holds {len(raw)} bytes, not 8 per float")
+    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
 
 
 def map_jobs(fn, tasks: list, jobs: int) -> list:

@@ -42,6 +42,7 @@ from .partition import (
     fixed_partition,
     learn_partition,
     load_artifact,
+    param_sets,
     save_artifact,
     truncate,
 )
@@ -383,12 +384,15 @@ def cmd_train(cfg: RunConfig, jobs: int = 1) -> int:
     return 0
 
 
-def _load_checked(path: Path, kind: type, hd: HorizonData):
-    """The artifact saved at path, which must exist, be a `kind` and fit the
-    feature count of hd; anything else is a ConfigError (exit 2)."""
+def _load_checked(path: Path, method: str, hd: HorizonData, family: str):
+    """The artifact saved at path, which must exist, be of the kind its
+    method needs, fit the feature count of hd, and hold only models of the
+    run config's family and of the method's adaptivity; anything else is a
+    ConfigError (exit 2)."""
     if not path.exists():
         raise ConfigError(f"missing artifact {path}; run the train subcommand first")
-    artifact = load_artifact(path)
+    artifact, entry = load_artifact(path), METHODS[method]
+    kind = entry.artifact
     if not isinstance(artifact, kind):
         raise ConfigError(
             f"artifact {path} holds a {type(artifact).__name__}, its method needs a {kind.__name__}"
@@ -396,6 +400,17 @@ def _load_checked(path: Path, kind: type, hd: HorizonData):
     width = artifact.n_features if kind is ModelParams else artifact.uncertainty.n_features
     if width != hd.dataset.p:
         raise ConfigError(f"artifact {path} was trained for p={width}, data has p={hd.dataset.p}")
+    for params in param_sets(artifact):
+        if params.family != family:
+            raise ConfigError(
+                f"artifact {path} holds a {params.family!r} model, the run config's family is "
+                f"{family!r}"
+            )
+        if entry.adaptive is not None and params.adaptive != entry.adaptive:
+            raise ConfigError(
+                f"artifact {path} holds a model with adaptive={params.adaptive}, {method} needs "
+                f"adaptive={entry.adaptive}"
+            )
     return artifact
 
 
@@ -411,7 +426,7 @@ def _load_artifacts(cfg: RunConfig, hds: dict[int, HorizonData]) -> dict:
                 )
             else:
                 path = _artifact_path(cfg.out_dir, entry.stem, h)
-                artifacts[(method, h)] = _load_checked(path, entry.artifact, hd)
+                artifacts[(method, h)] = _load_checked(path, method, hd, cfg.family)
     return artifacts
 
 
@@ -436,8 +451,8 @@ def cmd_evaluate(cfg: RunConfig, jobs: int = 1) -> int:
         h = cfg.horizons[0]
         entry = METHODS[cfg.qsweep_method]
         partitions = {
-            q: _load_checked(_artifact_path(cfg.out_dir, f"{entry.stem}_q{q}", h), entry.artifact,
-                             hds[h])
+            q: _load_checked(_artifact_path(cfg.out_dir, f"{entry.stem}_q{q}", h),
+                             cfg.qsweep_method, hds[h], cfg.family)
             for q in cfg.qsweep_list
         }
         qrows = q_sweep(

@@ -23,7 +23,7 @@ import numpy as np
 
 from ._util import array_from_json, array_to_json
 from .dataio import maskable_indices
-from .exceptions import ConfigError, DomainError, SizeError
+from .exceptions import ConfigError, DomainError, ParseError, SizeError
 from .missingness import MissingPattern
 
 LR = "lr"
@@ -351,11 +351,51 @@ def params_to_json(params: ModelParams) -> dict:
 
 
 def params_from_json(obj: dict) -> ModelParams:
-    return ModelParams(
-        family=obj["family"],
-        adaptive=obj["adaptive"],
-        n_features=obj["n_features"],
-        maskable=tuple(obj["maskable"]),
-        bias_index=obj["bias_index"],
+    """The parameter set `params_to_json` encoded. DomainError when the
+    family is unknown, the block names are not `block_names()` or a block's
+    shape does not chain from n_features, the maskable count and the W
+    layers; ParseError (from array_from_json) when an array is malformed."""
+    family, adaptive, p, maskable, bias = (
+        obj[k] for k in ("family", "adaptive", "n_features", "maskable", "bias_index"))
+    if family not in (LR, NN) or not isinstance(adaptive, bool) or type(p) is not int or p < 1 \
+            or not (isinstance(maskable, list) and all(type(j) is int for j in maskable)) \
+            or maskable != sorted(maskable) \
+            or not (bias is None or type(bias) is int and 0 <= bias < p):
+        raise DomainError(f"inadmissible model: family {family!r}, adaptive {adaptive!r}, "
+                          f"n_features {p!r}, maskable {maskable!r}, bias_index {bias!r}")
+    if not isinstance(obj["arrays"], dict):
+        raise ParseError("a model's arrays must be an object keyed by block name")
+    params = ModelParams(
+        family=family,
+        adaptive=adaptive,
+        n_features=p,
+        maskable=maskable_indices(maskable, p),
+        bias_index=bias,
         arrays={k: array_from_json(v) for k, v in obj["arrays"].items()},
     )
+    names = params.block_names()
+    if list(params.arrays) != names:
+        raise DomainError(f"{params.family} blocks must be {names}, got {list(params.arrays)}")
+    shapes = _block_shapes(params)
+    bad = [f"{k} {params.arrays[k].shape} (need {shapes[k]})" for k in names
+           if params.arrays[k].shape != shapes[k]]
+    if bad:
+        raise DomainError("parameter block shapes do not chain: " + ", ".join(bad))
+    return params
+
+
+def _block_shapes(params: ModelParams) -> dict[str, tuple]:
+    """The shape each block must have: widths chain from n_features through
+    the output count of each W layer; every D block has one column per
+    maskable feature."""
+    width, k = params.n_features, len(params.maskable)
+    if params.family == LR:
+        return {"w": (width,), "D": (width, k)}
+    shapes = {}
+    for m in range(params.n_hidden_layers):
+        w = params.arrays[f"W{m}"]
+        out = w.shape[0] if w.ndim == 2 else -1
+        shapes.update({f"W{m}": (out, width), f"b{m}": (out,), f"D{m}": (width, k)})
+        width = out
+    shapes.update({"w_out": (width,), "b_out": (1,), "D_out": (width, k)})
+    return shapes

@@ -36,6 +36,7 @@ from .models import Architecture, ModelParams, params_from_json, params_to_json,
 from .training import TrainConfig, train_nominal
 
 RELGAP_FLOOR = 1e-12
+ARTIFACT_FORMAT = 2
 ENUMERATION_LIMIT = 20
 
 
@@ -485,8 +486,49 @@ def _fixed_to_json(partition: Partition, sid: int) -> dict:
     return {str(j): bit for j, bit in partition.fixed(sid).items()}
 
 
+def param_sets(artifact: Partition | FixedPartition | ModelParams) -> list[ModelParams]:
+    """Every parameter set an artifact refers to, repeats included, in the
+    order its file's table first uses them: learned subsets by id, opt
+    before adv; fixed subsets in order; a bare model alone."""
+    if isinstance(artifact, Partition):
+        subsets = sorted(artifact.subsets.items())
+        return [p for _, s in subsets for p in (s.params_opt, s.params_adv)]
+    if isinstance(artifact, FixedPartition):
+        return [s.params for s in artifact.subsets]
+    return [artifact]
+
+
+def _param_table(artifact) -> tuple[list[dict], list[int]]:
+    """The encoded sets of `param_sets(artifact)` with repeats of the same
+    content stored once, and the table index of each set in that order.
+    Keying on the encoding makes the table depend on the content alone."""
+    table, index, refs = [], {}, []
+    for params in param_sets(artifact):
+        encoded = params_to_json(params)
+        key = json.dumps(encoded)
+        if key not in index:
+            index[key] = len(table)
+            table.append(encoded)
+        refs.append(index[key])
+    return table, refs
+
+
+def _table_from_json(obj: dict) -> list[ModelParams]:
+    return [params_from_json(p) for p in obj["params"]]
+
+
+def _params_at(table: list[ModelParams], ref) -> ModelParams:
+    """The set a file's table holds at index `ref`; ParseError for anything
+    but an int in range."""
+    if type(ref) is not int or not 0 <= ref < len(table):
+        raise ParseError(f"parameter reference {ref!r} is no index into a table of {len(table)}")
+    return table[ref]
+
+
 def partition_to_json(partition: Partition) -> dict:
+    table, refs = _param_table(partition)
     return {
+        "format": ARTIFACT_FORMAT,
         "kind": "learned",
         "uncertainty": asdict(partition.uncertainty),
         "config": asdict(partition.config),
@@ -504,27 +546,29 @@ def partition_to_json(partition: Partition) -> dict:
                 "lb_inherited": s.lb_inherited,
                 "ub_inherited": s.ub_inherited,
                 "split_feature": s.split_feature,
-                "params_opt": params_to_json(s.params_opt),
-                "params_adv": params_to_json(s.params_adv),
+                "params_opt": refs[2 * i],
+                "params_adv": refs[2 * i + 1],
             }
-            for sid, s in sorted(partition.subsets.items())
+            for i, (sid, s) in enumerate(sorted(partition.subsets.items()))
         },
+        "params": table,
     }
 
 
 def partition_from_json(obj: dict) -> Partition:
-    """The partition the file's subsets describe. Its `tree`, `leaf_ids` and
-    per-subset `fixed` are derived values; DomainError when any of them
-    disagrees with what the subsets imply."""
-    subsets = {}
+    """The partition the file's subsets describe, each parameter reference
+    resolved in its table. Its `tree`, `leaf_ids` and per-subset `fixed` are
+    derived values; DomainError when any of them disagrees with what the
+    subsets imply."""
+    table, subsets = _table_from_json(obj), {}
     for sid_str, s in obj["subsets"].items():
         sid = int(sid_str)
         subsets[sid] = UncertaintySubset(
             subset_id=sid,
             opt_pattern=MissingPattern(bits=np.asarray(s["opt_pattern"], dtype=np.uint8)),
             free=tuple(s["free"]),
-            params_opt=params_from_json(s["params_opt"]),
-            params_adv=params_from_json(s["params_adv"]),
+            params_opt=_params_at(table, s["params_opt"]),
+            params_adv=_params_at(table, s["params_adv"]),
             lower_bound=s["LB"],
             upper_bound=s["UB"],
             parent_id=s["parent_id"],
@@ -541,19 +585,23 @@ def partition_from_json(obj: dict) -> Partition:
 
 
 def fixed_to_json(fixed: FixedPartition) -> dict:
+    table, refs = _param_table(fixed)
     return {
+        "format": ARTIFACT_FORMAT,
         "kind": "fixed",
         "uncertainty": asdict(fixed.uncertainty),
         "subsets": [
-            {"count": s.count, "val_loss": s.val_loss, "params": params_to_json(s.params)}
-            for s in fixed.subsets
+            {"count": s.count, "val_loss": s.val_loss, "params": ref}
+            for s, ref in zip(fixed.subsets, refs)
         ],
+        "params": table,
     }
 
 
 def fixed_from_json(obj: dict) -> FixedPartition:
+    table = _table_from_json(obj)
     subsets = [
-        FixedSubset(s["count"], params_from_json(s["params"]), s["val_loss"])
+        FixedSubset(s["count"], _params_at(table, s["params"]), s["val_loss"])
         for s in obj["subsets"]
     ]
     return FixedPartition(uncertainty=UncertaintySet(**obj["uncertainty"]), subsets=subsets)
@@ -561,32 +609,38 @@ def fixed_from_json(obj: dict) -> FixedPartition:
 
 def save_artifact(obj: Partition | FixedPartition | ModelParams, path: str | Path) -> None:
     """Serialize a deployable artifact (partition, fixed partition, or a bare
-    model) to JSON."""
+    model) to JSON: one table of distinct parameter sets, which the rest of
+    the file refers to by index."""
     if isinstance(obj, Partition):
         payload = partition_to_json(obj)
     elif isinstance(obj, FixedPartition):
         payload = fixed_to_json(obj)
     else:
-        payload = {"kind": "model", "params": params_to_json(obj)}
+        payload = {"format": ARTIFACT_FORMAT, "kind": "model", "model": 0,
+                   "params": [params_to_json(obj)]}
     Path(path).write_text(json.dumps(payload), encoding="utf-8")
 
 
 def load_artifact(path: str | Path):
     """The artifact saved at `path`. ParseError when the file is not valid
-    JSON or lacks a key; DomainError when a value is inadmissible."""
+    JSON, lacks a key, holds a malformed array or a bad table index;
+    DomainError when it is of another format or a value is inadmissible."""
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        if isinstance(obj, dict) and obj.get("format") != ARTIFACT_FORMAT:
+            raise DomainError(f"format {obj.get('format')!r} is not {ARTIFACT_FORMAT}; "
+                              "retrain to write the current format")
         kind = obj["kind"]
         if kind == "learned":
             return partition_from_json(obj)
         if kind == "fixed":
             return fixed_from_json(obj)
         if kind == "model":
-            return params_from_json(obj["params"])
+            return _params_at(_table_from_json(obj), obj["model"])
     except json.JSONDecodeError as exc:
         raise ParseError(f"artifact {path} is not valid JSON: {exc}") from None
     except (KeyError, TypeError) as exc:
         raise ParseError(f"artifact {path} is malformed: {exc!r}") from None
-    except DomainError as exc:
-        raise DomainError(f"artifact {path}: {exc}") from None
+    except (ParseError, DomainError) as exc:
+        raise type(exc)(f"artifact {path}: {exc}") from None
     raise DomainError(f"artifact {path}: unknown kind {kind!r}")

@@ -1,4 +1,8 @@
+import base64
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -403,6 +407,49 @@ class TestEvaluate:
         assert err.startswith("config error:") and str(target) in err and match in err
         assert not (out / "grid.csv").exists()
 
+    @pytest.mark.parametrize("case", ["w one float short of its shape",
+                                      "w one shorter with a matching shape", "w deleted"])
+    def test_malformed_parameter_block_exits_3(self, tmp_path, capsys, case):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, base_config(out))
+        assert main(["train", "--config", str(path)]) == 0
+        artifact = out / "base_h1.json"
+        obj = json.loads(artifact.read_text(encoding="utf-8"))
+        arrays = obj["params"][obj["model"]]["arrays"]
+        w = np.frombuffer(base64.b64decode(arrays["w"]["f8"]))
+        if case == "w deleted":
+            del arrays["w"]
+        else:
+            arrays["w"]["f8"] = base64.b64encode(w[:-1].tobytes()).decode("ascii")
+            if case == "w one shorter with a matching shape":
+                arrays["w"]["shape"] = [w.size - 1]
+        artifact.write_text(json.dumps(obj), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(artifact) in err
+        assert not (out / "grid.csv").exists()
+
+    @pytest.mark.parametrize("case", ["another family", "another adaptivity"])
+    def test_artifact_of_another_family_or_adaptivity_exits_2(self, tmp_path, capsys, case):
+        out = tmp_path / "out"
+        grid = {"p01": [0.2], "p11": [0.5], "methods": ["arf-learned", "rf-learned"], "runs": 1}
+        config = base_config(out, grid=grid)
+        assert main(["train", "--config", str(write_config(tmp_path, config))]) == 0
+        target = out / "arf-learned_h1.json"
+        if case == "another family":
+            config.update(family="nn", hidden=[3])
+            match = "holds a 'lr' model, the run config's family is 'nn'"
+        else:
+            target.write_bytes((out / "rf-learned_h1.json").read_bytes())
+            match = "adaptive=False, arf-learned needs adaptive=True"
+        path = write_config(tmp_path, config, name="evaluate.json")
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(target) in err and match in err
+        assert not (out / "grid.csv").exists()
+
     @pytest.mark.parametrize("method", list(METHODS))
     def test_every_method_trains_and_evaluates(self, tmp_path, method):
         out = tmp_path / "out"
@@ -503,3 +550,12 @@ class TestQSweepCli:
                 cli._arch_for(cfg, hd), "lr", method == "arf-learned",
             )
             assert (out / name).read_text() == json.dumps(partition_to_json(direct)), name
+
+
+def test_python_m_robustcast_runs_the_cli():
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    done = subprocess.run([sys.executable, "-m", "robustcast", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "usage: robustcast" in done.stdout

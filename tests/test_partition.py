@@ -524,7 +524,10 @@ class TestGoldenArtifact:
     tree, leaf list and equality constraints next to its subsets. Those three
     are now derived from the subsets; the file must load, route and save as
     it did, and a copy whose stored values the subsets contradict must not
-    load."""
+    load. The file was first written in format 1 (learned_lr_q5_v1.json,
+    arrays as number lists) and converted to the parameter table of format 2
+    by loading it with the format-1 reader and saving it again;
+    test_artifacts.py checks that every array survived bit for bit."""
 
     def test_load_then_save_reproduces_the_bytes(self, tmp_path):
         save_artifact(load_artifact(GOLDEN), tmp_path / "again.json")
