@@ -58,6 +58,6 @@ from .adversarial import (
     train_adversarial,
 )
 from .evaluation import EvalResult, GridSpec, dm_test, emit_report, nrmse, q_sweep, run_grid
-from .training import OptimizerState, TrainConfig, TrainResult, adam_step, train_nominal
+from .training import TrainConfig, TrainResult, adam_step, train_nominal
 
 __version__ = "0.1.0"

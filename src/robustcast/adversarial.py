@@ -237,10 +237,10 @@ def train_adversarial(
     """
     train_split = SplitScorer(train.X, train.y, warm_start)
     val_split = SplitScorer(val.X, val.y, warm_start)
-    pick_train = lambda k, params: find_adversarial(
+    pick_train = lambda params: find_adversarial(
         train.X, train.y, scope, params, split=train_split
     ).pattern
-    pick_val = lambda k, params: find_adversarial(
+    pick_val = lambda params: find_adversarial(
         val.X, val.y, scope, params, split=val_split
     ).pattern
     return run_training_loop(train, val, warm_start, cfg, pick_train, pick_val)
@@ -273,8 +273,6 @@ def train_sampled_adversarial(
     validation score."""
     rng_train = rng_for(cfg.seed, "sample-train", count)
     rng_val = rng_for(cfg.seed, "sample-val", count)
-    pick_train = lambda k, params: sample_fixed_adversarial(
-        count, train.maskable, train.p, rng_train
-    )
-    pick_val = lambda k, params: sample_fixed_adversarial(count, train.maskable, train.p, rng_val)
+    pick_train = lambda params: sample_fixed_adversarial(count, train.maskable, train.p, rng_train)
+    pick_val = lambda params: sample_fixed_adversarial(count, train.maskable, train.p, rng_val)
     return run_training_loop(train, val, warm_start, cfg, pick_train, pick_val)

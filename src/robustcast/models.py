@@ -13,7 +13,8 @@ shift linearly with the missing pattern a (restricted to the maskable set):
 
 x(a) zeroes the missing coordinates. Gradients are hand-derived; there is no
 autodiff dependency. All functions are pure; parameters are treated as
-immutable snapshots.
+immutable snapshots, except that a training run updates its own params in
+place through the flat vector their blocks are views of (see from_vector).
 """
 from __future__ import annotations
 
@@ -95,11 +96,14 @@ class ModelParams:
         return np.concatenate([self.arrays[k].ravel() for k in self.block_names()])
 
     def from_vector(self, vec: np.ndarray) -> "ModelParams":
+        """These params stored in `vec` (laid out as to_vector's): each block
+        is a view of its slice of vec, not a copy. Only the training loop
+        writes to such a vector, its own; elsewhere params stay snapshots."""
         arrays = {}
         offset = 0
         for name in self.block_names():
             block = self.arrays[name]
-            arrays[name] = vec[offset : offset + block.size].reshape(block.shape).copy()
+            arrays[name] = vec[offset : offset + block.size].reshape(block.shape)
             offset += block.size
         if offset != vec.size:
             raise DomainError("vector length does not match parameter count")

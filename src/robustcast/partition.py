@@ -293,7 +293,6 @@ def learn_partition(
     arch: Architecture,
     family: str,
     adaptive: bool,
-    adv_cfg: TrainConfig | None = None,
 ) -> Partition:
     """Grow the availability-split tree.
 
@@ -308,15 +307,14 @@ def learn_partition(
     break to the lowest subset id. The loop stops at max_subsets, or when no
     leaf with room to split has a relative gap above epsilon.
     """
-    adv_cfg = adv_cfg if adv_cfg is not None else train_cfg
     base_seed = train_cfg.seed
 
-    def nominal(subset_id: int, pattern: MissingPattern, warm=None):
+    def nominal(subset_id: int, pattern: MissingPattern):
         cfg = replace(train_cfg, seed=derive_seed(base_seed, "part-opt", subset_id))
-        return train_nominal(train, val, pattern, cfg, arch, family, adaptive, warm_start=warm)
+        return train_nominal(train, val, pattern, cfg, arch, family, adaptive)
 
     def adversarial(subset_id: int, scope: AdvSearchScope, warm: ModelParams):
-        cfg = replace(adv_cfg, seed=derive_seed(base_seed, "part-adv", subset_id))
+        cfg = replace(train_cfg, seed=derive_seed(base_seed, "part-adv", subset_id))
         return train_adversarial(train, val, scope, cfg, warm)
 
     zero = MissingPattern.zeros(train.p)
@@ -555,13 +553,34 @@ def partition_to_json(partition: Partition) -> dict:
     }
 
 
+def _checked(value, types: tuple, what: str):
+    """value when its JSON type is one of `types` (true and false count as no
+    number); ParseError naming `what` otherwise."""
+    if type(value) not in types:
+        raise ParseError(f"{what} must be {' or '.join(t.__name__ for t in types)}, "
+                         f"got {value!r:.60}")
+    return value
+
+
+def _uncertainty_from_json(obj: dict) -> UncertaintySet:
+    """The stored uncertainty set; ParseError unless its counts and indices
+    are integers (UncertaintySet itself would take a budget of 1.5)."""
+    for value in (obj["n_features"], obj["budget"], *obj["maskable"]):
+        _checked(value, (int,), "an uncertainty set's counts and indices")
+    return UncertaintySet(**obj)
+
+
 def partition_from_json(obj: dict) -> Partition:
     """The partition the file's subsets describe, each parameter reference
     resolved in its table. Its `tree`, `leaf_ids` and per-subset `fixed` are
     derived values; DomainError when any of them disagrees with what the
-    subsets imply."""
+    subsets imply. ParseError when the subsets are no object keyed by
+    decimal ids, or a bound or inherited flag has the wrong JSON type."""
     table, subsets = _table_from_json(obj), {}
+    _checked(obj["subsets"], (dict,), "a learned file's subsets")
     for sid_str, s in obj["subsets"].items():
+        if not (sid_str.isdecimal() and str(int(sid_str)) == sid_str):
+            raise ParseError(f"subset id {sid_str!r} is no decimal integer")
         sid = int(sid_str)
         subsets[sid] = UncertaintySubset(
             subset_id=sid,
@@ -569,14 +588,14 @@ def partition_from_json(obj: dict) -> Partition:
             free=tuple(s["free"]),
             params_opt=_params_at(table, s["params_opt"]),
             params_adv=_params_at(table, s["params_adv"]),
-            lower_bound=s["LB"],
-            upper_bound=s["UB"],
+            lower_bound=_checked(s["LB"], (int, float), f"subset {sid}'s LB"),
+            upper_bound=_checked(s["UB"], (int, float), f"subset {sid}'s UB"),
             parent_id=s["parent_id"],
-            lb_inherited=s["lb_inherited"],
-            ub_inherited=s["ub_inherited"],
+            lb_inherited=_checked(s["lb_inherited"], (bool,), f"subset {sid}'s lb_inherited"),
+            ub_inherited=_checked(s["ub_inherited"], (bool,), f"subset {sid}'s ub_inherited"),
             split_feature=s["split_feature"],
         )
-    uset, pcfg = UncertaintySet(**obj["uncertainty"]), PartitionConfig(**obj["config"])
+    uset, pcfg = _uncertainty_from_json(obj["uncertainty"]), PartitionConfig(**obj["config"])
     part = Partition(uncertainty=uset, config=pcfg, subsets=subsets)
     stored = (obj["tree"], obj["leaf_ids"], [s["fixed"] for s in obj["subsets"].values()])
     if stored != (_tree_to_json(part), part.leaf_ids, [_fixed_to_json(part, i) for i in subsets]):
@@ -604,7 +623,7 @@ def fixed_from_json(obj: dict) -> FixedPartition:
         FixedSubset(s["count"], _params_at(table, s["params"]), s["val_loss"])
         for s in obj["subsets"]
     ]
-    return FixedPartition(uncertainty=UncertaintySet(**obj["uncertainty"]), subsets=subsets)
+    return FixedPartition(uncertainty=_uncertainty_from_json(obj["uncertainty"]), subsets=subsets)
 
 
 def save_artifact(obj: Partition | FixedPartition | ModelParams, path: str | Path) -> None:

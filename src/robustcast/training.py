@@ -1,5 +1,7 @@
 """Nominal model training: mini-batch Adam with per-epoch validation and
 patience-based early stopping, returning the best-on-validation parameters.
+A run updates one flat vector in place (the blocks in block_names() order,
+with two Adam moment vectors of its length); its ModelParams are views of it.
 
 The same loop also powers adversarial training (the adversarial module swaps
 in a different pattern picker per epoch), which keeps the two code paths
@@ -47,52 +49,24 @@ class TrainConfig:
             raise ConfigError("weight_decay must be >= 0")
 
 
-@dataclass
-class OptimizerState:
-    """Adam moment accumulators, shaped like the parameter blocks."""
-
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
-    step: int = 0
-
-
-def init_optimizer(params: ModelParams) -> OptimizerState:
-    return OptimizerState(
-        m={k: np.zeros_like(params.arrays[k]) for k in params.block_names()},
-        v={k: np.zeros_like(params.arrays[k]) for k in params.block_names()},
-        step=0,
-    )
-
-
 def adam_step(
-    params: ModelParams,
-    grads: dict[str, np.ndarray],
-    state: OptimizerState,
+    theta: np.ndarray,
+    g: np.ndarray,
+    m: np.ndarray,
+    v: np.ndarray,
+    t: int,
     learning_rate: float,
-) -> tuple[ModelParams, OptimizerState]:
-    """Standard bias-corrected Adam update, applied elementwise per block."""
-    t = state.step + 1
-    new_m: dict[str, np.ndarray] = {}
-    new_v: dict[str, np.ndarray] = {}
-    arrays: dict[str, np.ndarray] = {}
-    for name in params.block_names():
-        g = grads[name]
-        m = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
-        v = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * g * g
-        m_hat = m / (1.0 - ADAM_BETA1**t)
-        v_hat = v / (1.0 - ADAM_BETA2**t)
-        arrays[name] = params.arrays[name] - learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        new_m[name] = m
-        new_v[name] = v
-    new_params = ModelParams(
-        family=params.family,
-        adaptive=params.adaptive,
-        n_features=params.n_features,
-        maskable=params.maskable,
-        bias_index=params.bias_index,
-        arrays=arrays,
-    )
-    return new_params, OptimizerState(m=new_m, v=new_v, step=t)
+) -> None:
+    """Standard bias-corrected Adam update number t (from 1), in place on the
+    parameter vector theta and its moments m and v. g is the gradient laid
+    out as theta is: the blocks concatenated in block_names() order."""
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * g * g
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
+    theta -= learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 @dataclass(frozen=True)
@@ -113,7 +87,7 @@ class TrainResult:
     best_iteration: int = -1
 
 
-PatternPicker = Callable[[int, ModelParams], MissingPattern]
+PatternPicker = Callable[[ModelParams], MissingPattern]
 
 
 def run_training_loop(
@@ -126,19 +100,23 @@ def run_training_loop(
 ) -> TrainResult:
     """Mini-batch Adam with per-epoch validation and patience.
 
-    One iteration is one pass over contiguous, unshuffled mini-batches (a
-    seed-derived permutation is used when cfg.shuffle is set). The training
-    pattern for an epoch is picked before its updates; the validation pattern
-    is picked after them. Returns the parameters with the lowest validation
-    mean squared error seen. A non-finite training (mini-batch) or validation
-    loss raises NumericalError naming the iteration: a diverged fit never
-    improves on the best, so it would otherwise end as the initial params.
+    One iteration is one pass over mini-batches, contiguous row slices of
+    the training split (permuted once per epoch by a seed-derived permutation
+    when cfg.shuffle is set). The training pattern for an epoch is picked
+    before its updates; the validation pattern is picked after them. Returns
+    the parameters with the lowest validation mean squared error seen. A
+    non-finite training (mini-batch) or validation loss raises NumericalError
+    naming the iteration: a diverged fit never improves on the best, so it
+    would otherwise end as the initial params. params0 is left unchanged; the
+    params a picker gets are views of the live vector, valid during its call.
     """
     if train.n == 0 or val.n == 0:
         raise SizeError("training and validation splits must be non-empty")
-    params = params0.copy()
-    state = init_optimizer(params)
-    best_params = params.copy()
+    theta = params0.to_vector()
+    params = params0.from_vector(theta)
+    names = params.block_names()
+    m, v = np.zeros_like(theta), np.zeros_like(theta)
+    best_theta = theta.copy()
     best_loss = np.inf
     best_iter = -1
     trace: list[IterationRecord] = []
@@ -146,28 +124,30 @@ def run_training_loop(
 
     k = 0
     phi = 0
+    step = 0
     while k < cfg.max_iters and phi < cfg.patience:
-        alpha_train = pick_train_pattern(k, params)
-        order = (
-            shuffle_rng.permutation(train.n) if shuffle_rng is not None else np.arange(train.n)
-        )
+        alpha_train = pick_train_pattern(params)
+        X, y = train.X, train.y
+        if shuffle_rng is not None:
+            order = shuffle_rng.permutation(train.n)
+            X, y = X[order], y[order]
         batch_losses = []
         for start in range(0, train.n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            loss, grads = loss_and_grad(
-                params, train.X[idx], train.y[idx], alpha_train, cfg.weight_decay
-            )
+            rows = slice(start, start + cfg.batch_size)
+            loss, grads = loss_and_grad(params, X[rows], y[rows], alpha_train, cfg.weight_decay)
             if not math.isfinite(loss):
                 raise NumericalError(f"training loss is {loss} at iteration {k}")
-            params, state = adam_step(params, grads, state, cfg.learning_rate)
+            step += 1
+            g = np.concatenate([grads[name].ravel() for name in names])
+            adam_step(theta, g, m, v, step, cfg.learning_rate)
             batch_losses.append(loss)
-        alpha_val = pick_val_pattern(k, params)
+        alpha_val = pick_val_pattern(params)
         val_loss = mse_loss(params, val.X, val.y, alpha_val)
         if not math.isfinite(val_loss):
             raise NumericalError(f"validation loss is {val_loss} at iteration {k}")
         trace.append(IterationRecord(k, float(np.mean(batch_losses)), val_loss))
         if val_loss < best_loss:
-            best_params = params.copy()
+            best_theta = theta.copy()
             best_loss = val_loss
             best_iter = k
             phi = 0
@@ -175,7 +155,7 @@ def run_training_loop(
             phi += 1
         k += 1
     return TrainResult(
-        params=best_params,
+        params=params0.from_vector(best_theta),
         val_loss=float(best_loss),
         trace=trace,
         iterations=k,
@@ -196,14 +176,11 @@ def train_nominal(
     """Fit one model with a fixed missing pattern applied to every batch.
 
     warm_start skips the random initialization and continues from the given
-    parameters (with fresh optimizer state); adversarial training relies on
-    this to fine-tune from the optimistic fit.
+    parameters (with fresh optimizer state), leaving them unchanged;
+    adversarial training relies on this to fine-tune from the optimistic fit.
     """
     MissingPattern.bits_of(pattern, train.p, train.maskable, ndim=1)
-    params0 = (
-        warm_start.copy()
-        if warm_start is not None
-        else init_params(arch, family, adaptive, cfg.seed, maskable=train.maskable)
-    )
-    constant = lambda k, params: pattern
-    return run_training_loop(train, val, params0, cfg, constant, constant)
+    if warm_start is None:
+        warm_start = init_params(arch, family, adaptive, cfg.seed, maskable=train.maskable)
+    constant = lambda params: pattern
+    return run_training_loop(train, val, warm_start, cfg, constant, constant)

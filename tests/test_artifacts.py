@@ -266,6 +266,25 @@ class TestMalformedFile:
         with pytest.raises(ParseError, match="ref.json"):
             load_artifact(path)
 
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda obj: obj.update(subsets=list(obj["subsets"].values())),
+                     id="subsets-a-list"),
+        pytest.param(lambda obj: obj["subsets"].update(x=obj["subsets"].pop("8")), id="id-x"),
+        pytest.param(lambda obj: obj["subsets"]["3"].update(LB="0.005"), id="LB-text"),
+        pytest.param(lambda obj: obj["subsets"]["3"].update(UB=True), id="UB-bool"),
+        pytest.param(lambda obj: obj["subsets"]["3"].update(lb_inherited=1), id="lb-inherited-int"),
+        pytest.param(lambda obj: obj["subsets"]["3"].update(ub_inherited="no"),
+                     id="ub-inherited-text"),
+        pytest.param(lambda obj: obj["uncertainty"].update(budget=1.5), id="budget-1.5"),
+    ])
+    def test_a_malformed_learned_file_is_a_parse_error(self, tmp_path, edit):
+        obj = json.loads(GOLDEN.read_text(encoding="utf-8"))
+        edit(obj)
+        path = tmp_path / "learned.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        with pytest.raises(ParseError, match="learned.json"):
+            load_artifact(path)
+
     def test_a_linear_block_of_another_width_is_a_domain_error(self, tmp_path):
         obj = json.loads(GOLDEN.read_text(encoding="utf-8"))
         obj["params"][3]["arrays"]["w"] = {"shape": [3], "f8": array_b64([1.0, 2.0, 3.0])}

@@ -430,6 +430,25 @@ class TestEvaluate:
         assert err.startswith("data error:") and str(artifact) in err
         assert not (out / "grid.csv").exists()
 
+    @pytest.mark.parametrize("case", ["subsets a list", "subset id x"])
+    def test_malformed_learned_file_exits_3(self, tmp_path, capsys, case):
+        out = tmp_path / "out"
+        grid = {"p01": [0.2], "p11": [0.5], "methods": ["arf-learned"], "runs": 1}
+        path = write_config(tmp_path, base_config(out, grid=grid))
+        assert main(["train", "--config", str(path)]) == 0
+        artifact = out / "arf-learned_h1.json"
+        obj = json.loads(artifact.read_text(encoding="utf-8"))
+        if case == "subsets a list":
+            obj["subsets"] = list(obj["subsets"].values())
+        else:
+            obj["subsets"]["x"] = obj["subsets"].pop("0")
+        artifact.write_text(json.dumps(obj), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(artifact) in err
+        assert not (out / "grid.csv").exists()
+
     @pytest.mark.parametrize("case", ["another family", "another adaptivity"])
     def test_artifact_of_another_family_or_adaptivity_exits_2(self, tmp_path, capsys, case):
         out = tmp_path / "out"

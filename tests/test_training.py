@@ -1,14 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from robustcast.adversarial import AdvSearchScope, train_adversarial, train_sampled_adversarial
 from robustcast.dataio import Dataset, FeatureDescriptor, SynthConfig, build_supervised, gen_synthetic, split_sequential
 from robustcast.exceptions import ConfigError, NumericalError, SizeError
 from robustcast.missingness import MissingPattern
 from robustcast.models import Architecture, init_params, mse_loss
 from robustcast.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     TrainConfig,
     adam_step,
-    init_optimizer,
     run_training_loop,
     train_nominal,
 )
@@ -34,34 +39,66 @@ def line_dataset(n=200, slope=2.0, noise=0.0, seed=0):
     )
 
 
+def reference_adam_step(params, grads, m, v, t, learning_rate):
+    """Bias-corrected Adam applied block by block, returning new params and
+    moment dicts: the update training ran before it kept one flat vector."""
+    new_m, new_v, arrays = {}, {}, {}
+    for name in params.block_names():
+        g = grads[name]
+        new_m[name] = ADAM_BETA1 * m[name] + (1.0 - ADAM_BETA1) * g
+        new_v[name] = ADAM_BETA2 * v[name] + (1.0 - ADAM_BETA2) * g * g
+        m_hat = new_m[name] / (1.0 - ADAM_BETA1**t)
+        v_hat = new_v[name] / (1.0 - ADAM_BETA2**t)
+        arrays[name] = params.arrays[name] - learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    return replace(params, arrays=arrays), new_m, new_v
+
+
 class TestAdamStep:
     def make(self):
-        params = init_params(Architecture(input_dim=3), "lr", False, seed=0, maskable=(0,))
-        params.arrays["w"] = np.array([1.0, -2.0, 0.5])
-        return params, init_optimizer(params)
+        return np.array([1.0, -2.0, 0.5]), np.zeros(3), np.zeros(3)
 
     def test_zero_gradient_keeps_params(self):
-        params, state = self.make()
-        new_params, new_state = adam_step(params, {"w": np.zeros(3)}, state, 0.1)
-        np.testing.assert_array_equal(new_params.arrays["w"], params.arrays["w"])
-        assert new_state.step == 1
+        theta, m, v = self.make()
+        adam_step(theta, np.zeros(3), m, v, 1, 0.1)
+        np.testing.assert_array_equal(theta, self.make()[0])
 
     def test_first_step_is_signed_learning_rate(self):
         # Bias correction makes the first update g/(|g| + eps), i.e. sign(g)
         # up to eps, for any |g| >= 1e-3.
         for g in (1e-3, -0.5, 2.0, -1e-3):
-            params, state = self.make()
-            new_params, _ = adam_step(params, {"w": np.array([g, 0.0, 0.0])}, state, 0.01)
-            delta = new_params.arrays["w"][0] - params.arrays["w"][0]
+            theta, m, v = self.make()
+            adam_step(theta, np.array([g, 0.0, 0.0]), m, v, 1, 0.01)
+            delta = theta[0] - self.make()[0][0]
             assert abs(delta - (-0.01 * np.sign(g))) < 1e-6
 
     def test_update_is_deterministic(self):
-        params, state = self.make()
-        grads = {"w": np.array([0.3, -0.1, 0.2])}
-        a, _ = adam_step(params, grads, state, 0.05)
-        params2, state2 = self.make()
-        b, _ = adam_step(params2, grads, state2, 0.05)
-        np.testing.assert_array_equal(a.arrays["w"], b.arrays["w"])
+        g = np.array([0.3, -0.1, 0.2])
+        a, m, v = self.make()
+        adam_step(a, g, m, v, 1, 0.05)
+        b, m2, v2 = self.make()
+        adam_step(b, g, m2, v2, 1, 0.05)
+        np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("family, hidden", [("lr", ()), ("nn", (3, 4))])
+    def test_vector_step_matches_the_per_block_reference_bit_for_bit(self, family, hidden):
+        rng = np.random.default_rng(11)
+        params = init_params(Architecture(input_dim=5, hidden=hidden, bias_index=4), family,
+                             True, seed=3, maskable=(0, 1, 2))
+        params = params.from_vector(rng.normal(size=params.to_vector().size))
+        names = params.block_names()
+        ref = params
+        ref_m = {k: np.zeros_like(a) for k, a in params.arrays.items()}
+        ref_v = {k: np.zeros_like(a) for k, a in params.arrays.items()}
+        theta = params.to_vector()
+        m, v = np.zeros_like(theta), np.zeros_like(theta)
+        for t in range(1, 31):
+            scale = 10.0 ** rng.uniform(-4, 1)
+            grads = {k: scale * rng.normal(size=params.arrays[k].shape) for k in names}
+            ref, ref_m, ref_v = reference_adam_step(ref, grads, ref_m, ref_v, t, 0.01)
+            adam_step(theta, np.concatenate([grads[k].ravel() for k in names]), m, v, t, 0.01)
+            assert np.array_equal(theta, ref.to_vector())
+            assert np.array_equal(m, np.concatenate([ref_m[k].ravel() for k in names]))
+            assert np.array_equal(v, np.concatenate([ref_v[k].ravel() for k in names]))
 
 
 class TestTrainNominal:
@@ -177,6 +214,48 @@ class TestNonFiniteLoss:
         arch = Architecture(input_dim=2, bias_index=1)
         cfg = TrainConfig(learning_rate=1e-2, max_iters=5, patience=5, batch_size=64, seed=0)
         params0 = init_params(arch, "lr", False, cfg.seed, maskable=train.maskable)
-        zero = lambda k, params: MissingPattern.zeros(2)
+        zero = lambda params: MissingPattern.zeros(2)
         with pytest.raises(NumericalError, match="validation loss is nan at iteration 0"):
             run_training_loop(train, val, params0, cfg, zero, zero)
+
+
+class TestInPlaceUpdates:
+    """Training updates one vector in place; nothing outside the run may see
+    those writes."""
+
+    def make(self):
+        raw = gen_synthetic(SynthConfig(2, 300, 0.9, 0.4, 0.3, seed=8))
+        ds = build_supervised(raw, 0, 1, 1)
+        train, val, _ = split_sequential(ds, 0.5, 0.2)
+        arch = Architecture(input_dim=ds.p, hidden=(4,), bias_index=ds.bias_index)
+        cfg = TrainConfig(learning_rate=1e-2, max_iters=4, patience=4, batch_size=32, seed=1)
+        warm = init_params(arch, "nn", True, seed=2, maskable=train.maskable)
+        return train, val, arch, cfg, warm
+
+    @pytest.mark.parametrize("trainer", ["nominal", "adversarial", "sampled"])
+    def test_the_warm_start_is_left_unchanged_and_unshared(self, trainer):
+        train, val, arch, cfg, warm = self.make()
+        before = {k: a.copy() for k, a in warm.arrays.items()}
+        zero = MissingPattern.zeros(train.p)
+        if trainer == "nominal":
+            res = train_nominal(train, val, zero, cfg, arch, "nn", True, warm_start=warm)
+        elif trainer == "adversarial":
+            scope = AdvSearchScope(free=train.maskable, budget=2, base=zero)
+            res = train_adversarial(train, val, scope, cfg, warm)
+        else:
+            res = train_sampled_adversarial(train, val, 1, cfg, warm)
+        for k, a in warm.arrays.items():
+            np.testing.assert_array_equal(a, before[k])
+            assert not np.shares_memory(res.params.arrays[k], a)
+        assert not all(np.array_equal(res.params.arrays[k], before[k]) for k in before)
+
+    def test_the_best_snapshot_is_not_the_live_vector(self):
+        ds = line_dataset(n=300, noise=0.3, seed=5)
+        train, val = split_sequential(ds, 0.6, 0.25)[:2]
+        zero = MissingPattern.zeros(2)
+        cfg = TrainConfig(learning_rate=0.3, max_iters=30, patience=30, batch_size=16, seed=3)
+        res = train_nominal(train, val, zero, cfg, Architecture(input_dim=2, bias_index=1),
+                            "lr", False)
+        assert res.best_iteration < res.iterations - 1
+        assert res.trace[-1].val_loss != res.val_loss
+        assert mse_loss(res.params, val.X, val.y, zero) == res.val_loss
