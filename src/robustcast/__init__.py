@@ -8,7 +8,6 @@ and ships the simulation and evaluation harness used to measure all of it.
 
 from .dataio import (
     Dataset,
-    FeatureDescriptor,
     RawSeries,
     SynthConfig,
     build_supervised,

@@ -59,9 +59,7 @@ class AdversarialPattern:
 
 
 def _shape(params: ModelParams) -> tuple:
-    return (params.family, params.n_features) + tuple(
-        params.arrays[f"W{m}"].shape for m in range(params.n_hidden_layers)
-    )
+    return params.family, params.n_features, params.hidden
 
 
 class SplitScorer:
@@ -90,7 +88,7 @@ class SplitScorer:
             # Layer m reads only layer m - 1's output, so the layers take the
             # two halves of one block in turn: less memory held through
             # training, and one block to hand back when the scorer goes.
-            widths = [params.arrays[f"W{m}"].shape[0] for m in range(params.n_hidden_layers)]
+            widths = params.hidden
             half = n * max(widths)
             block = np.empty(2 * half)
             self.layers = [

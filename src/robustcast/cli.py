@@ -166,11 +166,10 @@ def parse_run_config(obj: dict) -> RunConfig:
         family = obj.get("family", "lr")
         if family not in ("lr", "nn"):
             raise ConfigError(f"family must be 'lr' or 'nn', got {family!r}")
-        # the config classes hold the defaults, except weight_decay (by family) and seed
+        # the config classes hold the defaults, except weight_decay (by family); each
+        # training run's seed is derived from the run seed (see _train_config)
         tr = {k: v for k, v in obj.get("train", {}).items() if k in _CONFIG_KEYS["train"]}
-        train_cfg = TrainConfig(
-            **{"weight_decay": 1e-5 if family == "nn" else 0.0, **tr}, seed=obj.get("seed", 0)
-        )
+        train_cfg = TrainConfig(**{"weight_decay": 1e-5 if family == "nn" else 0.0, **tr})
         part = obj.get("partition", {})
         mode = part.get("mode", "learned")
         if mode not in ("learned", "fixed", "nominal"):
@@ -246,7 +245,6 @@ def load_run_config(path: str, seed_override: int | None, out_override: str | No
         cfg = replace(
             cfg,
             seed=seed_override,
-            train=replace(cfg.train, seed=seed_override),
             synth=None
             if cfg.synth is None
             else replace(cfg.synth, seed=seed_override),
@@ -274,6 +272,12 @@ def _horizon_data(cfg: RunConfig, raw: RawSeries) -> dict[int, HorizonData]:
 def _arch_for(cfg: RunConfig, hd: HorizonData) -> Architecture:
     hidden = cfg.hidden if cfg.family == "nn" else ()
     return Architecture(input_dim=hd.dataset.p, hidden=hidden, bias_index=hd.dataset.bias_index)
+
+
+def _train_config(cfg: RunConfig, name: str, h: int) -> TrainConfig:
+    """The training knobs of `name` (a method, or "base") at horizon h, with
+    the seed derived from the run seed, the name and h."""
+    return replace(cfg.train, seed=derive_seed(cfg.seed, "train", name, h))
 
 
 def _uset_for(cfg: RunConfig, hd: HorizonData) -> UncertaintySet:
@@ -315,7 +319,7 @@ def _train_one_method(method, cfg, hd, arch, uset, h, jobs, in_grid):
     The imputation methods score the base model and the oracle trains at
     evaluation, so neither has anything to train here."""
     entry = METHODS[method]
-    tcfg = replace(cfg.train, seed=derive_seed(cfg.seed, "train", method, h))
+    tcfg = _train_config(cfg, method, h)
     out_dir = Path(cfg.out_dir)
     if entry.artifact is Partition:
         # Growth is greedy and seeds each subset by its id, so the tree for
@@ -362,12 +366,11 @@ def cmd_train(cfg: RunConfig, jobs: int = 1) -> int:
     for h, hd in hds.items():
         arch = _arch_for(cfg, hd)
         uset = _uset_for(cfg, hd)
-        base_cfg = replace(cfg.train, seed=derive_seed(cfg.seed, "train", "base", h))
         base = train_nominal(
             hd.train,
             hd.val,
             MissingPattern.zeros(hd.dataset.p),
-            base_cfg,
+            _train_config(cfg, "base", h),
             arch,
             cfg.family,
             adaptive=False,
@@ -420,9 +423,9 @@ def _load_artifacts(cfg: RunConfig, hds: dict[int, HorizonData]) -> dict:
         for method in cfg.grid_methods:
             entry = METHODS[method]
             if entry.artifact is RetrainOracle:
-                tcfg = replace(cfg.train, seed=derive_seed(cfg.seed, "train", method, h))
                 artifacts[(method, h)] = RetrainOracle(
-                    hd.train, hd.val, tcfg, _arch_for(cfg, hd), cfg.family, cfg.adaptive
+                    hd.train, hd.val, _train_config(cfg, method, h), _arch_for(cfg, hd),
+                    cfg.family, cfg.adaptive,
                 )
             else:
                 path = _artifact_path(cfg.out_dir, entry.stem, h)

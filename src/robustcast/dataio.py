@@ -1,9 +1,15 @@
 """Ingest or synthesize multi-plant production series and shape them into
 supervised matrices with lagged features, a weather column, and a bias.
 
-Feature columns are ordered plant-major, lag-minor (lag 0 first), then the
-weather column when present, then the constant bias feature. Only the
-measurement columns are maskable.
+The column layout of a supervised matrix built from S plants with lags
+0..L, stated here once:
+
+* columns 0 .. S(L+1) - 1 are the measurements, plant-major and lag-minor:
+  column plant * (L + 1) + lag holds that plant's value `lag` periods
+  before the row's period (see lagged_values); these, and only these, are
+  maskable;
+* then the weather column, when the series has one;
+* then the constant bias feature, always the last column (bias_index).
 """
 from __future__ import annotations
 
@@ -15,30 +21,10 @@ import numpy as np
 
 from .exceptions import ConfigError, DomainError, OrderError, ParseError, SizeError
 
-MEASUREMENT = "measurement"
-WEATHER = "weather"
-BIAS = "bias"
-
 # Synthetic weather stand-in: trailing mean of the reference plant over
 # WEATHER_WINDOW periods, issued WEATHER_LAG periods before the row period.
 WEATHER_WINDOW = 4
 WEATHER_LAG = 1
-
-
-@dataclass(frozen=True)
-class FeatureDescriptor:
-    """What a feature column holds: a lagged plant measurement, the weather
-    column, or the constant bias."""
-
-    kind: str
-    plant: int | None = None
-    lag: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in (MEASUREMENT, WEATHER, BIAS):
-            raise DomainError(f"unknown feature kind {self.kind!r}")
-        if self.kind == MEASUREMENT and (self.plant is None or self.lag is None):
-            raise DomainError("measurement descriptor needs plant and lag")
 
 
 @dataclass(frozen=True)
@@ -52,22 +38,18 @@ class RawSeries:
 
     timestamps: np.ndarray
     values: np.ndarray
-    capacities: np.ndarray
     weather: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "timestamps", np.asarray(self.timestamps, dtype=np.int64))
         object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
-        object.__setattr__(self, "capacities", np.asarray(self.capacities, dtype=np.float64))
         if self.weather is not None:
             object.__setattr__(self, "weather", np.asarray(self.weather, dtype=np.float64))
         if self.values.ndim != 2:
             raise DomainError("values must be a (periods, plants) matrix")
-        t, s = self.values.shape
+        t = self.values.shape[0]
         if self.timestamps.shape != (t,):
             raise DomainError("timestamps length does not match values")
-        if self.capacities.shape != (s,):
-            raise DomainError("capacities length does not match plant count")
         if t >= 2:
             steps = np.diff(self.timestamps)
             if np.any(steps <= 0):
@@ -78,8 +60,6 @@ class RawSeries:
             raise DomainError("values contain non-finite entries")
         if np.any((self.values < 0.0) | (self.values > 1.0)):
             raise DomainError("values must lie in [0, 1]")
-        if np.any(self.capacities <= 0.0):
-            raise DomainError("capacities must be positive")
         if self.weather is not None:
             if self.weather.shape != (t,):
                 raise DomainError("weather length does not match values")
@@ -110,14 +90,16 @@ def maskable_indices(maskable, n_features: int) -> tuple[int, ...]:
 class Dataset:
     """Supervised matrix with one row per observation period.
 
-    maskable holds the indices of the measurement columns (the only features
-    that can go missing operationally); obs_periods maps each row back to its
-    period index in the raw series.
+    Columns follow the module's layout. maskable holds the indices of the
+    measurement columns (the only features that can go missing
+    operationally); bias_index is the constant bias column, which is never
+    maskable; obs_periods maps each row back to its period index in the raw
+    series.
     """
 
     X: np.ndarray
     y: np.ndarray
-    descriptors: tuple[FeatureDescriptor, ...]
+    bias_index: int
     maskable: tuple[int, ...]
     horizon: int
     max_lag: int
@@ -130,9 +112,9 @@ class Dataset:
         n, p = self.X.shape
         if self.y.shape != (n,) or self.obs_periods.shape != (n,):
             raise DomainError("X, y, obs_periods row counts disagree")
-        if len(self.descriptors) != p:
-            raise DomainError("descriptor count does not match feature count")
         object.__setattr__(self, "maskable", maskable_indices(self.maskable, p))
+        if not 0 <= self.bias_index < p or self.bias_index in self.maskable:
+            raise DomainError(f"bias_index {self.bias_index!r} is no unmaskable column of {p}")
 
     @property
     def n(self) -> int:
@@ -142,19 +124,12 @@ class Dataset:
     def p(self) -> int:
         return self.X.shape[1]
 
-    @property
-    def bias_index(self) -> int:
-        for j, d in enumerate(self.descriptors):
-            if d.kind == BIAS:
-                return j
-        raise DomainError("dataset has no bias feature")
-
     def rows(self, start: int, stop: int) -> "Dataset":
-        """Contiguous row slice sharing descriptors and maskable set."""
+        """Contiguous row slice sharing the column layout."""
         return Dataset(
             X=self.X[start:stop],
             y=self.y[start:stop],
-            descriptors=self.descriptors,
+            bias_index=self.bias_index,
             maskable=self.maskable,
             horizon=self.horizon,
             max_lag=self.max_lag,
@@ -198,8 +173,7 @@ class SynthConfig:
 def load_csv(path: str | Path) -> RawSeries:
     """Read a series file with header ``period,plant_0..plant_{S-1}[,weather]``.
 
-    Values outside [0, 1] are rejected, not clipped. Capacities are not part
-    of the file format and default to 1.0 per plant.
+    Values outside [0, 1] are rejected, not clipped.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
@@ -251,7 +225,6 @@ def load_csv(path: str | Path) -> RawSeries:
     return RawSeries(
         timestamps=ts,
         values=np.asarray(rows, dtype=np.float64),
-        capacities=np.ones(len(plant_cols), dtype=np.float64),
         weather=np.asarray(weather, dtype=np.float64) if has_weather else None,
     )
 
@@ -322,11 +295,9 @@ def gen_synthetic(cfg: SynthConfig) -> RawSeries:
             total += ref[k : k + n_full]
         weather[first_full:] = total / WEATHER_WINDOW
 
-    capacities = np.full(s, 100.0)
     return RawSeries(
         timestamps=np.arange(t_periods, dtype=np.int64),
         values=values,
-        capacities=capacities,
         weather=weather,
     )
 
@@ -343,7 +314,8 @@ def lagged_values(values: np.ndarray, obs: np.ndarray, max_lag: int) -> np.ndarr
 def build_supervised(
     raw: RawSeries, target_plant: int, max_lag: int, horizon: int
 ) -> Dataset:
-    """Build the lagged supervised matrix for one target plant and horizon.
+    """Build the lagged supervised matrix for one target plant and horizon,
+    in the module's column layout.
 
     Row i observes period t = max_lag + i and predicts the target plant at
     t + horizon; n = T - max_lag - horizon.
@@ -363,25 +335,17 @@ def build_supervised(
 
     obs = np.arange(max_lag, max_lag + n, dtype=np.int64)
     cols = [lagged_values(raw.values, obs, max_lag)]
-    descriptors = [
-        FeatureDescriptor(kind=MEASUREMENT, plant=plant, lag=lag)
-        for plant in range(s)
-        for lag in range(max_lag + 1)
-    ]
     if raw.weather is not None:
         cols.append(raw.weather[obs])
-        descriptors.append(FeatureDescriptor(kind=WEATHER))
     cols.append(np.ones(n))
-    descriptors.append(FeatureDescriptor(kind=BIAS))
 
     x = np.column_stack(cols)
     y = raw.values[obs + horizon, target_plant]
-    maskable = tuple(range(s * (max_lag + 1)))
     return Dataset(
         X=x,
         y=y,
-        descriptors=tuple(descriptors),
-        maskable=maskable,
+        bias_index=x.shape[1] - 1,
+        maskable=tuple(range(s * (max_lag + 1))),
         horizon=horizon,
         max_lag=max_lag,
         obs_periods=obs,

@@ -71,23 +71,17 @@ class ModelParams:
 
     @property
     def n_hidden_layers(self) -> int:
-        return sum(1 for k in self.arrays if k.startswith("W") and k != "w_out")
+        return sum(1 for k in self.arrays if k.startswith("W"))
+
+    @property
+    def hidden(self) -> tuple[int, ...]:
+        """The hidden widths: the output count of each W layer."""
+        return tuple(self.arrays[f"W{m}"].shape[0] for m in range(self.n_hidden_layers))
 
     def block_names(self) -> list[str]:
         """Canonical block order used for vectorization and optimizer state."""
-        if self.family == LR:
-            names = ["w"]
-            if self.adaptive:
-                names.append("D")
-            return names
-        m_layers = self.n_hidden_layers
-        names = []
-        for m in range(m_layers):
-            names += [f"W{m}", f"b{m}"]
-        names += ["w_out", "b_out"]
-        if self.adaptive:
-            names += [f"D{m}" for m in range(m_layers)] + ["D_out"]
-        return names
+        return list(_layout(self.family, self.adaptive, self.n_features, self.hidden,
+                            len(self.maskable)))
 
     def copy(self) -> "ModelParams":
         return replace(self, arrays={k: v.copy() for k, v in self.arrays.items()})
@@ -110,6 +104,26 @@ class ModelParams:
         return replace(self, arrays=arrays)
 
 
+def _layout(family: str, adaptive: bool, p: int, hidden: tuple[int, ...],
+            n_mask: int) -> dict[str, tuple[int, ...]]:
+    """The parameter blocks of a model, name -> shape, in canonical order:
+    widths chain from the p inputs through each hidden width (the linear
+    family has none), and every D block has one column per maskable
+    feature (see ModelParams)."""
+    if family == LR:
+        return {"w": (p,), "D": (p, n_mask)} if adaptive else {"w": (p,)}
+    blocks, width = {}, p
+    for m, out in enumerate(hidden):
+        blocks.update({f"W{m}": (out, width), f"b{m}": (out,)})
+        width = out
+    blocks.update({"w_out": (width,), "b_out": (1,)})
+    if adaptive:
+        ins = (p, *hidden)
+        blocks.update({f"D{m}": (ins[m], n_mask) for m in range(len(hidden))})
+        blocks["D_out"] = (width, n_mask)
+    return blocks
+
+
 def init_params(
     arch: Architecture,
     family: str,
@@ -119,40 +133,27 @@ def init_params(
 ) -> ModelParams:
     """Random initialization, deterministic per seed.
 
-    Weight matrices draw from the scaled-uniform range +-sqrt(6/(fan_in +
-    fan_out)); biases and every adaptive correction block start at exact
-    zero, so an adaptive model is initially identical to its base model.
+    Blocks draw in canonical order. The linear weights draw from +-1/sqrt(p)
+    and network weight matrices from the scaled-uniform range
+    +-sqrt(6/(fan_in + fan_out)) (fan_out 1 for w_out); biases and every
+    adaptive correction block start at exact zero, so an adaptive model is
+    initially identical to its base model.
     """
     if family not in (LR, NN):
         raise ConfigError(f"unknown family {family!r}")
     if family == NN and not arch.hidden:
         raise ConfigError("network family needs at least one hidden layer")
     maskable = maskable_indices(maskable, arch.input_dim)
-    n_mask = len(maskable)
     rng = np.random.default_rng(seed)
     p = arch.input_dim
     arrays: dict[str, np.ndarray] = {}
-    if family == LR:
-        bound = 1.0 / np.sqrt(p)
-        arrays["w"] = rng.uniform(-bound, bound, size=p)
-        if adaptive:
-            arrays["D"] = np.zeros((p, n_mask))
-    else:
-        fan_in = p
-        for m, width in enumerate(arch.hidden):
-            bound = np.sqrt(6.0 / (fan_in + width))
-            arrays[f"W{m}"] = rng.uniform(-bound, bound, size=(width, fan_in))
-            arrays[f"b{m}"] = np.zeros(width)
-            fan_in = width
-        bound = np.sqrt(6.0 / (fan_in + 1))
-        arrays["w_out"] = rng.uniform(-bound, bound, size=fan_in)
-        arrays["b_out"] = np.zeros(1)
-        if adaptive:
-            in_dim = p
-            for m, width in enumerate(arch.hidden):
-                arrays[f"D{m}"] = np.zeros((in_dim, n_mask))
-                in_dim = width
-            arrays["D_out"] = np.zeros((fan_in, n_mask))
+    for name, shape in _layout(family, adaptive, p, arch.hidden, len(maskable)).items():
+        if name[0] in "bD":
+            arrays[name] = np.zeros(shape)
+            continue
+        fan_out, fan_in = shape if len(shape) == 2 else (1, shape[0])
+        bound = 1.0 / np.sqrt(p) if family == LR else np.sqrt(6.0 / (fan_in + fan_out))
+        arrays[name] = rng.uniform(-bound, bound, size=shape)
     return ModelParams(
         family=family,
         adaptive=adaptive,
@@ -356,9 +357,9 @@ def params_to_json(params: ModelParams) -> dict:
 
 def params_from_json(obj: dict) -> ModelParams:
     """The parameter set `params_to_json` encoded. DomainError when the
-    family is unknown, the block names are not `block_names()` or a block's
-    shape does not chain from n_features, the maskable count and the W
-    layers; ParseError (from array_from_json) when an array is malformed."""
+    family is unknown, or the blocks are not the names and shapes the
+    layout gives for n_features, the maskable count and the W layers' output
+    counts; ParseError (from array_from_json) when an array is malformed."""
     family, adaptive, p, maskable, bias = (
         obj[k] for k in ("family", "adaptive", "n_features", "maskable", "bias_index"))
     if family not in (LR, NN) or not isinstance(adaptive, bool) or type(p) is not int or p < 1 \
@@ -369,37 +370,22 @@ def params_from_json(obj: dict) -> ModelParams:
                           f"n_features {p!r}, maskable {maskable!r}, bias_index {bias!r}")
     if not isinstance(obj["arrays"], dict):
         raise ParseError("a model's arrays must be an object keyed by block name")
-    params = ModelParams(
+    arrays = {k: array_from_json(v) for k, v in obj["arrays"].items()}
+    # an absent or non-matrix W layer gets width -1, which no shape matches
+    w_layers = [arrays.get(f"W{m}") for m in range(sum(1 for k in arrays if k.startswith("W")))]
+    hidden = tuple(w.shape[0] if w is not None and w.ndim == 2 else -1 for w in w_layers)
+    layout = _layout(family, adaptive, p, hidden, len(maskable))
+    if list(arrays) != list(layout):
+        raise DomainError(f"{family} blocks must be {list(layout)}, got {list(arrays)}")
+    bad = [f"{k} {arrays[k].shape} (need {shape})" for k, shape in layout.items()
+           if arrays[k].shape != shape]
+    if bad:
+        raise DomainError("parameter block shapes do not chain: " + ", ".join(bad))
+    return ModelParams(
         family=family,
         adaptive=adaptive,
         n_features=p,
         maskable=maskable_indices(maskable, p),
         bias_index=bias,
-        arrays={k: array_from_json(v) for k, v in obj["arrays"].items()},
+        arrays=arrays,
     )
-    names = params.block_names()
-    if list(params.arrays) != names:
-        raise DomainError(f"{params.family} blocks must be {names}, got {list(params.arrays)}")
-    shapes = _block_shapes(params)
-    bad = [f"{k} {params.arrays[k].shape} (need {shapes[k]})" for k in names
-           if params.arrays[k].shape != shapes[k]]
-    if bad:
-        raise DomainError("parameter block shapes do not chain: " + ", ".join(bad))
-    return params
-
-
-def _block_shapes(params: ModelParams) -> dict[str, tuple]:
-    """The shape each block must have: widths chain from n_features through
-    the output count of each W layer; every D block has one column per
-    maskable feature."""
-    width, k = params.n_features, len(params.maskable)
-    if params.family == LR:
-        return {"w": (width,), "D": (width, k)}
-    shapes = {}
-    for m in range(params.n_hidden_layers):
-        w = params.arrays[f"W{m}"]
-        out = w.shape[0] if w.ndim == 2 else -1
-        shapes.update({f"W{m}": (out, width), f"b{m}": (out,), f"D{m}": (width, k)})
-        width = out
-    shapes.update({"w_out": (width,), "b_out": (1,), "D_out": (width, k)})
-    return shapes

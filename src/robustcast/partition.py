@@ -8,15 +8,16 @@ features available), two trained parameter sets, and validation-loss bounds.
 Splitting always targets the leaf with the largest relative gap; the child
 that keeps the split feature available inherits the optimistic side, the
 child that fixes it missing inherits the adversarial side. The subsets are
-the whole tree: split k creates subsets 2k - 1 (available) and 2k (missing),
-whose parent_id names the leaf it split, and that leaf records the split
-feature. Routing, the leaf list and each subset's equality constraints are
-derived from them.
+the whole tree, listed by id: split k appends subsets 2k - 1 (available) and
+2k (missing), whose parent_id names the leaf it split, and that leaf records
+the split feature. Routing, the leaf list and each subset's equality
+constraints are derived from them.
 """
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -76,9 +77,9 @@ def rel_gap(lower: float, upper: float) -> float:
 @dataclass
 class UncertaintySubset:
     """One cell of a partition: its optimistic pattern, the features still
-    free in it, both trained parameter sets, and validation-loss bounds."""
+    free in it, both trained parameter sets, and validation-loss bounds. Its
+    id is its position in the partition's subsets."""
 
-    subset_id: int
     opt_pattern: MissingPattern
     free: tuple[int, ...]
     params_opt: ModelParams
@@ -97,17 +98,21 @@ class UncertaintySubset:
 
 @dataclass
 class Partition:
-    """A learned partition, held as its subsets alone (see the module
-    docstring). Construction derives the routing table, one entry per subset
-    id: (split feature, available child, missing child), or None for a leaf;
-    it raises DomainError when the subsets do not form such a tree."""
+    """A learned partition, held as its subsets alone, subsets[i] being
+    subset Ui (see the module docstring). Construction derives the routing
+    table, one entry per subset: (split feature, available child, missing
+    child), or None for a leaf. It raises DomainError when the subsets do
+    not form such a tree, or when a subset's optimistic pattern or free
+    features are not what its parent and split imply: the root's are all
+    available and the whole maskable set; a child's are its parent's,
+    minus the split feature, which the missing child marks missing."""
 
     uncertainty: UncertaintySet
     config: PartitionConfig
-    subsets: dict[int, UncertaintySubset]
+    subsets: list[UncertaintySubset]
 
     def __post_init__(self):
-        self._route = _routing_table(self.subsets)
+        self._route = _routing_table(self.subsets, self.uncertainty)
 
     @property
     def leaf_ids(self) -> list[int]:
@@ -131,15 +136,15 @@ class Partition:
 
 @dataclass
 class FixedSubset:
-    count: int
     params: ModelParams
     val_loss: float
 
 
 @dataclass
 class FixedPartition:
-    """Equality-count partition: subset l holds the model trained for exactly
-    l missing features, l = 0..budget."""
+    """Equality-count partition: subsets[l] holds the model trained for
+    exactly l missing features, l = 0..budget, so a file stores position l
+    as the subset's count."""
 
     uncertainty: UncertaintySet
     subsets: list[FixedSubset]
@@ -161,10 +166,15 @@ def enumerate_patterns(uset: UncertaintySet) -> list[MissingPattern]:
     return out
 
 
-def _routing_table(subsets: dict[int, UncertaintySubset]) -> list:
+def _routing_table(subsets: list[UncertaintySubset], uset: UncertaintySet) -> list:
     n = len(subsets)
-    if n % 2 == 0 or sorted(subsets) != list(range(n)):
-        raise DomainError(f"subset ids must be 0..2k for k splits, got {sorted(subsets)}")
+    if n % 2 == 0:
+        raise DomainError(f"a partition holds 2k + 1 subsets for k splits, got {n}")
+    root = subsets[0]
+    if root.parent_id is not None or root.free != uset.maskable \
+            or root.opt_pattern.bits.tolist() != [0] * uset.n_features:
+        raise DomainError("subset 0 is no root: it has a parent, a missing feature or not "
+                          "the whole maskable set free")
     route = [None] * n
     for avail in range(1, n, 2):
         parent = subsets[avail].parent_id
@@ -172,10 +182,17 @@ def _routing_table(subsets: dict[int, UncertaintySubset]) -> list:
         if split is None or split.split_feature not in split.free or route[parent] \
                 or subsets[avail + 1].parent_id != parent:
             raise DomainError(f"subsets {avail} and {avail + 1} do not split one earlier leaf")
-        route[parent] = (split.split_feature, avail, avail + 1)
-    if any(s.subset_id != i or (route[i] is None) != (s.split_feature is None)
-           for i, s in subsets.items()):
-        raise DomainError("a subset's id or split feature disagrees with its children")
+        feature = split.split_feature
+        route[parent] = (feature, avail, avail + 1)
+        free = tuple(j for j in split.free if j != feature)
+        avail_bits = split.opt_pattern.bits.tolist()
+        miss_bits = avail_bits[:feature] + [1] + avail_bits[feature + 1:]
+        for sid, bits in ((avail, avail_bits), (avail + 1, miss_bits)):
+            if subsets[sid].free != free or subsets[sid].opt_pattern.bits.tolist() != bits:
+                raise DomainError(f"subset {sid}'s optimistic pattern or free features are "
+                                  f"not what subset {parent}'s split implies")
+    if any((route[i] is None) != (s.split_feature is None) for i, s in enumerate(subsets)):
+        raise DomainError("a subset's split feature disagrees with its children")
     return route
 
 
@@ -250,7 +267,7 @@ def predict_deployed_rows(partition: Partition, X: np.ndarray, patterns: np.ndar
     vectorized forward pass."""
     bits = _pattern_bits(partition.uncertainty, patterns, ndim=2)
     leaf = locate_rows(partition, bits)
-    opt = np.array([partition.subsets[i].opt_pattern.bits for i in range(len(partition.subsets))])
+    opt = np.array([s.opt_pattern.bits for s in partition.subsets])
     use_opt = (bits == opt[leaf]).all(axis=1)
 
     def group(key, rows):
@@ -322,7 +339,6 @@ def learn_partition(
     root_scope = AdvSearchScope(free=uset.maskable, budget=uset.budget, base=zero)
     adv_res = adversarial(0, root_scope, opt_res.params)
     root_subset = UncertaintySubset(
-        subset_id=0,
         opt_pattern=zero,
         free=uset.maskable,
         params_opt=opt_res.params,
@@ -330,11 +346,11 @@ def learn_partition(
         lower_bound=opt_res.val_loss,
         upper_bound=adv_res.val_loss,
     )
-    subsets = {0: root_subset}
+    subsets = [root_subset]
 
     while (len(subsets) + 1) // 2 < pcfg.max_subsets:
         candidates = [
-            i for i, s in subsets.items() if s.split_feature is None and _splittable(s, uset)
+            i for i, s in enumerate(subsets) if s.split_feature is None and _splittable(s, uset)
         ]
         if not candidates:
             break
@@ -350,7 +366,6 @@ def learn_partition(
         avail_id, miss_id = len(subsets), len(subsets) + 1
 
         avail_subset = UncertaintySubset(
-            subset_id=avail_id,
             opt_pattern=parent.opt_pattern,
             free=free_child,
             params_opt=parent.params_opt,
@@ -374,7 +389,6 @@ def learn_partition(
         miss_pattern = parent.opt_pattern.with_missing(j_star)
         opt_res = nominal(miss_id, miss_pattern)
         miss_subset = UncertaintySubset(
-            subset_id=miss_id,
             opt_pattern=miss_pattern,
             free=free_child,
             params_opt=opt_res.params,
@@ -386,8 +400,7 @@ def learn_partition(
         )
 
         parent.split_feature = j_star
-        subsets[avail_id] = avail_subset
-        subsets[miss_id] = miss_subset
+        subsets += [avail_subset, miss_subset]
 
     return Partition(uncertainty=uset, config=pcfg, subsets=subsets)
 
@@ -416,7 +429,7 @@ def truncate(partition: Partition, q: int) -> Partition:
         )
     n = 2 * min(q, len(partition.leaf_ids)) - 1
     splits = {sid: node[0] for sid, node in enumerate(partition._route) if node and node[2] < n}
-    subsets = {i: replace(partition.subsets[i], split_feature=splits.get(i)) for i in range(n)}
+    subsets = [replace(partition.subsets[i], split_feature=splits.get(i)) for i in range(n)]
     return Partition(
         uncertainty=partition.uncertainty,
         config=replace(partition.config, max_subsets=q),
@@ -444,11 +457,9 @@ def fixed_partition(
     zero = MissingPattern.zeros(train.p)
     cfg0 = replace(train_cfg, seed=derive_seed(train_cfg.seed, "fixed", 0))
     base = train_nominal(train, val, zero, cfg0, arch, family, adaptive)
-    subsets = [FixedSubset(count=0, params=base.params, val_loss=base.val_loss)]
-    counts = range(1, uset.budget + 1)
-    tasks = [(train, val, train_cfg, base.params, c) for c in counts]
-    for count, (params, val_loss) in zip(counts, map_jobs(_train_fixed_subset, tasks, jobs)):
-        subsets.append(FixedSubset(count=count, params=params, val_loss=val_loss))
+    tasks = [(train, val, train_cfg, base.params, c) for c in range(1, uset.budget + 1)]
+    subsets = [FixedSubset(base.params, base.val_loss)]
+    subsets += [FixedSubset(*res) for res in map_jobs(_train_fixed_subset, tasks, jobs)]
     return FixedPartition(uncertainty=uset, subsets=subsets)
 
 
@@ -463,8 +474,7 @@ def bounds_table(partition: Partition) -> str:
     """Human-readable per-subset bounds in creation order: subset, split
     feature, upper bound, lower bound, relative gap (%)."""
     lines = ["subset,split_feature,UB,LB,relgap_pct"]
-    for sid in sorted(partition.subsets):
-        s = partition.subsets[sid]
+    for sid, s in enumerate(partition.subsets):
         split = "-" if s.split_feature is None else str(s.split_feature)
         gap = s.relgap * 100.0
         gap_txt = "inf" if gap > 1e8 else f"{gap:.4f}"
@@ -489,8 +499,7 @@ def param_sets(artifact: Partition | FixedPartition | ModelParams) -> list[Model
     order its file's table first uses them: learned subsets by id, opt
     before adv; fixed subsets in order; a bare model alone."""
     if isinstance(artifact, Partition):
-        subsets = sorted(artifact.subsets.items())
-        return [p for _, s in subsets for p in (s.params_opt, s.params_adv)]
+        return [p for s in artifact.subsets for p in (s.params_opt, s.params_adv)]
     if isinstance(artifact, FixedPartition):
         return [s.params for s in artifact.subsets]
     return [artifact]
@@ -544,10 +553,10 @@ def partition_to_json(partition: Partition) -> dict:
                 "lb_inherited": s.lb_inherited,
                 "ub_inherited": s.ub_inherited,
                 "split_feature": s.split_feature,
-                "params_opt": refs[2 * i],
-                "params_adv": refs[2 * i + 1],
+                "params_opt": refs[2 * sid],
+                "params_adv": refs[2 * sid + 1],
             }
-            for i, (sid, s) in enumerate(sorted(partition.subsets.items()))
+            for sid, s in enumerate(partition.subsets)
         },
         "params": table,
     }
@@ -570,36 +579,58 @@ def _uncertainty_from_json(obj: dict) -> UncertaintySet:
     return UncertaintySet(**obj)
 
 
+def _subset_from_json(s: dict, sid: int, table: list[ModelParams]) -> UncertaintySubset:
+    """One stored subset; ParseError for an entry of the wrong JSON type,
+    DomainError for a bound that is not finite (training writes none)."""
+    what, number, index = f"subset {sid}'s", (int, float), (int, type(None))
+    for key, types in (("parent_id", index), ("split_feature", index), ("LB", number),
+                       ("UB", number), ("relgap", number), ("lb_inherited", (bool,)),
+                       ("ub_inherited", (bool,))):
+        _checked(s[key], types, f"{what} {key}")
+    for key in ("opt_pattern", "free"):
+        if not all(type(v) is int for v in _checked(s[key], (list,), f"{what} {key}")):
+            raise ParseError(f"{what} {key} must hold integers only, got {s[key]!r:.60}")
+    if not (math.isfinite(s["LB"]) and math.isfinite(s["UB"])):
+        raise DomainError(f"{what} LB and UB must be finite, got {s['LB']!r} and {s['UB']!r}")
+    return UncertaintySubset(
+        opt_pattern=MissingPattern(bits=np.asarray(s["opt_pattern"], dtype=np.uint8)),
+        free=tuple(s["free"]),
+        params_opt=_params_at(table, s["params_opt"]),
+        params_adv=_params_at(table, s["params_adv"]),
+        lower_bound=s["LB"],
+        upper_bound=s["UB"],
+        parent_id=s["parent_id"],
+        lb_inherited=s["lb_inherited"],
+        ub_inherited=s["ub_inherited"],
+        split_feature=s["split_feature"],
+    )
+
+
 def partition_from_json(obj: dict) -> Partition:
     """The partition the file's subsets describe, each parameter reference
-    resolved in its table. Its `tree`, `leaf_ids` and per-subset `fixed` are
-    derived values; DomainError when any of them disagrees with what the
-    subsets imply. ParseError when the subsets are no object keyed by
-    decimal ids, or a bound or inherited flag has the wrong JSON type."""
-    table, subsets = _table_from_json(obj), {}
-    _checked(obj["subsets"], (dict,), "a learned file's subsets")
-    for sid_str, s in obj["subsets"].items():
-        if not (sid_str.isdecimal() and str(int(sid_str)) == sid_str):
-            raise ParseError(f"subset id {sid_str!r} is no decimal integer")
-        sid = int(sid_str)
-        subsets[sid] = UncertaintySubset(
-            subset_id=sid,
-            opt_pattern=MissingPattern(bits=np.asarray(s["opt_pattern"], dtype=np.uint8)),
-            free=tuple(s["free"]),
-            params_opt=_params_at(table, s["params_opt"]),
-            params_adv=_params_at(table, s["params_adv"]),
-            lower_bound=_checked(s["LB"], (int, float), f"subset {sid}'s LB"),
-            upper_bound=_checked(s["UB"], (int, float), f"subset {sid}'s UB"),
-            parent_id=s["parent_id"],
-            lb_inherited=_checked(s["lb_inherited"], (bool,), f"subset {sid}'s lb_inherited"),
-            ub_inherited=_checked(s["ub_inherited"], (bool,), f"subset {sid}'s ub_inherited"),
-            split_feature=s["split_feature"],
-        )
-    uset, pcfg = _uncertainty_from_json(obj["uncertainty"]), PartitionConfig(**obj["config"])
-    part = Partition(uncertainty=uset, config=pcfg, subsets=subsets)
-    stored = (obj["tree"], obj["leaf_ids"], [s["fixed"] for s in obj["subsets"].values()])
-    if stored != (_tree_to_json(part), part.leaf_ids, [_fixed_to_json(part, i) for i in subsets]):
-        raise DomainError("the stored tree, leaf_ids or fixed disagree with what the subsets imply")
+    resolved in its table. Its `tree`, `leaf_ids` and per-subset `fixed` and
+    `relgap` are derived values; DomainError when any of them disagrees with
+    what the subsets imply, or when the subset ids are not 0..2k. ParseError
+    when the subsets are no object keyed by decimal ids, or a subset entry
+    or the config holds a value of the wrong JSON type."""
+    table = _table_from_json(obj)
+    stored = _checked(obj["subsets"], (dict,), "a learned file's subsets")
+    if not all(sid.isdecimal() and str(int(sid)) == sid for sid in stored):
+        raise ParseError(f"subset ids {list(stored)!r:.80} are not all decimal integers")
+    if sorted(map(int, stored)) != list(range(len(stored))):
+        raise DomainError(f"subset ids must be 0..2k for k splits, got {sorted(map(int, stored))}")
+    entries = [stored[str(i)] for i in range(len(stored))]
+    subsets = [_subset_from_json(s, sid, table) for sid, s in enumerate(entries)]
+    config = obj["config"]
+    _checked(config["max_subsets"], (int,), "config.max_subsets")
+    _checked(config["epsilon"], (int, float), "config.epsilon")
+    part = Partition(uncertainty=_uncertainty_from_json(obj["uncertainty"]),
+                     config=PartitionConfig(**config), subsets=subsets)
+    derived = (_tree_to_json(part), part.leaf_ids,
+               [(_fixed_to_json(part, sid), s.relgap) for sid, s in enumerate(subsets)])
+    if (obj["tree"], obj["leaf_ids"], [(s["fixed"], s["relgap"]) for s in entries]) != derived:
+        raise DomainError("the stored tree, leaf_ids, fixed or relgap disagree with what the "
+                          "subsets imply")
     return part
 
 
@@ -610,20 +641,29 @@ def fixed_to_json(fixed: FixedPartition) -> dict:
         "kind": "fixed",
         "uncertainty": asdict(fixed.uncertainty),
         "subsets": [
-            {"count": s.count, "val_loss": s.val_loss, "params": ref}
-            for s, ref in zip(fixed.subsets, refs)
+            {"count": count, "val_loss": s.val_loss, "params": ref}
+            for count, (s, ref) in enumerate(zip(fixed.subsets, refs))
         ],
         "params": table,
     }
 
 
 def fixed_from_json(obj: dict) -> FixedPartition:
-    table = _table_from_json(obj)
+    """The fixed partition a file describes; ParseError unless its subsets
+    are a list whose counts are the integers 0..budget in order and whose
+    val_loss values are numbers."""
+    table, uset = _table_from_json(obj), _uncertainty_from_json(obj["uncertainty"])
+    entries = _checked(obj["subsets"], (list,), "a fixed file's subsets")
+    counts = [s["count"] for s in entries]
+    if any(type(c) is not int for c in counts) or counts != list(range(uset.budget + 1)):
+        raise ParseError(f"a fixed file's counts must be 0..{uset.budget} in order, "
+                         f"got {counts!r:.80}")
     subsets = [
-        FixedSubset(s["count"], _params_at(table, s["params"]), s["val_loss"])
-        for s in obj["subsets"]
+        FixedSubset(_params_at(table, s["params"]),
+                    _checked(s["val_loss"], (int, float), f"subset {c}'s val_loss"))
+        for c, s in enumerate(entries)
     ]
-    return FixedPartition(uncertainty=_uncertainty_from_json(obj["uncertainty"]), subsets=subsets)
+    return FixedPartition(uncertainty=uset, subsets=subsets)
 
 
 def save_artifact(obj: Partition | FixedPartition | ModelParams, path: str | Path) -> None:

@@ -176,8 +176,9 @@ def train_nominal(
     """Fit one model with a fixed missing pattern applied to every batch.
 
     warm_start skips the random initialization and continues from the given
-    parameters (with fresh optimizer state), leaving them unchanged;
-    adversarial training relies on this to fine-tune from the optimistic fit.
+    parameters (with fresh optimizer state), leaving them unchanged. The
+    adversarial trainers warm-start the same way, but hand their params to
+    run_training_loop directly.
     """
     MissingPattern.bits_of(pattern, train.p, train.maskable, ndim=1)
     if warm_start is None:

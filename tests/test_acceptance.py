@@ -192,15 +192,11 @@ def test_criterion_4_partition_structure():
         common = rng.uniform(0, 1, n)
         latent = 0.7 * common[:, None] + 0.3 * rng.uniform(0, 1, (n, k))
         weights = np.linspace(1.0, 0.4, k)
-        from robustcast.dataio import Dataset, FeatureDescriptor
+        from robustcast.dataio import Dataset
 
         X = np.column_stack([latent, np.ones(n)])
         y = latent @ weights + 0.05 * rng.normal(size=n)
-        descriptors = tuple(
-            [FeatureDescriptor(kind="measurement", plant=j, lag=0) for j in range(k)]
-            + [FeatureDescriptor(kind="bias")]
-        )
-        return Dataset(X=X, y=y, descriptors=descriptors, maskable=tuple(range(k)),
+        return Dataset(X=X, y=y, bias_index=k, maskable=tuple(range(k)),
                        horizon=1, max_lag=0, obs_periods=np.arange(n))
 
     # (a) disjoint cover at |P|=6, budget 3: all 42 patterns route to one leaf
@@ -214,9 +210,9 @@ def test_criterion_4_partition_structure():
     leafset = set(part6.leaf_ids)
     for pattern in patterns:
         hits = [
-            leaf.subset_id
-            for leaf in part6.leaves()
-            if all(pattern.bits[j] == bit for j, bit in part6.fixed(leaf.subset_id).items())
+            sid
+            for sid in part6.leaf_ids
+            if all(pattern.bits[j] == bit for j, bit in part6.fixed(sid).items())
         ]
         cover_ok &= hits == [locate(part6, pattern)] and hits[0] in leafset
 
@@ -244,7 +240,7 @@ def test_criterion_4_partition_structure():
     # (d) bound-inheritance equalities on construction records
     inherit_ok = True
     for part in (part6, part3):
-        for subset in part.subsets.values():
+        for subset in part.subsets:
             if subset.parent_id is None:
                 continue
             parent = part.subsets[subset.parent_id]

@@ -14,7 +14,7 @@ from robustcast.adversarial import (
     train_adversarial,
     train_sampled_adversarial,
 )
-from robustcast.dataio import Dataset, FeatureDescriptor, split_sequential
+from robustcast.dataio import Dataset, split_sequential
 from robustcast.exceptions import DomainError, SizeError
 from robustcast.missingness import MissingPattern
 from robustcast.models import Architecture, init_params, mse_loss
@@ -47,12 +47,8 @@ def brute_force_max(X, y, scope, params):
 
 def toy_dataset(X, y, maskable):
     n, p = X.shape
-    descriptors = tuple(
-        FeatureDescriptor(kind="measurement", plant=j, lag=0) if j in maskable
-        else FeatureDescriptor(kind="bias")
-        for j in range(p)
-    )
-    return Dataset(X=X, y=y, descriptors=descriptors, maskable=maskable,
+    bias_index = next(j for j in range(p) if j not in maskable)
+    return Dataset(X=X, y=y, bias_index=bias_index, maskable=maskable,
                    horizon=1, max_lag=0, obs_periods=np.arange(n))
 
 

@@ -71,29 +71,29 @@ def artifacts(draw):
         return fresh()
     if kind == "fixed":
         first = fresh()
-        subsets = [FixedSubset(0, first, 0.5)]
-        subsets += [FixedSubset(c, reuse(first), 0.5 + c) for c in range(1, n_mask + 1)]
+        subsets = [FixedSubset(first, 0.5)]
+        subsets += [FixedSubset(reuse(first), 0.5 + c) for c in range(1, n_mask + 1)]
         return FixedPartition(uncertainty=uset, subsets=subsets)
     zero = MissingPattern.zeros(p)
-    subsets = {0: UncertaintySubset(0, zero, maskable, fresh(), fresh(), 0.1, 0.2)}
-    depth = {0: 0}
+    subsets = [UncertaintySubset(zero, maskable, fresh(), fresh(), 0.1, 0.2)]
+    depth = [0]
     for _ in range(draw(st.integers(0, 4))):
-        leaves = [i for i, s in subsets.items()
+        leaves = [i for i, s in enumerate(subsets)
                   if s.split_feature is None and s.free and depth[i] < 3]
         if not leaves:
             break
-        parent = subsets[draw(st.sampled_from(leaves))]
+        parent_id = draw(st.sampled_from(leaves))
+        parent = subsets[parent_id]
         j = draw(st.sampled_from(parent.free))
         free = tuple(f for f in parent.free if f != j)
-        avail, miss = len(subsets), len(subsets) + 1
-        subsets[avail] = UncertaintySubset(
-            avail, parent.opt_pattern, free, reuse(parent.params_opt), reuse(parent.params_adv),
-            0.1, 0.2, parent_id=parent.subset_id)
-        subsets[miss] = UncertaintySubset(
-            miss, parent.opt_pattern.with_missing(j), free, reuse(parent.params_opt),
-            reuse(parent.params_adv), 0.1, 0.2, parent_id=parent.subset_id)
+        subsets.append(UncertaintySubset(
+            parent.opt_pattern, free, reuse(parent.params_opt), reuse(parent.params_adv),
+            0.1, 0.2, parent_id=parent_id))
+        subsets.append(UncertaintySubset(
+            parent.opt_pattern.with_missing(j), free, reuse(parent.params_opt),
+            reuse(parent.params_adv), 0.1, 0.2, parent_id=parent_id))
         parent.split_feature = j
-        depth[avail] = depth[miss] = depth[parent.subset_id] + 1
+        depth += [depth[parent_id] + 1] * 2
     return Partition(uncertainty=uset, config=PartitionConfig(max_subsets=5), subsets=subsets)
 
 
@@ -153,7 +153,7 @@ class TestFormat:
         # the v1 file lists each array's values; parsed here, not by the package
         v1 = json.loads(GOLDEN_V1.read_text(encoding="utf-8"))
         part = load_artifact(GOLDEN)
-        assert sorted(part.subsets) == sorted(int(sid) for sid in v1["subsets"])
+        assert list(range(len(part.subsets))) == sorted(int(sid) for sid in v1["subsets"])
         for sid, subset in v1["subsets"].items():
             for key in ("params_opt", "params_adv"):
                 expected, loaded = subset[key], getattr(part.subsets[int(sid)], key)
@@ -185,6 +185,15 @@ class TestFormat:
 def nn_model() -> ModelParams:
     return init_params(Architecture(input_dim=3, hidden=(4, 2), bias_index=2), "nn", True,
                        seed=5, maskable=(0, 1))
+
+
+def fixed_artifact(budget: int) -> FixedPartition:
+    """A fixed partition over `budget` maskable features, val_loss l + 0.5
+    for subset l."""
+    arch = Architecture(input_dim=budget + 1, bias_index=budget)
+    params = init_params(arch, "lr", True, seed=1, maskable=tuple(range(budget)))
+    uset = UncertaintySet(n_features=budget + 1, maskable=tuple(range(budget)), budget=budget)
+    return FixedPartition(uset, [FixedSubset(params, c + 0.5) for c in range(budget + 1)])
 
 
 def _cut_one_float(block):
@@ -284,6 +293,76 @@ class TestMalformedFile:
         path.write_text(json.dumps(obj), encoding="utf-8")
         with pytest.raises(ParseError, match="learned.json"):
             load_artifact(path)
+
+    @pytest.mark.parametrize("edit, error", [
+        pytest.param(lambda obj: obj["subsets"]["3"].update(LB=float("nan")), DomainError,
+                     id="LB-NaN"),
+        pytest.param(lambda obj: obj["subsets"]["3"].update(UB=float("inf")), DomainError,
+                     id="UB-inf"),
+        pytest.param(lambda obj: obj["config"].update(max_subsets=1.5), ParseError,
+                     id="max-subsets-1.5"),
+        pytest.param(lambda obj: obj["config"].update(max_subsets=True), ParseError,
+                     id="max-subsets-bool"),
+        pytest.param(lambda obj: obj["config"].update(epsilon=True), ParseError,
+                     id="epsilon-bool"),
+        pytest.param(lambda obj: obj["subsets"]["0"]["free"].__setitem__(0, 0.0), ParseError,
+                     id="free-entry-float"),
+        pytest.param(lambda obj: obj["subsets"]["3"]["opt_pattern"].__setitem__(0, True),
+                     ParseError, id="pattern-entry-bool"),
+        pytest.param(lambda obj: obj["subsets"]["4"].update(parent_id=1.0), ParseError,
+                     id="parent-id-float"),
+        pytest.param(lambda obj: obj["subsets"]["1"].update(parent_id=False), ParseError,
+                     id="parent-id-bool"),
+        pytest.param(lambda obj: obj["subsets"]["0"].update(split_feature=1.0), ParseError,
+                     id="split-feature-float"),
+        pytest.param(lambda obj: obj["subsets"]["3"].update(relgap=0.2), DomainError,
+                     id="relgap-not-of-the-bounds"),
+        pytest.param(lambda obj: obj["subsets"]["3"].update(relgap=True), ParseError,
+                     id="relgap-bool"),
+        pytest.param(lambda obj: obj["subsets"]["3"]["opt_pattern"].__setitem__(2, 1),
+                     DomainError, id="available-child-marks-a-free-feature-missing"),
+        pytest.param(lambda obj: obj["subsets"]["4"]["opt_pattern"].__setitem__(0, 0),
+                     DomainError, id="missing-child-keeps-its-split-available"),
+        pytest.param(lambda obj: obj["subsets"]["4"].update(free=[0, 2]), DomainError,
+                     id="child-keeps-its-split-free"),
+        pytest.param(lambda obj: obj["subsets"]["0"].update(free=[0, 1]), DomainError,
+                     id="root-short-of-the-maskable-set"),
+        pytest.param(lambda obj: obj["subsets"]["0"].update(parent_id=0), DomainError,
+                     id="root-with-a-parent"),
+    ])
+    def test_an_inconsistent_learned_file_exits_3(self, tmp_path, edit, error):
+        obj = json.loads(GOLDEN.read_text(encoding="utf-8"))
+        edit(obj)
+        path = tmp_path / "learned.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        with pytest.raises(error, match="learned.json"):
+            load_artifact(path)
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda obj: obj.update(subsets=obj["subsets"][:3]), id="short-of-budget"),
+        pytest.param(lambda obj: obj.update(subsets=[]), id="empty"),
+        pytest.param(lambda obj: obj.update(subsets={"0": obj["subsets"][0]}), id="an-object"),
+        pytest.param(lambda obj: obj["subsets"][1].update(count="x"), id="count-text"),
+        pytest.param(lambda obj: obj["subsets"][1].update(count=1.5), id="count-float"),
+        pytest.param(lambda obj: obj["subsets"][1].update(count=True), id="count-bool"),
+        pytest.param(lambda obj: obj["subsets"][1].update(count=0), id="count-repeated"),
+        pytest.param(lambda obj: obj["subsets"].reverse(), id="counts-out-of-order"),
+        pytest.param(lambda obj: obj["subsets"][2].update(val_loss="x"), id="val-loss-text"),
+    ])
+    def test_a_malformed_fixed_file_is_a_parse_error(self, tmp_path, edit):
+        path = tmp_path / "fixed.json"
+        save_artifact(fixed_artifact(budget=12), path)
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        edit(obj)
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        with pytest.raises(ParseError, match="fixed.json"):
+            load_artifact(path)
+
+    def test_a_fixed_file_stores_each_position_as_its_count(self, tmp_path):
+        fixed = fixed_artifact(budget=3)
+        data, back = saved(fixed)
+        assert [s["count"] for s in json.loads(data)["subsets"]] == [0, 1, 2, 3]
+        assert [s.val_loss for s in back.subsets] == [0.5, 1.5, 2.5, 3.5]
 
     def test_a_linear_block_of_another_width_is_a_domain_error(self, tmp_path):
         obj = json.loads(GOLDEN.read_text(encoding="utf-8"))

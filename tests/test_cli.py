@@ -93,7 +93,7 @@ class TestRunConfig:
         cfg = parse_run_config(obj)
         assert cfg.synth == SynthConfig(**obj["data"]["synth"])
         assert cfg.synth.obs_noise_std == 0.3
-        assert cfg.train == TrainConfig(seed=obj["seed"], **obj["train"])
+        assert cfg.train == TrainConfig(**obj["train"])
         top = ("seed", "out_dir", "target_plant", "max_lag", "family", "adaptive")
         assert [getattr(cfg, k) for k in top] == [obj[k] for k in top]
         assert (list(cfg.horizons), list(cfg.hidden)) == (obj["horizons"], obj["hidden"])
@@ -142,11 +142,11 @@ class TestRunConfig:
         config = base_config("out")
         del config["train"], config["partition"]
         cfg = parse_run_config(config)
-        assert cfg.train == TrainConfig(seed=7)
+        assert cfg.train == TrainConfig()
         assert cfg.partition == PartitionConfig()
         config.update(family="nn", train={"patience": 3}, partition={"epsilon": 0.5})
         cfg = parse_run_config(config)
-        assert cfg.train == TrainConfig(patience=3, weight_decay=1e-5, seed=7)
+        assert cfg.train == TrainConfig(patience=3, weight_decay=1e-5)
         assert cfg.partition == PartitionConfig(epsilon=0.5)
 
     @pytest.mark.parametrize("name", ["eval-grid", "lr-pipeline", "nn-train"])
@@ -154,7 +154,7 @@ class TestRunConfig:
         obj = json.loads((WORKLOADS / f"{name}.json").read_text(encoding="utf-8"))
         cfg = parse_run_config(obj)
         assert cfg.synth == SynthConfig(**obj["data"]["synth"])
-        assert cfg.train == TrainConfig(seed=obj["seed"], **obj["train"])
+        assert cfg.train == TrainConfig(**obj["train"])
         top = ("seed", "out_dir", "target_plant", "max_lag", "family", "adaptive")
         assert [getattr(cfg, k) for k in top] == [obj[k] for k in top]
         assert list(cfg.horizons) == obj["horizons"]
@@ -268,7 +268,6 @@ class TestTrain:
         raw = RawSeries(
             timestamps=np.arange(t_periods),
             values=np.column_stack([signal, twin, junk]),
-            capacities=np.ones(3),
         )
         csv_path = tmp_path / "planted.csv"
         save_csv(raw, csv_path)
@@ -447,6 +446,42 @@ class TestEvaluate:
         assert main(["evaluate", "--config", str(path)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error:") and str(artifact) in err
+        assert not (out / "grid.csv").exists()
+
+    def test_inconsistent_learned_or_fixed_file_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        grid = {"p01": [0.2], "p11": [0.5], "methods": ["arf-learned", "arf-fixed"], "runs": 1}
+        path = write_config(tmp_path, base_config(out, grid=grid))
+        assert main(["train", "--config", str(path)]) == 0
+
+        def free_feature_missing(obj):
+            subset = obj["subsets"]["1"]
+            subset["opt_pattern"][subset["free"][0]] = 1
+
+        edits = {
+            "arf-learned_h1.json": [
+                lambda obj: obj["subsets"]["0"].update(LB=float("nan")),
+                lambda obj: obj["subsets"]["2"].update(relgap=obj["subsets"]["2"]["relgap"] / 2),
+                lambda obj: obj["config"].update(max_subsets=1.5),
+                free_feature_missing,
+            ],
+            "arf-fixed_h1.json": [
+                lambda obj: obj.update(subsets=obj["subsets"][:-1]),
+                lambda obj: obj["subsets"][1].update(count="x"),
+            ],
+        }
+        for name, cases in edits.items():
+            artifact = out / name
+            original = artifact.read_text(encoding="utf-8")
+            for edit in cases:
+                obj = json.loads(original)
+                edit(obj)
+                artifact.write_text(json.dumps(obj), encoding="utf-8")
+                capsys.readouterr()
+                assert main(["evaluate", "--config", str(path)]) == 3
+                err = capsys.readouterr().err
+                assert err.startswith("data error:") and str(artifact) in err
+            artifact.write_text(original, encoding="utf-8")
         assert not (out / "grid.csv").exists()
 
     @pytest.mark.parametrize("case", ["another family", "another adaptivity"])

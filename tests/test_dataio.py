@@ -52,7 +52,6 @@ class TestLoadCsv:
         raw = load_csv(path)
         assert raw.values.shape == (3, 2)
         assert raw.weather is None
-        assert raw.capacities.tolist() == [1.0, 1.0]
 
     def test_weather_column(self, tmp_path):
         path = write(tmp_path, "period,plant_0,weather\n0,0.1,0.9\n1,0.3,0.8\n")
@@ -110,7 +109,6 @@ class TestLoadCsv:
             assert back.weather.tobytes() == raw.weather.tobytes()
         else:
             assert back.weather is None
-        assert back.capacities.tolist() == [1.0] * raw.n_plants  # not stored in the file
 
 
 def weather_loop(values):
@@ -208,7 +206,6 @@ class TestBuildSupervised:
         raw = RawSeries(
             timestamps=np.arange(4),
             values=np.array([[0.1], [0.2], [0.3], [0.4]]),
-            capacities=np.array([1.0]),
         )
         ds = build_supervised(raw, 0, max_lag=1, horizon=1)
         assert ds.n == 2
@@ -220,15 +217,14 @@ class TestBuildSupervised:
     def test_zero_lag(self):
         raw = gen_synthetic(SynthConfig(2, 12, 0.8, 0.1, 0.2, seed=2))
         ds = build_supervised(raw, 1, max_lag=0, horizon=1)
-        meas = [d for d in ds.descriptors if d.kind == "measurement"]
-        assert all(d.lag == 0 for d in meas)
-        assert len(meas) == 2
+        # one lag-0 measurement column per plant, then weather and bias
+        assert ds.maskable == (0, 1) and ds.p == 4
+        assert ds.X[:, :2].tobytes() == raw.values[ds.obs_periods].tobytes()
 
     def test_too_short(self):
         raw = RawSeries(
             timestamps=np.arange(3),
             values=np.full((3, 1), 0.5),
-            capacities=np.array([1.0]),
         )
         with pytest.raises(SizeError):
             build_supervised(raw, 0, max_lag=2, horizon=1)
@@ -250,9 +246,17 @@ class TestBuildSupervised:
     def test_bias_is_last_and_constant(self):
         raw = gen_synthetic(SynthConfig(2, 30, 0.9, 0.3, 0.25, seed=9))
         ds = build_supervised(raw, 0, 1, 1)
-        assert ds.descriptors[-1].kind == "bias"
         assert np.all(ds.X[:, -1] == 1.0)
         assert ds.bias_index == ds.p - 1
+        # the column before the bias is the weather, not a measurement
+        assert ds.X[:, -2].tobytes() == raw.weather[ds.obs_periods].tobytes()
+        assert ds.maskable == tuple(range(ds.p - 2))
+
+    @pytest.mark.parametrize("bias_index", [0, 6, -1])
+    def test_bias_index_must_be_an_unmaskable_column(self, bias_index):
+        ds = build_supervised(gen_synthetic(SynthConfig(2, 20, 0.9, 0.4, 0.2, seed=5)), 0, 1, 1)
+        with pytest.raises(DomainError, match="bias_index"):
+            replace(ds, bias_index=bias_index)
 
 
 class TestSplitSequential:

@@ -214,7 +214,6 @@ def persistence_rebuild(hd, target_plant, filled_values):
     filled_raw = RawSeries(
         timestamps=hd.raw.timestamps,
         values=filled_values,
-        capacities=hd.raw.capacities,
         weather=hd.raw.weather,
     )
     ds = build_supervised(filled_raw, target_plant, hd.dataset.max_lag, hd.dataset.horizon)
@@ -378,7 +377,7 @@ class TestMethodArtifacts:
         return hd, {
             "ModelParams": params,
             "Partition": part,
-            "FixedPartition": FixedPartition(uset, [FixedSubset(0, params, 0.0)]),
+            "FixedPartition": FixedPartition(uset, [FixedSubset(params, 0.0)]),
             "RetrainOracle": RetrainOracle(hd.train, hd.val, cfg, arch, "lr", False),
         }
 

@@ -91,6 +91,95 @@ class TestInitParams:
             init_params(arch, family, True, seed=0, maskable=(0, 0))
 
 
+def reference_init_params(arch, family, adaptive, seed, maskable):
+    """init_params as it was written before the block layout became one
+    table: each family's blocks spelled out by hand, in draw order."""
+    n_mask = len(maskable)
+    rng = np.random.default_rng(seed)
+    p = arch.input_dim
+    arrays = {}
+    if family == "lr":
+        bound = 1.0 / np.sqrt(p)
+        arrays["w"] = rng.uniform(-bound, bound, size=p)
+        if adaptive:
+            arrays["D"] = np.zeros((p, n_mask))
+    else:
+        fan_in = p
+        for m, width in enumerate(arch.hidden):
+            bound = np.sqrt(6.0 / (fan_in + width))
+            arrays[f"W{m}"] = rng.uniform(-bound, bound, size=(width, fan_in))
+            arrays[f"b{m}"] = np.zeros(width)
+            fan_in = width
+        bound = np.sqrt(6.0 / (fan_in + 1))
+        arrays["w_out"] = rng.uniform(-bound, bound, size=fan_in)
+        arrays["b_out"] = np.zeros(1)
+        if adaptive:
+            in_dim = p
+            for m, width in enumerate(arch.hidden):
+                arrays[f"D{m}"] = np.zeros((in_dim, n_mask))
+                in_dim = width
+            arrays["D_out"] = np.zeros((fan_in, n_mask))
+    return arrays
+
+
+def reference_block_names(family, adaptive, n_layers):
+    if family == "lr":
+        return ["w", "D"] if adaptive else ["w"]
+    names = []
+    for m in range(n_layers):
+        names += [f"W{m}", f"b{m}"]
+    names += ["w_out", "b_out"]
+    if adaptive:
+        names += [f"D{m}" for m in range(n_layers)] + ["D_out"]
+    return names
+
+
+def reference_block_shapes(family, arrays, n_features, n_mask):
+    """The shapes the loader once derived block by block from the W layers."""
+    width, k = n_features, n_mask
+    if family == "lr":
+        return {"w": (width,), "D": (width, k)}
+    shapes = {}
+    m = 0
+    while f"W{m}" in arrays:
+        out = arrays[f"W{m}"].shape[0]
+        shapes.update({f"W{m}": (out, width), f"b{m}": (out,), f"D{m}": (width, k)})
+        width = out
+        m += 1
+    shapes.update({"w_out": (width,), "b_out": (1,), "D_out": (width, k)})
+    return shapes
+
+
+@st.composite
+def layouts(draw):
+    family = draw(st.sampled_from(["lr", "nn"]))
+    p = draw(st.integers(1, 7))
+    maskable = tuple(sorted(draw(st.lists(st.integers(0, p - 1), unique=True))))
+    hidden = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=4)))
+    return family, draw(st.booleans()), p, hidden, maskable, draw(st.integers(0, 2**32 - 1))
+
+
+class TestLayoutAgainstReference:
+    @settings(max_examples=200, deadline=None)
+    @given(layouts())
+    def test_init_params_matches_the_hand_written_layout_bit_for_bit(self, layout):
+        family, adaptive, p, hidden, maskable, seed = layout
+        arch = Architecture(input_dim=p, hidden=hidden)
+        params = init_params(arch, family, adaptive, seed, maskable=maskable)
+        ref = reference_init_params(arch, family, adaptive, seed, maskable)
+        names = reference_block_names(family, adaptive, len(hidden))
+        assert list(ref) == names
+        assert list(params.arrays) == names and params.block_names() == names
+        shapes = reference_block_shapes(family, ref, p, len(maskable))
+        for name in names:
+            got, want = params.arrays[name], ref[name]
+            assert got.shape == want.shape == shapes[name], name
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        back = params_from_json(params_to_json(params))
+        assert back.block_names() == names
+        assert all(back.arrays[k].tobytes() == ref[k].tobytes() for k in names)
+
+
 class TestForward:
     def test_lr_dot_product(self):
         params = init_params(Architecture(input_dim=2), "lr", False, seed=0, maskable=(0, 1))

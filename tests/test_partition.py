@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from robustcast.dataio import Dataset, FeatureDescriptor, split_sequential
+from robustcast.dataio import Dataset, split_sequential
 from robustcast.exceptions import CapacityError, ConfigError, DomainError, ParseError
 from robustcast.missingness import MissingPattern
 from robustcast.models import Architecture, init_params
@@ -18,6 +18,7 @@ from robustcast.partition import (
     bounds_table,
     enumerate_patterns,
     fixed_partition,
+    fixed_to_json,
     learn_partition,
     load_artifact,
     locate,
@@ -45,11 +46,7 @@ def toy_dataset(n_features_signal, n=600, seed=0, noise=0.05, weights=None, corr
     latent = corr * common[:, None] + (1 - corr) * rng.uniform(0, 1, (n, k))
     X = np.column_stack([latent, np.ones(n)])
     y = latent @ weights + noise * rng.normal(size=n)
-    descriptors = tuple(
-        [FeatureDescriptor(kind="measurement", plant=j, lag=0) for j in range(k)]
-        + [FeatureDescriptor(kind="bias")]
-    )
-    return Dataset(X=X, y=y, descriptors=descriptors, maskable=tuple(range(k)),
+    return Dataset(X=X, y=y, bias_index=k, maskable=tuple(range(k)),
                    horizon=1, max_lag=0, obs_periods=np.arange(n))
 
 
@@ -94,9 +91,8 @@ def manual_partition(n_features=3):
     arch = Architecture(input_dim=n_features)
     params = init_params(arch, "lr", False, seed=0, maskable=maskable)
 
-    def subset(sid, opt_bits, free, parent=None, split=None):
+    def subset(opt_bits, free, parent=None, split=None):
         return UncertaintySubset(
-            subset_id=sid,
             opt_pattern=MissingPattern(bits=np.array(opt_bits, dtype=np.uint8)),
             free=free,
             params_opt=params,
@@ -107,13 +103,13 @@ def manual_partition(n_features=3):
             split_feature=split,
         )
 
-    subsets = {
-        0: subset(0, [0, 0, 0], (0, 1, 2), split=0),
-        1: subset(1, [0, 0, 0], (1, 2), parent=0),
-        2: subset(2, [1, 0, 0], (1, 2), parent=0, split=1),
-        3: subset(3, [1, 0, 0], (2,), parent=2),
-        4: subset(4, [1, 1, 0], (2,), parent=2),
-    }
+    subsets = [
+        subset([0, 0, 0], (0, 1, 2), split=0),
+        subset([0, 0, 0], (1, 2), parent=0),
+        subset([1, 0, 0], (1, 2), parent=0, split=1),
+        subset([1, 0, 0], (2,), parent=2),
+        subset([1, 1, 0], (2,), parent=2),
+    ]
     return Partition(uncertainty=uset, config=PartitionConfig(max_subsets=3, epsilon=0.0),
                      subsets=subsets)
 
@@ -201,7 +197,7 @@ class TestLearnPartition:
         part = learn_partition(train, val, uset, PartitionConfig(max_subsets=5, epsilon=0.0),
                                quick_cfg(seed=8), Architecture(input_dim=5, bias_index=4),
                                "lr", False)
-        for subset in part.subsets.values():
+        for subset in part.subsets:
             if subset.parent_id is None:
                 continue
             parent = part.subsets[subset.parent_id]
@@ -312,7 +308,7 @@ class TestFixedPartition:
         fixed = fixed_partition(train, val, uset, quick_cfg(seed=16, iters=200, patience=25),
                                 Architecture(input_dim=4, bias_index=3), "lr", False)
         assert len(fixed.subsets) == 4
-        assert [s.count for s in fixed.subsets] == [0, 1, 2, 3]
+        assert [s["count"] for s in fixed_to_json(fixed)["subsets"]] == [0, 1, 2, 3]
 
     def test_routing_by_missing_count(self):
         ds = toy_dataset(3, seed=17)
@@ -475,14 +471,13 @@ class TestSubsetsFormTheTree:
         pytest.param(lambda subsets: setattr(subsets[2], "split_feature", None), id="unsplit"),
         pytest.param(lambda subsets: setattr(subsets[1], "split_feature", 2), id="split-leaf"),
         pytest.param(lambda subsets: setattr(subsets[2], "split_feature", 0), id="fixed-split"),
-        pytest.param(lambda subsets: setattr(subsets[3], "subset_id", 4), id="wrong-id"),
-        pytest.param(lambda subsets: subsets.update({5: replace(subsets[3], subset_id=5),
-                                                     6: replace(subsets[4], subset_id=6)}),
+        pytest.param(lambda subsets: subsets.insert(3, subsets.pop(4)), id="wrong-id"),
+        pytest.param(lambda subsets: subsets.extend([replace(subsets[3]), replace(subsets[4])]),
                      id="split-twice"),
     ])
     def test_subsets_that_form_no_tree_are_rejected(self, edit):
         part = manual_partition()
-        subsets = {sid: replace(s) for sid, s in part.subsets.items()}
+        subsets = [replace(s) for s in part.subsets]
         edit(subsets)
         with pytest.raises(DomainError):
             Partition(part.uncertainty, part.config, subsets)
@@ -501,7 +496,7 @@ class TestSubsetsFormTheTree:
         part = manual_partition()
         cut = truncate(part, 2)
         assert cut.leaf_ids == [1, 2]
-        assert [s.split_feature for s in cut.subsets.values()] == [0, None, None]
+        assert [s.split_feature for s in cut.subsets] == [0, None, None]
         assert part.subsets[2].split_feature == 1
 
 

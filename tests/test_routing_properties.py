@@ -49,22 +49,22 @@ def partitions(draw) -> Partition:
     uset = draw(usets())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
-    def subset(sid, opt, free, parent):
-        return UncertaintySubset(sid, opt, free, random_params(uset, rng),
+    def subset(opt, free, parent):
+        return UncertaintySubset(opt, free, random_params(uset, rng),
                                  random_params(uset, rng), 1.0, 2.0, parent_id=parent)
 
-    subsets = {0: subset(0, MissingPattern.zeros(uset.n_features), uset.maskable, None)}
+    subsets = [subset(MissingPattern.zeros(uset.n_features), uset.maskable, None)]
     for _ in range(draw(st.integers(0, 6))):
-        splittable = [i for i, s in subsets.items() if s.split_feature is None
+        splittable = [i for i, s in enumerate(subsets) if s.split_feature is None
                       and s.free and s.opt_pattern.popcount() < uset.budget]
         if not splittable:
             break
-        parent = subsets[draw(st.sampled_from(splittable))]
+        parent_id = draw(st.sampled_from(splittable))
+        parent = subsets[parent_id]
         j = parent.split_feature = draw(st.sampled_from(parent.free))
         free = tuple(f for f in parent.free if f != j)
         for opt in (parent.opt_pattern, parent.opt_pattern.with_missing(j)):
-            sid = len(subsets)
-            subsets[sid] = subset(sid, opt, free, parent.subset_id)
+            subsets.append(subset(opt, free, parent_id))
     return Partition(uset, PartitionConfig(), subsets)
 
 
@@ -128,7 +128,7 @@ def test_fixed_rows_use_the_subset_route_fixed_picks(uset, n, seed):
         params = init_params(arch, "lr", False, 0, maskable=uset.maskable)
         params.arrays["w"][:] = 0.0
         params.arrays["w"][-1] = float(count)
-        subsets.append(FixedSubset(count=count, params=params, val_loss=0.0))
+        subsets.append(FixedSubset(params=params, val_loss=0.0))
     fixed = FixedPartition(uncertainty=uset, subsets=subsets)
     bits = random_bits(uset, n, seed)
     X = np.ones((n, uset.n_features))

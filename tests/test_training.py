@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from robustcast.adversarial import AdvSearchScope, train_adversarial, train_sampled_adversarial
-from robustcast.dataio import Dataset, FeatureDescriptor, SynthConfig, build_supervised, gen_synthetic, split_sequential
+from robustcast.dataio import Dataset, SynthConfig, build_supervised, gen_synthetic, split_sequential
 from robustcast.exceptions import ConfigError, NumericalError, SizeError
 from robustcast.missingness import MissingPattern
 from robustcast.models import Architecture, init_params, mse_loss
@@ -28,10 +28,7 @@ def line_dataset(n=200, slope=2.0, noise=0.0, seed=0):
     return Dataset(
         X=X,
         y=y,
-        descriptors=(
-            FeatureDescriptor(kind="measurement", plant=0, lag=0),
-            FeatureDescriptor(kind="bias"),
-        ),
+        bias_index=1,
         maskable=(0,),
         horizon=1,
         max_lag=0,
