@@ -38,9 +38,11 @@ from .missingness import (
 )
 from .models import Architecture, ModelParams, forward, init_params, loss_and_grad, predict
 from .partition import (
+    Fit,
     FixedPartition,
     Partition,
     PartitionConfig,
+    Split,
     UncertaintySet,
     UncertaintySubset,
     enumerate_patterns,

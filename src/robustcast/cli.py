@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -109,9 +110,11 @@ def _is_kind(value, kind) -> bool:
         return any(value is None if k is None else _is_kind(value, k) for k in kind)
     if kind is bool:
         return isinstance(value, bool)
-    # bool is an int subclass, but true is neither a count nor a rate
+    # bool is an int subclass, but true is neither a count nor a rate; nor
+    # are NaN and Infinity
     numeric = (int, float) if kind is float else kind
-    return isinstance(value, numeric) and not isinstance(value, bool)
+    return isinstance(value, numeric) and not isinstance(value, bool) \
+        and (type(value) is not float or math.isfinite(value))
 
 
 def _kind_name(kind) -> str:
@@ -119,7 +122,8 @@ def _kind_name(kind) -> str:
         return f"a list, each item {_kind_name(kind[0])}"
     if isinstance(kind, tuple):
         return " or ".join("null" if k is None else _kind_name(k) for k in kind)
-    return {int: "an integer", float: "a number", bool: "true or false", str: "a string"}[kind]
+    return {int: "an integer", float: "a finite number", bool: "true or false",
+            str: "a string"}[kind]
 
 
 def _check_config(obj, keys: dict = _CONFIG_KEYS, where: str = "", allow_unknown=False) -> None:

@@ -357,9 +357,10 @@ def params_to_json(params: ModelParams) -> dict:
 
 def params_from_json(obj: dict) -> ModelParams:
     """The parameter set `params_to_json` encoded. DomainError when the
-    family is unknown, or the blocks are not the names and shapes the
-    layout gives for n_features, the maskable count and the W layers' output
-    counts; ParseError (from array_from_json) when an array is malformed."""
+    family is unknown, a network has no hidden layer (as init_params
+    refuses), or the blocks are not the names and shapes the layout gives
+    for n_features, the maskable count and the W layers' output counts;
+    ParseError (from array_from_json) when an array is malformed."""
     family, adaptive, p, maskable, bias = (
         obj[k] for k in ("family", "adaptive", "n_features", "maskable", "bias_index"))
     if family not in (LR, NN) or not isinstance(adaptive, bool) or type(p) is not int or p < 1 \
@@ -374,6 +375,8 @@ def params_from_json(obj: dict) -> ModelParams:
     # an absent or non-matrix W layer gets width -1, which no shape matches
     w_layers = [arrays.get(f"W{m}") for m in range(sum(1 for k in arrays if k.startswith("W")))]
     hidden = tuple(w.shape[0] if w is not None and w.ndim == 2 else -1 for w in w_layers)
+    if family == NN and not hidden:
+        raise DomainError("a network needs at least one hidden layer, got no W0 block")
     layout = _layout(family, adaptive, p, hidden, len(maskable))
     if list(arrays) != list(layout):
         raise DomainError(f"{family} blocks must be {list(layout)}, got {list(arrays)}")

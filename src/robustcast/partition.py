@@ -7,11 +7,13 @@ availability, each leaf is a subset carrying an optimistic pattern (all free
 features available), two trained parameter sets, and validation-loss bounds.
 Splitting always targets the leaf with the largest relative gap; the child
 that keeps the split feature available inherits the optimistic side, the
-child that fixes it missing inherits the adversarial side. The subsets are
-the whole tree, listed by id: split k appends subsets 2k - 1 (available) and
-2k (missing), whose parent_id names the leaf it split, and that leaf records
-the split feature. Routing, the leaf list and each subset's equality
-constraints are derived from them.
+child that fixes it missing inherits the adversarial side. So a learned
+partition is stored as the root's two fits and its splits in growth order:
+split k names the leaf it splits and the feature, and holds the missing
+child's optimistic fit and the available child's adversarial fit (or none,
+when that child kept its leaf's). It creates subsets 2k - 1 (available) and
+2k (missing). The subsets, routing, the leaf list, each subset's equality
+constraints and the lineage a file records are derived from them.
 """
 from __future__ import annotations
 
@@ -74,11 +76,33 @@ def rel_gap(lower: float, upper: float) -> float:
     return (upper - lower) / max(lower, RELGAP_FLOOR)
 
 
-@dataclass
+@dataclass(frozen=True)
+class Fit:
+    """One trained parameter set and its validation loss."""
+
+    params: ModelParams
+    loss: float
+
+
+@dataclass(frozen=True)
+class Split:
+    """Growth round k: subset `leaf` split on `feature` into subsets 2k - 1,
+    which keeps the feature available, and 2k, which marks it missing. `opt`
+    is the missing child's optimistic fit, `adv` the available child's
+    adversarial fit, or None when that child kept its leaf's."""
+
+    leaf: int
+    feature: int
+    opt: Fit
+    adv: Fit | None
+
+
+@dataclass(frozen=True)
 class UncertaintySubset:
-    """One cell of a partition: its optimistic pattern, the features still
-    free in it, both trained parameter sets, and validation-loss bounds. Its
-    id is its position in the partition's subsets."""
+    """One cell of a partition, derived from its root fits and splits: its
+    optimistic pattern, the features still free in it, both parameter sets
+    and their validation-loss bounds. Its id is its position in the
+    partition's subsets."""
 
     opt_pattern: MissingPattern
     free: tuple[int, ...]
@@ -86,33 +110,57 @@ class UncertaintySubset:
     params_adv: ModelParams
     lower_bound: float
     upper_bound: float
-    parent_id: int | None = None
-    lb_inherited: bool = False
-    ub_inherited: bool = False
-    split_feature: int | None = None
 
     @property
     def relgap(self) -> float:
         return rel_gap(self.lower_bound, self.upper_bound)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Partition:
-    """A learned partition, held as its subsets alone, subsets[i] being
-    subset Ui (see the module docstring). Construction derives the routing
-    table, one entry per subset: (split feature, available child, missing
-    child), or None for a leaf. It raises DomainError when the subsets do
-    not form such a tree, or when a subset's optimistic pattern or free
-    features are not what its parent and split imply: the root's are all
-    available and the whole maskable set; a child's are its parent's,
-    minus the split feature, which the missing child marks missing."""
+    """A learned partition, held as the root's optimistic and adversarial
+    fits and its splits in growth order (see the module docstring).
+
+    Construction derives `subsets`, subsets[i] being subset Ui, whose
+    inherited bounds and parameter sets are its leaf's own objects, and the
+    routing table, one entry per subset: (split feature, available child,
+    missing child), or None for a leaf. It raises DomainError for a split
+    whose leaf is no unsplit subset created before it, whose feature is not
+    free in that leaf, or whose leaf has no budget room left."""
 
     uncertainty: UncertaintySet
     config: PartitionConfig
-    subsets: list[UncertaintySubset]
+    opt: Fit
+    adv: Fit
+    splits: tuple[Split, ...] = ()
 
     def __post_init__(self):
-        self._route = _routing_table(self.subsets, self.uncertainty)
+        uset = self.uncertainty
+        subsets = [UncertaintySubset(MissingPattern.zeros(uset.n_features), uset.maskable,
+                                     self.opt.params, self.adv.params, self.opt.loss,
+                                     self.adv.loss)]
+        route = [None]
+        for k, split in enumerate(self.splits, 1):
+            fresh = split.leaf in range(2 * k - 1) and route[split.leaf] is None
+            leaf = subsets[split.leaf] if fresh else None
+            if leaf is None or split.feature not in leaf.free or not _splittable(leaf, uset):
+                raise DomainError(f"split {k} of subset {split.leaf!r} on feature "
+                                  f"{split.feature!r}: no unsplit subset below {2 * k - 1} "
+                                  "with that feature free and budget room left")
+            free = tuple(j for j in leaf.free if j != split.feature)
+            adv = Fit(leaf.params_adv, leaf.upper_bound) if split.adv is None else split.adv
+            subsets += [
+                UncertaintySubset(leaf.opt_pattern, free, leaf.params_opt, adv.params,
+                                  leaf.lower_bound, adv.loss),
+                UncertaintySubset(leaf.opt_pattern.with_missing(split.feature), free,
+                                  split.opt.params, leaf.params_adv, split.opt.loss,
+                                  leaf.upper_bound),
+            ]
+            route[split.leaf] = (split.feature, 2 * k - 1, 2 * k)
+            route += [None, None]
+        object.__setattr__(self, "splits", tuple(self.splits))
+        object.__setattr__(self, "subsets", tuple(subsets))
+        object.__setattr__(self, "_route", route)
 
     @property
     def leaf_ids(self) -> list[int]:
@@ -164,36 +212,6 @@ def enumerate_patterns(uset: UncertaintySet) -> list[MissingPattern]:
                 bits[j] = bit
             out.append(MissingPattern(bits=bits))
     return out
-
-
-def _routing_table(subsets: list[UncertaintySubset], uset: UncertaintySet) -> list:
-    n = len(subsets)
-    if n % 2 == 0:
-        raise DomainError(f"a partition holds 2k + 1 subsets for k splits, got {n}")
-    root = subsets[0]
-    if root.parent_id is not None or root.free != uset.maskable \
-            or root.opt_pattern.bits.tolist() != [0] * uset.n_features:
-        raise DomainError("subset 0 is no root: it has a parent, a missing feature or not "
-                          "the whole maskable set free")
-    route = [None] * n
-    for avail in range(1, n, 2):
-        parent = subsets[avail].parent_id
-        split = subsets[parent] if parent in range(avail) else None
-        if split is None or split.split_feature not in split.free or route[parent] \
-                or subsets[avail + 1].parent_id != parent:
-            raise DomainError(f"subsets {avail} and {avail + 1} do not split one earlier leaf")
-        feature = split.split_feature
-        route[parent] = (feature, avail, avail + 1)
-        free = tuple(j for j in split.free if j != feature)
-        avail_bits = split.opt_pattern.bits.tolist()
-        miss_bits = avail_bits[:feature] + [1] + avail_bits[feature + 1:]
-        for sid, bits in ((avail, avail_bits), (avail + 1, miss_bits)):
-            if subsets[sid].free != free or subsets[sid].opt_pattern.bits.tolist() != bits:
-                raise DomainError(f"subset {sid}'s optimistic pattern or free features are "
-                                  f"not what subset {parent}'s split implies")
-    if any((route[i] is None) != (s.split_feature is None) for i, s in enumerate(subsets)):
-        raise DomainError("a subset's split feature disagrees with its children")
-    return route
 
 
 def locate(partition: Partition, pattern) -> int:
@@ -291,10 +309,6 @@ def predict_fixed_rows(fixed: FixedPartition, X: np.ndarray, patterns: np.ndarra
     return predict_grouped(X, keys, lambda key, rows: (fixed.subsets[key].params, bits[rows]))
 
 
-def _scope_for(subset: UncertaintySubset, uset: UncertaintySet) -> AdvSearchScope:
-    return AdvSearchScope(free=subset.free, budget=uset.budget, base=subset.opt_pattern)
-
-
 def _splittable(subset: UncertaintySubset, uset: UncertaintySet) -> bool:
     # A split fixes one more feature as missing in one child, so it needs a
     # free feature and room left in the budget.
@@ -320,89 +334,53 @@ def learn_partition(
     optimistic parameters (evaluated on the training split): the available
     child keeps the optimistic side and retrains the adversarial side over
     the reduced free set, the missing child retrains the optimistic side at
-    its extended pattern and keeps the adversarial side. Ties in leaf choice
+    its extended pattern and keeps the adversarial side. Each round appends
+    one Split to the partition and changes no subset. Ties in leaf choice
     break to the lowest subset id. The loop stops at max_subsets, or when no
     leaf with room to split has a relative gap above epsilon.
     """
     base_seed = train_cfg.seed
 
-    def nominal(subset_id: int, pattern: MissingPattern):
+    def nominal(subset_id: int, pattern: MissingPattern) -> Fit:
         cfg = replace(train_cfg, seed=derive_seed(base_seed, "part-opt", subset_id))
-        return train_nominal(train, val, pattern, cfg, arch, family, adaptive)
+        res = train_nominal(train, val, pattern, cfg, arch, family, adaptive)
+        return Fit(res.params, res.val_loss)
 
-    def adversarial(subset_id: int, scope: AdvSearchScope, warm: ModelParams):
+    def adversarial(subset_id: int, scope: AdvSearchScope, warm: ModelParams) -> Fit:
         cfg = replace(train_cfg, seed=derive_seed(base_seed, "part-adv", subset_id))
-        return train_adversarial(train, val, scope, cfg, warm)
+        res = train_adversarial(train, val, scope, cfg, warm)
+        return Fit(res.params, res.val_loss)
+
+    def scope(free: tuple[int, ...], base: MissingPattern) -> AdvSearchScope:
+        return AdvSearchScope(free=free, budget=uset.budget, base=base)
 
     zero = MissingPattern.zeros(train.p)
-    opt_res = nominal(0, zero)
-    root_scope = AdvSearchScope(free=uset.maskable, budget=uset.budget, base=zero)
-    adv_res = adversarial(0, root_scope, opt_res.params)
-    root_subset = UncertaintySubset(
-        opt_pattern=zero,
-        free=uset.maskable,
-        params_opt=opt_res.params,
-        params_adv=adv_res.params,
-        lower_bound=opt_res.val_loss,
-        upper_bound=adv_res.val_loss,
-    )
-    subsets = [root_subset]
+    opt = nominal(0, zero)
+    part = Partition(uset, pcfg, opt, adversarial(0, scope(uset.maskable, zero), opt.params))
 
-    while (len(subsets) + 1) // 2 < pcfg.max_subsets:
-        candidates = [
-            i for i, s in enumerate(subsets) if s.split_feature is None and _splittable(s, uset)
-        ]
-        if not candidates:
+    while len(part.leaf_ids) < pcfg.max_subsets:
+        gaps = {i: part.subsets[i].relgap for i in part.leaf_ids
+                if _splittable(part.subsets[i], uset)}
+        if not gaps or max(gaps.values()) <= pcfg.epsilon:
             break
-        gaps = [subsets[i].relgap for i in candidates]
-        if max(gaps) <= pcfg.epsilon:
-            break
-        chosen = candidates[int(np.argmax(gaps))]  # argmax keeps the lowest id on ties
-        parent = subsets[chosen]
+        chosen = max(gaps, key=gaps.get)  # the first maximum: the lowest id on ties
+        parent = part.subsets[chosen]
 
-        j_star = greedy_split_feature(train.X, train.y, _scope_for(parent, uset), parent.params_opt)
+        j_star = greedy_split_feature(train.X, train.y, scope(parent.free, parent.opt_pattern),
+                                      parent.params_opt)
         free_child = tuple(j for j in parent.free if j != j_star)
+        avail_id, miss_id = len(part.subsets), len(part.subsets) + 1
 
-        avail_id, miss_id = len(subsets), len(subsets) + 1
-
-        avail_subset = UncertaintySubset(
-            opt_pattern=parent.opt_pattern,
-            free=free_child,
-            params_opt=parent.params_opt,
-            params_adv=parent.params_adv,  # placeholder until retrained below
-            lower_bound=parent.lower_bound,
-            upper_bound=parent.upper_bound,
-            parent_id=chosen,
-            lb_inherited=True,
-        )
-        adv_res = adversarial(avail_id, _scope_for(avail_subset, uset), avail_subset.params_opt)
+        adv = adversarial(avail_id, scope(free_child, parent.opt_pattern), parent.params_opt)
         # The child's subset is contained in the parent's, so the parent's
         # adversarial parameters stay admissible; keep them when the fresh
         # fit scores worse on validation (best-of-two selection keeps the
         # upper bound from regressing above the parent's).
-        if adv_res.val_loss <= parent.upper_bound:
-            avail_subset.params_adv = adv_res.params
-            avail_subset.upper_bound = adv_res.val_loss
-        else:
-            avail_subset.ub_inherited = True
+        adv = adv if adv.loss <= parent.upper_bound else None
+        opt = nominal(miss_id, parent.opt_pattern.with_missing(j_star))
+        part = replace(part, splits=(*part.splits, Split(chosen, j_star, opt, adv)))
 
-        miss_pattern = parent.opt_pattern.with_missing(j_star)
-        opt_res = nominal(miss_id, miss_pattern)
-        miss_subset = UncertaintySubset(
-            opt_pattern=miss_pattern,
-            free=free_child,
-            params_opt=opt_res.params,
-            params_adv=parent.params_adv,
-            lower_bound=opt_res.val_loss,
-            upper_bound=parent.upper_bound,
-            parent_id=chosen,
-            ub_inherited=True,
-        )
-
-        parent.split_feature = j_star
-        subsets += [avail_subset, miss_subset]
-
-    return Partition(uncertainty=uset, config=pcfg, subsets=subsets)
+    return part
 
 
 def truncate(partition: Partition, q: int) -> Partition:
@@ -412,11 +390,9 @@ def truncate(partition: Partition, q: int) -> Partition:
 
     Growth is greedy and every subset trains from seeds derived from (seed,
     subset id), so growing to q subsets performs the first q - 1 splits of
-    any longer growth. Split k created subsets 2k - 1 and 2k, so the cut
-    keeps the subsets below 2q - 1 and clears the split feature of those
-    whose children it drops. The subsets share their parameters with
-    `partition`. When q equals config.max_subsets the input itself is
-    returned.
+    any longer growth: the cut keeps those splits, and shares the root fits
+    and every split's fits with `partition`. When q equals
+    config.max_subsets the input itself is returned.
     """
     if q < 1:
         raise ConfigError(f"cannot cut a partition to {q} subsets; need q >= 1")
@@ -427,14 +403,8 @@ def truncate(partition: Partition, q: int) -> Partition:
         raise ConfigError(
             f"cannot cut {q} subsets from a partition grown to max_subsets={grown_to}"
         )
-    n = 2 * min(q, len(partition.leaf_ids)) - 1
-    splits = {sid: node[0] for sid, node in enumerate(partition._route) if node and node[2] < n}
-    subsets = [replace(partition.subsets[i], split_feature=splits.get(i)) for i in range(n)]
-    return Partition(
-        uncertainty=partition.uncertainty,
-        config=replace(partition.config, max_subsets=q),
-        subsets=subsets,
-    )
+    return replace(partition, config=replace(partition.config, max_subsets=q),
+                   splits=partition.splits[:q - 1])
 
 
 def fixed_partition(
@@ -475,7 +445,8 @@ def bounds_table(partition: Partition) -> str:
     feature, upper bound, lower bound, relative gap (%)."""
     lines = ["subset,split_feature,UB,LB,relgap_pct"]
     for sid, s in enumerate(partition.subsets):
-        split = "-" if s.split_feature is None else str(s.split_feature)
+        feature = _lineage(partition, sid)["split_feature"]
+        split = "-" if feature is None else str(feature)
         gap = s.relgap * 100.0
         gap_txt = "inf" if gap > 1e8 else f"{gap:.4f}"
         lines.append(f"U{sid},{split},{s.upper_bound:.6e},{s.lower_bound:.6e},{gap_txt}")
@@ -532,8 +503,20 @@ def _params_at(table: list[ModelParams], ref) -> ModelParams:
     return table[ref]
 
 
-def partition_to_json(partition: Partition) -> dict:
-    table, refs = _param_table(partition)
+def _lineage(partition: Partition, sid: int) -> dict:
+    """How a file records subset sid's place in the growth: the leaf it was
+    split from, whether it kept that leaf's LB (the available child 2k - 1
+    does) and UB (the missing child 2k does, and the available child when
+    its split trained no adversarial fit), and its own split feature."""
+    split, node = partition.splits[(sid - 1) // 2] if sid else None, partition._route[sid]
+    return {"parent_id": None if split is None else split.leaf, "lb_inherited": sid % 2 == 1,
+            "ub_inherited": sid > 0 and (sid % 2 == 0 or split.adv is None),
+            "split_feature": None if node is None else node[0]}
+
+
+def _learned_json(partition: Partition, refs: list[int]) -> dict:
+    """A learned file but its parameter table: refs[i] is the table index of
+    the i-th set of `param_sets(partition)`."""
     return {
         "format": ARTIFACT_FORMAT,
         "kind": "learned",
@@ -549,25 +532,29 @@ def partition_to_json(partition: Partition) -> dict:
                 "LB": s.lower_bound,
                 "UB": s.upper_bound,
                 "relgap": s.relgap,
-                "parent_id": s.parent_id,
-                "lb_inherited": s.lb_inherited,
-                "ub_inherited": s.ub_inherited,
-                "split_feature": s.split_feature,
+                **_lineage(partition, sid),
                 "params_opt": refs[2 * sid],
                 "params_adv": refs[2 * sid + 1],
             }
             for sid, s in enumerate(partition.subsets)
         },
-        "params": table,
     }
+
+
+def partition_to_json(partition: Partition) -> dict:
+    table, refs = _param_table(partition)
+    return {**_learned_json(partition, refs), "params": table}
 
 
 def _checked(value, types: tuple, what: str):
     """value when its JSON type is one of `types` (true and false count as no
-    number); ParseError naming `what` otherwise."""
+    number); ParseError naming `what` otherwise, DomainError for a number
+    that is not finite (JSON NaN or Infinity: training writes none)."""
     if type(value) not in types:
         raise ParseError(f"{what} must be {' or '.join(t.__name__ for t in types)}, "
                          f"got {value!r:.60}")
+    if type(value) is float and not math.isfinite(value):
+        raise DomainError(f"{what} must be finite, got {value!r}")
     return value
 
 
@@ -579,58 +566,60 @@ def _uncertainty_from_json(obj: dict) -> UncertaintySet:
     return UncertaintySet(**obj)
 
 
-def _subset_from_json(s: dict, sid: int, table: list[ModelParams]) -> UncertaintySubset:
-    """One stored subset; ParseError for an entry of the wrong JSON type,
-    DomainError for a bound that is not finite (training writes none)."""
-    what, number, index = f"subset {sid}'s", (int, float), (int, type(None))
-    for key, types in (("parent_id", index), ("split_feature", index), ("LB", number),
-                       ("UB", number), ("relgap", number), ("lb_inherited", (bool,)),
-                       ("ub_inherited", (bool,))):
-        _checked(s[key], types, f"{what} {key}")
-    for key in ("opt_pattern", "free"):
-        if not all(type(v) is int for v in _checked(s[key], (list,), f"{what} {key}")):
-            raise ParseError(f"{what} {key} must hold integers only, got {s[key]!r:.60}")
-    if not (math.isfinite(s["LB"]) and math.isfinite(s["UB"])):
-        raise DomainError(f"{what} LB and UB must be finite, got {s['LB']!r} and {s['UB']!r}")
-    return UncertaintySubset(
-        opt_pattern=MissingPattern(bits=np.asarray(s["opt_pattern"], dtype=np.uint8)),
-        free=tuple(s["free"]),
-        params_opt=_params_at(table, s["params_opt"]),
-        params_adv=_params_at(table, s["params_adv"]),
-        lower_bound=s["LB"],
-        upper_bound=s["UB"],
-        parent_id=s["parent_id"],
-        lb_inherited=s["lb_inherited"],
-        ub_inherited=s["ub_inherited"],
-        split_feature=s["split_feature"],
-    )
-
-
 def partition_from_json(obj: dict) -> Partition:
-    """The partition the file's subsets describe, each parameter reference
-    resolved in its table. Its `tree`, `leaf_ids` and per-subset `fixed` and
-    `relgap` are derived values; DomainError when any of them disagrees with
-    what the subsets imply, or when the subset ids are not 0..2k. ParseError
-    when the subsets are no object keyed by decimal ids, or a subset entry
-    or the config holds a value of the wrong JSON type."""
+    """The partition a learned file describes, rebuilt from what its root
+    fits and splits need: subset 0's params_opt/LB and params_adv/UB; for
+    split k, the leaf it split (subset 2k - 1's parent_id), that leaf's
+    split_feature, subset 2k's params_opt/LB, and subset 2k - 1's
+    params_adv/UB unless its ub_inherited is true. Every other stored value
+    is derived (inherited bounds and references, lineage, patterns, free
+    sets, fixed, relgap, tree, leaf_ids): DomainError when one disagrees
+    (compared as JSON, so 1 is not true), when Partition refuses a split,
+    the ids are not 0..2k or a number is not finite. ParseError when the
+    subsets are no object keyed by decimal ids, or an entry or the config
+    holds a value of the wrong JSON type or a bad table reference."""
     table = _table_from_json(obj)
     stored = _checked(obj["subsets"], (dict,), "a learned file's subsets")
     if not all(sid.isdecimal() and str(int(sid)) == sid for sid in stored):
         raise ParseError(f"subset ids {list(stored)!r:.80} are not all decimal integers")
-    if sorted(map(int, stored)) != list(range(len(stored))):
+    if sorted(map(int, stored)) != list(range(len(stored))) or len(stored) % 2 == 0:
         raise DomainError(f"subset ids must be 0..2k for k splits, got {sorted(map(int, stored))}")
     entries = [stored[str(i)] for i in range(len(stored))]
-    subsets = [_subset_from_json(s, sid, table) for sid, s in enumerate(entries)]
+    number, index = (int, float), (int, type(None))
+    for sid, s in enumerate(entries):
+        for key, types in (("parent_id", index), ("split_feature", index), ("LB", number),
+                           ("UB", number), ("relgap", number), ("lb_inherited", (bool,)),
+                           ("ub_inherited", (bool,)), ("opt_pattern", (list,)),
+                           ("free", (list,))):
+            _checked(s[key], types, f"subset {sid}'s {key}")
+        for key in ("opt_pattern", "free"):
+            if not all(type(v) is int for v in s[key]):
+                raise ParseError(f"subset {sid}'s {key} must hold integers only, "
+                                 f"got {s[key]!r:.60}")
+        for key in ("params_opt", "params_adv"):
+            _params_at(table, s[key])
     config = obj["config"]
     _checked(config["max_subsets"], (int,), "config.max_subsets")
     _checked(config["epsilon"], (int, float), "config.epsilon")
-    part = Partition(uncertainty=_uncertainty_from_json(obj["uncertainty"]),
-                     config=PartitionConfig(**config), subsets=subsets)
-    derived = (_tree_to_json(part), part.leaf_ids,
-               [(_fixed_to_json(part, sid), s.relgap) for sid, s in enumerate(subsets)])
-    if (obj["tree"], obj["leaf_ids"], [(s["fixed"], s["relgap"]) for s in entries]) != derived:
-        raise DomainError("the stored tree, leaf_ids, fixed or relgap disagree with what the "
-                          "subsets imply")
+
+    def fit(s: dict, params: str, loss: str) -> Fit:
+        return Fit(_params_at(table, s[params]), s[loss])
+
+    splits = []
+    for k in range(1, len(entries) // 2 + 1):
+        avail, miss = entries[2 * k - 1], entries[2 * k]
+        leaf = avail["parent_id"]
+        feature = entries[leaf]["split_feature"] if leaf in range(2 * k - 1) else None
+        adv = None if avail["ub_inherited"] else fit(avail, "params_adv", "UB")
+        splits.append(Split(leaf, feature, fit(miss, "params_opt", "LB"), adv))
+    part = Partition(_uncertainty_from_json(obj["uncertainty"]), PartitionConfig(**config),
+                     fit(entries[0], "params_opt", "LB"), fit(entries[0], "params_adv", "UB"),
+                     splits)
+    index = {id(params): i for i, params in enumerate(table)}
+    derived = _learned_json(part, [index[id(params)] for params in param_sets(part)])
+    if json.dumps({key: obj[key] for key in derived}, sort_keys=True) \
+            != json.dumps(derived, sort_keys=True):
+        raise DomainError("a stored value disagrees with what the root fits and splits imply")
     return part
 
 

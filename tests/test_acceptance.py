@@ -35,6 +35,7 @@ from robustcast.partition import (
     fixed_partition,
     learn_partition,
     locate,
+    partition_to_json,
 )
 from robustcast.training import TrainConfig, train_nominal
 from tests.conftest import HEAVY_CELL, LIGHT_CELL, TREND_RUNS
@@ -240,15 +241,16 @@ def test_criterion_4_partition_structure():
     # (d) bound-inheritance equalities on construction records
     inherit_ok = True
     for part in (part6, part3):
-        for subset in part.subsets:
-            if subset.parent_id is None:
+        records = partition_to_json(part)["subsets"]
+        for subset in records.values():
+            if subset["parent_id"] is None:
                 continue
-            parent = part.subsets[subset.parent_id]
-            if subset.lb_inherited:
-                inherit_ok &= subset.lower_bound == parent.lower_bound
-            if subset.ub_inherited:
-                inherit_ok &= subset.upper_bound == parent.upper_bound
-            inherit_ok &= subset.lb_inherited or subset.ub_inherited
+            parent = records[str(subset["parent_id"])]
+            if subset["lb_inherited"]:
+                inherit_ok &= subset["LB"] == parent["LB"]
+            if subset["ub_inherited"]:
+                inherit_ok &= subset["UB"] == parent["UB"]
+            inherit_ok &= subset["lb_inherited"] or subset["ub_inherited"]
 
     ok = cover_ok and fixed_ok and recovery_ok and inherit_ok
     report(4, ok, f"cover={cover_ok} fixed={fixed_ok} recovery={recovery_ok} inheritance={inherit_ok}")

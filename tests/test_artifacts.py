@@ -13,15 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robustcast.exceptions import DomainError, ParseError
-from robustcast.missingness import MissingPattern
 from robustcast.models import Architecture, ModelParams, init_params
 from robustcast.partition import (
+    Fit,
     FixedPartition,
     FixedSubset,
     Partition,
     PartitionConfig,
+    Split,
     UncertaintySet,
-    UncertaintySubset,
     load_artifact,
     param_sets,
     save_artifact,
@@ -40,7 +40,7 @@ def artifacts(draw):
     of either family, plain or adaptive. Sets are shared, copied, or copied
     with another bias_index, as well as drawn afresh, so the table has
     repeats of one object, repeats of one content, and near-repeats to keep
-    apart."""
+    apart; a learned child's inherited sets are its parent's objects."""
     family = draw(st.sampled_from(["lr", "nn"]))
     adaptive = draw(st.booleans())
     n_mask = draw(st.integers(0, 3))
@@ -74,27 +74,20 @@ def artifacts(draw):
         subsets = [FixedSubset(first, 0.5)]
         subsets += [FixedSubset(reuse(first), 0.5 + c) for c in range(1, n_mask + 1)]
         return FixedPartition(uncertainty=uset, subsets=subsets)
-    zero = MissingPattern.zeros(p)
-    subsets = [UncertaintySubset(zero, maskable, fresh(), fresh(), 0.1, 0.2)]
+    part = Partition(uset, PartitionConfig(max_subsets=5), Fit(fresh(), 0.1), Fit(fresh(), 0.2))
     depth = [0]
     for _ in range(draw(st.integers(0, 4))):
-        leaves = [i for i, s in enumerate(subsets)
-                  if s.split_feature is None and s.free and depth[i] < 3]
+        leaves = [i for i in part.leaf_ids if part.subsets[i].free and depth[i] < 3]
         if not leaves:
             break
-        parent_id = draw(st.sampled_from(leaves))
-        parent = subsets[parent_id]
+        leaf = draw(st.sampled_from(leaves))
+        parent = part.subsets[leaf]
         j = draw(st.sampled_from(parent.free))
-        free = tuple(f for f in parent.free if f != j)
-        subsets.append(UncertaintySubset(
-            parent.opt_pattern, free, reuse(parent.params_opt), reuse(parent.params_adv),
-            0.1, 0.2, parent_id=parent_id))
-        subsets.append(UncertaintySubset(
-            parent.opt_pattern.with_missing(j), free, reuse(parent.params_opt),
-            reuse(parent.params_adv), 0.1, 0.2, parent_id=parent_id))
-        parent.split_feature = j
-        depth += [depth[parent_id] + 1] * 2
-    return Partition(uncertainty=uset, config=PartitionConfig(max_subsets=5), subsets=subsets)
+        adv = draw(st.sampled_from([None, Fit(reuse(parent.params_adv), 0.2)]))
+        split = Split(leaf, j, Fit(reuse(parent.params_opt), 0.1), adv)
+        part = replace(part, splits=(*part.splits, split))
+        depth += [depth[leaf] + 1] * 2
+    return part
 
 
 def saved(artifact) -> tuple[bytes, object]:
@@ -254,6 +247,10 @@ class TestMalformedFile:
                      id="bias-index-out-of-range"),
         pytest.param(lambda obj: obj["params"][0].update(arrays=[]), ParseError,
                      id="arrays-not-an-object"),
+        pytest.param(lambda obj: obj["params"][0].update(adaptive=False, arrays={
+            "w_out": {"shape": [3], "f8": array_b64([1.0, 2.0, 3.0])},
+            "b_out": {"shape": [1], "f8": array_b64([0.5])}}), DomainError,
+                     id="network-without-hidden-layer"),
     ])
     def test_a_malformed_model_is_rejected_naming_the_file(self, tmp_path, edit, error):
         path = tmp_path / "bad.json"
@@ -356,6 +353,30 @@ class TestMalformedFile:
         edit(obj)
         path.write_text(json.dumps(obj), encoding="utf-8")
         with pytest.raises(ParseError, match="fixed.json"):
+            load_artifact(path)
+
+    @pytest.mark.parametrize("kind, edit", [
+        pytest.param("learned", lambda obj: obj["config"].update(epsilon=float("nan")),
+                     id="epsilon-NaN"),
+        pytest.param("learned", lambda obj: obj["config"].update(epsilon=float("inf")),
+                     id="epsilon-Infinity"),
+        pytest.param("learned", lambda obj: obj["subsets"]["5"].update(relgap=float("nan")),
+                     id="relgap-NaN"),
+        pytest.param("fixed", lambda obj: obj["subsets"][2].update(val_loss=float("nan")),
+                     id="val-loss-NaN"),
+        pytest.param("fixed", lambda obj: obj["subsets"][0].update(val_loss=float("-inf")),
+                     id="val-loss-minus-Infinity"),
+    ])
+    def test_a_number_that_is_not_finite_is_a_domain_error(self, tmp_path, kind, edit):
+        path = tmp_path / f"{kind}.json"
+        if kind == "learned":
+            path.write_bytes(GOLDEN.read_bytes())
+        else:
+            save_artifact(fixed_artifact(budget=3), path)
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        edit(obj)
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        with pytest.raises(DomainError, match=f"{kind}.json.*finite"):
             load_artifact(path)
 
     def test_a_fixed_file_stores_each_position_as_its_count(self, tmp_path):

@@ -16,7 +16,7 @@ from robustcast.exceptions import ConfigError
 from robustcast.dataio import load_csv, save_csv, RawSeries, SynthConfig
 from robustcast.evaluation import METHODS
 from robustcast.partition import (
-    Partition, PartitionConfig, learn_partition, load_artifact, partition_to_json,
+    Partition, PartitionConfig, learn_partition, load_artifact, partition_to_json, rel_gap,
 )
 from robustcast.training import TrainConfig
 
@@ -126,6 +126,26 @@ class TestRunConfig:
             target = target[name]
         target[key[-1]] = value
         with pytest.raises(ConfigError, match=key[-1]):
+            parse_run_config(config)
+        path = write_config(tmp_path, config)
+        assert main(["train", "--config", str(path)]) == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        (("train", "learning_rate"), float("nan")),
+        (("partition", "epsilon"), float("nan")),
+        (("split", "train_frac"), float("nan")),
+        (("data", "synth", "noise_std"), float("nan")),
+        (("train", "weight_decay"), float("inf")),
+        (("grid", "p01"), [0.2, float("-inf")]),
+    ])
+    def test_a_number_that_is_not_finite_exits_2(self, tmp_path, key, value):
+        config = base_config(tmp_path / "out")
+        target = config
+        for name in key[:-1]:
+            target = target[name]
+        target[key[-1]] = value
+        with pytest.raises(ConfigError, match=f"{key[-1]} must be .*finite"):
             parse_run_config(config)
         path = write_config(tmp_path, config)
         assert main(["train", "--config", str(path)]) == 2
@@ -284,8 +304,7 @@ class TestTrain:
         assert main(["train", "--config", str(path)]) == 0
         part = load_artifact(out / "arf-learned_h1.json")
         assert sorted(part.leaf_ids) == [1, 3, 4]
-        assert part.subsets[0].split_feature == 0
-        assert part.subsets[2].split_feature == 1
+        assert [(split.leaf, split.feature) for split in part.splits] == [(0, 0), (2, 1)]
         # the second split is on the missing side of the first
         assert part.fixed(4) == {0: 1, 1: 1}
 
@@ -482,6 +501,29 @@ class TestEvaluate:
                 err = capsys.readouterr().err
                 assert err.startswith("data error:") and str(artifact) in err
             artifact.write_text(original, encoding="utf-8")
+        assert not (out / "grid.csv").exists()
+
+    def test_learned_file_whose_inherited_copy_disagrees_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        grid = {"p01": [0.2], "p11": [0.5], "methods": ["arf-learned"], "runs": 1}
+        path = write_config(tmp_path, base_config(out, grid=grid))
+        assert main(["train", "--config", str(path)]) == 0
+        artifact = out / "arf-learned_h1.json"
+        original = artifact.read_text(encoding="utf-8")
+        # subset 2 is the first split's missing child: it keeps the root's UB
+        for doubled in (True, False):
+            obj = json.loads(original)
+            subset = obj["subsets"]["2"]
+            if doubled:
+                subset["UB"] *= 2
+                subset["relgap"] = rel_gap(subset["LB"], subset["UB"])
+            else:
+                subset["ub_inherited"] = False
+            artifact.write_text(json.dumps(obj), encoding="utf-8")
+            capsys.readouterr()
+            assert main(["evaluate", "--config", str(path)]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("data error:") and str(artifact) in err
         assert not (out / "grid.csv").exists()
 
     @pytest.mark.parametrize("case", ["another family", "another adaptivity"])

@@ -358,7 +358,7 @@ class TestQSweepTrend:
 
     def test_single_subset_row_is_the_plain_robust_model(self, trend_setup):
         part = trend_setup.partitions[1]
-        assert part.subsets[0].split_feature is None
+        assert part.splits == ()
         assert len(part.leaf_ids) == 1
 
 

@@ -10,11 +10,12 @@ from robustcast.exceptions import CapacityError, ConfigError, DomainError, Parse
 from robustcast.missingness import MissingPattern
 from robustcast.models import Architecture, init_params
 from robustcast.partition import (
+    Fit,
     FixedPartition,
     Partition,
     PartitionConfig,
+    Split,
     UncertaintySet,
-    UncertaintySubset,
     bounds_table,
     enumerate_patterns,
     fixed_partition,
@@ -90,28 +91,9 @@ def manual_partition(n_features=3):
     uset = UncertaintySet(n_features=n_features, maskable=maskable, budget=3)
     arch = Architecture(input_dim=n_features)
     params = init_params(arch, "lr", False, seed=0, maskable=maskable)
-
-    def subset(opt_bits, free, parent=None, split=None):
-        return UncertaintySubset(
-            opt_pattern=MissingPattern(bits=np.array(opt_bits, dtype=np.uint8)),
-            free=free,
-            params_opt=params,
-            params_adv=params,
-            lower_bound=0.1,
-            upper_bound=0.2,
-            parent_id=parent,
-            split_feature=split,
-        )
-
-    subsets = [
-        subset([0, 0, 0], (0, 1, 2), split=0),
-        subset([0, 0, 0], (1, 2), parent=0),
-        subset([1, 0, 0], (1, 2), parent=0, split=1),
-        subset([1, 0, 0], (2,), parent=2),
-        subset([1, 1, 0], (2,), parent=2),
-    ]
+    opt, adv = Fit(params, 0.1), Fit(params, 0.2)
     return Partition(uncertainty=uset, config=PartitionConfig(max_subsets=3, epsilon=0.0),
-                     subsets=subsets)
+                     opt=opt, adv=adv, splits=[Split(0, 0, opt, adv), Split(2, 1, opt, adv)])
 
 
 class TestLocate:
@@ -153,7 +135,7 @@ class TestLearnPartition:
                                "lr", False)
         assert part.leaf_ids == [0]
         assert part.subsets[0].free == (0, 1, 2)
-        assert part.subsets[0].split_feature is None
+        assert part.splits == ()
         assert part.fixed(0) == {}
 
     def test_retraining_recovery_with_full_enumeration(self):
@@ -181,7 +163,8 @@ class TestLearnPartition:
                                quick_cfg(seed=6), Architecture(input_dim=4, bias_index=3),
                                "lr", False)
         root = part.subsets[0]
-        j_star = root.split_feature
+        assert part.splits[0].leaf == 0
+        j_star = part.splits[0].feature
         avail, miss = part.subsets[1], part.subsets[2]
         assert part.fixed(1) == {j_star: 0}
         assert part.fixed(2) == {j_star: 1}
@@ -197,17 +180,15 @@ class TestLearnPartition:
         part = learn_partition(train, val, uset, PartitionConfig(max_subsets=5, epsilon=0.0),
                                quick_cfg(seed=8), Architecture(input_dim=5, bias_index=4),
                                "lr", False)
-        for subset in part.subsets:
-            if subset.parent_id is None:
-                continue
-            parent = part.subsets[subset.parent_id]
-            if subset.lb_inherited:
-                assert subset.lower_bound == parent.lower_bound
-                assert subset.params_opt is parent.params_opt or np.array_equal(
-                    subset.params_opt.arrays["w"], parent.params_opt.arrays["w"]
-                )
-            if subset.ub_inherited:
-                assert subset.upper_bound == parent.upper_bound
+        assert part.splits
+        for k, split in enumerate(part.splits, 1):
+            parent, avail, miss = (part.subsets[i] for i in (split.leaf, 2 * k - 1, 2 * k))
+            # the available child keeps its parent's LB, the missing child its UB
+            assert avail.lower_bound == parent.lower_bound
+            assert avail.params_opt is parent.params_opt
+            assert miss.upper_bound == parent.upper_bound
+            if split.adv is None:
+                assert avail.upper_bound == parent.upper_bound
 
     def test_leaf_count_bounded_and_epsilon_stop(self):
         ds = toy_dataset(3, seed=9)
@@ -248,8 +229,9 @@ class TestLearnPartition:
                                quick_cfg(seed=14, iters=4000, lr=1e-2, patience=100),
                                Architecture(input_dim=4, bias_index=3), "lr", False)
         checked = 0
-        for leaf in part.leaves():
-            if leaf.free == () and not leaf.ub_inherited:
+        for k, split in enumerate(part.splits, 1):
+            leaf = part.subsets[2 * k - 1]
+            if 2 * k - 1 in part.leaf_ids and leaf.free == () and split.adv is not None:
                 assert abs(leaf.relgap) <= 0.01
                 checked += 1
         assert checked >= 1
@@ -258,14 +240,15 @@ class TestLearnPartition:
 class TestPredictDeployed:
     def test_optimistic_params_used_on_exact_match(self):
         part = manual_partition()
-        # give leaf 1 distinguishable parameter sets
-        leaf = part.subsets[1]
-        opt = leaf.params_opt.copy()
+        # give leaf 1 distinguishable parameter sets: the root's optimistic
+        # one and the first split's adversarial one
+        opt = part.opt.params.copy()
         opt.arrays["w"] = np.array([1.0, 1.0, 1.0])
-        adv = leaf.params_opt.copy()
+        adv = part.opt.params.copy()
         adv.arrays["w"] = np.array([-1.0, -1.0, -1.0])
-        leaf.params_opt = opt
-        leaf.params_adv = adv
+        first = replace(part.splits[0], adv=Fit(adv, 0.2))
+        part = replace(part, opt=Fit(opt, 0.1), splits=[first, part.splits[1]])
+        assert part.subsets[1].params_opt is opt and part.subsets[1].params_adv is adv
         x = np.array([1.0, 1.0, 1.0])
         zero = MissingPattern.zeros(3)
         assert predict_deployed(part, x, zero) == pytest.approx(3.0)
@@ -458,29 +441,51 @@ class TestValidation:
             UncertaintySet(n_features=3, maskable=(0, 0), budget=2)
 
 
+def _swap(subsets, a, b):
+    subsets[a], subsets[b] = subsets[b], subsets[a]
+
+
 class TestSubsetsFormTheTree:
-    """A Partition is its subsets: construction derives the routing table
-    from parent_id and split_feature and rejects subsets that form no tree."""
+    """A Partition is its root fits and its splits: construction derives the
+    subsets and the routing table, and refuses a split that does not grow
+    the tree; a file whose subsets form no tree of splits does not load."""
 
     @pytest.mark.parametrize("edit", [
-        pytest.param(lambda subsets: subsets.pop(4), id="missing-id"),
-        pytest.param(lambda subsets: subsets.pop(0), id="no-root"),
-        pytest.param(lambda subsets: setattr(subsets[4], "parent_id", 1), id="split-siblings"),
-        pytest.param(lambda subsets: setattr(subsets[3], "parent_id", 4), id="later-parent"),
-        pytest.param(lambda subsets: setattr(subsets[1], "parent_id", None), id="orphan"),
-        pytest.param(lambda subsets: setattr(subsets[2], "split_feature", None), id="unsplit"),
-        pytest.param(lambda subsets: setattr(subsets[1], "split_feature", 2), id="split-leaf"),
-        pytest.param(lambda subsets: setattr(subsets[2], "split_feature", 0), id="fixed-split"),
-        pytest.param(lambda subsets: subsets.insert(3, subsets.pop(4)), id="wrong-id"),
-        pytest.param(lambda subsets: subsets.extend([replace(subsets[3]), replace(subsets[4])]),
+        pytest.param(lambda subsets: subsets.pop("4"), id="missing-id"),
+        pytest.param(lambda subsets: subsets.pop("0"), id="no-root"),
+        pytest.param(lambda subsets: subsets["4"].update(parent_id=1), id="split-siblings"),
+        pytest.param(lambda subsets: subsets["3"].update(parent_id=4), id="later-parent"),
+        pytest.param(lambda subsets: subsets["1"].update(parent_id=None), id="orphan"),
+        pytest.param(lambda subsets: subsets["2"].update(split_feature=None), id="unsplit"),
+        pytest.param(lambda subsets: subsets["1"].update(split_feature=2), id="split-leaf"),
+        pytest.param(lambda subsets: subsets["2"].update(split_feature=0), id="fixed-split"),
+        pytest.param(lambda subsets: _swap(subsets, "3", "4"), id="wrong-id"),
+        pytest.param(lambda subsets: subsets.update({"5": dict(subsets["3"]),
+                                                     "6": dict(subsets["4"])}),
                      id="split-twice"),
     ])
     def test_subsets_that_form_no_tree_are_rejected(self, edit):
-        part = manual_partition()
-        subsets = [replace(s) for s in part.subsets]
-        edit(subsets)
+        obj = partition_to_json(manual_partition())
+        partition_from_json(json.loads(json.dumps(obj)))
+        edit(obj["subsets"])
         with pytest.raises(DomainError):
-            Partition(part.uncertainty, part.config, subsets)
+            partition_from_json(json.loads(json.dumps(obj)))
+
+    @pytest.mark.parametrize("splits, budget", [
+        pytest.param([(0, 0), (3, 1)], 3, id="later-leaf"),
+        pytest.param([(-1, 0)], 3, id="negative-leaf"),
+        pytest.param([(0, 0), (0, 1)], 3, id="leaf-already-split"),
+        pytest.param([(0, 0), (2, 0)], 3, id="fixed-feature"),
+        pytest.param([(0, 5)], 3, id="unknown-feature"),
+        pytest.param([(0, 0), (2, 1)], 1, id="no-budget-room"),
+    ])
+    def test_a_split_that_does_not_grow_the_tree_is_rejected(self, splits, budget):
+        part = manual_partition()
+        uset = replace(part.uncertainty, budget=budget)
+        replace(part, uncertainty=uset, splits=[Split(0, 0, part.opt, None)])
+        with pytest.raises(DomainError):
+            replace(part, uncertainty=uset,
+                    splits=[Split(leaf, j, part.opt, part.adv) for leaf, j in splits])
 
     def test_routing_table_leaves_and_constraints(self):
         part = manual_partition()
@@ -496,8 +501,10 @@ class TestSubsetsFormTheTree:
         part = manual_partition()
         cut = truncate(part, 2)
         assert cut.leaf_ids == [1, 2]
-        assert [s.split_feature for s in cut.subsets] == [0, None, None]
-        assert part.subsets[2].split_feature == 1
+        assert len(cut.splits) == 1 and cut.splits[0] is part.splits[0]
+        stored = partition_to_json(cut)["subsets"].values()
+        assert [s["split_feature"] for s in stored] == [0, None, None]
+        assert [split.feature for split in part.splits] == [0, 1]
 
 
 GOLDEN = Path(__file__).parent / "data" / "learned_lr_q5.json"
@@ -508,6 +515,15 @@ GOLDEN_ROUTES = {(0, 0, 0): 3, (0, 0, 1): 3, (0, 1, 0): 5, (0, 1, 1): 5,
                  (1, 0, 0): 4, (1, 0, 1): 4, (1, 1, 0): 7, (1, 1, 1): 8}
 
 
+def _scaled_bound(sid: str, key: str, factor: float):
+    """An edit scaling one stored bound, with a relgap that still agrees."""
+    def edit(obj):
+        subset = obj["subsets"][sid]
+        subset[key] *= factor
+        subset["relgap"] = rel_gap(subset["LB"], subset["UB"])
+    return edit
+
+
 def _swap_root_children(obj):
     tree = obj["tree"]
     tree["available"], tree["missing"] = tree["missing"], tree["available"]
@@ -516,13 +532,14 @@ def _swap_root_children(obj):
 class TestGoldenArtifact:
     """A learned lr artifact (3 maskable features, budget 3, q = 5), written
     by learn_partition and save_artifact when a partition still stored its
-    tree, leaf list and equality constraints next to its subsets. Those three
-    are now derived from the subsets; the file must load, route and save as
-    it did, and a copy whose stored values the subsets contradict must not
-    load. The file was first written in format 1 (learned_lr_q5_v1.json,
-    arrays as number lists) and converted to the parameter table of format 2
-    by loading it with the format-1 reader and saving it again;
-    test_artifacts.py checks that every array survived bit for bit."""
+    tree, leaf list, equality constraints and every subset's inherited values
+    next to its own. All of these are now derived from the root fits and the
+    splits; the file must load, route and save as it did, and a copy whose
+    stored values they contradict must not load. The file was first written
+    in format 1 (learned_lr_q5_v1.json, arrays as number lists) and converted
+    to the parameter table of format 2 by loading it with the format-1
+    reader and saving it again; test_artifacts.py checks that every array
+    survived bit for bit."""
 
     def test_load_then_save_reproduces_the_bytes(self, tmp_path):
         save_artifact(load_artifact(GOLDEN), tmp_path / "again.json")
@@ -556,6 +573,33 @@ class TestGoldenArtifact:
         path = tmp_path / "edited.json"
         path.write_text(json.dumps(obj), encoding="utf-8")
         with pytest.raises(DomainError, match="edited.json"):
+            load_artifact(path)
+
+    # subset 3 is split 2's available child, 4 its missing child; both kept
+    # what split 2 inherits from subset 1 (LB 0.00593 and table entry 0 for
+    # 3, UB 0.0346 and table entry 2 for 4)
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda obj: obj["subsets"]["0"].update(lb_inherited=True),
+                     id="root-lb-inherited"),
+        pytest.param(lambda obj: obj["subsets"]["0"].update(ub_inherited=True),
+                     id="root-ub-inherited"),
+        pytest.param(lambda obj: obj["subsets"]["3"].update(lb_inherited=False),
+                     id="available-lb-not-inherited"),
+        pytest.param(lambda obj: obj["subsets"]["4"].update(lb_inherited=True),
+                     id="missing-lb-inherited"),
+        pytest.param(lambda obj: obj["subsets"]["4"].update(ub_inherited=False),
+                     id="missing-ub-not-inherited"),
+        pytest.param(_scaled_bound("3", "LB", 0.5), id="available-inherited-LB-halved"),
+        pytest.param(_scaled_bound("4", "UB", 2.0), id="missing-inherited-UB-doubled"),
+        pytest.param(lambda obj: obj["subsets"]["4"].update(params_adv=1),
+                     id="missing-inherited-params-adv-elsewhere"),
+    ])
+    def test_an_inherited_copy_that_disagrees_is_rejected(self, tmp_path, edit):
+        obj = json.loads(GOLDEN.read_text(encoding="utf-8"))
+        edit(obj)
+        path = tmp_path / "inherited.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        with pytest.raises(DomainError, match="inherited.json"):
             load_artifact(path)
 
     @pytest.mark.parametrize("edit", [

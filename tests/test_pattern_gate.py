@@ -14,10 +14,10 @@ from robustcast.models import Architecture, init_params, loss_and_grad, mse_loss
 from robustcast.partition import (
     FixedPartition,
     FixedSubset,
+    Fit,
     Partition,
     PartitionConfig,
     UncertaintySet,
-    UncertaintySubset,
     locate,
     predict_deployed,
     predict_deployed_rows,
@@ -73,8 +73,7 @@ def fixtures(p: int, maskable: tuple[int, ...], n: int):
     params = init_params(Architecture(input_dim=p), "lr", True, seed=0, maskable=maskable)
     params = params.from_vector(np.random.default_rng(1).normal(size=params.to_vector().size))
     uset = UncertaintySet(n_features=p, maskable=maskable, budget=len(maskable))
-    leaf = UncertaintySubset(MissingPattern.zeros(p), maskable, params, params, 1.0, 2.0)
-    learned = Partition(uset, PartitionConfig(1, 0.0), [leaf])
+    learned = Partition(uset, PartitionConfig(1, 0.0), Fit(params, 1.0), Fit(params, 2.0))
     fixed = FixedPartition(uset, [FixedSubset(params, 1.0) for _ in range(len(maskable) + 1)])
     X = np.random.default_rng(2).uniform(0.5, 1.5, (n, p))
     return params, learned, fixed, X, X.sum(axis=1)

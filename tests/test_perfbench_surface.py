@@ -1,9 +1,13 @@
 """The library surface the benchmark in perfbench/ reads, checked here so a
 rename in robustcast fails the test suite rather than only perfbench/run.py:
 the RunConfig fields each workload key lands in, and the results its tracer
-counts work from (tracer.COUNTERS), produced by the real functions."""
+counts work from (tracer.COUNTERS), produced by the real functions, and the
+check it makes of every run's outputs (checks.output_problems)."""
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -29,6 +33,16 @@ def _perfbench_module(name: str):
 
 checks = _perfbench_module("checks")
 tracer = _perfbench_module("tracer")
+
+
+@pytest.fixture(scope="module")
+def run():
+    """perfbench/run.py, which imports its sibling child.py by name."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        return _perfbench_module("run")
+    finally:
+        sys.path.remove(str(PERFBENCH))
 
 
 def test_there_are_workloads():
@@ -87,3 +101,21 @@ def test_the_tracer_counts_work_from_real_results(tmp_path):
     size = path.stat().st_size
     assert counts["partition.save_artifact.bytes"] == counts["partition.load_artifact.bytes"] \
         == size
+
+
+@pytest.mark.parametrize("path", WORKLOADS, ids=lambda p: p.stem)
+def test_outputs_pass_the_benchmarks_check_at_the_reference_seed(path, tmp_path, run):
+    """train + evaluate as the benchmark runs them (one BLAS thread, --jobs 1):
+    exact split features and leaf counts, and nrmse values close to
+    perfbench/reference, so a change to the learned-file keys the benchmark
+    reads fails here too."""
+    config = json.loads(path.read_text(encoding="utf-8"))
+    reference = json.loads((PERFBENCH / "reference" / path.name).read_text(encoding="utf-8"))
+    out = tmp_path / "out"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, **run.BLAS_ENV)
+    for command in ("train", "evaluate"):
+        subprocess.run([sys.executable, "-m", "robustcast", command, "--config", str(path),
+                        "--seed", str(run.REFERENCE_SEED), "--jobs", "1", "--out", str(out)],
+                       env=env, check=True, capture_output=True)
+    assert checks.output_problems(config, out, reference) == []

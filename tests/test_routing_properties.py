@@ -1,5 +1,7 @@
 """Property tests: batched routing over bit matrices agrees with the
 single-pattern API on random trees, uncertainty sets and patterns."""
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,10 +11,11 @@ from robustcast.models import Architecture, ModelParams, init_params
 from robustcast.partition import (
     FixedPartition,
     FixedSubset,
+    Fit,
     Partition,
     PartitionConfig,
+    Split,
     UncertaintySet,
-    UncertaintySubset,
     locate,
     locate_rows,
     predict_deployed,
@@ -42,30 +45,28 @@ def random_params(uset: UncertaintySet, rng: np.random.Generator) -> ModelParams
 @st.composite
 def partitions(draw) -> Partition:
     """A random tree grown the way learn_partition grows one, held as its
-    subsets alone: split k picks a leaf with a free feature and budget room,
-    records one of its free features as the split feature, and adds subset
-    2k - 1, which keeps that feature available, and 2k, which marks it
-    missing."""
+    root fits and splits: split k picks a leaf with a free feature and budget
+    room and one of its free features, and adds subset 2k - 1, which keeps
+    that feature available, and 2k, which marks it missing. Each split trains
+    the missing child's optimistic fit and, or not, the available child's
+    adversarial one."""
     uset = draw(usets())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
-    def subset(opt, free, parent):
-        return UncertaintySubset(opt, free, random_params(uset, rng),
-                                 random_params(uset, rng), 1.0, 2.0, parent_id=parent)
+    def fit(loss):
+        return Fit(random_params(uset, rng), loss)
 
-    subsets = [subset(MissingPattern.zeros(uset.n_features), uset.maskable, None)]
+    part = Partition(uset, PartitionConfig(), fit(1.0), fit(2.0))
     for _ in range(draw(st.integers(0, 6))):
-        splittable = [i for i, s in enumerate(subsets) if s.split_feature is None
-                      and s.free and s.opt_pattern.popcount() < uset.budget]
+        splittable = [i for i in part.leaf_ids if part.subsets[i].free
+                      and part.subsets[i].opt_pattern.popcount() < uset.budget]
         if not splittable:
             break
-        parent_id = draw(st.sampled_from(splittable))
-        parent = subsets[parent_id]
-        j = parent.split_feature = draw(st.sampled_from(parent.free))
-        free = tuple(f for f in parent.free if f != j)
-        for opt in (parent.opt_pattern, parent.opt_pattern.with_missing(j)):
-            subsets.append(subset(opt, free, parent_id))
-    return Partition(uset, PartitionConfig(), subsets)
+        leaf = draw(st.sampled_from(splittable))
+        j = draw(st.sampled_from(part.subsets[leaf].free))
+        adv = fit(2.0) if draw(st.booleans()) else None
+        part = replace(part, splits=(*part.splits, Split(leaf, j, fit(1.0), adv)))
+    return part
 
 
 def random_bits(uset: UncertaintySet, n: int, seed: int, opt_patterns=()) -> np.ndarray:
