@@ -15,10 +15,17 @@ x(a) zeroes the missing coordinates. Gradients are hand-derived; there is no
 autodiff dependency. All functions are pure; parameters are treated as
 immutable snapshots, except that a training run updates its own params in
 place through the flat vector their blocks are views of (see from_vector).
+
+loss_and_grad writes its gradient into a flat vector the caller gives: the
+StepBuffers of a training run, which also hold the decay masks and the
+row buffers, made once per run. What a call writes there stays valid until
+the next call with those buffers. The run binds each epoch's pattern once
+(bind_pattern) and hands the bound pattern to every mini-batch.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -266,80 +273,141 @@ def mse_loss(params: ModelParams, X: np.ndarray, y: np.ndarray, alpha) -> float:
     return float(np.mean((preds - y) ** 2))
 
 
+class BoundPattern(NamedTuple):
+    """One batch pattern checked against a model's layout and expanded for
+    loss_and_grad: its uint8 bits, keep = 1 - bits as float, and a, the
+    pattern on the maskable columns as float (None unless the model is
+    adaptive with maskable features). layout records what it was bound for
+    (_step_layout). The training loop binds each epoch's pattern once."""
+
+    layout: tuple
+    bits: np.ndarray
+    keep: np.ndarray
+    a: np.ndarray | None
+
+
+def _step_layout(params: ModelParams) -> tuple:
+    """What a bound pattern and StepBuffers depend on, besides block shapes."""
+    return params.family, params.adaptive, params.n_features, params.maskable, params.bias_index
+
+
+def bind_pattern(params: ModelParams, alpha) -> BoundPattern:
+    """alpha, one pattern for a whole batch, checked by MissingPattern.bits_of
+    (DomainError unless it is one 0/1 vector of the model's width marking
+    only maskable features) and expanded for loss_and_grad."""
+    bits = MissingPattern.bits_of(alpha, params.n_features, params.maskable, ndim=1)
+    a = _mask_columns(bits, params.maskable) if params.adaptive and params.maskable else None
+    return BoundPattern(_step_layout(params), bits, 1.0 - bits.astype(np.float64), a)
+
+
+class StepBuffers:
+    """What the loss_and_grad calls of one training run reuse, sized once for
+    batches of up to `rows` rows: the flat gradient vector `grad` (blocks in
+    block_names() order, the layout adam_step reads) with a view per block
+    in `blocks`, each block's weight-decay mask (_decayed_mask), and the
+    masked-input and residual rows. A call overwrites all of it, so what it
+    returns stays valid until the next call with these buffers."""
+
+    def __init__(self, params: ModelParams, rows: int):
+        self.layout = _step_layout(params)
+        self.rows = rows
+        self.grad = np.empty(sum(block.size for block in params.arrays.values()))
+        self.blocks = params.from_vector(self.grad).arrays
+        self.decay = {name: _decayed_mask(params, name) for name in self.blocks}
+        self.xm = np.empty((rows, params.n_features))
+        self.resid = np.empty(rows)
+        self.sq = np.empty(rows)
+
+
 def loss_and_grad(
     params: ModelParams,
     X: np.ndarray,
     y: np.ndarray,
     alpha,
     weight_decay: float = 0.0,
+    work: StepBuffers | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Training objective and exact gradients for every parameter block.
 
     The objective is mean squared error plus weight_decay times the sum of
-    squared decayed weights (see _decayed_mask). One pattern applies to the
-    whole batch, matching how training consumes adversarial scenarios.
+    squared decayed weights (see _decayed_mask), summed block by block. One
+    pattern applies to the whole batch: alpha is a pattern, checked here, or
+    a BoundPattern of this model's layout, checked when bound (the training
+    loop binds each epoch's pattern once and passes it to every batch).
+
+    The gradient is written into the flat vector work.grad of the caller's
+    StepBuffers, built for this layout and at least n rows; the returned
+    blocks are views of it, valid, like the rest of work, until the next
+    call with that work. Without work the call allocates its own buffers.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64)
     n = X.shape[0]
     if n == 0:
         raise SizeError("empty batch")
-    bits = MissingPattern.bits_of(alpha, params.n_features, params.maskable, ndim=1)
-    xm = X * (1.0 - bits.astype(np.float64))
-    grads: dict[str, np.ndarray] = {}
+    if not isinstance(alpha, BoundPattern):
+        alpha = bind_pattern(params, alpha)
+    if work is None:
+        work = StepBuffers(params, n)
+    if n > work.rows:
+        raise SizeError(f"batch of {n} rows exceeds buffers for {work.rows}")
+    layout = _step_layout(params)
+    if alpha.layout != layout or work.layout != layout:
+        raise DomainError("pattern or buffers bound for another model layout")
+    grads = work.blocks
+    xm = np.multiply(X, alpha.keep, out=work.xm[:n])
+    resid = work.resid[:n]
 
     if params.family == LR:
+        a = alpha.a
         w = params.arrays["w"]
-        adaptive = params.adaptive and bool(params.maskable)
-        a = _mask_columns(bits, params.maskable) if adaptive else None
-        w_eff = w + params.arrays["D"] @ a if adaptive else w
-        preds = xm @ w_eff
-        resid = preds - y
-        loss = float(np.mean(resid**2))
-        r = (2.0 / n) * resid
-        gw = xm.T @ r
-        grads["w"] = gw
-        if params.adaptive:
-            grads["D"] = np.outer(gw, a) if adaptive else np.zeros_like(params.arrays["D"])
+        w_eff = w + params.arrays["D"] @ a if a is not None else w
+        np.matmul(xm, w_eff, out=resid)
+        resid -= y
     else:
-        preds, gs, a = _nn_forward(params, xm, bits, per_row=False)
-        resid = preds - y
-        loss = float(np.mean(resid**2))
-        r = (2.0 / n) * resid
-        adaptive = a is not None
-        w_out = params.arrays["w_out"]
-        g_last = gs[-1]
-        grads["w_out"] = g_last.T @ r
-        grads["b_out"] = np.array([r.sum()])
-        if params.adaptive:
-            grads["D_out"] = (
-                np.outer(g_last.T @ r, a) if adaptive else np.zeros_like(params.arrays["D_out"])
-            )
-        w_eff = w_out + params.arrays["D_out"] @ a if adaptive else w_out
-        dg = np.outer(r, w_eff)
+        preds, gs, a = _nn_forward(params, xm, alpha.bits, False)
+        np.subtract(preds, y, out=resid)
+    loss = float(np.add.reduce(np.square(resid, out=work.sq[:n])) / n)
+    r = np.multiply(resid, 2.0 / n, out=resid)
+
+    if params.family == LR:
+        gw = np.matmul(xm.T, r, out=grads["w"])
+        if a is not None:
+            np.multiply(gw[:, None], a, out=grads["D"])
+        elif params.adaptive:
+            grads["D"].fill(0.0)
+    else:
+        g_out = np.matmul(gs[-1].T, r, out=grads["w_out"])
+        grads["b_out"][0] = np.add.reduce(r)
+        w_eff = params.arrays["w_out"]
+        if a is not None:
+            np.multiply(g_out[:, None], a, out=grads["D_out"])
+            w_eff = w_eff + params.arrays["D_out"] @ a
+        elif params.adaptive:
+            grads["D_out"].fill(0.0)
+        dg = np.multiply(r[:, None], w_eff)
         for m in range(params.n_hidden_layers - 1, -1, -1):
-            delta = dg if m == 0 else dg * (gs[m + 1] > 0.0)
+            # dg becomes delta, the gradient at layer m's pre-activation
+            if m:
+                dg *= gs[m + 1] > 0.0
             g_in = gs[m]
-            grads[f"W{m}"] = delta.T @ g_in
-            grads[f"b{m}"] = delta.sum(axis=0)
-            w = params.arrays[f"W{m}"]
-            if params.adaptive:
-                if adaptive:
-                    srow = delta.sum(axis=1)
-                    grads[f"D{m}"] = np.outer(g_in.T @ srow, a)
-                    dg = delta @ w + np.outer(srow, params.arrays[f"D{m}"] @ a)
-                else:
-                    grads[f"D{m}"] = np.zeros_like(params.arrays[f"D{m}"])
-                    dg = delta @ w
-            else:
-                dg = delta @ w
+            np.matmul(dg.T, g_in, out=grads[f"W{m}"])
+            np.add.reduce(dg, axis=0, out=grads[f"b{m}"])
+            if a is not None:
+                srow = np.add.reduce(dg, axis=1)
+                np.multiply((g_in.T @ srow)[:, None], a, out=grads[f"D{m}"])
+            elif params.adaptive:
+                grads[f"D{m}"].fill(0.0)
+            if m:  # the gradient at layer 0's inputs is never read
+                dg = dg @ params.arrays[f"W{m}"]
+                if a is not None:
+                    dg += np.multiply(srow[:, None], params.arrays[f"D{m}"] @ a)
 
     if weight_decay:
-        for name in params.block_names():
-            mask = _decayed_mask(params, name)
-            block = params.arrays[name]
-            loss += weight_decay * float(np.sum((block * mask) ** 2))
-            grads[name] = grads[name] + 2.0 * weight_decay * (block * mask)
+        for name, mask in work.decay.items():
+            decayed = params.arrays[name] * mask
+            loss += weight_decay * float(np.add.reduce(np.square(decayed), axis=None))
+            grads[name] += (2.0 * weight_decay) * decayed
 
     return loss, grads
 

@@ -2,6 +2,10 @@
 patience-based early stopping, returning the best-on-validation parameters.
 A run updates one flat vector in place (the blocks in block_names() order,
 with two Adam moment vectors of its length); its ModelParams are views of it.
+Each epoch's training pattern is bound once (models.bind_pattern checks and
+expands it) and serves every mini-batch of the epoch. Each step's
+loss_and_grad writes its gradient into the flat vector of the run's
+StepBuffers (made once per run), which adam_step reads as it is.
 
 The same loop also powers adversarial training (the adversarial module swaps
 in a different pattern picker per epoch), which keeps the two code paths
@@ -19,7 +23,15 @@ from ._util import rng_for
 from .dataio import Dataset
 from .exceptions import ConfigError, NumericalError, SizeError
 from .missingness import MissingPattern
-from .models import Architecture, ModelParams, init_params, loss_and_grad, mse_loss
+from .models import (
+    Architecture,
+    ModelParams,
+    StepBuffers,
+    bind_pattern,
+    init_params,
+    loss_and_grad,
+    mse_loss,
+)
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -102,10 +114,11 @@ def run_training_loop(
 
     One iteration is one pass over mini-batches, contiguous row slices of
     the training split (permuted once per epoch by a seed-derived permutation
-    when cfg.shuffle is set). The training pattern for an epoch is picked
-    before its updates; the validation pattern is picked after them. Returns
-    the parameters with the lowest validation mean squared error seen. A
-    non-finite training (mini-batch) or validation loss raises NumericalError
+    when cfg.shuffle is set). The training pattern for an epoch is picked and
+    bound before its updates, so an inadmissible one raises DomainError before
+    the epoch's first update; the validation pattern is picked after them.
+    Returns the parameters with the lowest validation mean squared error seen.
+    A non-finite training (mini-batch) or validation loss raises NumericalError
     naming the iteration: a diverged fit never improves on the best, so it
     would otherwise end as the initial params. params0 is left unchanged; the
     params a picker gets are views of the live vector, valid during its call.
@@ -114,7 +127,7 @@ def run_training_loop(
         raise SizeError("training and validation splits must be non-empty")
     theta = params0.to_vector()
     params = params0.from_vector(theta)
-    names = params.block_names()
+    work = StepBuffers(params, min(cfg.batch_size, train.n))
     m, v = np.zeros_like(theta), np.zeros_like(theta)
     best_theta = theta.copy()
     best_loss = np.inf
@@ -126,7 +139,7 @@ def run_training_loop(
     phi = 0
     step = 0
     while k < cfg.max_iters and phi < cfg.patience:
-        alpha_train = pick_train_pattern(params)
+        alpha_train = bind_pattern(params, pick_train_pattern(params))
         X, y = train.X, train.y
         if shuffle_rng is not None:
             order = shuffle_rng.permutation(train.n)
@@ -134,12 +147,11 @@ def run_training_loop(
         batch_losses = []
         for start in range(0, train.n, cfg.batch_size):
             rows = slice(start, start + cfg.batch_size)
-            loss, grads = loss_and_grad(params, X[rows], y[rows], alpha_train, cfg.weight_decay)
+            loss, _ = loss_and_grad(params, X[rows], y[rows], alpha_train, cfg.weight_decay, work)
             if not math.isfinite(loss):
                 raise NumericalError(f"training loss is {loss} at iteration {k}")
             step += 1
-            g = np.concatenate([grads[name].ravel() for name in names])
-            adam_step(theta, g, m, v, step, cfg.learning_rate)
+            adam_step(theta, work.grad, m, v, step, cfg.learning_rate)
             batch_losses.append(loss)
         alpha_val = pick_val_pattern(params)
         val_loss = mse_loss(params, val.X, val.y, alpha_val)

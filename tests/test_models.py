@@ -7,6 +7,11 @@ from robustcast.exceptions import DomainError, SizeError
 from robustcast.missingness import MissingPattern
 from robustcast.models import (
     Architecture,
+    StepBuffers,
+    _decayed_mask,
+    _mask_columns,
+    _nn_forward,
+    bind_pattern,
     forward,
     init_params,
     loss_and_grad,
@@ -352,6 +357,140 @@ class TestLossAndGrad:
         X = np.array([[1.0, 1.0]])
         y = np.array([3.5])
         assert mse_loss(params, X, y, MissingPattern.zeros(2)) == pytest.approx(0.0)
+
+
+def reference_loss_and_grad(params, X, y, alpha, weight_decay=0.0):
+    """loss_and_grad as it was before it wrote into caller-given buffers:
+    the pattern checked on every call, a fresh array per gradient block, the
+    decay masks rebuilt per block, and the gradient at layer 0's inputs
+    computed though nothing reads it."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    y = np.asarray(y, dtype=np.float64)
+    n = X.shape[0]
+    if n == 0:
+        raise SizeError("empty batch")
+    bits = MissingPattern.bits_of(alpha, params.n_features, params.maskable, ndim=1)
+    xm = X * (1.0 - bits.astype(np.float64))
+    grads = {}
+
+    if params.family == "lr":
+        w = params.arrays["w"]
+        adaptive = params.adaptive and bool(params.maskable)
+        a = _mask_columns(bits, params.maskable) if adaptive else None
+        w_eff = w + params.arrays["D"] @ a if adaptive else w
+        preds = xm @ w_eff
+        resid = preds - y
+        loss = float(np.mean(resid**2))
+        r = (2.0 / n) * resid
+        gw = xm.T @ r
+        grads["w"] = gw
+        if params.adaptive:
+            grads["D"] = np.outer(gw, a) if adaptive else np.zeros_like(params.arrays["D"])
+    else:
+        preds, gs, a = _nn_forward(params, xm, bits, per_row=False)
+        resid = preds - y
+        loss = float(np.mean(resid**2))
+        r = (2.0 / n) * resid
+        adaptive = a is not None
+        w_out = params.arrays["w_out"]
+        g_last = gs[-1]
+        grads["w_out"] = g_last.T @ r
+        grads["b_out"] = np.array([r.sum()])
+        if params.adaptive:
+            grads["D_out"] = (
+                np.outer(g_last.T @ r, a) if adaptive else np.zeros_like(params.arrays["D_out"])
+            )
+        w_eff = w_out + params.arrays["D_out"] @ a if adaptive else w_out
+        dg = np.outer(r, w_eff)
+        for m in range(params.n_hidden_layers - 1, -1, -1):
+            delta = dg if m == 0 else dg * (gs[m + 1] > 0.0)
+            g_in = gs[m]
+            grads[f"W{m}"] = delta.T @ g_in
+            grads[f"b{m}"] = delta.sum(axis=0)
+            w = params.arrays[f"W{m}"]
+            if params.adaptive:
+                if adaptive:
+                    srow = delta.sum(axis=1)
+                    grads[f"D{m}"] = np.outer(g_in.T @ srow, a)
+                    dg = delta @ w + np.outer(srow, params.arrays[f"D{m}"] @ a)
+                else:
+                    grads[f"D{m}"] = np.zeros_like(params.arrays[f"D{m}"])
+                    dg = delta @ w
+            else:
+                dg = delta @ w
+
+    if weight_decay:
+        for name in params.block_names():
+            mask = _decayed_mask(params, name)
+            block = params.arrays[name]
+            loss += weight_decay * float(np.sum((block * mask) ** 2))
+            grads[name] = grads[name] + 2.0 * weight_decay * (block * mask)
+
+    return loss, grads
+
+
+def same_bits(loss, grads, ref_loss, ref_grads):
+    """Loss and every gradient block equal to the reference bit for bit
+    (tobytes, so a -0.0 where the reference has +0.0 counts)."""
+    assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+    assert sorted(grads) == sorted(ref_grads)
+    for name, block in ref_grads.items():
+        assert grads[name].shape == block.shape, name
+        assert grads[name].tobytes() == block.tobytes(), name
+
+
+class TestLossAndGradAgainstReference:
+    """loss_and_grad writes into reused buffers; every value it returns is
+    still the one the per-call routine above computes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(layouts(), st.data())
+    def test_loss_and_grad_matches_the_reference_bit_for_bit(self, layout, data):
+        family, adaptive, p, hidden, maskable, seed = layout
+        bias_index = data.draw(st.none() | st.integers(0, p - 1))
+        weight_decay = data.draw(st.sampled_from([0.0, 1e-3, 0.25]))
+        rows = data.draw(st.integers(1, 9))
+        spare = data.draw(st.integers(0, 4))
+        arch = Architecture(input_dim=p, hidden=hidden if family == "nn" else (),
+                            bias_index=bias_index)
+        rng = np.random.default_rng(seed)
+        params = randomized(init_params(arch, family, adaptive, seed, maskable=maskable), rng)
+        # the buffers of rows + spare rows serve every batch below: a prefix
+        # of a larger workspace, reused across calls with different patterns
+        work = StepBuffers(params, rows + spare)
+        for n in (rows, rows + spare, rows):
+            X = rng.normal(0.0, 1.0, (n, p))
+            y = rng.normal(0.0, 1.0, n)
+            bits = np.zeros(p, dtype=np.uint8)
+            bits[list(maskable)] = rng.uniform(size=len(maskable)) < 0.5
+            ref_loss, ref_grads = reference_loss_and_grad(params, X, y, bits, weight_decay)
+            same_bits(*loss_and_grad(params, X, y, bits, weight_decay), ref_loss, ref_grads)
+            loss, grads = loss_and_grad(params, X, y, bind_pattern(params, bits),
+                                        weight_decay, work)
+            same_bits(loss, grads, ref_loss, ref_grads)
+            assert all(np.shares_memory(g, work.grad) for g in grads.values() if g.size)
+
+    def test_negative_zero_gradients_survive(self):
+        # D's column for an available feature is gw * 0.0: -0.0 where gw < 0
+        params = init_params(Architecture(input_dim=2), "lr", True, seed=0, maskable=(0, 1))
+        params.arrays["w"][...] = 1.0
+        X, y = np.array([[0.0, 1.0], [0.0, 2.0]]), np.array([5.0, 5.0])
+        bits = np.array([1, 0], dtype=np.uint8)
+        ref_loss, ref_grads = reference_loss_and_grad(params, X, y, bits)
+        assert ref_grads["D"][1, 1] == 0.0 and np.signbit(ref_grads["D"][1, 1])
+        same_bits(*loss_and_grad(params, X, y, bits), ref_loss, ref_grads)
+
+    def test_buffers_refuse_another_layout_and_a_larger_batch(self):
+        arch = Architecture(input_dim=3, bias_index=2)
+        params = init_params(arch, "lr", True, seed=0, maskable=(0, 1))
+        other = init_params(arch, "lr", True, seed=0, maskable=(0,))
+        X, y, zero = np.ones((4, 3)), np.ones(4), np.zeros(3, dtype=np.uint8)
+        with pytest.raises(SizeError):
+            loss_and_grad(params, X, y, zero, 0.0, StepBuffers(params, 3))
+        with pytest.raises(DomainError):
+            loss_and_grad(params, X, y, zero, 0.0, StepBuffers(other, 4))
+        with pytest.raises(DomainError):
+            loss_and_grad(params, X, y, bind_pattern(other, zero), 0.0, StepBuffers(params, 4))
 
 
 class TestSerialization:

@@ -91,7 +91,12 @@ def test_the_tracer_counts_work_from_real_results(tmp_path):
     loops = table["training.run_training_loop"]["calls"]
     # the root's two fits, two more for each of the 2 splits, budget + 1 fixed fits
     assert loops == 2 + 2 * 2 + 4
-    assert loops <= counts["training.run_training_loop.epochs"] <= 4 * loops
+    epochs = counts["training.run_training_loop.epochs"]
+    assert loops <= epochs <= 4 * loops
+    # one loss_and_grad call per mini-batch, each training row once an epoch
+    n_train = hd.train.n
+    assert table["models.loss_and_grad"]["calls"] == epochs * -(-n_train // cfg.batch_size)
+    assert counts["models.loss_and_grad.rows"] == epochs * n_train
     assert 0 < counts["adversarial.find_adversarial.steps"] \
         < counts["adversarial.find_adversarial.candidates"]
     assert counts["partition.learn_partition.leaves"] == len(learned.leaf_ids) == 3

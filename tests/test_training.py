@@ -1,18 +1,23 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from robustcast import training
+from robustcast._util import rng_for
 from robustcast.adversarial import AdvSearchScope, train_adversarial, train_sampled_adversarial
 from robustcast.dataio import Dataset, SynthConfig, build_supervised, gen_synthetic, split_sequential
-from robustcast.exceptions import ConfigError, NumericalError, SizeError
+from robustcast.exceptions import ConfigError, DomainError, NumericalError, SizeError
 from robustcast.missingness import MissingPattern
-from robustcast.models import Architecture, init_params, mse_loss
+from robustcast.models import Architecture, init_params, loss_and_grad, mse_loss
 from robustcast.training import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
+    IterationRecord,
     TrainConfig,
+    TrainResult,
     adam_step,
     run_training_loop,
     train_nominal,
@@ -256,3 +261,133 @@ class TestInPlaceUpdates:
         assert res.best_iteration < res.iterations - 1
         assert res.trace[-1].val_loss != res.val_loss
         assert mse_loss(res.params, val.X, val.y, zero) == res.val_loss
+
+
+def reference_run_training_loop(train, val, params0, cfg, pick_train_pattern, pick_val_pattern):
+    """run_training_loop as it was before each epoch bound its pattern once:
+    every batch hands the picked pattern to loss_and_grad, which checks it
+    and allocates its own buffers, and the blocks are concatenated into the
+    gradient vector Adam reads."""
+    if train.n == 0 or val.n == 0:
+        raise SizeError("training and validation splits must be non-empty")
+    theta = params0.to_vector()
+    params = params0.from_vector(theta)
+    names = params.block_names()
+    m, v = np.zeros_like(theta), np.zeros_like(theta)
+    best_theta = theta.copy()
+    best_loss = np.inf
+    best_iter = -1
+    trace = []
+    shuffle_rng = rng_for(cfg.seed, "shuffle") if cfg.shuffle else None
+
+    k = 0
+    phi = 0
+    step = 0
+    while k < cfg.max_iters and phi < cfg.patience:
+        alpha_train = pick_train_pattern(params)
+        X, y = train.X, train.y
+        if shuffle_rng is not None:
+            order = shuffle_rng.permutation(train.n)
+            X, y = X[order], y[order]
+        batch_losses = []
+        for start in range(0, train.n, cfg.batch_size):
+            rows = slice(start, start + cfg.batch_size)
+            loss, grads = loss_and_grad(params, X[rows], y[rows], alpha_train, cfg.weight_decay)
+            if not math.isfinite(loss):
+                raise NumericalError(f"training loss is {loss} at iteration {k}")
+            step += 1
+            g = np.concatenate([grads[name].ravel() for name in names])
+            adam_step(theta, g, m, v, step, cfg.learning_rate)
+            batch_losses.append(loss)
+        alpha_val = pick_val_pattern(params)
+        val_loss = mse_loss(params, val.X, val.y, alpha_val)
+        if not math.isfinite(val_loss):
+            raise NumericalError(f"validation loss is {val_loss} at iteration {k}")
+        trace.append(IterationRecord(k, float(np.mean(batch_losses)), val_loss))
+        if val_loss < best_loss:
+            best_theta = theta.copy()
+            best_loss = val_loss
+            best_iter = k
+            phi = 0
+        else:
+            phi += 1
+        k += 1
+    return TrainResult(
+        params=params0.from_vector(best_theta),
+        val_loss=float(best_loss),
+        trace=trace,
+        iterations=k,
+        best_iteration=best_iter,
+    )
+
+
+def bits_of_float(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+class TestLoopAgainstReference:
+    """The loop binds each epoch's pattern once and steps through reused
+    buffers; what it returns is still the reference loop's, bit for bit."""
+
+    def make(self, family):
+        raw = gen_synthetic(SynthConfig(3, 400, 0.9, 0.4, 0.3, seed=12))
+        ds = build_supervised(raw, 0, 2, 1)
+        train, val, _ = split_sequential(ds, 0.5, 0.2)
+        arch = Architecture(input_dim=ds.p, hidden=(6, 5) if family == "nn" else (),
+                            bias_index=ds.bias_index)
+        return train, val, init_params(arch, family, True, seed=5, maskable=train.maskable)
+
+    @staticmethod
+    def pickers(train, seed):
+        """A fresh pattern every epoch, for training and validation alike,
+        drawn from seeded generators so two runs see the same sequence."""
+        def picker(stream):
+            rng = np.random.default_rng([seed, stream])
+
+            def pick(params):
+                bits = np.zeros(train.p, dtype=np.uint8)
+                bits[list(train.maskable)] = rng.uniform(size=len(train.maskable)) < 0.4
+                return MissingPattern(bits=bits)
+            return pick
+        return picker(0), picker(1)
+
+    @pytest.mark.parametrize("family", ["lr", "nn"])
+    @pytest.mark.parametrize("shuffle", [False, True])
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
+    def test_matches_the_reference_loop_bit_for_bit(self, family, shuffle, weight_decay):
+        train, val, params0 = self.make(family)
+        assert train.n % 48  # the last batch of each epoch is short
+        cfg = TrainConfig(learning_rate=0.02, max_iters=12, patience=4, batch_size=48,
+                          weight_decay=weight_decay, seed=3, shuffle=shuffle)
+        got = run_training_loop(train, val, params0, cfg, *self.pickers(train, 7))
+        want = reference_run_training_loop(train, val, params0, cfg, *self.pickers(train, 7))
+        assert got.params.to_vector().tobytes() == want.params.to_vector().tobytes()
+        assert bits_of_float(got.val_loss) == bits_of_float(want.val_loss)
+        assert [(r.iteration, bits_of_float(r.train_loss), bits_of_float(r.val_loss))
+                for r in got.trace] == \
+            [(r.iteration, bits_of_float(r.train_loss), bits_of_float(r.val_loss))
+             for r in want.trace]
+        assert (got.iterations, got.best_iteration) == (want.iterations, want.best_iteration)
+        assert got.iterations > 1
+
+    def test_an_inadmissible_pattern_raises_at_its_epoch_before_any_update(self, monkeypatch):
+        train, val, params0 = self.make("lr")
+        before = params0.to_vector()
+        cfg = TrainConfig(learning_rate=0.02, max_iters=10, patience=10, batch_size=64, seed=0)
+        batches = -(-train.n // cfg.batch_size)
+        outside = next(j for j in range(train.p) if j not in train.maskable)
+        picked = []
+
+        def pick(params):
+            picked.append(len(picked))
+            return MissingPattern.from_missing(train.p, [outside] if len(picked) == 3 else [])
+
+        calls = []
+        monkeypatch.setattr(training, "loss_and_grad",
+                            lambda *args: calls.append(1) or loss_and_grad(*args))
+        zero = lambda params: MissingPattern.zeros(train.p)
+        with pytest.raises(DomainError, match="non-maskable"):
+            run_training_loop(train, val, params0, cfg, pick, zero)
+        assert picked == [0, 1, 2]
+        assert len(calls) == 2 * batches  # the third epoch stepped no batch
+        assert params0.to_vector().tobytes() == before.tobytes()
