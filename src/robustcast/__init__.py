@@ -30,13 +30,12 @@ from .missingness import (
     MissingnessConfig,
     MissingPattern,
     ObsMaskSeries,
-    apply_mask,
     expand_obs_mask,
     impute_mean,
     impute_persistence,
     simulate_markov,
 )
-from .models import Architecture, ModelParams, forward, init_params, loss_and_grad, predict
+from .models import Architecture, ModelParams, init_params, loss_and_grad, predict
 from .partition import (
     Fit,
     FixedPartition,

@@ -58,18 +58,15 @@ class AdversarialPattern:
     steps: list[tuple[int, float]] = field(default_factory=list)
 
 
-def _shape(params: ModelParams) -> tuple:
-    return params.family, params.n_features, params.hidden
-
-
 class SplitScorer:
     """What scoring patterns on one data split keeps between searches.
 
     A linear model keeps the split's Gram statistics G, b and c; a network
     keeps an (n, p) masked-input buffer and an (n, width) activation buffer
-    per hidden layer. Both depend on the data and the model's shape, not on
-    its parameters, so training builds one per split and binds each search's
-    parameters. The buffers make one scorer unfit for concurrent searches.
+    per hidden layer. Both depend on the data and the model's layout, arch,
+    not on its parameters, so training builds one per split and binds each
+    search's parameters. The buffers make one scorer unfit for concurrent
+    searches.
     """
 
     def __init__(self, X: np.ndarray, y: np.ndarray, params: ModelParams):
@@ -78,8 +75,8 @@ class SplitScorer:
         n = X.shape[0]
         if n == 0:
             raise SizeError("pattern scoring needs a non-empty data set")
-        self.shape = _shape(params)
-        if params.family == LR:
+        self.arch = params.arch
+        if self.arch.family == LR:
             self.gram = X.T @ X / n
             self.xty = X.T @ y / n
             self.yty = float(y @ y) / n
@@ -88,7 +85,7 @@ class SplitScorer:
             # Layer m reads only layer m - 1's output, so the layers take the
             # two halves of one block in turn: less memory held through
             # training, and one block to hand back when the scorer goes.
-            widths = params.hidden
+            widths = self.arch.hidden
             half = n * max(widths)
             block = np.empty(2 * half)
             self.layers = [
@@ -109,14 +106,15 @@ class SplitScorer:
         mse_loss in its order, so each loss is mse_loss's bit for bit, but
         no activation is allocated per candidate.
         """
-        if _shape(params) != self.shape:
-            raise DomainError(f"parameters of shape {_shape(params)} bound to a scorer "
-                              f"built for {self.shape}")
+        arch = params.arch
+        if arch != self.arch:
+            raise DomainError(f"parameters of layout {arch} bound to a scorer built for "
+                              f"{self.arch}")
 
         def check(stack: np.ndarray) -> np.ndarray:
-            return MissingPattern.bits_of(stack, params.n_features, params.maskable, ndim=2)
+            return MissingPattern.bits_of(stack, arch.input_dim, arch.maskable, ndim=2)
 
-        if params.family != LR:
+        if arch.family != LR:
             X, y, xm, layers = self.X, self.y, self.xm, self.layers
 
             def score(stack: np.ndarray) -> np.ndarray:
@@ -131,13 +129,13 @@ class SplitScorer:
             return score
         gram, xty, yty = self.gram, self.xty, self.yty
         w = params.arrays["w"]
-        adaptive = params.adaptive and bool(params.maskable)
+        adaptive = arch.adaptive and bool(arch.maskable)
 
         def score(stack: np.ndarray) -> np.ndarray:
             stack = check(stack)
             v = w
             if adaptive:
-                a = _mask_columns(stack, params.maskable)
+                a = _mask_columns(stack, arch.maskable)
                 v = w + _row_sums(a[:, None, :] * params.arrays["D"])
             v = v * (1.0 - stack)
             quad = _row_sums((v[:, :, None] * v[:, None, :] * gram).reshape(len(v), -1))

@@ -10,7 +10,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from ._util import derive_seed
@@ -274,8 +274,19 @@ def _horizon_data(cfg: RunConfig, raw: RawSeries) -> dict[int, HorizonData]:
 
 
 def _arch_for(cfg: RunConfig, hd: HorizonData) -> Architecture:
+    """The model layout the run config gives at one horizon: its family,
+    adaptivity and hidden widths (none for lr), over the data's width, bias
+    feature and maskable features."""
     hidden = cfg.hidden if cfg.family == "nn" else ()
-    return Architecture(input_dim=hd.dataset.p, hidden=hidden, bias_index=hd.dataset.bias_index)
+    return Architecture(cfg.family, cfg.adaptive, hd.dataset.p, hidden, hd.dataset.bias_index,
+                        hd.dataset.maskable)
+
+
+def _method_arch(arch: Architecture, method: str) -> Architecture:
+    """arch with the adaptivity of `method`'s models (the run config's where
+    METHODS leaves it open)."""
+    adaptive = METHODS[method].adaptive
+    return arch if adaptive is None else replace(arch, adaptive=adaptive)
 
 
 def _train_config(cfg: RunConfig, name: str, h: int) -> TrainConfig:
@@ -319,7 +330,8 @@ def cmd_synth(cfg: RunConfig) -> int:
 
 
 def _train_one_method(method, cfg, hd, arch, uset, h, jobs, in_grid):
-    """Train and save the partition artifacts of one method at horizon h.
+    """Train and save the partition artifacts of one method at horizon h,
+    every model of layout arch.
     The imputation methods score the base model and the oracle trains at
     evaluation, so neither has anything to train here."""
     entry = METHODS[method]
@@ -331,8 +343,7 @@ def _train_one_method(method, cfg, hd, arch, uset, h, jobs, in_grid):
         sweep = cfg.qsweep_list if cfg.qsweep_list and method == cfg.qsweep_method else ()
         q_grow = max(sweep + ((cfg.partition.max_subsets,) if in_grid else ()))
         grown = learn_partition(
-            hd.train, hd.val, uset, replace(cfg.partition, max_subsets=q_grow), tcfg, arch,
-            cfg.family, entry.adaptive,
+            hd.train, hd.val, uset, replace(cfg.partition, max_subsets=q_grow), tcfg, arch
         )
         if in_grid:
             part = truncate(grown, cfg.partition.max_subsets)
@@ -347,9 +358,7 @@ def _train_one_method(method, cfg, hd, arch, uset, h, jobs, in_grid):
             save_artifact(part, _artifact_path(cfg.out_dir, f"{entry.stem}_q{q}", h))
             print(f"[h={h}] {method} Q={q}: max relgap {part.max_relgap():.4%}")
     elif entry.artifact is FixedPartition:
-        part = fixed_partition(
-            hd.train, hd.val, uset, tcfg, arch, cfg.family, entry.adaptive, jobs=jobs
-        )
+        part = fixed_partition(hd.train, hd.val, uset, tcfg, arch, jobs=jobs)
         save_artifact(part, _artifact_path(cfg.out_dir, entry.stem, h))
         print(f"[h={h}] {method}: {len(part.subsets)} equality subsets")
 
@@ -370,70 +379,73 @@ def cmd_train(cfg: RunConfig, jobs: int = 1) -> int:
     for h, hd in hds.items():
         arch = _arch_for(cfg, hd)
         uset = _uset_for(cfg, hd)
+        # the base model, which the imputation methods score, never adapts
         base = train_nominal(
             hd.train,
             hd.val,
             MissingPattern.zeros(hd.dataset.p),
             _train_config(cfg, "base", h),
-            arch,
-            cfg.family,
-            adaptive=False,
+            replace(arch, adaptive=False),
         )
         save_artifact(base.params, _artifact_path(cfg.out_dir, "base", h))
         print(f"[h={h}] base model: validation loss {base.val_loss:.6e}")
         for method in methods:
             try:
                 _train_one_method(
-                    method, cfg, hd, arch, uset, h, jobs, in_grid=method in grid_methods
+                    method, cfg, hd, _method_arch(arch, method), uset, h, jobs,
+                    in_grid=method in grid_methods,
                 )
             except RobustcastError as exc:
                 raise RobustcastError(f"training {method} at h={h} failed: {exc}") from exc
     return 0
 
 
-def _load_checked(path: Path, method: str, hd: HorizonData, family: str):
+def _load_checked(path: Path, method: str, arch: Architecture):
     """The artifact saved at path, which must exist, be of the kind its
-    method needs, fit the feature count of hd, and hold only models of the
-    run config's family and of the method's adaptivity; anything else is a
-    ConfigError (exit 2)."""
+    method needs and hold only models of layout arch, the one the run config
+    gives the method; anything else is a ConfigError (exit 2)."""
     if not path.exists():
         raise ConfigError(f"missing artifact {path}; run the train subcommand first")
-    artifact, entry = load_artifact(path), METHODS[method]
-    kind = entry.artifact
+    artifact, kind = load_artifact(path), METHODS[method].artifact
     if not isinstance(artifact, kind):
         raise ConfigError(
             f"artifact {path} holds a {type(artifact).__name__}, its method needs a {kind.__name__}"
         )
-    width = artifact.n_features if kind is ModelParams else artifact.uncertainty.n_features
-    if width != hd.dataset.p:
-        raise ConfigError(f"artifact {path} was trained for p={width}, data has p={hd.dataset.p}")
-    for params in param_sets(artifact):
-        if params.family != family:
+    width = artifact.arch.input_dim if kind is ModelParams else artifact.uncertainty.n_features
+    if width != arch.input_dim:
+        raise ConfigError(f"artifact {path} was trained for p={width}, data has p={arch.input_dim}")
+    for got in (params.arch for params in param_sets(artifact)):
+        if got.family != arch.family:
             raise ConfigError(
-                f"artifact {path} holds a {params.family!r} model, the run config's family is "
-                f"{family!r}"
+                f"artifact {path} holds a {got.family!r} model, the run config's family is "
+                f"{arch.family!r}"
             )
-        if entry.adaptive is not None and params.adaptive != entry.adaptive:
+        if got.adaptive != arch.adaptive:
             raise ConfigError(
-                f"artifact {path} holds a model with adaptive={params.adaptive}, {method} needs "
-                f"adaptive={entry.adaptive}"
+                f"artifact {path} holds a model with adaptive={got.adaptive}, {method} needs "
+                f"adaptive={arch.adaptive}"
             )
+        if got != arch:
+            diff = ", ".join(f"{f.name} {getattr(got, f.name)} (run config: "
+                             f"{getattr(arch, f.name)})" for f in fields(arch)
+                             if getattr(got, f.name) != getattr(arch, f.name))
+            raise ConfigError(f"artifact {path} holds a model of another layout: {diff}")
     return artifact
 
 
 def _load_artifacts(cfg: RunConfig, hds: dict[int, HorizonData]) -> dict:
     artifacts: dict[tuple[str, int], object] = {}
     for h, hd in hds.items():
+        arch = _arch_for(cfg, hd)
         for method in cfg.grid_methods:
-            entry = METHODS[method]
+            entry, method_arch = METHODS[method], _method_arch(arch, method)
             if entry.artifact is RetrainOracle:
                 artifacts[(method, h)] = RetrainOracle(
-                    hd.train, hd.val, _train_config(cfg, method, h), _arch_for(cfg, hd),
-                    cfg.family, cfg.adaptive,
+                    hd.train, hd.val, _train_config(cfg, method, h), method_arch
                 )
             else:
                 path = _artifact_path(cfg.out_dir, entry.stem, h)
-                artifacts[(method, h)] = _load_checked(path, method, hd, cfg.family)
+                artifacts[(method, h)] = _load_checked(path, method, method_arch)
     return artifacts
 
 
@@ -457,9 +469,10 @@ def cmd_evaluate(cfg: RunConfig, jobs: int = 1) -> int:
     if cfg.qsweep_list:
         h = cfg.horizons[0]
         entry = METHODS[cfg.qsweep_method]
+        arch = _method_arch(_arch_for(cfg, hds[h]), cfg.qsweep_method)
         partitions = {
             q: _load_checked(_artifact_path(cfg.out_dir, f"{entry.stem}_q{q}", h),
-                             cfg.qsweep_method, hds[h], cfg.family)
+                             cfg.qsweep_method, arch)
             for q in cfg.qsweep_list
         }
         qrows = q_sweep(

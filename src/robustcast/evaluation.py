@@ -204,7 +204,8 @@ class HorizonData:
 
 
 class RetrainOracle:
-    """Dedicated model per realized pattern, trained on demand and cached.
+    """Dedicated model of layout arch per realized pattern, trained on demand
+    and cached.
 
     Each pattern's training seed is derived from the pattern itself, so the
     cache contents do not depend on encounter order. Guarded to small
@@ -217,16 +218,12 @@ class RetrainOracle:
         val: Dataset,
         cfg: TrainConfig,
         arch: Architecture,
-        family: str,
-        adaptive: bool,
     ):
         RetrainOracle.check_capacity(train)
         self.train = train
         self.val = val
         self.cfg = cfg
         self.arch = arch
-        self.family = family
-        self.adaptive = adaptive
         self._cache: dict[bytes, ModelParams] = {}
 
     @staticmethod
@@ -243,10 +240,7 @@ class RetrainOracle:
         if key not in self._cache:
             seed = derive_seed(self.cfg.seed, "oracle", *pattern.missing_indices())
             cfg = replace(self.cfg, seed=seed)
-            res = train_nominal(
-                self.train, self.val, pattern, cfg, self.arch, self.family, self.adaptive
-            )
-            self._cache[key] = res.params
+            self._cache[key] = train_nominal(self.train, self.val, pattern, cfg, self.arch).params
         return self._cache[key]
 
     def predict_rows(self, X: np.ndarray, patterns: np.ndarray) -> np.ndarray:

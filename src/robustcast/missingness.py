@@ -15,7 +15,6 @@ __all__ = [
     "MissingPattern",
     "MissingnessConfig",
     "ObsMaskSeries",
-    "apply_mask",
     "simulate_markov",
     "expand_obs_mask",
     "impute_persistence",
@@ -136,15 +135,6 @@ class ObsMaskSeries:
 
     def __post_init__(self):
         object.__setattr__(self, "mask", MissingPattern.bits_of(self.mask, None, ndim=2))
-
-
-def apply_mask(x: np.ndarray, pattern, maskable: tuple[int, ...]) -> np.ndarray:
-    """Zero out the missing features of x given one pattern (a MissingPattern
-    or one bit vector); features off the maskable set pass through untouched
-    and may not be marked missing."""
-    x = np.asarray(x, dtype=np.float64)
-    bits = MissingPattern.bits_of(pattern, x.shape[-1], maskable, ndim=1)
-    return x * (1.0 - bits)
 
 
 def simulate_markov(cfg: MissingnessConfig, n_periods: int, n_plants: int) -> ObsMaskSeries:

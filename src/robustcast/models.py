@@ -11,10 +11,13 @@ shift linearly with the missing pattern a (restricted to the maskable set):
   row broadcast, so the pre-activation gains the scalar (Dm a) . gm on each
   unit) and D_out a to the output weights.
 
-x(a) zeroes the missing coordinates. Gradients are hand-derived; there is no
-autodiff dependency. All functions are pure; parameters are treated as
-immutable snapshots, except that a training run updates its own params in
-place through the flat vector their blocks are views of (see from_vector).
+x(a) zeroes the missing coordinates. A model's layout (family, adaptivity,
+widths, bias feature and maskable set) is one Architecture, which every
+ModelParams holds and every routine here reads. Gradients are hand-derived;
+there is no autodiff dependency. All functions are pure; parameters are
+treated as immutable snapshots, except that a training run updates its own
+params in place through the flat vector their blocks are views of (see
+from_vector).
 
 loss_and_grad writes its gradient into a flat vector the caller gives: the
 StepBuffers of a training run, which also hold the decay masks and the
@@ -38,57 +41,79 @@ LR = "lr"
 NN = "nn"
 
 
+def _integer(value, what: str) -> int:
+    """value as an int; ConfigError for a bool, a float or anything else
+    that is no integer."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Architecture:
-    """Shape of a model: input width, hidden widths (empty for linear), and
-    optionally which input feature is the constant bias (kept out of weight
-    decay for the linear family)."""
+    """The layout of a model: its family (LR or NN), whether it adapts to the
+    missing pattern, its input width, its hidden widths (none for the linear
+    family, one or more for a network), which input feature is the constant
+    bias (kept out of weight decay for the linear family; None when there is
+    none) and the maskable features, ascending: column j of every adaptive
+    block belongs to maskable[j].
 
+    ConfigError for a layout no model has; DomainError (from
+    maskable_indices) for a maskable index out of range or repeated, and
+    for a maskable set out of order."""
+
+    family: str
+    adaptive: bool
     input_dim: int
     hidden: tuple[int, ...] = ()
     bias_index: int | None = None
+    maskable: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden", tuple(int(w) for w in self.hidden))
-        if self.input_dim < 1:
+        if self.family not in (LR, NN):
+            raise ConfigError(f"unknown family {self.family!r}")
+        if not isinstance(self.adaptive, bool):
+            raise ConfigError(f"adaptive must be true or false, got {self.adaptive!r}")
+        p = _integer(self.input_dim, "input_dim")
+        hidden = tuple(_integer(w, "a hidden width") for w in self.hidden)
+        bias = None if self.bias_index is None else _integer(self.bias_index, "bias_index")
+        given = tuple(_integer(j, "a maskable index") for j in self.maskable)
+        if p < 1:
             raise ConfigError("input_dim must be >= 1")
-        if any(w < 1 for w in self.hidden):
+        if any(w < 1 for w in hidden):
             raise ConfigError("hidden widths must be positive")
-        if self.bias_index is not None and not (0 <= self.bias_index < self.input_dim):
-            raise ConfigError("bias_index out of range")
+        if self.family == NN and not hidden:
+            raise ConfigError("a network needs at least one hidden layer")
+        if self.family == LR and hidden:
+            raise ConfigError(f"the linear family has no hidden layers, got widths {hidden}")
+        if bias is not None and not 0 <= bias < p:
+            raise ConfigError(f"bias_index {bias} out of range for {p} features")
+        maskable = maskable_indices(given, p)
+        if maskable != given:
+            raise DomainError(f"maskable indices {list(given)} are not in ascending order")
+        for name, value in (("input_dim", p), ("hidden", hidden), ("bias_index", bias),
+                            ("maskable", maskable)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Parameter blocks for one model, keyed by block name.
+    """One model: its layout and its parameter blocks, keyed by block name
+    in the order _layout(arch) gives.
 
     Linear family blocks: ``w`` (p,) and, when adaptive, ``D`` (p, |P|).
     Network blocks per hidden layer m: ``Wm`` (out, in), ``bm`` (out,) and,
     when adaptive, ``Dm`` (in, |P|); output blocks ``w_out`` (width,),
     ``b_out`` (1,) and ``D_out`` (width, |P|). Column j of every D block
-    belongs to maskable[j].
+    belongs to arch.maskable[j].
     """
 
-    family: str
-    adaptive: bool
-    n_features: int
-    maskable: tuple[int, ...]
-    bias_index: int | None
+    arch: Architecture
     arrays: dict[str, np.ndarray]
-
-    @property
-    def n_hidden_layers(self) -> int:
-        return sum(1 for k in self.arrays if k.startswith("W"))
-
-    @property
-    def hidden(self) -> tuple[int, ...]:
-        """The hidden widths: the output count of each W layer."""
-        return tuple(self.arrays[f"W{m}"].shape[0] for m in range(self.n_hidden_layers))
 
     def block_names(self) -> list[str]:
         """Canonical block order used for vectorization and optimizer state."""
-        return list(_layout(self.family, self.adaptive, self.n_features, self.hidden,
-                            len(self.maskable)))
+        return list(_layout(self.arch))
 
     def copy(self) -> "ModelParams":
         return replace(self, arrays={k: v.copy() for k, v in self.arrays.items()})
@@ -111,33 +136,27 @@ class ModelParams:
         return replace(self, arrays=arrays)
 
 
-def _layout(family: str, adaptive: bool, p: int, hidden: tuple[int, ...],
-            n_mask: int) -> dict[str, tuple[int, ...]]:
+def _layout(arch: Architecture) -> dict[str, tuple[int, ...]]:
     """The parameter blocks of a model, name -> shape, in canonical order:
     widths chain from the p inputs through each hidden width (the linear
     family has none), and every D block has one column per maskable
     feature (see ModelParams)."""
-    if family == LR:
-        return {"w": (p,), "D": (p, n_mask)} if adaptive else {"w": (p,)}
+    p, hidden, n_mask = arch.input_dim, arch.hidden, len(arch.maskable)
+    if arch.family == LR:
+        return {"w": (p,), "D": (p, n_mask)} if arch.adaptive else {"w": (p,)}
     blocks, width = {}, p
     for m, out in enumerate(hidden):
         blocks.update({f"W{m}": (out, width), f"b{m}": (out,)})
         width = out
     blocks.update({"w_out": (width,), "b_out": (1,)})
-    if adaptive:
+    if arch.adaptive:
         ins = (p, *hidden)
         blocks.update({f"D{m}": (ins[m], n_mask) for m in range(len(hidden))})
         blocks["D_out"] = (width, n_mask)
     return blocks
 
 
-def init_params(
-    arch: Architecture,
-    family: str,
-    adaptive: bool,
-    seed: int,
-    maskable: tuple[int, ...] = (),
-) -> ModelParams:
+def init_params(arch: Architecture, seed: int) -> ModelParams:
     """Random initialization, deterministic per seed.
 
     Blocks draw in canonical order. The linear weights draw from +-1/sqrt(p)
@@ -146,29 +165,17 @@ def init_params(
     adaptive correction block start at exact zero, so an adaptive model is
     initially identical to its base model.
     """
-    if family not in (LR, NN):
-        raise ConfigError(f"unknown family {family!r}")
-    if family == NN and not arch.hidden:
-        raise ConfigError("network family needs at least one hidden layer")
-    maskable = maskable_indices(maskable, arch.input_dim)
     rng = np.random.default_rng(seed)
     p = arch.input_dim
     arrays: dict[str, np.ndarray] = {}
-    for name, shape in _layout(family, adaptive, p, arch.hidden, len(maskable)).items():
+    for name, shape in _layout(arch).items():
         if name[0] in "bD":
             arrays[name] = np.zeros(shape)
             continue
         fan_out, fan_in = shape if len(shape) == 2 else (1, shape[0])
-        bound = 1.0 / np.sqrt(p) if family == LR else np.sqrt(6.0 / (fan_in + fan_out))
+        bound = 1.0 / np.sqrt(p) if arch.family == LR else np.sqrt(6.0 / (fan_in + fan_out))
         arrays[name] = rng.uniform(-bound, bound, size=shape)
-    return ModelParams(
-        family=family,
-        adaptive=adaptive,
-        n_features=p,
-        maskable=maskable,
-        bias_index=arch.bias_index,
-        arrays=arrays,
-    )
+    return ModelParams(arch, arrays)
 
 
 def _mask_columns(bits: np.ndarray, maskable: tuple[int, ...]) -> np.ndarray:
@@ -181,15 +188,16 @@ def predict(params: ModelParams, X: np.ndarray, alpha) -> np.ndarray:
     """Batched prediction. alpha may be a single pattern shared by every row
     or an (n, p) bit matrix with one pattern per row."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    bits = MissingPattern.bits_of(alpha, params.n_features, params.maskable)
+    arch = params.arch
+    bits = MissingPattern.bits_of(alpha, arch.input_dim, arch.maskable)
     per_row = bits.ndim == 2
     if per_row and bits.shape[0] != X.shape[0]:
         raise DomainError("per-row pattern count does not match batch size")
     xm = X * (1.0 - bits.astype(np.float64))
-    if params.family == LR:
+    if arch.family == LR:
         preds = xm @ params.arrays["w"]
-        if params.adaptive and params.maskable:
-            a = _mask_columns(bits, params.maskable)
+        if arch.adaptive and arch.maskable:
+            a = _mask_columns(bits, arch.maskable)
             d = params.arrays["D"]
             if per_row:
                 preds = preds + np.einsum("ij,ij->i", xm, a @ d.T)
@@ -197,11 +205,6 @@ def predict(params: ModelParams, X: np.ndarray, alpha) -> np.ndarray:
                 preds = preds + xm @ (d @ a)
         return preds
     return _nn_forward(params, xm, bits, per_row)[0]
-
-
-def forward(params: ModelParams, x: np.ndarray, alpha) -> float:
-    """Single-observation prediction."""
-    return float(predict(params, np.asarray(x, dtype=np.float64)[None, :], alpha)[0])
 
 
 def _nn_forward(
@@ -222,10 +225,11 @@ def _nn_forward(
     reads only gs[m], so layers[m] may share memory with layers[m - 2]; gs
     then holds the caller's buffers, of which only the last two are intact.
     """
-    adaptive = params.adaptive and bool(params.maskable)
-    a = _mask_columns(bits, params.maskable) if adaptive else None
+    arch = params.arch
+    adaptive = arch.adaptive and bool(arch.maskable)
+    a = _mask_columns(bits, arch.maskable) if adaptive else None
     gs = [xm]
-    for m in range(params.n_hidden_layers):
+    for m in range(len(arch.hidden)):
         g, w = gs[-1], params.arrays[f"W{m}"]
         z = g @ w.T if layers is None else np.matmul(g, w.T, out=layers[m])
         z += params.arrays[f"b{m}"]
@@ -249,16 +253,17 @@ def _nn_forward(
     return preds, gs, a
 
 
-def _decayed_mask(params: ModelParams, name: str) -> np.ndarray | float:
-    """1 where the block enters the weight-decay penalty.
+def _decayed_mask(arch: Architecture, name: str) -> np.ndarray | float:
+    """1 where the block `name` of a model of layout arch enters the
+    weight-decay penalty.
 
     Explicit network biases are excluded; for the linear family the weight on
     the constant bias feature is excluded. Adaptive correction blocks are
     always included.
     """
-    if params.family == LR and name == "w" and params.bias_index is not None:
-        mask = np.ones(params.n_features)
-        mask[params.bias_index] = 0.0
+    if arch.family == LR and name == "w" and arch.bias_index is not None:
+        mask = np.ones(arch.input_dim)
+        mask[arch.bias_index] = 0.0
         return mask
     if name.startswith("b"):
         return 0.0
@@ -277,27 +282,23 @@ class BoundPattern(NamedTuple):
     """One batch pattern checked against a model's layout and expanded for
     loss_and_grad: its uint8 bits, keep = 1 - bits as float, and a, the
     pattern on the maskable columns as float (None unless the model is
-    adaptive with maskable features). layout records what it was bound for
-    (_step_layout). The training loop binds each epoch's pattern once."""
+    adaptive with maskable features). arch is the layout it was bound for.
+    The training loop binds each epoch's pattern once."""
 
-    layout: tuple
+    arch: Architecture
     bits: np.ndarray
     keep: np.ndarray
     a: np.ndarray | None
-
-
-def _step_layout(params: ModelParams) -> tuple:
-    """What a bound pattern and StepBuffers depend on, besides block shapes."""
-    return params.family, params.adaptive, params.n_features, params.maskable, params.bias_index
 
 
 def bind_pattern(params: ModelParams, alpha) -> BoundPattern:
     """alpha, one pattern for a whole batch, checked by MissingPattern.bits_of
     (DomainError unless it is one 0/1 vector of the model's width marking
     only maskable features) and expanded for loss_and_grad."""
-    bits = MissingPattern.bits_of(alpha, params.n_features, params.maskable, ndim=1)
-    a = _mask_columns(bits, params.maskable) if params.adaptive and params.maskable else None
-    return BoundPattern(_step_layout(params), bits, 1.0 - bits.astype(np.float64), a)
+    arch = params.arch
+    bits = MissingPattern.bits_of(alpha, arch.input_dim, arch.maskable, ndim=1)
+    a = _mask_columns(bits, arch.maskable) if arch.adaptive and arch.maskable else None
+    return BoundPattern(arch, bits, 1.0 - bits.astype(np.float64), a)
 
 
 class StepBuffers:
@@ -305,16 +306,17 @@ class StepBuffers:
     batches of up to `rows` rows: the flat gradient vector `grad` (blocks in
     block_names() order, the layout adam_step reads) with a view per block
     in `blocks`, each block's weight-decay mask (_decayed_mask), and the
-    masked-input and residual rows. A call overwrites all of it, so what it
-    returns stays valid until the next call with these buffers."""
+    masked-input and residual rows, all for the layout `arch`. A call
+    overwrites all of it, so what it returns stays valid until the next call
+    with these buffers."""
 
     def __init__(self, params: ModelParams, rows: int):
-        self.layout = _step_layout(params)
+        self.arch = params.arch
         self.rows = rows
         self.grad = np.empty(sum(block.size for block in params.arrays.values()))
         self.blocks = params.from_vector(self.grad).arrays
-        self.decay = {name: _decayed_mask(params, name) for name in self.blocks}
-        self.xm = np.empty((rows, params.n_features))
+        self.decay = {name: _decayed_mask(self.arch, name) for name in self.blocks}
+        self.xm = np.empty((rows, self.arch.input_dim))
         self.resid = np.empty(rows)
         self.sq = np.empty(rows)
 
@@ -351,14 +353,16 @@ def loss_and_grad(
         work = StepBuffers(params, n)
     if n > work.rows:
         raise SizeError(f"batch of {n} rows exceeds buffers for {work.rows}")
-    layout = _step_layout(params)
-    if alpha.layout != layout or work.layout != layout:
+    arch = params.arch
+    # tuples compare items by identity first, so the usual case, where params,
+    # pattern and buffers share one Architecture, costs no field comparison
+    if (alpha.arch, work.arch) != (arch, arch):
         raise DomainError("pattern or buffers bound for another model layout")
     grads = work.blocks
     xm = np.multiply(X, alpha.keep, out=work.xm[:n])
     resid = work.resid[:n]
 
-    if params.family == LR:
+    if arch.family == LR:
         a = alpha.a
         w = params.arrays["w"]
         w_eff = w + params.arrays["D"] @ a if a is not None else w
@@ -370,11 +374,11 @@ def loss_and_grad(
     loss = float(np.add.reduce(np.square(resid, out=work.sq[:n])) / n)
     r = np.multiply(resid, 2.0 / n, out=resid)
 
-    if params.family == LR:
+    if arch.family == LR:
         gw = np.matmul(xm.T, r, out=grads["w"])
         if a is not None:
             np.multiply(gw[:, None], a, out=grads["D"])
-        elif params.adaptive:
+        elif arch.adaptive:
             grads["D"].fill(0.0)
     else:
         g_out = np.matmul(gs[-1].T, r, out=grads["w_out"])
@@ -383,10 +387,10 @@ def loss_and_grad(
         if a is not None:
             np.multiply(g_out[:, None], a, out=grads["D_out"])
             w_eff = w_eff + params.arrays["D_out"] @ a
-        elif params.adaptive:
+        elif arch.adaptive:
             grads["D_out"].fill(0.0)
         dg = np.multiply(r[:, None], w_eff)
-        for m in range(params.n_hidden_layers - 1, -1, -1):
+        for m in range(len(arch.hidden) - 1, -1, -1):
             # dg becomes delta, the gradient at layer m's pre-activation
             if m:
                 dg *= gs[m + 1] > 0.0
@@ -396,7 +400,7 @@ def loss_and_grad(
             if a is not None:
                 srow = np.add.reduce(dg, axis=1)
                 np.multiply((g_in.T @ srow)[:, None], a, out=grads[f"D{m}"])
-            elif params.adaptive:
+            elif arch.adaptive:
                 grads[f"D{m}"].fill(0.0)
             if m:  # the gradient at layer 0's inputs is never read
                 dg = dg @ params.arrays[f"W{m}"]
@@ -413,50 +417,39 @@ def loss_and_grad(
 
 
 def params_to_json(params: ModelParams) -> dict:
+    arch = params.arch
     return {
-        "family": params.family,
-        "adaptive": params.adaptive,
-        "n_features": params.n_features,
-        "maskable": list(params.maskable),
-        "bias_index": params.bias_index,
+        "family": arch.family,
+        "adaptive": arch.adaptive,
+        "n_features": arch.input_dim,
+        "maskable": list(arch.maskable),
+        "bias_index": arch.bias_index,
         "arrays": {name: array_to_json(params.arrays[name]) for name in params.block_names()},
     }
 
 
 def params_from_json(obj: dict) -> ModelParams:
-    """The parameter set `params_to_json` encoded. DomainError when the
-    family is unknown, a network has no hidden layer (as init_params
-    refuses), or the blocks are not the names and shapes the layout gives
-    for n_features, the maskable count and the W layers' output counts;
-    ParseError (from array_from_json) when an array is malformed."""
-    family, adaptive, p, maskable, bias = (
-        obj[k] for k in ("family", "adaptive", "n_features", "maskable", "bias_index"))
-    if family not in (LR, NN) or not isinstance(adaptive, bool) or type(p) is not int or p < 1 \
-            or not (isinstance(maskable, list) and all(type(j) is int for j in maskable)) \
-            or maskable != sorted(maskable) \
-            or not (bias is None or type(bias) is int and 0 <= bias < p):
-        raise DomainError(f"inadmissible model: family {family!r}, adaptive {adaptive!r}, "
-                          f"n_features {p!r}, maskable {maskable!r}, bias_index {bias!r}")
+    """The parameter set `params_to_json` encoded, its hidden widths read as
+    the W layers' output counts. DomainError when Architecture
+    refuses the stored layout or the blocks are not the names and shapes
+    _layout gives it; ParseError (from array_from_json) when an array is
+    malformed."""
     if not isinstance(obj["arrays"], dict):
         raise ParseError("a model's arrays must be an object keyed by block name")
     arrays = {k: array_from_json(v) for k, v in obj["arrays"].items()}
-    # an absent or non-matrix W layer gets width -1, which no shape matches
+    # an absent or non-matrix W layer gets width -1, which Architecture refuses
     w_layers = [arrays.get(f"W{m}") for m in range(sum(1 for k in arrays if k.startswith("W")))]
     hidden = tuple(w.shape[0] if w is not None and w.ndim == 2 else -1 for w in w_layers)
-    if family == NN and not hidden:
-        raise DomainError("a network needs at least one hidden layer, got no W0 block")
-    layout = _layout(family, adaptive, p, hidden, len(maskable))
+    try:
+        arch = Architecture(obj["family"], obj["adaptive"], obj["n_features"], hidden,
+                            obj["bias_index"], obj["maskable"])
+    except ConfigError as exc:
+        raise DomainError(f"inadmissible model: {exc}") from None
+    layout = _layout(arch)
     if list(arrays) != list(layout):
-        raise DomainError(f"{family} blocks must be {list(layout)}, got {list(arrays)}")
+        raise DomainError(f"{arch.family} blocks must be {list(layout)}, got {list(arrays)}")
     bad = [f"{k} {arrays[k].shape} (need {shape})" for k, shape in layout.items()
            if arrays[k].shape != shape]
     if bad:
         raise DomainError("parameter block shapes do not chain: " + ", ".join(bad))
-    return ModelParams(
-        family=family,
-        adaptive=adaptive,
-        n_features=p,
-        maskable=maskable_indices(maskable, p),
-        bias_index=bias,
-        arrays=arrays,
-    )
+    return ModelParams(arch, arrays)

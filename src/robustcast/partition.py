@@ -14,6 +14,9 @@ child's optimistic fit and the available child's adversarial fit (or none,
 when that child kept its leaf's). It creates subsets 2k - 1 (available) and
 2k (missing). The subsets, routing, the leaf list, each subset's equality
 constraints and the lineage a file records are derived from them.
+
+Both partition trainers take one models.Architecture, the layout of every
+model they train; a fixed partition holds one Fit per missing count.
 """
 from __future__ import annotations
 
@@ -183,19 +186,13 @@ class Partition:
 
 
 @dataclass
-class FixedSubset:
-    params: ModelParams
-    val_loss: float
-
-
-@dataclass
 class FixedPartition:
-    """Equality-count partition: subsets[l] holds the model trained for
-    exactly l missing features, l = 0..budget, so a file stores position l
-    as the subset's count."""
+    """Equality-count partition: subsets[l] is the fit trained for exactly l
+    missing features, l = 0..budget, so a file stores position l as the
+    subset's count."""
 
     uncertainty: UncertaintySet
-    subsets: list[FixedSubset]
+    subsets: list[Fit]
 
 
 def enumerate_patterns(uset: UncertaintySet) -> list[MissingPattern]:
@@ -322,10 +319,8 @@ def learn_partition(
     pcfg: PartitionConfig,
     train_cfg: TrainConfig,
     arch: Architecture,
-    family: str,
-    adaptive: bool,
 ) -> Partition:
-    """Grow the availability-split tree.
+    """Grow the availability-split tree, every model of layout arch.
 
     The root trains the optimistic model at the all-available pattern (its
     validation loss is the lower bound) and the adversarial model over the
@@ -343,7 +338,7 @@ def learn_partition(
 
     def nominal(subset_id: int, pattern: MissingPattern) -> Fit:
         cfg = replace(train_cfg, seed=derive_seed(base_seed, "part-opt", subset_id))
-        res = train_nominal(train, val, pattern, cfg, arch, family, adaptive)
+        res = train_nominal(train, val, pattern, cfg, arch)
         return Fit(res.params, res.val_loss)
 
     def adversarial(subset_id: int, scope: AdvSearchScope, warm: ModelParams) -> Fit:
@@ -413,11 +408,9 @@ def fixed_partition(
     uset: UncertaintySet,
     train_cfg: TrainConfig,
     arch: Architecture,
-    family: str,
-    adaptive: bool,
     jobs: int = 1,
 ) -> FixedPartition:
-    """Train the budget+1 equality subsets.
+    """Train the budget+1 equality subsets, every model of layout arch.
 
     Subset 0 is plain nominal training at the all-available pattern; every
     other subset runs the sampling adversarial trainer, warm-started from the
@@ -426,18 +419,17 @@ def fixed_partition(
     """
     zero = MissingPattern.zeros(train.p)
     cfg0 = replace(train_cfg, seed=derive_seed(train_cfg.seed, "fixed", 0))
-    base = train_nominal(train, val, zero, cfg0, arch, family, adaptive)
+    base = train_nominal(train, val, zero, cfg0, arch)
     tasks = [(train, val, train_cfg, base.params, c) for c in range(1, uset.budget + 1)]
-    subsets = [FixedSubset(base.params, base.val_loss)]
-    subsets += [FixedSubset(*res) for res in map_jobs(_train_fixed_subset, tasks, jobs)]
+    subsets = [Fit(base.params, base.val_loss), *map_jobs(_train_fixed_subset, tasks, jobs)]
     return FixedPartition(uncertainty=uset, subsets=subsets)
 
 
-def _train_fixed_subset(task):
+def _train_fixed_subset(task) -> Fit:
     train, val, train_cfg, warm, count = task
     cfg = replace(train_cfg, seed=derive_seed(train_cfg.seed, "fixed", count))
     res = train_sampled_adversarial(train, val, count, cfg, warm)
-    return res.params, res.val_loss
+    return Fit(res.params, res.val_loss)
 
 
 def bounds_table(partition: Partition) -> str:
@@ -630,7 +622,7 @@ def fixed_to_json(fixed: FixedPartition) -> dict:
         "kind": "fixed",
         "uncertainty": asdict(fixed.uncertainty),
         "subsets": [
-            {"count": count, "val_loss": s.val_loss, "params": ref}
+            {"count": count, "val_loss": s.loss, "params": ref}
             for count, (s, ref) in enumerate(zip(fixed.subsets, refs))
         ],
         "params": table,
@@ -648,8 +640,8 @@ def fixed_from_json(obj: dict) -> FixedPartition:
         raise ParseError(f"a fixed file's counts must be 0..{uset.budget} in order, "
                          f"got {counts!r:.80}")
     subsets = [
-        FixedSubset(_params_at(table, s["params"]),
-                    _checked(s["val_loss"], (int, float), f"subset {c}'s val_loss"))
+        Fit(_params_at(table, s["params"]),
+            _checked(s["val_loss"], (int, float), f"subset {c}'s val_loss"))
         for c, s in enumerate(entries)
     ]
     return FixedPartition(uncertainty=uset, subsets=subsets)

@@ -1,11 +1,13 @@
 """Nominal model training: mini-batch Adam with per-epoch validation and
 patience-based early stopping, returning the best-on-validation parameters.
-A run updates one flat vector in place (the blocks in block_names() order,
-with two Adam moment vectors of its length); its ModelParams are views of it.
-Each epoch's training pattern is bound once (models.bind_pattern checks and
-expands it) and serves every mini-batch of the epoch. Each step's
-loss_and_grad writes its gradient into the flat vector of the run's
-StepBuffers (made once per run), which adam_step reads as it is.
+The model trained is named by one models.Architecture, which train_nominal
+takes alone and checks against the data. A run updates one flat vector in
+place (the blocks in block_names() order, with two Adam moment vectors of
+its length); its ModelParams are views of it. Each epoch's training pattern
+is bound once (models.bind_pattern checks and expands it) and serves every
+mini-batch of the epoch. Each step's loss_and_grad writes its gradient into
+the flat vector of the run's StepBuffers (made once per run), which
+adam_step reads as it is.
 
 The same loop also powers adversarial training (the adversarial module swaps
 in a different pattern picker per epoch), which keeps the two code paths
@@ -21,7 +23,7 @@ import numpy as np
 
 from ._util import rng_for
 from .dataio import Dataset
-from .exceptions import ConfigError, NumericalError, SizeError
+from .exceptions import ConfigError, DomainError, NumericalError, SizeError
 from .missingness import MissingPattern
 from .models import (
     Architecture,
@@ -181,19 +183,24 @@ def train_nominal(
     pattern: MissingPattern,
     cfg: TrainConfig,
     arch: Architecture,
-    family: str,
-    adaptive: bool,
     warm_start: ModelParams | None = None,
 ) -> TrainResult:
-    """Fit one model with a fixed missing pattern applied to every batch.
+    """Fit one model of layout arch with a fixed missing pattern applied to
+    every batch. DomainError when arch's input width or maskable set is not
+    the data's, or warm_start is of another layout.
 
     warm_start skips the random initialization and continues from the given
     parameters (with fresh optimizer state), leaving them unchanged. The
     adversarial trainers warm-start the same way, but hand their params to
     run_training_loop directly.
     """
+    if (arch.input_dim, arch.maskable) != (train.p, train.maskable):
+        raise DomainError(f"a model of {arch.input_dim} inputs, maskable {list(arch.maskable)}, "
+                          f"cannot fit data of {train.p}, maskable {list(train.maskable)}")
     MissingPattern.bits_of(pattern, train.p, train.maskable, ndim=1)
     if warm_start is None:
-        warm_start = init_params(arch, family, adaptive, cfg.seed, maskable=train.maskable)
+        warm_start = init_params(arch, cfg.seed)
+    elif warm_start.arch != arch:
+        raise DomainError(f"warm start of layout {warm_start.arch} given to train {arch}")
     constant = lambda params: pattern
     return run_training_loop(train, val, warm_start, cfg, constant, constant)

@@ -1,7 +1,7 @@
 """Shared heavy fixtures: the 4-plant trend setup is built once per session
 and reused by the evaluation-trend and acceptance tests."""
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import pytest
 
@@ -57,19 +57,20 @@ def trend_setup() -> TrendSetup:
     t0 = time.perf_counter()
     raw = gen_synthetic(TREND_SYNTH)
     hd = HorizonData.build(raw, 0, 2, 1, 0.5, 0.15)
-    arch = Architecture(input_dim=hd.dataset.p, bias_index=hd.dataset.bias_index)
+    arch = Architecture("lr", True, hd.dataset.p, bias_index=hd.dataset.bias_index,
+                        maskable=hd.dataset.maskable)
     uset = UncertaintySet(
         n_features=hd.dataset.p,
         maskable=hd.dataset.maskable,
         budget=len(hd.dataset.maskable),
     )
     grown = learn_partition(
-        hd.train, hd.val, uset, PartitionConfig(max(TREND_Q_LIST), 0.0), TREND_TRAIN, arch,
-        "lr", True,
+        hd.train, hd.val, uset, PartitionConfig(max(TREND_Q_LIST), 0.0), TREND_TRAIN, arch
     )
     partitions = {q: truncate(grown, q) for q in TREND_Q_LIST}
     base = train_nominal(
-        hd.train, hd.val, MissingPattern.zeros(hd.dataset.p), TREND_TRAIN, arch, "lr", False
+        hd.train, hd.val, MissingPattern.zeros(hd.dataset.p), TREND_TRAIN,
+        replace(arch, adaptive=False),
     )
     spec = GridSpec(
         p01_list=(LIGHT_CELL[0], HEAVY_CELL[0]),

@@ -3,6 +3,7 @@ its measured numbers (run pytest with -s to see them inline)."""
 import itertools
 import json
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,15 +19,15 @@ from robustcast.evaluation import (
 from robustcast.missingness import (
     MissingnessConfig,
     MissingPattern,
-    apply_mask,
     simulate_markov,
 )
 from robustcast.models import (
     Architecture,
-    forward,
+    _nn_forward,
     init_params,
     loss_and_grad,
     mse_loss,
+    predict,
 )
 from robustcast.partition import (
     PartitionConfig,
@@ -75,8 +76,8 @@ def test_criterion_1_gradient_correctness():
     for adaptive in (False, True):
         for trial in range(5):
             for family, hidden in (("lr", ()), ("nn", (50, 50, 50, 50))):
-                arch = Architecture(input_dim=p, hidden=hidden, bias_index=p - 1)
-                params = init_params(arch, family, adaptive, seed=instance, maskable=maskable)
+                arch = Architecture(family, adaptive, p, hidden, p - 1, maskable)
+                params = init_params(arch, seed=instance)
                 for k in params.block_names():
                     params.arrays[k] = rng.normal(0, 0.4, size=params.arrays[k].shape)
                 X = rng.uniform(0, 1, (n, p))
@@ -116,8 +117,8 @@ def test_criterion_2_adversarial_oracle_sandwich():
         p = int(rng.integers(4, 10))
         free = tuple(range(p - 1))
         budget = 1 if trial % 3 == 0 else int(rng.integers(2, 4))
-        arch = Architecture(input_dim=p, bias_index=p - 1)
-        params = init_params(arch, "lr", False, seed=trial, maskable=free)
+        arch = Architecture("lr", False, p, bias_index=p - 1, maskable=free)
+        params = init_params(arch, seed=trial)
         params.arrays["w"] = rng.normal(0, 1, p)
         X = rng.uniform(0, 1, (32, p))
         y = rng.uniform(0, 1, 32)
@@ -150,9 +151,9 @@ def test_criterion_3_reduction_identities():
     rng = np.random.default_rng(303)
     # adaptive forward with zero corrections equals base forward, exactly
     p, maskable = 7, (0, 1, 2, 3)
-    arch = Architecture(input_dim=p, hidden=(8, 8), bias_index=p - 1)
-    base = init_params(arch, "nn", False, seed=5, maskable=maskable)
-    adap = init_params(arch, "nn", True, seed=5, maskable=maskable)
+    arch = Architecture("nn", False, p, (8, 8), p - 1, maskable)
+    base = init_params(arch, seed=5)
+    adap = init_params(replace(arch, adaptive=True), seed=5)
     for name in base.block_names():
         shared = rng.normal(0, 0.5, size=base.arrays[name].shape)
         base.arrays[name] = shared
@@ -161,22 +162,23 @@ def test_criterion_3_reduction_identities():
     for _ in range(25):
         x = rng.uniform(0, 1, p)
         pat = MissingPattern.from_missing(p, rng.choice(4, size=2, replace=False).tolist())
-        exact &= forward(adap, x, pat) == forward(base, x, pat)
+        exact &= predict(adap, x[None], pat)[0] == predict(base, x[None], pat)[0]
 
-    # zero-pattern masking is the identity
-    x = rng.uniform(0, 1, p)
-    identity = np.array_equal(apply_mask(x, MissingPattern.zeros(p), maskable), x)
+    # zero-pattern masking is the identity: a prediction at the all-available
+    # pattern is the forward pass over the unmasked inputs
+    X, zero = rng.uniform(0, 1, (5, p)), MissingPattern.zeros(p)
+    identity = np.array_equal(predict(adap, X, zero), _nn_forward(adap, X, zero.bits, False)[0])
 
     # adversarial training with no free features is a nominal fine-tune
     raw = gen_synthetic(SynthConfig(2, 1500, 0.95, 0.5, 0.4, seed=31, obs_noise_std=0.2))
     ds = build_supervised(raw, 0, 1, 1)
     train, val, _ = split_sequential(ds, 0.6, 0.25)
-    arch2 = Architecture(input_dim=ds.p, bias_index=ds.bias_index)
+    arch2 = Architecture("lr", True, ds.p, bias_index=ds.bias_index, maskable=ds.maskable)
     cfg = TrainConfig(learning_rate=5e-3, max_iters=60, patience=15, batch_size=128, seed=32)
     pat = MissingPattern.from_missing(ds.p, [0])
-    theta_opt = train_nominal(train, val, pat, cfg, arch2, "lr", True).params
+    theta_opt = train_nominal(train, val, pat, cfg, arch2).params
     adv = train_adversarial(train, val, AdvSearchScope(free=(), budget=2, base=pat), cfg, theta_opt)
-    fine = train_nominal(train, val, pat, cfg, arch2, "lr", True, warm_start=theta_opt)
+    fine = train_nominal(train, val, pat, cfg, arch2, warm_start=theta_opt)
     gap = abs(adv.val_loss - fine.val_loss)
     ok = exact and identity and gap < 1e-9
     report(3, ok, f"forward equality exact={exact}, mask identity={identity}, finetune gap={gap:.1e}")
@@ -205,7 +207,7 @@ def test_criterion_4_partition_structure():
     tr6, va6, _ = split_sequential(ds6, 0.6, 0.25)
     uset6 = UncertaintySet(n_features=7, maskable=tuple(range(6)), budget=3)
     part6 = learn_partition(tr6, va6, uset6, PartitionConfig(5, 0.0), cfg,
-                            Architecture(input_dim=7, bias_index=6), "lr", False)
+                            Architecture("lr", False, 7, bias_index=6, maskable=tuple(range(6))))
     patterns = enumerate_patterns(uset6)
     cover_ok = len(patterns) == 42
     leafset = set(part6.leaf_ids)
@@ -224,12 +226,12 @@ def test_criterion_4_partition_structure():
     fixed = fixed_partition(tr3, va3, uset3,
                             TrainConfig(learning_rate=3e-2, max_iters=300, patience=30,
                                         batch_size=512, seed=405),
-                            Architecture(input_dim=4, bias_index=3), "lr", False)
+                            Architecture("lr", False, 4, bias_index=3, maskable=(0, 1, 2)))
     fixed_ok = len(fixed.subsets) == 4
 
     # (c) retraining recovery: 8 singleton leaves enumerate all patterns
     part3 = learn_partition(tr3, va3, uset3, PartitionConfig(8, 0.0), cfg,
-                            Architecture(input_dim=4, bias_index=3), "lr", False)
+                            Architecture("lr", False, 4, bias_index=3, maskable=(0, 1, 2)))
     leaves = part3.leaves()
     recovery_ok = (
         len(leaves) == 8
@@ -331,8 +333,8 @@ def test_criterion_8_early_stopping_contract():
         cfg = TrainConfig(learning_rate=1e-2, max_iters=60, patience=7,
                           batch_size=64, seed=trial)
         res = train_nominal(train, val, MissingPattern.zeros(ds.p), cfg,
-                            Architecture(input_dim=ds.p, bias_index=ds.bias_index),
-                            "lr", False)
+                            Architecture("lr", False, ds.p, bias_index=ds.bias_index,
+                                         maskable=ds.maskable))
         if res.iterations > cfg.max_iters:
             violations += 1
         if res.best_iteration < res.iterations - 1 - cfg.patience:

@@ -22,7 +22,7 @@ from robustcast.training import TrainConfig, train_nominal
 
 
 def lr_params(w, maskable):
-    params = init_params(Architecture(input_dim=len(w)), "lr", False, seed=0, maskable=maskable)
+    params = init_params(Architecture("lr", False, len(w), maskable=maskable), seed=0)
     params.arrays["w"] = np.asarray(w, dtype=np.float64)
     return params
 
@@ -192,7 +192,7 @@ def lr_searches(draw):
     base_missing = draw(st.sets(st.sampled_from(maskable), max_size=len(maskable) - 1))
     budget = draw(st.integers(len(base_missing), len(maskable)))
     adaptive = draw(st.booleans())
-    params = init_params(Architecture(input_dim=p), "lr", adaptive, seed=0, maskable=maskable)
+    params = init_params(Architecture("lr", adaptive, p, maskable=maskable), seed=0)
     params.arrays["w"] = rng.normal(0.0, 1.0, p)
     if adaptive:
         params.arrays["D"] = rng.normal(0.0, 1.0, params.arrays["D"].shape)
@@ -225,7 +225,7 @@ class TestRoundScorer:
     @given(lr_searches(), st.data())
     def test_free_feature_outside_maskable_raises(self, search, data):
         X, y, scope, params = search
-        outside = [j for j in range(params.n_features) if j not in params.maskable]
+        outside = [j for j in range(params.arch.input_dim) if j not in params.arch.maskable]
         if not outside:
             return
         j = data.draw(st.sampled_from(outside))
@@ -247,8 +247,7 @@ class TestRoundScorer:
             p = int(rng.integers(2, 20))
             maskable = tuple(range(int(rng.integers(1, p + 1))))
             adaptive = bool(seed % 2)
-            params = init_params(Architecture(input_dim=p), "lr", adaptive, seed=0,
-                                 maskable=maskable)
+            params = init_params(Architecture("lr", adaptive, p, maskable=maskable), seed=0)
             params.arrays["w"] = rng.normal(0.0, 1.0, p)
             if adaptive:
                 params.arrays["D"] = rng.normal(0.0, 1.0, params.arrays["D"].shape)
@@ -275,8 +274,7 @@ class TestRoundScorer:
         # leaves every prediction as it is, so each candidate ties the
         # incumbent exactly and the lowest index is accepted each round.
         rng = np.random.default_rng(5)
-        params = init_params(Architecture(input_dim=4), "lr", adaptive, seed=0,
-                             maskable=(0, 1, 2))
+        params = init_params(Architecture("lr", adaptive, 4, maskable=(0, 1, 2)), seed=0)
         params.arrays["w"] = np.array([0.0, 0.0, 0.0, 1.7])
         X = rng.normal(0.0, 100.0, (30, 4))
         y = rng.normal(0.0, 1.0, 30)
@@ -289,8 +287,7 @@ class TestRoundScorer:
     def test_network_family_matches_per_candidate_greedy(self):
         rng = np.random.default_rng(8)
         p, maskable = 5, (0, 1, 2, 3)
-        params = init_params(Architecture(input_dim=p, hidden=(6, 4)), "nn", True, seed=3,
-                             maskable=maskable)
+        params = init_params(Architecture("nn", True, p, (6, 4), maskable=maskable), seed=3)
         for name in params.block_names():
             params.arrays[name] = rng.normal(0.0, 0.5, params.arrays[name].shape)
         X = rng.normal(0.0, 1.0, (25, p))
@@ -322,10 +319,8 @@ def nn_searches(draw):
     base_missing = sorted(j for j in maskable if rng.uniform() < 0.3)
     budget = draw(st.integers(len(base_missing), len(maskable)))
     adaptive = draw(st.booleans())
-    arch = Architecture(input_dim=p, hidden=hidden)
-    params, other = (
-        init_params(arch, "nn", adaptive, seed=seed, maskable=maskable) for seed in (0, 1)
-    )
+    arch = Architecture("nn", adaptive, p, hidden, maskable=maskable)
+    params, other = (init_params(arch, seed=seed) for seed in (0, 1))
     for theta in (params, other):
         for name in theta.block_names():
             theta.arrays[name] = rng.normal(0.0, 0.5, theta.arrays[name].shape)
@@ -355,7 +350,7 @@ class TestNetworkScorer:
             assert greedy_split_feature(X, y, scope, params) == expected
         # one reused scorer gives a row the same loss in any stack, at any
         # position, and after the split's buffers served other parameters
-        p, maskable = params.n_features, list(params.maskable)
+        p, maskable = params.arch.input_dim, list(params.arch.maskable)
         stack = np.zeros((data.draw(st.integers(1, 12)), p), dtype=np.uint8)
         stack[:, maskable] = data.draw(st.lists(
             st.lists(st.integers(0, 1), min_size=len(maskable), max_size=len(maskable)),
@@ -372,7 +367,7 @@ class TestNetworkScorer:
         assert score(stack[::-1]).tolist() == whole[::-1].tolist()
 
     def test_split_built_from_other_data_raises(self):
-        params = init_params(Architecture(input_dim=3, hidden=(4,)), "nn", True, 0, (0, 1))
+        params = init_params(Architecture("nn", True, 3, (4,), maskable=(0, 1)), 0)
         X, y = np.ones((5, 3)), np.zeros(5)
         scope = AdvSearchScope(free=(0, 1), budget=1, base=MissingPattern.zeros(3))
         split = SplitScorer(X, y, params)
@@ -383,10 +378,10 @@ class TestNetworkScorer:
 
     @pytest.mark.parametrize("family, hidden", [("nn", (4, 2)), ("nn", (5,)), ("lr", ())])
     def test_parameters_of_another_shape_raise(self, family, hidden):
-        arch = Architecture(input_dim=3, hidden=(4,))
-        split = SplitScorer(np.ones((5, 3)), np.zeros(5), init_params(arch, "nn", False, 0))
-        other = init_params(Architecture(input_dim=3, hidden=hidden), family, False, 0)
-        with pytest.raises(DomainError, match="shape"):
+        arch = Architecture("nn", False, 3, (4,))
+        split = SplitScorer(np.ones((5, 3)), np.zeros(5), init_params(arch, 0))
+        other = init_params(Architecture(family, False, 3, hidden), 0)
+        with pytest.raises(DomainError, match="layout"):
             split.bind(other)
 
 
@@ -431,22 +426,22 @@ class TestTrainAdversarial:
     def test_empty_free_set_matches_nominal_finetune(self):
         ds = useless_feature_dataset(seed=3, noise=0.05)
         train, val, _ = split_sequential(ds, 0.6, 0.25)
-        arch = Architecture(input_dim=3, bias_index=2)
+        arch = Architecture("lr", False, 3, bias_index=2, maskable=(0, 1))
         cfg = TrainConfig(learning_rate=5e-3, max_iters=25, patience=10, batch_size=64, seed=8)
         base = MissingPattern.from_missing(3, [0])
-        theta_opt = train_nominal(train, val, base, cfg, arch, "lr", False).params
+        theta_opt = train_nominal(train, val, base, cfg, arch).params
         scope = AdvSearchScope(free=(), budget=2, base=base)
         adv = train_adversarial(train, val, scope, cfg, theta_opt)
-        finetune = train_nominal(train, val, base, cfg, arch, "lr", False, warm_start=theta_opt)
+        finetune = train_nominal(train, val, base, cfg, arch, warm_start=theta_opt)
         assert abs(adv.val_loss - finetune.val_loss) < 1e-9
 
     def test_zero_budget_matches_empty_free_set(self):
         ds = useless_feature_dataset(seed=4, noise=0.05)
         train, val, _ = split_sequential(ds, 0.6, 0.25)
-        arch = Architecture(input_dim=3, bias_index=2)
+        arch = Architecture("lr", False, 3, bias_index=2, maskable=(0, 1))
         cfg = TrainConfig(learning_rate=5e-3, max_iters=20, patience=10, batch_size=64, seed=9)
         zero = MissingPattern.zeros(3)
-        theta_opt = train_nominal(train, val, zero, cfg, arch, "lr", False).params
+        theta_opt = train_nominal(train, val, zero, cfg, arch).params
         gamma0 = train_adversarial(
             train, val, AdvSearchScope(free=(0, 1), budget=0, base=zero), cfg, theta_opt
         )
@@ -461,11 +456,11 @@ class TestTrainAdversarial:
         # optimistic fit's.
         ds = useless_feature_dataset(seed=5)
         train, val, _ = split_sequential(ds, 0.6, 0.25)
-        arch = Architecture(input_dim=3, bias_index=2)
+        arch = Architecture("lr", False, 3, bias_index=2, maskable=(0, 1))
         cfg = TrainConfig(learning_rate=1e-2, max_iters=150, patience=25, batch_size=64, seed=10)
         zero = MissingPattern.zeros(3)
         scope = AdvSearchScope(free=(0, 1), budget=1, base=zero)
-        opt = train_nominal(train, val, zero, cfg, arch, "lr", False)
+        opt = train_nominal(train, val, zero, cfg, arch)
         adv = train_adversarial(train, val, scope, cfg, opt.params)
 
         def worst_case(params):
@@ -477,10 +472,10 @@ class TestTrainAdversarial:
     def test_trace_starts_finite_and_best_is_prefix_min(self):
         ds = useless_feature_dataset(seed=6, noise=0.1)
         train, val, _ = split_sequential(ds, 0.6, 0.25)
-        arch = Architecture(input_dim=3, bias_index=2)
+        arch = Architecture("lr", True, 3, bias_index=2, maskable=(0, 1))
         cfg = TrainConfig(learning_rate=5e-3, max_iters=30, patience=6, batch_size=64, seed=11)
         scope = AdvSearchScope(free=(0, 1), budget=2, base=MissingPattern.zeros(3))
-        warm = train_nominal(train, val, scope.base, cfg, arch, "lr", True).params
+        warm = train_nominal(train, val, scope.base, cfg, arch).params
         res = train_adversarial(train, val, scope, cfg, warm)
         assert np.isfinite(res.trace[0].val_loss)
         running_min = np.inf
@@ -493,20 +488,20 @@ class TestTrainSampledAdversarial:
     def test_count_zero_equals_nominal_finetune(self):
         ds = useless_feature_dataset(seed=7, noise=0.05)
         train, val, _ = split_sequential(ds, 0.6, 0.25)
-        arch = Architecture(input_dim=3, bias_index=2)
+        arch = Architecture("lr", False, 3, bias_index=2, maskable=(0, 1))
         cfg = TrainConfig(learning_rate=5e-3, max_iters=20, patience=10, batch_size=64, seed=12)
         zero = MissingPattern.zeros(3)
-        warm = train_nominal(train, val, zero, cfg, arch, "lr", False).params
+        warm = train_nominal(train, val, zero, cfg, arch).params
         sampled = train_sampled_adversarial(train, val, 0, cfg, warm)
-        finetune = train_nominal(train, val, zero, cfg, arch, "lr", False, warm_start=warm)
+        finetune = train_nominal(train, val, zero, cfg, arch, warm_start=warm)
         assert abs(sampled.val_loss - finetune.val_loss) < 1e-12
 
     def test_deterministic(self):
         ds = useless_feature_dataset(seed=8, noise=0.1)
         train, val, _ = split_sequential(ds, 0.6, 0.25)
-        arch = Architecture(input_dim=3, bias_index=2)
+        arch = Architecture("lr", True, 3, bias_index=2, maskable=(0, 1))
         cfg = TrainConfig(learning_rate=5e-3, max_iters=15, patience=5, batch_size=64, seed=13)
-        warm = train_nominal(train, val, MissingPattern.zeros(3), cfg, arch, "lr", True).params
+        warm = train_nominal(train, val, MissingPattern.zeros(3), cfg, arch).params
         a = train_sampled_adversarial(train, val, 1, cfg, warm)
         b = train_sampled_adversarial(train, val, 1, cfg, warm)
         assert a.val_loss == b.val_loss

@@ -17,7 +17,6 @@ from robustcast.models import Architecture, ModelParams, init_params
 from robustcast.partition import (
     Fit,
     FixedPartition,
-    FixedSubset,
     Partition,
     PartitionConfig,
     Split,
@@ -47,10 +46,10 @@ def artifacts(draw):
     p = n_mask + 1
     maskable = tuple(range(n_mask))
     hidden = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)) if family == "nn" else ()
-    arch = Architecture(input_dim=p, hidden=hidden, bias_index=n_mask)
+    arch = Architecture(family, adaptive, p, hidden, bias_index=n_mask, maskable=maskable)
 
     def fresh() -> ModelParams:
-        params = init_params(arch, family, adaptive, seed=0, maskable=maskable)
+        params = init_params(arch, seed=0)
         arrays = {}
         for name, block in params.arrays.items():
             values = draw(st.lists(FLOATS, min_size=block.size, max_size=block.size))
@@ -63,7 +62,7 @@ def artifacts(draw):
             return params
         if how == "copy":
             return params.copy()
-        return replace(params, bias_index=None) if how == "bias" else fresh()
+        return replace(params, arch=replace(arch, bias_index=None)) if how == "bias" else fresh()
 
     kind = draw(st.sampled_from(["model", "fixed", "learned"]))
     uset = UncertaintySet(n_features=p, maskable=maskable, budget=n_mask)
@@ -71,8 +70,8 @@ def artifacts(draw):
         return fresh()
     if kind == "fixed":
         first = fresh()
-        subsets = [FixedSubset(first, 0.5)]
-        subsets += [FixedSubset(reuse(first), 0.5 + c) for c in range(1, n_mask + 1)]
+        subsets = [Fit(first, 0.5)]
+        subsets += [Fit(reuse(first), 0.5 + c) for c in range(1, n_mask + 1)]
         return FixedPartition(uncertainty=uset, subsets=subsets)
     part = Partition(uset, PartitionConfig(max_subsets=5), Fit(fresh(), 0.1), Fit(fresh(), 0.2))
     depth = [0]
@@ -99,10 +98,8 @@ def saved(artifact) -> tuple[bytes, object]:
         return path.read_bytes(), load_artifact(path)
 
 
-def content(params: ModelParams) -> tuple:
-    return (params.family, params.adaptive, params.n_features, params.maskable,
-            params.bias_index,
-            tuple((k, v.shape, v.tobytes()) for k, v in params.arrays.items()))
+def blocks(params: ModelParams) -> tuple:
+    return tuple((k, v.shape, v.tobytes()) for k, v in params.arrays.items())
 
 
 class TestRoundTrip:
@@ -114,7 +111,8 @@ class TestRoundTrip:
         sets, back_sets = param_sets(artifact), param_sets(back)
         assert len(back_sets) == len(sets)
         for params, loaded in zip(sets, back_sets):
-            assert content(loaded) == content(params)
+            assert loaded.arch == params.arch
+            assert blocks(loaded) == blocks(params)
             for block in loaded.arrays.values():
                 assert block.dtype == np.float64
                 assert block.flags.owndata and block.flags.writeable
@@ -127,7 +125,7 @@ class TestRoundTrip:
         data, _ = saved(artifact)
         table = [json.dumps(entry) for entry in json.loads(data)["params"]]
         assert len(set(table)) == len(table)
-        assert len(table) == len({content(p) for p in param_sets(artifact)})
+        assert len(table) == len({(p.arch, blocks(p)) for p in param_sets(artifact)})
 
     def test_inherited_sets_are_stored_once(self):
         # the golden tree's 9 subsets refer to 18 sets, 10 of them distinct
@@ -176,17 +174,16 @@ class TestFormat:
 
 
 def nn_model() -> ModelParams:
-    return init_params(Architecture(input_dim=3, hidden=(4, 2), bias_index=2), "nn", True,
-                       seed=5, maskable=(0, 1))
+    return init_params(Architecture("nn", True, 3, (4, 2), bias_index=2, maskable=(0, 1)), seed=5)
 
 
 def fixed_artifact(budget: int) -> FixedPartition:
     """A fixed partition over `budget` maskable features, val_loss l + 0.5
     for subset l."""
-    arch = Architecture(input_dim=budget + 1, bias_index=budget)
-    params = init_params(arch, "lr", True, seed=1, maskable=tuple(range(budget)))
+    arch = Architecture("lr", True, budget + 1, bias_index=budget, maskable=tuple(range(budget)))
+    params = init_params(arch, seed=1)
     uset = UncertaintySet(n_features=budget + 1, maskable=tuple(range(budget)), budget=budget)
-    return FixedPartition(uset, [FixedSubset(params, c + 0.5) for c in range(budget + 1)])
+    return FixedPartition(uset, [Fit(params, c + 0.5) for c in range(budget + 1)])
 
 
 def _cut_one_float(block):
@@ -383,7 +380,7 @@ class TestMalformedFile:
         fixed = fixed_artifact(budget=3)
         data, back = saved(fixed)
         assert [s["count"] for s in json.loads(data)["subsets"]] == [0, 1, 2, 3]
-        assert [s.val_loss for s in back.subsets] == [0.5, 1.5, 2.5, 3.5]
+        assert [s.loss for s in back.subsets] == [0.5, 1.5, 2.5, 3.5]
 
     def test_a_linear_block_of_another_width_is_a_domain_error(self, tmp_path):
         obj = json.loads(GOLDEN.read_text(encoding="utf-8"))

@@ -526,16 +526,22 @@ class TestEvaluate:
             assert err.startswith("data error:") and str(artifact) in err
         assert not (out / "grid.csv").exists()
 
-    @pytest.mark.parametrize("case", ["another family", "another adaptivity"])
+    @pytest.mark.parametrize("case", ["another family", "another adaptivity",
+                                      "another hidden width"])
     def test_artifact_of_another_family_or_adaptivity_exits_2(self, tmp_path, capsys, case):
         out = tmp_path / "out"
         grid = {"p01": [0.2], "p11": [0.5], "methods": ["arf-learned", "rf-learned"], "runs": 1}
         config = base_config(out, grid=grid)
+        if case == "another hidden width":
+            config.update(family="nn", hidden=[3])
         assert main(["train", "--config", str(write_config(tmp_path, config))]) == 0
         target = out / "arf-learned_h1.json"
         if case == "another family":
             config.update(family="nn", hidden=[3])
             match = "holds a 'lr' model, the run config's family is 'nn'"
+        elif case == "another hidden width":
+            config.update(hidden=[7, 7])
+            match = "holds a model of another layout: hidden (3,) (run config: (7, 7))"
         else:
             target.write_bytes((out / "rf-learned_h1.json").read_bytes())
             match = "adaptive=False, arf-learned needs adaptive=True"
@@ -623,7 +629,7 @@ class TestQSweepCli:
         grown = []
 
         def counting(train, val, uset, pcfg, *args):
-            grown.append((args[-1], train.horizon, pcfg.max_subsets))
+            grown.append((args[-1].adaptive, train.horizon, pcfg.max_subsets))
             return learn_partition(train, val, uset, pcfg, *args)
 
         monkeypatch.setattr(cli, "learn_partition", counting)
@@ -643,9 +649,16 @@ class TestQSweepCli:
             direct = learn_partition(
                 hd.train, hd.val, cli._uset_for(cfg, hd), PartitionConfig(q, 0.0),
                 replace(cfg.train, seed=derive_seed(cfg.seed, "train", method, h)),
-                cli._arch_for(cfg, hd), "lr", method == "arf-learned",
+                cli._method_arch(cli._arch_for(cfg, hd), method),
             )
             assert (out / name).read_text() == json.dumps(partition_to_json(direct)), name
+
+
+def test_the_readme_library_example_runs_verbatim(capsys):
+    text = README.read_text(encoding="utf-8").split("## Library example", 1)[1]
+    code = text.split("```python", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md library example", "exec"), {})
+    assert np.isfinite(float(capsys.readouterr().out))
 
 
 def test_python_m_robustcast_runs_the_cli():

@@ -44,7 +44,7 @@ from robustcast.missingness import (
 )
 from robustcast.models import Architecture, init_params, predict
 from robustcast.partition import (
-    FixedPartition, FixedSubset, PartitionConfig, UncertaintySet, learn_partition,
+    Fit, FixedPartition, PartitionConfig, UncertaintySet, learn_partition,
 )
 from robustcast.training import TrainConfig, train_nominal
 
@@ -104,18 +104,23 @@ class TestDmTest:
             dm_test(np.ones(10), np.zeros(10))
 
 
+def lr_arch(ds):
+    """The plain linear model layout of a data set."""
+    return Architecture("lr", False, ds.p, bias_index=ds.bias_index, maskable=ds.maskable)
+
+
 def small_setup(seed=0, n_periods=1200, n_plants=2, budget=None):
     """Small end-to-end fixture: data, horizon context, and trained artifacts."""
     raw = gen_synthetic(
         SynthConfig(n_plants, n_periods, 0.95, 0.6, 0.4, seed=seed)
     )
     hd = HorizonData.build(raw, 0, 1, 1, 0.5, 0.2)
-    arch = Architecture(input_dim=hd.dataset.p, bias_index=hd.dataset.bias_index)
+    arch = lr_arch(hd.dataset)
     # several mini-batches per epoch: smoother per-epoch validation progress
     # keeps the patience rule from stopping on an early lucky dip
     cfg = TrainConfig(learning_rate=1e-2, max_iters=1500, patience=60, batch_size=64, seed=seed)
     base = train_nominal(
-        hd.train, hd.val, MissingPattern.zeros(hd.dataset.p), cfg, arch, "lr", False
+        hd.train, hd.val, MissingPattern.zeros(hd.dataset.p), cfg, arch
     )
     b = budget if budget is not None else len(hd.dataset.maskable)
     uset = UncertaintySet(n_features=hd.dataset.p, maskable=hd.dataset.maskable, budget=b)
@@ -126,7 +131,7 @@ class TestRunGrid:
     def test_zero_missingness_equals_no_missing_baseline(self):
         raw, hd, arch, cfg, base, uset = small_setup(seed=3)
         part = learn_partition(hd.train, hd.val, uset, PartitionConfig(2, 0.0), cfg,
-                               arch, "lr", True)
+                               replace(arch, adaptive=True))
         spec = GridSpec(p01_list=(0.0,), p11_list=(0.5,), horizons=(1,),
                         methods=(METHOD_IMP_PERSISTENCE, METHOD_ARF_LEARNED),
                         runs=2, base_seed=9)
@@ -182,9 +187,8 @@ class TestRunGrid:
         # heavy missingness; checked with a one-sided comparison on the
         # pooled per-observation squared errors.
         raw, hd, arch, cfg, base, uset = small_setup(seed=7)
-        part = learn_partition(hd.train, hd.val, uset, PartitionConfig(1, 0.0), cfg,
-                               arch, "lr", False)
-        oracle = RetrainOracle(hd.train, hd.val, cfg, arch, "lr", False)
+        part = learn_partition(hd.train, hd.val, uset, PartitionConfig(1, 0.0), cfg, arch)
+        oracle = RetrainOracle(hd.train, hd.val, cfg, arch)
         spec = GridSpec(p01_list=(0.2,), p11_list=(0.9,), horizons=(1,),
                         methods=(METHOD_RETRAIN_ORACLE, METHOD_RF_LEARNED),
                         runs=10, base_seed=17)
@@ -248,8 +252,7 @@ class TestPersistence:
         assert got.shape == want.shape and got.flags.c_contiguous
         assert got.tobytes() == want.tobytes()
 
-        arch = Architecture(input_dim=hd.dataset.p, bias_index=hd.dataset.bias_index)
-        params = init_params(arch, "lr", False, seed % 1000)
+        params = init_params(lr_arch(hd.dataset), seed % 1000)
         zero = np.zeros(hd.dataset.p, dtype=np.uint8)
         preds = predict_method(
             METHOD_IMP_PERSISTENCE, params, hd, expand_obs_mask(mask, hd.test), filled
@@ -259,8 +262,7 @@ class TestPersistence:
     def test_filled_once_per_cell_across_horizons(self, monkeypatch):
         raw = gen_synthetic(SynthConfig(2, 300, 0.95, 0.6, 0.4, seed=1))
         hds = {h: HorizonData.build(raw, 0, 1, h, 0.5, 0.2) for h in (1, 3)}
-        arch = Architecture(input_dim=hds[1].dataset.p, bias_index=hds[1].dataset.bias_index)
-        params = init_params(arch, "lr", False, 0)
+        params = init_params(lr_arch(hds[1].dataset), 0)
         spec = GridSpec(p01_list=(0.2,), p11_list=(0.5, 0.9), horizons=(1, 3),
                         methods=(METHOD_IMP_PERSISTENCE,), runs=2, base_seed=3)
         artifacts = {(METHOD_IMP_PERSISTENCE, h): params for h in (1, 3)}
@@ -280,8 +282,7 @@ class TestPersistence:
                                  0, 1, h, 0.5, 0.2)
             for h in (1, 2)
         }
-        arch = Architecture(input_dim=hds[1].dataset.p, bias_index=hds[1].dataset.bias_index)
-        params = init_params(arch, "lr", False, 0)
+        params = init_params(lr_arch(hds[1].dataset), 0)
         spec = GridSpec(p01_list=(0.2,), p11_list=(0.5,), horizons=(1, 2),
                         methods=(METHOD_IMP_MEAN,), runs=1, base_seed=3)
         with pytest.raises(ConfigError, match="one raw series"):
@@ -368,17 +369,17 @@ class TestMethodArtifacts:
         """hd and one artifact of each kind METHODS names, by type name."""
         raw = gen_synthetic(SynthConfig(2, 300, 0.95, 0.6, 0.4, seed=1))
         hd = HorizonData.build(raw, 0, 1, 1, 0.5, 0.2)
-        arch = Architecture(input_dim=hd.dataset.p, bias_index=hd.dataset.bias_index)
+        arch = lr_arch(hd.dataset)
         cfg = TrainConfig(max_iters=5, seed=0)
         uset = UncertaintySet(hd.dataset.p, hd.dataset.maskable, len(hd.dataset.maskable))
-        params = init_params(arch, "lr", False, 0)
-        part = learn_partition(hd.train, hd.val, uset, PartitionConfig(2, 0.0), cfg, arch,
-                               "lr", True)
+        params = init_params(arch, 0)
+        part = learn_partition(hd.train, hd.val, uset, PartitionConfig(2, 0.0), cfg,
+                               replace(arch, adaptive=True))
         return hd, {
             "ModelParams": params,
             "Partition": part,
-            "FixedPartition": FixedPartition(uset, [FixedSubset(params, 0.0)]),
-            "RetrainOracle": RetrainOracle(hd.train, hd.val, cfg, arch, "lr", False),
+            "FixedPartition": FixedPartition(uset, [Fit(params, 0.0)]),
+            "RetrainOracle": RetrainOracle(hd.train, hd.val, cfg, arch),
         }
 
     @pytest.mark.parametrize("method", sorted(METHODS))
@@ -407,13 +408,12 @@ class TestRetrainOracleGuards:
         raw = gen_synthetic(SynthConfig(6, 400, 0.9, 0.4, 0.3, seed=9))
         hd = HorizonData.build(raw, 0, 1, 1, 0.5, 0.2)  # 12 maskable features
         cfg = TrainConfig(max_iters=5, seed=0)
-        arch = Architecture(input_dim=hd.dataset.p, bias_index=hd.dataset.bias_index)
         with pytest.raises(Exception):
-            RetrainOracle(hd.train, hd.val, cfg, arch, "lr", False)
+            RetrainOracle(hd.train, hd.val, cfg, lr_arch(hd.dataset))
 
     def test_cache_reuses_pattern_models(self):
         raw, hd, arch, cfg, base, uset = small_setup(seed=10)
-        oracle = RetrainOracle(hd.train, hd.val, cfg, arch, "lr", False)
+        oracle = RetrainOracle(hd.train, hd.val, cfg, arch)
         pat = MissingPattern.from_missing(hd.dataset.p, [0])
         a = oracle.params_for(pat)
         b = oracle.params_for(pat)

@@ -10,32 +10,12 @@ from robustcast.missingness import (
     MissingnessConfig,
     MissingPattern,
     ObsMaskSeries,
-    apply_mask,
     column_means,
     expand_obs_mask,
     impute_mean,
     impute_persistence,
     simulate_markov,
 )
-
-
-class TestApplyMask:
-    def test_zeroes_missing_coordinates(self):
-        x = np.array([1.0, 2.0, 3.0])
-        pattern = MissingPattern(bits=np.array([0, 1, 0]))
-        out = apply_mask(x, pattern, maskable=(0, 1, 2))
-        np.testing.assert_allclose(out, [1.0, 0.0, 3.0])
-
-    def test_zero_pattern_is_identity(self):
-        x = np.array([0.5, 0.25, 0.75])
-        out = apply_mask(x, MissingPattern.zeros(3), maskable=(0, 1))
-        np.testing.assert_array_equal(out, x)
-
-    def test_bit_outside_support_rejected(self):
-        x = np.array([1.0, 2.0, 3.0])
-        pattern = MissingPattern(bits=np.array([0, 0, 1]))
-        with pytest.raises(DomainError):
-            apply_mask(x, pattern, maskable=(0, 1))
 
 
 def markov_loop(cfg, n_periods, n_plants):

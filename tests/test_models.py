@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -12,7 +14,6 @@ from robustcast.models import (
     _mask_columns,
     _nn_forward,
     bind_pattern,
-    forward,
     init_params,
     loss_and_grad,
     mse_loss,
@@ -47,12 +48,13 @@ def randomized(params, rng, scale=0.5):
 def relu_margin(params, X, bits):
     """Smallest |pre-activation| over the ReLU layers (m >= 1), from a plain
     forward pass written out here: near 0 a finite difference crosses a kink."""
-    a = bits[list(params.maskable)].astype(np.float64)
+    arch = params.arch
+    a = bits[list(arch.maskable)].astype(np.float64)
     g = X * (1.0 - bits)
     margin = np.inf
-    for m in range(params.n_hidden_layers):
+    for m in range(len(arch.hidden)):
         z = g @ params.arrays[f"W{m}"].T + params.arrays[f"b{m}"]
-        if params.adaptive and params.maskable:
+        if arch.adaptive and arch.maskable:
             z = z + (g @ (params.arrays[f"D{m}"] @ a))[:, None]
         if m:
             margin = min(margin, float(np.abs(z).min()))
@@ -63,27 +65,26 @@ def relu_margin(params, X, bits):
 
 class TestInitParams:
     def test_adaptive_init_equals_base_init_forward(self):
-        arch = Architecture(input_dim=5, hidden=(4, 4))
-        maskable = (0, 1, 2)
-        base = init_params(arch, "nn", False, seed=7, maskable=maskable)
-        adap = init_params(arch, "nn", True, seed=7, maskable=maskable)
+        arch = Architecture("nn", False, 5, (4, 4), maskable=(0, 1, 2))
+        base = init_params(arch, seed=7)
+        adap = init_params(replace(arch, adaptive=True), seed=7)
         rng = np.random.default_rng(0)
         for _ in range(10):
             x = rng.uniform(0, 1, 5)
             pat = MissingPattern.from_missing(5, [int(rng.integers(0, 3))])
-            assert forward(adap, x, pat) == forward(base, x, pat)
+            assert predict(adap, x[None], pat)[0] == predict(base, x[None], pat)[0]
 
     def test_same_seed_bit_identical(self):
-        arch = Architecture(input_dim=4, hidden=(3,))
-        a = init_params(arch, "nn", True, seed=3, maskable=(0,))
-        b = init_params(arch, "nn", True, seed=3, maskable=(0,))
+        arch = Architecture("nn", True, 4, (3,), maskable=(0,))
+        a = init_params(arch, seed=3)
+        b = init_params(arch, seed=3)
         for name in a.block_names():
             np.testing.assert_array_equal(a.arrays[name], b.arrays[name])
 
     def test_lr_has_no_layer_blocks(self):
-        params = init_params(Architecture(input_dim=4), "lr", False, seed=1, maskable=(0, 1))
+        params = init_params(Architecture("lr", False, 4, maskable=(0, 1)), seed=1)
         assert params.block_names() == ["w"]
-        adaptive = init_params(Architecture(input_dim=4), "lr", True, seed=1, maskable=(0, 1))
+        adaptive = init_params(Architecture("lr", True, 4, maskable=(0, 1)), seed=1)
         assert adaptive.block_names() == ["w", "D"]
         assert np.all(adaptive.arrays["D"] == 0.0)
 
@@ -91,9 +92,8 @@ class TestInitParams:
     @pytest.mark.parametrize("family", ["lr", "nn"])
     def test_repeated_maskable_index_rejected(self, family):
         # (0, 0) would give feature 0 two adaptive columns
-        arch = Architecture(input_dim=3, hidden=(4,) if family == "nn" else ())
         with pytest.raises(DomainError, match="repeat"):
-            init_params(arch, family, True, seed=0, maskable=(0, 0))
+            Architecture(family, True, 3, (4,) if family == "nn" else (), maskable=(0, 0))
 
 
 def reference_init_params(arch, family, adaptive, seed, maskable):
@@ -169,8 +169,9 @@ class TestLayoutAgainstReference:
     @given(layouts())
     def test_init_params_matches_the_hand_written_layout_bit_for_bit(self, layout):
         family, adaptive, p, hidden, maskable, seed = layout
-        arch = Architecture(input_dim=p, hidden=hidden)
-        params = init_params(arch, family, adaptive, seed, maskable=maskable)
+        arch = Architecture(family, adaptive, p, hidden if family == "nn" else (),
+                            maskable=maskable)
+        params = init_params(arch, seed)
         ref = reference_init_params(arch, family, adaptive, seed, maskable)
         names = reference_block_names(family, adaptive, len(hidden))
         assert list(ref) == names
@@ -181,71 +182,68 @@ class TestLayoutAgainstReference:
             assert got.shape == want.shape == shapes[name], name
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
         back = params_from_json(params_to_json(params))
-        assert back.block_names() == names
+        assert back.arch == arch and back.block_names() == names
         assert all(back.arrays[k].tobytes() == ref[k].tobytes() for k in names)
 
 
 class TestForward:
     def test_lr_dot_product(self):
-        params = init_params(Architecture(input_dim=2), "lr", False, seed=0, maskable=(0, 1))
+        params = init_params(Architecture("lr", False, 2, maskable=(0, 1)), seed=0)
         params.arrays["w"] = np.array([3.0, 1.0])
-        assert forward(params, np.array([1.0, 1.0]), MissingPattern.zeros(2)) == pytest.approx(4.0)
+        assert predict(params, np.ones((1, 2)), MissingPattern.zeros(2))[0] == pytest.approx(4.0)
 
     def test_lr_adaptive_hand_example(self):
         # (w + D a) . x(a) with w=(3,1), D column for feature 0 = (0,2),
         # a = feature 0 missing, x = (1,1): weights (3,3), input (0,1) -> 3.
-        params = init_params(Architecture(input_dim=2), "lr", True, seed=0, maskable=(0, 1))
+        params = init_params(Architecture("lr", True, 2, maskable=(0, 1)), seed=0)
         params.arrays["w"] = np.array([3.0, 1.0])
         params.arrays["D"] = np.array([[0.0, 0.0], [2.0, 0.0]])
         pat = MissingPattern.from_missing(2, [0])
-        assert forward(params, np.array([1.0, 1.0]), pat) == pytest.approx(3.0)
+        assert predict(params, np.ones((1, 2)), pat)[0] == pytest.approx(3.0)
 
     def test_nn_adaptive_zero_corrections_match_base(self):
-        arch = Architecture(input_dim=6, hidden=(5, 4))
-        maskable = (0, 1, 2, 3)
+        arch = Architecture("nn", False, 6, (5, 4), maskable=(0, 1, 2, 3))
         rng = np.random.default_rng(5)
-        base = randomized(init_params(arch, "nn", False, seed=1, maskable=maskable), rng)
-        adap = init_params(arch, "nn", True, seed=1, maskable=maskable)
+        base = randomized(init_params(arch, seed=1), rng)
+        adap = init_params(replace(arch, adaptive=True), seed=1)
         for name in base.block_names():
             adap.arrays[name] = base.arrays[name].copy()
-        x = rng.uniform(0, 1, 6)
-        assert forward(adap, x, MissingPattern.zeros(6)) == forward(
-            base, x, MissingPattern.zeros(6)
-        )
+        x = rng.uniform(0, 1, (1, 6))
+        zero = MissingPattern.zeros(6)
+        assert predict(adap, x, zero)[0] == predict(base, x, zero)[0]
 
     def test_zero_pattern_equals_unmasked(self):
-        arch = Architecture(input_dim=5, hidden=(4,))
+        arch = Architecture("nn", True, 5, (4,), maskable=(0, 1))
         rng = np.random.default_rng(8)
-        params = randomized(init_params(arch, "nn", True, seed=2, maskable=(0, 1)), rng)
+        params = randomized(init_params(arch, seed=2), rng)
         X = rng.uniform(0, 1, (7, 5))
         zero = MissingPattern.zeros(5)
         np.testing.assert_array_equal(predict(params, X, zero), predict(params, X * 1.0, zero))
 
     def test_support_violation_rejected(self):
-        params = init_params(Architecture(input_dim=3), "lr", False, seed=0, maskable=(0,))
+        params = init_params(Architecture("lr", False, 3, maskable=(0,)), seed=0)
         pat = MissingPattern.from_missing(3, [2])
         with pytest.raises(DomainError):
-            forward(params, np.ones(3), pat)
+            predict(params, np.ones((1, 3)), pat)
 
     def test_shape_mismatch_rejected(self):
-        params = init_params(Architecture(input_dim=3), "lr", False, seed=0, maskable=(0,))
+        params = init_params(Architecture("lr", False, 3, maskable=(0,)), seed=0)
         with pytest.raises(DomainError):
-            forward(params, np.ones(3), MissingPattern.zeros(4))
+            predict(params, np.ones((1, 3)), MissingPattern.zeros(4))
 
     def test_per_row_patterns_match_rowwise_forward(self):
-        arch = Architecture(input_dim=5, hidden=(4, 3))
-        maskable = (0, 1, 2)
         rng = np.random.default_rng(12)
         for family in ("lr", "nn"):
-            a = Architecture(input_dim=5) if family == "lr" else arch
-            params = randomized(init_params(a, family, True, seed=3, maskable=maskable), rng)
+            arch = Architecture(family, True, 5, (4, 3) if family == "nn" else (),
+                                maskable=(0, 1, 2))
+            params = randomized(init_params(arch, seed=3), rng)
             X = rng.uniform(0, 1, (9, 5))
             bits = np.zeros((9, 5), dtype=np.uint8)
             bits[:, :3] = rng.random((9, 3)) < 0.5
             batched = predict(params, X, bits)
             for i in range(9):
                 assert batched[i] == pytest.approx(
-                    forward(params, X[i], MissingPattern(bits=bits[i])), abs=1e-12
+                    predict(params, X[i][None], MissingPattern(bits=bits[i]))[0], abs=1e-12
                 )
 
 
@@ -253,10 +251,9 @@ class TestBroadcastSemantics:
     def test_correction_column_shifts_every_row_identically(self):
         # Perturbing one column of a layer correction must change the
         # effective weight matrix by the same added row vector everywhere.
-        arch = Architecture(input_dim=4, hidden=(3, 3))
-        maskable = (0, 1)
+        arch = Architecture("nn", True, 4, (3, 3), maskable=(0, 1))
         rng = np.random.default_rng(4)
-        params = randomized(init_params(arch, "nn", True, seed=9, maskable=maskable), rng)
+        params = randomized(init_params(arch, seed=9), rng)
         pat = MissingPattern.from_missing(4, [1])
         a = np.array([0.0, 1.0])  # pattern restricted to maskable columns
         for m, w_name, d_name in ((0, "W0", "D0"), (1, "W1", "D1")):
@@ -270,7 +267,7 @@ class TestBroadcastSemantics:
 
 class TestLossAndGrad:
     def test_perfect_fit_zero_loss_zero_grad(self):
-        params = init_params(Architecture(input_dim=2), "lr", False, seed=0, maskable=(0,))
+        params = init_params(Architecture("lr", False, 2, maskable=(0,)), seed=0)
         params.arrays["w"] = np.array([2.0, 0.0])
         X = np.array([[1.0, 1.0], [2.0, 1.0]])
         y = np.array([2.0, 4.0])
@@ -279,7 +276,7 @@ class TestLossAndGrad:
         np.testing.assert_allclose(grads["w"], 0.0, atol=1e-12)
 
     def test_single_observation_hand_gradient(self):
-        params = init_params(Architecture(input_dim=1), "lr", False, seed=0, maskable=(0,))
+        params = init_params(Architecture("lr", False, 1, maskable=(0,)), seed=0)
         params.arrays["w"] = np.array([2.0])
         loss, grads = loss_and_grad(
             params, np.array([[1.0]]), np.array([0.0]), np.zeros(1, dtype=np.uint8), 0.0
@@ -288,7 +285,7 @@ class TestLossAndGrad:
         assert grads["w"][0] == pytest.approx(4.0)
 
     def test_empty_batch(self):
-        params = init_params(Architecture(input_dim=2), "lr", False, seed=0, maskable=(0,))
+        params = init_params(Architecture("lr", False, 2, maskable=(0,)), seed=0)
         with pytest.raises(SizeError):
             loss_and_grad(params, np.empty((0, 2)), np.empty(0), np.zeros(2, dtype=np.uint8), 0.0)
 
@@ -298,10 +295,9 @@ class TestLossAndGrad:
         for trial in range(5):
             p = 6
             maskable = (0, 1, 2)
-            arch = Architecture(
-                input_dim=p, hidden=(5, 4) if family == "nn" else (), bias_index=p - 1
-            )
-            params = randomized(init_params(arch, family, adaptive, seed=trial, maskable=maskable), rng)
+            arch = Architecture(family, adaptive, p, (5, 4) if family == "nn" else (),
+                                bias_index=p - 1, maskable=maskable)
+            params = randomized(init_params(arch, seed=trial), rng)
             X = rng.uniform(0, 1, (12, p))
             y = rng.uniform(0, 1, 12)
             bits = np.zeros(p, dtype=np.uint8)
@@ -322,9 +318,9 @@ class TestLossAndGrad:
         hidden = tuple(int(w) for w in rng.integers(1, 7, rng.integers(1, 4)))
         maskable = tuple(sorted(rng.choice(p, size=int(rng.integers(0, p + 1)), replace=False)))
         bias_index = int(rng.integers(0, p)) if rng.uniform() < 0.5 else None
-        arch = Architecture(input_dim=p, hidden=hidden if family == "nn" else (),
-                            bias_index=bias_index)
-        params = randomized(init_params(arch, family, adaptive, seed=0, maskable=maskable), rng)
+        arch = Architecture(family, adaptive, p, hidden if family == "nn" else (),
+                            bias_index=bias_index, maskable=maskable)
+        params = randomized(init_params(arch, seed=0), rng)
         n = int(rng.integers(1, 9))
         X = rng.normal(0.0, 1.0, (n, p))
         y = rng.normal(0.0, 1.0, n)
@@ -341,8 +337,8 @@ class TestLossAndGrad:
             assert abs(analytic[i] - g_fd) / denom < 1e-6
 
     def test_bias_feature_excluded_from_decay(self):
-        arch = Architecture(input_dim=3, bias_index=2)
-        params = init_params(arch, "lr", False, seed=0, maskable=(0, 1))
+        arch = Architecture("lr", False, 3, bias_index=2, maskable=(0, 1))
+        params = init_params(arch, seed=0)
         params.arrays["w"] = np.array([1.0, 1.0, 5.0])
         X = np.array([[0.0, 0.0, 1.0]])
         y = np.array([5.0])  # perfect fit, so only decay contributes
@@ -351,8 +347,8 @@ class TestLossAndGrad:
         assert grads["w"][2] == pytest.approx(0.0)
 
     def test_mse_loss_has_no_decay(self):
-        arch = Architecture(input_dim=2, bias_index=1)
-        params = init_params(arch, "lr", False, seed=0, maskable=(0,))
+        arch = Architecture("lr", False, 2, bias_index=1, maskable=(0,))
+        params = init_params(arch, seed=0)
         params.arrays["w"] = np.array([3.0, 0.5])
         X = np.array([[1.0, 1.0]])
         y = np.array([3.5])
@@ -369,14 +365,15 @@ def reference_loss_and_grad(params, X, y, alpha, weight_decay=0.0):
     n = X.shape[0]
     if n == 0:
         raise SizeError("empty batch")
-    bits = MissingPattern.bits_of(alpha, params.n_features, params.maskable, ndim=1)
+    arch = params.arch
+    bits = MissingPattern.bits_of(alpha, arch.input_dim, arch.maskable, ndim=1)
     xm = X * (1.0 - bits.astype(np.float64))
     grads = {}
 
-    if params.family == "lr":
+    if arch.family == "lr":
         w = params.arrays["w"]
-        adaptive = params.adaptive and bool(params.maskable)
-        a = _mask_columns(bits, params.maskable) if adaptive else None
+        adaptive = arch.adaptive and bool(arch.maskable)
+        a = _mask_columns(bits, arch.maskable) if adaptive else None
         w_eff = w + params.arrays["D"] @ a if adaptive else w
         preds = xm @ w_eff
         resid = preds - y
@@ -384,7 +381,7 @@ def reference_loss_and_grad(params, X, y, alpha, weight_decay=0.0):
         r = (2.0 / n) * resid
         gw = xm.T @ r
         grads["w"] = gw
-        if params.adaptive:
+        if arch.adaptive:
             grads["D"] = np.outer(gw, a) if adaptive else np.zeros_like(params.arrays["D"])
     else:
         preds, gs, a = _nn_forward(params, xm, bits, per_row=False)
@@ -396,19 +393,19 @@ def reference_loss_and_grad(params, X, y, alpha, weight_decay=0.0):
         g_last = gs[-1]
         grads["w_out"] = g_last.T @ r
         grads["b_out"] = np.array([r.sum()])
-        if params.adaptive:
+        if arch.adaptive:
             grads["D_out"] = (
                 np.outer(g_last.T @ r, a) if adaptive else np.zeros_like(params.arrays["D_out"])
             )
         w_eff = w_out + params.arrays["D_out"] @ a if adaptive else w_out
         dg = np.outer(r, w_eff)
-        for m in range(params.n_hidden_layers - 1, -1, -1):
+        for m in range(len(arch.hidden) - 1, -1, -1):
             delta = dg if m == 0 else dg * (gs[m + 1] > 0.0)
             g_in = gs[m]
             grads[f"W{m}"] = delta.T @ g_in
             grads[f"b{m}"] = delta.sum(axis=0)
             w = params.arrays[f"W{m}"]
-            if params.adaptive:
+            if arch.adaptive:
                 if adaptive:
                     srow = delta.sum(axis=1)
                     grads[f"D{m}"] = np.outer(g_in.T @ srow, a)
@@ -421,7 +418,7 @@ def reference_loss_and_grad(params, X, y, alpha, weight_decay=0.0):
 
     if weight_decay:
         for name in params.block_names():
-            mask = _decayed_mask(params, name)
+            mask = _decayed_mask(arch, name)
             block = params.arrays[name]
             loss += weight_decay * float(np.sum((block * mask) ** 2))
             grads[name] = grads[name] + 2.0 * weight_decay * (block * mask)
@@ -451,10 +448,10 @@ class TestLossAndGradAgainstReference:
         weight_decay = data.draw(st.sampled_from([0.0, 1e-3, 0.25]))
         rows = data.draw(st.integers(1, 9))
         spare = data.draw(st.integers(0, 4))
-        arch = Architecture(input_dim=p, hidden=hidden if family == "nn" else (),
-                            bias_index=bias_index)
+        arch = Architecture(family, adaptive, p, hidden if family == "nn" else (),
+                            bias_index=bias_index, maskable=maskable)
         rng = np.random.default_rng(seed)
-        params = randomized(init_params(arch, family, adaptive, seed, maskable=maskable), rng)
+        params = randomized(init_params(arch, seed), rng)
         # the buffers of rows + spare rows serve every batch below: a prefix
         # of a larger workspace, reused across calls with different patterns
         work = StepBuffers(params, rows + spare)
@@ -472,7 +469,7 @@ class TestLossAndGradAgainstReference:
 
     def test_negative_zero_gradients_survive(self):
         # D's column for an available feature is gw * 0.0: -0.0 where gw < 0
-        params = init_params(Architecture(input_dim=2), "lr", True, seed=0, maskable=(0, 1))
+        params = init_params(Architecture("lr", True, 2, maskable=(0, 1)), seed=0)
         params.arrays["w"][...] = 1.0
         X, y = np.array([[0.0, 1.0], [0.0, 2.0]]), np.array([5.0, 5.0])
         bits = np.array([1, 0], dtype=np.uint8)
@@ -481,9 +478,9 @@ class TestLossAndGradAgainstReference:
         same_bits(*loss_and_grad(params, X, y, bits), ref_loss, ref_grads)
 
     def test_buffers_refuse_another_layout_and_a_larger_batch(self):
-        arch = Architecture(input_dim=3, bias_index=2)
-        params = init_params(arch, "lr", True, seed=0, maskable=(0, 1))
-        other = init_params(arch, "lr", True, seed=0, maskable=(0,))
+        arch = Architecture("lr", True, 3, bias_index=2, maskable=(0, 1))
+        params = init_params(arch, seed=0)
+        other = init_params(replace(arch, maskable=(0,)), seed=0)
         X, y, zero = np.ones((4, 3)), np.ones(4), np.zeros(3, dtype=np.uint8)
         with pytest.raises(SizeError):
             loss_and_grad(params, X, y, zero, 0.0, StepBuffers(params, 3))
@@ -496,11 +493,9 @@ class TestLossAndGradAgainstReference:
 class TestSerialization:
     def test_roundtrip_exact(self):
         rng = np.random.default_rng(3)
-        arch = Architecture(input_dim=4, hidden=(3, 2), bias_index=3)
-        params = randomized(init_params(arch, "nn", True, seed=1, maskable=(0, 1)), rng)
+        arch = Architecture("nn", True, 4, (3, 2), bias_index=3, maskable=(0, 1))
+        params = randomized(init_params(arch, seed=1), rng)
         back = params_from_json(params_to_json(params))
-        assert back.family == params.family
-        assert back.maskable == params.maskable
-        assert back.bias_index == params.bias_index
+        assert back.arch == params.arch
         for name in params.block_names():
             np.testing.assert_array_equal(back.arrays[name], params.arrays[name])

@@ -51,6 +51,12 @@ def toy_dataset(n_features_signal, n=600, seed=0, noise=0.05, weights=None, corr
                    horizon=1, max_lag=0, obs_periods=np.arange(n))
 
 
+def toy_arch(n_features_signal, adaptive=False):
+    """The linear model layout of toy_dataset(n_features_signal)."""
+    k = n_features_signal
+    return Architecture("lr", adaptive, k + 1, bias_index=k, maskable=tuple(range(k)))
+
+
 def quick_cfg(seed=0, iters=2000, lr=3e-2, patience=60):
     # near-full-batch and a generous budget: under-converged fits distort the
     # subset bounds and can stall or misdirect the splitting loop
@@ -89,8 +95,7 @@ def manual_partition(n_features=3):
     branch splits on feature 1, leaving leaves U1, U3, U4."""
     maskable = (0, 1, 2)
     uset = UncertaintySet(n_features=n_features, maskable=maskable, budget=3)
-    arch = Architecture(input_dim=n_features)
-    params = init_params(arch, "lr", False, seed=0, maskable=maskable)
+    params = init_params(Architecture("lr", False, n_features, maskable=maskable), seed=0)
     opt, adv = Fit(params, 0.1), Fit(params, 0.2)
     return Partition(uncertainty=uset, config=PartitionConfig(max_subsets=3, epsilon=0.0),
                      opt=opt, adv=adv, splits=[Split(0, 0, opt, adv), Split(2, 1, opt, adv)])
@@ -131,8 +136,7 @@ class TestLearnPartition:
         train, val, _ = split_sequential(ds, 0.6, 0.25)
         uset = UncertaintySet(n_features=4, maskable=(0, 1, 2), budget=3)
         part = learn_partition(train, val, uset, PartitionConfig(max_subsets=1, epsilon=0.0),
-                               quick_cfg(seed=2), Architecture(input_dim=4, bias_index=3),
-                               "lr", False)
+                               quick_cfg(seed=2), toy_arch(3))
         assert part.leaf_ids == [0]
         assert part.subsets[0].free == (0, 1, 2)
         assert part.splits == ()
@@ -146,8 +150,7 @@ class TestLearnPartition:
         train, val, _ = split_sequential(ds, 0.6, 0.25)
         uset = UncertaintySet(n_features=4, maskable=(0, 1, 2), budget=3)
         part = learn_partition(train, val, uset, PartitionConfig(max_subsets=8, epsilon=0.0),
-                               quick_cfg(seed=4),
-                               Architecture(input_dim=4, bias_index=3), "lr", False)
+                               quick_cfg(seed=4), toy_arch(3))
         assert len(part.leaf_ids) == 8
         leaves = part.leaves()
         assert all(leaf.free == () for leaf in leaves)
@@ -160,8 +163,7 @@ class TestLearnPartition:
         train, val, _ = split_sequential(ds, 0.6, 0.25)
         uset = UncertaintySet(n_features=4, maskable=(0, 1, 2), budget=3)
         part = learn_partition(train, val, uset, PartitionConfig(max_subsets=2, epsilon=0.0),
-                               quick_cfg(seed=6), Architecture(input_dim=4, bias_index=3),
-                               "lr", False)
+                               quick_cfg(seed=6), toy_arch(3))
         root = part.subsets[0]
         assert part.splits[0].leaf == 0
         j_star = part.splits[0].feature
@@ -178,8 +180,7 @@ class TestLearnPartition:
         train, val, _ = split_sequential(ds, 0.6, 0.25)
         uset = UncertaintySet(n_features=5, maskable=(0, 1, 2, 3), budget=4)
         part = learn_partition(train, val, uset, PartitionConfig(max_subsets=5, epsilon=0.0),
-                               quick_cfg(seed=8), Architecture(input_dim=5, bias_index=4),
-                               "lr", False)
+                               quick_cfg(seed=8), toy_arch(4))
         assert part.splits
         for k, split in enumerate(part.splits, 1):
             parent, avail, miss = (part.subsets[i] for i in (split.leaf, 2 * k - 1, 2 * k))
@@ -196,12 +197,10 @@ class TestLearnPartition:
         uset = UncertaintySet(n_features=4, maskable=(0, 1, 2), budget=3)
         huge_eps = 1e6
         part = learn_partition(train, val, uset, PartitionConfig(max_subsets=6, epsilon=huge_eps),
-                               quick_cfg(seed=10), Architecture(input_dim=4, bias_index=3),
-                               "lr", False)
+                               quick_cfg(seed=10), toy_arch(3))
         assert part.leaf_ids == [0]  # epsilon satisfied immediately
         part2 = learn_partition(train, val, uset, PartitionConfig(max_subsets=3, epsilon=0.0),
-                                quick_cfg(seed=10), Architecture(input_dim=4, bias_index=3),
-                                "lr", False)
+                                quick_cfg(seed=10), toy_arch(3))
         assert len(part2.leaf_ids) <= 3
 
     def test_exhaustive_routing_six_features(self):
@@ -209,8 +208,7 @@ class TestLearnPartition:
         train, val, _ = split_sequential(ds, 0.6, 0.25)
         uset = UncertaintySet(n_features=7, maskable=tuple(range(6)), budget=3)
         part = learn_partition(train, val, uset, PartitionConfig(max_subsets=5, epsilon=0.0),
-                               quick_cfg(seed=12),
-                               Architecture(input_dim=7, bias_index=6), "lr", False)
+                               quick_cfg(seed=12), toy_arch(6))
         patterns = enumerate_patterns(uset)
         assert len(patterns) == 42
         leaf_set = set(part.leaf_ids)
@@ -227,7 +225,7 @@ class TestLearnPartition:
         uset = UncertaintySet(n_features=4, maskable=(0, 1, 2), budget=3)
         part = learn_partition(train, val, uset, PartitionConfig(max_subsets=8, epsilon=0.0),
                                quick_cfg(seed=14, iters=4000, lr=1e-2, patience=100),
-                               Architecture(input_dim=4, bias_index=3), "lr", False)
+                               toy_arch(3))
         checked = 0
         for k, split in enumerate(part.splits, 1):
             leaf = part.subsets[2 * k - 1]
@@ -289,7 +287,7 @@ class TestFixedPartition:
         train, val, _ = split_sequential(ds, 0.6, 0.25)
         uset = UncertaintySet(n_features=4, maskable=(0, 1, 2), budget=3)
         fixed = fixed_partition(train, val, uset, quick_cfg(seed=16, iters=200, patience=25),
-                                Architecture(input_dim=4, bias_index=3), "lr", False)
+                                toy_arch(3))
         assert len(fixed.subsets) == 4
         assert [s["count"] for s in fixed_to_json(fixed)["subsets"]] == [0, 1, 2, 3]
 
@@ -298,7 +296,7 @@ class TestFixedPartition:
         train, val, _ = split_sequential(ds, 0.6, 0.25)
         uset = UncertaintySet(n_features=4, maskable=(0, 1, 2), budget=2)
         fixed = fixed_partition(train, val, uset, quick_cfg(seed=18, iters=150, patience=25),
-                                Architecture(input_dim=4, bias_index=3), "lr", False)
+                                toy_arch(3))
         assert route_fixed(fixed, MissingPattern.zeros(4)) == 0
         assert route_fixed(fixed, MissingPattern.from_missing(4, [0, 2])) == 2
         # deployment pattern beyond the training budget clamps to the last subset
@@ -309,13 +307,12 @@ class TestFixedPartition:
         train, val, _ = split_sequential(ds, 0.6, 0.25)
         uset = UncertaintySet(n_features=3, maskable=(0, 1), budget=0)
         cfg = quick_cfg(seed=20, iters=150, patience=25)
-        fixed = fixed_partition(train, val, uset, cfg, Architecture(input_dim=3, bias_index=2),
-                                "lr", False)
+        fixed = fixed_partition(train, val, uset, cfg, toy_arch(2))
         assert len(fixed.subsets) == 1
         from robustcast._util import derive_seed
         nominal = train_nominal(train, val, MissingPattern.zeros(3),
                                 replace(cfg, seed=derive_seed(cfg.seed, "fixed", 0)),
-                                Architecture(input_dim=3, bias_index=2), "lr", False)
+                                toy_arch(2))
         np.testing.assert_array_equal(fixed.subsets[0].params.arrays["w"],
                                       nominal.params.arrays["w"])
 
@@ -344,12 +341,12 @@ class TestTruncate:
         ds = toy_dataset(3, seed=21, n=300)
         train, val, _ = split_sequential(ds, 0.6, 0.25)
         uset = UncertaintySet(n_features=4, maskable=(0, 1, 2), budget=budget)
-        arch = Architecture(input_dim=4, hidden=hidden, bias_index=3)
+        arch = Architecture(family, True, 4, hidden, bias_index=3, maskable=(0, 1, 2))
         epsilon = early if stop_early else 0.0
 
         def learn(q):
             return learn_partition(train, val, uset, PartitionConfig(q, epsilon),
-                                   quick_cfg(seed=3, iters=iters), arch, family, True)
+                                   quick_cfg(seed=3, iters=iters), arch)
 
         grown = learn(self.Q_MAX)
         assert (len(grown.leaf_ids) == self.Q_MAX) == full
@@ -377,7 +374,7 @@ class TestSerialization:
         uset = UncertaintySet(n_features=4, maskable=(0, 1, 2), budget=3)
         part = learn_partition(train, val, uset, PartitionConfig(max_subsets=3, epsilon=0.0),
                                quick_cfg(seed=22, iters=150, patience=25),
-                               Architecture(input_dim=4, bias_index=3), "lr", True)
+                               toy_arch(3, adaptive=True))
         path = tmp_path / "partition.json"
         save_artifact(part, path)
         back = load_artifact(path)
@@ -398,7 +395,7 @@ class TestSerialization:
         train, val, _ = split_sequential(ds, 0.6, 0.25)
         uset = UncertaintySet(n_features=3, maskable=(0, 1), budget=2)
         fixed = fixed_partition(train, val, uset, quick_cfg(seed=24, iters=150, patience=25),
-                                Architecture(input_dim=3, bias_index=2), "lr", False)
+                                toy_arch(2))
         path = tmp_path / "fixed.json"
         save_artifact(fixed, path)
         back = load_artifact(path)

@@ -9,11 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robustcast.exceptions import DomainError
-from robustcast.missingness import MissingPattern, ObsMaskSeries, apply_mask, impute_mean
+from robustcast.missingness import MissingPattern, ObsMaskSeries, impute_mean
 from robustcast.models import Architecture, init_params, loss_and_grad, mse_loss, predict
 from robustcast.partition import (
     FixedPartition,
-    FixedSubset,
     Fit,
     Partition,
     PartitionConfig,
@@ -70,11 +69,11 @@ def as_input(values: np.ndarray, kind: str):
 
 
 def fixtures(p: int, maskable: tuple[int, ...], n: int):
-    params = init_params(Architecture(input_dim=p), "lr", True, seed=0, maskable=maskable)
+    params = init_params(Architecture("lr", True, p, maskable=maskable), seed=0)
     params = params.from_vector(np.random.default_rng(1).normal(size=params.to_vector().size))
     uset = UncertaintySet(n_features=p, maskable=maskable, budget=len(maskable))
     learned = Partition(uset, PartitionConfig(1, 0.0), Fit(params, 1.0), Fit(params, 2.0))
-    fixed = FixedPartition(uset, [FixedSubset(params, 1.0) for _ in range(len(maskable) + 1)])
+    fixed = FixedPartition(uset, [Fit(params, 1.0) for _ in range(len(maskable) + 1)])
     X = np.random.default_rng(2).uniform(0.5, 1.5, (n, p))
     return params, learned, fixed, X, X.sum(axis=1)
 
@@ -84,7 +83,6 @@ ENTRY_POINTS = {
     "predict": ((1, 2), True, lambda f, b: predict(f[0], f[3], b)),
     "mse_loss": ((1, 2), True, lambda f, b: mse_loss(f[0], f[3], f[4], b)),
     "loss_and_grad": ((1,), True, lambda f, b: loss_and_grad(f[0], f[3], f[4], b)[0]),
-    "apply_mask": ((1,), True, lambda f, b: apply_mask(f[3][0], b, f[1].uncertainty.maskable)),
     "impute_mean": ((1, 2), False, lambda f, b: impute_mean(f[3], b, f[3].mean(axis=0))),
     "locate": ((1,), True, lambda f, b: locate(f[1], b)),
     "predict_deployed": ((1,), True, lambda f, b: predict_deployed(f[1], f[3][0], b)),
@@ -108,8 +106,7 @@ def test_every_entry_point_takes_exactly_the_valid_patterns(case):
         zero = np.zeros(p, dtype=np.uint8)
         for build in (
             lambda: MissingPattern.bits_of(zero, p, maskable),
-            lambda: apply_mask(np.ones(p), zero, maskable),
-            lambda: init_params(Architecture(input_dim=p), "lr", True, seed=0, maskable=maskable),
+            lambda: Architecture("lr", True, p, maskable=maskable),
             lambda: UncertaintySet(n_features=p, maskable=maskable, budget=0),
         ):
             with pytest.raises(DomainError):
@@ -148,16 +145,15 @@ def test_obs_mask_rejects_what_is_not_a_bit_matrix(mask):
 
 def test_negative_maskable_index_does_not_wrap_onto_the_bias():
     with pytest.raises(DomainError, match="out of range"):
-        apply_mask(np.ones(3), [0, 0, 1], (-1,))
+        MissingPattern.bits_of([0, 0, 1], 3, (-1,))
     with pytest.raises(DomainError, match="out of range"):
-        init_params(Architecture(input_dim=3, bias_index=2), "lr", True, seed=0, maskable=(-1,))
+        Architecture("lr", True, 3, bias_index=2, maskable=(-1,))
     with pytest.raises(DomainError, match="out of range"):
         UncertaintySet(n_features=3, maskable=(5,), budget=1)
 
 
 def test_bit_of_two_on_the_bias_column_is_rejected_not_negated():
-    params = init_params(Architecture(input_dim=3, bias_index=2), "lr", False, seed=0,
-                         maskable=(0, 1))
+    params = init_params(Architecture("lr", False, 3, bias_index=2, maskable=(0, 1)), seed=0)
     x = np.array([[0.3, 0.8, 1.0]])
     with pytest.raises(DomainError, match="0 or 1"):
         predict(params, x, np.array([0, 0, 2]))

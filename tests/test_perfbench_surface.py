@@ -64,7 +64,8 @@ def test_the_tracer_counts_work_from_real_results(tmp_path):
     raw = gen_synthetic(SynthConfig(2, 400, 0.95, 0.5, 0.4, seed=3))
     hd = HorizonData.build(raw, 0, 1, 1, 0.5, 0.2)
     uset = partition.UncertaintySet(hd.dataset.p, hd.dataset.maskable, budget=3)
-    arch = Architecture(input_dim=hd.dataset.p, bias_index=hd.dataset.bias_index)
+    arch = Architecture("lr", True, hd.dataset.p, bias_index=hd.dataset.bias_index,
+                        maskable=hd.dataset.maskable)
     cfg = TrainConfig(learning_rate=0.02, max_iters=4, patience=4, batch_size=64, seed=1)
     mask = simulate_markov(MissingnessConfig(p01=0.2, p11=0.8, seed=1), raw.n_periods,
                            raw.n_plants)
@@ -75,9 +76,8 @@ def test_the_tracer_counts_work_from_real_results(tmp_path):
     replaced = tracer.install(t)
     try:
         learned = partition.learn_partition(hd.train, hd.val, uset,
-                                            partition.PartitionConfig(3, 0.0), cfg, arch,
-                                            "lr", True)
-        fixed = partition.fixed_partition(hd.train, hd.val, uset, cfg, arch, "lr", True)
+                                            partition.PartitionConfig(3, 0.0), cfg, arch)
+        fixed = partition.fixed_partition(hd.train, hd.val, uset, cfg, arch)
         partition.predict_deployed_rows(learned, X, patterns)
         partition.predict_fixed_rows(fixed, X, patterns)
         partition.predict_deployed(learned, X[0], patterns[0])

@@ -10,7 +10,6 @@ from robustcast.missingness import MissingPattern
 from robustcast.models import Architecture, ModelParams, init_params
 from robustcast.partition import (
     FixedPartition,
-    FixedSubset,
     Fit,
     Partition,
     PartitionConfig,
@@ -37,8 +36,9 @@ def usets(draw) -> UncertaintySet:
 
 
 def random_params(uset: UncertaintySet, rng: np.random.Generator) -> ModelParams:
-    arch = Architecture(input_dim=uset.n_features, bias_index=uset.n_features - 1)
-    params = init_params(arch, "lr", True, 0, maskable=uset.maskable)
+    arch = Architecture("lr", True, uset.n_features, bias_index=uset.n_features - 1,
+                        maskable=uset.maskable)
+    params = init_params(arch, 0)
     return params.from_vector(rng.normal(size=params.to_vector().size))
 
 
@@ -123,13 +123,14 @@ def test_batched_deployment_equals_row_by_row(part, n, seed):
 def test_fixed_rows_use_the_subset_route_fixed_picks(uset, n, seed):
     # Subset l predicts exactly l from the bias feature alone, so every
     # prediction names the subset its row was routed to.
-    arch = Architecture(input_dim=uset.n_features, bias_index=uset.n_features - 1)
+    arch = Architecture("lr", False, uset.n_features, bias_index=uset.n_features - 1,
+                        maskable=uset.maskable)
     subsets = []
     for count in range(uset.budget + 1):
-        params = init_params(arch, "lr", False, 0, maskable=uset.maskable)
+        params = init_params(arch, 0)
         params.arrays["w"][:] = 0.0
         params.arrays["w"][-1] = float(count)
-        subsets.append(FixedSubset(params=params, val_loss=0.0))
+        subsets.append(Fit(params=params, loss=0.0))
     fixed = FixedPartition(uncertainty=uset, subsets=subsets)
     bits = random_bits(uset, n, seed)
     X = np.ones((n, uset.n_features))

@@ -24,6 +24,10 @@ from robustcast.training import (
 )
 
 
+# the model layout of line_dataset: a linear fit of y on x and the bias
+LINE_ARCH = Architecture("lr", False, 2, bias_index=1, maskable=(0,))
+
+
 def line_dataset(n=200, slope=2.0, noise=0.0, seed=0):
     """Noiseless (or noisy) y = slope * x with a bias feature."""
     rng = np.random.default_rng(seed)
@@ -84,8 +88,8 @@ class TestAdamStep:
     @pytest.mark.parametrize("family, hidden", [("lr", ()), ("nn", (3, 4))])
     def test_vector_step_matches_the_per_block_reference_bit_for_bit(self, family, hidden):
         rng = np.random.default_rng(11)
-        params = init_params(Architecture(input_dim=5, hidden=hidden, bias_index=4), family,
-                             True, seed=3, maskable=(0, 1, 2))
+        params = init_params(Architecture(family, True, 5, hidden, bias_index=4,
+                                          maskable=(0, 1, 2)), seed=3)
         params = params.from_vector(rng.normal(size=params.to_vector().size))
         names = params.block_names()
         ref = params
@@ -111,8 +115,7 @@ class TestTrainNominal:
         ds = line_dataset()
         train, val = self.split(ds)
         cfg = TrainConfig(learning_rate=1e-2, max_iters=1, patience=1, batch_size=32, seed=0)
-        res = train_nominal(train, val, MissingPattern.zeros(2), cfg,
-                            Architecture(input_dim=2, bias_index=1), "lr", False)
+        res = train_nominal(train, val, MissingPattern.zeros(2), cfg, LINE_ARCH)
         assert res.iterations == 1
         assert len(res.trace) == 1
 
@@ -120,18 +123,16 @@ class TestTrainNominal:
         ds = line_dataset(n=400)
         train, val = self.split(ds)
         cfg = TrainConfig(learning_rate=1e-2, max_iters=1000, patience=50, batch_size=64, seed=1)
-        res = train_nominal(train, val, MissingPattern.zeros(2), cfg,
-                            Architecture(input_dim=2, bias_index=1), "lr", False)
+        res = train_nominal(train, val, MissingPattern.zeros(2), cfg, LINE_ARCH)
         assert res.iterations <= 1000
         assert abs(res.params.arrays["w"][0] - 2.0) < 1e-2
 
     def test_best_no_worse_than_initial(self):
         ds = line_dataset(n=300, noise=0.1, seed=4)
         train, val = self.split(ds)
-        arch = Architecture(input_dim=2, bias_index=1)
         cfg = TrainConfig(learning_rate=1e-3, max_iters=40, patience=10, batch_size=64, seed=2)
-        theta0 = init_params(arch, "lr", False, cfg.seed, maskable=train.maskable)
-        res = train_nominal(train, val, MissingPattern.zeros(2), cfg, arch, "lr", False)
+        theta0 = init_params(LINE_ARCH, cfg.seed)
+        res = train_nominal(train, val, MissingPattern.zeros(2), cfg, LINE_ARCH)
         initial_val = mse_loss(theta0, val.X, val.y, MissingPattern.zeros(2))
         assert res.val_loss <= initial_val
 
@@ -139,8 +140,7 @@ class TestTrainNominal:
         ds = line_dataset(n=300, noise=0.2, seed=5)
         train, val = self.split(ds)
         cfg = TrainConfig(learning_rate=5e-3, max_iters=60, patience=8, batch_size=64, seed=3)
-        res = train_nominal(train, val, MissingPattern.zeros(2), cfg,
-                            Architecture(input_dim=2, bias_index=1), "lr", False)
+        res = train_nominal(train, val, MissingPattern.zeros(2), cfg, LINE_ARCH)
         assert res.val_loss == pytest.approx(min(r.val_loss for r in res.trace))
         assert res.best_iteration == min(
             (r.iteration for r in res.trace if r.val_loss == res.val_loss)
@@ -151,8 +151,7 @@ class TestTrainNominal:
             ds = line_dataset(n=240, noise=0.3, seed=seed)
             train, val = self.split(ds)
             cfg = TrainConfig(learning_rate=5e-3, max_iters=50, patience=5, batch_size=64, seed=seed)
-            res = train_nominal(train, val, MissingPattern.zeros(2), cfg,
-                                Architecture(input_dim=2, bias_index=1), "lr", False)
+            res = train_nominal(train, val, MissingPattern.zeros(2), cfg, LINE_ARCH)
             assert res.iterations <= cfg.max_iters
             assert res.best_iteration >= res.iterations - 1 - cfg.patience
 
@@ -160,10 +159,10 @@ class TestTrainNominal:
         raw = gen_synthetic(SynthConfig(2, 400, 0.9, 0.4, 0.3, seed=7))
         ds = build_supervised(raw, 0, 1, 1)
         train, val, _ = split_sequential(ds, 0.5, 0.2)
-        arch = Architecture(input_dim=ds.p, hidden=(6,), bias_index=ds.bias_index)
+        arch = Architecture("nn", True, ds.p, (6,), ds.bias_index, ds.maskable)
         cfg = TrainConfig(learning_rate=1e-3, max_iters=15, patience=5, batch_size=64, seed=9)
-        a = train_nominal(train, val, MissingPattern.zeros(ds.p), cfg, arch, "nn", True)
-        b = train_nominal(train, val, MissingPattern.zeros(ds.p), cfg, arch, "nn", True)
+        a = train_nominal(train, val, MissingPattern.zeros(ds.p), cfg, arch)
+        b = train_nominal(train, val, MissingPattern.zeros(ds.p), cfg, arch)
         for name in a.params.block_names():
             np.testing.assert_array_equal(a.params.arrays[name], b.params.arrays[name])
         assert a.val_loss == b.val_loss
@@ -174,18 +173,27 @@ class TestTrainNominal:
         val = ds.rows(10, 10)
         cfg = TrainConfig(max_iters=2, seed=0)
         with pytest.raises(SizeError):
-            train_nominal(train, val, MissingPattern.zeros(2), cfg,
-                          Architecture(input_dim=2), "lr", False)
+            train_nominal(train, val, MissingPattern.zeros(2), cfg, LINE_ARCH)
 
     def test_warm_start_continues_from_given_params(self):
         ds = line_dataset(n=200, noise=0.05, seed=6)
         train, val = self.split(ds)
-        arch = Architecture(input_dim=2, bias_index=1)
         cfg = TrainConfig(learning_rate=1e-2, max_iters=30, patience=30, batch_size=64, seed=4)
-        first = train_nominal(train, val, MissingPattern.zeros(2), cfg, arch, "lr", False)
-        resumed = train_nominal(train, val, MissingPattern.zeros(2), cfg, arch, "lr", False,
+        first = train_nominal(train, val, MissingPattern.zeros(2), cfg, LINE_ARCH)
+        resumed = train_nominal(train, val, MissingPattern.zeros(2), cfg, LINE_ARCH,
                                 warm_start=first.params)
         assert resumed.val_loss <= first.val_loss + 1e-12
+
+    def test_a_layout_the_data_or_the_warm_start_does_not_have_is_refused(self):
+        train, val = self.split(line_dataset(n=100))
+        cfg = TrainConfig(max_iters=1, seed=0)
+        zero = MissingPattern.zeros(2)
+        for arch in (replace(LINE_ARCH, input_dim=3), replace(LINE_ARCH, maskable=())):
+            with pytest.raises(DomainError, match="cannot fit"):
+                train_nominal(train, val, zero, cfg, arch)
+        warm = init_params(replace(LINE_ARCH, adaptive=True), seed=0)
+        with pytest.raises(DomainError, match="warm start"):
+            train_nominal(train, val, zero, cfg, LINE_ARCH, warm_start=warm)
 
     def test_invalid_config(self):
         with pytest.raises(ConfigError):
@@ -203,19 +211,18 @@ class TestNonFiniteLoss:
         raw = gen_synthetic(SynthConfig(2, 300, 0.95, 0.5, 0.4, seed=3))
         ds = build_supervised(raw, 0, 1, 1)
         train, val, _ = split_sequential(ds, 0.5, 0.2)
-        arch = Architecture(input_dim=ds.p, hidden=(8, 8), bias_index=ds.bias_index)
+        arch = Architecture("nn", False, ds.p, (8, 8), ds.bias_index, ds.maskable)
         cfg = TrainConfig(learning_rate=1e200, max_iters=5, patience=5, batch_size=64, seed=0)
         with np.errstate(all="ignore"), pytest.raises(NumericalError,
                                                       match="training loss .* iteration 0"):
-            train_nominal(train, val, MissingPattern.zeros(ds.p), cfg, arch, "nn", False)
+            train_nominal(train, val, MissingPattern.zeros(ds.p), cfg, arch)
 
     def test_non_finite_validation_loss_raises_at_its_iteration(self):
         ds = line_dataset(n=200, noise=0.1, seed=2)
         train, val = split_sequential(ds, 0.6, 0.25)[:2]
         val.y[3] = np.nan
-        arch = Architecture(input_dim=2, bias_index=1)
         cfg = TrainConfig(learning_rate=1e-2, max_iters=5, patience=5, batch_size=64, seed=0)
-        params0 = init_params(arch, "lr", False, cfg.seed, maskable=train.maskable)
+        params0 = init_params(LINE_ARCH, cfg.seed)
         zero = lambda params: MissingPattern.zeros(2)
         with pytest.raises(NumericalError, match="validation loss is nan at iteration 0"):
             run_training_loop(train, val, params0, cfg, zero, zero)
@@ -229,9 +236,9 @@ class TestInPlaceUpdates:
         raw = gen_synthetic(SynthConfig(2, 300, 0.9, 0.4, 0.3, seed=8))
         ds = build_supervised(raw, 0, 1, 1)
         train, val, _ = split_sequential(ds, 0.5, 0.2)
-        arch = Architecture(input_dim=ds.p, hidden=(4,), bias_index=ds.bias_index)
+        arch = Architecture("nn", True, ds.p, (4,), ds.bias_index, ds.maskable)
         cfg = TrainConfig(learning_rate=1e-2, max_iters=4, patience=4, batch_size=32, seed=1)
-        warm = init_params(arch, "nn", True, seed=2, maskable=train.maskable)
+        warm = init_params(arch, seed=2)
         return train, val, arch, cfg, warm
 
     @pytest.mark.parametrize("trainer", ["nominal", "adversarial", "sampled"])
@@ -240,7 +247,7 @@ class TestInPlaceUpdates:
         before = {k: a.copy() for k, a in warm.arrays.items()}
         zero = MissingPattern.zeros(train.p)
         if trainer == "nominal":
-            res = train_nominal(train, val, zero, cfg, arch, "nn", True, warm_start=warm)
+            res = train_nominal(train, val, zero, cfg, arch, warm_start=warm)
         elif trainer == "adversarial":
             scope = AdvSearchScope(free=train.maskable, budget=2, base=zero)
             res = train_adversarial(train, val, scope, cfg, warm)
@@ -256,8 +263,7 @@ class TestInPlaceUpdates:
         train, val = split_sequential(ds, 0.6, 0.25)[:2]
         zero = MissingPattern.zeros(2)
         cfg = TrainConfig(learning_rate=0.3, max_iters=30, patience=30, batch_size=16, seed=3)
-        res = train_nominal(train, val, zero, cfg, Architecture(input_dim=2, bias_index=1),
-                            "lr", False)
+        res = train_nominal(train, val, zero, cfg, LINE_ARCH)
         assert res.best_iteration < res.iterations - 1
         assert res.trace[-1].val_loss != res.val_loss
         assert mse_loss(res.params, val.X, val.y, zero) == res.val_loss
@@ -333,9 +339,9 @@ class TestLoopAgainstReference:
         raw = gen_synthetic(SynthConfig(3, 400, 0.9, 0.4, 0.3, seed=12))
         ds = build_supervised(raw, 0, 2, 1)
         train, val, _ = split_sequential(ds, 0.5, 0.2)
-        arch = Architecture(input_dim=ds.p, hidden=(6, 5) if family == "nn" else (),
-                            bias_index=ds.bias_index)
-        return train, val, init_params(arch, family, True, seed=5, maskable=train.maskable)
+        arch = Architecture(family, True, ds.p, (6, 5) if family == "nn" else (), ds.bias_index,
+                            ds.maskable)
+        return train, val, init_params(arch, seed=5)
 
     @staticmethod
     def pickers(train, seed):
