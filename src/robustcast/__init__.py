@@ -57,7 +57,7 @@ from .adversarial import (
     sample_fixed_adversarial,
     train_adversarial,
 )
-from .evaluation import EvalResult, GridSpec, dm_test, emit_report, nrmse, q_sweep, run_grid
+from .evaluation import GridRow, GridSpec, dm_test, emit_report, nrmse, q_sweep, run_grid
 from .training import TrainConfig, TrainResult, adam_step, train_nominal
 
 __version__ = "0.1.0"

@@ -23,6 +23,7 @@ from .evaluation import (
     METHOD_RF_FIXED,
     METHOD_RF_LEARNED,
     METHODS,
+    GridRow,
     GridSpec,
     HorizonData,
     RetrainOracle,
@@ -400,10 +401,23 @@ def cmd_train(cfg: RunConfig, jobs: int = 1) -> int:
     return 0
 
 
-def _load_checked(path: Path, method: str, arch: Architecture):
+def _refuse_other(path: Path, what: str, got, want) -> None:
+    """ConfigError naming each field in which got, a dataclass the artifact
+    at path holds, differs from want, the one the run config gives."""
+    if got != want:
+        diff = ", ".join(f"{f.name} {getattr(got, f.name)} (run config: "
+                         f"{getattr(want, f.name)})" for f in fields(want)
+                         if getattr(got, f.name) != getattr(want, f.name))
+        raise ConfigError(f"artifact {path} holds {what}: {diff}")
+
+
+def _load_checked(path: Path, method: str, cfg: RunConfig, hd: HorizonData, q: int):
     """The artifact saved at path, which must exist, be of the kind its
-    method needs and hold only models of layout arch, the one the run config
-    gives the method; anything else is a ConfigError (exit 2)."""
+    method needs and hold only models of the layout the run config gives the
+    method at hd; a partition must also be over the run config's uncertainty
+    set and a learned one grown with its partition config to q subsets.
+    Anything else is a ConfigError (exit 2)."""
+    arch = _method_arch(_arch_for(cfg, hd), method)
     if not path.exists():
         raise ConfigError(f"missing artifact {path}; run the train subcommand first")
     artifact, kind = load_artifact(path), METHODS[method].artifact
@@ -425,27 +439,29 @@ def _load_checked(path: Path, method: str, arch: Architecture):
                 f"artifact {path} holds a model with adaptive={got.adaptive}, {method} needs "
                 f"adaptive={arch.adaptive}"
             )
-        if got != arch:
-            diff = ", ".join(f"{f.name} {getattr(got, f.name)} (run config: "
-                             f"{getattr(arch, f.name)})" for f in fields(arch)
-                             if getattr(got, f.name) != getattr(arch, f.name))
-            raise ConfigError(f"artifact {path} holds a model of another layout: {diff}")
+        _refuse_other(path, "a model of another layout", got, arch)
+    if kind is not ModelParams:
+        _refuse_other(path, "another uncertainty set", artifact.uncertainty, _uset_for(cfg, hd))
+    if kind is Partition:
+        _refuse_other(path, "another partition config", artifact.config,
+                      replace(cfg.partition, max_subsets=q))
     return artifact
 
 
 def _load_artifacts(cfg: RunConfig, hds: dict[int, HorizonData]) -> dict:
     artifacts: dict[tuple[str, int], object] = {}
     for h, hd in hds.items():
-        arch = _arch_for(cfg, hd)
         for method in cfg.grid_methods:
-            entry, method_arch = METHODS[method], _method_arch(arch, method)
+            entry = METHODS[method]
             if entry.artifact is RetrainOracle:
                 artifacts[(method, h)] = RetrainOracle(
-                    hd.train, hd.val, _train_config(cfg, method, h), method_arch
+                    hd.train, hd.val, _train_config(cfg, method, h),
+                    _method_arch(_arch_for(cfg, hd), method),
                 )
             else:
                 path = _artifact_path(cfg.out_dir, entry.stem, h)
-                artifacts[(method, h)] = _load_checked(path, method, method_arch)
+                artifacts[(method, h)] = _load_checked(path, method, cfg, hd,
+                                                       cfg.partition.max_subsets)
     return artifacts
 
 
@@ -463,16 +479,15 @@ def cmd_evaluate(cfg: RunConfig, jobs: int = 1) -> int:
         runs=cfg.grid_runs,
         base_seed=cfg.seed,
     )
-    result = run_grid(spec, hds, artifacts, jobs=jobs)
+    rows = run_grid(spec, hds, artifacts, jobs=jobs)
 
     qrows = None
     if cfg.qsweep_list:
         h = cfg.horizons[0]
-        entry = METHODS[cfg.qsweep_method]
-        arch = _method_arch(_arch_for(cfg, hds[h]), cfg.qsweep_method)
+        stem = METHODS[cfg.qsweep_method].stem
         partitions = {
-            q: _load_checked(_artifact_path(cfg.out_dir, f"{entry.stem}_q{q}", h),
-                             cfg.qsweep_method, arch)
+            q: _load_checked(_artifact_path(cfg.out_dir, f"{stem}_q{q}", h),
+                             cfg.qsweep_method, cfg, hds[h], q)
             for q in cfg.qsweep_list
         }
         qrows = q_sweep(
@@ -486,22 +501,23 @@ def cmd_evaluate(cfg: RunConfig, jobs: int = 1) -> int:
             hds,
             jobs=jobs,
         )
-    written = emit_report(result, cfg.out_dir, qrows)
+    written = emit_report(rows, cfg.out_dir, qrows)
     for path in written:
         print(f"wrote {path}")
     return 0
 
 
 def cmd_report(cfg: RunConfig) -> int:
-    """Recompute summary.csv from an existing grid.csv and print it."""
+    """Recompute summary.csv from the rows of an existing grid.csv, as
+    evaluate summarised them, and print it."""
     grid_path = Path(cfg.out_dir) / "grid.csv"
     if not grid_path.exists():
         raise DataError(f"no grid.csv in {cfg.out_dir}; run the evaluate subcommand first")
     rows = []
     for lineno, line in enumerate(grid_path.read_text(encoding="utf-8").strip().split("\n")[1:], 2):
         try:
-            method, h, p01, p11, _run, value = line.split(",")
-            rows.append((method, int(h), float(p01), float(p11), float(value)))
+            method, h, p01, p11, run, value = line.split(",")
+            rows.append(GridRow(method, int(h), float(p01), float(p11), int(run), float(value)))
         except ValueError:
             raise DataError(f"{grid_path} line {lineno}: malformed grid row {line!r}") from None
     out = summary_csv(rows)

@@ -1,11 +1,16 @@
 """Test-set evaluation: normalized RMSE, pairwise forecast-comparison
-testing, the missingness-probability grid runner, and sensitivity sweeps
-over the number of learned subsets.
+testing of loss series the caller computes, the missingness-probability grid
+runner, and sensitivity sweeps over the number of learned subsets.
+
+A grid result is its rows: `run_grid` returns one `GridRow` (a line of
+grid.csv) per method, horizon, cell and run, and keeps no per-observation
+errors. `emit_report` writes those rows and `summary_csv` summarises them,
+the same rows `robustcast report` reads back from grid.csv.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -103,6 +108,9 @@ class GridSpec:
     base_seed: int
 
     def __post_init__(self):
+        # held as floats, so a probability written 0 or 0.0 prints alike
+        object.__setattr__(self, "p01_list", tuple(map(float, self.p01_list)))
+        object.__setattr__(self, "p11_list", tuple(map(float, self.p11_list)))
         lists = {"grid.p01": self.p01_list, "grid.p11": self.p11_list,
                  "horizons": self.horizons, "grid.methods": self.methods}
         for name, values in lists.items():
@@ -121,42 +129,16 @@ class GridSpec:
                 MissingnessConfig(p01=p01, p11=p11, seed=self.base_seed)
 
 
-@dataclass
-class CellResult:
+class GridRow(NamedTuple):
+    """One scored (method, horizon, cell, run): a line of grid.csv, whose
+    header is these field names."""
+
     method: str
-    horizon: int
+    h: int
     p01: float
     p11: float
     run: int
     nrmse: float
-    sq_errors: np.ndarray
-
-
-@dataclass
-class EvalResult:
-    records: list[CellResult] = field(default_factory=list)
-
-    def get(self, method: str, horizon: int, p01: float, p11: float, run: int) -> CellResult:
-        for rec in self.records:
-            if (
-                rec.method == method
-                and rec.horizon == horizon
-                and rec.p01 == p01
-                and rec.p11 == p11
-                and rec.run == run
-            ):
-                return rec
-        raise KeyError((method, horizon, p01, p11, run))
-
-    def cell_nrmse(self, method: str, horizon: int, p01: float, p11: float) -> list[float]:
-        return [
-            rec.nrmse
-            for rec in self.records
-            if rec.method == method
-            and rec.horizon == horizon
-            and rec.p01 == p01
-            and rec.p11 == p11
-        ]
 
 
 @dataclass
@@ -319,35 +301,22 @@ def _cell_mask(spec: GridSpec, raw: RawSeries, i01: int, i11: int, run: int) -> 
     return simulate_markov(cfg, raw.n_periods, raw.n_plants)
 
 
-def _evaluate_cell(args) -> list[CellResult]:
+def _evaluate_cell(args) -> list[GridRow]:
     spec, hds, artifacts, i01, i11, run = args
-    p01 = spec.p01_list[i01]
-    p11 = spec.p11_list[i11]
-    records = []
     raw = next(iter(hds.values())).raw
     mask = _cell_mask(spec, raw, i01, i11, run)
     filled = None
     if METHOD_IMP_PERSISTENCE in spec.methods:
         filled = impute_persistence(raw.values, mask)
+    rows = []
     for h in spec.horizons:
         hd = hds[h]
         test_patterns = expand_obs_mask(mask, hd.test)
         for method in spec.methods:
-            artifact = artifacts[(method, h)]
-            preds = predict_method(method, artifact, hd, test_patterns, filled)
-            err = (preds - hd.test.y) ** 2
-            records.append(
-                CellResult(
-                    method=method,
-                    horizon=h,
-                    p01=p01,
-                    p11=p11,
-                    run=run,
-                    nrmse=nrmse(preds, hd.test.y),
-                    sq_errors=err,
-                )
-            )
-    return records
+            preds = predict_method(method, artifacts[(method, h)], hd, test_patterns, filled)
+            rows.append(GridRow(method, h, spec.p01_list[i01], spec.p11_list[i11], run,
+                                nrmse(preds, hd.test.y)))
+    return rows
 
 
 def run_grid(
@@ -355,14 +324,15 @@ def run_grid(
     hds: dict[int, HorizonData],
     artifacts: dict[tuple[str, int], object],
     jobs: int = 1,
-) -> EvalResult:
-    """Score every (cell, run, horizon, method) combination.
+) -> list[GridRow]:
+    """The grid.csv rows of every (cell, run, horizon, method) combination,
+    ordered by method, horizon, p01, p11 and run, each in spec order.
 
     One mask is simulated per (cell, run) from a seed derived from the base
     seed and the cell/run indices, then shared by all horizons and methods;
     so is its persistence-filled series, since every horizon's data must come
-    from one raw series. Results are keyed records, so parallel execution
-    (jobs > 1) returns the same output as sequential.
+    from one raw series. Rows are sorted by their keys, so parallel execution
+    (jobs > 1) returns the same rows as sequential.
     """
     for h in spec.horizons:
         if h not in hds:
@@ -379,19 +349,10 @@ def run_grid(
         for i11 in range(len(spec.p11_list))
         for run in range(spec.runs)
     ]
-    result = EvalResult()
-    for records in map_jobs(_evaluate_cell, tasks, jobs):
-        result.records.extend(records)
-    result.records.sort(
-        key=lambda r: (
-            spec.methods.index(r.method),
-            spec.horizons.index(r.horizon),
-            spec.p01_list.index(r.p01),
-            spec.p11_list.index(r.p11),
-            r.run,
-        )
-    )
-    return result
+    rows = [row for cell in map_jobs(_evaluate_cell, tasks, jobs) for row in cell]
+    rows.sort(key=lambda r: (spec.methods.index(r.method), spec.horizons.index(r.h),
+                             spec.p01_list.index(r.p01), spec.p11_list.index(r.p11), r.run))
+    return rows
 
 
 @dataclass
@@ -452,12 +413,12 @@ def q_sweep(
     ]
 
 
-def summary_csv(rows) -> str:
-    """summary.csv text from (method, h, p01, p11, nrmse) rows: mean and
-    population std of nrmse per cell, cells in order of first appearance."""
+def summary_csv(rows: list[GridRow]) -> str:
+    """summary.csv text from grid rows: mean and population std of nrmse per
+    (method, h, p01, p11) cell, cells in order of first appearance."""
     cells: dict[tuple, list[float]] = {}
-    for method, h, p01, p11, value in rows:
-        cells.setdefault((method, h, p01, p11), []).append(value)
+    for row in rows:
+        cells.setdefault((row.method, row.h, row.p01, row.p11), []).append(row.nrmse)
     lines = ["method,h,p01,p11,mean_nrmse,std_nrmse,runs"]
     for (method, h, p01, p11), values in cells.items():
         mean = float(np.mean(values))
@@ -467,30 +428,27 @@ def summary_csv(rows) -> str:
 
 
 def emit_report(
-    result: EvalResult,
+    rows: list[GridRow],
     out_dir: str | Path,
     qsweep_rows: list[QSweepRow] | None = None,
 ) -> list[Path]:
-    """Write grid.csv (long format), summary.csv (per-cell mean/std), and
-    qsweep.csv when sweep rows are given. Output is a pure function of the
-    inputs, so re-runs are byte-identical."""
+    """Write grid.csv (the rows, one line each), summary.csv (their per-cell
+    mean/std, by summary_csv), and qsweep.csv when sweep rows are given.
+    Output is a pure function of the inputs, so re-runs are byte-identical."""
     out_dir = Path(out_dir)
-    if not result.records:
+    if not rows:
         raise SizeError("nothing to report")
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
 
     grid_path = out_dir / "grid.csv"
-    lines = ["method,h,p01,p11,run,nrmse"]
-    for rec in result.records:
-        lines.append(
-            f"{rec.method},{rec.horizon},{rec.p01!r},{rec.p11!r},{rec.run},{rec.nrmse!r}"
-        )
+    lines = [",".join(GridRow._fields)]
+    for row in rows:
+        lines.append(f"{row.method},{row.h},{row.p01!r},{row.p11!r},{row.run},{row.nrmse!r}")
     grid_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     written.append(grid_path)
 
     summary_path = out_dir / "summary.csv"
-    rows = [(rec.method, rec.horizon, rec.p01, rec.p11, rec.nrmse) for rec in result.records]
     summary_path.write_text(summary_csv(rows), encoding="utf-8")
     written.append(summary_path)
 

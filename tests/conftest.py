@@ -1,22 +1,28 @@
 """Shared heavy fixtures: the 4-plant trend setup is built once per session
-and reused by the evaluation-trend and acceptance tests."""
+and reused by the evaluation-trend and acceptance tests. Also the grid-row
+helpers those tests share: a cell's nrmse values, and the per-observation
+squared errors behind them for a forecast-comparison test."""
 import time
 from dataclasses import dataclass, replace
 
+import numpy as np
 import pytest
 
 from robustcast.dataio import SynthConfig, gen_synthetic
 from robustcast.evaluation import (
     METHOD_ARF_LEARNED,
     METHOD_IMP_PERSISTENCE,
-    EvalResult,
+    GridRow,
     GridSpec,
     HorizonData,
     QSweepRow,
+    _cell_mask,
+    nrmse,
+    predict_method,
     q_sweep,
     run_grid,
 )
-from robustcast.missingness import MissingPattern
+from robustcast.missingness import MissingPattern, expand_obs_mask, impute_persistence
 from robustcast.models import Architecture
 from robustcast.partition import (
     Partition, PartitionConfig, UncertaintySet, learn_partition, truncate,
@@ -42,12 +48,42 @@ HEAVY_CELL = (0.2, 0.9)
 LIGHT_CELL = (0.05, 0.0)
 
 
+def cell_nrmse(rows: list[GridRow], method: str, h: int, p01: float, p11: float) -> list[float]:
+    """The nrmse of every run of one grid cell, in run order."""
+    return [row.nrmse for row in rows if row[:4] == (method, h, p01, p11)]
+
+
+def cell_sq_errors(spec: GridSpec, hds: dict[int, HorizonData], artifacts: dict,
+                   rows: list[GridRow], method: str, h: int, p01: float,
+                   p11: float) -> np.ndarray:
+    """The per-test-row squared errors behind every run of one grid cell,
+    concatenated in run order. Each run is recomputed as run_grid scores it:
+    predict_method on the run's mask (and, for imp-persistence, the series
+    filled under it), and must give its row's nrmse exactly, so these are
+    the errors the grid scored."""
+    hd, errors = hds[h], []
+    for row in rows:
+        if row[:4] != (method, h, p01, p11):
+            continue
+        mask = _cell_mask(spec, hd.raw, spec.p01_list.index(p01), spec.p11_list.index(p11),
+                          row.run)
+        filled = impute_persistence(hd.raw.values, mask) \
+            if method == METHOD_IMP_PERSISTENCE else None
+        preds = predict_method(method, artifacts[(method, h)], hd,
+                               expand_obs_mask(mask, hd.test), filled)
+        assert nrmse(preds, hd.test.y) == row.nrmse
+        errors.append((preds - hd.test.y) ** 2)
+    return np.concatenate(errors)
+
+
 @dataclass
 class TrendSetup:
     hd: HorizonData
     partitions: dict[int, Partition]
     base_params: object
-    grid: EvalResult
+    spec: GridSpec
+    artifacts: dict
+    grid: list[GridRow]
     qsweep_rows: list[QSweepRow]
     build_seconds: float
 
@@ -99,6 +135,8 @@ def trend_setup() -> TrendSetup:
         hd=hd,
         partitions=partitions,
         base_params=base.params,
+        spec=spec,
+        artifacts=artifacts,
         grid=grid,
         qsweep_rows=rows,
         build_seconds=time.perf_counter() - t0,

@@ -39,7 +39,7 @@ from robustcast.partition import (
     partition_to_json,
 )
 from robustcast.training import TrainConfig, train_nominal
-from tests.conftest import HEAVY_CELL, LIGHT_CELL, TREND_RUNS
+from tests.conftest import HEAVY_CELL, LIGHT_CELL, cell_nrmse, cell_sq_errors
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -275,22 +275,19 @@ def test_criterion_5_markov_fidelity():
 
 
 def test_criterion_6_qualitative_trend(trend_setup):
-    res = trend_setup.grid
+    rows = trend_setup.grid
     p01h, p11h = HEAVY_CELL
-    imp_heavy = float(np.mean(res.cell_nrmse(METHOD_IMP_PERSISTENCE, 1, p01h, p11h)))
-    arf_heavy = float(np.mean(res.cell_nrmse(METHOD_ARF_LEARNED, 1, p01h, p11h)))
-    arf_losses = np.concatenate(
-        [res.get(METHOD_ARF_LEARNED, 1, p01h, p11h, r).sq_errors for r in range(TREND_RUNS)]
-    )
-    imp_losses = np.concatenate(
-        [res.get(METHOD_IMP_PERSISTENCE, 1, p01h, p11h, r).sq_errors for r in range(TREND_RUNS)]
-    )
+    imp_heavy = float(np.mean(cell_nrmse(rows, METHOD_IMP_PERSISTENCE, 1, p01h, p11h)))
+    arf_heavy = float(np.mean(cell_nrmse(rows, METHOD_ARF_LEARNED, 1, p01h, p11h)))
+    scored = (trend_setup.spec, {1: trend_setup.hd}, trend_setup.artifacts, rows)
+    arf_losses = cell_sq_errors(*scored, METHOD_ARF_LEARNED, 1, p01h, p11h)
+    imp_losses = cell_sq_errors(*scored, METHOD_IMP_PERSISTENCE, 1, p01h, p11h)
     dm = dm_test(arf_losses, imp_losses)
     beats = arf_heavy < imp_heavy and dm.statistic < 0 and dm.p_value < 0.05
 
     p01l, p11l = LIGHT_CELL
-    imp_light = float(np.mean(res.cell_nrmse(METHOD_IMP_PERSISTENCE, 1, p01l, p11l)))
-    arf_light = float(np.mean(res.cell_nrmse(METHOD_ARF_LEARNED, 1, p01l, p11l)))
+    imp_light = float(np.mean(cell_nrmse(rows, METHOD_IMP_PERSISTENCE, 1, p01l, p11l)))
+    arf_light = float(np.mean(cell_nrmse(rows, METHOD_ARF_LEARNED, 1, p01l, p11l)))
     competitive = imp_light <= 1.15 * arf_light
 
     within_budget = trend_setup.build_seconds < 840.0

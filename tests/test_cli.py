@@ -397,7 +397,7 @@ class TestEvaluate:
         assert main(["evaluate", "--config", str(path2)]) == 2
 
     @pytest.mark.parametrize("case", ["base holds a partition", "sweep point holds a fixed one",
-                                      "sweep point of another width"])
+                                      "sweep point of another width", "sweep point of another Q"])
     def test_artifact_of_the_wrong_kind_or_width_exits_2(self, tmp_path, capsys, case):
         out = tmp_path / "out"
         config = base_config(
@@ -412,6 +412,9 @@ class TestEvaluate:
             source, name, match = out / "arf-learned_h1.json", "base_h1.json", "Partition"
         elif case == "sweep point holds a fixed one":
             source, name, match = out / "arf-fixed_h1.json", "arf-learned_q1_h1.json", "FixedPartition"
+        elif case == "sweep point of another Q":
+            source, name = out / "arf-learned_q1_h1.json", "arf-learned_q2_h1.json"
+            match = "holds another partition config: max_subsets 1 (run config: 2)"
         else:
             narrow = base_config(tmp_path / "narrow", max_lag=0, q_sweep=config["q_sweep"])
             assert main(["train", "--config", str(write_config(tmp_path, narrow, "n.json"))]) == 0
@@ -527,16 +530,31 @@ class TestEvaluate:
         assert not (out / "grid.csv").exists()
 
     @pytest.mark.parametrize("case", ["another family", "another adaptivity",
-                                      "another hidden width"])
+                                      "another hidden width", "another budget",
+                                      "a fixed file of another budget", "another q_max",
+                                      "another epsilon"])
     def test_artifact_of_another_family_or_adaptivity_exits_2(self, tmp_path, capsys, case):
         out = tmp_path / "out"
         grid = {"p01": [0.2], "p11": [0.5], "methods": ["arf-learned", "rf-learned"], "runs": 1}
+        if case == "a fixed file of another budget":
+            grid["methods"] = ["arf-fixed"]
         config = base_config(out, grid=grid)
         if case == "another hidden width":
             config.update(family="nn", hidden=[3])
+        if "budget" in case:
+            config["partition"] = {**config["partition"], "budget": 1}
         assert main(["train", "--config", str(write_config(tmp_path, config))]) == 0
-        target = out / "arf-learned_h1.json"
-        if case == "another family":
+        target = out / f"{grid['methods'][0]}_h1.json"
+        if "budget" in case:
+            config["partition"] = {**config["partition"], "budget": 2}
+            match = "holds another uncertainty set: budget 1 (run config: 2)"
+        elif case == "another q_max":
+            config["partition"] = {**config["partition"], "q_max": 3}
+            match = "holds another partition config: max_subsets 2 (run config: 3)"
+        elif case == "another epsilon":
+            config["partition"] = {**config["partition"], "epsilon": 0.5}
+            match = "holds another partition config: epsilon 0.0 (run config: 0.5)"
+        elif case == "another family":
             config.update(family="nn", hidden=[3])
             match = "holds a 'lr' model, the run config's family is 'nn'"
         elif case == "another hidden width":
@@ -583,12 +601,18 @@ class TestEvaluate:
 
 
 class TestReport:
-    def test_recomputes_summary_from_grid(self, tmp_path):
+    # probabilities written as JSON integers print as the floats they are,
+    # in grid.csv and summary.csv alike
+    @pytest.mark.parametrize("p11", [[0.5], [0, 1]], ids=["floats", "integers"])
+    def test_recomputes_summary_from_grid(self, tmp_path, p11):
         out = tmp_path / "out"
-        path = write_config(tmp_path, base_config(out))
+        grid = {"p01": [0.2], "p11": p11, "methods": ["imp-mean"], "runs": 2}
+        path = write_config(tmp_path, base_config(out, grid=grid))
         assert main(["train", "--config", str(path)]) == 0
         assert main(["evaluate", "--config", str(path)]) == 0
         summary_before = (out / "summary.csv").read_text()
+        cells = {tuple(line.split(",")[2:4]) for line in summary_before.strip().split("\n")[1:]}
+        assert cells == {("0.2", repr(float(p))) for p in p11}
         assert main(["report", "--config", str(path)]) == 0
         assert (out / "summary.csv").read_text() == summary_before
 
@@ -596,6 +620,23 @@ class TestReport:
         out = tmp_path / "out"
         path = write_config(tmp_path, base_config(out))
         assert main(["report", "--config", str(path)]) == 3
+
+    @pytest.mark.parametrize("row, match", [
+        ("imp-mean,1,0.2,0.5,0", "malformed grid row 'imp-mean,1,0.2,0.5,0'"),
+        ("imp-mean,1,0.2,0.5,0.5,17.0", "malformed grid row 'imp-mean,1,0.2,0.5,0.5,17.0'"),
+    ], ids=["a short row", "a run that is no integer"])
+    def test_malformed_grid_row_exits_3(self, tmp_path, capsys, row, match):
+        out = tmp_path / "out"
+        out.mkdir()
+        grid = out / "grid.csv"
+        grid.write_text(f"method,h,p01,p11,run,nrmse\nimp-mean,1,0.2,0.5,1,16.0\n{row}\n",
+                        encoding="utf-8")
+        path = write_config(tmp_path, base_config(out))
+        capsys.readouterr()
+        assert main(["report", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and f"{grid} line 3: {match}" in err
+        assert not (out / "summary.csv").exists()
 
 
 class TestQSweepCli:

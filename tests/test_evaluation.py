@@ -23,7 +23,7 @@ from robustcast.evaluation import (
     METHOD_RETRAIN_ORACLE,
     METHOD_RF_LEARNED,
     METHODS,
-    EvalResult,
+    GridRow,
     GridSpec,
     HorizonData,
     RetrainOracle,
@@ -47,6 +47,7 @@ from robustcast.partition import (
     Fit, FixedPartition, PartitionConfig, UncertaintySet, learn_partition,
 )
 from robustcast.training import TrainConfig, train_nominal
+from tests.conftest import cell_nrmse, cell_sq_errors
 
 
 class TestNrmse:
@@ -139,7 +140,7 @@ class TestRunGrid:
             (METHOD_IMP_PERSISTENCE, 1): base.params,
             (METHOD_ARF_LEARNED, 1): part,
         }
-        result = run_grid(spec, {1: hd}, artifacts)
+        rows = run_grid(spec, {1: hd}, artifacts)
         zero = MissingPattern.zeros(hd.dataset.p)
         from robustcast.models import predict
         base_preds = predict(base.params, hd.test.X, zero.bits)
@@ -147,11 +148,11 @@ class TestRunGrid:
         from robustcast.partition import predict_deployed_rows
         part_preds = predict_deployed_rows(part, hd.test.X, np.tile(zero.bits, (hd.test.n, 1)))
         expected_part = nrmse(part_preds, hd.test.y)
-        for rec in result.records:
-            if rec.method == METHOD_IMP_PERSISTENCE:
-                assert rec.nrmse == pytest.approx(expected_imp)
+        for row in rows:
+            if row.method == METHOD_IMP_PERSISTENCE:
+                assert row.nrmse == pytest.approx(expected_imp)
             else:
-                assert rec.nrmse == pytest.approx(expected_part)
+                assert row.nrmse == pytest.approx(expected_part)
 
     def test_deterministic(self):
         raw, hd, arch, cfg, base, uset = small_setup(seed=4)
@@ -162,9 +163,7 @@ class TestRunGrid:
             (METHOD_IMP_PERSISTENCE, 1): base.params,
             (METHOD_IMP_MEAN, 1): base.params,
         }
-        a = run_grid(spec, {1: hd}, artifacts)
-        b = run_grid(spec, {1: hd}, artifacts)
-        assert [r.nrmse for r in a.records] == [r.nrmse for r in b.records]
+        assert run_grid(spec, {1: hd}, artifacts) == run_grid(spec, {1: hd}, artifacts)
 
     def test_jobs_parallel_matches_sequential(self):
         raw, hd, arch, cfg, base, uset = small_setup(seed=5)
@@ -173,7 +172,7 @@ class TestRunGrid:
         artifacts = {(METHOD_IMP_MEAN, 1): base.params}
         seq = run_grid(spec, {1: hd}, artifacts, jobs=1)
         par = run_grid(spec, {1: hd}, artifacts, jobs=2)
-        assert [r.nrmse for r in seq.records] == [r.nrmse for r in par.records]
+        assert seq == par
 
     def test_missing_artifact_names_cell(self):
         raw, hd, arch, cfg, base, uset = small_setup(seed=6)
@@ -196,15 +195,12 @@ class TestRunGrid:
             (METHOD_RETRAIN_ORACLE, 1): oracle,
             (METHOD_RF_LEARNED, 1): part,
         }
-        result = run_grid(spec, {1: hd}, artifacts)
-        oracle_nrmse = np.mean(result.cell_nrmse(METHOD_RETRAIN_ORACLE, 1, 0.2, 0.9))
-        robust_nrmse = np.mean(result.cell_nrmse(METHOD_RF_LEARNED, 1, 0.2, 0.9))
-        oracle_losses = np.concatenate(
-            [result.get(METHOD_RETRAIN_ORACLE, 1, 0.2, 0.9, r).sq_errors for r in range(10)]
-        )
-        robust_losses = np.concatenate(
-            [result.get(METHOD_RF_LEARNED, 1, 0.2, 0.9, r).sq_errors for r in range(10)]
-        )
+        rows = run_grid(spec, {1: hd}, artifacts)
+        oracle_nrmse = np.mean(cell_nrmse(rows, METHOD_RETRAIN_ORACLE, 1, 0.2, 0.9))
+        robust_nrmse = np.mean(cell_nrmse(rows, METHOD_RF_LEARNED, 1, 0.2, 0.9))
+        scored = (spec, {1: hd}, artifacts, rows)
+        oracle_losses = cell_sq_errors(*scored, METHOD_RETRAIN_ORACLE, 1, 0.2, 0.9)
+        robust_losses = cell_sq_errors(*scored, METHOD_RF_LEARNED, 1, 0.2, 0.9)
         res = dm_test(oracle_losses, robust_losses)
         one_sided_oracle_better = res.p_value / 2 if res.statistic < 0 else 1.0
         assert oracle_nrmse <= robust_nrmse
@@ -273,8 +269,8 @@ class TestPersistence:
             return impute_persistence(values, mask)
 
         monkeypatch.setattr(evaluation, "impute_persistence", counted)
-        result = run_grid(spec, hds, artifacts)
-        assert len(calls) == 4 and len(result.records) == 8  # 2 cells x 2 runs x 2 horizons
+        rows = run_grid(spec, hds, artifacts)
+        assert len(calls) == 4 and len(rows) == 8  # 2 cells x 2 runs x 2 horizons
 
     def test_horizons_from_different_series_rejected(self):
         hds = {
@@ -298,11 +294,14 @@ class TestEmitReport:
         return run_grid(spec, {1: hd}, artifacts)
 
     def test_grid_rows_and_summary_consistency(self, tmp_path):
-        result = self.run_small()
-        emit_report(result, tmp_path)
+        rows = self.run_small()
+        emit_report(rows, tmp_path)
         grid = (tmp_path / "grid.csv").read_text().strip().split("\n")
-        assert grid[0] == "method,h,p01,p11,run,nrmse"
+        assert grid[0] == "method,h,p01,p11,run,nrmse" == ",".join(GridRow._fields)
         assert len(grid) == 1 + 6  # 2 cells x 3 runs
+        kinds = (str, int, float, float, int, float)
+        assert [GridRow(*(kind(v) for kind, v in zip(kinds, line.split(","))))
+                for line in grid[1:]] == rows  # each line parses back to its row
         summary = (tmp_path / "summary.csv").read_text().strip().split("\n")
         for line in summary[1:]:
             method, h, p01, p11, mean, std, runs = line.split(",")
@@ -314,16 +313,16 @@ class TestEmitReport:
             assert abs(float(mean) - np.mean(values)) < 1e-12
 
     def test_rerun_byte_identical(self, tmp_path):
-        result = self.run_small()
-        emit_report(result, tmp_path)
+        rows = self.run_small()
+        emit_report(rows, tmp_path)
         first = (tmp_path / "grid.csv").read_bytes(), (tmp_path / "summary.csv").read_bytes()
-        emit_report(result, tmp_path)
+        emit_report(rows, tmp_path)
         second = (tmp_path / "grid.csv").read_bytes(), (tmp_path / "summary.csv").read_bytes()
         assert first == second
 
     def test_empty_result_rejected(self, tmp_path):
         with pytest.raises(SizeError):
-            emit_report(EvalResult(), tmp_path)
+            emit_report([], tmp_path)
 
 
 class TestQSweepTrend:
@@ -341,8 +340,8 @@ class TestQSweepTrend:
         for q, part in sorted(trend_setup.partitions.items()):
             spec = GridSpec(p01_list=(cell[0],), p11_list=(cell[1],), horizons=(1,),
                             methods=(METHOD_ARF_LEARNED,), runs=runs, base_seed=5)
-            res = run_grid(spec, hds, {(METHOD_ARF_LEARNED, 1): part})
-            oracle.append(float(np.mean(res.cell_nrmse(METHOD_ARF_LEARNED, 1, *cell))))
+            rows = run_grid(spec, hds, {(METHOD_ARF_LEARNED, 1): part})
+            oracle.append(float(np.mean(cell_nrmse(rows, METHOD_ARF_LEARNED, 1, *cell))))
         masks = []
 
         def counted(cfg, n_periods, n_plants):

@@ -113,14 +113,22 @@ def test_outputs_pass_the_benchmarks_check_at_the_reference_seed(path, tmp_path,
     """train + evaluate as the benchmark runs them (one BLAS thread, --jobs 1):
     exact split features and leaf counts, and nrmse values close to
     perfbench/reference, so a change to the learned-file keys the benchmark
-    reads fails here too."""
+    reads fails here too. Then `report`, which must rewrite summary.csv to
+    the same bytes from grid.csv."""
     config = json.loads(path.read_text(encoding="utf-8"))
     reference = json.loads((PERFBENCH / "reference" / path.name).read_text(encoding="utf-8"))
     out = tmp_path / "out"
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src, **run.BLAS_ENV)
-    for command in ("train", "evaluate"):
+
+    def robustcast(command):
         subprocess.run([sys.executable, "-m", "robustcast", command, "--config", str(path),
                         "--seed", str(run.REFERENCE_SEED), "--jobs", "1", "--out", str(out)],
                        env=env, check=True, capture_output=True)
+
+    robustcast("train")
+    robustcast("evaluate")
     assert checks.output_problems(config, out, reference) == []
+    summary = (out / "summary.csv").read_bytes()
+    robustcast("report")
+    assert (out / "summary.csv").read_bytes() == summary
