@@ -44,17 +44,14 @@ from .partition import (
     Split,
     UncertaintySet,
     UncertaintySubset,
-    enumerate_patterns,
     fixed_partition,
     learn_partition,
-    locate,
     predict_deployed,
     truncate,
 )
 from .adversarial import (
     AdvSearchScope,
     find_adversarial,
-    sample_fixed_adversarial,
     train_adversarial,
 )
 from .evaluation import GridRow, GridSpec, dm_test, emit_report, nrmse, q_sweep, run_grid

@@ -221,25 +221,25 @@ def train_adversarial(
     val: Dataset,
     scope: AdvSearchScope,
     cfg: TrainConfig,
-    warm_start: ModelParams,
+    warm: ModelParams,
 ) -> TrainResult:
     """Adversarial training over the scope.
 
-    Starts from warm_start, the optimistic parameters trained at the base
+    Starts from warm, the optimistic parameters trained at the base
     pattern, then per iteration: search a worst-case pattern on the training
     split, run one epoch of updates against it, and score validation at a
     freshly searched validation-split pattern. Optimizer moments start
-    fresh; the warm start carries parameters only.
+    fresh; warm carries parameters only, and is left unchanged.
     """
-    train_split = SplitScorer(train.X, train.y, warm_start)
-    val_split = SplitScorer(val.X, val.y, warm_start)
+    train_split = SplitScorer(train.X, train.y, warm)
+    val_split = SplitScorer(val.X, val.y, warm)
     pick_train = lambda params: find_adversarial(
         train.X, train.y, scope, params, split=train_split
     ).pattern
     pick_val = lambda params: find_adversarial(
         val.X, val.y, scope, params, split=val_split
     ).pattern
-    return run_training_loop(train, val, warm_start, cfg, pick_train, pick_val)
+    return run_training_loop(train, val, warm, cfg, pick_train, pick_val)
 
 
 def sample_fixed_adversarial(
@@ -261,14 +261,14 @@ def train_sampled_adversarial(
     val: Dataset,
     count: int,
     cfg: TrainConfig,
-    warm_start: ModelParams,
+    warm: ModelParams,
 ) -> TrainResult:
     """Sampling variant for equality-budget subsets, starting from
-    warm_start: each iteration draws one fresh uniform pattern with exactly
+    warm: each iteration draws one fresh uniform pattern with exactly
     `count` features missing for the training epoch and another for the
     validation score."""
     rng_train = rng_for(cfg.seed, "sample-train", count)
     rng_val = rng_for(cfg.seed, "sample-val", count)
     pick_train = lambda params: sample_fixed_adversarial(count, train.maskable, train.p, rng_train)
     pick_val = lambda params: sample_fixed_adversarial(count, train.maskable, train.p, rng_val)
-    return run_training_loop(train, val, warm_start, cfg, pick_train, pick_val)
+    return run_training_loop(train, val, warm, cfg, pick_train, pick_val)

@@ -205,14 +205,19 @@ def parse_run_config(obj: dict) -> RunConfig:
             if not q_list or min(q_list) < 1 or len(set(q_list)) < len(q_list):
                 raise ConfigError(f"q_sweep.q_list must list distinct Q values >= 1, got {q_list!r}")
             MissingnessConfig(p01=qs["p01"], p11=qs["p11"], seed=spec.base_seed)
+        counts = {"target_plant": obj.get("target_plant", 0), "max_lag": obj.get("max_lag", 2),
+                  "partition.budget": part.get("budget")}
+        for name, value in counts.items():
+            if value is not None and value < 0:
+                raise ConfigError(f"{name} must be >= 0, got {value}")
         split = obj.get("split", {})
         return RunConfig(
             seed=spec.base_seed,
             out_dir=obj.get("out_dir", "runs/out"),
             csv_path=csv_path,
             synth=synth,
-            target_plant=obj.get("target_plant", 0),
-            max_lag=obj.get("max_lag", 2),
+            target_plant=counts["target_plant"],
+            max_lag=counts["max_lag"],
             horizons=spec.horizons,
             family=family,
             adaptive=obj.get("adaptive", True),
@@ -222,7 +227,7 @@ def parse_run_config(obj: dict) -> RunConfig:
             train=train_cfg,
             partition_mode=mode,
             partition=pcfg,
-            budget=part.get("budget"),
+            budget=counts["partition.budget"],
             has_grid="grid" in obj,
             grid_p01=spec.p01_list,
             grid_p11=spec.p11_list,
@@ -260,18 +265,31 @@ def load_run_config(path: str, seed_override: int | None, out_override: str | No
 
 
 def _load_raw(cfg: RunConfig) -> RawSeries:
-    if cfg.csv_path is not None:
+    if cfg.csv_path is None:
+        return gen_synthetic(cfg.synth)
+    try:
         return load_csv(cfg.csv_path)
-    return gen_synthetic(cfg.synth)
+    except FileNotFoundError:
+        raise ConfigError(f"data file not found: {cfg.csv_path}") from None
 
 
 def _horizon_data(cfg: RunConfig, raw: RawSeries) -> dict[int, HorizonData]:
-    return {
+    """Each horizon's data. ConfigError when the series has no target_plant
+    or fewer maskable features than the budget."""
+    if cfg.target_plant >= raw.n_plants:
+        raise ConfigError(f"target_plant {cfg.target_plant} out of range for a series of "
+                          f"{raw.n_plants} plants")
+    hds = {
         h: HorizonData.build(
             raw, cfg.target_plant, cfg.max_lag, h, cfg.train_frac, cfg.val_frac
         )
         for h in cfg.horizons
     }
+    maskable = len(hds[cfg.horizons[0]].dataset.maskable)
+    if cfg.budget is not None and cfg.budget > maskable:
+        raise ConfigError(f"partition.budget {cfg.budget} exceeds the data's {maskable} "
+                          "maskable features")
+    return hds
 
 
 def _arch_for(cfg: RunConfig, hd: HorizonData) -> Architecture:
@@ -507,19 +525,51 @@ def cmd_evaluate(cfg: RunConfig, jobs: int = 1) -> int:
     return 0
 
 
+def _grid_row_problem(row: GridRow, keys: set[tuple]) -> str | None:
+    """What makes row one evaluate could not have written after the rows
+    whose (method, h, p01, p11, run) are in keys, or None."""
+    if row.method not in METHODS:
+        return "an unknown method"
+    if row.h < 1:
+        return "a horizon below 1"
+    if not (0 <= row.p01 <= 1 and 0 <= row.p11 <= 1):
+        return "a probability outside [0, 1]"
+    if row.run < 0:
+        return "a negative run"
+    if not (math.isfinite(row.nrmse) and row.nrmse >= 0):
+        return "an nrmse that is not a finite number >= 0"
+    if row[:5] in keys:
+        return "a repeated (method, h, p01, p11, run)"
+    return None
+
+
 def cmd_report(cfg: RunConfig) -> int:
     """Recompute summary.csv from the rows of an existing grid.csv, as
-    evaluate summarised them, and print it."""
+    evaluate summarised them, and print it. DataError, naming the line, for
+    a grid.csv evaluate could not have written: another header, no rows, or
+    a row that does not parse or that _grid_row_problem refuses."""
     grid_path = Path(cfg.out_dir) / "grid.csv"
     if not grid_path.exists():
         raise DataError(f"no grid.csv in {cfg.out_dir}; run the evaluate subcommand first")
-    rows = []
-    for lineno, line in enumerate(grid_path.read_text(encoding="utf-8").strip().split("\n")[1:], 2):
+    lines = grid_path.read_text(encoding="utf-8").strip().split("\n")
+    header = ",".join(GridRow._fields)
+    if lines[0] != header:
+        raise DataError(f"{grid_path} line 1: header {lines[0]!r}, expected {header!r}")
+    if len(lines) == 1:
+        raise DataError(f"{grid_path} line 2: no grid row, nothing to report")
+    rows: list[GridRow] = []
+    keys: set[tuple] = set()
+    for lineno, line in enumerate(lines[1:], 2):
         try:
             method, h, p01, p11, run, value = line.split(",")
-            rows.append(GridRow(method, int(h), float(p01), float(p11), int(run), float(value)))
+            row = GridRow(method, int(h), float(p01), float(p11), int(run), float(value))
         except ValueError:
             raise DataError(f"{grid_path} line {lineno}: malformed grid row {line!r}") from None
+        problem = _grid_row_problem(row, keys)
+        if problem:
+            raise DataError(f"{grid_path} line {lineno}: {problem} in grid row {line!r}")
+        keys.add(row[:5])
+        rows.append(row)
     out = summary_csv(rows)
     (Path(cfg.out_dir) / "summary.csv").write_text(out, encoding="utf-8")
     print(out, end="")

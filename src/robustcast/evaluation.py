@@ -116,6 +116,8 @@ class GridSpec:
         for name, values in lists.items():
             if not values or len(set(values)) < len(values):
                 raise ConfigError(f"{name} needs one or more distinct values, got {list(values)}")
+        if min(self.horizons) < 1:
+            raise ConfigError(f"horizons must be >= 1, got {list(self.horizons)}")
         if self.runs < 1:
             raise ConfigError(f"grid.runs must be >= 1, got {self.runs}")
         unknown = [m for m in self.methods if m not in METHODS]

@@ -79,10 +79,6 @@ class MissingPattern:
             bits[j] = 1
         return cls(bits=bits)
 
-    @property
-    def n_features(self) -> int:
-        return self.bits.shape[0]
-
     def popcount(self) -> int:
         return int(self.bits.sum())
 

@@ -115,9 +115,6 @@ class ModelParams:
         """Canonical block order used for vectorization and optimizer state."""
         return list(_layout(self.arch))
 
-    def copy(self) -> "ModelParams":
-        return replace(self, arrays={k: v.copy() for k, v in self.arrays.items()})
-
     def to_vector(self) -> np.ndarray:
         return np.concatenate([self.arrays[k].ravel() for k in self.block_names()])
 

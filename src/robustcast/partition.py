@@ -20,7 +20,6 @@ model they train; a fixed partition holds one Fit per missing count.
 """
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, replace
@@ -36,14 +35,13 @@ from .adversarial import (
     train_sampled_adversarial,
 )
 from .dataio import Dataset, maskable_indices
-from .exceptions import CapacityError, ConfigError, DomainError, ParseError
+from .exceptions import ConfigError, DomainError, ParseError
 from .missingness import MissingPattern
 from .models import Architecture, ModelParams, params_from_json, params_to_json, predict
 from .training import TrainConfig, train_nominal
 
 RELGAP_FLOOR = 1e-12
 ARTIFACT_FORMAT = 2
-ENUMERATION_LIMIT = 20
 
 
 @dataclass(frozen=True)
@@ -171,9 +169,6 @@ class Partition:
         existing ones."""
         return [sid for sid, node in enumerate(self._route) if node is None]
 
-    def leaves(self) -> list[UncertaintySubset]:
-        return [self.subsets[i] for i in self.leaf_ids]
-
     def fixed(self, sid: int) -> dict[int, int]:
         """The equality constraints of subset `sid`: each maskable feature no
         longer free in it, with the bit its optimistic pattern holds there."""
@@ -195,30 +190,6 @@ class FixedPartition:
     subsets: list[Fit]
 
 
-def enumerate_patterns(uset: UncertaintySet) -> list[MissingPattern]:
-    """Every admissible pattern, in lexicographic bit order; guarded to small
-    maskable sets because the count grows as binomial sums."""
-    k = len(uset.maskable)
-    if k > ENUMERATION_LIMIT:
-        raise CapacityError(f"enumeration limited to {ENUMERATION_LIMIT} maskable features, got {k}")
-    out = []
-    for combo in itertools.product((0, 1), repeat=k):
-        if sum(combo) <= uset.budget:
-            bits = np.zeros(uset.n_features, dtype=np.uint8)
-            for j, bit in zip(uset.maskable, combo):
-                bits[j] = bit
-            out.append(MissingPattern(bits=bits))
-    return out
-
-
-def locate(partition: Partition, pattern) -> int:
-    """Walk the tree on the pattern's bits (a MissingPattern or one bit
-    vector); returns the leaf subset id. The walk accepts any support-valid
-    pattern, including ones whose missing count exceeds the training budget
-    (deployment never clamps)."""
-    return _leaf_of(partition, _pattern_bits(partition.uncertainty, pattern, ndim=1))
-
-
 def _leaf_of(partition: Partition, bits: np.ndarray) -> int:
     route, sid = partition._route, 0
     while route[sid] is not None:
@@ -232,8 +203,8 @@ def _pattern_bits(uset: UncertaintySet, patterns, ndim: int) -> np.ndarray:
 
 
 def locate_rows(partition: Partition, bits: np.ndarray) -> np.ndarray:
-    """Batched `locate`: the leaf subset id of every row of an (n, p) bit
-    matrix, routing all rows at once with one boolean row mask per node."""
+    """The leaf subset id of every row of an (n, p) bit matrix, routing all
+    rows at once with one boolean row mask per node."""
     bits = _pattern_bits(partition.uncertainty, bits, ndim=2)
     leaf = np.empty(bits.shape[0], dtype=np.int64)
     stack = [(0, np.ones(bits.shape[0], dtype=bool))]
@@ -249,9 +220,10 @@ def locate_rows(partition: Partition, bits: np.ndarray) -> np.ndarray:
 
 
 def predict_deployed(partition: Partition, x: np.ndarray, pattern) -> float:
-    """Route the pattern (a MissingPattern or one bit vector) to its leaf,
-    then use the optimistic parameters when the pattern equals the leaf's
-    optimistic pattern exactly, otherwise the adversarial parameters."""
+    """Route the pattern (a MissingPattern or one bit vector, of any missing
+    count: deployment never clamps to the budget) to its leaf, then use the
+    optimistic parameters when the pattern equals the leaf's optimistic
+    pattern exactly, otherwise the adversarial parameters."""
     bits = _pattern_bits(partition.uncertainty, pattern, ndim=1)
     subset = partition.subsets[_leaf_of(partition, bits)]
     use_opt = bits.tobytes() == subset.opt_pattern.key()
@@ -292,15 +264,10 @@ def predict_deployed_rows(partition: Partition, X: np.ndarray, patterns: np.ndar
     return predict_grouped(X, 2 * leaf + use_opt, group)
 
 
-def route_fixed(fixed: FixedPartition, pattern: MissingPattern) -> int:
-    """Index of the equality subset for a pattern: its missing count, clamped
-    to the budget for deployment patterns that exceed it."""
-    return min(pattern.popcount(), fixed.uncertainty.budget)
-
-
 def predict_fixed_rows(fixed: FixedPartition, X: np.ndarray, patterns: np.ndarray) -> np.ndarray:
     """Batched fixed-partition prediction over an (n, p) bit matrix: each row
-    uses the subset `route_fixed` picks for its pattern."""
+    uses the subset of its missing count, clamped to the budget for
+    deployment patterns that exceed it."""
     bits = _pattern_bits(fixed.uncertainty, patterns, ndim=2)
     keys = np.minimum(bits.sum(axis=1), fixed.uncertainty.budget)
     return predict_grouped(X, keys, lambda key, rows: (fixed.subsets[key].params, bits[rows]))

@@ -16,7 +16,7 @@ exactly comparable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -83,22 +83,15 @@ def adam_step(
     theta -= learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
-@dataclass(frozen=True)
-class IterationRecord:
-    iteration: int
-    train_loss: float
-    val_loss: float
-
-
 @dataclass
 class TrainResult:
-    """Best-on-validation parameters plus the instrumented loss trace."""
+    """Best-on-validation parameters, their validation loss, the number of
+    iterations run and the iteration the parameters come from."""
 
     params: ModelParams
     val_loss: float
-    trace: list[IterationRecord] = field(default_factory=list)
-    iterations: int = 0
-    best_iteration: int = -1
+    iterations: int
+    best_iteration: int
 
 
 PatternPicker = Callable[[ModelParams], MissingPattern]
@@ -134,7 +127,6 @@ def run_training_loop(
     best_theta = theta.copy()
     best_loss = np.inf
     best_iter = -1
-    trace: list[IterationRecord] = []
     shuffle_rng = rng_for(cfg.seed, "shuffle") if cfg.shuffle else None
 
     k = 0
@@ -146,7 +138,6 @@ def run_training_loop(
         if shuffle_rng is not None:
             order = shuffle_rng.permutation(train.n)
             X, y = X[order], y[order]
-        batch_losses = []
         for start in range(0, train.n, cfg.batch_size):
             rows = slice(start, start + cfg.batch_size)
             loss, _ = loss_and_grad(params, X[rows], y[rows], alpha_train, cfg.weight_decay, work)
@@ -154,12 +145,10 @@ def run_training_loop(
                 raise NumericalError(f"training loss is {loss} at iteration {k}")
             step += 1
             adam_step(theta, work.grad, m, v, step, cfg.learning_rate)
-            batch_losses.append(loss)
         alpha_val = pick_val_pattern(params)
         val_loss = mse_loss(params, val.X, val.y, alpha_val)
         if not math.isfinite(val_loss):
             raise NumericalError(f"validation loss is {val_loss} at iteration {k}")
-        trace.append(IterationRecord(k, float(np.mean(batch_losses)), val_loss))
         if val_loss < best_loss:
             best_theta = theta.copy()
             best_loss = val_loss
@@ -171,7 +160,6 @@ def run_training_loop(
     return TrainResult(
         params=params0.from_vector(best_theta),
         val_loss=float(best_loss),
-        trace=trace,
         iterations=k,
         best_iteration=best_iter,
     )
@@ -183,24 +171,13 @@ def train_nominal(
     pattern: MissingPattern,
     cfg: TrainConfig,
     arch: Architecture,
-    warm_start: ModelParams | None = None,
 ) -> TrainResult:
-    """Fit one model of layout arch with a fixed missing pattern applied to
-    every batch. DomainError when arch's input width or maskable set is not
-    the data's, or warm_start is of another layout.
-
-    warm_start skips the random initialization and continues from the given
-    parameters (with fresh optimizer state), leaving them unchanged. The
-    adversarial trainers warm-start the same way, but hand their params to
-    run_training_loop directly.
-    """
+    """Fit one model of layout arch, initialised from cfg.seed, with a fixed
+    missing pattern applied to every batch. DomainError when arch's input
+    width or maskable set is not the data's."""
     if (arch.input_dim, arch.maskable) != (train.p, train.maskable):
         raise DomainError(f"a model of {arch.input_dim} inputs, maskable {list(arch.maskable)}, "
                           f"cannot fit data of {train.p}, maskable {list(train.maskable)}")
     MissingPattern.bits_of(pattern, train.p, train.maskable, ndim=1)
-    if warm_start is None:
-        warm_start = init_params(arch, cfg.seed)
-    elif warm_start.arch != arch:
-        raise DomainError(f"warm start of layout {warm_start.arch} given to train {arch}")
     constant = lambda params: pattern
-    return run_training_loop(train, val, warm_start, cfg, constant, constant)
+    return run_training_loop(train, val, init_params(arch, cfg.seed), cfg, constant, constant)

@@ -1,13 +1,19 @@
 """Shared heavy fixtures: the 4-plant trend setup is built once per session
 and reused by the evaluation-trend and acceptance tests. Also the grid-row
 helpers those tests share: a cell's nrmse values, and the per-observation
-squared errors behind them for a forecast-comparison test."""
+squared errors behind them for a forecast-comparison test. And the training
+and routing references the tests check the library against: a fine-tune
+from given parameters, the validation losses a training loop computes, the
+admissible patterns of an uncertainty set, and the subset a pattern reaches
+in a learned or a fixed partition."""
+import itertools
 import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
+from robustcast import training
 from robustcast.dataio import SynthConfig, gen_synthetic
 from robustcast.evaluation import (
     METHOD_ARF_LEARNED,
@@ -23,11 +29,11 @@ from robustcast.evaluation import (
     run_grid,
 )
 from robustcast.missingness import MissingPattern, expand_obs_mask, impute_persistence
-from robustcast.models import Architecture
+from robustcast.models import Architecture, mse_loss
 from robustcast.partition import (
-    Partition, PartitionConfig, UncertaintySet, learn_partition, truncate,
+    FixedPartition, Partition, PartitionConfig, UncertaintySet, learn_partition, truncate,
 )
-from robustcast.training import TrainConfig, train_nominal
+from robustcast.training import TrainConfig, TrainResult, run_training_loop, train_nominal
 
 TREND_SYNTH = SynthConfig(
     n_plants=4,
@@ -46,6 +52,59 @@ TREND_RUNS = 10
 TREND_GRID_SEED = 42
 HEAVY_CELL = (0.2, 0.9)
 LIGHT_CELL = (0.05, 0.0)
+
+
+def finetune(train, val, pattern: MissingPattern, cfg: TrainConfig, params) -> TrainResult:
+    """Nominal training at a fixed pattern that continues from params (with
+    fresh optimizer state), leaving them unchanged: the run_training_loop
+    call train_nominal makes, from params in place of cfg.seed's."""
+    constant = lambda live: pattern
+    return run_training_loop(train, val, params, cfg, constant, constant)
+
+
+@pytest.fixture
+def val_losses(monkeypatch) -> list[float]:
+    """The validation loss of every epoch run_training_loop runs while the
+    test does, in order: the loop calls training.mse_loss once per epoch,
+    on the validation split, and nothing else in the package calls it
+    through that name."""
+    losses: list[float] = []
+
+    def record(*args):
+        losses.append(mse_loss(*args))
+        return losses[-1]
+
+    monkeypatch.setattr(training, "mse_loss", record)
+    return losses
+
+
+def enumerate_patterns(uset: UncertaintySet) -> np.ndarray:
+    """Every admissible pattern of uset, one row of a bit matrix each, in
+    lexicographic bit order over the maskable features."""
+    combos = np.array(list(itertools.product((0, 1), repeat=len(uset.maskable))), dtype=np.uint8)
+    combos = combos[combos.sum(axis=1) <= uset.budget]
+    bits = np.zeros((len(combos), uset.n_features), dtype=np.uint8)
+    bits[:, list(uset.maskable)] = combos
+    return bits
+
+
+def locate(part: Partition, pattern) -> int:
+    """The leaf subset a pattern (a MissingPattern or one bit vector)
+    reaches, found from the splits alone: split k, when it splits the
+    subset reached so far, leads to subset 2k if its feature is missing in
+    the pattern and to 2k - 1 otherwise. Any missing count is routed."""
+    bits = getattr(pattern, "bits", pattern)
+    sid = 0
+    for k, split in enumerate(part.splits, 1):
+        if split.leaf == sid:
+            sid = 2 * k if bits[split.feature] else 2 * k - 1
+    return sid
+
+
+def route_fixed(fixed: FixedPartition, pattern) -> int:
+    """The equality subset of a fixed partition a pattern (a MissingPattern
+    or one bit vector) uses: its missing count, clamped to the budget."""
+    return min(int(np.sum(getattr(pattern, "bits", pattern))), fixed.uncertainty.budget)
 
 
 def cell_nrmse(rows: list[GridRow], method: str, h: int, p01: float, p11: float) -> list[float]:

@@ -32,14 +32,15 @@ from robustcast.models import (
 from robustcast.partition import (
     PartitionConfig,
     UncertaintySet,
-    enumerate_patterns,
     fixed_partition,
     learn_partition,
-    locate,
+    locate_rows,
     partition_to_json,
 )
 from robustcast.training import TrainConfig, train_nominal
-from tests.conftest import HEAVY_CELL, LIGHT_CELL, cell_nrmse, cell_sq_errors
+from tests.conftest import (
+    HEAVY_CELL, LIGHT_CELL, cell_nrmse, cell_sq_errors, enumerate_patterns, finetune,
+)
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -178,7 +179,7 @@ def test_criterion_3_reduction_identities():
     pat = MissingPattern.from_missing(ds.p, [0])
     theta_opt = train_nominal(train, val, pat, cfg, arch2).params
     adv = train_adversarial(train, val, AdvSearchScope(free=(), budget=2, base=pat), cfg, theta_opt)
-    fine = train_nominal(train, val, pat, cfg, arch2, warm_start=theta_opt)
+    fine = finetune(train, val, pat, cfg, theta_opt)
     gap = abs(adv.val_loss - fine.val_loss)
     ok = exact and identity and gap < 1e-9
     report(3, ok, f"forward equality exact={exact}, mask identity={identity}, finetune gap={gap:.1e}")
@@ -211,13 +212,13 @@ def test_criterion_4_partition_structure():
     patterns = enumerate_patterns(uset6)
     cover_ok = len(patterns) == 42
     leafset = set(part6.leaf_ids)
-    for pattern in patterns:
+    for pattern, leaf in zip(patterns, locate_rows(part6, patterns).tolist()):
         hits = [
             sid
             for sid in part6.leaf_ids
-            if all(pattern.bits[j] == bit for j, bit in part6.fixed(sid).items())
+            if all(pattern[j] == bit for j, bit in part6.fixed(sid).items())
         ]
-        cover_ok &= hits == [locate(part6, pattern)] and hits[0] in leafset
+        cover_ok &= hits == [leaf] and hits[0] in leafset
 
     # (b) fixed partition has budget+1 subsets
     ds3 = make_ds(3)
@@ -232,12 +233,12 @@ def test_criterion_4_partition_structure():
     # (c) retraining recovery: 8 singleton leaves enumerate all patterns
     part3 = learn_partition(tr3, va3, uset3, PartitionConfig(8, 0.0), cfg,
                             Architecture("lr", False, 4, bias_index=3, maskable=(0, 1, 2)))
-    leaves = part3.leaves()
+    leaves = [part3.subsets[i] for i in part3.leaf_ids]
     recovery_ok = (
         len(leaves) == 8
         and all(leaf.free == () for leaf in leaves)
         and {leaf.opt_pattern.key() for leaf in leaves}
-        == {pat.key() for pat in enumerate_patterns(uset3)}
+        == {row.tobytes() for row in enumerate_patterns(uset3)}
     )
 
     # (d) bound-inheritance equalities on construction records
@@ -317,7 +318,7 @@ def test_criterion_7_q_sensitivity(trend_setup):
     )
 
 
-def test_criterion_8_early_stopping_contract():
+def test_criterion_8_early_stopping_contract(val_losses):
     rng = np.random.default_rng(808)
     violations = 0
     for trial in range(10):
@@ -329,6 +330,7 @@ def test_criterion_8_early_stopping_contract():
         train, val, _ = split_sequential(ds, 0.6, 0.25)
         cfg = TrainConfig(learning_rate=1e-2, max_iters=60, patience=7,
                           batch_size=64, seed=trial)
+        val_losses.clear()
         res = train_nominal(train, val, MissingPattern.zeros(ds.p), cfg,
                             Architecture("lr", False, ds.p, bias_index=ds.bias_index,
                                          maskable=ds.maskable))
@@ -336,7 +338,7 @@ def test_criterion_8_early_stopping_contract():
             violations += 1
         if res.best_iteration < res.iterations - 1 - cfg.patience:
             violations += 1
-        if res.val_loss != min(r.val_loss for r in res.trace):
+        if len(val_losses) != res.iterations or res.val_loss != min(val_losses):
             violations += 1
     ok = violations == 0
     report(8, ok, f"10 trainings, {violations} contract violations")

@@ -19,6 +19,7 @@ from robustcast.exceptions import DomainError, SizeError
 from robustcast.missingness import MissingPattern
 from robustcast.models import Architecture, init_params, mse_loss
 from robustcast.training import TrainConfig, train_nominal
+from tests.conftest import finetune
 
 
 def lr_params(w, maskable):
@@ -432,8 +433,8 @@ class TestTrainAdversarial:
         theta_opt = train_nominal(train, val, base, cfg, arch).params
         scope = AdvSearchScope(free=(), budget=2, base=base)
         adv = train_adversarial(train, val, scope, cfg, theta_opt)
-        finetune = train_nominal(train, val, base, cfg, arch, warm_start=theta_opt)
-        assert abs(adv.val_loss - finetune.val_loss) < 1e-9
+        fine = finetune(train, val, base, cfg, theta_opt)
+        assert abs(adv.val_loss - fine.val_loss) < 1e-9
 
     def test_zero_budget_matches_empty_free_set(self):
         ds = useless_feature_dataset(seed=4, noise=0.05)
@@ -469,18 +470,20 @@ class TestTrainAdversarial:
 
         assert worst_case(adv.params) <= worst_case(opt.params) + 1e-9
 
-    def test_trace_starts_finite_and_best_is_prefix_min(self):
+    def test_trace_starts_finite_and_best_is_prefix_min(self, val_losses):
         ds = useless_feature_dataset(seed=6, noise=0.1)
         train, val, _ = split_sequential(ds, 0.6, 0.25)
         arch = Architecture("lr", True, 3, bias_index=2, maskable=(0, 1))
         cfg = TrainConfig(learning_rate=5e-3, max_iters=30, patience=6, batch_size=64, seed=11)
         scope = AdvSearchScope(free=(0, 1), budget=2, base=MissingPattern.zeros(3))
         warm = train_nominal(train, val, scope.base, cfg, arch).params
+        val_losses.clear()
         res = train_adversarial(train, val, scope, cfg, warm)
-        assert np.isfinite(res.trace[0].val_loss)
+        assert len(val_losses) == res.iterations
+        assert np.isfinite(val_losses[0])
         running_min = np.inf
-        for rec in res.trace:
-            running_min = min(running_min, rec.val_loss)
+        for loss in val_losses:
+            running_min = min(running_min, loss)
             assert res.val_loss <= running_min + 1e-15
 
 
@@ -493,8 +496,8 @@ class TestTrainSampledAdversarial:
         zero = MissingPattern.zeros(3)
         warm = train_nominal(train, val, zero, cfg, arch).params
         sampled = train_sampled_adversarial(train, val, 0, cfg, warm)
-        finetune = train_nominal(train, val, zero, cfg, arch, warm_start=warm)
-        assert abs(sampled.val_loss - finetune.val_loss) < 1e-12
+        fine = finetune(train, val, zero, cfg, warm)
+        assert abs(sampled.val_loss - fine.val_loss) < 1e-12
 
     def test_deterministic(self):
         ds = useless_feature_dataset(seed=8, noise=0.1)

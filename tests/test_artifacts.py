@@ -61,7 +61,7 @@ def artifacts(draw):
         if how == "same":
             return params
         if how == "copy":
-            return params.copy()
+            return replace(params, arrays={k: v.copy() for k, v in params.arrays.items()})
         return replace(params, arch=replace(arch, bias_index=None)) if how == "bias" else fresh()
 
     kind = draw(st.sampled_from(["model", "fixed", "learned"]))

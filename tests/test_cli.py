@@ -234,6 +234,32 @@ class TestRunConfig:
         assert not (tmp_path / "out").exists()
 
 
+    # the first four are refused when the config is parsed, the last three
+    # once the data are loaded, before any artifact is written; the series
+    # has 2 plants and 2 * (max_lag + 1) = 4 maskable features
+    @pytest.mark.parametrize("edit, match", [
+        (lambda c: c.update(horizons=[0]), "horizons must be >= 1"),
+        (lambda c: c.update(max_lag=-1), "max_lag must be >= 0"),
+        (lambda c: c["partition"].update(budget=-1), "partition.budget must be >= 0"),
+        (lambda c: c.update(target_plant=-1), "target_plant must be >= 0"),
+        (lambda c: c.update(target_plant=9), "target_plant 9 out of range"),
+        (lambda c: c["partition"].update(budget=99), "partition.budget 99 exceeds"),
+        (lambda c: c.update(data={"csv": "no-such-series.csv"}), "data file not found"),
+    ], ids=["horizon 0", "max_lag -1", "budget -1", "target_plant -1", "target_plant 9",
+            "budget 99", "missing data.csv"])
+    def test_value_out_of_range_for_the_run_or_its_data_exits_2(self, tmp_path, capsys, edit,
+                                                                 match):
+        out = tmp_path / "out"
+        config = base_config(out)
+        edit(config)
+        path = write_config(tmp_path, config)
+        capsys.readouterr()
+        assert main(["train", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and match in err
+        assert not list(out.glob("*.json"))
+
+
 class TestTrain:
     def test_diverged_training_exits_4(self, tmp_path, capsys):
         config = base_config(tmp_path / "out", family="nn", hidden=[8, 8])
@@ -621,21 +647,36 @@ class TestReport:
         path = write_config(tmp_path, base_config(out))
         assert main(["report", "--config", str(path)]) == 3
 
-    @pytest.mark.parametrize("row, match", [
-        ("imp-mean,1,0.2,0.5,0", "malformed grid row 'imp-mean,1,0.2,0.5,0'"),
-        ("imp-mean,1,0.2,0.5,0.5,17.0", "malformed grid row 'imp-mean,1,0.2,0.5,0.5,17.0'"),
-    ], ids=["a short row", "a run that is no integer"])
-    def test_malformed_grid_row_exits_3(self, tmp_path, capsys, row, match):
+    # each case is a grid.csv evaluate could not have written: by default
+    # its header, one valid row and `row` on line 3
+    @pytest.mark.parametrize("row, match, lines", [
+        ("imp-mean,1,0.2,0.5,0", "line 3: malformed grid row 'imp-mean,1,0.2,0.5,0'", None),
+        ("imp-mean,1,0.2,0.5,0.5,17.0",
+         "line 3: malformed grid row 'imp-mean,1,0.2,0.5,0.5,17.0'", None),
+        (None, "line 2: no grid row", ["method,h,p01,p11,run,nrmse"]),
+        (None, "line 1: header 'a,b,c,d,e,f'", ["a,b,c,d,e,f", "imp-mean,1,0.2,0.5,1,16.0"]),
+        ("imp-mean,1,0.2,0.5,0,nan", "line 3: an nrmse that is not a finite number", None),
+        ("imp-mean,1,0.2,0.5,0,inf", "line 3: an nrmse that is not a finite number", None),
+        ("imp-mean,1,0.2,0.5,0,-1.0", "line 3: an nrmse that is not a finite number", None),
+        ("imp-mean,1,7.0,0.5,0,16.0", "line 3: a probability outside [0, 1]", None),
+        ("imp-mean,-3,0.2,0.5,0,16.0", "line 3: a horizon below 1", None),
+        ("imp-mean,1,0.2,0.5,-1,16.0", "line 3: a negative run", None),
+        ("bogus,1,0.2,0.5,0,16.0", "line 3: an unknown method", None),
+        ("imp-mean,1,0.2,0.5,1,17.0", "line 3: a repeated (method, h, p01, p11, run)", None),
+    ], ids=["a short row", "a run that is no integer", "no rows", "another header",
+            "nrmse nan", "nrmse inf", "nrmse negative", "p01 above 1", "horizon -3", "run -1",
+            "unknown method", "repeated run"])
+    def test_malformed_grid_row_exits_3(self, tmp_path, capsys, row, match, lines):
         out = tmp_path / "out"
         out.mkdir()
         grid = out / "grid.csv"
-        grid.write_text(f"method,h,p01,p11,run,nrmse\nimp-mean,1,0.2,0.5,1,16.0\n{row}\n",
-                        encoding="utf-8")
+        lines = lines or ["method,h,p01,p11,run,nrmse", "imp-mean,1,0.2,0.5,1,16.0", row]
+        grid.write_text("\n".join(lines) + "\n", encoding="utf-8")
         path = write_config(tmp_path, base_config(out))
         capsys.readouterr()
         assert main(["report", "--config", str(path)]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("data error:") and f"{grid} line 3: {match}" in err
+        assert err.startswith("data error:") and f"{grid} {match}" in err
         assert not (out / "summary.csv").exists()
 
 

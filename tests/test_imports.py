@@ -11,8 +11,15 @@ methods aside, and fails on one whose name appears nowhere in src/ or
 tests/ outside its own body, as an identifier, an attribute or an imported
 name. Names are matched by spelling alone, so a method shares its uses with
 any attribute of the same name.
+
+The surface scan takes every public module-level function of
+src/robustcast and fails on one that only tests name: it must be named, as
+the definition scan counts names, in a module of src/robustcast other than
+__init__.py (a re-export is no use) or in a perfbench/*.py file that is not
+a test, or be named as a word in the README.
 """
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -119,6 +126,53 @@ def test_no_dead_definitions():
     }
     naming = [path.read_text(encoding="utf-8") for path in ALL_SOURCES]
     assert dead_definitions(package, naming) == []
+
+
+def functions_only_tests_name(package: dict[str, str], naming: list[str], text: str) -> list[str]:
+    """`file:line name` of each public module-level function in the package
+    sources (file name -> source) that no source in `naming` mentions and
+    that `text` does not name as a word."""
+    names = _Names()
+    for source in naming:
+        names.visit(ast.parse(source))
+    return [
+        f"{file}:{node.lineno} {node.name}"
+        for file, source in package.items()
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+        and not names.counts[node.name]
+        and not re.search(rf"\b{node.name}\b", text)
+    ]
+
+
+def test_every_public_function_serves_the_commands_the_benchmark_or_the_readme():
+    modules = sorted((ROOT / "src" / "robustcast").rglob("*.py"))
+    package = {str(path.relative_to(ROOT)): path.read_text(encoding="utf-8") for path in modules}
+    naming = [source for file, source in package.items() if not file.endswith("__init__.py")]
+    naming += [path.read_text(encoding="utf-8") for path in sorted((ROOT / "perfbench").glob("*.py"))
+               if not path.name.startswith("test_")]
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert functions_only_tests_name(package, naming, readme) == []
+
+
+def test_surface_scan_flags_a_public_function_nothing_else_names():
+    lib = (
+        "def served():\n"
+        "    return 1\n"
+        "def recurse(n):\n"
+        "    return recurse(n - 1) if n else served()\n"
+        "def documented():\n"
+        "    return 0\n"
+        "def _private():\n"
+        "    return 0\n"
+        "class Model:\n"
+        "    def method(self):\n"
+        "        return 0\n"
+    )
+    cli = "from .lib import served\nserved()\n"
+    readme = "Call `documented()` from your own code; recurse_twice is another name.\n"
+    assert functions_only_tests_name({"lib.py": lib}, [lib, cli], readme) == ["lib.py:3 recurse"]
 
 
 def test_definition_scan_flags_what_only_its_own_body_names():

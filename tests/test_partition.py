@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from robustcast.dataio import Dataset, split_sequential
-from robustcast.exceptions import CapacityError, ConfigError, DomainError, ParseError
+from robustcast.exceptions import ConfigError, DomainError, ParseError
 from robustcast.missingness import MissingPattern
-from robustcast.models import Architecture, init_params
+from robustcast.models import Architecture, init_params, predict
 from robustcast.partition import (
     Fit,
     FixedPartition,
@@ -17,12 +17,10 @@ from robustcast.partition import (
     Split,
     UncertaintySet,
     bounds_table,
-    enumerate_patterns,
     fixed_partition,
     fixed_to_json,
     learn_partition,
     load_artifact,
-    locate,
     locate_rows,
     partition_from_json,
     partition_to_json,
@@ -30,11 +28,11 @@ from robustcast.partition import (
     predict_deployed_rows,
     predict_fixed_rows,
     rel_gap,
-    route_fixed,
     save_artifact,
     truncate,
 )
 from robustcast.training import TrainConfig, train_nominal
+from tests.conftest import enumerate_patterns, locate, route_fixed
 
 
 def toy_dataset(n_features_signal, n=600, seed=0, noise=0.05, weights=None, corr=0.7):
@@ -65,6 +63,8 @@ def quick_cfg(seed=0, iters=2000, lr=3e-2, patience=60):
 
 
 class TestEnumeratePatterns:
+    """The test reference for the admissible patterns of a set."""
+
     def test_full_budget_three_features(self):
         uset = UncertaintySet(n_features=4, maskable=(0, 1, 2), budget=3)
         assert len(enumerate_patterns(uset)) == 8
@@ -73,7 +73,7 @@ class TestEnumeratePatterns:
         uset = UncertaintySet(n_features=4, maskable=(0, 1, 2), budget=0)
         patterns = enumerate_patterns(uset)
         assert len(patterns) == 1
-        assert patterns[0].popcount() == 0
+        assert patterns[0].sum() == 0
 
     def test_binomial_sum(self):
         uset = UncertaintySet(n_features=5, maskable=(0, 1, 2, 3), budget=2)
@@ -81,13 +81,8 @@ class TestEnumeratePatterns:
 
     def test_lexicographic_order(self):
         uset = UncertaintySet(n_features=2, maskable=(0, 1), budget=2)
-        bits = [tuple(p.bits) for p in enumerate_patterns(uset)]
+        bits = [tuple(row) for row in enumerate_patterns(uset)]
         assert bits == [(0, 0), (0, 1), (1, 0), (1, 1)]
-
-    def test_capacity_guard(self):
-        uset = UncertaintySet(n_features=25, maskable=tuple(range(21)), budget=2)
-        with pytest.raises(CapacityError):
-            enumerate_patterns(uset)
 
 
 def manual_partition(n_features=3):
@@ -102,24 +97,29 @@ def manual_partition(n_features=3):
 
 
 class TestLocate:
+    """locate_rows, and the splits-only reference `locate`, on the worked
+    example."""
+
     def test_worked_routing_example(self):
         part = manual_partition()
-        assert locate(part, MissingPattern(bits=np.array([1, 0, 1]))) == 3
-        assert locate(part, MissingPattern(bits=np.array([1, 1, 0]))) == 4
-        assert locate(part, MissingPattern(bits=np.array([0, 1, 1]))) == 1
+        rows = np.array([[1, 0, 1], [1, 1, 0], [0, 1, 1]], dtype=np.uint8)
+        assert locate_rows(part, rows).tolist() == [3, 4, 1]
+        assert [locate(part, MissingPattern(bits=row)) for row in rows] == [3, 4, 1]
 
     def test_zero_pattern_goes_to_all_available_path(self):
         part = manual_partition()
+        assert locate_rows(part, np.zeros((1, 3), dtype=np.uint8)).tolist() == [1]
         assert locate(part, MissingPattern.zeros(3)) == 1
 
     def test_every_admissible_pattern_routes_to_exactly_one_leaf(self):
         part = manual_partition()
-        for pattern in enumerate_patterns(part.uncertainty):
+        patterns = enumerate_patterns(part.uncertainty)
+        for pattern, leaf in zip(patterns, locate_rows(part, patterns).tolist()):
             hits = []
             for sid in part.leaf_ids:
-                if all(pattern.bits[j] == bit for j, bit in part.fixed(sid).items()):
+                if all(pattern[j] == bit for j, bit in part.fixed(sid).items()):
                     hits.append(sid)
-            assert hits == [locate(part, pattern)]
+            assert hits == [leaf] == [locate(part, pattern)]
 
 
 class TestRelGap:
@@ -152,10 +152,10 @@ class TestLearnPartition:
         part = learn_partition(train, val, uset, PartitionConfig(max_subsets=8, epsilon=0.0),
                                quick_cfg(seed=4), toy_arch(3))
         assert len(part.leaf_ids) == 8
-        leaves = part.leaves()
+        leaves = [part.subsets[i] for i in part.leaf_ids]
         assert all(leaf.free == () for leaf in leaves)
         opt_keys = {leaf.opt_pattern.key() for leaf in leaves}
-        expected = {pat.key() for pat in enumerate_patterns(uset)}
+        expected = {row.tobytes() for row in enumerate_patterns(uset)}
         assert opt_keys == expected
 
     def test_child_bookkeeping_after_split(self):
@@ -211,9 +211,7 @@ class TestLearnPartition:
                                quick_cfg(seed=12), toy_arch(6))
         patterns = enumerate_patterns(uset)
         assert len(patterns) == 42
-        leaf_set = set(part.leaf_ids)
-        for pattern in patterns:
-            assert locate(part, pattern) in leaf_set
+        assert set(locate_rows(part, patterns).tolist()) <= set(part.leaf_ids)
 
     def test_singleton_leaves_have_tiny_relgap(self):
         # Scoped to singletons whose adversarial side was actually trained
@@ -240,10 +238,8 @@ class TestPredictDeployed:
         part = manual_partition()
         # give leaf 1 distinguishable parameter sets: the root's optimistic
         # one and the first split's adversarial one
-        opt = part.opt.params.copy()
-        opt.arrays["w"] = np.array([1.0, 1.0, 1.0])
-        adv = part.opt.params.copy()
-        adv.arrays["w"] = np.array([-1.0, -1.0, -1.0])
+        opt = replace(part.opt.params, arrays={"w": np.array([1.0, 1.0, 1.0])})
+        adv = replace(part.opt.params, arrays={"w": np.array([-1.0, -1.0, -1.0])})
         first = replace(part.splits[0], adv=Fit(adv, 0.2))
         part = replace(part, opt=Fit(opt, 0.1), splits=[first, part.splits[1]])
         assert part.subsets[1].params_opt is opt and part.subsets[1].params_adv is adv
@@ -256,7 +252,7 @@ class TestPredictDeployed:
     def test_budget_violating_pattern_still_routes(self):
         part = manual_partition()
         heavy = MissingPattern(bits=np.array([1, 1, 1]))
-        assert locate(part, heavy) == 4
+        assert locate_rows(part, heavy.bits[None]).tolist() == [4] == [locate(part, heavy)]
 
     def test_rows_match_single(self):
         part = manual_partition()
@@ -275,8 +271,6 @@ class TestPredictDeployed:
         bad = np.array([0, 2, 0])
         with pytest.raises(DomainError):
             predict_deployed(part, x, bad)
-        with pytest.raises(DomainError):
-            locate(part, bad)
         with pytest.raises(DomainError):
             predict_deployed_rows(part, x[None, :], bad[None, :])
 
@@ -297,10 +291,15 @@ class TestFixedPartition:
         uset = UncertaintySet(n_features=4, maskable=(0, 1, 2), budget=2)
         fixed = fixed_partition(train, val, uset, quick_cfg(seed=18, iters=150, patience=25),
                                 toy_arch(3))
-        assert route_fixed(fixed, MissingPattern.zeros(4)) == 0
-        assert route_fixed(fixed, MissingPattern.from_missing(4, [0, 2])) == 2
-        # deployment pattern beyond the training budget clamps to the last subset
-        assert route_fixed(fixed, MissingPattern.from_missing(4, [0, 1, 2])) == 2
+        # the last pattern exceeds the training budget: it clamps to the last subset
+        patterns = np.array([MissingPattern.from_missing(4, missing).bits
+                             for missing in ([], [0, 2], [0, 1, 2])])
+        assert [route_fixed(fixed, row) for row in patterns] == [0, 2, 2]
+        X = val.X[:3]
+        preds = predict_fixed_rows(fixed, X, patterns)
+        for i, count in enumerate([0, 2, 2]):
+            want = predict(fixed.subsets[count].params, X[i:i + 1], patterns[i])[0]
+            assert preds[i] == pytest.approx(want, rel=1e-12)
 
     def test_zero_budget_is_nominal_training(self):
         ds = toy_dataset(2, seed=19)
@@ -352,7 +351,7 @@ class TestTruncate:
         assert (len(grown.leaf_ids) == self.Q_MAX) == full
         grown_json = json.dumps(partition_to_json(grown))
         assert truncate(grown, self.Q_MAX) is grown
-        patterns = np.array([pat.bits for pat in enumerate_patterns(uset)])
+        patterns = enumerate_patterns(uset)
         for q in range(1, self.Q_MAX + 2):
             if q > self.Q_MAX and full:
                 with pytest.raises(ConfigError):
@@ -546,10 +545,10 @@ class TestGoldenArtifact:
         part = load_artifact(GOLDEN)
         assert part.leaf_ids == [3, 4, 5, 7, 8]
         patterns = enumerate_patterns(part.uncertainty)
-        expected = [GOLDEN_ROUTES[tuple(pat.bits[:3].tolist())] for pat in patterns]
+        expected = [GOLDEN_ROUTES[tuple(row[:3].tolist())] for row in patterns]
         assert len(expected) == 8
-        assert [locate(part, pat) for pat in patterns] == expected
-        assert locate_rows(part, np.array([pat.bits for pat in patterns])).tolist() == expected
+        assert [locate(part, row) for row in patterns] == expected
+        assert locate_rows(part, patterns).tolist() == expected
 
     @pytest.mark.parametrize("edit", [
         pytest.param(lambda obj: obj["tree"].update(feature=0), id="tree-feature"),

@@ -17,7 +17,6 @@ from robustcast.partition import (
     Partition,
     PartitionConfig,
     UncertaintySet,
-    locate,
     predict_deployed,
     predict_deployed_rows,
     predict_fixed_rows,
@@ -84,7 +83,6 @@ ENTRY_POINTS = {
     "mse_loss": ((1, 2), True, lambda f, b: mse_loss(f[0], f[3], f[4], b)),
     "loss_and_grad": ((1,), True, lambda f, b: loss_and_grad(f[0], f[3], f[4], b)[0]),
     "impute_mean": ((1, 2), False, lambda f, b: impute_mean(f[3], b, f[3].mean(axis=0))),
-    "locate": ((1,), True, lambda f, b: locate(f[1], b)),
     "predict_deployed": ((1,), True, lambda f, b: predict_deployed(f[1], f[3][0], b)),
     "predict_deployed_rows": ((2,), True, lambda f, b: predict_deployed_rows(f[1], f[3], b)),
     "predict_fixed_rows": ((2,), True, lambda f, b: predict_fixed_rows(f[2], f[3], b)),

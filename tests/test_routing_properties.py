@@ -1,5 +1,7 @@
 """Property tests: batched routing over bit matrices agrees with the
-single-pattern API on random trees, uncertainty sets and patterns."""
+single-pattern deployed predictor and with the routing references in
+tests/conftest.py, which route from a partition's splits alone (never its
+routing table), on random trees, uncertainty sets and patterns."""
 from dataclasses import replace
 
 import numpy as np
@@ -15,13 +17,12 @@ from robustcast.partition import (
     PartitionConfig,
     Split,
     UncertaintySet,
-    locate,
     locate_rows,
     predict_deployed,
     predict_deployed_rows,
     predict_fixed_rows,
-    route_fixed,
 )
+from tests.conftest import locate, route_fixed
 
 SETTINGS = settings(max_examples=60, deadline=None)
 

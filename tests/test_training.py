@@ -15,13 +15,13 @@ from robustcast.training import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
-    IterationRecord,
     TrainConfig,
     TrainResult,
     adam_step,
     run_training_loop,
     train_nominal,
 )
+from tests.conftest import finetune
 
 
 # the model layout of line_dataset: a linear fit of y on x and the bias
@@ -111,13 +111,13 @@ class TestTrainNominal:
     def split(self, ds, train_frac=0.6, val_frac=0.25):
         return split_sequential(ds, train_frac, val_frac)[:2]
 
-    def test_single_iteration_bound(self):
+    def test_single_iteration_bound(self, val_losses):
         ds = line_dataset()
         train, val = self.split(ds)
         cfg = TrainConfig(learning_rate=1e-2, max_iters=1, patience=1, batch_size=32, seed=0)
         res = train_nominal(train, val, MissingPattern.zeros(2), cfg, LINE_ARCH)
         assert res.iterations == 1
-        assert len(res.trace) == 1
+        assert len(val_losses) == 1
 
     def test_learns_noiseless_line(self):
         ds = line_dataset(n=400)
@@ -136,14 +136,15 @@ class TestTrainNominal:
         initial_val = mse_loss(theta0, val.X, val.y, MissingPattern.zeros(2))
         assert res.val_loss <= initial_val
 
-    def test_reported_loss_is_trace_minimum(self):
+    def test_reported_loss_is_trace_minimum(self, val_losses):
         ds = line_dataset(n=300, noise=0.2, seed=5)
         train, val = self.split(ds)
         cfg = TrainConfig(learning_rate=5e-3, max_iters=60, patience=8, batch_size=64, seed=3)
         res = train_nominal(train, val, MissingPattern.zeros(2), cfg, LINE_ARCH)
-        assert res.val_loss == pytest.approx(min(r.val_loss for r in res.trace))
+        assert len(val_losses) == res.iterations
+        assert res.val_loss == pytest.approx(min(val_losses))
         assert res.best_iteration == min(
-            (r.iteration for r in res.trace if r.val_loss == res.val_loss)
+            (k for k, loss in enumerate(val_losses) if loss == res.val_loss)
         )
 
     def test_early_stopping_contract(self):
@@ -180,20 +181,16 @@ class TestTrainNominal:
         train, val = self.split(ds)
         cfg = TrainConfig(learning_rate=1e-2, max_iters=30, patience=30, batch_size=64, seed=4)
         first = train_nominal(train, val, MissingPattern.zeros(2), cfg, LINE_ARCH)
-        resumed = train_nominal(train, val, MissingPattern.zeros(2), cfg, LINE_ARCH,
-                                warm_start=first.params)
+        resumed = finetune(train, val, MissingPattern.zeros(2), cfg, first.params)
         assert resumed.val_loss <= first.val_loss + 1e-12
 
-    def test_a_layout_the_data_or_the_warm_start_does_not_have_is_refused(self):
+    def test_a_layout_the_data_does_not_have_is_refused(self):
         train, val = self.split(line_dataset(n=100))
         cfg = TrainConfig(max_iters=1, seed=0)
         zero = MissingPattern.zeros(2)
         for arch in (replace(LINE_ARCH, input_dim=3), replace(LINE_ARCH, maskable=())):
             with pytest.raises(DomainError, match="cannot fit"):
                 train_nominal(train, val, zero, cfg, arch)
-        warm = init_params(replace(LINE_ARCH, adaptive=True), seed=0)
-        with pytest.raises(DomainError, match="warm start"):
-            train_nominal(train, val, zero, cfg, LINE_ARCH, warm_start=warm)
 
     def test_invalid_config(self):
         with pytest.raises(ConfigError):
@@ -247,7 +244,7 @@ class TestInPlaceUpdates:
         before = {k: a.copy() for k, a in warm.arrays.items()}
         zero = MissingPattern.zeros(train.p)
         if trainer == "nominal":
-            res = train_nominal(train, val, zero, cfg, arch, warm_start=warm)
+            res = finetune(train, val, zero, cfg, warm)
         elif trainer == "adversarial":
             scope = AdvSearchScope(free=train.maskable, budget=2, base=zero)
             res = train_adversarial(train, val, scope, cfg, warm)
@@ -258,14 +255,14 @@ class TestInPlaceUpdates:
             assert not np.shares_memory(res.params.arrays[k], a)
         assert not all(np.array_equal(res.params.arrays[k], before[k]) for k in before)
 
-    def test_the_best_snapshot_is_not_the_live_vector(self):
+    def test_the_best_snapshot_is_not_the_live_vector(self, val_losses):
         ds = line_dataset(n=300, noise=0.3, seed=5)
         train, val = split_sequential(ds, 0.6, 0.25)[:2]
         zero = MissingPattern.zeros(2)
         cfg = TrainConfig(learning_rate=0.3, max_iters=30, patience=30, batch_size=16, seed=3)
         res = train_nominal(train, val, zero, cfg, LINE_ARCH)
         assert res.best_iteration < res.iterations - 1
-        assert res.trace[-1].val_loss != res.val_loss
+        assert val_losses[-1] != res.val_loss
         assert mse_loss(res.params, val.X, val.y, zero) == res.val_loss
 
 
@@ -273,7 +270,8 @@ def reference_run_training_loop(train, val, params0, cfg, pick_train_pattern, pi
     """run_training_loop as it was before each epoch bound its pattern once:
     every batch hands the picked pattern to loss_and_grad, which checks it
     and allocates its own buffers, and the blocks are concatenated into the
-    gradient vector Adam reads."""
+    gradient vector Adam reads. Returns the TrainResult and every epoch's
+    validation loss."""
     if train.n == 0 or val.n == 0:
         raise SizeError("training and validation splits must be non-empty")
     theta = params0.to_vector()
@@ -283,7 +281,7 @@ def reference_run_training_loop(train, val, params0, cfg, pick_train_pattern, pi
     best_theta = theta.copy()
     best_loss = np.inf
     best_iter = -1
-    trace = []
+    losses = []
     shuffle_rng = rng_for(cfg.seed, "shuffle") if cfg.shuffle else None
 
     k = 0
@@ -295,7 +293,6 @@ def reference_run_training_loop(train, val, params0, cfg, pick_train_pattern, pi
         if shuffle_rng is not None:
             order = shuffle_rng.permutation(train.n)
             X, y = X[order], y[order]
-        batch_losses = []
         for start in range(0, train.n, cfg.batch_size):
             rows = slice(start, start + cfg.batch_size)
             loss, grads = loss_and_grad(params, X[rows], y[rows], alpha_train, cfg.weight_decay)
@@ -304,12 +301,11 @@ def reference_run_training_loop(train, val, params0, cfg, pick_train_pattern, pi
             step += 1
             g = np.concatenate([grads[name].ravel() for name in names])
             adam_step(theta, g, m, v, step, cfg.learning_rate)
-            batch_losses.append(loss)
         alpha_val = pick_val_pattern(params)
         val_loss = mse_loss(params, val.X, val.y, alpha_val)
         if not math.isfinite(val_loss):
             raise NumericalError(f"validation loss is {val_loss} at iteration {k}")
-        trace.append(IterationRecord(k, float(np.mean(batch_losses)), val_loss))
+        losses.append(val_loss)
         if val_loss < best_loss:
             best_theta = theta.copy()
             best_loss = val_loss
@@ -321,10 +317,9 @@ def reference_run_training_loop(train, val, params0, cfg, pick_train_pattern, pi
     return TrainResult(
         params=params0.from_vector(best_theta),
         val_loss=float(best_loss),
-        trace=trace,
         iterations=k,
         best_iteration=best_iter,
-    )
+    ), losses
 
 
 def bits_of_float(x) -> bytes:
@@ -360,19 +355,19 @@ class TestLoopAgainstReference:
     @pytest.mark.parametrize("family", ["lr", "nn"])
     @pytest.mark.parametrize("shuffle", [False, True])
     @pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
-    def test_matches_the_reference_loop_bit_for_bit(self, family, shuffle, weight_decay):
+    def test_matches_the_reference_loop_bit_for_bit(self, family, shuffle, weight_decay,
+                                                    val_losses):
         train, val, params0 = self.make(family)
         assert train.n % 48  # the last batch of each epoch is short
         cfg = TrainConfig(learning_rate=0.02, max_iters=12, patience=4, batch_size=48,
                           weight_decay=weight_decay, seed=3, shuffle=shuffle)
         got = run_training_loop(train, val, params0, cfg, *self.pickers(train, 7))
-        want = reference_run_training_loop(train, val, params0, cfg, *self.pickers(train, 7))
+        want, want_losses = reference_run_training_loop(train, val, params0, cfg,
+                                                        *self.pickers(train, 7))
         assert got.params.to_vector().tobytes() == want.params.to_vector().tobytes()
         assert bits_of_float(got.val_loss) == bits_of_float(want.val_loss)
-        assert [(r.iteration, bits_of_float(r.train_loss), bits_of_float(r.val_loss))
-                for r in got.trace] == \
-            [(r.iteration, bits_of_float(r.train_loss), bits_of_float(r.val_loss))
-             for r in want.trace]
+        assert [bits_of_float(loss) for loss in val_losses] == \
+            [bits_of_float(loss) for loss in want_losses]
         assert (got.iterations, got.best_iteration) == (want.iterations, want.best_iteration)
         assert got.iterations > 1
 
