@@ -27,7 +27,7 @@ from ._util import rng_for
 from .dataio import Dataset
 from .exceptions import DomainError, SizeError
 from .missingness import MissingPattern
-from .models import LR, ModelParams, _mask_columns, _nn_forward
+from .models import LR, ModelParams, _nn_forward
 from .training import TrainConfig, TrainResult, run_training_loop
 
 
@@ -135,7 +135,7 @@ class SplitScorer:
             stack = check(stack)
             v = w
             if adaptive:
-                a = _mask_columns(stack, arch.maskable)
+                a = stack.take(arch.maskable_cols, axis=1).astype(np.float64)
                 v = w + _row_sums(a[:, None, :] * params.arrays["D"])
             v = v * (1.0 - stack)
             quad = _row_sums((v[:, :, None] * v[:, None, :] * gram).reshape(len(v), -1))

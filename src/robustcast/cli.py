@@ -7,6 +7,7 @@ error, 3 data error, 4 runtime error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -271,6 +272,8 @@ def _load_raw(cfg: RunConfig) -> RawSeries:
         return load_csv(cfg.csv_path)
     except FileNotFoundError:
         raise ConfigError(f"data file not found: {cfg.csv_path}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read data file {cfg.csv_path}: {exc.strerror}") from None
 
 
 def _horizon_data(cfg: RunConfig, raw: RawSeries) -> dict[int, HorizonData]:
@@ -543,11 +546,23 @@ def _grid_row_problem(row: GridRow, keys: set[tuple]) -> str | None:
     return None
 
 
+def _first_missing_key(rows: list[GridRow], keys: set[tuple]) -> tuple | None:
+    """The first (method, h, p01, p11, run) of the grid the rows span that
+    keys lacks, or None. evaluate writes runs 0..R-1 of every cell of the
+    product of its methods, horizons and probabilities, so the span is every
+    value the rows name (in order of first appearance) and runs up to the
+    largest."""
+    axes = [list(dict.fromkeys(row[i] for row in rows)) for i in range(4)]
+    runs = range(max(row.run for row in rows) + 1)
+    return next((key for key in itertools.product(*axes, runs) if key not in keys), None)
+
+
 def cmd_report(cfg: RunConfig) -> int:
     """Recompute summary.csv from the rows of an existing grid.csv, as
     evaluate summarised them, and print it. DataError, naming the line, for
     a grid.csv evaluate could not have written: another header, no rows, or
-    a row that does not parse or that _grid_row_problem refuses."""
+    a row that does not parse or that _grid_row_problem refuses; naming the
+    first missing key (_first_missing_key) for an incomplete grid."""
     grid_path = Path(cfg.out_dir) / "grid.csv"
     if not grid_path.exists():
         raise DataError(f"no grid.csv in {cfg.out_dir}; run the evaluate subcommand first")
@@ -570,6 +585,10 @@ def cmd_report(cfg: RunConfig) -> int:
             raise DataError(f"{grid_path} line {lineno}: {problem} in grid row {line!r}")
         keys.add(row[:5])
         rows.append(row)
+    missing = _first_missing_key(rows, keys)
+    if missing:
+        raise DataError(f"{grid_path} has no row for (method, h, p01, p11, run) = "
+                        f"{','.join(map(str, missing))} of the grid its rows span")
     out = summary_csv(rows)
     (Path(cfg.out_dir) / "summary.csv").write_text(out, encoding="utf-8")
     print(out, end="")

@@ -229,7 +229,10 @@ class RetrainOracle:
 
     def predict_rows(self, X: np.ndarray, patterns: np.ndarray) -> np.ndarray:
         """Predict each row of X with the model of its pattern (one row of the
-        (n, p) bit matrix); rows sharing a pattern run one forward pass."""
+        (n, p) bit matrix, which passes the pattern gate for the oracle's
+        layout); rows sharing a pattern run one forward pass."""
+        arch = self.arch
+        patterns = MissingPattern.bits_of(patterns, arch.input_dim, arch.maskable, ndim=2)
         uniq, keys = np.unique(patterns, axis=0, return_inverse=True)
 
         def group(key, rows):

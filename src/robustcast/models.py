@@ -56,7 +56,9 @@ class Architecture:
     family, one or more for a network), which input feature is the constant
     bias (kept out of weight decay for the linear family; None when there is
     none) and the maskable features, ascending: column j of every adaptive
-    block belongs to maskable[j].
+    block belongs to maskable[j]. maskable_cols, derived once, holds the
+    maskable set as a read-only index array: bits.take(maskable_cols,
+    axis=-1) is a pattern (or one per row) on the maskable columns.
 
     ConfigError for a layout no model has; DomainError (from
     maskable_indices) for a maskable index out of range or repeated, and
@@ -91,8 +93,10 @@ class Architecture:
         maskable = maskable_indices(given, p)
         if maskable != given:
             raise DomainError(f"maskable indices {list(given)} are not in ascending order")
+        cols = np.array(maskable, dtype=np.intp)
+        cols.setflags(write=False)
         for name, value in (("input_dim", p), ("hidden", hidden), ("bias_index", bias),
-                            ("maskable", maskable)):
+                            ("maskable", maskable), ("maskable_cols", cols)):
             object.__setattr__(self, name, value)
 
 
@@ -175,26 +179,37 @@ def init_params(arch: Architecture, seed: int) -> ModelParams:
     return ModelParams(arch, arrays)
 
 
-def _mask_columns(bits: np.ndarray, maskable: tuple[int, ...]) -> np.ndarray:
-    """Restrict bits to the maskable coordinates, as float (n, |P|) or (|P|,)."""
-    cols = list(maskable)
-    return bits[..., cols].astype(np.float64)
-
-
 def predict(params: ModelParams, X: np.ndarray, alpha) -> np.ndarray:
     """Batched prediction. alpha may be a single pattern shared by every row
-    or an (n, p) bit matrix with one pattern per row."""
+    or an (n, p) bit matrix with one pattern per row; it passes the pattern
+    gate, MissingPattern.bits_of, before _predict_bits runs."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     arch = params.arch
     bits = MissingPattern.bits_of(alpha, arch.input_dim, arch.maskable)
-    per_row = bits.ndim == 2
-    if per_row and bits.shape[0] != X.shape[0]:
+    if bits.ndim == 2 and bits.shape[0] != X.shape[0]:
         raise DomainError("per-row pattern count does not match batch size")
-    xm = X * (1.0 - bits.astype(np.float64))
+    return _predict_bits(params, X, bits)
+
+
+def _predict_bits(params: ModelParams, X: np.ndarray, bits: np.ndarray):
+    """The forecasts of float64 X at pattern bits that have passed the gate:
+    one (p,) row at one (p,) pattern gives a scalar, an (n, p) batch gives n
+    of them, at one (p,) pattern or at an (n, p) matrix with one pattern per
+    row.
+
+    Every prediction runs this one kernel. It zeroes the missing slots by
+    selection, so a slot the pattern marks missing is never read and may
+    hold NaN: each float's bits are ANDed with bits - 1, all ones where the
+    feature is present and 0 (+0.0) where it is missing. np.where selects
+    the same values but branches per element, which is slower on batches
+    of mixed patterns; multiplying by 0 would turn NaN into NaN."""
+    arch = params.arch
+    per_row = bits.ndim == 2
+    xm = (X.view(np.int64) & np.subtract(bits, 1, dtype=np.int64)).view(np.float64)
     if arch.family == LR:
         preds = xm @ params.arrays["w"]
         if arch.adaptive and arch.maskable:
-            a = _mask_columns(bits, arch.maskable)
+            a = bits.take(arch.maskable_cols, axis=-1).astype(np.float64)
             d = params.arrays["D"]
             if per_row:
                 preds = preds + np.einsum("ij,ij->i", xm, a @ d.T)
@@ -211,7 +226,8 @@ def _nn_forward(
     per_row: bool,
     layers: list[np.ndarray] | None = None,
 ):
-    """Forward pass over the masked inputs xm; returns (predictions, gs, a).
+    """Forward pass over the masked inputs xm, an (n, p) batch or one (p,)
+    row; returns (predictions, gs, a).
 
     gs[m] is the input of hidden layer m and gs[-1] the output of the last
     one, which is all backprop needs: a ReLU unit is active exactly where its
@@ -224,7 +240,7 @@ def _nn_forward(
     """
     arch = params.arch
     adaptive = arch.adaptive and bool(arch.maskable)
-    a = _mask_columns(bits, arch.maskable) if adaptive else None
+    a = bits.take(arch.maskable_cols, axis=-1).astype(np.float64) if adaptive else None
     gs = [xm]
     for m in range(len(arch.hidden)):
         g, w = gs[-1], params.arrays[f"W{m}"]
@@ -235,7 +251,7 @@ def _nn_forward(
             if per_row:
                 z += np.einsum("ij,ij->i", g, a @ d.T)[:, None]
             else:
-                z += (g @ (d @ a))[:, None]
+                z += (g @ (d @ a))[..., None]
         if m:
             np.maximum(z, 0.0, out=z)
         gs.append(z)
@@ -294,7 +310,8 @@ def bind_pattern(params: ModelParams, alpha) -> BoundPattern:
     only maskable features) and expanded for loss_and_grad."""
     arch = params.arch
     bits = MissingPattern.bits_of(alpha, arch.input_dim, arch.maskable, ndim=1)
-    a = _mask_columns(bits, arch.maskable) if arch.adaptive and arch.maskable else None
+    adaptive = arch.adaptive and bool(arch.maskable)
+    a = bits.take(arch.maskable_cols).astype(np.float64) if adaptive else None
     return BoundPattern(arch, bits, 1.0 - bits.astype(np.float64), a)
 
 

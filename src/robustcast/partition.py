@@ -37,7 +37,7 @@ from .adversarial import (
 from .dataio import Dataset, maskable_indices
 from .exceptions import ConfigError, DomainError, ParseError
 from .missingness import MissingPattern
-from .models import Architecture, ModelParams, params_from_json, params_to_json, predict
+from .models import Architecture, ModelParams, _predict_bits, params_from_json, params_to_json
 from .training import TrainConfig, train_nominal
 
 RELGAP_FLOOR = 1e-12
@@ -125,9 +125,11 @@ class Partition:
     Construction derives `subsets`, subsets[i] being subset Ui, whose
     inherited bounds and parameter sets are its leaf's own objects, and the
     routing table, one entry per subset: (split feature, available child,
-    missing child), or None for a leaf. It raises DomainError for a split
-    whose leaf is no unsplit subset created before it, whose feature is not
-    free in that leaf, or whose leaf has no budget room left."""
+    missing child), or None for a leaf. It raises DomainError for a model
+    of another width or maskable set than the uncertainty set's
+    (_check_layouts), and for a split whose leaf is no unsplit subset
+    created before it, whose feature is not free in that leaf, or whose leaf
+    has no budget room left."""
 
     uncertainty: UncertaintySet
     config: PartitionConfig
@@ -137,6 +139,8 @@ class Partition:
 
     def __post_init__(self):
         uset = self.uncertainty
+        split_fits = [f for s in self.splits for f in (s.opt, s.adv) if f is not None]
+        _check_layouts(uset, [self.opt, self.adv, *split_fits])
         subsets = [UncertaintySubset(MissingPattern.zeros(uset.n_features), uset.maskable,
                                      self.opt.params, self.adv.params, self.opt.loss,
                                      self.adv.loss)]
@@ -184,10 +188,24 @@ class Partition:
 class FixedPartition:
     """Equality-count partition: subsets[l] is the fit trained for exactly l
     missing features, l = 0..budget, so a file stores position l as the
-    subset's count."""
+    subset's count. DomainError for a model of another width or maskable
+    set than the uncertainty set's (_check_layouts)."""
 
     uncertainty: UncertaintySet
     subsets: list[Fit]
+
+    def __post_init__(self):
+        _check_layouts(self.uncertainty, self.subsets)
+
+
+def _check_layouts(uset: UncertaintySet, fits: list[Fit]) -> None:
+    """DomainError unless every fit's model has uset's width and maskable
+    set, so that a pattern through uset's gate is through every model's."""
+    for arch in (fit.params.arch for fit in fits):
+        if (arch.input_dim, arch.maskable) != (uset.n_features, uset.maskable):
+            raise DomainError(f"a model of {arch.input_dim} inputs, maskable "
+                              f"{list(arch.maskable)}, in a partition of {uset.n_features} "
+                              f"features, maskable {list(uset.maskable)}")
 
 
 def _leaf_of(partition: Partition, bits: np.ndarray) -> int:
@@ -220,31 +238,48 @@ def locate_rows(partition: Partition, bits: np.ndarray) -> np.ndarray:
 
 
 def predict_deployed(partition: Partition, x: np.ndarray, pattern) -> float:
-    """Route the pattern (a MissingPattern or one bit vector, of any missing
-    count: deployment never clamps to the budget) to its leaf, then use the
-    optimistic parameters when the pattern equals the leaf's optimistic
-    pattern exactly, otherwise the adversarial parameters."""
-    bits = _pattern_bits(partition.uncertainty, pattern, ndim=1)
+    """The forecast of one row x at its pattern.
+
+    The pattern (a MissingPattern or one bit vector, of any missing count:
+    deployment never clamps to the budget) passes the uncertainty set's gate
+    once and is routed to its leaf, which uses its optimistic parameters when
+    the pattern equals its optimistic pattern exactly, otherwise its
+    adversarial ones. x must be one vector of n_features numbers, or
+    DomainError; the slots the pattern marks missing are never read, so
+    they may hold NaN. The forecast agrees with predict_deployed_rows to
+    rounding (about 1e-16 relative), not bit for bit."""
+    uset = partition.uncertainty
+    bits = _pattern_bits(uset, pattern, ndim=1)
+    try:
+        x = np.asarray(x, dtype=np.float64)
+    except (TypeError, ValueError):
+        x = None
+    if x is None or x.shape != bits.shape:
+        raise DomainError(f"a deployed row must be one vector of {uset.n_features} numbers")
     subset = partition.subsets[_leaf_of(partition, bits)]
     use_opt = bits.tobytes() == subset.opt_pattern.key()
-    params = subset.params_opt if use_opt else subset.params_adv
-    return float(predict(params, np.asarray(x, dtype=np.float64)[None, :], bits)[0])
+    return float(_predict_bits(subset.params_opt if use_opt else subset.params_adv, x, bits))
 
 
 def predict_grouped(X: np.ndarray, keys: np.ndarray, group) -> np.ndarray:
     """Predict every row of X with the model its integer key selects.
 
     Rows sharing a key run one vectorized forward pass over their rows in
-    ascending order; group(key, rows) returns the (params, alpha) pair that
-    pass uses.
+    ascending order; group(key, rows) returns the params that pass uses and
+    the pattern bits (one for every row, or one per row) that it runs at.
+    Those bits must have passed the pattern gate for the params' layout
+    (MissingPattern.bits_of), which this does not repeat. DomainError
+    unless keys holds one key per row of X.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    if len(keys) != X.shape[0]:
+        raise DomainError(f"{len(keys)} patterns for {X.shape[0]} rows")
     preds = np.empty(X.shape[0])
     order = np.argsort(keys, kind="stable")
     uniq, starts = np.unique(keys[order], return_index=True)
     for key, rows in zip(uniq.tolist(), np.split(order, starts[1:])):
-        params, alpha = group(key, rows)
-        preds[rows] = predict(params, X[rows], alpha)
+        params, bits = group(key, rows)
+        preds[rows] = _predict_bits(params, X[rows], bits)
     return preds
 
 

@@ -245,8 +245,9 @@ class TestRunConfig:
         (lambda c: c.update(target_plant=9), "target_plant 9 out of range"),
         (lambda c: c["partition"].update(budget=99), "partition.budget 99 exceeds"),
         (lambda c: c.update(data={"csv": "no-such-series.csv"}), "data file not found"),
+        (lambda c: c.update(data={"csv": "."}), "cannot read data file .: Is a directory"),
     ], ids=["horizon 0", "max_lag -1", "budget -1", "target_plant -1", "target_plant 9",
-            "budget 99", "missing data.csv"])
+            "budget 99", "missing data.csv", "data.csv a directory"])
     def test_value_out_of_range_for_the_run_or_its_data_exits_2(self, tmp_path, capsys, edit,
                                                                  match):
         out = tmp_path / "out"
@@ -626,6 +627,9 @@ class TestEvaluate:
         assert (out / "grid.csv").read_text() != first
 
 
+HEADER = "method,h,p01,p11,run,nrmse"
+
+
 class TestReport:
     # probabilities written as JSON integers print as the floats they are,
     # in grid.csv and summary.csv alike
@@ -653,7 +657,7 @@ class TestReport:
         ("imp-mean,1,0.2,0.5,0", "line 3: malformed grid row 'imp-mean,1,0.2,0.5,0'", None),
         ("imp-mean,1,0.2,0.5,0.5,17.0",
          "line 3: malformed grid row 'imp-mean,1,0.2,0.5,0.5,17.0'", None),
-        (None, "line 2: no grid row", ["method,h,p01,p11,run,nrmse"]),
+        (None, "line 2: no grid row", [HEADER]),
         (None, "line 1: header 'a,b,c,d,e,f'", ["a,b,c,d,e,f", "imp-mean,1,0.2,0.5,1,16.0"]),
         ("imp-mean,1,0.2,0.5,0,nan", "line 3: an nrmse that is not a finite number", None),
         ("imp-mean,1,0.2,0.5,0,inf", "line 3: an nrmse that is not a finite number", None),
@@ -663,14 +667,19 @@ class TestReport:
         ("imp-mean,1,0.2,0.5,-1,16.0", "line 3: a negative run", None),
         ("bogus,1,0.2,0.5,0,16.0", "line 3: an unknown method", None),
         ("imp-mean,1,0.2,0.5,1,17.0", "line 3: a repeated (method, h, p01, p11, run)", None),
+        (None, "has no row for (method, h, p01, p11, run) = imp-mean,1,0.2,0.5,2",
+         [HEADER, *(f"imp-mean,1,0.2,0.5,{run},16.0" for run in (0, 1, 5)),
+          "imp-mean,1,0.2,0.9,0,16.0"]),
+        (None, "has no row for (method, h, p01, p11, run) = imp-mean,1,0.2,0.9,0",
+         [HEADER, "imp-mean,1,0.2,0.5,0,16.0", "imp-mean,1,0.05,0.9,0,16.0"]),
     ], ids=["a short row", "a run that is no integer", "no rows", "another header",
             "nrmse nan", "nrmse inf", "nrmse negative", "p01 above 1", "horizon -3", "run -1",
-            "unknown method", "repeated run"])
+            "unknown method", "repeated run", "runs 0, 1 and 5 of a cell", "a cell missing"])
     def test_malformed_grid_row_exits_3(self, tmp_path, capsys, row, match, lines):
         out = tmp_path / "out"
         out.mkdir()
         grid = out / "grid.csv"
-        lines = lines or ["method,h,p01,p11,run,nrmse", "imp-mean,1,0.2,0.5,1,16.0", row]
+        lines = lines or [HEADER, "imp-mean,1,0.2,0.5,1,16.0", row]
         grid.write_text("\n".join(lines) + "\n", encoding="utf-8")
         path = write_config(tmp_path, base_config(out))
         capsys.readouterr()

@@ -11,7 +11,6 @@ from robustcast.models import (
     Architecture,
     StepBuffers,
     _decayed_mask,
-    _mask_columns,
     _nn_forward,
     bind_pattern,
     init_params,
@@ -373,7 +372,7 @@ def reference_loss_and_grad(params, X, y, alpha, weight_decay=0.0):
     if arch.family == "lr":
         w = params.arrays["w"]
         adaptive = arch.adaptive and bool(arch.maskable)
-        a = _mask_columns(bits, arch.maskable) if adaptive else None
+        a = bits[list(arch.maskable)].astype(np.float64) if adaptive else None
         w_eff = w + params.arrays["D"] @ a if adaptive else w
         preds = xm @ w_eff
         resid = preds - y

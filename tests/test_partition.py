@@ -264,6 +264,10 @@ class TestPredictDeployed:
             assert batched[i] == pytest.approx(predict_deployed(part, X[i], patterns[i]))
         with pytest.raises(DomainError):
             predict_deployed_rows(part, X, patterns[:, :2])
+        # one pattern per row of X, no more and no fewer
+        for rows in (X[:5], np.vstack([X, X[:1]])):
+            with pytest.raises(DomainError, match="patterns for"):
+                predict_deployed_rows(part, rows, patterns)
 
     def test_raw_bits_outside_zero_one_rejected(self):
         part = manual_partition()
@@ -273,6 +277,40 @@ class TestPredictDeployed:
             predict_deployed(part, x, bad)
         with pytest.raises(DomainError):
             predict_deployed_rows(part, x[None, :], bad[None, :])
+
+    @pytest.mark.parametrize("row", [[1.0, 1.0], [1.0] * 4, [[1.0] * 3], [[1.0] * 3] * 2, 1.0,
+                                     ["a", "b", "c"], [[1.0], 1.0, 1.0]])
+    def test_malformed_row_rejected(self, row):
+        # one vector of n_features numbers only: not another width, a (1, p)
+        # or (2, p) batch, a scalar, text or a ragged list
+        with pytest.raises(DomainError, match="one vector of 3 numbers"):
+            predict_deployed(manual_partition(), row, MissingPattern.zeros(3))
+
+    @pytest.mark.parametrize("family, adaptive",
+                             [("lr", False), ("lr", True), ("nn", False), ("nn", True)])
+    def test_nan_in_a_masked_slot_forecasts_as_zero(self, family, adaptive):
+        # a lost measurement may stay NaN: the slots its pattern marks
+        # missing are never read, in one row or in a batch
+        arch = Architecture(family, adaptive, 4, (5, 3) if family == "nn" else (), 3, (0, 1, 2))
+        rng = np.random.default_rng(7)
+
+        def fit(loss):
+            params = init_params(arch, 0)
+            return Fit(params.from_vector(rng.normal(size=params.to_vector().size)), loss)
+
+        uset = UncertaintySet(n_features=4, maskable=(0, 1, 2), budget=3)
+        part = Partition(uset, PartitionConfig(max_subsets=3), fit(0.1), fit(0.2),
+                         [Split(0, 0, fit(0.1), fit(0.2)), Split(2, 1, fit(0.1), None)])
+        patterns = np.array([[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 1, 0], [1, 1, 0, 0],
+                             [1, 1, 1, 0], [0, 0, 1, 0]], dtype=np.uint8)
+        X = rng.uniform(-1.0, 1.0, (len(patterns), 4))
+        X[:, 3] = 1.0
+        zeroed, lost = np.where(patterns, 0.0, X), np.where(patterns, np.nan, X)
+        want = predict_deployed_rows(part, zeroed, patterns)
+        assert np.isfinite(want).all()
+        assert predict_deployed_rows(part, lost, patterns).tolist() == want.tolist()
+        for i, bits in enumerate(patterns):
+            assert predict_deployed(part, lost[i], bits) == predict_deployed(part, zeroed[i], bits)
 
 
 class TestFixedPartition:
@@ -435,6 +473,19 @@ class TestValidation:
         # (0, 0) would enumerate every pattern over feature 0 twice
         with pytest.raises(DomainError, match="repeat"):
             UncertaintySet(n_features=3, maskable=(0, 0), budget=2)
+
+    @pytest.mark.parametrize("arch", [Architecture("lr", False, 4, maskable=(0, 1, 2)),
+                                      Architecture("lr", False, 3, maskable=(0, 1))],
+                             ids=["another width", "another maskable set"])
+    def test_partition_of_models_over_another_set(self, arch):
+        # the uncertainty set's pattern gate is every model's gate
+        part = manual_partition()
+        other = Fit(init_params(arch, 0), 0.3)
+        for edit in ({"adv": other}, {"splits": [Split(0, 0, other, None)]}):
+            with pytest.raises(DomainError, match="in a partition of 3 features"):
+                replace(part, **edit)
+        with pytest.raises(DomainError, match="in a partition of 3 features"):
+            FixedPartition(part.uncertainty, [part.opt, other, part.opt, part.opt])
 
 
 def _swap(subsets, a, b):

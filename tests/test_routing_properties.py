@@ -36,9 +36,18 @@ def usets(draw) -> UncertaintySet:
     return UncertaintySet(n_features=p, maskable=tuple(maskable), budget=budget)
 
 
-def random_params(uset: UncertaintySet, rng: np.random.Generator) -> ModelParams:
-    arch = Architecture("lr", True, uset.n_features, bias_index=uset.n_features - 1,
-                        maskable=uset.maskable)
+@st.composite
+def architectures(draw, uset: UncertaintySet) -> Architecture:
+    """A model layout over uset of either family, adaptive or plain; a
+    network has one to three hidden layers."""
+    family = draw(st.sampled_from(["lr", "nn"]))
+    widths = st.lists(st.integers(1, 6), min_size=1, max_size=3)
+    hidden = tuple(draw(widths)) if family == "nn" else ()
+    return Architecture(family, draw(st.booleans()), uset.n_features, hidden,
+                        uset.n_features - 1, uset.maskable)
+
+
+def random_params(arch: Architecture, rng: np.random.Generator) -> ModelParams:
     params = init_params(arch, 0)
     return params.from_vector(rng.normal(size=params.to_vector().size))
 
@@ -50,12 +59,14 @@ def partitions(draw) -> Partition:
     room and one of its free features, and adds subset 2k - 1, which keeps
     that feature available, and 2k, which marks it missing. Each split trains
     the missing child's optimistic fit and, or not, the available child's
-    adversarial one."""
+    adversarial one. Every model has one layout, of either family, adaptive
+    or plain."""
     uset = draw(usets())
+    arch = draw(architectures(uset))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
     def fit(loss):
-        return Fit(random_params(uset, rng), loss)
+        return Fit(random_params(arch, rng), loss)
 
     part = Partition(uset, PartitionConfig(), fit(1.0), fit(2.0))
     for _ in range(draw(st.integers(0, 6))):
