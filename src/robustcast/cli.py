@@ -446,20 +446,8 @@ def _load_checked(path: Path, method: str, cfg: RunConfig, hd: HorizonData, q: i
         raise ConfigError(
             f"artifact {path} holds a {type(artifact).__name__}, its method needs a {kind.__name__}"
         )
-    width = artifact.arch.input_dim if kind is ModelParams else artifact.uncertainty.n_features
-    if width != arch.input_dim:
-        raise ConfigError(f"artifact {path} was trained for p={width}, data has p={arch.input_dim}")
-    for got in (params.arch for params in param_sets(artifact)):
-        if got.family != arch.family:
-            raise ConfigError(
-                f"artifact {path} holds a {got.family!r} model, the run config's family is "
-                f"{arch.family!r}"
-            )
-        if got.adaptive != arch.adaptive:
-            raise ConfigError(
-                f"artifact {path} holds a model with adaptive={got.adaptive}, {method} needs "
-                f"adaptive={arch.adaptive}"
-            )
+    # each distinct layout once, in first-use order, so the message is deterministic
+    for got in dict.fromkeys(params.arch for params in param_sets(artifact)):
         _refuse_other(path, "a model of another layout", got, arch)
     if kind is not ModelParams:
         _refuse_other(path, "another uncertainty set", artifact.uncertainty, _uset_for(cfg, hd))

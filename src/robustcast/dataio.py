@@ -305,10 +305,16 @@ def gen_synthetic(cfg: SynthConfig) -> RawSeries:
 def lagged_values(values: np.ndarray, obs: np.ndarray, max_lag: int) -> np.ndarray:
     """The measurement columns of the rows observing periods `obs`: column
     plant * (max_lag + 1) + lag holds values[obs - lag, plant] (plant-major,
-    lag-minor), as an (n, S * (max_lag + 1)) C-ordered matrix."""
-    lags = np.arange(max_lag + 1)
-    gathered = values[obs[:, None] - lags]  # (n, lags, plants)
-    return gathered.transpose(0, 2, 1).reshape(len(obs), -1)
+    lag-minor), as an (n, S * (max_lag + 1)) C-ordered matrix of values'
+    dtype. One gather per column: a broadcast (n, lags, plants) gather and
+    its transpose took about twice as long."""
+    periods = [obs - lag for lag in range(max_lag + 1)]
+    out = np.empty((len(obs), values.shape[1] * len(periods)), dtype=values.dtype)
+    for plant in range(values.shape[1]):
+        series = values[:, plant]
+        for lag, rows in enumerate(periods):
+            out[:, plant * len(periods) + lag] = series[rows]
+    return out
 
 
 def build_supervised(

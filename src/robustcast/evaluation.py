@@ -9,6 +9,7 @@ the same rows `robustcast report` reads back from grid.csv.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -22,7 +23,6 @@ from .exceptions import CapacityError, ConfigError, DomainError, SizeError
 from .missingness import (
     MissingnessConfig,
     MissingPattern,
-    ObsMaskSeries,
     column_means,
     expand_obs_mask,
     impute_mean,
@@ -296,32 +296,31 @@ def predict_method(
     return predict(artifact, hd.filled_test_X(filled), zero)
 
 
-def _cell_mask(spec: GridSpec, raw: RawSeries, i01: int, i11: int, run: int) -> ObsMaskSeries:
-    """The mask of one (cell, run), seeded by the base seed and the indices."""
-    cfg = MissingnessConfig(
-        p01=spec.p01_list[i01],
-        p11=spec.p11_list[i11],
-        seed=derive_seed(spec.base_seed, "grid", i01, i11, run),
-    )
-    return simulate_markov(cfg, raw.n_periods, raw.n_plants)
+def _mask_config(spec: GridSpec, i01: int, i11: int, run: int) -> MissingnessConfig:
+    """The missingness of one (cell, run), seeded by the base seed and the indices."""
+    return MissingnessConfig(p01=spec.p01_list[i01], p11=spec.p11_list[i11],
+                             seed=derive_seed(spec.base_seed, "grid", i01, i11, run))
 
 
-def _evaluate_cell(args) -> list[GridRow]:
-    spec, hds, artifacts, i01, i11, run = args
+def _score_mask(args) -> list[float]:
+    """The test nrmse of each (method, h, artifact) entry on one simulated
+    mask. The mask is simulated once, filled by persistence only when an
+    entry is imp-persistence, and expanded once per horizon; every horizon's
+    data come from one raw series."""
+    cfg, hds, entries = args
     raw = next(iter(hds.values())).raw
-    mask = _cell_mask(spec, raw, i01, i11, run)
+    mask = simulate_markov(cfg, raw.n_periods, raw.n_plants)
     filled = None
-    if METHOD_IMP_PERSISTENCE in spec.methods:
+    if any(method == METHOD_IMP_PERSISTENCE for method, _, _ in entries):
         filled = impute_persistence(raw.values, mask)
-    rows = []
-    for h in spec.horizons:
+    patterns: dict[int, np.ndarray] = {}
+    scores = []
+    for method, h, artifact in entries:
         hd = hds[h]
-        test_patterns = expand_obs_mask(mask, hd.test)
-        for method in spec.methods:
-            preds = predict_method(method, artifacts[(method, h)], hd, test_patterns, filled)
-            rows.append(GridRow(method, h, spec.p01_list[i01], spec.p11_list[i11], run,
-                                nrmse(preds, hd.test.y)))
-    return rows
+        if h not in patterns:
+            patterns[h] = expand_obs_mask(mask, hd.test)
+        scores.append(nrmse(predict_method(method, artifact, hd, patterns[h], filled), hd.test.y))
+    return scores
 
 
 def run_grid(
@@ -333,28 +332,30 @@ def run_grid(
     """The grid.csv rows of every (cell, run, horizon, method) combination,
     ordered by method, horizon, p01, p11 and run, each in spec order.
 
-    One mask is simulated per (cell, run) from a seed derived from the base
-    seed and the cell/run indices, then shared by all horizons and methods;
-    so is its persistence-filled series, since every horizon's data must come
-    from one raw series. Rows are sorted by their keys, so parallel execution
-    (jobs > 1) returns the same rows as sequential.
+    Each (cell, run) simulates one mask, seeded by the base seed and the
+    cell/run indices, that every horizon and method shares (_score_mask).
+    Rows are sorted by their keys, so parallel execution (jobs > 1) returns
+    the same rows as sequential.
     """
+    entries = []
     for h in spec.horizons:
         if h not in hds:
             raise ConfigError(f"no data prepared for horizon {h}")
         for method in spec.methods:
             if (method, h) not in artifacts:
                 raise ConfigError(f"missing artifact for method {method!r} at horizon {h}")
+            entries.append((method, h, artifacts[(method, h)]))
     raw = next(iter(hds.values())).raw
     if any(hd.raw is not raw for hd in hds.values()):
         raise ConfigError("every horizon's data must come from one raw series")
-    tasks = [
-        (spec, hds, artifacts, i01, i11, run)
-        for i01 in range(len(spec.p01_list))
-        for i11 in range(len(spec.p11_list))
-        for run in range(spec.runs)
+    cells = list(itertools.product(range(len(spec.p01_list)), range(len(spec.p11_list)),
+                                   range(spec.runs)))
+    tasks = [(_mask_config(spec, *cell), hds, entries) for cell in cells]
+    rows = [
+        GridRow(method, h, spec.p01_list[i01], spec.p11_list[i11], run, score)
+        for (i01, i11, run), scores in zip(cells, map_jobs(_score_mask, tasks, jobs))
+        for (method, h, _), score in zip(entries, scores)
     ]
-    rows = [row for cell in map_jobs(_evaluate_cell, tasks, jobs) for row in cell]
     rows.sort(key=lambda r: (spec.methods.index(r.method), spec.horizons.index(r.h),
                              spec.p01_list.index(r.p01), spec.p11_list.index(r.p11), r.run))
     return rows
@@ -365,17 +366,6 @@ class QSweepRow:
     n_subsets: int
     mean_nrmse: float
     max_relgap: float
-
-
-def _sweep_run(args) -> list[float]:
-    """Test nrmse of each partition on one run's mask."""
-    spec, hd, partitions, run = args
-    test_patterns = expand_obs_mask(_cell_mask(spec, hd.raw, 0, 0, run), hd.test)
-    method = spec.methods[0]
-    return [
-        nrmse(predict_method(method, part, hd, test_patterns, None), hd.test.y)
-        for part in partitions
-    ]
 
 
 def q_sweep(
@@ -406,8 +396,10 @@ def q_sweep(
     if method not in METHODS or METHODS[method].artifact is not Partition:
         raise ConfigError(f"q_sweep needs a learned-partition method, got {method!r}")
     qs = sorted(partitions)
-    tasks = [(spec, hds[horizon], [partitions[q] for q in qs], run) for run in range(runs)]
-    per_run = map_jobs(_sweep_run, tasks, jobs)
+    entries = [(method, horizon, partitions[q]) for q in qs]
+    tasks = [(_mask_config(spec, 0, 0, run), {horizon: hds[horizon]}, entries)
+             for run in range(runs)]
+    per_run = map_jobs(_score_mask, tasks, jobs)
     return [
         QSweepRow(
             n_subsets=q,

@@ -8,7 +8,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._util import derive_seed
-from .dataio import Dataset, maskable_indices
+from .dataio import Dataset, lagged_values, maskable_indices
 from .exceptions import ConfigError, DomainError
 
 __all__ = [
@@ -167,20 +167,18 @@ def expand_obs_mask(mask: ObsMaskSeries, ds: Dataset) -> np.ndarray:
     """Translate plant-level missingness into per-row feature patterns,
     returned as an (n, p) uint8 bit matrix with one pattern per row.
 
-    The feature (plant s, lag k) of a row at period t is missing iff the
-    plant-s measurement was missing at period t - k. Weather and bias are
-    never missing.
+    The measurement columns are the mask's lagged values (dataio's column
+    layout): the feature (plant s, lag k) of a row at period t is missing
+    iff the plant-s measurement was missing at period t - k. Weather and
+    bias are never missing.
     """
-    t_periods, s_plants = mask.mask.shape
     obs = ds.obs_periods
-    if obs.size and (obs.min() - ds.max_lag < 0 or obs.max() >= t_periods):
+    # a negative period would wrap to the end of the mask silently
+    if obs.size and (obs.min() - ds.max_lag < 0 or obs.max() >= mask.mask.shape[0]):
         raise DomainError("observation period out of the mask's range")
+    lagged = lagged_values(mask.mask, obs, ds.max_lag)
     bits = np.zeros((ds.n, ds.p), dtype=np.uint8)
-    col = 0
-    for plant in range(s_plants):
-        for lag in range(ds.max_lag + 1):
-            bits[:, col] = mask.mask[obs - lag, plant]
-            col += 1
+    bits[:, : lagged.shape[1]] = lagged
     return bits
 
 

@@ -182,13 +182,26 @@ def init_params(arch: Architecture, seed: int) -> ModelParams:
 def predict(params: ModelParams, X: np.ndarray, alpha) -> np.ndarray:
     """Batched prediction. alpha may be a single pattern shared by every row
     or an (n, p) bit matrix with one pattern per row; it passes the pattern
-    gate, MissingPattern.bits_of, before _predict_bits runs."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    gate, MissingPattern.bits_of, and X the batch check, _batch, before
+    _predict_bits runs."""
     arch = params.arch
+    X = _batch(X, arch.input_dim)
     bits = MissingPattern.bits_of(alpha, arch.input_dim, arch.maskable)
     if bits.ndim == 2 and bits.shape[0] != X.shape[0]:
         raise DomainError("per-row pattern count does not match batch size")
     return _predict_bits(params, X, bits)
+
+
+def _batch(X, width: int | None) -> np.ndarray:
+    """X as a float64 batch, one vector being one row; DomainError unless
+    it holds rows of `width` numbers (of any one width when None)."""
+    try:
+        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    except (TypeError, ValueError):  # text, or rows of unequal length
+        X = None
+    if X is None or X.ndim != 2 or width not in (None, X.shape[1]):
+        raise DomainError(f"X must hold rows of {width or 'equally many'} numbers")
+    return X
 
 
 def _predict_bits(params: ModelParams, X: np.ndarray, bits: np.ndarray):

@@ -37,7 +37,9 @@ from .adversarial import (
 from .dataio import Dataset, maskable_indices
 from .exceptions import ConfigError, DomainError, ParseError
 from .missingness import MissingPattern
-from .models import Architecture, ModelParams, _predict_bits, params_from_json, params_to_json
+from .models import (
+    Architecture, ModelParams, _batch, _predict_bits, params_from_json, params_to_json,
+)
 from .training import TrainConfig, train_nominal
 
 RELGAP_FLOOR = 1e-12
@@ -221,9 +223,14 @@ def _pattern_bits(uset: UncertaintySet, patterns, ndim: int) -> np.ndarray:
 
 
 def locate_rows(partition: Partition, bits: np.ndarray) -> np.ndarray:
-    """The leaf subset id of every row of an (n, p) bit matrix, routing all
-    rows at once with one boolean row mask per node."""
-    bits = _pattern_bits(partition.uncertainty, bits, ndim=2)
+    """The leaf subset id of every row of an (n, p) bit matrix, which passes
+    the uncertainty set's gate first."""
+    return _walk_rows(partition, _pattern_bits(partition.uncertainty, bits, ndim=2))
+
+
+def _walk_rows(partition: Partition, bits: np.ndarray) -> np.ndarray:
+    """locate_rows on bits that have passed the gate: all rows are routed at
+    once, with one boolean row mask per node."""
     leaf = np.empty(bits.shape[0], dtype=np.int64)
     stack = [(0, np.ones(bits.shape[0], dtype=bool))]
     while stack:
@@ -269,9 +276,10 @@ def predict_grouped(X: np.ndarray, keys: np.ndarray, group) -> np.ndarray:
     the pattern bits (one for every row, or one per row) that it runs at.
     Those bits must have passed the pattern gate for the params' layout
     (MissingPattern.bits_of), which this does not repeat. DomainError
-    unless keys holds one key per row of X.
+    unless keys holds one key per row of X and X holds rows of the params'
+    input_dim numbers.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    X = _batch(X, None)
     if len(keys) != X.shape[0]:
         raise DomainError(f"{len(keys)} patterns for {X.shape[0]} rows")
     preds = np.empty(X.shape[0])
@@ -279,7 +287,7 @@ def predict_grouped(X: np.ndarray, keys: np.ndarray, group) -> np.ndarray:
     uniq, starts = np.unique(keys[order], return_index=True)
     for key, rows in zip(uniq.tolist(), np.split(order, starts[1:])):
         params, bits = group(key, rows)
-        preds[rows] = _predict_bits(params, X[rows], bits)
+        preds[rows] = _predict_bits(params, _batch(X, params.arch.input_dim)[rows], bits)
     return preds
 
 
@@ -288,7 +296,7 @@ def predict_deployed_rows(partition: Partition, X: np.ndarray, patterns: np.ndar
     row: rows are grouped by (leaf, parameter choice) so each group runs one
     vectorized forward pass."""
     bits = _pattern_bits(partition.uncertainty, patterns, ndim=2)
-    leaf = locate_rows(partition, bits)
+    leaf = _walk_rows(partition, bits)
     opt = np.array([s.opt_pattern.bits for s in partition.subsets])
     use_opt = (bits == opt[leaf]).all(axis=1)
 

@@ -22,13 +22,15 @@ from robustcast.evaluation import (
     GridSpec,
     HorizonData,
     QSweepRow,
-    _cell_mask,
+    _mask_config,
     nrmse,
     predict_method,
     q_sweep,
     run_grid,
 )
-from robustcast.missingness import MissingPattern, expand_obs_mask, impute_persistence
+from robustcast.missingness import (
+    MissingPattern, expand_obs_mask, impute_persistence, simulate_markov,
+)
 from robustcast.models import Architecture, mse_loss
 from robustcast.partition import (
     FixedPartition, Partition, PartitionConfig, UncertaintySet, learn_partition, truncate,
@@ -124,8 +126,8 @@ def cell_sq_errors(spec: GridSpec, hds: dict[int, HorizonData], artifacts: dict,
     for row in rows:
         if row[:4] != (method, h, p01, p11):
             continue
-        mask = _cell_mask(spec, hd.raw, spec.p01_list.index(p01), spec.p11_list.index(p11),
-                          row.run)
+        cfg = _mask_config(spec, spec.p01_list.index(p01), spec.p11_list.index(p11), row.run)
+        mask = simulate_markov(cfg, hd.raw.n_periods, hd.raw.n_plants)
         filled = impute_persistence(hd.raw.values, mask) \
             if method == METHOD_IMP_PERSISTENCE else None
         preds = predict_method(method, artifacts[(method, h)], hd,

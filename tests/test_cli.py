@@ -445,7 +445,8 @@ class TestEvaluate:
         else:
             narrow = base_config(tmp_path / "narrow", max_lag=0, q_sweep=config["q_sweep"])
             assert main(["train", "--config", str(write_config(tmp_path, narrow, "n.json"))]) == 0
-            name, match = "arf-learned_q1_h1.json", "trained for p="
+            name = "arf-learned_q1_h1.json"
+            match = "holds a model of another layout: input_dim 4 (run config: 6)"
             source = tmp_path / "narrow" / name
         target = out / name
         target.write_bytes(source.read_bytes())
@@ -583,13 +584,13 @@ class TestEvaluate:
             match = "holds another partition config: epsilon 0.0 (run config: 0.5)"
         elif case == "another family":
             config.update(family="nn", hidden=[3])
-            match = "holds a 'lr' model, the run config's family is 'nn'"
+            match = "holds a model of another layout: family lr (run config: nn)"
         elif case == "another hidden width":
             config.update(hidden=[7, 7])
             match = "holds a model of another layout: hidden (3,) (run config: (7, 7))"
         else:
             target.write_bytes((out / "rf-learned_h1.json").read_bytes())
-            match = "adaptive=False, arf-learned needs adaptive=True"
+            match = "holds a model of another layout: adaptive False (run config: True)"
         path = write_config(tmp_path, config, name="evaluate.json")
         capsys.readouterr()
         assert main(["evaluate", "--config", str(path)]) == 2

@@ -272,6 +272,31 @@ class TestPersistence:
         rows = run_grid(spec, hds, artifacts)
         assert len(calls) == 4 and len(rows) == 8  # 2 cells x 2 runs x 2 horizons
 
+    @pytest.mark.parametrize("methods", [(METHOD_IMP_PERSISTENCE, METHOD_IMP_MEAN),
+                                         (METHOD_IMP_MEAN,)])
+    def test_mask_simulated_once_per_cell_and_expanded_once_per_horizon(self, monkeypatch,
+                                                                       methods):
+        # every method shares one mask per (cell, run) and one expansion per
+        # horizon; the persistence fill runs only when imp-persistence is scored
+        raw = gen_synthetic(SynthConfig(2, 300, 0.95, 0.6, 0.4, seed=1))
+        hds = {h: HorizonData.build(raw, 0, 1, h, 0.5, 0.2) for h in (1, 3)}
+        params = init_params(lr_arch(hds[1].dataset), 0)
+        spec = GridSpec(p01_list=(0.2,), p11_list=(0.5, 0.9), horizons=(1, 3),
+                        methods=methods, runs=2, base_seed=3)
+        artifacts = {(method, h): params for method in methods for h in (1, 3)}
+        calls = dict.fromkeys(("simulate_markov", "expand_obs_mask", "impute_persistence"), 0)
+        for name in calls:
+            def counted(*args, name=name, fn=getattr(evaluation, name)):
+                calls[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(evaluation, name, counted)
+        rows = run_grid(spec, hds, artifacts)
+        fills = 4 if METHOD_IMP_PERSISTENCE in methods else 0
+        # 2 cells x 2 runs, each expanded at 2 horizons
+        assert calls == {"simulate_markov": 4, "expand_obs_mask": 8, "impute_persistence": fills}
+        assert len(rows) == 8 * len(methods)
+
     def test_horizons_from_different_series_rejected(self):
         hds = {
             h: HorizonData.build(gen_synthetic(SynthConfig(2, 300, 0.9, 0.4, 0.3, seed=h)),

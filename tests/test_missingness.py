@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from robustcast._util import derive_seed
-from robustcast.dataio import SynthConfig, build_supervised, gen_synthetic
+from robustcast.dataio import RawSeries, SynthConfig, build_supervised, gen_synthetic
 from robustcast.exceptions import ConfigError, DomainError
 from robustcast.missingness import (
     MissingnessConfig,
@@ -137,6 +139,37 @@ class TestExpandObsMask:
         rng = np.random.default_rng(0)
         mask = ObsMaskSeries(mask=(rng.random((30, 2)) < 0.5).astype(np.uint8))
         MissingPattern.bits_of(expand_obs_mask(mask, ds), ds.p, ds.maskable, ndim=2)
+
+    def test_period_outside_the_mask_raises(self):
+        # a negative period index would otherwise wrap to the mask's end
+        ds = self.make_ds()
+        mask = ObsMaskSeries(mask=np.zeros((30, 2), dtype=np.uint8))
+        with pytest.raises(DomainError, match="out of the mask's range"):
+            expand_obs_mask(mask, replace(ds, obs_periods=ds.obs_periods - 1))
+        with pytest.raises(DomainError, match="out of the mask's range"):
+            expand_obs_mask(ObsMaskSeries(mask=mask.mask[:-2]), ds)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 4), st.integers(0, 3), st.integers(1, 3), st.integers(0, 30),
+           st.booleans(), st.integers(0, 2**32 - 1), st.data())
+    def test_equals_per_plant_lag_loop(self, s_plants, max_lag, horizon, extra, weather, seed,
+                                       data):
+        t_periods = max_lag + horizon + 1 + extra
+        rng = np.random.default_rng(seed)
+        raw = RawSeries(np.arange(t_periods), rng.random((t_periods, s_plants)),
+                        rng.random(t_periods) if weather else None)
+        ds = build_supervised(raw, 0, max_lag, horizon)
+        start = data.draw(st.integers(0, ds.n - 1))
+        ds = ds.rows(start, data.draw(st.integers(start + 1, ds.n)))
+        mask = ObsMaskSeries(mask=(rng.random((t_periods, s_plants)) < 0.4).astype(np.uint8))
+        # the reference: one (plant, lag) measurement column at a time
+        want = np.zeros((ds.n, ds.p), dtype=np.uint8)
+        for plant in range(s_plants):
+            for lag in range(max_lag + 1):
+                want[:, plant * (max_lag + 1) + lag] = mask.mask[ds.obs_periods - lag, plant]
+        got = expand_obs_mask(mask, ds)
+        assert got.dtype == np.uint8 and got.flags.c_contiguous
+        np.testing.assert_array_equal(got, want)
 
 
 class TestImputation:

@@ -20,6 +20,7 @@ from robustcast.partition import (
     predict_deployed,
     predict_deployed_rows,
     predict_fixed_rows,
+    predict_grouped,
 )
 
 NOT_BITS = (2, 255, 0.5, -1)
@@ -157,3 +158,37 @@ def test_bit_of_two_on_the_bias_column_is_rejected_not_negated():
         predict(params, x, np.array([0, 0, 2]))
     with pytest.raises(DomainError, match=r"non-maskable feature\(s\) \[2\]"):
         predict(params, x, np.array([0, 0, 1]))
+
+
+# name -> call(fixtures, X) of each batched entry point, every row available
+BATCHED = {
+    "predict": lambda f, X: predict(f[0], X, np.zeros(3, dtype=np.uint8)),
+    "predict_deployed_rows": lambda f, X: predict_deployed_rows(
+        f[1], X, np.zeros((len(X), 3), dtype=np.uint8)),
+    "predict_fixed_rows": lambda f, X: predict_fixed_rows(
+        f[2], X, np.zeros((len(X), 3), dtype=np.uint8)),
+    "predict_grouped": lambda f, X: predict_grouped(
+        X, np.zeros(len(X), dtype=np.int64), lambda key, rows: (f[0], np.zeros(3, np.uint8))),
+}
+
+
+NOT_ROWS_OF_3 = {
+    "one column more": np.ones((4, 4)),
+    "one column fewer": np.ones((4, 2)),
+    "a trailing axis": np.ones((4, 3, 1)),
+    "rows of rows": np.ones((4, 2, 3)),
+    "two rows with a trailing axis": np.ones((2, 3, 1)),
+    "text": [["a", "b", "c"]] * 4,
+    "ragged": [[1.0, 2.0, 3.0]] * 3 + [[1.0, 2.0]],
+}
+
+
+@pytest.mark.parametrize("name", BATCHED)
+@pytest.mark.parametrize("case", NOT_ROWS_OF_3)
+def test_batched_entry_points_take_only_rows_of_the_input_width(name, case):
+    # unchecked, these raise numpy's own errors or, for predict on a
+    # (2, p, 1) batch, broadcast into a (2, p) array of meaningless numbers
+    f = fixtures(3, (0, 1), 4)
+    assert BATCHED[name](f, f[3]).shape == (4,)
+    with pytest.raises(DomainError, match="X must hold rows of"):
+        BATCHED[name](f, NOT_ROWS_OF_3[case])
