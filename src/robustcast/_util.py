@@ -4,6 +4,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import math
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -29,6 +30,18 @@ def derive_seed(base: int, *parts: int | str) -> int:
 
 def rng_for(base: int, *parts: int | str) -> np.random.Generator:
     return np.random.default_rng(derive_seed(base, *parts))
+
+
+@contextmanager
+def open_utf8(path, newline: str | None = None):
+    """open(path, encoding="utf-8", newline=newline) for reading, except that
+    a byte that is not UTF-8 is a ParseError naming the file. An OSError,
+    such as for a directory, passes through."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def array_to_json(arr: np.ndarray) -> dict:

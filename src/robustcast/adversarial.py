@@ -26,8 +26,8 @@ import numpy as np
 from ._util import rng_for
 from .dataio import Dataset
 from .exceptions import DomainError, SizeError
-from .missingness import MissingPattern
-from .models import LR, ModelParams, _nn_forward
+from .missingness import MissingPattern, _masked
+from .models import LR, ModelParams, _adaptation, _nn_forward
 from .training import TrainConfig, TrainResult, run_training_loop
 
 
@@ -111,33 +111,27 @@ class SplitScorer:
             raise DomainError(f"parameters of layout {arch} bound to a scorer built for "
                               f"{self.arch}")
 
-        def check(stack: np.ndarray) -> np.ndarray:
-            return MissingPattern.bits_of(stack, arch.input_dim, arch.maskable, ndim=2)
-
         if arch.family != LR:
             X, y, xm, layers = self.X, self.y, self.xm, self.layers
 
             def score(stack: np.ndarray) -> np.ndarray:
-                stack = check(stack)
+                stack = MissingPattern.bits_of(stack, arch.input_dim, arch.maskable, ndim=2)
                 losses = np.empty(len(stack))
                 for i, bits in enumerate(stack):
-                    np.multiply(X, 1.0 - bits, out=xm)
-                    preds = _nn_forward(params, xm, bits, False, layers)[0]
+                    _masked(X, bits, out=xm)
+                    preds = _nn_forward(params, xm, _adaptation(arch, bits), layers)[0]
                     losses[i] = np.mean((preds - y) ** 2)
                 return losses
 
             return score
         gram, xty, yty = self.gram, self.xty, self.yty
         w = params.arrays["w"]
-        adaptive = arch.adaptive and bool(arch.maskable)
 
         def score(stack: np.ndarray) -> np.ndarray:
-            stack = check(stack)
-            v = w
-            if adaptive:
-                a = stack.take(arch.maskable_cols, axis=1).astype(np.float64)
-                v = w + _row_sums(a[:, None, :] * params.arrays["D"])
-            v = v * (1.0 - stack)
+            stack = MissingPattern.bits_of(stack, arch.input_dim, arch.maskable, ndim=2)
+            a = _adaptation(arch, stack)
+            v = w if a is None else w + _row_sums(a[:, None, :] * params.arrays["D"])
+            v = _masked(v, stack)
             quad = _row_sums((v[:, :, None] * v[:, None, :] * gram).reshape(len(v), -1))
             return quad - 2.0 * _row_sums(v * xty) + yty
 

@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from ._util import derive_seed
+from ._util import derive_seed, open_utf8
 from .dataio import RawSeries, SynthConfig, gen_synthetic, load_csv, save_csv
 from .evaluation import (
     METHOD_ARF_FIXED,
@@ -33,7 +33,7 @@ from .evaluation import (
     run_grid,
     summary_csv,
 )
-from .exceptions import ConfigError, DataError, RobustcastError
+from .exceptions import ConfigError, DataError, ParseError, RobustcastError
 from .missingness import MissingnessConfig, MissingPattern
 from .models import Architecture, ModelParams
 from .partition import (
@@ -245,9 +245,14 @@ def parse_run_config(obj: dict) -> RunConfig:
 
 def load_run_config(path: str, seed_override: int | None, out_override: str | None) -> RunConfig:
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        with open_utf8(path) as fh:
+            obj = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
+    except ParseError as exc:
+        raise ConfigError(f"config file {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     _check_config(obj)
@@ -395,11 +400,12 @@ def cmd_train(cfg: RunConfig, jobs: int = 1) -> int:
     if METHOD_RETRAIN_ORACLE in methods:
         for hd in hds.values():
             RetrainOracle.check_capacity(hd.train)
+    archs = {h: _arch_for(cfg, hd) for h, hd in hds.items()}  # refused before any write
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     for h, hd in hds.items():
-        arch = _arch_for(cfg, hd)
+        arch = archs[h]
         uset = _uset_for(cfg, hd)
         # the base model, which the imputation methods score, never adapts
         base = train_nominal(
@@ -439,7 +445,7 @@ def _load_checked(path: Path, method: str, cfg: RunConfig, hd: HorizonData, q: i
     set and a learned one grown with its partition config to q subsets.
     Anything else is a ConfigError (exit 2)."""
     arch = _method_arch(_arch_for(cfg, hd), method)
-    if not path.exists():
+    if not path.is_file():
         raise ConfigError(f"missing artifact {path}; run the train subcommand first")
     artifact, kind = load_artifact(path), METHODS[method].artifact
     if not isinstance(artifact, kind):
@@ -552,9 +558,10 @@ def cmd_report(cfg: RunConfig) -> int:
     a row that does not parse or that _grid_row_problem refuses; naming the
     first missing key (_first_missing_key) for an incomplete grid."""
     grid_path = Path(cfg.out_dir) / "grid.csv"
-    if not grid_path.exists():
-        raise DataError(f"no grid.csv in {cfg.out_dir}; run the evaluate subcommand first")
-    lines = grid_path.read_text(encoding="utf-8").strip().split("\n")
+    if not grid_path.is_file():
+        raise DataError(f"no grid.csv file at {grid_path}; run the evaluate subcommand first")
+    with open_utf8(grid_path) as fh:
+        lines = fh.read().strip().split("\n")
     header = ",".join(GridRow._fields)
     if lines[0] != header:
         raise DataError(f"{grid_path} line 1: header {lines[0]!r}, expected {header!r}")

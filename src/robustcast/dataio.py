@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._util import open_utf8
 from .exceptions import ConfigError, DomainError, OrderError, ParseError, SizeError
 
 # Synthetic weather stand-in: trailing mean of the reference plant over
@@ -176,7 +177,7 @@ def load_csv(path: str | Path) -> RawSeries:
     Values outside [0, 1] are rejected, not clipped.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    with open_utf8(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -182,6 +182,19 @@ def expand_obs_mask(mask: ObsMaskSeries, ds: Dataset) -> np.ndarray:
     return bits
 
 
+def _masked(X: np.ndarray, bits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """float64 X with +0.0 in the slots the uint8 bits (one pattern, or one
+    per row) mark missing, written into `out` when given; every rule that
+    hides a missing input runs this. A missing slot is never read, so it may
+    hold NaN: each float's bits are ANDed with bits - 1, all ones where the
+    feature is present and 0 where it is missing. (np.where branches per
+    element, slower on mixed patterns; multiplying by 0 keeps NaN.)"""
+    keep = np.subtract(bits, 1, dtype=np.int64)
+    if out is None:
+        return (X.view(np.int64) & keep).view(np.float64)
+    return np.bitwise_and(X.view(np.int64), keep, out=out.view(np.int64)).view(np.float64)
+
+
 def impute_persistence(values: np.ndarray, mask: ObsMaskSeries) -> np.ndarray:
     """Replace each masked entry with the most recent available value of the
     same plant; leading gaps fall back to 0.0 on the normalized scale."""
@@ -202,10 +215,10 @@ def column_means(ds: Dataset) -> np.ndarray:
 
 
 def impute_mean(x: np.ndarray, pattern, means: np.ndarray) -> np.ndarray:
-    """Replace missing coordinates with precomputed training-set column means.
-    The pattern is one MissingPattern or bit vector for every row of x, or an
-    (n, p) bit matrix with one pattern per row."""
+    """Replace missing coordinates, which are never read (_masked), with
+    precomputed training-set column means. The pattern is one MissingPattern
+    or bit vector for every row of x, or an (n, p) bit matrix, one per row."""
     x = np.asarray(x, dtype=np.float64)
-    bits = MissingPattern.bits_of(pattern, x.shape[-1]).astype(np.float64)
-    return x * (1.0 - bits) + np.asarray(means, dtype=np.float64) * bits
+    bits = MissingPattern.bits_of(pattern, x.shape[-1])
+    return _masked(x, bits) + np.asarray(means, dtype=np.float64) * bits
 

@@ -35,7 +35,7 @@ import numpy as np
 from ._util import array_from_json, array_to_json
 from .dataio import maskable_indices
 from .exceptions import ConfigError, DomainError, ParseError, SizeError
-from .missingness import MissingPattern
+from .missingness import MissingPattern, _masked
 
 LR = "lr"
 NN = "nn"
@@ -57,8 +57,7 @@ class Architecture:
     bias (kept out of weight decay for the linear family; None when there is
     none) and the maskable features, ascending: column j of every adaptive
     block belongs to maskable[j]. maskable_cols, derived once, holds the
-    maskable set as a read-only index array: bits.take(maskable_cols,
-    axis=-1) is a pattern (or one per row) on the maskable columns.
+    maskable set as a read-only index array (see _adaptation).
 
     ConfigError for a layout no model has; DomainError (from
     maskable_indices) for a maskable index out of range or repeated, and
@@ -210,50 +209,47 @@ def _predict_bits(params: ModelParams, X: np.ndarray, bits: np.ndarray):
     of them, at one (p,) pattern or at an (n, p) matrix with one pattern per
     row.
 
-    Every prediction runs this one kernel. It zeroes the missing slots by
-    selection, so a slot the pattern marks missing is never read and may
-    hold NaN: each float's bits are ANDed with bits - 1, all ones where the
-    feature is present and 0 (+0.0) where it is missing. np.where selects
-    the same values but branches per element, which is slower on batches
-    of mixed patterns; multiplying by 0 would turn NaN into NaN."""
-    arch = params.arch
-    per_row = bits.ndim == 2
-    xm = (X.view(np.int64) & np.subtract(bits, 1, dtype=np.int64)).view(np.float64)
-    if arch.family == LR:
+    Every prediction runs this one kernel; _masked hides the missing slots."""
+    xm = _masked(X, bits)
+    a = _adaptation(params.arch, bits)
+    if params.arch.family == LR:
         preds = xm @ params.arrays["w"]
-        if arch.adaptive and arch.maskable:
-            a = bits.take(arch.maskable_cols, axis=-1).astype(np.float64)
+        if a is not None:
             d = params.arrays["D"]
-            if per_row:
+            if a.ndim == 2:
                 preds = preds + np.einsum("ij,ij->i", xm, a @ d.T)
             else:
                 preds = preds + xm @ (d @ a)
         return preds
-    return _nn_forward(params, xm, bits, per_row)[0]
+    return _nn_forward(params, xm, a)[0]
 
 
-def _nn_forward(
-    params: ModelParams,
-    xm: np.ndarray,
-    bits: np.ndarray,
-    per_row: bool,
-    layers: list[np.ndarray] | None = None,
-):
+def _adaptation(arch: Architecture, bits: np.ndarray) -> np.ndarray | None:
+    """a, what the adaptive blocks of a model of layout arch read: the bits
+    (one pattern, or one per row) on the maskable columns, as float. None
+    unless the model is adaptive with maskable features."""
+    if not (arch.adaptive and arch.maskable):
+        return None
+    return bits.take(arch.maskable_cols, axis=-1).astype(np.float64)
+
+
+def _nn_forward(params: ModelParams, xm: np.ndarray, a: np.ndarray | None,
+                layers: list[np.ndarray] | None = None):
     """Forward pass over the masked inputs xm, an (n, p) batch or one (p,)
-    row; returns (predictions, gs, a).
+    row, at the adaptation a (_adaptation: None, one vector, or one row per
+    row of xm); returns (predictions, gs).
 
     gs[m] is the input of hidden layer m and gs[-1] the output of the last
     one, which is all backprop needs: a ReLU unit is active exactly where its
-    output is > 0. a is the pattern on the maskable columns (None for a
-    non-adaptive model). Each layer's pre-activation is summed in place,
+    output is > 0. Each layer's pre-activation is summed in place,
     into layers[m] when the caller gives (n, width_m) buffers for it, so a
     scorer running many forwards allocates no activations per pass. Layer m
     reads only gs[m], so layers[m] may share memory with layers[m - 2]; gs
     then holds the caller's buffers, of which only the last two are intact.
     """
     arch = params.arch
-    adaptive = arch.adaptive and bool(arch.maskable)
-    a = bits.take(arch.maskable_cols, axis=-1).astype(np.float64) if adaptive else None
+    adaptive = a is not None
+    per_row = adaptive and a.ndim == 2
     gs = [xm]
     for m in range(len(arch.hidden)):
         g, w = gs[-1], params.arrays[f"W{m}"]
@@ -276,7 +272,7 @@ def _nn_forward(
             preds = preds + np.einsum("ij,ij->i", g, a @ d_out.T)
         else:
             preds = preds + g @ (d_out @ a)
-    return preds, gs, a
+    return preds, gs
 
 
 def _decayed_mask(arch: Architecture, name: str) -> np.ndarray | float:
@@ -306,14 +302,12 @@ def mse_loss(params: ModelParams, X: np.ndarray, y: np.ndarray, alpha) -> float:
 
 class BoundPattern(NamedTuple):
     """One batch pattern checked against a model's layout and expanded for
-    loss_and_grad: its uint8 bits, keep = 1 - bits as float, and a, the
-    pattern on the maskable columns as float (None unless the model is
-    adaptive with maskable features). arch is the layout it was bound for.
-    The training loop binds each epoch's pattern once."""
+    loss_and_grad: its uint8 bits and its adaptation a (_adaptation). arch
+    is the layout it was bound for. The training loop binds each epoch's
+    pattern once."""
 
     arch: Architecture
     bits: np.ndarray
-    keep: np.ndarray
     a: np.ndarray | None
 
 
@@ -323,9 +317,7 @@ def bind_pattern(params: ModelParams, alpha) -> BoundPattern:
     only maskable features) and expanded for loss_and_grad."""
     arch = params.arch
     bits = MissingPattern.bits_of(alpha, arch.input_dim, arch.maskable, ndim=1)
-    adaptive = arch.adaptive and bool(arch.maskable)
-    a = bits.take(arch.maskable_cols).astype(np.float64) if adaptive else None
-    return BoundPattern(arch, bits, 1.0 - bits.astype(np.float64), a)
+    return BoundPattern(arch, bits, _adaptation(arch, bits))
 
 
 class StepBuffers:
@@ -386,17 +378,17 @@ def loss_and_grad(
     if (alpha.arch, work.arch) != (arch, arch):
         raise DomainError("pattern or buffers bound for another model layout")
     grads = work.blocks
-    xm = np.multiply(X, alpha.keep, out=work.xm[:n])
+    xm = _masked(X, alpha.bits, out=work.xm[:n])
     resid = work.resid[:n]
+    a = alpha.a
 
     if arch.family == LR:
-        a = alpha.a
         w = params.arrays["w"]
         w_eff = w + params.arrays["D"] @ a if a is not None else w
         np.matmul(xm, w_eff, out=resid)
         resid -= y
     else:
-        preds, gs, a = _nn_forward(params, xm, alpha.bits, False)
+        preds, gs = _nn_forward(params, xm, a)
         np.subtract(preds, y, out=resid)
     loss = float(np.add.reduce(np.square(resid, out=work.sq[:n])) / n)
     r = np.multiply(resid, 2.0 / n, out=resid)
@@ -405,8 +397,6 @@ def loss_and_grad(
         gw = np.matmul(xm.T, r, out=grads["w"])
         if a is not None:
             np.multiply(gw[:, None], a, out=grads["D"])
-        elif arch.adaptive:
-            grads["D"].fill(0.0)
     else:
         g_out = np.matmul(gs[-1].T, r, out=grads["w_out"])
         grads["b_out"][0] = np.add.reduce(r)
@@ -414,8 +404,6 @@ def loss_and_grad(
         if a is not None:
             np.multiply(g_out[:, None], a, out=grads["D_out"])
             w_eff = w_eff + params.arrays["D_out"] @ a
-        elif arch.adaptive:
-            grads["D_out"].fill(0.0)
         dg = np.multiply(r[:, None], w_eff)
         for m in range(len(arch.hidden) - 1, -1, -1):
             # dg becomes delta, the gradient at layer m's pre-activation
@@ -427,8 +415,6 @@ def loss_and_grad(
             if a is not None:
                 srow = np.add.reduce(dg, axis=1)
                 np.multiply((g_in.T @ srow)[:, None], a, out=grads[f"D{m}"])
-            elif arch.adaptive:
-                grads[f"D{m}"].fill(0.0)
             if m:  # the gradient at layer 0's inputs is never read
                 dg = dg @ params.arrays[f"W{m}"]
                 if a is not None:

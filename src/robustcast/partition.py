@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._util import derive_seed, map_jobs
+from ._util import derive_seed, map_jobs, open_utf8
 from .adversarial import (
     AdvSearchScope,
     greedy_split_feature,
@@ -672,11 +672,15 @@ def save_artifact(obj: Partition | FixedPartition | ModelParams, path: str | Pat
 
 
 def load_artifact(path: str | Path):
-    """The artifact saved at `path`. ParseError when the file is not valid
-    JSON, lacks a key, holds a malformed array or a bad table index;
+    """The artifact saved at `path`. ParseError when the file is not UTF-8 or
+    valid JSON, lacks a key, holds a malformed array or a bad table index;
     DomainError when it is of another format or a value is inadmissible."""
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        with open_utf8(path) as fh:
+            obj = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"artifact {path} is not valid JSON: {exc}") from None
+    try:
         if isinstance(obj, dict) and obj.get("format") != ARTIFACT_FORMAT:
             raise DomainError(f"format {obj.get('format')!r} is not {ARTIFACT_FORMAT}; "
                               "retrain to write the current format")
@@ -687,8 +691,6 @@ def load_artifact(path: str | Path):
             return fixed_from_json(obj)
         if kind == "model":
             return _params_at(_table_from_json(obj), obj["model"])
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"artifact {path} is not valid JSON: {exc}") from None
     except (KeyError, TypeError) as exc:
         raise ParseError(f"artifact {path} is malformed: {exc!r}") from None
     except (ParseError, DomainError) as exc:

@@ -178,6 +178,5 @@ def train_nominal(
     if (arch.input_dim, arch.maskable) != (train.p, train.maskable):
         raise DomainError(f"a model of {arch.input_dim} inputs, maskable {list(arch.maskable)}, "
                           f"cannot fit data of {train.p}, maskable {list(train.maskable)}")
-    MissingPattern.bits_of(pattern, train.p, train.maskable, ndim=1)
     constant = lambda params: pattern
     return run_training_loop(train, val, init_params(arch, cfg.seed), cfg, constant, constant)

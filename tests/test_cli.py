@@ -234,9 +234,9 @@ class TestRunConfig:
         assert not (tmp_path / "out").exists()
 
 
-    # the first four are refused when the config is parsed, the last three
-    # once the data are loaded, before any artifact is written; the series
-    # has 2 plants and 2 * (max_lag + 1) = 4 maskable features
+    # the first four are refused when the config is parsed, the others once
+    # the data are loaded, before out_dir is made; the series has 2 plants
+    # and 2 * (max_lag + 1) = 4 maskable features
     @pytest.mark.parametrize("edit, match", [
         (lambda c: c.update(horizons=[0]), "horizons must be >= 1"),
         (lambda c: c.update(max_lag=-1), "max_lag must be >= 0"),
@@ -246,8 +246,12 @@ class TestRunConfig:
         (lambda c: c["partition"].update(budget=99), "partition.budget 99 exceeds"),
         (lambda c: c.update(data={"csv": "no-such-series.csv"}), "data file not found"),
         (lambda c: c.update(data={"csv": "."}), "cannot read data file .: Is a directory"),
+        (lambda c: c.update(family="nn", hidden=[]), "a network needs at least one hidden layer"),
+        (lambda c: c.update(family="nn", hidden=[0]), "hidden widths must be positive"),
+        (lambda c: c.update(family="nn", hidden=[50, -1]), "hidden widths must be positive"),
     ], ids=["horizon 0", "max_lag -1", "budget -1", "target_plant -1", "target_plant 9",
-            "budget 99", "missing data.csv", "data.csv a directory"])
+            "budget 99", "missing data.csv", "data.csv a directory", "nn hidden []",
+            "nn hidden [0]", "nn hidden [50, -1]"])
     def test_value_out_of_range_for_the_run_or_its_data_exits_2(self, tmp_path, capsys, edit,
                                                                  match):
         out = tmp_path / "out"
@@ -258,7 +262,7 @@ class TestRunConfig:
         assert main(["train", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and match in err
-        assert not list(out.glob("*.json"))
+        assert not out.exists()
 
 
 class TestTrain:
@@ -629,6 +633,56 @@ class TestEvaluate:
 
 
 HEADER = "method,h,p01,p11,run,nrmse"
+
+
+class TestUnreadableInput:
+    """Each file the commands read, replaced by bytes that are not UTF-8 or
+    by a directory, is refused with its exit code, naming the file, before
+    the command writes anything."""
+
+    @pytest.mark.parametrize("form", ["not UTF-8", "a directory"])
+    @pytest.mark.parametrize("source, codes", [
+        ("run config", {"not UTF-8": 2, "a directory": 2}),
+        ("data.csv", {"not UTF-8": 3, "a directory": 2}),
+        ("artifact", {"not UTF-8": 3, "a directory": 2}),
+        ("grid.csv", {"not UTF-8": 3, "a directory": 3}),
+    ], ids=["run config", "data.csv", "artifact", "grid.csv"])
+    def test_refused_with_its_exit_code(self, tmp_path, capsys, source, codes, form):
+        out = tmp_path / "out"
+        config = base_config(out)
+        command, written = "train", out
+        if source == "data.csv":
+            target = tmp_path / "series.csv"
+            save_csv(RawSeries(timestamps=np.arange(900),
+                               values=np.full((900, 2), 0.5)), target)
+            config["data"] = {"csv": str(target)}
+        path = write_config(tmp_path, config)
+        if source == "run config":
+            target = path
+        elif source == "artifact":
+            assert main(["train", "--config", str(path)]) == 0
+            command, target, written = "evaluate", out / "base_h1.json", out / "grid.csv"
+        elif source == "grid.csv":
+            out.mkdir()
+            target = out / "grid.csv"
+            target.write_text(f"{HEADER}\nimp-mean,1,0.2,0.5,0,16.0\n", encoding="utf-8")
+            command, written = "report", out / "summary.csv"
+        if form == "a directory":
+            target.unlink()
+            target.mkdir()
+        else:  # one byte that no UTF-8 text holds, in the middle of the file
+            data = target.read_bytes()
+            cut = len(data) // 2
+            target.write_bytes(data[:cut] + b"\xff" + data[cut:])
+        capsys.readouterr()
+        code = codes[form]
+        assert main([command, "--config", str(path)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("config error:" if code == 2 else "data error:")
+        assert str(target) in err
+        if form == "not UTF-8":
+            assert f"{target}: not UTF-8 text" in err
+        assert not written.exists()
 
 
 class TestReport:

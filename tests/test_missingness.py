@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from robustcast._util import derive_seed
 from robustcast.dataio import RawSeries, SynthConfig, build_supervised, gen_synthetic
@@ -12,6 +13,7 @@ from robustcast.missingness import (
     MissingnessConfig,
     MissingPattern,
     ObsMaskSeries,
+    _masked,
     column_means,
     expand_obs_mask,
     impute_mean,
@@ -172,6 +174,31 @@ class TestExpandObsMask:
         np.testing.assert_array_equal(got, want)
 
 
+class TestMasked:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_selects_like_where_and_never_reads_a_missing_slot(self, data):
+        p = data.draw(st.integers(1, 6), label="p")
+        rows = data.draw(st.sampled_from([None, 1, 3]), label="rows")  # None: one row
+        shape = (p,) if rows is None else (rows, p)
+        per_row = rows is not None and data.draw(st.booleans(), label="per_row")
+        bits = data.draw(hnp.arrays(np.uint8, shape if per_row else (p,),
+                                    elements=st.integers(0, 1)), label="bits")
+        X = data.draw(hnp.arrays(np.float64, shape, elements=st.floats()), label="X")
+        # masked slots hold what multiplying by 0 would not turn into +0.0
+        special = data.draw(st.sampled_from([np.nan, np.inf, -np.inf, -0.0]), label="special")
+        X = np.where(bits == 1, special, X)
+        want = np.where(bits == 1, 0.0, X)
+        if data.draw(st.booleans(), label="out"):
+            out = np.full(shape, 7.0)
+            got = _masked(X, bits, out=out)
+            assert np.shares_memory(got, out) and out.tobytes() == got.tobytes()
+        else:
+            got = _masked(X, bits)
+        # bytes, so every masked slot is +0.0 and every kept one X's own float
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 class TestImputation:
     def test_persistence_forward_fill(self):
         values = np.array([[0.5], [0.9], [0.9], [0.7]])
@@ -211,4 +238,16 @@ class TestImputation:
         full = MissingPattern.from_missing(ds.p, list(ds.maskable))
         out = impute_mean(x, full, means)
         np.testing.assert_allclose(out[list(ds.maskable)], means[list(ds.maskable)])
+
+    def test_mean_imputation_never_reads_a_missing_slot(self):
+        rng = np.random.default_rng(8)
+        x, means = rng.uniform(0, 1, (6, 5)), rng.uniform(0, 1, 5)
+        for pattern in ((rng.random((6, 5)) < 0.5).astype(np.uint8),
+                        np.array([1, 0, 1, 1, 0], dtype=np.uint8)):
+            bad = np.where(pattern == 1, np.array([np.nan, np.inf, -np.inf, np.nan, -0.0]), x)
+            np.testing.assert_array_equal(impute_mean(bad, pattern, means),
+                                          impute_mean(x, pattern, means))
+        one = np.array([0, 1, 0, 0, 1], dtype=np.uint8)
+        np.testing.assert_array_equal(impute_mean(np.where(one == 1, np.nan, x[0]), one, means),
+                                      impute_mean(x[0], one, means))
 

@@ -335,6 +335,51 @@ class TestLossAndGrad:
             denom = max(1.0, abs(analytic[i]), abs(g_fd))
             assert abs(analytic[i] - g_fd) / denom < 1e-6
 
+    @pytest.mark.parametrize("family,adaptive", [("lr", False), ("lr", True), ("nn", False),
+                                                 ("nn", True)])
+    def test_a_missing_input_is_never_read(self, family, adaptive):
+        rng = np.random.default_rng(17)
+        p = 6
+        arch = Architecture(family, adaptive, p, (5, 4) if family == "nn" else (),
+                            bias_index=p - 1, maskable=(0, 1, 2, 3))
+        params = randomized(init_params(arch, seed=1), rng)
+        X, y = rng.normal(0.0, 1.0, (9, p)), rng.normal(0.0, 1.0, 9)
+        bits = np.array([1, 0, 1, 1, 0, 0], dtype=np.uint8)
+        loss, grads = loss_and_grad(params, X, y, bits, 1e-3)
+        bad = X.copy()
+        bad[:, [0, 2, 3]] = [np.nan, np.inf, -np.inf]
+        bad_loss, bad_grads = loss_and_grad(params, bad, y, bits, 1e-3)
+        assert bad_loss == loss
+        for name, block in grads.items():
+            assert np.array_equal(bad_grads[name], block), name
+
+    @pytest.mark.parametrize("family", ["lr", "nn"])
+    def test_adaptive_model_without_maskable_features_is_its_plain_twin(self, family):
+        rng = np.random.default_rng(23)
+        p = 4
+        arch = Architecture(family, False, p, (5, 3) if family == "nn" else (),
+                            bias_index=p - 1, maskable=())
+        plain = randomized(init_params(arch, seed=2), rng)
+        twin = init_params(replace(arch, adaptive=True), seed=2)
+        twin.arrays.update(plain.arrays)
+        X, y, zero = rng.normal(0.0, 1.0, (7, p)), rng.normal(0.0, 1.0, 7), np.zeros(p, np.uint8)
+        assert np.array_equal(predict(twin, X, zero), predict(plain, X, zero))
+        assert np.array_equal(predict(twin, X, np.zeros((7, p), np.uint8)),
+                              predict(plain, X, zero))
+        loss, grads = loss_and_grad(plain, X, y, zero, 1e-3)
+        for twin_loss, twin_grads in (
+            loss_and_grad(twin, X, y, zero, 1e-3),
+            loss_and_grad(twin, X, y, bind_pattern(twin, zero), 1e-3, StepBuffers(twin, 7)),
+        ):
+            assert twin_loss == loss
+            assert [k for k in twin_grads if k not in grads] == [
+                k for k in twin.block_names() if k.startswith("D")]
+            for name, block in twin_grads.items():
+                if name.startswith("D"):
+                    assert block.shape == twin.arrays[name].shape and block.shape[1] == 0
+                else:
+                    assert np.array_equal(block, grads[name]), name
+
     def test_bias_feature_excluded_from_decay(self):
         arch = Architecture("lr", False, 3, bias_index=2, maskable=(0, 1))
         params = init_params(arch, seed=0)
@@ -383,11 +428,12 @@ def reference_loss_and_grad(params, X, y, alpha, weight_decay=0.0):
         if arch.adaptive:
             grads["D"] = np.outer(gw, a) if adaptive else np.zeros_like(params.arrays["D"])
     else:
-        preds, gs, a = _nn_forward(params, xm, bits, per_row=False)
+        adaptive = arch.adaptive and bool(arch.maskable)
+        a = bits[list(arch.maskable)].astype(np.float64) if adaptive else None
+        preds, gs = _nn_forward(params, xm, a)
         resid = preds - y
         loss = float(np.mean(resid**2))
         r = (2.0 / n) * resid
-        adaptive = a is not None
         w_out = params.arrays["w_out"]
         g_last = gs[-1]
         grads["w_out"] = g_last.T @ r
