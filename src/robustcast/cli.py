@@ -11,7 +11,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 from ._util import derive_seed, open_utf8
@@ -51,8 +51,6 @@ from .partition import (
 )
 from .training import TrainConfig, train_nominal
 
-DEFAULT_HIDDEN = (50, 50, 50, 50)
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -83,25 +81,50 @@ class RunConfig:
     qsweep_method: str
 
 
-# Every key a run config may hold, with the JSON type of its value: a nested
-# dict is a block of its own, [kind] a list of that kind, and float admits
-# integers too. None in a tuple admits null (the key then takes its default).
+_REQUIRED = object()  # the default of a key a run config must give
+
+
+def _class_keys(cls, kinds: dict, **field_of) -> dict:
+    """Table entries (kind, default) for the keys of kinds, each with the
+    default of the field of the dataclass cls that field_of names for it
+    (its namesake otherwise), or _REQUIRED where that field has none."""
+    default = {f.name: _REQUIRED if f.default is MISSING else f.default for f in fields(cls)}
+    return {key: (kind, default[field_of.get(key, key)]) for key, kind in kinds.items()}
+
+
+# Every key a run config may hold. A dict is a block of keys that takes its
+# defaults when left out; (block, None) is one that is then None. Any other
+# entry is (kind, default). The kind is the JSON type of the value: [kind] a
+# list of that kind, float admits integers too, and None in a tuple admits
+# null. The default is what a key left out takes: a value, _REQUIRED, or a
+# function of the resolved top level, whose keys come first.
 _CONFIG_KEYS = {
-    "seed": int, "out_dir": str, "target_plant": int, "max_lag": int, "horizons": [int],
-    "family": str, "adaptive": bool, "hidden": [int],
-    "data": {"csv": (str, None), "synth": {
-        "n_plants": int, "n_periods": int, "ar_coefficient": float,
-        "cross_plant_correlation": float, "noise_std": float, "obs_noise_std": float,
-        "seed": int,
-    }},
-    "split": {"train_frac": float, "val_frac": float},
-    "train": {
-        "learning_rate": float, "max_iters": int, "patience": int, "batch_size": int,
-        "weight_decay": float, "shuffle": bool,
+    "seed": (int, 0), "out_dir": (str, "runs/out"), "target_plant": (int, 0),
+    "max_lag": (int, 2), "horizons": ([int], (1,)), "family": (str, "lr"),
+    "adaptive": (bool, True), "hidden": ([int], (50, 50, 50, 50)),
+    "data": {"csv": ((str, None), None), "synth": ({
+        **_class_keys(SynthConfig, {"n_plants": int, "n_periods": int, "ar_coefficient": float,
+                                    "cross_plant_correlation": float, "noise_std": float,
+                                    "obs_noise_std": float}),
+        "seed": (int, lambda run: run["seed"]),
+    }, None)},
+    "split": {"train_frac": (float, 0.5), "val_frac": (float, 0.15)},
+    "train": {  # no seed: each training run derives its own (_train_config)
+        **_class_keys(TrainConfig, {"learning_rate": float, "max_iters": int, "patience": int,
+                                    "batch_size": int, "weight_decay": float, "shuffle": bool}),
+        "weight_decay": (float, lambda run: 1e-5 if run["family"] == "nn"
+                         else TrainConfig.weight_decay),
     },
-    "partition": {"mode": str, "q_max": int, "epsilon": float, "budget": (int, None)},
-    "grid": {"p01": [float], "p11": [float], "methods": [str], "runs": int},
-    "q_sweep": {"q_list": [int], "p01": float, "p11": float, "method": str},
+    "partition": {
+        "mode": (str, "learned"),
+        **_class_keys(PartitionConfig, {"q_max": int, "epsilon": float}, q_max="max_subsets"),
+        "budget": ((int, None), None),
+    },
+    "grid": ({"p01": ([float], (0.05, 0.1, 0.2)), "p11": ([float], (0.0, 0.8, 0.9)),
+              "methods": ([str], (METHOD_IMP_PERSISTENCE, METHOD_ARF_LEARNED)),
+              "runs": (int, 10)}, None),
+    "q_sweep": ({"q_list": ([int], _REQUIRED), "p01": (float, 0.2), "p11": (float, 0.9),
+                 "method": (str, METHOD_ARF_LEARNED)}, None),
 }
 
 
@@ -128,119 +151,97 @@ def _kind_name(kind) -> str:
             str: "a string"}[kind]
 
 
-def _check_config(obj, keys: dict = _CONFIG_KEYS, where: str = "", allow_unknown=False) -> None:
-    """Reject a value of the wrong type and, unless allow_unknown, any key
-    the run config has no use for, at any level; `where` is the dotted path
-    prefix of `obj` ("" at the top)."""
+def resolve_run_config(obj, allow_unknown=False, *, keys: dict = _CONFIG_KEYS, where: str = "",
+                       run: dict | None = None) -> dict:
+    """The run config obj in its own JSON key layout, every key left out
+    filled with its default: a left-out data.synth, grid or q_sweep is None.
+    ConfigError for a value of the wrong type, a missing required key (named
+    by its dotted path) or, unless allow_unknown, a key the run config has
+    no use for, at any level. keys, where (the dotted path prefix of obj)
+    and run (the resolved top level) walk the blocks."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{where.rstrip('.') or 'the run config'} must be a JSON object")
     unknown = sorted(set(obj) - set(keys))
     if unknown and not allow_unknown:
         raise ConfigError("unknown config key(s): " + ", ".join(where + k for k in unknown))
-    for key, kind in keys.items():
+    out: dict = {}
+    run = out if run is None else run
+    for key, entry in keys.items():
+        kind, default = (entry, {}) if isinstance(entry, dict) else entry
+        value = obj.get(key)
         if key not in obj:
-            continue
-        if isinstance(kind, dict):
-            _check_config(obj[key], kind, f"{where}{key}.", allow_unknown)
-        elif not _is_kind(obj[key], kind):
-            raise ConfigError(f"{where}{key} must be {_kind_name(kind)}, got {obj[key]!r}")
+            if default is _REQUIRED:
+                raise ConfigError(f"missing config key {where}{key}")
+            value = default(run) if callable(default) else default
+        elif not isinstance(kind, dict) and not _is_kind(value, kind):
+            raise ConfigError(f"{where}{key} must be {_kind_name(kind)}, got {value!r}")
+        if isinstance(kind, dict) and (key in obj or value is not None):
+            value = resolve_run_config(value, allow_unknown, keys=kind, where=f"{where}{key}.",
+                                       run=run)
+        out[key] = list(value) if isinstance(kind, list) else value
+    return out
+
+
+def _block_defaults(name: str) -> dict:
+    """The defaults of the top-level block name, a required key None: what
+    the RunConfig holds for a block the run config leaves out."""
+    return {key: None if default is _REQUIRED else default
+            for key, (kind, default) in _CONFIG_KEYS[name][0].items()}
+
+
+def _grid_spec(cfg: RunConfig) -> GridSpec:
+    """The grid cfg describes, over its horizons and from its seed."""
+    return GridSpec(cfg.grid_p01, cfg.grid_p11, cfg.horizons, cfg.grid_methods, cfg.grid_runs,
+                    cfg.seed)
 
 
 def parse_run_config(obj: dict) -> RunConfig:
-    """The RunConfig a run config describes. A value of the wrong type
-    raises ConfigError; unknown keys are ignored here (load_run_config
-    rejects them), so a caller can still list them."""
-    _check_config(obj, allow_unknown=True)
-    try:
-        data = obj.get("data", {})
-        csv_path = data.get("csv")
-        synth = None
-        if "synth" in data:
-            s = data["synth"]
-            synth = SynthConfig(
-                n_plants=s["n_plants"],
-                n_periods=s["n_periods"],
-                ar_coefficient=s.get("ar_coefficient", 0.97),
-                cross_plant_correlation=s.get("cross_plant_correlation", 0.5),
-                noise_std=s.get("noise_std", 0.2),
-                obs_noise_std=s.get("obs_noise_std", 0.0),
-                seed=s.get("seed", obj.get("seed", 0)),
+    """The RunConfig a run config describes, read from its resolved layout
+    (resolve_run_config). ConfigError for a value the run cannot take;
+    unknown keys are ignored here (load_run_config rejects them), so a
+    caller can still list them."""
+    run = resolve_run_config(obj, allow_unknown=True)
+    data, split, part = run["data"], run["split"], run["partition"]
+    if (data["csv"] is None) == (data["synth"] is None):
+        raise ConfigError("config must name exactly one data source: data.csv or data.synth")
+    if run["family"] not in ("lr", "nn"):
+        raise ConfigError(f"family must be 'lr' or 'nn', got {run['family']!r}")
+    if part["mode"] not in ("learned", "fixed", "nominal"):
+        raise ConfigError(f"partition.mode must be learned|fixed|nominal, got {part['mode']!r}")
+    for name, value in (("target_plant", run["target_plant"]), ("max_lag", run["max_lag"]),
+                        ("partition.budget", part["budget"])):
+        if value is not None and value < 0:
+            raise ConfigError(f"{name} must be >= 0, got {value}")
+    grid = run["grid"] or _block_defaults("grid")
+    qs = run["q_sweep"] or _block_defaults("q_sweep")
+    if run["q_sweep"] is not None:
+        learned = [m for m, entry in METHODS.items() if entry.artifact is Partition]
+        if qs["method"] not in learned:
+            raise ConfigError(
+                f"q_sweep.method must be a learned method ({' or '.join(learned)}), "
+                f"got {qs['method']!r}"
             )
-        if (csv_path is None) == (synth is None):
-            raise ConfigError("config must name exactly one data source: data.csv or data.synth")
-
-        family = obj.get("family", "lr")
-        if family not in ("lr", "nn"):
-            raise ConfigError(f"family must be 'lr' or 'nn', got {family!r}")
-        # the config classes hold the defaults, except weight_decay (by family); each
-        # training run's seed is derived from the run seed (see _train_config)
-        tr = {k: v for k, v in obj.get("train", {}).items() if k in _CONFIG_KEYS["train"]}
-        train_cfg = TrainConfig(**{"weight_decay": 1e-5 if family == "nn" else 0.0, **tr})
-        part = obj.get("partition", {})
-        mode = part.get("mode", "learned")
-        if mode not in ("learned", "fixed", "nominal"):
-            raise ConfigError(f"partition.mode must be learned|fixed|nominal, got {mode!r}")
-        pcfg = PartitionConfig(
-            **{field: part[key] for key, field in (("q_max", "max_subsets"), ("epsilon", "epsilon"))
-               if key in part}
-        )
-        grid = obj.get("grid", {})
-        spec = GridSpec(
-            p01_list=tuple(grid.get("p01", [0.05, 0.1, 0.2])),
-            p11_list=tuple(grid.get("p11", [0.0, 0.8, 0.9])),
-            horizons=tuple(obj.get("horizons", [1])),
-            methods=tuple(grid.get("methods", [METHOD_IMP_PERSISTENCE, METHOD_ARF_LEARNED])),
-            runs=grid.get("runs", 10),
-            base_seed=obj.get("seed", 0),
-        )
-        has_sweep = "q_sweep" in obj
-        qs = {"p01": 0.2, "p11": 0.9, "method": METHOD_ARF_LEARNED, **obj.get("q_sweep", {})}
-        if has_sweep:
-            learned = [m for m, entry in METHODS.items() if entry.artifact is Partition]
-            if qs["method"] not in learned:
-                raise ConfigError(
-                    f"q_sweep.method must be a learned method ({' or '.join(learned)}), "
-                    f"got {qs['method']!r}"
-                )
-            q_list = qs["q_list"]
-            if not q_list or min(q_list) < 1 or len(set(q_list)) < len(q_list):
-                raise ConfigError(f"q_sweep.q_list must list distinct Q values >= 1, got {q_list!r}")
-            MissingnessConfig(p01=qs["p01"], p11=qs["p11"], seed=spec.base_seed)
-        counts = {"target_plant": obj.get("target_plant", 0), "max_lag": obj.get("max_lag", 2),
-                  "partition.budget": part.get("budget")}
-        for name, value in counts.items():
-            if value is not None and value < 0:
-                raise ConfigError(f"{name} must be >= 0, got {value}")
-        split = obj.get("split", {})
-        return RunConfig(
-            seed=spec.base_seed,
-            out_dir=obj.get("out_dir", "runs/out"),
-            csv_path=csv_path,
-            synth=synth,
-            target_plant=counts["target_plant"],
-            max_lag=counts["max_lag"],
-            horizons=spec.horizons,
-            family=family,
-            adaptive=obj.get("adaptive", True),
-            hidden=tuple(obj.get("hidden", DEFAULT_HIDDEN)),
-            train_frac=split.get("train_frac", 0.5),
-            val_frac=split.get("val_frac", 0.15),
-            train=train_cfg,
-            partition_mode=mode,
-            partition=pcfg,
-            budget=counts["partition.budget"],
-            has_grid="grid" in obj,
-            grid_p01=spec.p01_list,
-            grid_p11=spec.p11_list,
-            grid_methods=spec.methods,
-            grid_runs=spec.runs,
-            qsweep_list=tuple(qs["q_list"]) if has_sweep else None,
-            qsweep_p01=qs["p01"],
-            qsweep_p11=qs["p11"],
-            qsweep_method=qs["method"],
-        )
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"malformed run config: {exc}") from exc
+        q_list = qs["q_list"]
+        if not q_list or min(q_list) < 1 or len(set(q_list)) < len(q_list):
+            raise ConfigError(f"q_sweep.q_list must list distinct Q values >= 1, got {q_list!r}")
+        MissingnessConfig(p01=qs["p01"], p11=qs["p11"], seed=run["seed"])
+    cfg = RunConfig(  # the resolved layout, block by block
+        seed=run["seed"], out_dir=run["out_dir"], target_plant=run["target_plant"],
+        max_lag=run["max_lag"], horizons=tuple(run["horizons"]), family=run["family"],
+        adaptive=run["adaptive"], hidden=tuple(run["hidden"]),
+        csv_path=data["csv"],
+        synth=None if data["synth"] is None else SynthConfig(**data["synth"]),
+        train_frac=split["train_frac"], val_frac=split["val_frac"],
+        train=TrainConfig(**run["train"]),
+        partition_mode=part["mode"], partition=PartitionConfig(part["q_max"], part["epsilon"]),
+        budget=part["budget"],
+        has_grid=run["grid"] is not None, grid_p01=tuple(grid["p01"]),
+        grid_p11=tuple(grid["p11"]), grid_methods=tuple(grid["methods"]), grid_runs=grid["runs"],
+        qsweep_list=None if run["q_sweep"] is None else tuple(qs["q_list"]),
+        qsweep_p01=qs["p01"], qsweep_p11=qs["p11"], qsweep_method=qs["method"],
+    )
+    spec = _grid_spec(cfg)  # refuses a grid that cannot run, and holds probabilities as floats
+    return replace(cfg, grid_p01=spec.p01_list, grid_p11=spec.p11_list)
 
 
 def load_run_config(path: str, seed_override: int | None, out_override: str | None) -> RunConfig:
@@ -255,16 +256,11 @@ def load_run_config(path: str, seed_override: int | None, out_override: str | No
         raise ConfigError(f"config file {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
-    _check_config(obj)
+    resolve_run_config(obj)
     cfg = parse_run_config(obj)
     if seed_override is not None:
-        cfg = replace(
-            cfg,
-            seed=seed_override,
-            synth=None
-            if cfg.synth is None
-            else replace(cfg.synth, seed=seed_override),
-        )
+        synth = None if cfg.synth is None else replace(cfg.synth, seed=seed_override)
+        cfg = replace(cfg, seed=seed_override, synth=synth)
     if out_override is not None:
         cfg = replace(cfg, out_dir=out_override)
     return cfg
@@ -344,13 +340,21 @@ def _methods_to_train(cfg: RunConfig) -> tuple[str, ...]:
     return ()
 
 
+def _make_out_dir(cfg: RunConfig) -> Path:
+    """cfg.out_dir, made if absent; ConfigError when a file stands at or above it."""
+    out_dir = Path(cfg.out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ConfigError(f"out_dir {out_dir} cannot be a directory: {exc.strerror}") from None
+    return out_dir
+
+
 def cmd_synth(cfg: RunConfig) -> int:
     if cfg.synth is None:
         raise ConfigError("synth subcommand needs a data.synth block")
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     raw = gen_synthetic(cfg.synth)
-    path = out_dir / "synthetic.csv"
+    path = _make_out_dir(cfg) / "synthetic.csv"
     save_csv(raw, path)
     print(f"wrote {path} ({raw.n_periods} periods, {raw.n_plants} plants)")
     return 0
@@ -401,8 +405,7 @@ def cmd_train(cfg: RunConfig, jobs: int = 1) -> int:
         for hd in hds.values():
             RetrainOracle.check_capacity(hd.train)
     archs = {h: _arch_for(cfg, hd) for h, hd in hds.items()}  # refused before any write
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(cfg)
 
     for h, hd in hds.items():
         arch = archs[h]
@@ -486,15 +489,7 @@ def cmd_evaluate(cfg: RunConfig, jobs: int = 1) -> int:
     raw = _load_raw(cfg)
     hds = _horizon_data(cfg, raw)
     artifacts = _load_artifacts(cfg, hds)
-    spec = GridSpec(
-        p01_list=cfg.grid_p01,
-        p11_list=cfg.grid_p11,
-        horizons=cfg.horizons,
-        methods=cfg.grid_methods,
-        runs=cfg.grid_runs,
-        base_seed=cfg.seed,
-    )
-    rows = run_grid(spec, hds, artifacts, jobs=jobs)
+    rows = run_grid(_grid_spec(cfg), hds, artifacts, jobs=jobs)
 
     qrows = None
     if cfg.qsweep_list:

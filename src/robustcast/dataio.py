@@ -14,7 +14,7 @@ The column layout of a supervised matrix built from S plants with lags
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -150,10 +150,10 @@ class SynthConfig:
 
     n_plants: int
     n_periods: int
-    ar_coefficient: float
-    cross_plant_correlation: float
-    noise_std: float
-    seed: int
+    ar_coefficient: float = 0.97
+    cross_plant_correlation: float = 0.5
+    noise_std: float = 0.2
+    seed: int = field(kw_only=True)
     obs_noise_std: float = 0.0
 
     def __post_init__(self):
@@ -169,6 +169,8 @@ class SynthConfig:
             raise ConfigError("noise_std must be >= 0")
         if self.obs_noise_std < 0.0:
             raise ConfigError("obs_noise_std must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def load_csv(path: str | Path) -> RawSeries:

@@ -11,9 +11,9 @@ import pytest
 
 from robustcast import cli
 from robustcast._util import derive_seed
-from robustcast.cli import main, parse_run_config
+from robustcast.cli import main, parse_run_config, resolve_run_config
 from robustcast.exceptions import ConfigError
-from robustcast.dataio import load_csv, save_csv, RawSeries, SynthConfig
+from robustcast.dataio import gen_synthetic, load_csv, save_csv, RawSeries, SynthConfig
 from robustcast.evaluation import METHODS
 from robustcast.partition import (
     Partition, PartitionConfig, learn_partition, load_artifact, partition_to_json, rel_gap,
@@ -169,6 +169,38 @@ class TestRunConfig:
         assert cfg.train == TrainConfig(patience=3, weight_decay=1e-5)
         assert cfg.partition == PartitionConfig(epsilon=0.5)
 
+    def test_resolve_fills_every_default(self):
+        # each default reaches every out_dir, so a changed default must fail here
+        config = {"data": {"synth": {"n_plants": 2, "n_periods": 50}}}
+        expected = {
+            "seed": 0, "out_dir": "runs/out", "target_plant": 0, "max_lag": 2, "horizons": [1],
+            "family": "lr", "adaptive": True, "hidden": [50, 50, 50, 50],
+            "data": {"csv": None, "synth": {
+                "n_plants": 2, "n_periods": 50, "ar_coefficient": 0.97,
+                "cross_plant_correlation": 0.5, "noise_std": 0.2, "obs_noise_std": 0.0, "seed": 0}},
+            "split": {"train_frac": 0.5, "val_frac": 0.15},
+            "train": {"learning_rate": 0.001, "max_iters": 1000, "patience": 20,
+                      "batch_size": 512, "weight_decay": 0.0, "shuffle": False},
+            "partition": {"mode": "learned", "q_max": 10, "epsilon": 0.001, "budget": None},
+            "grid": None, "q_sweep": None,
+        }
+        assert resolve_run_config(config) == expected
+        config["family"] = expected["family"] = "nn"
+        expected["train"]["weight_decay"] = 1e-5
+        assert resolve_run_config(config) == expected
+        config.update(seed=4, grid={}, q_sweep={"q_list": [1]})
+        expected["seed"] = expected["data"]["synth"]["seed"] = 4
+        expected["grid"] = {"p01": [0.05, 0.1, 0.2], "p11": [0.0, 0.8, 0.9],
+                            "methods": ["imp-persistence", "arf-learned"], "runs": 10}
+        expected["q_sweep"] = {"q_list": [1], "p01": 0.2, "p11": 0.9, "method": "arf-learned"}
+        assert resolve_run_config(config) == expected
+
+    def test_readme_defaults_are_what_the_resolver_fills_in(self):
+        text = README.read_text(encoding="utf-8").split("### Defaults", 1)[1]
+        given, resolved = (json.loads(block.split("```", 1)[0])
+                           for block in text.split("```json")[1:3])
+        assert resolve_run_config(given) == resolved
+
     @pytest.mark.parametrize("name", ["eval-grid", "lr-pipeline", "nn-train"])
     def test_benchmark_configs_reach_the_run_config(self, name):
         obj = json.loads((WORKLOADS / f"{name}.json").read_text(encoding="utf-8"))
@@ -224,6 +256,9 @@ class TestRunConfig:
          "grid.methods"),
         # a repeated Q would cut and write the same sweep artifact twice
         ("q_sweep", {"q_list": [2, 2]}, "q_sweep.q_list"),
+        ("data", {"synth": {"n_periods": 900}}, "missing config key data.synth.n_plants"),
+        ("data", {"synth": {"n_plants": 2}}, "missing config key data.synth.n_periods"),
+        ("q_sweep", {"p01": 0.2}, "missing config key q_sweep.q_list"),
     ])
     def test_config_that_would_fail_after_training_exits_2(self, tmp_path, key, value, match):
         config = base_config(tmp_path / "out", **{key: value})
@@ -233,6 +268,41 @@ class TestRunConfig:
         assert main(["train", "--config", str(path)]) == 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("form", ["--seed -1", "run seed -3", "synth seed -5"])
+    def test_negative_synthetic_seed_exits_2(self, tmp_path, capsys, form):
+        config = base_config(tmp_path / "out")
+        argv = []
+        if form == "--seed -1":
+            argv = ["--seed", "-1"]
+        elif form == "run seed -3":
+            config["seed"] = -3  # the synth seed follows it
+            del config["data"]["synth"]["seed"]
+        else:
+            config["data"]["synth"]["seed"] = -5
+        path = write_config(tmp_path, config)
+        for command in ("synth", "train"):
+            capsys.readouterr()
+            assert main([command, "--config", str(path), *argv]) == 2
+            assert "seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_run_seed_with_a_csv_source_runs(self, tmp_path):
+        csv_path = tmp_path / "series.csv"
+        save_csv(gen_synthetic(SynthConfig(2, 600, 0.95, 0.5, 0.4, seed=3)), csv_path)
+        config = base_config(tmp_path / "out", data={"csv": str(csv_path)}, seed=-3)
+        path = write_config(tmp_path, config)
+        assert main(["train", "--config", str(path)]) == 0
+        assert main(["evaluate", "--config", str(path), "--seed", "-1"]) == 0
+
+    @pytest.mark.parametrize("command", ["synth", "train"])
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "file/sub"])
+    def test_out_dir_that_cannot_be_a_directory_exits_2(self, tmp_path, capsys, command, under):
+        taken = tmp_path / "taken"
+        taken.write_text("kept", encoding="utf-8")
+        path = write_config(tmp_path, base_config(taken / "sub" if under else taken))
+        assert main([command, "--config", str(path)]) == 2
+        assert "cannot be a directory" in capsys.readouterr().err
+        assert taken.read_text(encoding="utf-8") == "kept"
 
     # the first four are refused when the config is parsed, the others once
     # the data are loaded, before out_dir is made; the series has 2 plants
