@@ -69,10 +69,15 @@ def array_from_json(obj: dict) -> np.ndarray:
 
 def map_jobs(fn, tasks: list, jobs: int) -> list:
     """[fn(task) for task in tasks], run in a pool of `jobs` worker processes
-    when jobs > 1 and there is more than one task; fn must be picklable."""
+    when jobs > 1 and there is more than one task; fn must be picklable.
+
+    The tasks go out in at most `jobs` runs of consecutive tasks, each
+    pickled as one message, so an object several tasks share (the horizon
+    data, the artifacts, a retrain oracle and the models it has cached) is
+    pickled and rebuilt once per run, not once per task."""
     if jobs > 1 and len(tasks) > 1:
         import concurrent.futures as cf
 
         with cf.ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, tasks))
+            return list(pool.map(fn, tasks, chunksize=-(-len(tasks) // jobs)))
     return [fn(task) for task in tasks]

@@ -14,7 +14,9 @@ candidates costs O(k p^2) rather than k predictions over the split. The
 network family runs one forward pass per candidate into buffers kept for the
 split, with the operations of mse_loss in their order, so each loss is
 mse_loss's bit for bit. What a split contributes (G, b and c, or the buffers)
-is a SplitScorer; training makes one per split and reuses it in every search.
+is a SplitScorer, the one input form of both searches: training makes one
+per split and reuses it in every search, and partition growth makes one per
+split feature it picks.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from ._util import rng_for
 from .dataio import Dataset
 from .exceptions import DomainError, SizeError
 from .missingness import MissingPattern, _masked
-from .models import LR, ModelParams, _adaptation, _nn_forward
+from .models import LR, Architecture, ModelParams, _adaptation, _nn_forward
 from .training import TrainConfig, TrainResult, run_training_loop
 
 
@@ -62,30 +64,31 @@ class SplitScorer:
     """What scoring patterns on one data split keeps between searches.
 
     A linear model keeps the split's Gram statistics G, b and c; a network
-    keeps an (n, p) masked-input buffer and an (n, width) activation buffer
-    per hidden layer. Both depend on the data and the model's layout, arch,
-    not on its parameters, so training builds one per split and binds each
-    search's parameters. The buffers make one scorer unfit for concurrent
-    searches.
+    keeps the split, an (n, p) masked-input buffer and an (n, width)
+    activation buffer per hidden layer. Both depend on the data and the
+    model's layout, arch, not on its parameters, so training builds one per
+    split and binds each search's parameters. The buffers make one scorer
+    unfit for concurrent searches.
     """
 
-    def __init__(self, X: np.ndarray, y: np.ndarray, params: ModelParams):
-        self.X = X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        self.y = y = np.asarray(y, dtype=np.float64)
+    def __init__(self, X: np.ndarray, y: np.ndarray, arch: Architecture):
+        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        y = np.asarray(y, dtype=np.float64)
         n = X.shape[0]
         if n == 0:
             raise SizeError("pattern scoring needs a non-empty data set")
-        self.arch = params.arch
-        if self.arch.family == LR:
+        self.arch = arch
+        if arch.family == LR:
             self.gram = X.T @ X / n
             self.xty = X.T @ y / n
             self.yty = float(y @ y) / n
         else:
+            self.X, self.y = X, y
             self.xm = np.empty_like(X)
             # Layer m reads only layer m - 1's output, so the layers take the
             # two halves of one block in turn: less memory held through
             # training, and one block to hand back when the scorer goes.
-            widths = self.arch.hidden
+            widths = arch.hidden
             half = n * max(widths)
             block = np.empty(2 * half)
             self.layers = [
@@ -153,29 +156,19 @@ def _with_each(bits: np.ndarray, candidates: list[int]) -> np.ndarray:
 
 
 def find_adversarial(
-    X: np.ndarray,
-    y: np.ndarray,
-    scope: AdvSearchScope,
+    split: SplitScorer,
     params: ModelParams,
-    *,
-    split: SplitScorer | None = None,
+    scope: AdvSearchScope,
 ) -> AdversarialPattern:
-    """Greedy search for a worst-case pattern within the scope.
+    """Greedy search for a worst-case pattern of params within the scope, on
+    the data split scores.
 
     Each round evaluates the full-data loss with one more candidate feature
     missing, fixes the argmax (ties break to the lowest feature index), and
     stops at the budget or as soon as the best candidate strictly decreases
-    the incumbent loss. The accepted-loss sequence is non-decreasing.
-
-    A round scores all its candidates at once (SplitScorer.bind). split is
-    the SplitScorer of this X and y to reuse; without one the search builds
-    its own, so for a linear model it passes over the data once, for the
-    Gram statistics, instead of once per candidate.
+    the incumbent loss. The accepted-loss sequence is non-decreasing. A
+    round scores all its candidates at once (SplitScorer.bind).
     """
-    if split is None:
-        split = SplitScorer(X, y, params)
-    elif split.X is not X or split.y is not y:
-        raise DomainError("split scorer was built from another data set")
     score = split.bind(params)
     bits = scope.base.bits.copy()
     best_loss = float(score(bits[None, :])[0])
@@ -196,17 +189,17 @@ def find_adversarial(
 
 
 def greedy_split_feature(
-    X: np.ndarray,
-    y: np.ndarray,
-    scope: AdvSearchScope,
+    split: SplitScorer,
     params: ModelParams,
+    scope: AdvSearchScope,
 ) -> int | None:
     """First round of the greedy search only: the single free feature whose
-    loss is largest (no acceptance test). None when there is nothing to pick."""
+    loss on the data split scores is largest (no acceptance test). None when
+    there is nothing to pick."""
     candidates = list(scope.free)
     if not candidates:
         return None
-    losses = SplitScorer(X, y, params).bind(params)(_with_each(scope.base.bits, candidates))
+    losses = split.bind(params)(_with_each(scope.base.bits, candidates))
     return candidates[int(np.argmax(losses))]
 
 
@@ -225,14 +218,10 @@ def train_adversarial(
     freshly searched validation-split pattern. Optimizer moments start
     fresh; warm carries parameters only, and is left unchanged.
     """
-    train_split = SplitScorer(train.X, train.y, warm)
-    val_split = SplitScorer(val.X, val.y, warm)
-    pick_train = lambda params: find_adversarial(
-        train.X, train.y, scope, params, split=train_split
-    ).pattern
-    pick_val = lambda params: find_adversarial(
-        val.X, val.y, scope, params, split=val_split
-    ).pattern
+    train_split = SplitScorer(train.X, train.y, warm.arch)
+    val_split = SplitScorer(val.X, val.y, warm.arch)
+    pick_train = lambda params: find_adversarial(train_split, params, scope).pattern
+    pick_val = lambda params: find_adversarial(val_split, params, scope).pattern
     return run_training_loop(train, val, warm, cfg, pick_train, pick_val)
 
 

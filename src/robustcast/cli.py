@@ -33,7 +33,7 @@ from .evaluation import (
     run_grid,
     summary_csv,
 )
-from .exceptions import ConfigError, DataError, ParseError, RobustcastError
+from .exceptions import CapacityError, ConfigError, DataError, ParseError, RobustcastError
 from .missingness import MissingnessConfig, MissingPattern
 from .models import Architecture, ModelParams
 from .partition import (
@@ -394,6 +394,15 @@ def _train_one_method(method, cfg, hd, arch, uset, h, jobs, in_grid):
         print(f"[h={h}] {method}: {len(part.subsets)} equality subsets")
 
 
+def _check_oracle(hd: HorizonData) -> None:
+    """ConfigError when the data at hd have more maskable features than a
+    retrain oracle takes (RetrainOracle.check_capacity)."""
+    try:
+        RetrainOracle.check_capacity(hd.train)
+    except CapacityError as exc:
+        raise ConfigError(f"{exc}; the data have {len(hd.train.maskable)}") from None
+
+
 def cmd_train(cfg: RunConfig, jobs: int = 1) -> int:
     raw = _load_raw(cfg)
     hds = _horizon_data(cfg, raw)
@@ -403,7 +412,7 @@ def cmd_train(cfg: RunConfig, jobs: int = 1) -> int:
         methods += (cfg.qsweep_method,)
     if METHOD_RETRAIN_ORACLE in methods:
         for hd in hds.values():
-            RetrainOracle.check_capacity(hd.train)
+            _check_oracle(hd)
     archs = {h: _arch_for(cfg, hd) for h, hd in hds.items()}  # refused before any write
     _make_out_dir(cfg)
 
@@ -472,6 +481,7 @@ def _load_artifacts(cfg: RunConfig, hds: dict[int, HorizonData]) -> dict:
         for method in cfg.grid_methods:
             entry = METHODS[method]
             if entry.artifact is RetrainOracle:
+                _check_oracle(hd)
                 artifacts[(method, h)] = RetrainOracle(
                     hd.train, hd.val, _train_config(cfg, method, h),
                     _method_arch(_arch_for(cfg, hd), method),

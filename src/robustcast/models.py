@@ -19,16 +19,16 @@ treated as immutable snapshots, except that a training run updates its own
 params in place through the flat vector their blocks are views of (see
 from_vector).
 
-loss_and_grad writes its gradient into a flat vector the caller gives: the
-StepBuffers of a training run, which also hold the decay masks and the
-row buffers, made once per run. What a call writes there stays valid until
-the next call with those buffers. The run binds each epoch's pattern once
-(bind_pattern) and hands the bound pattern to every mini-batch.
+loss_and_grad takes its pattern, its weight decay and its buffers from one
+StepBuffers, made once per training run: the run's weight decay, the decay
+masks, the row buffers and the flat vector the gradient is written into.
+What a call writes there stays valid until the next call with those
+buffers. The run binds each epoch's pattern to them once (StepBuffers.bind)
+and every mini-batch of the epoch applies it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -300,87 +300,75 @@ def mse_loss(params: ModelParams, X: np.ndarray, y: np.ndarray, alpha) -> float:
     return float(np.mean((preds - y) ** 2))
 
 
-class BoundPattern(NamedTuple):
-    """One batch pattern checked against a model's layout and expanded for
-    loss_and_grad: its uint8 bits and its adaptation a (_adaptation). arch
-    is the layout it was bound for. The training loop binds each epoch's
-    pattern once."""
-
-    arch: Architecture
-    bits: np.ndarray
-    a: np.ndarray | None
-
-
-def bind_pattern(params: ModelParams, alpha) -> BoundPattern:
-    """alpha, one pattern for a whole batch, checked by MissingPattern.bits_of
-    (DomainError unless it is one 0/1 vector of the model's width marking
-    only maskable features) and expanded for loss_and_grad."""
-    arch = params.arch
-    bits = MissingPattern.bits_of(alpha, arch.input_dim, arch.maskable, ndim=1)
-    return BoundPattern(arch, bits, _adaptation(arch, bits))
-
-
 class StepBuffers:
     """What the loss_and_grad calls of one training run reuse, sized once for
     batches of up to `rows` rows: the flat gradient vector `grad` (blocks in
     block_names() order, the layout adam_step reads) with a view per block
-    in `blocks`, each block's weight-decay mask (_decayed_mask), and the
-    masked-input and residual rows, all for the layout `arch`. A call
-    overwrites all of it, so what it returns stays valid until the next call
-    with these buffers."""
+    in `blocks`, each block's weight-decay mask (_decayed_mask) and the run's
+    weight_decay, and the masked-input and residual rows, all for the layout
+    `arch`. bind(pattern) sets the pattern every following call applies. A
+    call overwrites the rest, so what it returns stays valid until the next
+    call with these buffers."""
 
-    def __init__(self, params: ModelParams, rows: int):
+    def __init__(self, params: ModelParams, rows: int, weight_decay: float):
         self.arch = params.arch
         self.rows = rows
+        self.weight_decay = weight_decay
         self.grad = np.empty(sum(block.size for block in params.arrays.values()))
         self.blocks = params.from_vector(self.grad).arrays
         self.decay = {name: _decayed_mask(self.arch, name) for name in self.blocks}
         self.xm = np.empty((rows, self.arch.input_dim))
         self.resid = np.empty(rows)
         self.sq = np.empty(rows)
+        self.bits = self.a = None
+
+    def bind(self, pattern) -> None:
+        """Apply pattern, one pattern for a whole batch, to the calls that
+        follow: DomainError unless it passes MissingPattern.bits_of as one
+        0/1 vector of the layout's width marking only maskable features.
+        Keeps its bits and its adaptation a (_adaptation)."""
+        arch = self.arch
+        self.bits = MissingPattern.bits_of(pattern, arch.input_dim, arch.maskable, ndim=1)
+        self.a = _adaptation(arch, self.bits)
 
 
 def loss_and_grad(
     params: ModelParams,
     X: np.ndarray,
     y: np.ndarray,
-    alpha,
-    weight_decay: float = 0.0,
-    work: StepBuffers | None = None,
+    work: StepBuffers,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Training objective and exact gradients for every parameter block.
 
-    The objective is mean squared error plus weight_decay times the sum of
-    squared decayed weights (see _decayed_mask), summed block by block. One
-    pattern applies to the whole batch: alpha is a pattern, checked here, or
-    a BoundPattern of this model's layout, checked when bound (the training
-    loop binds each epoch's pattern once and passes it to every batch).
+    The objective is mean squared error plus work.weight_decay times the sum
+    of squared decayed weights (see _decayed_mask), summed block by block.
+    One pattern applies to the whole batch: the one bound to work (the
+    training loop binds each epoch's pattern once); DomainError when none
+    is.
 
     The gradient is written into the flat vector work.grad of the caller's
     StepBuffers, built for this layout and at least n rows; the returned
     blocks are views of it, valid, like the rest of work, until the next
-    call with that work. Without work the call allocates its own buffers.
+    call with that work.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64)
     n = X.shape[0]
     if n == 0:
         raise SizeError("empty batch")
-    if not isinstance(alpha, BoundPattern):
-        alpha = bind_pattern(params, alpha)
-    if work is None:
-        work = StepBuffers(params, n)
     if n > work.rows:
         raise SizeError(f"batch of {n} rows exceeds buffers for {work.rows}")
     arch = params.arch
-    # tuples compare items by identity first, so the usual case, where params,
-    # pattern and buffers share one Architecture, costs no field comparison
-    if (alpha.arch, work.arch) != (arch, arch):
-        raise DomainError("pattern or buffers bound for another model layout")
+    # the usual case, params and buffers sharing one Architecture, costs no
+    # field comparison
+    if work.arch is not arch and work.arch != arch:
+        raise DomainError("buffers built for another model layout")
+    if work.bits is None:
+        raise DomainError("no pattern bound to the buffers")
     grads = work.blocks
-    xm = _masked(X, alpha.bits, out=work.xm[:n])
+    xm = _masked(X, work.bits, out=work.xm[:n])
     resid = work.resid[:n]
-    a = alpha.a
+    a = work.a
 
     if arch.family == LR:
         w = params.arrays["w"]
@@ -420,6 +408,7 @@ def loss_and_grad(
                 if a is not None:
                     dg += np.multiply(srow[:, None], params.arrays[f"D{m}"] @ a)
 
+    weight_decay = work.weight_decay
     if weight_decay:
         for name, mask in work.decay.items():
             decayed = params.arrays[name] * mask

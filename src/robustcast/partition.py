@@ -30,6 +30,7 @@ import numpy as np
 from ._util import derive_seed, map_jobs, open_utf8
 from .adversarial import (
     AdvSearchScope,
+    SplitScorer,
     greedy_split_feature,
     train_adversarial,
     train_sampled_adversarial,
@@ -371,8 +372,8 @@ def learn_partition(
         chosen = max(gaps, key=gaps.get)  # the first maximum: the lowest id on ties
         parent = part.subsets[chosen]
 
-        j_star = greedy_split_feature(train.X, train.y, scope(parent.free, parent.opt_pattern),
-                                      parent.params_opt)
+        j_star = greedy_split_feature(SplitScorer(train.X, train.y, arch), parent.params_opt,
+                                      scope(parent.free, parent.opt_pattern))
         free_child = tuple(j for j in parent.free if j != j_star)
         avail_id, miss_id = len(part.subsets), len(part.subsets) + 1
 

@@ -3,11 +3,11 @@ patience-based early stopping, returning the best-on-validation parameters.
 The model trained is named by one models.Architecture, which train_nominal
 takes alone and checks against the data. A run updates one flat vector in
 place (the blocks in block_names() order, with two Adam moment vectors of
-its length); its ModelParams are views of it. Each epoch's training pattern
-is bound once (models.bind_pattern checks and expands it) and serves every
-mini-batch of the epoch. Each step's loss_and_grad writes its gradient into
-the flat vector of the run's StepBuffers (made once per run), which
-adam_step reads as it is.
+its length); its ModelParams are views of it. The run's StepBuffers, made
+once with its weight decay, carry what every step's loss_and_grad reads:
+each epoch's training pattern is bound to them once (StepBuffers.bind checks
+and expands it) and serves every mini-batch of the epoch, and each step
+writes its gradient into their flat vector, which adam_step reads as it is.
 
 The same loop also powers adversarial training (the adversarial module swaps
 in a different pattern picker per epoch), which keeps the two code paths
@@ -29,7 +29,6 @@ from .models import (
     Architecture,
     ModelParams,
     StepBuffers,
-    bind_pattern,
     init_params,
     loss_and_grad,
     mse_loss,
@@ -122,7 +121,7 @@ def run_training_loop(
         raise SizeError("training and validation splits must be non-empty")
     theta = params0.to_vector()
     params = params0.from_vector(theta)
-    work = StepBuffers(params, min(cfg.batch_size, train.n))
+    work = StepBuffers(params, min(cfg.batch_size, train.n), cfg.weight_decay)
     m, v = np.zeros_like(theta), np.zeros_like(theta)
     best_theta = theta.copy()
     best_loss = np.inf
@@ -133,14 +132,14 @@ def run_training_loop(
     phi = 0
     step = 0
     while k < cfg.max_iters and phi < cfg.patience:
-        alpha_train = bind_pattern(params, pick_train_pattern(params))
+        work.bind(pick_train_pattern(params))
         X, y = train.X, train.y
         if shuffle_rng is not None:
             order = shuffle_rng.permutation(train.n)
             X, y = X[order], y[order]
         for start in range(0, train.n, cfg.batch_size):
             rows = slice(start, start + cfg.batch_size)
-            loss, _ = loss_and_grad(params, X[rows], y[rows], alpha_train, cfg.weight_decay, work)
+            loss, _ = loss_and_grad(params, X[rows], y[rows], work)
             if not math.isfinite(loss):
                 raise NumericalError(f"training loss is {loss} at iteration {k}")
             step += 1

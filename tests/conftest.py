@@ -5,7 +5,10 @@ squared errors behind them for a forecast-comparison test. And the training
 and routing references the tests check the library against: a fine-tune
 from given parameters, the validation losses a training loop computes, the
 admissible patterns of an uncertainty set, and the subset a pattern reaches
-in a learned or a fixed partition."""
+in a learned or a fixed partition. And the one-call forms of the two
+kernels: a training step at a pattern (step) and a greedy search or split
+pick on a data set (find_on, split_feature_on), each on buffers or a
+scorer of its own."""
 import itertools
 import time
 from dataclasses import dataclass, replace
@@ -14,6 +17,7 @@ import numpy as np
 import pytest
 
 from robustcast import training
+from robustcast.adversarial import SplitScorer, find_adversarial, greedy_split_feature
 from robustcast.dataio import SynthConfig, gen_synthetic
 from robustcast.evaluation import (
     METHOD_ARF_LEARNED,
@@ -31,7 +35,7 @@ from robustcast.evaluation import (
 from robustcast.missingness import (
     MissingPattern, expand_obs_mask, impute_persistence, simulate_markov,
 )
-from robustcast.models import Architecture, mse_loss
+from robustcast.models import Architecture, StepBuffers, loss_and_grad, mse_loss
 from robustcast.partition import (
     FixedPartition, Partition, PartitionConfig, UncertaintySet, learn_partition, truncate,
 )
@@ -54,6 +58,25 @@ TREND_RUNS = 10
 TREND_GRID_SEED = 42
 HEAVY_CELL = (0.2, 0.9)
 LIGHT_CELL = (0.05, 0.0)
+
+
+def step(params, X, y, alpha, weight_decay: float = 0.0):
+    """loss_and_grad on one batch at pattern alpha: buffers made for this
+    batch and weight_decay, alpha bound to them, then the step."""
+    work = StepBuffers(params, np.atleast_2d(X).shape[0], weight_decay)
+    work.bind(alpha)
+    return loss_and_grad(params, X, y, work)
+
+
+def find_on(X, y, scope, params):
+    """find_adversarial for params on X and y, through a scorer of their own."""
+    return find_adversarial(SplitScorer(X, y, params.arch), params, scope)
+
+
+def split_feature_on(X, y, scope, params):
+    """greedy_split_feature for params on X and y, through a scorer of their
+    own."""
+    return greedy_split_feature(SplitScorer(X, y, params.arch), params, scope)
 
 
 def finetune(train, val, pattern: MissingPattern, cfg: TrainConfig, params) -> TrainResult:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from robustcast.adversarial import AdvSearchScope, find_adversarial, train_adversarial
+from robustcast.adversarial import AdvSearchScope, train_adversarial
 from robustcast.dataio import SynthConfig, gen_synthetic, split_sequential, build_supervised
 from robustcast.evaluation import (
     METHOD_ARF_LEARNED,
@@ -25,7 +25,6 @@ from robustcast.models import (
     Architecture,
     _nn_forward,
     init_params,
-    loss_and_grad,
     mse_loss,
     predict,
 )
@@ -39,7 +38,8 @@ from robustcast.partition import (
 )
 from robustcast.training import TrainConfig, train_nominal
 from tests.conftest import (
-    HEAVY_CELL, LIGHT_CELL, cell_nrmse, cell_sq_errors, enumerate_patterns, finetune,
+    HEAVY_CELL, LIGHT_CELL, cell_nrmse, cell_sq_errors, enumerate_patterns, finetune, find_on,
+    step,
 )
 
 
@@ -49,7 +49,7 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 
 
 def relative_errors(params, X, y, bits, wd, coords):
-    _, grads = loss_and_grad(params, X, y, bits, wd)
+    _, grads = step(params, X, y, bits, wd)
     analytic = np.concatenate([grads[k].ravel() for k in params.block_names()])
     vec = params.to_vector()
     eps = 1e-6
@@ -59,8 +59,8 @@ def relative_errors(params, X, y, bits, wd, coords):
         vp[i] += eps
         vm = vec.copy()
         vm[i] -= eps
-        lp, _ = loss_and_grad(params.from_vector(vp), X, y, bits, wd)
-        lm, _ = loss_and_grad(params.from_vector(vm), X, y, bits, wd)
+        lp, _ = step(params.from_vector(vp), X, y, bits, wd)
+        lm, _ = step(params.from_vector(vm), X, y, bits, wd)
         fd = (lp - lm) / (2 * eps)
         errors.append(abs(analytic[i] - fd) / max(1.0, abs(analytic[i]), abs(fd)))
     return max(errors)
@@ -125,7 +125,7 @@ def test_criterion_2_adversarial_oracle_sandwich():
         y = rng.uniform(0, 1, 32)
         base = MissingPattern.zeros(p)
         scope = AdvSearchScope(free=free, budget=budget, base=base)
-        res = find_adversarial(X, y, scope, params)
+        res = find_on(X, y, scope, params)
 
         brute = mse_loss(params, X, y, base)
         for size in range(1, budget + 1):

@@ -19,7 +19,7 @@ from robustcast.exceptions import DomainError, SizeError
 from robustcast.missingness import MissingPattern
 from robustcast.models import Architecture, init_params, mse_loss
 from robustcast.training import TrainConfig, train_nominal
-from tests.conftest import finetune
+from tests.conftest import find_on, finetune, split_feature_on
 
 
 def lr_params(w, maskable):
@@ -30,7 +30,7 @@ def lr_params(w, maskable):
 
 def pattern_losses(X, y, params):
     """The round scorer of one search over X, y at params."""
-    return SplitScorer(X, y, params).bind(params)
+    return SplitScorer(X, y, params.arch).bind(params)
 
 
 def brute_force_max(X, y, scope, params):
@@ -61,7 +61,7 @@ class TestFindAdversarial:
         X = np.array([[1.0, 1.0, 1.0]])
         y = np.array([4.0])
         scope = AdvSearchScope(free=(0, 1), budget=2, base=MissingPattern.zeros(3))
-        res = find_adversarial(X, y, scope, params)
+        res = find_on(X, y, scope, params)
         assert res.pattern.missing_indices() == (0, 1)
         assert res.loss == pytest.approx(16.0)
         assert res.steps == [(0, pytest.approx(9.0)), (1, pytest.approx(16.0))]
@@ -73,7 +73,7 @@ class TestFindAdversarial:
         X = np.array([[1.0, 1.0, 1.0]])
         y = np.array([0.0])
         scope = AdvSearchScope(free=(0, 1), budget=2, base=MissingPattern.zeros(3))
-        res = find_adversarial(X, y, scope, params)
+        res = find_on(X, y, scope, params)
         assert res.pattern.popcount() == 0
         assert res.loss == pytest.approx(16.0)
         assert res.steps == []
@@ -82,14 +82,14 @@ class TestFindAdversarial:
         params = lr_params([3.0, 1.0, 0.0], maskable=(0, 1))
         base = MissingPattern.from_missing(3, [1])
         scope = AdvSearchScope(free=(0,), budget=1, base=base)
-        res = find_adversarial(np.array([[1.0, 1.0, 1.0]]), np.array([4.0]), scope, params)
+        res = find_on(np.array([[1.0, 1.0, 1.0]]), np.array([4.0]), scope, params)
         np.testing.assert_array_equal(res.pattern.bits, base.bits)
 
     def test_empty_dataset_errors(self):
         params = lr_params([1.0], maskable=(0,))
         scope = AdvSearchScope(free=(0,), budget=1, base=MissingPattern.zeros(1))
         with pytest.raises(SizeError):
-            find_adversarial(np.empty((0, 1)), np.empty(0), scope, params)
+            find_on(np.empty((0, 1)), np.empty(0), scope, params)
 
     def test_scope_validation(self):
         base = MissingPattern.from_missing(3, [0])
@@ -107,7 +107,7 @@ class TestFindAdversarial:
             X = rng.uniform(0, 1, (16, p))
             y = rng.uniform(0, 1, 16)
             scope = AdvSearchScope(free=maskable, budget=1, base=MissingPattern.zeros(p))
-            res = find_adversarial(X, y, scope, params)
+            res = find_on(X, y, scope, params)
             assert res.loss == pytest.approx(brute_force_max(X, y, scope, params))
 
     def test_sandwich_property_against_brute_force(self):
@@ -121,7 +121,7 @@ class TestFindAdversarial:
             y = rng.uniform(0, 1, 24)
             base = MissingPattern.zeros(p)
             scope = AdvSearchScope(free=free, budget=budget, base=base)
-            res = find_adversarial(X, y, scope, params)
+            res = find_on(X, y, scope, params)
             # below the exact maximum
             assert res.loss <= brute_force_max(X, y, scope, params) + 1e-12
             # at or above every single-feature candidate and the base loss
@@ -140,7 +140,7 @@ class TestFindAdversarial:
         X = np.array([[0.5, 0.5, 1.0]])
         y = np.array([1.0])
         scope = AdvSearchScope(free=(0, 1), budget=1, base=MissingPattern.zeros(3))
-        res = find_adversarial(X, y, scope, params)
+        res = find_on(X, y, scope, params)
         assert res.steps[0][0] == 0
 
     def test_split_feature_matches_first_greedy_round(self):
@@ -153,7 +153,7 @@ class TestFindAdversarial:
         scope = AdvSearchScope(free=free, budget=4, base=MissingPattern.zeros(p))
         losses = {j: mse_loss(params, X, y, scope.base.with_missing(j)) for j in free}
         expected = max(free, key=lambda j: (losses[j], -j))
-        assert greedy_split_feature(X, y, scope, params) == expected
+        assert split_feature_on(X, y, scope, params) == expected
 
 
 def greedy_oracle(X, y, scope, params):
@@ -213,14 +213,14 @@ class TestRoundScorer:
         score = pattern_losses(X, y, params)
         for stack, losses in rounds:
             np.testing.assert_allclose(score(stack), losses, rtol=1e-9)
-        res = find_adversarial(X, y, scope, params)
+        res = find_on(X, y, scope, params)
         np.testing.assert_array_equal(res.pattern.bits, pattern.bits)
         assert [j for j, _ in res.steps] == [j for j, _ in steps]
         np.testing.assert_allclose([l for _, l in res.steps], [l for _, l in steps], rtol=1e-9)
         if rounds:
             first = rounds[0][1]
             expected = scope.free[max(range(len(first)), key=lambda i: (first[i], -i))]
-            assert greedy_split_feature(X, y, scope, params) == expected
+            assert split_feature_on(X, y, scope, params) == expected
 
     @settings(max_examples=50, deadline=None)
     @given(lr_searches(), st.data())
@@ -234,11 +234,11 @@ class TestRoundScorer:
         bad = AdvSearchScope(free=scope.free + (j,), budget=scope.budget, base=scope.base)
         if room:
             with pytest.raises(DomainError):
-                find_adversarial(X, y, bad, params)
+                find_on(X, y, bad, params)
         else:  # no round runs, so no candidate is checked
-            find_adversarial(X, y, bad, params)
+            find_on(X, y, bad, params)
         with pytest.raises(DomainError):
-            greedy_split_feature(X, y, bad, params)
+            split_feature_on(X, y, bad, params)
 
     def test_a_row_scores_the_same_in_any_stack(self):
         # so a pattern that leaves the effective weights unchanged ties the
@@ -267,7 +267,7 @@ class TestRoundScorer:
         base = MissingPattern.from_missing(3, [2])
         scope = AdvSearchScope(free=(), budget=1, base=base)
         with pytest.raises(DomainError):
-            find_adversarial(np.ones((4, 3)), np.zeros(4), scope, params)
+            find_on(np.ones((4, 3)), np.zeros(4), scope, params)
 
     @pytest.mark.parametrize("adaptive", [False, True])
     def test_unchanged_weights_tie_and_are_accepted_in_index_order(self, adaptive):
@@ -280,7 +280,7 @@ class TestRoundScorer:
         X = rng.normal(0.0, 100.0, (30, 4))
         y = rng.normal(0.0, 1.0, 30)
         scope = AdvSearchScope(free=(0, 1, 2), budget=2, base=MissingPattern.zeros(4))
-        res = find_adversarial(X, y, scope, params)
+        res = find_on(X, y, scope, params)
         base_loss = float(pattern_losses(X, y, params)(scope.base.bits[None, :])[0])
         assert res.steps == [(0, base_loss), (1, base_loss)]
         assert res.pattern.missing_indices() == (0, 1)
@@ -295,7 +295,7 @@ class TestRoundScorer:
         y = rng.normal(0.0, 1.0, 25)
         scope = AdvSearchScope(free=maskable, budget=3, base=MissingPattern.zeros(p))
         pattern, steps, rounds = greedy_oracle(X, y, scope, params)
-        res = find_adversarial(X, y, scope, params)
+        res = find_on(X, y, scope, params)
         np.testing.assert_array_equal(res.pattern.bits, pattern.bits)
         assert res.steps == steps
         score = pattern_losses(X, y, params)
@@ -337,18 +337,18 @@ class TestNetworkScorer:
     @given(nn_searches(), st.data())
     def test_buffered_scorer_equals_mse_loss(self, search, data):
         X, y, scope, params, other = search
-        split = SplitScorer(X, y, params)
+        split = SplitScorer(X, y, params.arch)
         score = split.bind(params)
         pattern, steps, rounds = greedy_oracle(X, y, scope, params)
         for stack, losses in rounds:
             assert score(stack).tolist() == losses
-        res = find_adversarial(X, y, scope, params, split=split)
+        res = find_adversarial(split, params, scope)
         np.testing.assert_array_equal(res.pattern.bits, pattern.bits)
         assert res.steps == steps
         if rounds:
             first = rounds[0][1]
             expected = scope.free[max(range(len(first)), key=lambda i: (first[i], -i))]
-            assert greedy_split_feature(X, y, scope, params) == expected
+            assert greedy_split_feature(split, params, scope) == expected
         # one reused scorer gives a row the same loss in any stack, at any
         # position, and after the split's buffers served other parameters
         p, maskable = params.arch.input_dim, list(params.arch.maskable)
@@ -367,20 +367,10 @@ class TestNetworkScorer:
             assert score(stack[i:])[0] == whole[i]
         assert score(stack[::-1]).tolist() == whole[::-1].tolist()
 
-    def test_split_built_from_other_data_raises(self):
-        params = init_params(Architecture("nn", True, 3, (4,), maskable=(0, 1)), 0)
-        X, y = np.ones((5, 3)), np.zeros(5)
-        scope = AdvSearchScope(free=(0, 1), budget=1, base=MissingPattern.zeros(3))
-        split = SplitScorer(X, y, params)
-        with pytest.raises(DomainError, match="another data set"):
-            find_adversarial(X.copy(), y, scope, params, split=split)
-        with pytest.raises(DomainError, match="another data set"):
-            find_adversarial(X, y.copy(), scope, params, split=split)
-
     @pytest.mark.parametrize("family, hidden", [("nn", (4, 2)), ("nn", (5,)), ("lr", ())])
     def test_parameters_of_another_shape_raise(self, family, hidden):
         arch = Architecture("nn", False, 3, (4,))
-        split = SplitScorer(np.ones((5, 3)), np.zeros(5), init_params(arch, 0))
+        split = SplitScorer(np.ones((5, 3)), np.zeros(5), arch)
         other = init_params(Architecture(family, False, 3, hidden), 0)
         with pytest.raises(DomainError, match="layout"):
             split.bind(other)

@@ -11,7 +11,7 @@ import pytest
 
 from robustcast import cli
 from robustcast._util import derive_seed
-from robustcast.cli import main, parse_run_config, resolve_run_config
+from robustcast.cli import load_run_config, main, parse_run_config, resolve_run_config
 from robustcast.exceptions import ConfigError
 from robustcast.dataio import gen_synthetic, load_csv, save_csv, RawSeries, SynthConfig
 from robustcast.evaluation import METHODS
@@ -200,6 +200,15 @@ class TestRunConfig:
         given, resolved = (json.loads(block.split("```", 1)[0])
                            for block in text.split("```json")[1:3])
         assert resolve_run_config(given) == resolved
+
+    def test_readme_reproduction_config_is_the_committed_file(self):
+        text = README.read_text(encoding="utf-8").split("## Reproduction", 1)[1]
+        path = README.parent / "configs" / "paper-synthetic.json"
+        assert text.split("```json\n", 1)[1].split("```", 1)[0] == path.read_text(encoding="utf-8")
+        cfg = load_run_config(path, None, None)
+        assert (cfg.horizons, cfg.synth.n_plants, cfg.grid_runs) == ((1, 4, 16), 3, 3)
+        assert cfg.grid_methods == ("imp-persistence", "imp-mean", "rf-learned", "arf-learned",
+                                    "retrain-oracle")
 
     @pytest.mark.parametrize("name", ["eval-grid", "lr-pipeline", "nn-train"])
     def test_benchmark_configs_reach_the_run_config(self, name):
@@ -409,16 +418,23 @@ class TestTrain:
         # the second split is on the missing side of the first
         assert part.fixed(4) == {0: 1, 1: 1}
 
-    def test_oversized_retrain_oracle_exits_4_before_training(self, tmp_path, capsys):
+    def test_oversized_retrain_oracle_exits_2_before_training(self, tmp_path, capsys):
         # the lr-pipeline data shape: 4 plants at lags 0-2 give 12 maskable features
         out = tmp_path / "out"
         config = base_config(out, max_lag=2, grid={
-            "p01": [0.2], "p11": [0.5], "methods": ["imp-mean", "retrain-oracle"], "runs": 1,
+            "p01": [0.2], "p11": [0.5], "methods": ["retrain-oracle", "imp-mean"], "runs": 1,
         })
         config["data"]["synth"]["n_plants"] = 4
-        assert main(["train", "--config", str(write_config(tmp_path, config))]) == 4
-        assert "retrain oracle limited to 10 maskable features" in capsys.readouterr().err
-        assert not list(out.glob("base_h*.json"))
+        path = str(write_config(tmp_path, config))
+        assert main(["train", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: retrain oracle limited to 10 maskable features")
+        assert "the data have 12" in err
+        assert not out.exists()
+        # evaluate refuses it where it builds the oracle, before it looks for
+        # the imp-mean artifact, which no train wrote
+        assert main(["evaluate", "--config", path]) == 2
+        assert "retrain oracle limited to 10" in capsys.readouterr().err
 
     def test_out_dir_does_not_depend_on_jobs(self, tmp_path):
         # budget 2 trains two fixed subsets and the grid has two cells, so

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import robustcast.evaluation as evaluation
+from robustcast._util import map_jobs
 from robustcast.dataio import (
     RawSeries,
     SynthConfig,
@@ -174,6 +175,14 @@ class TestRunGrid:
         par = run_grid(spec, {1: hd}, artifacts, jobs=2)
         assert seq == par
 
+    def test_jobs_pickle_a_shared_object_once_per_worker(self):
+        # every grid task holds the horizon data and the artifacts, a retrain
+        # oracle among them, whose cache fills in the copy a worker holds
+        Counted.pickled = 0
+        shared = Counted()
+        assert map_jobs(_second, [(shared, i) for i in range(6)], 2) == list(range(6))
+        assert Counted.pickled == 2
+
     def test_missing_artifact_names_cell(self):
         raw, hd, arch, cfg, base, uset = small_setup(seed=6)
         spec = GridSpec(p01_list=(0.1,), p11_list=(0.5,), horizons=(1,),
@@ -205,6 +214,20 @@ class TestRunGrid:
         one_sided_oracle_better = res.p_value / 2 if res.statistic < 0 else 1.0
         assert oracle_nrmse <= robust_nrmse
         assert one_sided_oracle_better < 0.1
+
+
+class Counted:
+    """Counts how often an instance is pickled in this process."""
+
+    pickled = 0
+
+    def __reduce__(self):
+        Counted.pickled += 1
+        return Counted, ()
+
+
+def _second(task):
+    return task[1]
 
 
 def persistence_rebuild(hd, target_plant, filled_values):

@@ -12,7 +12,6 @@ from robustcast.models import (
     StepBuffers,
     _decayed_mask,
     _nn_forward,
-    bind_pattern,
     init_params,
     loss_and_grad,
     mse_loss,
@@ -20,6 +19,7 @@ from robustcast.models import (
     params_to_json,
     predict,
 )
+from tests.conftest import step
 
 
 def finite_difference_gradient(params, X, y, bits, weight_decay, eps=1e-6, coords=None):
@@ -32,8 +32,8 @@ def finite_difference_gradient(params, X, y, bits, weight_decay, eps=1e-6, coord
         vp[i] += eps
         vm = vec.copy()
         vm[i] -= eps
-        lp, _ = loss_and_grad(params.from_vector(vp), X, y, bits, weight_decay)
-        lm, _ = loss_and_grad(params.from_vector(vm), X, y, bits, weight_decay)
+        lp, _ = step(params.from_vector(vp), X, y, bits, weight_decay)
+        lm, _ = step(params.from_vector(vm), X, y, bits, weight_decay)
         grad[i] = (lp - lm) / (2.0 * eps)
     return grad
 
@@ -270,14 +270,14 @@ class TestLossAndGrad:
         params.arrays["w"] = np.array([2.0, 0.0])
         X = np.array([[1.0, 1.0], [2.0, 1.0]])
         y = np.array([2.0, 4.0])
-        loss, grads = loss_and_grad(params, X, y, MissingPattern.zeros(2).bits, 0.0)
+        loss, grads = step(params, X, y, MissingPattern.zeros(2).bits, 0.0)
         assert loss == pytest.approx(0.0)
         np.testing.assert_allclose(grads["w"], 0.0, atol=1e-12)
 
     def test_single_observation_hand_gradient(self):
         params = init_params(Architecture("lr", False, 1, maskable=(0,)), seed=0)
         params.arrays["w"] = np.array([2.0])
-        loss, grads = loss_and_grad(
+        loss, grads = step(
             params, np.array([[1.0]]), np.array([0.0]), np.zeros(1, dtype=np.uint8), 0.0
         )
         assert loss == pytest.approx(4.0)
@@ -286,7 +286,7 @@ class TestLossAndGrad:
     def test_empty_batch(self):
         params = init_params(Architecture("lr", False, 2, maskable=(0,)), seed=0)
         with pytest.raises(SizeError):
-            loss_and_grad(params, np.empty((0, 2)), np.empty(0), np.zeros(2, dtype=np.uint8), 0.0)
+            step(params, np.empty((0, 2)), np.empty(0), np.zeros(2, dtype=np.uint8), 0.0)
 
     @pytest.mark.parametrize("family,adaptive", [("lr", False), ("lr", True), ("nn", False), ("nn", True)])
     def test_gradient_matches_finite_differences(self, family, adaptive):
@@ -302,7 +302,7 @@ class TestLossAndGrad:
             bits = np.zeros(p, dtype=np.uint8)
             bits[[0, 2]] = 1
             wd = 1e-4
-            _, grads = loss_and_grad(params, X, y, bits, wd)
+            _, grads = step(params, X, y, bits, wd)
             analytic = np.concatenate([grads[k].ravel() for k in params.block_names()])
             fd = finite_difference_gradient(params, X, y, bits, wd)
             for i, g_fd in fd.items():
@@ -328,7 +328,7 @@ class TestLossAndGrad:
         wd = float(rng.choice([0.0, 1e-3]))
         if family == "nn":
             assume(relu_margin(params, X, bits) > 1e-3)  # no kink within the FD step
-        _, grads = loss_and_grad(params, X, y, bits, wd)
+        _, grads = step(params, X, y, bits, wd)
         analytic = np.concatenate([grads[k].ravel() for k in params.block_names()])
         coords = rng.choice(analytic.size, size=min(analytic.size, 40), replace=False)
         for i, g_fd in finite_difference_gradient(params, X, y, bits, wd, coords=coords).items():
@@ -345,10 +345,10 @@ class TestLossAndGrad:
         params = randomized(init_params(arch, seed=1), rng)
         X, y = rng.normal(0.0, 1.0, (9, p)), rng.normal(0.0, 1.0, 9)
         bits = np.array([1, 0, 1, 1, 0, 0], dtype=np.uint8)
-        loss, grads = loss_and_grad(params, X, y, bits, 1e-3)
+        loss, grads = step(params, X, y, bits, 1e-3)
         bad = X.copy()
         bad[:, [0, 2, 3]] = [np.nan, np.inf, -np.inf]
-        bad_loss, bad_grads = loss_and_grad(params, bad, y, bits, 1e-3)
+        bad_loss, bad_grads = step(params, bad, y, bits, 1e-3)
         assert bad_loss == loss
         for name, block in grads.items():
             assert np.array_equal(bad_grads[name], block), name
@@ -366,19 +366,16 @@ class TestLossAndGrad:
         assert np.array_equal(predict(twin, X, zero), predict(plain, X, zero))
         assert np.array_equal(predict(twin, X, np.zeros((7, p), np.uint8)),
                               predict(plain, X, zero))
-        loss, grads = loss_and_grad(plain, X, y, zero, 1e-3)
-        for twin_loss, twin_grads in (
-            loss_and_grad(twin, X, y, zero, 1e-3),
-            loss_and_grad(twin, X, y, bind_pattern(twin, zero), 1e-3, StepBuffers(twin, 7)),
-        ):
-            assert twin_loss == loss
-            assert [k for k in twin_grads if k not in grads] == [
-                k for k in twin.block_names() if k.startswith("D")]
-            for name, block in twin_grads.items():
-                if name.startswith("D"):
-                    assert block.shape == twin.arrays[name].shape and block.shape[1] == 0
-                else:
-                    assert np.array_equal(block, grads[name]), name
+        loss, grads = step(plain, X, y, zero, 1e-3)
+        twin_loss, twin_grads = step(twin, X, y, zero, 1e-3)
+        assert twin_loss == loss
+        assert [k for k in twin_grads if k not in grads] == [
+            k for k in twin.block_names() if k.startswith("D")]
+        for name, block in twin_grads.items():
+            if name.startswith("D"):
+                assert block.shape == twin.arrays[name].shape and block.shape[1] == 0
+            else:
+                assert np.array_equal(block, grads[name]), name
 
     def test_bias_feature_excluded_from_decay(self):
         arch = Architecture("lr", False, 3, bias_index=2, maskable=(0, 1))
@@ -386,7 +383,7 @@ class TestLossAndGrad:
         params.arrays["w"] = np.array([1.0, 1.0, 5.0])
         X = np.array([[0.0, 0.0, 1.0]])
         y = np.array([5.0])  # perfect fit, so only decay contributes
-        loss, grads = loss_and_grad(params, X, y, np.zeros(3, dtype=np.uint8), 0.1)
+        loss, grads = step(params, X, y, np.zeros(3, dtype=np.uint8), 0.1)
         assert loss == pytest.approx(0.1 * (1.0 + 1.0))
         assert grads["w"][2] == pytest.approx(0.0)
 
@@ -499,16 +496,16 @@ class TestLossAndGradAgainstReference:
         params = randomized(init_params(arch, seed), rng)
         # the buffers of rows + spare rows serve every batch below: a prefix
         # of a larger workspace, reused across calls with different patterns
-        work = StepBuffers(params, rows + spare)
+        work = StepBuffers(params, rows + spare, weight_decay)
         for n in (rows, rows + spare, rows):
             X = rng.normal(0.0, 1.0, (n, p))
             y = rng.normal(0.0, 1.0, n)
             bits = np.zeros(p, dtype=np.uint8)
             bits[list(maskable)] = rng.uniform(size=len(maskable)) < 0.5
             ref_loss, ref_grads = reference_loss_and_grad(params, X, y, bits, weight_decay)
-            same_bits(*loss_and_grad(params, X, y, bits, weight_decay), ref_loss, ref_grads)
-            loss, grads = loss_and_grad(params, X, y, bind_pattern(params, bits),
-                                        weight_decay, work)
+            same_bits(*step(params, X, y, bits, weight_decay), ref_loss, ref_grads)
+            work.bind(bits)
+            loss, grads = loss_and_grad(params, X, y, work)
             same_bits(loss, grads, ref_loss, ref_grads)
             assert all(np.shares_memory(g, work.grad) for g in grads.values() if g.size)
 
@@ -520,19 +517,28 @@ class TestLossAndGradAgainstReference:
         bits = np.array([1, 0], dtype=np.uint8)
         ref_loss, ref_grads = reference_loss_and_grad(params, X, y, bits)
         assert ref_grads["D"][1, 1] == 0.0 and np.signbit(ref_grads["D"][1, 1])
-        same_bits(*loss_and_grad(params, X, y, bits), ref_loss, ref_grads)
+        same_bits(*step(params, X, y, bits), ref_loss, ref_grads)
 
     def test_buffers_refuse_another_layout_and_a_larger_batch(self):
         arch = Architecture("lr", True, 3, bias_index=2, maskable=(0, 1))
         params = init_params(arch, seed=0)
         other = init_params(replace(arch, maskable=(0,)), seed=0)
         X, y, zero = np.ones((4, 3)), np.ones(4), np.zeros(3, dtype=np.uint8)
+        small, foreign = StepBuffers(params, 3, 0.0), StepBuffers(other, 4, 0.0)
+        small.bind(zero)
+        foreign.bind(zero)
         with pytest.raises(SizeError):
-            loss_and_grad(params, X, y, zero, 0.0, StepBuffers(params, 3))
-        with pytest.raises(DomainError):
-            loss_and_grad(params, X, y, zero, 0.0, StepBuffers(other, 4))
-        with pytest.raises(DomainError):
-            loss_and_grad(params, X, y, bind_pattern(other, zero), 0.0, StepBuffers(params, 4))
+            loss_and_grad(params, X, y, small)
+        with pytest.raises(DomainError, match="another model layout"):
+            loss_and_grad(params, X, y, foreign)
+
+    def test_buffers_with_no_bound_pattern_raise(self):
+        params = init_params(Architecture("lr", True, 3, bias_index=2, maskable=(0, 1)), seed=0)
+        work = StepBuffers(params, 4, 0.0)
+        with pytest.raises(DomainError, match="no pattern bound"):
+            loss_and_grad(params, np.ones((4, 3)), np.ones(4), work)
+        work.bind(np.zeros(3, dtype=np.uint8))
+        assert loss_and_grad(params, np.ones((4, 3)), np.ones(4), work)[0] >= 0.0
 
 
 class TestSerialization:

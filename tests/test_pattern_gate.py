@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from robustcast.exceptions import DomainError
 from robustcast.missingness import MissingPattern, ObsMaskSeries, impute_mean
-from robustcast.models import Architecture, init_params, loss_and_grad, mse_loss, predict
+from robustcast.models import Architecture, StepBuffers, init_params, mse_loss, predict
 from robustcast.partition import (
     FixedPartition,
     Fit,
@@ -78,11 +78,18 @@ def fixtures(p: int, maskable: tuple[int, ...], n: int):
     return params, learned, fixed, X, X.sum(axis=1)
 
 
+def bound_bits(params, bits) -> np.ndarray:
+    """The pattern bits StepBuffers.bind keeps for bits."""
+    work = StepBuffers(params, 1, 0.0)
+    work.bind(bits)
+    return work.bits
+
+
 # name -> (ranks it takes, checks support, call(fixtures, bits))
 ENTRY_POINTS = {
     "predict": ((1, 2), True, lambda f, b: predict(f[0], f[3], b)),
     "mse_loss": ((1, 2), True, lambda f, b: mse_loss(f[0], f[3], f[4], b)),
-    "loss_and_grad": ((1,), True, lambda f, b: loss_and_grad(f[0], f[3], f[4], b)[0]),
+    "StepBuffers.bind": ((1,), True, lambda f, b: bound_bits(f[0], b)),
     "impute_mean": ((1, 2), False, lambda f, b: impute_mean(f[3], b, f[3].mean(axis=0))),
     "predict_deployed": ((1,), True, lambda f, b: predict_deployed(f[1], f[3][0], b)),
     "predict_deployed_rows": ((2,), True, lambda f, b: predict_deployed_rows(f[1], f[3], b)),

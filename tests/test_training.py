@@ -21,7 +21,7 @@ from robustcast.training import (
     run_training_loop,
     train_nominal,
 )
-from tests.conftest import finetune
+from tests.conftest import finetune, step
 
 
 # the model layout of line_dataset: a linear fit of y on x and the bias
@@ -268,8 +268,8 @@ class TestInPlaceUpdates:
 
 def reference_run_training_loop(train, val, params0, cfg, pick_train_pattern, pick_val_pattern):
     """run_training_loop as it was before each epoch bound its pattern once:
-    every batch hands the picked pattern to loss_and_grad, which checks it
-    and allocates its own buffers, and the blocks are concatenated into the
+    every batch binds the picked pattern, which checks it, to buffers of its
+    own for its loss_and_grad (conftest.step), and the blocks are concatenated into the
     gradient vector Adam reads. Returns the TrainResult and every epoch's
     validation loss."""
     if train.n == 0 or val.n == 0:
@@ -286,7 +286,7 @@ def reference_run_training_loop(train, val, params0, cfg, pick_train_pattern, pi
 
     k = 0
     phi = 0
-    step = 0
+    n_steps = 0
     while k < cfg.max_iters and phi < cfg.patience:
         alpha_train = pick_train_pattern(params)
         X, y = train.X, train.y
@@ -295,12 +295,12 @@ def reference_run_training_loop(train, val, params0, cfg, pick_train_pattern, pi
             X, y = X[order], y[order]
         for start in range(0, train.n, cfg.batch_size):
             rows = slice(start, start + cfg.batch_size)
-            loss, grads = loss_and_grad(params, X[rows], y[rows], alpha_train, cfg.weight_decay)
+            loss, grads = step(params, X[rows], y[rows], alpha_train, cfg.weight_decay)
             if not math.isfinite(loss):
                 raise NumericalError(f"training loss is {loss} at iteration {k}")
-            step += 1
+            n_steps += 1
             g = np.concatenate([grads[name].ravel() for name in names])
-            adam_step(theta, g, m, v, step, cfg.learning_rate)
+            adam_step(theta, g, m, v, n_steps, cfg.learning_rate)
         alpha_val = pick_val_pattern(params)
         val_loss = mse_loss(params, val.X, val.y, alpha_val)
         if not math.isfinite(val_loss):
