@@ -42,7 +42,6 @@ from .partition import (
     Partition,
     PartitionConfig,
     Split,
-    UncertaintySet,
     UncertaintySubset,
     fixed_partition,
     learn_partition,

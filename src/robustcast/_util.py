@@ -74,10 +74,12 @@ def map_jobs(fn, tasks: list, jobs: int) -> list:
     The tasks go out in at most `jobs` runs of consecutive tasks, each
     pickled as one message, so an object several tasks share (the horizon
     data, the artifacts, a retrain oracle and the models it has cached) is
-    pickled and rebuilt once per run, not once per task."""
+    pickled and rebuilt once per run, not once per task. The pool starts
+    one worker per run, never more."""
     if jobs > 1 and len(tasks) > 1:
         import concurrent.futures as cf
 
-        with cf.ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, tasks, chunksize=-(-len(tasks) // jobs)))
+        chunk = -(-len(tasks) // jobs)
+        with cf.ProcessPoolExecutor(max_workers=-(-len(tasks) // chunk)) as pool:
+            return list(pool.map(fn, tasks, chunksize=chunk))
     return [fn(task) for task in tasks]

@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from ._util import rng_for
-from .dataio import Dataset
+from .dataio import Dataset, maskable_indices
 from .exceptions import DomainError, SizeError
 from .missingness import MissingPattern, _masked
 from .models import LR, Architecture, ModelParams, _adaptation, _nn_forward
@@ -44,7 +44,7 @@ class AdvSearchScope:
     base: MissingPattern
 
     def __post_init__(self):
-        object.__setattr__(self, "free", tuple(sorted(int(j) for j in self.free)))
+        object.__setattr__(self, "free", maskable_indices(self.free, self.base.bits.size))
         if self.budget < 0:
             raise DomainError("budget must be >= 0")
         if self.base.popcount() > self.budget:

@@ -40,7 +40,6 @@ from .partition import (
     FixedPartition,
     Partition,
     PartitionConfig,
-    UncertaintySet,
     bounds_table,
     fixed_partition,
     learn_partition,
@@ -318,11 +317,8 @@ def _train_config(cfg: RunConfig, name: str, h: int) -> TrainConfig:
     return replace(cfg.train, seed=derive_seed(cfg.seed, "train", name, h))
 
 
-def _uset_for(cfg: RunConfig, hd: HorizonData) -> UncertaintySet:
-    budget = cfg.budget if cfg.budget is not None else len(hd.dataset.maskable)
-    return UncertaintySet(
-        n_features=hd.dataset.p, maskable=hd.dataset.maskable, budget=budget
-    )
+def _budget_for(cfg: RunConfig, hd: HorizonData) -> int:
+    return cfg.budget if cfg.budget is not None else len(hd.dataset.maskable)
 
 
 def _artifact_path(out_dir: str, name: str, horizon: int) -> Path:
@@ -360,9 +356,9 @@ def cmd_synth(cfg: RunConfig) -> int:
     return 0
 
 
-def _train_one_method(method, cfg, hd, arch, uset, h, jobs, in_grid):
+def _train_one_method(method, cfg, hd, arch, budget, h, jobs, in_grid):
     """Train and save the partition artifacts of one method at horizon h,
-    every model of layout arch.
+    every model of layout arch, over the patterns with at most budget missing.
     The imputation methods score the base model and the oracle trains at
     evaluation, so neither has anything to train here."""
     entry = METHODS[method]
@@ -374,7 +370,7 @@ def _train_one_method(method, cfg, hd, arch, uset, h, jobs, in_grid):
         sweep = cfg.qsweep_list if cfg.qsweep_list and method == cfg.qsweep_method else ()
         q_grow = max(sweep + ((cfg.partition.max_subsets,) if in_grid else ()))
         grown = learn_partition(
-            hd.train, hd.val, uset, replace(cfg.partition, max_subsets=q_grow), tcfg, arch
+            hd.train, hd.val, budget, replace(cfg.partition, max_subsets=q_grow), tcfg, arch
         )
         if in_grid:
             part = truncate(grown, cfg.partition.max_subsets)
@@ -389,7 +385,7 @@ def _train_one_method(method, cfg, hd, arch, uset, h, jobs, in_grid):
             save_artifact(part, _artifact_path(cfg.out_dir, f"{entry.stem}_q{q}", h))
             print(f"[h={h}] {method} Q={q}: max relgap {part.max_relgap():.4%}")
     elif entry.artifact is FixedPartition:
-        part = fixed_partition(hd.train, hd.val, uset, tcfg, arch, jobs=jobs)
+        part = fixed_partition(hd.train, hd.val, budget, tcfg, arch, jobs=jobs)
         save_artifact(part, _artifact_path(cfg.out_dir, entry.stem, h))
         print(f"[h={h}] {method}: {len(part.subsets)} equality subsets")
 
@@ -418,7 +414,6 @@ def cmd_train(cfg: RunConfig, jobs: int = 1) -> int:
 
     for h, hd in hds.items():
         arch = archs[h]
-        uset = _uset_for(cfg, hd)
         # the base model, which the imputation methods score, never adapts
         base = train_nominal(
             hd.train,
@@ -432,7 +427,7 @@ def cmd_train(cfg: RunConfig, jobs: int = 1) -> int:
         for method in methods:
             try:
                 _train_one_method(
-                    method, cfg, hd, _method_arch(arch, method), uset, h, jobs,
+                    method, cfg, hd, _method_arch(arch, method), _budget_for(cfg, hd), h, jobs,
                     in_grid=method in grid_methods,
                 )
             except RobustcastError as exc:
@@ -453,8 +448,8 @@ def _refuse_other(path: Path, what: str, got, want) -> None:
 def _load_checked(path: Path, method: str, cfg: RunConfig, hd: HorizonData, q: int):
     """The artifact saved at path, which must exist, be of the kind its
     method needs and hold only models of the layout the run config gives the
-    method at hd; a partition must also be over the run config's uncertainty
-    set and a learned one grown with its partition config to q subsets.
+    method at hd; a partition must also hold the run config's budget, and a
+    learned one be grown with its partition config to q subsets.
     Anything else is a ConfigError (exit 2)."""
     arch = _method_arch(_arch_for(cfg, hd), method)
     if not path.is_file():
@@ -467,8 +462,9 @@ def _load_checked(path: Path, method: str, cfg: RunConfig, hd: HorizonData, q: i
     # each distinct layout once, in first-use order, so the message is deterministic
     for got in dict.fromkeys(params.arch for params in param_sets(artifact)):
         _refuse_other(path, "a model of another layout", got, arch)
-    if kind is not ModelParams:
-        _refuse_other(path, "another uncertainty set", artifact.uncertainty, _uset_for(cfg, hd))
+    if kind is not ModelParams and artifact.budget != _budget_for(cfg, hd):
+        raise ConfigError(f"artifact {path} holds another uncertainty set: budget "
+                          f"{artifact.budget} (run config: {_budget_for(cfg, hd)})")
     if kind is Partition:
         _refuse_other(path, "another partition config", artifact.config,
                       replace(cfg.partition, max_subsets=q))

@@ -1,6 +1,6 @@
-"""Budgeted uncertainty sets over missing features, fixed equality-count
-partitions, the learned binary-split partition driven by the relative
-optimistic/adversarial gap, pattern routing, and the deployed predictor.
+"""Fixed equality-count partitions, the learned binary-split partition
+driven by the relative optimistic/adversarial gap, pattern routing, and the
+deployed predictor.
 
 A learned partition is a binary tree: each internal node tests one feature's
 availability, each leaf is a subset carrying an optimistic pattern (all free
@@ -15,8 +15,9 @@ when that child kept its leaf's). It creates subsets 2k - 1 (available) and
 2k (missing). The subsets, routing, the leaf list, each subset's equality
 constraints and the lineage a file records are derived from them.
 
-Both partition trainers take one models.Architecture, the layout of every
-model they train; a fixed partition holds one Fit per missing count.
+The uncertainty set is every pattern over the maskable features of a
+models.Architecture with at most `budget` missing: both trainers take the
+two, and a partition holds the budget and models of one layout (_layout).
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ from .adversarial import (
     train_adversarial,
     train_sampled_adversarial,
 )
-from .dataio import Dataset, maskable_indices
+from .dataio import Dataset
 from .exceptions import ConfigError, DomainError, ParseError
 from .missingness import MissingPattern
 from .models import (
@@ -45,21 +46,6 @@ from .training import TrainConfig, train_nominal
 
 RELGAP_FLOOR = 1e-12
 ARTIFACT_FORMAT = 2
-
-
-@dataclass(frozen=True)
-class UncertaintySet:
-    """All patterns with support in the maskable set and at most `budget`
-    features missing at once."""
-
-    n_features: int
-    maskable: tuple[int, ...]
-    budget: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "maskable", maskable_indices(self.maskable, self.n_features))
-        if not (0 <= self.budget <= len(self.maskable)):
-            raise DomainError("budget must lie in [0, |maskable|]")
 
 
 @dataclass(frozen=True)
@@ -128,30 +114,29 @@ class Partition:
     Construction derives `subsets`, subsets[i] being subset Ui, whose
     inherited bounds and parameter sets are its leaf's own objects, and the
     routing table, one entry per subset: (split feature, available child,
-    missing child), or None for a leaf. It raises DomainError for a model
-    of another width or maskable set than the uncertainty set's
-    (_check_layouts), and for a split whose leaf is no unsplit subset
-    created before it, whose feature is not free in that leaf, or whose leaf
-    has no budget room left."""
+    missing child), or None for a leaf. It raises DomainError for models of
+    more than one width or maskable set or a budget outside [0, |maskable|]
+    (_layout), and for a split whose leaf is no unsplit subset created
+    before it, whose feature is not free in that leaf, or whose leaf has no
+    budget room left."""
 
-    uncertainty: UncertaintySet
+    budget: int
     config: PartitionConfig
     opt: Fit
     adv: Fit
     splits: tuple[Split, ...] = ()
 
     def __post_init__(self):
-        uset = self.uncertainty
-        split_fits = [f for s in self.splits for f in (s.opt, s.adv) if f is not None]
-        _check_layouts(uset, [self.opt, self.adv, *split_fits])
-        subsets = [UncertaintySubset(MissingPattern.zeros(uset.n_features), uset.maskable,
+        archs = [f.params.arch for s in self.splits for f in (s.opt, s.adv) if f is not None]
+        arch = _layout(self.budget, [self.opt.params.arch, self.adv.params.arch, *archs])
+        subsets = [UncertaintySubset(MissingPattern.zeros(arch.input_dim), arch.maskable,
                                      self.opt.params, self.adv.params, self.opt.loss,
                                      self.adv.loss)]
         route = [None]
         for k, split in enumerate(self.splits, 1):
             fresh = split.leaf in range(2 * k - 1) and route[split.leaf] is None
             leaf = subsets[split.leaf] if fresh else None
-            if leaf is None or split.feature not in leaf.free or not _splittable(leaf, uset):
+            if leaf is None or split.feature not in leaf.free or not _splittable(leaf, self.budget):
                 raise DomainError(f"split {k} of subset {split.leaf!r} on feature "
                                   f"{split.feature!r}: no unsplit subset below {2 * k - 1} "
                                   "with that feature free and budget room left")
@@ -181,7 +166,7 @@ class Partition:
         longer free in it, with the bit its optimistic pattern holds there."""
         subset = self.subsets[sid]
         bits = subset.opt_pattern.bits
-        return {j: int(bits[j]) for j in self.uncertainty.maskable if j not in subset.free}
+        return {j: int(bits[j]) for j in self.opt.params.arch.maskable if j not in subset.free}
 
     def max_relgap(self) -> float:
         return max(self.subsets[i].relgap for i in self.leaf_ids)
@@ -191,24 +176,30 @@ class Partition:
 class FixedPartition:
     """Equality-count partition: subsets[l] is the fit trained for exactly l
     missing features, l = 0..budget, so a file stores position l as the
-    subset's count. DomainError for a model of another width or maskable
-    set than the uncertainty set's (_check_layouts)."""
+    subset's count. DomainError for any other fit count, and from _layout."""
 
-    uncertainty: UncertaintySet
+    budget: int
     subsets: list[Fit]
 
     def __post_init__(self):
-        _check_layouts(self.uncertainty, self.subsets)
+        if self.budget < 0 or len(self.subsets) != self.budget + 1:
+            raise DomainError(f"budget {self.budget} needs budget + 1 fits, not {len(self.subsets)}")
+        _layout(self.budget, [fit.params.arch for fit in self.subsets])
 
 
-def _check_layouts(uset: UncertaintySet, fits: list[Fit]) -> None:
-    """DomainError unless every fit's model has uset's width and maskable
-    set, so that a pattern through uset's gate is through every model's."""
-    for arch in (fit.params.arch for fit in fits):
-        if (arch.input_dim, arch.maskable) != (uset.n_features, uset.maskable):
-            raise DomainError(f"a model of {arch.input_dim} inputs, maskable "
-                              f"{list(arch.maskable)}, in a partition of {uset.n_features} "
-                              f"features, maskable {list(uset.maskable)}")
+def _layout(budget: int, archs: list[Architecture]) -> Architecture:
+    """archs[0], whose width and maskable set gate every pattern; DomainError
+    unless all archs share them and budget lies in [0, |maskable|]. Both
+    trainers call it on their layout before any training."""
+    arch = archs[0]
+    for other in archs:
+        if (other.input_dim, other.maskable) != (arch.input_dim, arch.maskable):
+            raise DomainError(f"a model of {other.input_dim} inputs, maskable "
+                              f"{list(other.maskable)}, in a partition of {arch.input_dim} "
+                              f"features, maskable {list(arch.maskable)}")
+    if not 0 <= budget <= len(arch.maskable):
+        raise DomainError("budget must lie in [0, |maskable|]")
+    return arch
 
 
 def _leaf_of(partition: Partition, bits: np.ndarray) -> int:
@@ -219,14 +210,14 @@ def _leaf_of(partition: Partition, bits: np.ndarray) -> int:
     return sid
 
 
-def _pattern_bits(uset: UncertaintySet, patterns, ndim: int) -> np.ndarray:
-    return MissingPattern.bits_of(patterns, uset.n_features, uset.maskable, ndim=ndim)
+def _pattern_bits(arch: Architecture, patterns, ndim: int) -> np.ndarray:
+    return MissingPattern.bits_of(patterns, arch.input_dim, arch.maskable, ndim=ndim)
 
 
 def locate_rows(partition: Partition, bits: np.ndarray) -> np.ndarray:
     """The leaf subset id of every row of an (n, p) bit matrix, which passes
-    the uncertainty set's gate first."""
-    return _walk_rows(partition, _pattern_bits(partition.uncertainty, bits, ndim=2))
+    the gate of the partition's models first."""
+    return _walk_rows(partition, _pattern_bits(partition.opt.params.arch, bits, ndim=2))
 
 
 def _walk_rows(partition: Partition, bits: np.ndarray) -> np.ndarray:
@@ -249,21 +240,21 @@ def predict_deployed(partition: Partition, x: np.ndarray, pattern) -> float:
     """The forecast of one row x at its pattern.
 
     The pattern (a MissingPattern or one bit vector, of any missing count:
-    deployment never clamps to the budget) passes the uncertainty set's gate
+    deployment never clamps to the budget) passes its models' layout gate
     once and is routed to its leaf, which uses its optimistic parameters when
     the pattern equals its optimistic pattern exactly, otherwise its
     adversarial ones. x must be one vector of n_features numbers, or
     DomainError; the slots the pattern marks missing are never read, so
     they may hold NaN. The forecast agrees with predict_deployed_rows to
     rounding (about 1e-16 relative), not bit for bit."""
-    uset = partition.uncertainty
-    bits = _pattern_bits(uset, pattern, ndim=1)
+    arch = partition.opt.params.arch
+    bits = _pattern_bits(arch, pattern, ndim=1)
     try:
         x = np.asarray(x, dtype=np.float64)
     except (TypeError, ValueError):
         x = None
     if x is None or x.shape != bits.shape:
-        raise DomainError(f"a deployed row must be one vector of {uset.n_features} numbers")
+        raise DomainError(f"a deployed row must be one vector of {arch.input_dim} numbers")
     subset = partition.subsets[_leaf_of(partition, bits)]
     use_opt = bits.tobytes() == subset.opt_pattern.key()
     return float(_predict_bits(subset.params_opt if use_opt else subset.params_adv, x, bits))
@@ -296,7 +287,7 @@ def predict_deployed_rows(partition: Partition, X: np.ndarray, patterns: np.ndar
     """Batched `predict_deployed` over an (n, p) bit matrix, one pattern per
     row: rows are grouped by (leaf, parameter choice) so each group runs one
     vectorized forward pass."""
-    bits = _pattern_bits(partition.uncertainty, patterns, ndim=2)
+    bits = _pattern_bits(partition.opt.params.arch, patterns, ndim=2)
     leaf = _walk_rows(partition, bits)
     opt = np.array([s.opt_pattern.bits for s in partition.subsets])
     use_opt = (bits == opt[leaf]).all(axis=1)
@@ -312,21 +303,21 @@ def predict_fixed_rows(fixed: FixedPartition, X: np.ndarray, patterns: np.ndarra
     """Batched fixed-partition prediction over an (n, p) bit matrix: each row
     uses the subset of its missing count, clamped to the budget for
     deployment patterns that exceed it."""
-    bits = _pattern_bits(fixed.uncertainty, patterns, ndim=2)
-    keys = np.minimum(bits.sum(axis=1), fixed.uncertainty.budget)
+    bits = _pattern_bits(fixed.subsets[0].params.arch, patterns, ndim=2)
+    keys = np.minimum(bits.sum(axis=1), fixed.budget)
     return predict_grouped(X, keys, lambda key, rows: (fixed.subsets[key].params, bits[rows]))
 
 
-def _splittable(subset: UncertaintySubset, uset: UncertaintySet) -> bool:
+def _splittable(subset: UncertaintySubset, budget: int) -> bool:
     # A split fixes one more feature as missing in one child, so it needs a
     # free feature and room left in the budget.
-    return bool(subset.free) and subset.opt_pattern.popcount() < uset.budget
+    return bool(subset.free) and subset.opt_pattern.popcount() < budget
 
 
 def learn_partition(
     train: Dataset,
     val: Dataset,
-    uset: UncertaintySet,
+    budget: int,
     pcfg: PartitionConfig,
     train_cfg: TrainConfig,
     arch: Architecture,
@@ -345,6 +336,7 @@ def learn_partition(
     break to the lowest subset id. The loop stops at max_subsets, or when no
     leaf with room to split has a relative gap above epsilon.
     """
+    _layout(budget, [arch])
     base_seed = train_cfg.seed
 
     def nominal(subset_id: int, pattern: MissingPattern) -> Fit:
@@ -358,15 +350,15 @@ def learn_partition(
         return Fit(res.params, res.val_loss)
 
     def scope(free: tuple[int, ...], base: MissingPattern) -> AdvSearchScope:
-        return AdvSearchScope(free=free, budget=uset.budget, base=base)
+        return AdvSearchScope(free=free, budget=budget, base=base)
 
     zero = MissingPattern.zeros(train.p)
     opt = nominal(0, zero)
-    part = Partition(uset, pcfg, opt, adversarial(0, scope(uset.maskable, zero), opt.params))
+    part = Partition(budget, pcfg, opt, adversarial(0, scope(arch.maskable, zero), opt.params))
 
     while len(part.leaf_ids) < pcfg.max_subsets:
         gaps = {i: part.subsets[i].relgap for i in part.leaf_ids
-                if _splittable(part.subsets[i], uset)}
+                if _splittable(part.subsets[i], budget)}
         if not gaps or max(gaps.values()) <= pcfg.epsilon:
             break
         chosen = max(gaps, key=gaps.get)  # the first maximum: the lowest id on ties
@@ -416,7 +408,7 @@ def truncate(partition: Partition, q: int) -> Partition:
 def fixed_partition(
     train: Dataset,
     val: Dataset,
-    uset: UncertaintySet,
+    budget: int,
     train_cfg: TrainConfig,
     arch: Architecture,
     jobs: int = 1,
@@ -428,12 +420,13 @@ def fixed_partition(
     subset-0 parameters. Subsets are independent, so jobs > 1 trains them in
     a process pool without changing the result.
     """
+    _layout(budget, [arch])
     zero = MissingPattern.zeros(train.p)
     cfg0 = replace(train_cfg, seed=derive_seed(train_cfg.seed, "fixed", 0))
     base = train_nominal(train, val, zero, cfg0, arch)
-    tasks = [(train, val, train_cfg, base.params, c) for c in range(1, uset.budget + 1)]
+    tasks = [(train, val, train_cfg, base.params, c) for c in range(1, budget + 1)]
     subsets = [Fit(base.params, base.val_loss), *map_jobs(_train_fixed_subset, tasks, jobs)]
-    return FixedPartition(uncertainty=uset, subsets=subsets)
+    return FixedPartition(budget, subsets)
 
 
 def _train_fixed_subset(task) -> Fit:
@@ -523,7 +516,7 @@ def _learned_json(partition: Partition, refs: list[int]) -> dict:
     return {
         "format": ARTIFACT_FORMAT,
         "kind": "learned",
-        "uncertainty": asdict(partition.uncertainty),
+        "uncertainty": _uncertainty_json(partition.opt.params.arch, partition.budget),
         "config": asdict(partition.config),
         "tree": _tree_to_json(partition),
         "leaf_ids": partition.leaf_ids,
@@ -549,6 +542,11 @@ def partition_to_json(partition: Partition) -> dict:
     return {**_learned_json(partition, refs), "params": table}
 
 
+def _uncertainty_json(arch: Architecture, budget: int) -> dict:
+    """A partition file's "uncertainty" block."""
+    return {"n_features": arch.input_dim, "maskable": list(arch.maskable), "budget": budget}
+
+
 def _checked(value, types: tuple, what: str):
     """value when its JSON type is one of `types` (true and false count as no
     number); ParseError naming `what` otherwise, DomainError for a number
@@ -561,12 +559,15 @@ def _checked(value, types: tuple, what: str):
     return value
 
 
-def _uncertainty_from_json(obj: dict) -> UncertaintySet:
-    """The stored uncertainty set; ParseError unless its counts and indices
-    are integers (UncertaintySet itself would take a budget of 1.5)."""
-    for value in (obj["n_features"], obj["budget"], *obj["maskable"]):
+def _budget_from_json(obj: dict) -> int:
+    """The budget of a file's uncertainty block; ParseError unless the block's
+    counts and indices are integers, DomainError unless 0 <= budget <= |maskable|."""
+    stored = obj["uncertainty"]
+    for value in (stored["n_features"], stored["budget"], *stored["maskable"]):
         _checked(value, (int,), "an uncertainty set's counts and indices")
-    return UncertaintySet(**obj)
+    if not 0 <= stored["budget"] <= len(stored["maskable"]):
+        raise DomainError("budget must lie in [0, |maskable|]")
+    return stored["budget"]
 
 
 def partition_from_json(obj: dict) -> Partition:
@@ -615,7 +616,7 @@ def partition_from_json(obj: dict) -> Partition:
         feature = entries[leaf]["split_feature"] if leaf in range(2 * k - 1) else None
         adv = None if avail["ub_inherited"] else fit(avail, "params_adv", "UB")
         splits.append(Split(leaf, feature, fit(miss, "params_opt", "LB"), adv))
-    part = Partition(_uncertainty_from_json(obj["uncertainty"]), PartitionConfig(**config),
+    part = Partition(_budget_from_json(obj), PartitionConfig(**config),
                      fit(entries[0], "params_opt", "LB"), fit(entries[0], "params_adv", "UB"),
                      splits)
     index = {id(params): i for i, params in enumerate(table)}
@@ -631,7 +632,7 @@ def fixed_to_json(fixed: FixedPartition) -> dict:
     return {
         "format": ARTIFACT_FORMAT,
         "kind": "fixed",
-        "uncertainty": asdict(fixed.uncertainty),
+        "uncertainty": _uncertainty_json(fixed.subsets[0].params.arch, fixed.budget),
         "subsets": [
             {"count": count, "val_loss": s.loss, "params": ref}
             for count, (s, ref) in enumerate(zip(fixed.subsets, refs))
@@ -644,18 +645,20 @@ def fixed_from_json(obj: dict) -> FixedPartition:
     """The fixed partition a file describes; ParseError unless its subsets
     are a list whose counts are the integers 0..budget in order and whose
     val_loss values are numbers."""
-    table, uset = _table_from_json(obj), _uncertainty_from_json(obj["uncertainty"])
+    table, budget = _table_from_json(obj), _budget_from_json(obj)
     entries = _checked(obj["subsets"], (list,), "a fixed file's subsets")
     counts = [s["count"] for s in entries]
-    if any(type(c) is not int for c in counts) or counts != list(range(uset.budget + 1)):
-        raise ParseError(f"a fixed file's counts must be 0..{uset.budget} in order, "
+    if any(type(c) is not int for c in counts) or counts != list(range(budget + 1)):
+        raise ParseError(f"a fixed file's counts must be 0..{budget} in order, "
                          f"got {counts!r:.80}")
     subsets = [
         Fit(_params_at(table, s["params"]),
             _checked(s["val_loss"], (int, float), f"subset {c}'s val_loss"))
         for c, s in enumerate(entries)
     ]
-    return FixedPartition(uncertainty=uset, subsets=subsets)
+    if obj["uncertainty"] != _uncertainty_json(subsets[0].params.arch, budget):
+        raise DomainError("the uncertainty block disagrees with the models' layout")
+    return FixedPartition(budget, subsets)
 
 
 def save_artifact(obj: Partition | FixedPartition | ModelParams, path: str | Path) -> None:

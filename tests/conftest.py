@@ -4,7 +4,7 @@ helpers those tests share: a cell's nrmse values, and the per-observation
 squared errors behind them for a forecast-comparison test. And the training
 and routing references the tests check the library against: a fine-tune
 from given parameters, the validation losses a training loop computes, the
-admissible patterns of an uncertainty set, and the subset a pattern reaches
+patterns of a budgeted uncertainty set, and the subset a pattern reaches
 in a learned or a fixed partition. And the one-call forms of the two
 kernels: a training step at a pattern (step) and a greedy search or split
 pick on a data set (find_on, split_feature_on), each on buffers or a
@@ -37,7 +37,7 @@ from robustcast.missingness import (
 )
 from robustcast.models import Architecture, StepBuffers, loss_and_grad, mse_loss
 from robustcast.partition import (
-    FixedPartition, Partition, PartitionConfig, UncertaintySet, learn_partition, truncate,
+    FixedPartition, Partition, PartitionConfig, learn_partition, truncate,
 )
 from robustcast.training import TrainConfig, TrainResult, run_training_loop, train_nominal
 
@@ -103,13 +103,14 @@ def val_losses(monkeypatch) -> list[float]:
     return losses
 
 
-def enumerate_patterns(uset: UncertaintySet) -> np.ndarray:
-    """Every admissible pattern of uset, one row of a bit matrix each, in
-    lexicographic bit order over the maskable features."""
-    combos = np.array(list(itertools.product((0, 1), repeat=len(uset.maskable))), dtype=np.uint8)
-    combos = combos[combos.sum(axis=1) <= uset.budget]
-    bits = np.zeros((len(combos), uset.n_features), dtype=np.uint8)
-    bits[:, list(uset.maskable)] = combos
+def enumerate_patterns(arch: Architecture, budget: int) -> np.ndarray:
+    """Every pattern over arch's maskable features with at most budget of
+    them missing, one row of a bit matrix each, in lexicographic bit order
+    over the maskable features."""
+    combos = np.array(list(itertools.product((0, 1), repeat=len(arch.maskable))), dtype=np.uint8)
+    combos = combos[combos.sum(axis=1) <= budget]
+    bits = np.zeros((len(combos), arch.input_dim), dtype=np.uint8)
+    bits[:, list(arch.maskable)] = combos
     return bits
 
 
@@ -129,7 +130,7 @@ def locate(part: Partition, pattern) -> int:
 def route_fixed(fixed: FixedPartition, pattern) -> int:
     """The equality subset of a fixed partition a pattern (a MissingPattern
     or one bit vector) uses: its missing count, clamped to the budget."""
-    return min(int(np.sum(getattr(pattern, "bits", pattern))), fixed.uncertainty.budget)
+    return min(int(np.sum(getattr(pattern, "bits", pattern))), fixed.budget)
 
 
 def cell_nrmse(rows: list[GridRow], method: str, h: int, p01: float, p11: float) -> list[float]:
@@ -179,13 +180,8 @@ def trend_setup() -> TrendSetup:
     hd = HorizonData.build(raw, 0, 2, 1, 0.5, 0.15)
     arch = Architecture("lr", True, hd.dataset.p, bias_index=hd.dataset.bias_index,
                         maskable=hd.dataset.maskable)
-    uset = UncertaintySet(
-        n_features=hd.dataset.p,
-        maskable=hd.dataset.maskable,
-        budget=len(hd.dataset.maskable),
-    )
     grown = learn_partition(
-        hd.train, hd.val, uset, PartitionConfig(max(TREND_Q_LIST), 0.0), TREND_TRAIN, arch
+        hd.train, hd.val, len(hd.dataset.maskable), PartitionConfig(max(TREND_Q_LIST), 0.0), TREND_TRAIN, arch
     )
     partitions = {q: truncate(grown, q) for q in TREND_Q_LIST}
     base = train_nominal(

@@ -30,7 +30,6 @@ from robustcast.models import (
 )
 from robustcast.partition import (
     PartitionConfig,
-    UncertaintySet,
     fixed_partition,
     learn_partition,
     locate_rows,
@@ -207,10 +206,9 @@ def test_criterion_4_partition_structure():
     # (a) disjoint cover at |P|=6, budget 3: all 42 patterns route to one leaf
     ds6 = make_ds(6)
     tr6, va6, _ = split_sequential(ds6, 0.6, 0.25)
-    uset6 = UncertaintySet(n_features=7, maskable=tuple(range(6)), budget=3)
-    part6 = learn_partition(tr6, va6, uset6, PartitionConfig(5, 0.0), cfg,
-                            Architecture("lr", False, 7, bias_index=6, maskable=tuple(range(6))))
-    patterns = enumerate_patterns(uset6)
+    arch6 = Architecture("lr", False, 7, bias_index=6, maskable=tuple(range(6)))
+    part6 = learn_partition(tr6, va6, 3, PartitionConfig(5, 0.0), cfg, arch6)
+    patterns = enumerate_patterns(arch6, 3)
     cover_ok = len(patterns) == 42
     leafset = set(part6.leaf_ids)
     for pattern, leaf in zip(patterns, locate_rows(part6, patterns).tolist()):
@@ -224,22 +222,20 @@ def test_criterion_4_partition_structure():
     # (b) fixed partition has budget+1 subsets
     ds3 = make_ds(3)
     tr3, va3, _ = split_sequential(ds3, 0.6, 0.25)
-    uset3 = UncertaintySet(n_features=4, maskable=(0, 1, 2), budget=3)
-    fixed = fixed_partition(tr3, va3, uset3,
+    arch3 = Architecture("lr", False, 4, bias_index=3, maskable=(0, 1, 2))
+    fixed = fixed_partition(tr3, va3, 3,
                             TrainConfig(learning_rate=3e-2, max_iters=300, patience=30,
-                                        batch_size=512, seed=405),
-                            Architecture("lr", False, 4, bias_index=3, maskable=(0, 1, 2)))
+                                        batch_size=512, seed=405), arch3)
     fixed_ok = len(fixed.subsets) == 4
 
     # (c) retraining recovery: 8 singleton leaves enumerate all patterns
-    part3 = learn_partition(tr3, va3, uset3, PartitionConfig(8, 0.0), cfg,
-                            Architecture("lr", False, 4, bias_index=3, maskable=(0, 1, 2)))
+    part3 = learn_partition(tr3, va3, 3, PartitionConfig(8, 0.0), cfg, arch3)
     leaves = [part3.subsets[i] for i in part3.leaf_ids]
     recovery_ok = (
         len(leaves) == 8
         and all(leaf.free == () for leaf in leaves)
         and {leaf.opt_pattern.key() for leaf in leaves}
-        == {row.tobytes() for row in enumerate_patterns(uset3)}
+        == {row.tobytes() for row in enumerate_patterns(arch3, 3)}
     )
 
     # (d) bound-inheritance equalities on construction records

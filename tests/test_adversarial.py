@@ -98,6 +98,15 @@ class TestFindAdversarial:
         with pytest.raises(DomainError):
             AdvSearchScope(free=(1,), budget=0, base=base)  # base over budget
 
+    def test_free_feature_out_of_the_base_range_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="out of range for 7 features"):
+            AdvSearchScope(free=(99,), budget=1, base=MissingPattern.zeros(7))
+
+    def test_repeated_free_feature_is_a_domain_error(self):
+        # (0, 0, 1) would let a search try feature 0 twice in one round
+        with pytest.raises(DomainError, match="repeat"):
+            AdvSearchScope(free=(0, 0, 1), budget=2, base=MissingPattern.zeros(7))
+
     def test_gamma_one_is_exhaustive(self):
         rng = np.random.default_rng(10)
         for _ in range(20):

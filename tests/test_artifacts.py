@@ -20,7 +20,6 @@ from robustcast.partition import (
     Partition,
     PartitionConfig,
     Split,
-    UncertaintySet,
     load_artifact,
     param_sets,
     save_artifact,
@@ -65,15 +64,14 @@ def artifacts(draw):
         return replace(params, arch=replace(arch, bias_index=None)) if how == "bias" else fresh()
 
     kind = draw(st.sampled_from(["model", "fixed", "learned"]))
-    uset = UncertaintySet(n_features=p, maskable=maskable, budget=n_mask)
     if kind == "model":
         return fresh()
     if kind == "fixed":
         first = fresh()
         subsets = [Fit(first, 0.5)]
         subsets += [Fit(reuse(first), 0.5 + c) for c in range(1, n_mask + 1)]
-        return FixedPartition(uncertainty=uset, subsets=subsets)
-    part = Partition(uset, PartitionConfig(max_subsets=5), Fit(fresh(), 0.1), Fit(fresh(), 0.2))
+        return FixedPartition(budget=n_mask, subsets=subsets)
+    part = Partition(n_mask, PartitionConfig(max_subsets=5), Fit(fresh(), 0.1), Fit(fresh(), 0.2))
     depth = [0]
     for _ in range(draw(st.integers(0, 4))):
         leaves = [i for i in part.leaf_ids if part.subsets[i].free and depth[i] < 3]
@@ -182,8 +180,7 @@ def fixed_artifact(budget: int) -> FixedPartition:
     for subset l."""
     arch = Architecture("lr", True, budget + 1, bias_index=budget, maskable=tuple(range(budget)))
     params = init_params(arch, seed=1)
-    uset = UncertaintySet(n_features=budget + 1, maskable=tuple(range(budget)), budget=budget)
-    return FixedPartition(uset, [Fit(params, c + 0.5) for c in range(budget + 1)])
+    return FixedPartition(budget, [Fit(params, c + 0.5) for c in range(budget + 1)])
 
 
 def _cut_one_float(block):
@@ -374,6 +371,30 @@ class TestMalformedFile:
         edit(obj)
         path.write_text(json.dumps(obj), encoding="utf-8")
         with pytest.raises(DomainError, match=f"{kind}.json.*finite"):
+            load_artifact(path)
+
+    @pytest.mark.parametrize("kind", ["learned", "fixed"])
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda block: block.update(n_features=block["n_features"] + 1),
+                     id="n-features"),
+        pytest.param(lambda block: block["maskable"].__setitem__(-1, block["maskable"][-1] + 1),
+                     id="maskable"),
+        pytest.param(lambda block: block.update(budget=block["budget"] + 1),
+                     id="budget-above-maskable"),
+    ])
+    def test_an_uncertainty_block_that_disagrees_with_the_models_is_a_domain_error(
+        self, tmp_path, kind, edit
+    ):
+        # the block is written from the models' layout and the budget
+        path = tmp_path / f"{kind}.json"
+        if kind == "learned":
+            path.write_bytes(GOLDEN.read_bytes())
+        else:
+            save_artifact(fixed_artifact(budget=3), path)
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        edit(obj["uncertainty"])
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        with pytest.raises(DomainError, match=f"{kind}.json"):
             load_artifact(path)
 
     def test_a_fixed_file_stores_each_position_as_its_count(self, tmp_path):

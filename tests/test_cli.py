@@ -624,6 +624,29 @@ class TestEvaluate:
             artifact.write_text(original, encoding="utf-8")
         assert not (out / "grid.csv").exists()
 
+    @pytest.mark.parametrize("field", ["n_features", "maskable"])
+    def test_fixed_file_whose_uncertainty_block_disagrees_with_its_models_exits_3(
+        self, tmp_path, capsys, field
+    ):
+        out = tmp_path / "out"
+        grid = {"p01": [0.2], "p11": [0.5], "methods": ["arf-fixed"], "runs": 1}
+        path = write_config(tmp_path, base_config(out, grid=grid))
+        assert main(["train", "--config", str(path)]) == 0
+        artifact = out / "arf-fixed_h1.json"
+        obj = json.loads(artifact.read_text(encoding="utf-8"))
+        block = obj["uncertainty"]
+        if field == "n_features":
+            block["n_features"] += 1
+        else:
+            block["maskable"] = block["maskable"][1:] + [block["n_features"]]
+        artifact.write_text(json.dumps(obj), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(artifact) in err
+        assert "uncertainty block disagrees" in err
+        assert not (out / "grid.csv").exists()
+
     def test_learned_file_whose_inherited_copy_disagrees_exits_3(self, tmp_path, capsys):
         out = tmp_path / "out"
         grid = {"p01": [0.2], "p11": [0.5], "methods": ["arf-learned"], "runs": 1}
@@ -860,9 +883,9 @@ class TestQSweepCli:
         )
         grown = []
 
-        def counting(train, val, uset, pcfg, *args):
+        def counting(train, val, budget, pcfg, *args):
             grown.append((args[-1].adaptive, train.horizon, pcfg.max_subsets))
-            return learn_partition(train, val, uset, pcfg, *args)
+            return learn_partition(train, val, budget, pcfg, *args)
 
         monkeypatch.setattr(cli, "learn_partition", counting)
         assert main(["train", "--config", str(write_config(tmp_path, config))]) == 0
@@ -879,7 +902,7 @@ class TestQSweepCli:
         for name, (method, h, q) in expected.items():
             hd = hds[h]
             direct = learn_partition(
-                hd.train, hd.val, cli._uset_for(cfg, hd), PartitionConfig(q, 0.0),
+                hd.train, hd.val, cli._budget_for(cfg, hd), PartitionConfig(q, 0.0),
                 replace(cfg.train, seed=derive_seed(cfg.seed, "train", method, h)),
                 cli._method_arch(cli._arch_for(cfg, hd), method),
             )

@@ -45,7 +45,7 @@ from robustcast.missingness import (
 )
 from robustcast.models import Architecture, init_params, predict
 from robustcast.partition import (
-    Fit, FixedPartition, PartitionConfig, UncertaintySet, learn_partition,
+    Fit, FixedPartition, PartitionConfig, learn_partition,
 )
 from robustcast.training import TrainConfig, train_nominal
 from tests.conftest import cell_nrmse, cell_sq_errors
@@ -125,14 +125,13 @@ def small_setup(seed=0, n_periods=1200, n_plants=2, budget=None):
         hd.train, hd.val, MissingPattern.zeros(hd.dataset.p), cfg, arch
     )
     b = budget if budget is not None else len(hd.dataset.maskable)
-    uset = UncertaintySet(n_features=hd.dataset.p, maskable=hd.dataset.maskable, budget=b)
-    return raw, hd, arch, cfg, base, uset
+    return raw, hd, arch, cfg, base, b
 
 
 class TestRunGrid:
     def test_zero_missingness_equals_no_missing_baseline(self):
-        raw, hd, arch, cfg, base, uset = small_setup(seed=3)
-        part = learn_partition(hd.train, hd.val, uset, PartitionConfig(2, 0.0), cfg,
+        raw, hd, arch, cfg, base, budget = small_setup(seed=3)
+        part = learn_partition(hd.train, hd.val, budget, PartitionConfig(2, 0.0), cfg,
                                replace(arch, adaptive=True))
         spec = GridSpec(p01_list=(0.0,), p11_list=(0.5,), horizons=(1,),
                         methods=(METHOD_IMP_PERSISTENCE, METHOD_ARF_LEARNED),
@@ -156,7 +155,7 @@ class TestRunGrid:
                 assert row.nrmse == pytest.approx(expected_part)
 
     def test_deterministic(self):
-        raw, hd, arch, cfg, base, uset = small_setup(seed=4)
+        raw, hd, arch, cfg, base, budget = small_setup(seed=4)
         spec = GridSpec(p01_list=(0.2,), p11_list=(0.8,), horizons=(1,),
                         methods=(METHOD_IMP_PERSISTENCE, METHOD_IMP_MEAN),
                         runs=2, base_seed=11)
@@ -167,7 +166,7 @@ class TestRunGrid:
         assert run_grid(spec, {1: hd}, artifacts) == run_grid(spec, {1: hd}, artifacts)
 
     def test_jobs_parallel_matches_sequential(self):
-        raw, hd, arch, cfg, base, uset = small_setup(seed=5)
+        raw, hd, arch, cfg, base, budget = small_setup(seed=5)
         spec = GridSpec(p01_list=(0.1, 0.3), p11_list=(0.5,), horizons=(1,),
                         methods=(METHOD_IMP_MEAN,), runs=2, base_seed=13)
         artifacts = {(METHOD_IMP_MEAN, 1): base.params}
@@ -183,8 +182,35 @@ class TestRunGrid:
         assert map_jobs(_second, [(shared, i) for i in range(6)], 2) == list(range(6))
         assert Counted.pickled == 2
 
+    @pytest.mark.parametrize("tasks, jobs, runs", [(2, 4, 2), (5, 4, 3), (6, 2, 2), (64, 8, 8)])
+    def test_jobs_start_only_the_workers_their_runs_use(self, monkeypatch, tasks, jobs, runs):
+        # a pool starts all its workers at the first submit under fork, so its
+        # size must be the number of runs; the stub starts no process
+        import concurrent.futures as cf
+
+        sizes = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize):
+                items = list(items)
+                sizes.append((self.max_workers, -(-len(items) // chunksize)))
+                return map(fn, items)
+
+        monkeypatch.setattr(cf, "ProcessPoolExecutor", Pool)
+        assert map_jobs(_second, [(None, i) for i in range(tasks)], jobs) == list(range(tasks))
+        assert sizes == [(runs, runs)]
+
     def test_missing_artifact_names_cell(self):
-        raw, hd, arch, cfg, base, uset = small_setup(seed=6)
+        raw, hd, arch, cfg, base, budget = small_setup(seed=6)
         spec = GridSpec(p01_list=(0.1,), p11_list=(0.5,), horizons=(1,),
                         methods=(METHOD_IMP_MEAN,), runs=1, base_seed=1)
         with pytest.raises(ConfigError, match="imp-mean"):
@@ -194,8 +220,8 @@ class TestRunGrid:
         # Full recourse should dominate the one-subset robust model under
         # heavy missingness; checked with a one-sided comparison on the
         # pooled per-observation squared errors.
-        raw, hd, arch, cfg, base, uset = small_setup(seed=7)
-        part = learn_partition(hd.train, hd.val, uset, PartitionConfig(1, 0.0), cfg, arch)
+        raw, hd, arch, cfg, base, budget = small_setup(seed=7)
+        part = learn_partition(hd.train, hd.val, budget, PartitionConfig(1, 0.0), cfg, arch)
         oracle = RetrainOracle(hd.train, hd.val, cfg, arch)
         spec = GridSpec(p01_list=(0.2,), p11_list=(0.9,), horizons=(1,),
                         methods=(METHOD_RETRAIN_ORACLE, METHOD_RF_LEARNED),
@@ -335,7 +361,7 @@ class TestPersistence:
 
 class TestEmitReport:
     def run_small(self, seed=8):
-        raw, hd, arch, cfg, base, uset = small_setup(seed=seed)
+        raw, hd, arch, cfg, base, budget = small_setup(seed=seed)
         spec = GridSpec(p01_list=(0.1,), p11_list=(0.0, 0.8), horizons=(1,),
                         methods=(METHOD_IMP_MEAN,), runs=3, base_seed=21)
         artifacts = {(METHOD_IMP_MEAN, 1): base.params}
@@ -418,14 +444,13 @@ class TestMethodArtifacts:
         hd = HorizonData.build(raw, 0, 1, 1, 0.5, 0.2)
         arch = lr_arch(hd.dataset)
         cfg = TrainConfig(max_iters=5, seed=0)
-        uset = UncertaintySet(hd.dataset.p, hd.dataset.maskable, len(hd.dataset.maskable))
         params = init_params(arch, 0)
-        part = learn_partition(hd.train, hd.val, uset, PartitionConfig(2, 0.0), cfg,
-                               replace(arch, adaptive=True))
+        part = learn_partition(hd.train, hd.val, len(hd.dataset.maskable), PartitionConfig(2, 0.0),
+                               cfg, replace(arch, adaptive=True))
         return hd, {
             "ModelParams": params,
             "Partition": part,
-            "FixedPartition": FixedPartition(uset, [Fit(params, 0.0)]),
+            "FixedPartition": FixedPartition(0, [Fit(params, 0.0)]),
             "RetrainOracle": RetrainOracle(hd.train, hd.val, cfg, arch),
         }
 
@@ -459,7 +484,7 @@ class TestRetrainOracleGuards:
             RetrainOracle(hd.train, hd.val, cfg, lr_arch(hd.dataset))
 
     def test_cache_reuses_pattern_models(self):
-        raw, hd, arch, cfg, base, uset = small_setup(seed=10)
+        raw, hd, arch, cfg, base, budget = small_setup(seed=10)
         oracle = RetrainOracle(hd.train, hd.val, cfg, arch)
         pat = MissingPattern.from_missing(hd.dataset.p, [0])
         a = oracle.params_for(pat)

@@ -15,7 +15,6 @@ from robustcast.partition import (
     Partition,
     PartitionConfig,
     Split,
-    UncertaintySet,
     bounds_table,
     fixed_partition,
     fixed_to_json,
@@ -66,22 +65,19 @@ class TestEnumeratePatterns:
     """The test reference for the admissible patterns of a set."""
 
     def test_full_budget_three_features(self):
-        uset = UncertaintySet(n_features=4, maskable=(0, 1, 2), budget=3)
-        assert len(enumerate_patterns(uset)) == 8
+        assert len(enumerate_patterns(toy_arch(3), 3)) == 8
 
     def test_zero_budget(self):
-        uset = UncertaintySet(n_features=4, maskable=(0, 1, 2), budget=0)
-        patterns = enumerate_patterns(uset)
+        patterns = enumerate_patterns(toy_arch(3), 0)
         assert len(patterns) == 1
         assert patterns[0].sum() == 0
 
     def test_binomial_sum(self):
-        uset = UncertaintySet(n_features=5, maskable=(0, 1, 2, 3), budget=2)
-        assert len(enumerate_patterns(uset)) == 1 + 4 + 6
+        assert len(enumerate_patterns(toy_arch(4), 2)) == 1 + 4 + 6
 
     def test_lexicographic_order(self):
-        uset = UncertaintySet(n_features=2, maskable=(0, 1), budget=2)
-        bits = [tuple(row) for row in enumerate_patterns(uset)]
+        arch = Architecture("lr", False, 2, maskable=(0, 1))
+        bits = [tuple(row) for row in enumerate_patterns(arch, 2)]
         assert bits == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
@@ -89,10 +85,9 @@ def manual_partition(n_features=3):
     """The worked routing example: root splits on feature 0, the missing
     branch splits on feature 1, leaving leaves U1, U3, U4."""
     maskable = (0, 1, 2)
-    uset = UncertaintySet(n_features=n_features, maskable=maskable, budget=3)
     params = init_params(Architecture("lr", False, n_features, maskable=maskable), seed=0)
     opt, adv = Fit(params, 0.1), Fit(params, 0.2)
-    return Partition(uncertainty=uset, config=PartitionConfig(max_subsets=3, epsilon=0.0),
+    return Partition(budget=3, config=PartitionConfig(max_subsets=3, epsilon=0.0),
                      opt=opt, adv=adv, splits=[Split(0, 0, opt, adv), Split(2, 1, opt, adv)])
 
 
@@ -113,7 +108,7 @@ class TestLocate:
 
     def test_every_admissible_pattern_routes_to_exactly_one_leaf(self):
         part = manual_partition()
-        patterns = enumerate_patterns(part.uncertainty)
+        patterns = enumerate_patterns(part.opt.params.arch, part.budget)
         for pattern, leaf in zip(patterns, locate_rows(part, patterns).tolist()):
             hits = []
             for sid in part.leaf_ids:
@@ -134,8 +129,8 @@ class TestLearnPartition:
     def test_single_subset_is_plain_robust_model(self):
         ds = toy_dataset(3, seed=1)
         train, val, _ = split_sequential(ds, 0.6, 0.25)
-        uset = UncertaintySet(n_features=4, maskable=(0, 1, 2), budget=3)
-        part = learn_partition(train, val, uset, PartitionConfig(max_subsets=1, epsilon=0.0),
+        budget = 3
+        part = learn_partition(train, val, budget, PartitionConfig(max_subsets=1, epsilon=0.0),
                                quick_cfg(seed=2), toy_arch(3))
         assert part.leaf_ids == [0]
         assert part.subsets[0].free == (0, 1, 2)
@@ -148,21 +143,21 @@ class TestLearnPartition:
         # exactly the 8 admissible patterns.
         ds = toy_dataset(3, seed=3, noise=0.05)
         train, val, _ = split_sequential(ds, 0.6, 0.25)
-        uset = UncertaintySet(n_features=4, maskable=(0, 1, 2), budget=3)
-        part = learn_partition(train, val, uset, PartitionConfig(max_subsets=8, epsilon=0.0),
+        budget = 3
+        part = learn_partition(train, val, budget, PartitionConfig(max_subsets=8, epsilon=0.0),
                                quick_cfg(seed=4), toy_arch(3))
         assert len(part.leaf_ids) == 8
         leaves = [part.subsets[i] for i in part.leaf_ids]
         assert all(leaf.free == () for leaf in leaves)
         opt_keys = {leaf.opt_pattern.key() for leaf in leaves}
-        expected = {row.tobytes() for row in enumerate_patterns(uset)}
+        expected = {row.tobytes() for row in enumerate_patterns(toy_arch(3), budget)}
         assert opt_keys == expected
 
     def test_child_bookkeeping_after_split(self):
         ds = toy_dataset(3, seed=5)
         train, val, _ = split_sequential(ds, 0.6, 0.25)
-        uset = UncertaintySet(n_features=4, maskable=(0, 1, 2), budget=3)
-        part = learn_partition(train, val, uset, PartitionConfig(max_subsets=2, epsilon=0.0),
+        budget = 3
+        part = learn_partition(train, val, budget, PartitionConfig(max_subsets=2, epsilon=0.0),
                                quick_cfg(seed=6), toy_arch(3))
         root = part.subsets[0]
         assert part.splits[0].leaf == 0
@@ -178,8 +173,8 @@ class TestLearnPartition:
     def test_bound_inheritance_equalities(self):
         ds = toy_dataset(4, seed=7)
         train, val, _ = split_sequential(ds, 0.6, 0.25)
-        uset = UncertaintySet(n_features=5, maskable=(0, 1, 2, 3), budget=4)
-        part = learn_partition(train, val, uset, PartitionConfig(max_subsets=5, epsilon=0.0),
+        budget = 4
+        part = learn_partition(train, val, budget, PartitionConfig(max_subsets=5, epsilon=0.0),
                                quick_cfg(seed=8), toy_arch(4))
         assert part.splits
         for k, split in enumerate(part.splits, 1):
@@ -194,22 +189,22 @@ class TestLearnPartition:
     def test_leaf_count_bounded_and_epsilon_stop(self):
         ds = toy_dataset(3, seed=9)
         train, val, _ = split_sequential(ds, 0.6, 0.25)
-        uset = UncertaintySet(n_features=4, maskable=(0, 1, 2), budget=3)
+        budget = 3
         huge_eps = 1e6
-        part = learn_partition(train, val, uset, PartitionConfig(max_subsets=6, epsilon=huge_eps),
+        part = learn_partition(train, val, budget, PartitionConfig(max_subsets=6, epsilon=huge_eps),
                                quick_cfg(seed=10), toy_arch(3))
         assert part.leaf_ids == [0]  # epsilon satisfied immediately
-        part2 = learn_partition(train, val, uset, PartitionConfig(max_subsets=3, epsilon=0.0),
+        part2 = learn_partition(train, val, budget, PartitionConfig(max_subsets=3, epsilon=0.0),
                                 quick_cfg(seed=10), toy_arch(3))
         assert len(part2.leaf_ids) <= 3
 
     def test_exhaustive_routing_six_features(self):
         ds = toy_dataset(6, seed=11, n=500)
         train, val, _ = split_sequential(ds, 0.6, 0.25)
-        uset = UncertaintySet(n_features=7, maskable=tuple(range(6)), budget=3)
-        part = learn_partition(train, val, uset, PartitionConfig(max_subsets=5, epsilon=0.0),
+        budget = 3
+        part = learn_partition(train, val, budget, PartitionConfig(max_subsets=5, epsilon=0.0),
                                quick_cfg(seed=12), toy_arch(6))
-        patterns = enumerate_patterns(uset)
+        patterns = enumerate_patterns(toy_arch(6), budget)
         assert len(patterns) == 42
         assert set(locate_rows(part, patterns).tolist()) <= set(part.leaf_ids)
 
@@ -220,8 +215,8 @@ class TestLearnPartition:
         # the inherited upper bound, which reflects the parent's wider set.
         ds = toy_dataset(3, seed=13, noise=0.3)
         train, val, _ = split_sequential(ds, 0.6, 0.25)
-        uset = UncertaintySet(n_features=4, maskable=(0, 1, 2), budget=3)
-        part = learn_partition(train, val, uset, PartitionConfig(max_subsets=8, epsilon=0.0),
+        budget = 3
+        part = learn_partition(train, val, budget, PartitionConfig(max_subsets=8, epsilon=0.0),
                                quick_cfg(seed=14, iters=4000, lr=1e-2, patience=100),
                                toy_arch(3))
         checked = 0
@@ -298,8 +293,7 @@ class TestPredictDeployed:
             params = init_params(arch, 0)
             return Fit(params.from_vector(rng.normal(size=params.to_vector().size)), loss)
 
-        uset = UncertaintySet(n_features=4, maskable=(0, 1, 2), budget=3)
-        part = Partition(uset, PartitionConfig(max_subsets=3), fit(0.1), fit(0.2),
+        part = Partition(3, PartitionConfig(max_subsets=3), fit(0.1), fit(0.2),
                          [Split(0, 0, fit(0.1), fit(0.2)), Split(2, 1, fit(0.1), None)])
         patterns = np.array([[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 1, 0], [1, 1, 0, 0],
                              [1, 1, 1, 0], [0, 0, 1, 0]], dtype=np.uint8)
@@ -317,8 +311,8 @@ class TestFixedPartition:
     def test_subset_count_is_budget_plus_one(self):
         ds = toy_dataset(3, seed=15)
         train, val, _ = split_sequential(ds, 0.6, 0.25)
-        uset = UncertaintySet(n_features=4, maskable=(0, 1, 2), budget=3)
-        fixed = fixed_partition(train, val, uset, quick_cfg(seed=16, iters=200, patience=25),
+        budget = 3
+        fixed = fixed_partition(train, val, budget, quick_cfg(seed=16, iters=200, patience=25),
                                 toy_arch(3))
         assert len(fixed.subsets) == 4
         assert [s["count"] for s in fixed_to_json(fixed)["subsets"]] == [0, 1, 2, 3]
@@ -326,8 +320,8 @@ class TestFixedPartition:
     def test_routing_by_missing_count(self):
         ds = toy_dataset(3, seed=17)
         train, val, _ = split_sequential(ds, 0.6, 0.25)
-        uset = UncertaintySet(n_features=4, maskable=(0, 1, 2), budget=2)
-        fixed = fixed_partition(train, val, uset, quick_cfg(seed=18, iters=150, patience=25),
+        budget = 2
+        fixed = fixed_partition(train, val, budget, quick_cfg(seed=18, iters=150, patience=25),
                                 toy_arch(3))
         # the last pattern exceeds the training budget: it clamps to the last subset
         patterns = np.array([MissingPattern.from_missing(4, missing).bits
@@ -342,9 +336,9 @@ class TestFixedPartition:
     def test_zero_budget_is_nominal_training(self):
         ds = toy_dataset(2, seed=19)
         train, val, _ = split_sequential(ds, 0.6, 0.25)
-        uset = UncertaintySet(n_features=3, maskable=(0, 1), budget=0)
+        budget = 0
         cfg = quick_cfg(seed=20, iters=150, patience=25)
-        fixed = fixed_partition(train, val, uset, cfg, toy_arch(2))
+        fixed = fixed_partition(train, val, budget, cfg, toy_arch(2))
         assert len(fixed.subsets) == 1
         from robustcast._util import derive_seed
         nominal = train_nominal(train, val, MissingPattern.zeros(3),
@@ -377,19 +371,18 @@ class TestTruncate:
                                       full):
         ds = toy_dataset(3, seed=21, n=300)
         train, val, _ = split_sequential(ds, 0.6, 0.25)
-        uset = UncertaintySet(n_features=4, maskable=(0, 1, 2), budget=budget)
         arch = Architecture(family, True, 4, hidden, bias_index=3, maskable=(0, 1, 2))
         epsilon = early if stop_early else 0.0
 
         def learn(q):
-            return learn_partition(train, val, uset, PartitionConfig(q, epsilon),
+            return learn_partition(train, val, budget, PartitionConfig(q, epsilon),
                                    quick_cfg(seed=3, iters=iters), arch)
 
         grown = learn(self.Q_MAX)
         assert (len(grown.leaf_ids) == self.Q_MAX) == full
         grown_json = json.dumps(partition_to_json(grown))
         assert truncate(grown, self.Q_MAX) is grown
-        patterns = enumerate_patterns(uset)
+        patterns = enumerate_patterns(arch, budget)
         for q in range(1, self.Q_MAX + 2):
             if q > self.Q_MAX and full:
                 with pytest.raises(ConfigError):
@@ -408,8 +401,8 @@ class TestSerialization:
     def test_learned_partition_roundtrip(self, tmp_path):
         ds = toy_dataset(3, seed=21)
         train, val, _ = split_sequential(ds, 0.6, 0.25)
-        uset = UncertaintySet(n_features=4, maskable=(0, 1, 2), budget=3)
-        part = learn_partition(train, val, uset, PartitionConfig(max_subsets=3, epsilon=0.0),
+        budget = 3
+        part = learn_partition(train, val, budget, PartitionConfig(max_subsets=3, epsilon=0.0),
                                quick_cfg(seed=22, iters=150, patience=25),
                                toy_arch(3, adaptive=True))
         path = tmp_path / "partition.json"
@@ -430,8 +423,8 @@ class TestSerialization:
     def test_fixed_partition_roundtrip(self, tmp_path):
         ds = toy_dataset(2, seed=23)
         train, val, _ = split_sequential(ds, 0.6, 0.25)
-        uset = UncertaintySet(n_features=3, maskable=(0, 1), budget=2)
-        fixed = fixed_partition(train, val, uset, quick_cfg(seed=24, iters=150, patience=25),
+        budget = 2
+        fixed = fixed_partition(train, val, budget, quick_cfg(seed=24, iters=150, patience=25),
                                 toy_arch(2))
         path = tmp_path / "fixed.json"
         save_artifact(fixed, path)
@@ -454,9 +447,36 @@ class TestSerialization:
 
 
 class TestValidation:
-    def test_uncertainty_set_budget_range(self):
+    @pytest.mark.parametrize("budget", [-1, 4])
+    def test_budget_range(self, budget):
+        # a budget outside [0, |maskable|] of the models' layout
+        part = manual_partition()
+        with pytest.raises(DomainError, match=r"budget must lie in \[0, \|maskable\|\]"):
+            replace(part, budget=budget)
         with pytest.raises(DomainError):
-            UncertaintySet(n_features=4, maskable=(0, 1), budget=3)
+            FixedPartition(budget, [part.opt] * (budget + 1))
+
+    @pytest.mark.parametrize("budget", [-1, 4])
+    @pytest.mark.parametrize("trainer", ["learn_partition", "fixed_partition"])
+    def test_trainers_refuse_a_budget_out_of_range_before_training(self, monkeypatch, trainer,
+                                                                   budget):
+        import robustcast.partition as partition
+
+        fits = []
+        monkeypatch.setattr(partition, "train_nominal", lambda *args: fits.append(args))
+        train, val, _ = split_sequential(toy_dataset(3, seed=1), 0.6, 0.25)
+        args = (PartitionConfig(2, 0.0),) if trainer == "learn_partition" else ()
+        with pytest.raises(DomainError, match=r"budget must lie in \[0, \|maskable\|\]"):
+            getattr(partition, trainer)(train, val, budget, *args, quick_cfg(), toy_arch(3))
+        assert fits == []
+
+    @pytest.mark.parametrize("budget, count", [(3, 2), (1, 3), (0, 0)])
+    def test_fixed_partition_holds_budget_plus_one_fits(self, budget, count):
+        # two fits for budget 3 would leave rows with 3 missing no subset
+        fit = manual_partition().opt
+        FixedPartition(budget, [fit] * (budget + 1))
+        with pytest.raises(DomainError, match="needs budget \\+ 1 fits"):
+            FixedPartition(budget, [fit] * count)
 
     def test_partition_config(self):
         with pytest.raises(ConfigError):
@@ -464,28 +484,29 @@ class TestValidation:
         with pytest.raises(ConfigError):
             PartitionConfig(epsilon=-1.0)
 
-    def test_uncertainty_set_maskable_range(self):
+    def test_layout_maskable_range(self):
+        # a partition's maskable set is its models' (Architecture)
         for maskable in [(5,), (-1, 0), (0, 4)]:
             with pytest.raises(DomainError, match="out of range"):
-                UncertaintySet(n_features=4, maskable=maskable, budget=1)
+                Architecture("lr", False, 4, maskable=maskable)
 
-    def test_uncertainty_set_repeated_maskable_index(self):
+    def test_layout_repeated_maskable_index(self):
         # (0, 0) would enumerate every pattern over feature 0 twice
         with pytest.raises(DomainError, match="repeat"):
-            UncertaintySet(n_features=3, maskable=(0, 0), budget=2)
+            Architecture("lr", False, 3, maskable=(0, 0))
 
     @pytest.mark.parametrize("arch", [Architecture("lr", False, 4, maskable=(0, 1, 2)),
                                       Architecture("lr", False, 3, maskable=(0, 1))],
                              ids=["another width", "another maskable set"])
     def test_partition_of_models_over_another_set(self, arch):
-        # the uncertainty set's pattern gate is every model's gate
+        # the first model's pattern gate is every model's gate
         part = manual_partition()
         other = Fit(init_params(arch, 0), 0.3)
         for edit in ({"adv": other}, {"splits": [Split(0, 0, other, None)]}):
             with pytest.raises(DomainError, match="in a partition of 3 features"):
                 replace(part, **edit)
         with pytest.raises(DomainError, match="in a partition of 3 features"):
-            FixedPartition(part.uncertainty, [part.opt, other, part.opt, part.opt])
+            FixedPartition(part.budget, [part.opt, other, part.opt, part.opt])
 
 
 def _swap(subsets, a, b):
@@ -528,10 +549,9 @@ class TestSubsetsFormTheTree:
     ])
     def test_a_split_that_does_not_grow_the_tree_is_rejected(self, splits, budget):
         part = manual_partition()
-        uset = replace(part.uncertainty, budget=budget)
-        replace(part, uncertainty=uset, splits=[Split(0, 0, part.opt, None)])
+        replace(part, budget=budget, splits=[Split(0, 0, part.opt, None)])
         with pytest.raises(DomainError):
-            replace(part, uncertainty=uset,
+            replace(part, budget=budget,
                     splits=[Split(leaf, j, part.opt, part.adv) for leaf, j in splits])
 
     def test_routing_table_leaves_and_constraints(self):
@@ -595,7 +615,7 @@ class TestGoldenArtifact:
     def test_every_admissible_pattern_reaches_its_recorded_leaf(self):
         part = load_artifact(GOLDEN)
         assert part.leaf_ids == [3, 4, 5, 7, 8]
-        patterns = enumerate_patterns(part.uncertainty)
+        patterns = enumerate_patterns(part.opt.params.arch, part.budget)
         expected = [GOLDEN_ROUTES[tuple(row[:3].tolist())] for row in patterns]
         assert len(expected) == 8
         assert [locate(part, row) for row in patterns] == expected

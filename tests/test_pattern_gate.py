@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from robustcast.adversarial import AdvSearchScope
 from robustcast.exceptions import DomainError
 from robustcast.missingness import MissingPattern, ObsMaskSeries, impute_mean
 from robustcast.models import Architecture, StepBuffers, init_params, mse_loss, predict
@@ -16,7 +17,6 @@ from robustcast.partition import (
     Fit,
     Partition,
     PartitionConfig,
-    UncertaintySet,
     predict_deployed,
     predict_deployed_rows,
     predict_fixed_rows,
@@ -71,9 +71,8 @@ def as_input(values: np.ndarray, kind: str):
 def fixtures(p: int, maskable: tuple[int, ...], n: int):
     params = init_params(Architecture("lr", True, p, maskable=maskable), seed=0)
     params = params.from_vector(np.random.default_rng(1).normal(size=params.to_vector().size))
-    uset = UncertaintySet(n_features=p, maskable=maskable, budget=len(maskable))
-    learned = Partition(uset, PartitionConfig(1, 0.0), Fit(params, 1.0), Fit(params, 2.0))
-    fixed = FixedPartition(uset, [Fit(params, 1.0) for _ in range(len(maskable) + 1)])
+    learned = Partition(len(maskable), PartitionConfig(1, 0.0), Fit(params, 1.0), Fit(params, 2.0))
+    fixed = FixedPartition(len(maskable), [Fit(params, 1.0) for _ in range(len(maskable) + 1)])
     X = np.random.default_rng(2).uniform(0.5, 1.5, (n, p))
     return params, learned, fixed, X, X.sum(axis=1)
 
@@ -113,7 +112,7 @@ def test_every_entry_point_takes_exactly_the_valid_patterns(case):
         for build in (
             lambda: MissingPattern.bits_of(zero, p, maskable),
             lambda: Architecture("lr", True, p, maskable=maskable),
-            lambda: UncertaintySet(n_features=p, maskable=maskable, budget=0),
+            lambda: AdvSearchScope(free=maskable, budget=0, base=MissingPattern.zeros(p)),
         ):
             with pytest.raises(DomainError):
                 build()
@@ -155,7 +154,7 @@ def test_negative_maskable_index_does_not_wrap_onto_the_bias():
     with pytest.raises(DomainError, match="out of range"):
         Architecture("lr", True, 3, bias_index=2, maskable=(-1,))
     with pytest.raises(DomainError, match="out of range"):
-        UncertaintySet(n_features=3, maskable=(5,), budget=1)
+        AdvSearchScope(free=(5,), budget=1, base=MissingPattern.zeros(3))
 
 
 def test_bit_of_two_on_the_bias_column_is_rejected_not_negated():

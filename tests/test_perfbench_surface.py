@@ -63,7 +63,6 @@ def test_every_workload_key_reaches_its_run_config_field(path, tmp_path):
 def test_the_tracer_counts_work_from_real_results(tmp_path):
     raw = gen_synthetic(SynthConfig(2, 400, 0.95, 0.5, 0.4, seed=3))
     hd = HorizonData.build(raw, 0, 1, 1, 0.5, 0.2)
-    uset = partition.UncertaintySet(hd.dataset.p, hd.dataset.maskable, budget=3)
     arch = Architecture("lr", True, hd.dataset.p, bias_index=hd.dataset.bias_index,
                         maskable=hd.dataset.maskable)
     cfg = TrainConfig(learning_rate=0.02, max_iters=4, patience=4, batch_size=64, seed=1)
@@ -75,9 +74,9 @@ def test_the_tracer_counts_work_from_real_results(tmp_path):
     t = tracer.Tracer()
     replaced = tracer.install(t)
     try:
-        learned = partition.learn_partition(hd.train, hd.val, uset,
+        learned = partition.learn_partition(hd.train, hd.val, 3,
                                             partition.PartitionConfig(3, 0.0), cfg, arch)
-        fixed = partition.fixed_partition(hd.train, hd.val, uset, cfg, arch)
+        fixed = partition.fixed_partition(hd.train, hd.val, 3, cfg, arch)
         partition.predict_deployed_rows(learned, X, patterns)
         partition.predict_fixed_rows(fixed, X, patterns)
         partition.predict_deployed(learned, X[0], patterns[0])

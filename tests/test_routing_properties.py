@@ -1,7 +1,7 @@
 """Property tests: batched routing over bit matrices agrees with the
 single-pattern deployed predictor and with the routing references in
 tests/conftest.py, which route from a partition's splits alone (never its
-routing table), on random trees, uncertainty sets and patterns."""
+routing table), on random trees, layouts, budgets and patterns."""
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +16,6 @@ from robustcast.partition import (
     Partition,
     PartitionConfig,
     Split,
-    UncertaintySet,
     locate_rows,
     predict_deployed,
     predict_deployed_rows,
@@ -28,23 +27,22 @@ SETTINGS = settings(max_examples=60, deadline=None)
 
 
 @st.composite
-def usets(draw) -> UncertaintySet:
-    """The last feature is the never-missing bias; any others may be maskable."""
+def budgets(draw) -> tuple[int, tuple[int, ...], int]:
+    """A width p, its maskable features and a budget over them. The last
+    feature is the never-missing bias; any others may be maskable."""
     p = draw(st.integers(2, 7))
     maskable = draw(st.lists(st.integers(0, p - 2), min_size=1, max_size=p - 1, unique=True))
-    budget = draw(st.integers(0, len(maskable)))
-    return UncertaintySet(n_features=p, maskable=tuple(maskable), budget=budget)
+    return p, tuple(sorted(maskable)), draw(st.integers(0, len(maskable)))
 
 
 @st.composite
-def architectures(draw, uset: UncertaintySet) -> Architecture:
-    """A model layout over uset of either family, adaptive or plain; a
-    network has one to three hidden layers."""
+def architectures(draw, p: int, maskable: tuple[int, ...]) -> Architecture:
+    """A model layout of p features over the maskable ones, of either
+    family, adaptive or plain; a network has one to three hidden layers."""
     family = draw(st.sampled_from(["lr", "nn"]))
     widths = st.lists(st.integers(1, 6), min_size=1, max_size=3)
     hidden = tuple(draw(widths)) if family == "nn" else ()
-    return Architecture(family, draw(st.booleans()), uset.n_features, hidden,
-                        uset.n_features - 1, uset.maskable)
+    return Architecture(family, draw(st.booleans()), p, hidden, p - 1, maskable)
 
 
 def random_params(arch: Architecture, rng: np.random.Generator) -> ModelParams:
@@ -61,17 +59,17 @@ def partitions(draw) -> Partition:
     the missing child's optimistic fit and, or not, the available child's
     adversarial one. Every model has one layout, of either family, adaptive
     or plain."""
-    uset = draw(usets())
-    arch = draw(architectures(uset))
+    p, maskable, budget = draw(budgets())
+    arch = draw(architectures(p, maskable))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
     def fit(loss):
         return Fit(random_params(arch, rng), loss)
 
-    part = Partition(uset, PartitionConfig(), fit(1.0), fit(2.0))
+    part = Partition(budget, PartitionConfig(), fit(1.0), fit(2.0))
     for _ in range(draw(st.integers(0, 6))):
         splittable = [i for i in part.leaf_ids if part.subsets[i].free
-                      and part.subsets[i].opt_pattern.popcount() < uset.budget]
+                      and part.subsets[i].opt_pattern.popcount() < budget]
         if not splittable:
             break
         leaf = draw(st.sampled_from(splittable))
@@ -81,12 +79,12 @@ def partitions(draw) -> Partition:
     return part
 
 
-def random_bits(uset: UncertaintySet, n: int, seed: int, opt_patterns=()) -> np.ndarray:
-    """n support-valid patterns, budget not enforced; about a third of the
+def random_bits(arch: Architecture, n: int, seed: int, opt_patterns=()) -> np.ndarray:
+    """n patterns valid for arch, budget not enforced; about a third of the
     rows copy one of opt_patterns, so exact optimistic matches occur."""
     rng = np.random.default_rng(seed)
-    bits = np.zeros((n, uset.n_features), dtype=np.uint8)
-    cols = list(uset.maskable)
+    bits = np.zeros((n, arch.input_dim), dtype=np.uint8)
+    cols = list(arch.maskable)
     bits[:, cols] = rng.random((n, len(cols))) < rng.random()
     if opt_patterns:
         for i in np.flatnonzero(rng.random(n) < 1 / 3):
@@ -101,7 +99,7 @@ def leaf_opt_patterns(part: Partition) -> list[np.ndarray]:
 @SETTINGS
 @given(part=partitions(), n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
 def test_every_row_reaches_the_leaf_locate_finds(part, n, seed):
-    bits = random_bits(part.uncertainty, n, seed, leaf_opt_patterns(part))
+    bits = random_bits(part.opt.params.arch, n, seed, leaf_opt_patterns(part))
     leaves = locate_rows(part, bits)
     assert leaves.tolist() == [locate(part, MissingPattern(bits=row)) for row in bits]
     assert set(leaves.tolist()) <= set(part.leaf_ids)
@@ -110,7 +108,7 @@ def test_every_row_reaches_the_leaf_locate_finds(part, n, seed):
 @SETTINGS
 @given(part=partitions(), n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
 def test_each_pattern_meets_the_constraints_of_exactly_the_leaf_it_reaches(part, n, seed):
-    bits = random_bits(part.uncertainty, n, seed, leaf_opt_patterns(part))
+    bits = random_bits(part.opt.params.arch, n, seed, leaf_opt_patterns(part))
     for row, leaf in zip(bits, locate_rows(part, bits).tolist()):
         hits = [sid for sid in part.leaf_ids
                 if all(row[j] == bit for j, bit in part.fixed(sid).items())]
@@ -120,8 +118,8 @@ def test_each_pattern_meets_the_constraints_of_exactly_the_leaf_it_reaches(part,
 @SETTINGS
 @given(part=partitions(), n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
 def test_batched_deployment_equals_row_by_row(part, n, seed):
-    bits = random_bits(part.uncertainty, n, seed, leaf_opt_patterns(part))
-    X = np.random.default_rng(seed).uniform(0.0, 1.0, (n, part.uncertainty.n_features))
+    bits = random_bits(part.opt.params.arch, n, seed, leaf_opt_patterns(part))
+    X = np.random.default_rng(seed).uniform(0.0, 1.0, (n, part.opt.params.arch.input_dim))
     X[:, -1] = 1.0
     batched = predict_deployed_rows(part, X, bits)
     single = [predict_deployed(part, X[i], bits[i]) for i in range(n)]
@@ -131,20 +129,20 @@ def test_batched_deployment_equals_row_by_row(part, n, seed):
 
 
 @SETTINGS
-@given(uset=usets(), n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
-def test_fixed_rows_use_the_subset_route_fixed_picks(uset, n, seed):
+@given(layout=budgets(), n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_fixed_rows_use_the_subset_route_fixed_picks(layout, n, seed):
     # Subset l predicts exactly l from the bias feature alone, so every
     # prediction names the subset its row was routed to.
-    arch = Architecture("lr", False, uset.n_features, bias_index=uset.n_features - 1,
-                        maskable=uset.maskable)
+    p, maskable, budget = layout
+    arch = Architecture("lr", False, p, bias_index=p - 1, maskable=maskable)
     subsets = []
-    for count in range(uset.budget + 1):
+    for count in range(budget + 1):
         params = init_params(arch, 0)
         params.arrays["w"][:] = 0.0
         params.arrays["w"][-1] = float(count)
         subsets.append(Fit(params=params, loss=0.0))
-    fixed = FixedPartition(uncertainty=uset, subsets=subsets)
-    bits = random_bits(uset, n, seed)
-    X = np.ones((n, uset.n_features))
+    fixed = FixedPartition(budget=budget, subsets=subsets)
+    bits = random_bits(arch, n, seed)
+    X = np.ones((n, p))
     routed = predict_fixed_rows(fixed, X, bits)
     assert routed.tolist() == [route_fixed(fixed, MissingPattern(bits=row)) for row in bits]
