@@ -16,7 +16,6 @@ from .dataio import (
     split_sequential,
 )
 from .exceptions import (
-    CapacityError,
     ConfigError,
     DataError,
     DomainError,

@@ -7,7 +7,6 @@ error, 3 data error, 4 runtime error.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import sys
@@ -17,23 +16,20 @@ from pathlib import Path
 from ._util import derive_seed, open_utf8
 from .dataio import RawSeries, SynthConfig, gen_synthetic, load_csv, save_csv
 from .evaluation import (
-    METHOD_ARF_FIXED,
     METHOD_ARF_LEARNED,
     METHOD_IMP_PERSISTENCE,
     METHOD_RETRAIN_ORACLE,
-    METHOD_RF_FIXED,
-    METHOD_RF_LEARNED,
     METHODS,
-    GridRow,
     GridSpec,
     HorizonData,
     RetrainOracle,
     emit_report,
     q_sweep,
+    read_grid,
     run_grid,
-    summary_csv,
+    write_summary,
 )
-from .exceptions import CapacityError, ConfigError, DataError, ParseError, RobustcastError
+from .exceptions import ConfigError, DataError, ParseError, RobustcastError
 from .missingness import MissingnessConfig, MissingPattern
 from .models import Architecture, ModelParams
 from .partition import (
@@ -328,12 +324,10 @@ def _artifact_path(out_dir: str, name: str, horizon: int) -> Path:
 def _methods_to_train(cfg: RunConfig) -> tuple[str, ...]:
     if cfg.has_grid:
         return cfg.grid_methods
-    # no grid block: train the artifact named by the partition mode
-    if cfg.partition_mode == "learned":
-        return (METHOD_ARF_LEARNED if cfg.adaptive else METHOD_RF_LEARNED,)
-    if cfg.partition_mode == "fixed":
-        return (METHOD_ARF_FIXED if cfg.adaptive else METHOD_RF_FIXED,)
-    return ()
+    # no grid block: train the partition method of the mode and adaptivity
+    kind = {"learned": Partition, "fixed": FixedPartition}.get(cfg.partition_mode)
+    return tuple(method for method, entry in METHODS.items()
+                 if entry.artifact is kind and entry.adaptive == cfg.adaptive)
 
 
 def _make_out_dir(cfg: RunConfig) -> Path:
@@ -390,15 +384,6 @@ def _train_one_method(method, cfg, hd, arch, budget, h, jobs, in_grid):
         print(f"[h={h}] {method}: {len(part.subsets)} equality subsets")
 
 
-def _check_oracle(hd: HorizonData) -> None:
-    """ConfigError when the data at hd have more maskable features than a
-    retrain oracle takes (RetrainOracle.check_capacity)."""
-    try:
-        RetrainOracle.check_capacity(hd.train)
-    except CapacityError as exc:
-        raise ConfigError(f"{exc}; the data have {len(hd.train.maskable)}") from None
-
-
 def cmd_train(cfg: RunConfig, jobs: int = 1) -> int:
     raw = _load_raw(cfg)
     hds = _horizon_data(cfg, raw)
@@ -408,7 +393,7 @@ def cmd_train(cfg: RunConfig, jobs: int = 1) -> int:
         methods += (cfg.qsweep_method,)
     if METHOD_RETRAIN_ORACLE in methods:
         for hd in hds.values():
-            _check_oracle(hd)
+            RetrainOracle.check_capacity(hd.train)
     archs = {h: _arch_for(cfg, hd) for h, hd in hds.items()}  # refused before any write
     _make_out_dir(cfg)
 
@@ -439,10 +424,9 @@ def _refuse_other(path: Path, what: str, got, want) -> None:
     """ConfigError naming each field in which got, a dataclass the artifact
     at path holds, differs from want, the one the run config gives."""
     if got != want:
-        diff = ", ".join(f"{f.name} {getattr(got, f.name)} (run config: "
-                         f"{getattr(want, f.name)})" for f in fields(want)
-                         if getattr(got, f.name) != getattr(want, f.name))
-        raise ConfigError(f"artifact {path} holds {what}: {diff}")
+        raise ConfigError(f"artifact {path} holds {what}: " + ", ".join(
+            f"{f.name} {getattr(got, f.name)} (run config: {getattr(want, f.name)})"
+            for f in fields(want) if getattr(got, f.name) != getattr(want, f.name)))
 
 
 def _load_checked(path: Path, method: str, cfg: RunConfig, hd: HorizonData, q: int):
@@ -477,7 +461,6 @@ def _load_artifacts(cfg: RunConfig, hds: dict[int, HorizonData]) -> dict:
         for method in cfg.grid_methods:
             entry = METHODS[method]
             if entry.artifact is RetrainOracle:
-                _check_oracle(hd)
                 artifacts[(method, h)] = RetrainOracle(
                     hd.train, hd.val, _train_config(cfg, method, h),
                     _method_arch(_arch_for(cfg, hd), method),
@@ -523,71 +506,11 @@ def cmd_evaluate(cfg: RunConfig, jobs: int = 1) -> int:
     return 0
 
 
-def _grid_row_problem(row: GridRow, keys: set[tuple]) -> str | None:
-    """What makes row one evaluate could not have written after the rows
-    whose (method, h, p01, p11, run) are in keys, or None."""
-    if row.method not in METHODS:
-        return "an unknown method"
-    if row.h < 1:
-        return "a horizon below 1"
-    if not (0 <= row.p01 <= 1 and 0 <= row.p11 <= 1):
-        return "a probability outside [0, 1]"
-    if row.run < 0:
-        return "a negative run"
-    if not (math.isfinite(row.nrmse) and row.nrmse >= 0):
-        return "an nrmse that is not a finite number >= 0"
-    if row[:5] in keys:
-        return "a repeated (method, h, p01, p11, run)"
-    return None
-
-
-def _first_missing_key(rows: list[GridRow], keys: set[tuple]) -> tuple | None:
-    """The first (method, h, p01, p11, run) of the grid the rows span that
-    keys lacks, or None. evaluate writes runs 0..R-1 of every cell of the
-    product of its methods, horizons and probabilities, so the span is every
-    value the rows name (in order of first appearance) and runs up to the
-    largest."""
-    axes = [list(dict.fromkeys(row[i] for row in rows)) for i in range(4)]
-    runs = range(max(row.run for row in rows) + 1)
-    return next((key for key in itertools.product(*axes, runs) if key not in keys), None)
-
-
 def cmd_report(cfg: RunConfig) -> int:
-    """Recompute summary.csv from the rows of an existing grid.csv, as
-    evaluate summarised them, and print it. DataError, naming the line, for
-    a grid.csv evaluate could not have written: another header, no rows, or
-    a row that does not parse or that _grid_row_problem refuses; naming the
-    first missing key (_first_missing_key) for an incomplete grid."""
-    grid_path = Path(cfg.out_dir) / "grid.csv"
-    if not grid_path.is_file():
-        raise DataError(f"no grid.csv file at {grid_path}; run the evaluate subcommand first")
-    with open_utf8(grid_path) as fh:
-        lines = fh.read().strip().split("\n")
-    header = ",".join(GridRow._fields)
-    if lines[0] != header:
-        raise DataError(f"{grid_path} line 1: header {lines[0]!r}, expected {header!r}")
-    if len(lines) == 1:
-        raise DataError(f"{grid_path} line 2: no grid row, nothing to report")
-    rows: list[GridRow] = []
-    keys: set[tuple] = set()
-    for lineno, line in enumerate(lines[1:], 2):
-        try:
-            method, h, p01, p11, run, value = line.split(",")
-            row = GridRow(method, int(h), float(p01), float(p11), int(run), float(value))
-        except ValueError:
-            raise DataError(f"{grid_path} line {lineno}: malformed grid row {line!r}") from None
-        problem = _grid_row_problem(row, keys)
-        if problem:
-            raise DataError(f"{grid_path} line {lineno}: {problem} in grid row {line!r}")
-        keys.add(row[:5])
-        rows.append(row)
-    missing = _first_missing_key(rows, keys)
-    if missing:
-        raise DataError(f"{grid_path} has no row for (method, h, p01, p11, run) = "
-                        f"{','.join(map(str, missing))} of the grid its rows span")
-    out = summary_csv(rows)
-    (Path(cfg.out_dir) / "summary.csv").write_text(out, encoding="utf-8")
-    print(out, end="")
+    """Rewrite summary.csv from the rows of the grid.csv evaluate wrote
+    (read_grid refuses any other file) and print it."""
+    summary = write_summary(read_grid(cfg.out_dir), cfg.out_dir)
+    print(summary.read_text(encoding="utf-8"), end="")
     return 0
 
 

@@ -4,8 +4,9 @@ runner, and sensitivity sweeps over the number of learned subsets.
 
 A grid result is its rows: `run_grid` returns one `GridRow` (a line of
 grid.csv) per method, horizon, cell and run, and keeps no per-observation
-errors. `emit_report` writes those rows and `summary_csv` summarises them,
-the same rows `robustcast report` reads back from grid.csv.
+errors. `emit_report` writes those rows and `write_summary` their per-cell
+summary; `read_grid` reads back exactly the rows `emit_report` writes, for
+`robustcast report`.
 """
 from __future__ import annotations
 
@@ -17,9 +18,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._util import derive_seed, map_jobs
+from ._util import derive_seed, map_jobs, open_utf8
 from .dataio import Dataset, RawSeries, build_supervised, lagged_values, split_sequential
-from .exceptions import CapacityError, ConfigError, DomainError, SizeError
+from .exceptions import ConfigError, DataError, DomainError, SizeError
 from .missingness import (
     MissingnessConfig,
     MissingPattern,
@@ -132,8 +133,8 @@ class GridSpec:
 
 
 class GridRow(NamedTuple):
-    """One scored (method, horizon, cell, run): a line of grid.csv, whose
-    header is these field names."""
+    """One scored (method, horizon, cell, run): a line of grid.csv (`line`),
+    whose header is these field names."""
 
     method: str
     h: int
@@ -141,6 +142,10 @@ class GridRow(NamedTuple):
     p11: float
     run: int
     nrmse: float
+
+    @property
+    def line(self) -> str:
+        return f"{self.method},{self.h},{self.p01!r},{self.p11!r},{self.run},{self.nrmse!r}"
 
 
 @dataclass
@@ -212,12 +217,11 @@ class RetrainOracle:
 
     @staticmethod
     def check_capacity(train: Dataset) -> None:
-        """Raise CapacityError when the data have too many maskable features
+        """Raise ConfigError when the data have too many maskable features
         for a model per pattern."""
         if len(train.maskable) > ORACLE_MASKABLE_LIMIT:
-            raise CapacityError(
-                f"retrain oracle limited to {ORACLE_MASKABLE_LIMIT} maskable features"
-            )
+            raise ConfigError(f"retrain oracle limited to {ORACLE_MASKABLE_LIMIT} maskable "
+                              f"features; the data have {len(train.maskable)}")
 
     def params_for(self, pattern: MissingPattern) -> ModelParams:
         key = pattern.key()
@@ -410,9 +414,9 @@ def q_sweep(
     ]
 
 
-def summary_csv(rows: list[GridRow]) -> str:
-    """summary.csv text from grid rows: mean and population std of nrmse per
-    (method, h, p01, p11) cell, cells in order of first appearance."""
+def write_summary(rows: list[GridRow], out_dir: str | Path) -> Path:
+    """Write summary.csv: the mean and population std of nrmse per (method,
+    h, p01, p11) cell of rows, cells in order of first appearance."""
     cells: dict[tuple, list[float]] = {}
     for row in rows:
         cells.setdefault((row.method, row.h, row.p01, row.p11), []).append(row.nrmse)
@@ -421,7 +425,9 @@ def summary_csv(rows: list[GridRow]) -> str:
         mean = float(np.mean(values))
         std = float(np.std(values))
         lines.append(f"{method},{h},{p01!r},{p11!r},{mean!r},{std!r},{len(values)}")
-    return "\n".join(lines) + "\n"
+    path = Path(out_dir) / "summary.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
 
 
 def emit_report(
@@ -429,25 +435,17 @@ def emit_report(
     out_dir: str | Path,
     qsweep_rows: list[QSweepRow] | None = None,
 ) -> list[Path]:
-    """Write grid.csv (the rows, one line each), summary.csv (their per-cell
-    mean/std, by summary_csv), and qsweep.csv when sweep rows are given.
+    """Write grid.csv (its header, then each row's line), summary.csv (by
+    write_summary), and qsweep.csv when sweep rows are given.
     Output is a pure function of the inputs, so re-runs are byte-identical."""
     out_dir = Path(out_dir)
     if not rows:
         raise SizeError("nothing to report")
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-
     grid_path = out_dir / "grid.csv"
-    lines = [",".join(GridRow._fields)]
-    for row in rows:
-        lines.append(f"{row.method},{row.h},{row.p01!r},{row.p11!r},{row.run},{row.nrmse!r}")
+    lines = [",".join(GridRow._fields), *(row.line for row in rows)]
     grid_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    written.append(grid_path)
-
-    summary_path = out_dir / "summary.csv"
-    summary_path.write_text(summary_csv(rows), encoding="utf-8")
-    written.append(summary_path)
+    written = [grid_path, write_summary(rows, out_dir)]
 
     if qsweep_rows is not None:
         qsweep_path = out_dir / "qsweep.csv"
@@ -457,3 +455,53 @@ def emit_report(
         qsweep_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         written.append(qsweep_path)
     return written
+
+
+def read_grid(out_dir: str | Path) -> list[GridRow]:
+    """The rows of the grid.csv in out_dir, which must be exactly what
+    emit_report writes for the grid they span: its header, then runs 0..R-1
+    of every (method, h, p01, p11) of the product of the values the rows
+    name (each in order of first appearance; R one past the largest run),
+    in that order. Any other file is a DataError naming its line: a missing
+    file, another header, no rows, a row that does not parse, one with an
+    unknown method, h below 1, a probability outside [0, 1] or an nrmse
+    that is not a finite number >= 0, or else the first row out of place."""
+    path = Path(out_dir) / "grid.csv"
+    if not path.is_file():
+        raise DataError(f"no grid.csv file at {path}; run the evaluate subcommand first")
+    with open_utf8(path) as fh:
+        lines = fh.read().removesuffix("\n").split("\n")
+    header = ",".join(GridRow._fields)
+    if lines[0] != header:
+        raise DataError(f"{path} line 1: header {lines[0]!r}, expected {header!r}")
+    if len(lines) == 1:
+        raise DataError(f"{path} line 2: no grid row, nothing to report")
+    rows = []
+    for lineno, line in enumerate(lines[1:], 2):
+        try:
+            method, h, p01, p11, run, value = line.split(",")
+            row = GridRow(method, int(h), float(p01), float(p11), int(run), float(value))
+        except ValueError:
+            raise DataError(f"{path} line {lineno}: malformed grid row {line!r}") from None
+        for bad, problem in (
+            (method not in METHODS, "an unknown method"),
+            (row.h < 1, "a horizon below 1"),
+            (not (0 <= row.p01 <= 1 and 0 <= row.p11 <= 1), "a probability outside [0, 1]"),
+            (not (math.isfinite(row.nrmse) and row.nrmse >= 0),
+             "an nrmse that is not a finite number >= 0"),
+        ):
+            if bad:
+                raise DataError(f"{path} line {lineno}: {problem} in grid row {line!r}")
+        rows.append(row)
+    axes = [list(dict.fromkeys(row[i] for row in rows)) for i in range(4)]
+    keys = itertools.product(*axes, range(max(row.run for row in rows) + 1))
+    for lineno, (row, key) in enumerate(itertools.zip_longest(rows, keys), 2):
+        if row is None or row[:5] != key:
+            raise DataError(
+                f"{path} line {lineno}: "
+                + ("the end of the file" if row is None else f"grid row {lines[lineno - 1]!r}")
+                + " where evaluate writes "
+                + ("no more rows" if key is None
+                   else "the row for (method, h, p01, p11, run) = " + ",".join(map(str, key)))
+                + " of the grid its rows span")
+    return rows

@@ -35,7 +35,3 @@ class SizeError(DataError):
 
 class NumericalError(RobustcastError):
     """A computation produced a non-finite value, e.g. a diverged training loss."""
-
-
-class CapacityError(RobustcastError):
-    """Guarded combinatorial operation asked to exceed its size limit."""

@@ -742,6 +742,7 @@ class TestEvaluate:
 
 
 HEADER = "method,h,p01,p11,run,nrmse"
+AT = "where evaluate writes the row for (method, h, p01, p11, run) = "
 
 
 class TestUnreadableInput:
@@ -810,6 +811,25 @@ class TestReport:
         assert main(["report", "--config", str(path)]) == 0
         assert (out / "summary.csv").read_text() == summary_before
 
+    def test_runs_reversed_within_each_cell_exit_3(self, tmp_path, capsys):
+        # the rows and their values are all there, but not in the order
+        # evaluate writes them, which the summary's sums depend on
+        out = tmp_path / "out"
+        grid = {"p01": [0.2], "p11": [0.5, 0.9], "methods": ["imp-mean"], "runs": 3}
+        path = write_config(tmp_path, base_config(out, grid=grid))
+        assert main(["train", "--config", str(path)]) == 0
+        assert main(["evaluate", "--config", str(path)]) == 0
+        header, *rows = (out / "grid.csv").read_text().strip().split("\n")
+        cells = [rows[i:i + 3][::-1] for i in range(0, len(rows), 3)]
+        (out / "grid.csv").write_text("\n".join([header, *sum(cells, [])]) + "\n")
+        (out / "summary.csv").unlink()
+        capsys.readouterr()
+        assert main(["report", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {out / 'grid.csv'} line 2: grid row {rows[2]!r} "
+                              f"{AT}imp-mean,1,0.2,0.5,0")
+        assert not (out / "summary.csv").exists()
+
     def test_without_grid_exits_3(self, tmp_path):
         out = tmp_path / "out"
         path = write_config(tmp_path, base_config(out))
@@ -823,22 +843,33 @@ class TestReport:
          "line 3: malformed grid row 'imp-mean,1,0.2,0.5,0.5,17.0'", None),
         (None, "line 2: no grid row", [HEADER]),
         (None, "line 1: header 'a,b,c,d,e,f'", ["a,b,c,d,e,f", "imp-mean,1,0.2,0.5,1,16.0"]),
+        (None, "line 1: header ''", ["", HEADER, "imp-mean,1,0.2,0.5,0,16.0"]),
+        (None, "line 3: malformed grid row ''", [HEADER, "imp-mean,1,0.2,0.5,0,16.0", ""]),
         ("imp-mean,1,0.2,0.5,0,nan", "line 3: an nrmse that is not a finite number", None),
         ("imp-mean,1,0.2,0.5,0,inf", "line 3: an nrmse that is not a finite number", None),
         ("imp-mean,1,0.2,0.5,0,-1.0", "line 3: an nrmse that is not a finite number", None),
         ("imp-mean,1,7.0,0.5,0,16.0", "line 3: a probability outside [0, 1]", None),
         ("imp-mean,-3,0.2,0.5,0,16.0", "line 3: a horizon below 1", None),
-        ("imp-mean,1,0.2,0.5,-1,16.0", "line 3: a negative run", None),
+        ("imp-mean,1,0.2,0.5,-1,16.0", f"line 2: grid row 'imp-mean,1,0.2,0.5,1,16.0' {AT}"
+         "imp-mean,1,0.2,0.5,0", None),
         ("bogus,1,0.2,0.5,0,16.0", "line 3: an unknown method", None),
-        ("imp-mean,1,0.2,0.5,1,17.0", "line 3: a repeated (method, h, p01, p11, run)", None),
-        (None, "has no row for (method, h, p01, p11, run) = imp-mean,1,0.2,0.5,2",
+        ("imp-mean,1,0.2,0.5,1,17.0", f"line 2: grid row 'imp-mean,1,0.2,0.5,1,16.0' {AT}"
+         "imp-mean,1,0.2,0.5,0", None),
+        (None, f"line 4: grid row 'imp-mean,1,0.2,0.5,5,16.0' {AT}imp-mean,1,0.2,0.5,2",
          [HEADER, *(f"imp-mean,1,0.2,0.5,{run},16.0" for run in (0, 1, 5)),
           "imp-mean,1,0.2,0.9,0,16.0"]),
-        (None, "has no row for (method, h, p01, p11, run) = imp-mean,1,0.2,0.9,0",
+        (None, f"line 3: grid row 'imp-mean,1,0.05,0.9,0,16.0' {AT}imp-mean,1,0.2,0.9,0",
          [HEADER, "imp-mean,1,0.2,0.5,0,16.0", "imp-mean,1,0.05,0.9,0,16.0"]),
+        (None, f"line 5: the end of the file {AT}imp-mean,1,0.2,0.9,1",
+         [HEADER, "imp-mean,1,0.2,0.5,0,16.0", "imp-mean,1,0.2,0.5,1,16.0",
+          "imp-mean,1,0.2,0.9,0,16.0"]),
+        (None, "line 3: grid row 'imp-mean,1,0.2,0.5,0,17.0' where evaluate writes no more "
+         "rows", [HEADER, "imp-mean,1,0.2,0.5,0,16.0", "imp-mean,1,0.2,0.5,0,17.0"]),
     ], ids=["a short row", "a run that is no integer", "no rows", "another header",
+            "a blank first line", "a blank last line",
             "nrmse nan", "nrmse inf", "nrmse negative", "p01 above 1", "horizon -3", "run -1",
-            "unknown method", "repeated run", "runs 0, 1 and 5 of a cell", "a cell missing"])
+            "unknown method", "repeated run", "runs 0, 1 and 5 of a cell", "a cell missing",
+            "a last run missing", "a row past the grid"])
     def test_malformed_grid_row_exits_3(self, tmp_path, capsys, row, match, lines):
         out = tmp_path / "out"
         out.mkdir()

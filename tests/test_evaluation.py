@@ -1,10 +1,11 @@
+import itertools
 import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import robustcast.evaluation as evaluation
@@ -33,9 +34,10 @@ from robustcast.evaluation import (
     nrmse,
     predict_method,
     q_sweep,
+    read_grid,
     run_grid,
 )
-from robustcast.exceptions import ConfigError, DomainError, SizeError
+from robustcast.exceptions import ConfigError, DataError, DomainError, SizeError
 from robustcast.missingness import (
     MissingnessConfig,
     MissingPattern,
@@ -399,6 +401,79 @@ class TestEmitReport:
             emit_report([], tmp_path)
 
 
+# A grid's axes: some of METHODS in any order, distinct horizons >= 1 and
+# distinct probabilities, and 1-3 runs.
+grid_axes = st.tuples(
+    st.permutations(list(METHODS)).flatmap(
+        lambda methods: st.integers(1, len(methods)).map(lambda k: methods[:k])),
+    *(st.lists(values, min_size=1, max_size=3, unique=True)
+      for values in (st.integers(1, 48), st.floats(0, 1), st.floats(0, 1))),
+    st.integers(1, 3),
+)
+
+
+def grid_keys(methods, horizons, p01s, p11s, runs) -> list[tuple]:
+    """The (method, h, p01, p11, run) of each row evaluate writes, in order."""
+    return list(itertools.product(methods, horizons, p01s, p11s, range(runs)))
+
+
+def write_grid(rows, out_dir: Path) -> None:
+    lines = [",".join(GridRow._fields), *(row.line for row in rows)]
+    (out_dir / "grid.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+class TestReadGrid:
+    @settings(max_examples=40, deadline=None)
+    @given(axes=grid_axes, data=st.data())
+    def test_what_emit_report_writes_reads_back_equal(self, axes, data):
+        keys = grid_keys(*axes)
+        values = data.draw(st.lists(st.floats(0, 1e3), min_size=len(keys), max_size=len(keys)))
+        rows = [GridRow(*key, value) for key, value in zip(keys, values)]
+        with tempfile.TemporaryDirectory() as out:
+            emit_report(rows, out)
+            assert read_grid(out) == rows
+
+    @settings(max_examples=80, deadline=None)
+    @given(axes=grid_axes, change=st.sampled_from(["reorder", "drop", "repeat", "swap runs"]),
+           data=st.data())
+    def test_a_reordered_dropped_or_repeated_row_is_refused_naming_a_line(self, axes, change,
+                                                                          data):
+        rows = [GridRow(*key, float(i)) for i, key in enumerate(grid_keys(*axes))]
+        index = st.integers(0, len(rows) - 1)
+        if change == "reorder":
+            changed = data.draw(st.permutations(rows))
+            assume(changed != rows)
+        elif change == "drop":
+            i = data.draw(index)
+            changed = rows[:i] + rows[i + 1:]
+        elif change == "repeat":
+            i, j = data.draw(index), data.draw(st.integers(0, len(rows)))
+            changed = rows[:j] + [rows[i]] + rows[j:]
+        else:  # two runs of one cell trade places
+            assume(axes[-1] > 1)
+            i = data.draw(index)
+            j = i - rows[i].run + data.draw(st.integers(0, axes[-1] - 1))
+            assume(i != j)
+            changed = list(rows)
+            changed[i], changed[j] = rows[j], rows[i]
+        # A change that leaves the whole grid of other axes (the methods in
+        # another order, or without one when no other axis has two values)
+        # is what evaluate writes for that grid, so it reads back.
+        spread = sum(len(axis) > 1 for axis in axes[:4]) + (axes[-1] > 1)
+        span = [list(dict.fromkeys(row[i] for row in changed)) for i in range(4)]
+        whole = bool(changed) and [row[:5] for row in changed] == \
+            grid_keys(*span, max(row.run for row in changed) + 1)
+        if change in ("repeat", "swap runs") or (change == "drop" and spread > 1):
+            assert not whole
+        with tempfile.TemporaryDirectory() as out:
+            write_grid(changed, Path(out))
+            if whole:
+                assert read_grid(out) == changed
+            else:
+                with pytest.raises(DataError, match=r"grid\.csv line \d+: "):
+                    read_grid(out)
+
+
 class TestQSweepTrend:
     def test_many_subsets_beat_single_subset_by_clear_margin(self, trend_setup):
         # Heavy-missingness cell, 10 seeded runs: the finest partition must
@@ -480,8 +555,10 @@ class TestRetrainOracleGuards:
         raw = gen_synthetic(SynthConfig(6, 400, 0.9, 0.4, 0.3, seed=9))
         hd = HorizonData.build(raw, 0, 1, 1, 0.5, 0.2)  # 12 maskable features
         cfg = TrainConfig(max_iters=5, seed=0)
-        with pytest.raises(Exception):
+        with pytest.raises(ConfigError) as refused:
             RetrainOracle(hd.train, hd.val, cfg, lr_arch(hd.dataset))
+        assert str(refused.value) == \
+            "retrain oracle limited to 10 maskable features; the data have 12"
 
     def test_cache_reuses_pattern_models(self):
         raw, hd, arch, cfg, base, budget = small_setup(seed=10)

@@ -1,8 +1,9 @@
-"""The traffic claim for the kernel modules: run by the CLI on two tiny
-configs, every statement of models, training and adversarial runs except
-error paths and greedy_split_feature's empty-scope return. The statements
-are listed by tests/trace_commands.py and matched by their text, so the
-test does not move with line numbers."""
+"""The traffic claim for the kernel modules, evaluation and the CLI: run by
+the CLI's four commands on tiny configs, every statement of models,
+training, adversarial, evaluation and cli runs except error paths and the
+statements NOT_RUN lists. The statements are listed by
+tests/trace_commands.py and matched by their text, so the test does not
+move with line numbers."""
 import json
 import re
 import subprocess
@@ -10,7 +11,7 @@ import sys
 from pathlib import Path
 
 TOOL = Path(__file__).with_name("trace_commands.py")
-MODULES = ("adversarial", "models", "training")
+MODULES = ("adversarial", "cli", "evaluation", "models", "training")
 METHODS = ["imp-persistence", "imp-mean", "rf-learned", "arf-learned", "rf-fixed", "arf-fixed",
            "retrain-oracle"]
 
@@ -40,6 +41,47 @@ def tiny_config(out_dir: Path, family: str, shuffle: bool) -> dict:
     return config
 
 
+# The non-error statements that no command runs, by text.
+NOT_RUN = {
+    # greedy_split_feature's empty scope: every search it serves has a
+    # feature left to split
+    "adversarial": ["return None"],
+    "cli": [
+        # _kind_name's branches only build the message of a mistyped key
+        "if isinstance(kind, list):",
+        'return f"a list, each item {_kind_name(kind[0])}"',
+        "if isinstance(kind, tuple):",
+        'return " or ".join("null" if k is None else _kind_name(k) for k in kind)',
+        'return {int: "an integer", float: "a finite number", bool: "true or false",',
+        # the guard runs only when cli.py is run as a script
+        "sys.exit(main())",
+    ],
+    # dm_test's body: a library API the README documents, which no command calls
+    "evaluation": [
+        "a = np.asarray(loss_a, dtype=np.float64)",
+        "b = np.asarray(loss_b, dtype=np.float64)",
+        "if a.shape != b.shape or a.ndim != 1:",
+        "n = a.size",
+        "if n < 30:",
+        "d = a - b",
+        "mean_d = d.mean()",
+        "centered = d - mean_d",
+        "gamma0 = float(np.mean(centered**2))",
+        "variance = gamma0",
+        "for k in range(1, min(lag, n - 1) + 1):",
+        "gamma_k = float(np.mean(centered[k:] * centered[:-k]))",
+        "variance += 2.0 * (1.0 - k / (lag + 1.0)) * gamma_k",
+        "if variance <= 1e-300 * max(1.0, mean_d**2):",
+        "return DMResult(statistic=0.0, p_value=1.0, degenerate=True)",
+        "stat = mean_d / math.sqrt(variance / n)",
+        "p = math.erfc(abs(stat) / math.sqrt(2.0))",
+        "return DMResult(statistic=float(stat), p_value=float(p), degenerate=False)",
+    ],
+    "models": [],
+    "training": [],
+}
+
+
 def unrun_by_module(output: str) -> dict[str, list[tuple[bool, str]]]:
     """The tool's listing: per module, each unrun statement's error mark and
     text."""
@@ -57,12 +99,26 @@ def unrun_by_module(output: str) -> dict[str, list[tuple[bool, str]]]:
 
 
 def test_only_error_paths_and_the_empty_scope_return_go_unrun(tmp_path):
-    commands = []
-    for family, shuffle in (("nn", True), ("lr", False)):
-        path = tmp_path / f"{family}.json"
-        config = tiny_config(tmp_path / family, family, shuffle)
-        path.write_text(json.dumps(config), encoding="utf-8")
-        commands += [f"train --config {path}", f"evaluate --config {path}"]
+    configs = {family: tiny_config(tmp_path / family, family, shuffle)
+               for family, shuffle in (("nn", True), ("lr", False))}
+    # lr sweeps a learned method that its grid does not score
+    configs["lr"]["grid"]["methods"].remove("rf-learned")
+    configs["lr"]["q_sweep"] = {"q_list": [1, 2], "p01": 0.2, "p11": 0.5, "method": "rf-learned"}
+    # a series read from the file synth writes, and no grid block: train
+    # grows the partition of the run config's mode
+    configs["csv"] = {**configs["lr"], "out_dir": str(tmp_path / "csv"),
+                      "data": {"csv": str(tmp_path / "synth" / "synthetic.csv")},
+                      "partition": {"mode": "fixed", "budget": 1}}
+    del configs["csv"]["grid"], configs["csv"]["q_sweep"]
+    path = {}
+    for name, config in configs.items():
+        path[name] = tmp_path / f"{name}.json"
+        path[name].write_text(json.dumps(config), encoding="utf-8")
+    commands = [f"{command} --config {path['nn']}" for command in ("train", "evaluate", "report")]
+    commands += [f"{command} --config {path['lr']} --seed 2"
+                 for command in ("train", "evaluate", "report")]
+    commands += [f"synth --config {path['lr']} --out {tmp_path / 'synth'}",
+                 f"train --config {path['csv']}"]
     modules = [arg for name in MODULES for arg in ("--module", name)]
     done = subprocess.run([sys.executable, str(TOOL), *commands, *modules], cwd=tmp_path,
                           capture_output=True, text=True, timeout=60)
@@ -72,7 +128,6 @@ def test_only_error_paths_and_the_empty_scope_return_go_unrun(tmp_path):
     listed = unrun_by_module(done.stdout)
     assert sorted(listed) == sorted(MODULES)
     assert {name: [text for error, text in entries if not error]
-            for name, entries in listed.items()} == \
-        {"adversarial": ["return None"], "models": [], "training": []}
+            for name, entries in listed.items()} == NOT_RUN
     # the error paths are listed too, so the listing is not empty by accident
     assert all(any(error for error, _ in entries) for entries in listed.values())
