@@ -30,7 +30,7 @@ from .evaluation import (
     write_summary,
 )
 from .exceptions import ConfigError, DataError, ParseError, RobustcastError
-from .missingness import MissingnessConfig, MissingPattern
+from .missingness import MissingPattern
 from .models import Architecture, ModelParams
 from .partition import (
     FixedPartition,
@@ -190,6 +190,13 @@ def _grid_spec(cfg: RunConfig) -> GridSpec:
                     cfg.seed)
 
 
+def _sweep_spec(cfg: RunConfig) -> GridSpec:
+    """The Q sweep of cfg as a one-cell grid: its cell and method at the
+    first horizon, over the grid's runs and from the run seed."""
+    return GridSpec((cfg.qsweep_p01,), (cfg.qsweep_p11,), cfg.horizons[:1], (cfg.qsweep_method,),
+                    cfg.grid_runs, cfg.seed)
+
+
 def parse_run_config(obj: dict) -> RunConfig:
     """The RunConfig a run config describes, read from its resolved layout
     (resolve_run_config). ConfigError for a value the run cannot take;
@@ -219,7 +226,6 @@ def parse_run_config(obj: dict) -> RunConfig:
         q_list = qs["q_list"]
         if not q_list or min(q_list) < 1 or len(set(q_list)) < len(q_list):
             raise ConfigError(f"q_sweep.q_list must list distinct Q values >= 1, got {q_list!r}")
-        MissingnessConfig(p01=qs["p01"], p11=qs["p11"], seed=run["seed"])
     cfg = RunConfig(  # the resolved layout, block by block
         seed=run["seed"], out_dir=run["out_dir"], target_plant=run["target_plant"],
         max_lag=run["max_lag"], horizons=tuple(run["horizons"]), family=run["family"],
@@ -236,6 +242,8 @@ def parse_run_config(obj: dict) -> RunConfig:
         qsweep_p01=qs["p01"], qsweep_p11=qs["p11"], qsweep_method=qs["method"],
     )
     spec = _grid_spec(cfg)  # refuses a grid that cannot run, and holds probabilities as floats
+    if cfg.qsweep_list is not None:
+        _sweep_spec(cfg)  # refuses a sweep cell that cannot run
     return replace(cfg, grid_p01=spec.p01_list, grid_p11=spec.p11_list)
 
 
@@ -301,10 +309,8 @@ def _arch_for(cfg: RunConfig, hd: HorizonData) -> Architecture:
 
 
 def _method_arch(arch: Architecture, method: str) -> Architecture:
-    """arch with the adaptivity of `method`'s models (the run config's where
-    METHODS leaves it open)."""
-    adaptive = METHODS[method].adaptive
-    return arch if adaptive is None else replace(arch, adaptive=adaptive)
+    """arch with the adaptivity of `method`'s models."""
+    return replace(arch, adaptive=METHODS[method].adaptive)
 
 
 def _train_config(cfg: RunConfig, name: str, h: int) -> TrainConfig:
@@ -482,24 +488,14 @@ def cmd_evaluate(cfg: RunConfig, jobs: int = 1) -> int:
 
     qrows = None
     if cfg.qsweep_list:
-        h = cfg.horizons[0]
-        stem = METHODS[cfg.qsweep_method].stem
+        spec = _sweep_spec(cfg)
+        h, stem = spec.horizons[0], METHODS[cfg.qsweep_method].stem
         partitions = {
             q: _load_checked(_artifact_path(cfg.out_dir, f"{stem}_q{q}", h),
                              cfg.qsweep_method, cfg, hds[h], q)
             for q in cfg.qsweep_list
         }
-        qrows = q_sweep(
-            partitions,
-            cfg.qsweep_method,
-            h,
-            cfg.qsweep_p01,
-            cfg.qsweep_p11,
-            cfg.grid_runs,
-            cfg.seed,
-            hds,
-            jobs=jobs,
-        )
+        qrows = q_sweep(spec, partitions, hds, jobs=jobs)
     written = emit_report(rows, cfg.out_dir, qrows)
     for path in written:
         print(f"wrote {path}")

@@ -6,7 +6,8 @@ A grid result is its rows: `run_grid` returns one `GridRow` (a line of
 grid.csv) per method, horizon, cell and run, and keeps no per-observation
 errors. `emit_report` writes those rows and `write_summary` their per-cell
 summary; `read_grid` reads back exactly the rows `emit_report` writes, for
-`robustcast report`.
+`robustcast report`. The Q sweep is a one-cell grid: `q_sweep` builds its
+rows as `run_grid` does and averages them per Q.
 """
 from __future__ import annotations
 
@@ -249,11 +250,12 @@ class RetrainOracle:
 class Method(NamedTuple):
     """What a method name means: the artifact type `train` writes and
     `evaluate` scores, its file stem (`{stem}_h{h}.json`; the oracle is built
-    at evaluation), and whether it adapts (None: the run config says)."""
+    at evaluation), and whether its models adapt. The oracle's do not: fitted
+    at a single pattern, an adaptive model only identifies w + D a."""
 
     artifact: type
     stem: str | None
-    adaptive: bool | None
+    adaptive: bool
 
 
 METHODS = {
@@ -263,7 +265,7 @@ METHODS = {
     METHOD_RF_LEARNED: Method(Partition, METHOD_RF_LEARNED, False),
     METHOD_ARF_FIXED: Method(FixedPartition, METHOD_ARF_FIXED, True),
     METHOD_ARF_LEARNED: Method(Partition, METHOD_ARF_LEARNED, True),
-    METHOD_RETRAIN_ORACLE: Method(RetrainOracle, None, None),
+    METHOD_RETRAIN_ORACLE: Method(RetrainOracle, None, False),
 }
 
 
@@ -327,42 +329,45 @@ def _score_mask(args) -> list[float]:
     return scores
 
 
+def _rows(spec: GridSpec, hds: dict[int, HorizonData], entries: list, jobs: int) -> list[GridRow]:
+    """One GridRow per (method, h, artifact) entry, (p01, p11) cell and run
+    of spec, in that order, each cell and run in spec order.
+
+    Each (cell, run) simulates one mask, seeded by the base seed and the
+    cell/run indices, that every entry shares (_score_mask); parallel
+    execution (jobs > 1) returns the same rows as sequential."""
+    for h in spec.horizons:
+        if h not in hds:
+            raise ConfigError(f"no data prepared for horizon {h}")
+    hds = {h: hds[h] for h in spec.horizons}
+    raw = hds[spec.horizons[0]].raw
+    if any(hd.raw is not raw for hd in hds.values()):
+        raise ConfigError("every horizon's data must come from one raw series")
+    cells = list(itertools.product(range(len(spec.p01_list)), range(len(spec.p11_list)),
+                                   range(spec.runs)))
+    tasks = [(_mask_config(spec, *cell), hds, entries) for cell in cells]
+    scores = map_jobs(_score_mask, tasks, jobs)
+    return [GridRow(method, h, spec.p01_list[i01], spec.p11_list[i11], run, cell_scores[e])
+            for e, (method, h, _) in enumerate(entries)
+            for (i01, i11, run), cell_scores in zip(cells, scores)]
+
+
 def run_grid(
     spec: GridSpec,
     hds: dict[int, HorizonData],
     artifacts: dict[tuple[str, int], object],
     jobs: int = 1,
 ) -> list[GridRow]:
-    """The grid.csv rows of every (cell, run, horizon, method) combination,
-    ordered by method, horizon, p01, p11 and run, each in spec order.
-
-    Each (cell, run) simulates one mask, seeded by the base seed and the
-    cell/run indices, that every horizon and method shares (_score_mask).
-    Rows are sorted by their keys, so parallel execution (jobs > 1) returns
-    the same rows as sequential.
-    """
+    """The grid.csv rows of every (method, horizon, cell, run) combination,
+    in that order, each in spec order (_rows); artifacts holds the artifact
+    of each (method, horizon)."""
     entries = []
-    for h in spec.horizons:
-        if h not in hds:
-            raise ConfigError(f"no data prepared for horizon {h}")
-        for method in spec.methods:
+    for method in spec.methods:
+        for h in spec.horizons:
             if (method, h) not in artifacts:
                 raise ConfigError(f"missing artifact for method {method!r} at horizon {h}")
             entries.append((method, h, artifacts[(method, h)]))
-    raw = next(iter(hds.values())).raw
-    if any(hd.raw is not raw for hd in hds.values()):
-        raise ConfigError("every horizon's data must come from one raw series")
-    cells = list(itertools.product(range(len(spec.p01_list)), range(len(spec.p11_list)),
-                                   range(spec.runs)))
-    tasks = [(_mask_config(spec, *cell), hds, entries) for cell in cells]
-    rows = [
-        GridRow(method, h, spec.p01_list[i01], spec.p11_list[i11], run, score)
-        for (i01, i11, run), scores in zip(cells, map_jobs(_score_mask, tasks, jobs))
-        for (method, h, _), score in zip(entries, scores)
-    ]
-    rows.sort(key=lambda r: (spec.methods.index(r.method), spec.horizons.index(r.h),
-                             spec.p01_list.index(r.p01), spec.p11_list.index(r.p11), r.run))
-    return rows
+    return _rows(spec, hds, entries, jobs)
 
 
 @dataclass
@@ -373,45 +378,28 @@ class QSweepRow:
 
 
 def q_sweep(
+    spec: GridSpec,
     partitions: dict[int, Partition],
-    method: str,
-    horizon: int,
-    p01: float,
-    p11: float,
-    runs: int,
-    base_seed: int,
     hds: dict[int, HorizonData],
     jobs: int = 1,
 ) -> list[QSweepRow]:
-    """Mean test nrmse and max leaf relative gap per subset count of a
-    learned-partition method, at one missingness cell, averaged over seeded
-    runs. Each run's mask is simulated once and scores every partition. Rows
-    are ordered by count."""
-    spec = GridSpec(
-        p01_list=(p01,),
-        p11_list=(p11,),
-        horizons=(horizon,),
-        methods=(method,),
-        runs=runs,
-        base_seed=base_seed,
-    )
-    if horizon not in hds:
-        raise ConfigError(f"no data prepared for horizon {horizon}")
-    if method not in METHODS or METHODS[method].artifact is not Partition:
+    """Mean test nrmse over the runs of spec and max leaf relative gap per
+    subset count Q of partitions, learned trees of spec's method. spec is a
+    one-cell grid: one p01, one p11, one horizon and one learned-partition
+    method. Each run's mask is simulated once and scores every partition.
+    Rows are ordered by Q."""
+    if any(len(axis) != 1 for axis in (spec.p01_list, spec.p11_list, spec.horizons, spec.methods)):
+        raise ConfigError(f"q_sweep needs a one-cell grid, got p01 {list(spec.p01_list)}, p11 "
+                          f"{list(spec.p11_list)}, horizons {list(spec.horizons)} and methods "
+                          f"{list(spec.methods)}")
+    (method,), (h,) = spec.methods, spec.horizons
+    if METHODS[method].artifact is not Partition:
         raise ConfigError(f"q_sweep needs a learned-partition method, got {method!r}")
-    qs = sorted(partitions)
-    entries = [(method, horizon, partitions[q]) for q in qs]
-    tasks = [(_mask_config(spec, 0, 0, run), {horizon: hds[horizon]}, entries)
-             for run in range(runs)]
-    per_run = map_jobs(_score_mask, tasks, jobs)
-    return [
-        QSweepRow(
-            n_subsets=q,
-            mean_nrmse=float(np.mean([scores[i] for scores in per_run])),
-            max_relgap=partitions[q].max_relgap(),
-        )
-        for i, q in enumerate(qs)
-    ]
+    qs, runs = sorted(partitions), spec.runs
+    scores = [row.nrmse for row in _rows(spec, hds, [(method, h, partitions[q]) for q in qs], jobs)]
+    return [QSweepRow(n_subsets=q, mean_nrmse=float(np.mean(scores[i * runs:(i + 1) * runs])),
+                      max_relgap=partitions[q].max_relgap())
+            for i, q in enumerate(qs)]
 
 
 def write_summary(rows: list[GridRow], out_dir: str | Path) -> Path:

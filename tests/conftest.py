@@ -201,16 +201,9 @@ def trend_setup() -> TrendSetup:
         (METHOD_ARF_LEARNED, 1): partitions[max(TREND_Q_LIST)],
     }
     grid = run_grid(spec, {1: hd}, artifacts)
-    rows = q_sweep(
-        partitions,
-        METHOD_ARF_LEARNED,
-        1,
-        HEAVY_CELL[0],
-        HEAVY_CELL[1],
-        TREND_RUNS,
-        TREND_GRID_SEED,
-        {1: hd},
-    )
+    sweep = GridSpec((HEAVY_CELL[0],), (HEAVY_CELL[1],), (1,), (METHOD_ARF_LEARNED,), TREND_RUNS,
+                     TREND_GRID_SEED)
+    rows = q_sweep(sweep, partitions, {1: hd})
     return TrendSetup(
         hd=hd,
         partitions=partitions,

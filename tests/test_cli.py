@@ -468,6 +468,16 @@ class TestTrain:
 
 
 class TestEvaluate:
+    def test_the_oracle_fits_plain_models_under_an_adaptive_run_config(self, tmp_path):
+        config = base_config(
+            tmp_path / "out",
+            grid={"p01": [0.2], "p11": [0.5], "methods": ["retrain-oracle"], "runs": 1},
+        )
+        cfg = parse_run_config(config)
+        assert cfg.adaptive
+        oracle = cli._load_artifacts(cfg, cli._horizon_data(cfg, cli._load_raw(cfg)))
+        assert oracle[("retrain-oracle", 1)].arch.adaptive is False
+
     def test_zero_missingness_matches_no_missing_baseline(self, tmp_path):
         out = tmp_path / "out"
         config = base_config(

@@ -167,14 +167,20 @@ class TestRunGrid:
         }
         assert run_grid(spec, {1: hd}, artifacts) == run_grid(spec, {1: hd}, artifacts)
 
-    def test_jobs_parallel_matches_sequential(self):
+    def test_jobs_parallel_matches_sequential(self, tmp_path):
         raw, hd, arch, cfg, base, budget = small_setup(seed=5)
-        spec = GridSpec(p01_list=(0.1, 0.3), p11_list=(0.5,), horizons=(1,),
-                        methods=(METHOD_IMP_MEAN,), runs=2, base_seed=13)
-        artifacts = {(METHOD_IMP_MEAN, 1): base.params}
-        seq = run_grid(spec, {1: hd}, artifacts, jobs=1)
-        par = run_grid(spec, {1: hd}, artifacts, jobs=2)
+        hds = {1: hd, 3: HorizonData.build(raw, 0, 1, 3, 0.5, 0.2)}
+        spec = GridSpec(p01_list=(0.1, 0.3), p11_list=(0.0, 0.5), horizons=(1, 3),
+                        methods=(METHOD_IMP_MEAN, METHOD_IMP_PERSISTENCE), runs=2, base_seed=13)
+        artifacts = {(method, h): base.params for method in spec.methods for h in spec.horizons}
+        seq = run_grid(spec, hds, artifacts, jobs=1)
+        par = run_grid(spec, hds, artifacts, jobs=2)
         assert seq == par
+        # one row per method, horizon, cell and run, in that order
+        assert [row[:5] for row in seq] == list(itertools.product(
+            spec.methods, spec.horizons, spec.p01_list, spec.p11_list, range(spec.runs)))
+        emit_report(seq, tmp_path)
+        assert read_grid(tmp_path) == seq
 
     def test_jobs_pickle_a_shared_object_once_per_worker(self):
         # every grid task holds the horizon data and the artifacts, a retrain
@@ -498,11 +504,13 @@ class TestQSweepTrend:
             return simulate_markov(cfg, n_periods, n_plants)
 
         monkeypatch.setattr(evaluation, "simulate_markov", counted)
-        rows = q_sweep(trend_setup.partitions, METHOD_ARF_LEARNED, 1, *cell, runs, 5, hds)
+        sweep = GridSpec(p01_list=(cell[0],), p11_list=(cell[1],), horizons=(1,),
+                         methods=(METHOD_ARF_LEARNED,), runs=runs, base_seed=5)
+        rows = q_sweep(sweep, trend_setup.partitions, hds)
         assert len(masks) == runs  # one mask per run, shared by every Q
         assert [r.n_subsets for r in rows] == sorted(trend_setup.partitions)
         assert [r.mean_nrmse for r in rows] == oracle
-        par = q_sweep(trend_setup.partitions, METHOD_ARF_LEARNED, 1, *cell, runs, 5, hds, jobs=2)
+        par = q_sweep(sweep, trend_setup.partitions, hds, jobs=2)
         assert par == rows
 
     def test_single_subset_row_is_the_plain_robust_model(self, trend_setup):
@@ -546,8 +554,22 @@ class TestMethodArtifacts:
         self, kinds, method, kind
     ):
         hd, artifacts = kinds
+        spec = GridSpec((0.2,), (0.9,), (1,), (method,), 1, 5)
         with pytest.raises(ConfigError, match=f"learned-partition method, got '{method}'"):
-            q_sweep({2: artifacts[kind]}, method, 1, 0.2, 0.9, 1, 5, {1: hd})
+            q_sweep(spec, {2: artifacts[kind]}, {1: hd})
+
+    @pytest.mark.parametrize("axes", [
+        {"p01_list": (0.1, 0.2)},
+        {"p11_list": (0.0, 0.9)},
+        {"horizons": (1, 2)},
+        {"methods": (METHOD_ARF_LEARNED, METHOD_RF_LEARNED)},
+    ])
+    def test_sweep_of_more_than_one_cell_raises_config_error(self, kinds, axes):
+        hd, artifacts = kinds
+        spec = GridSpec(**{"p01_list": (0.2,), "p11_list": (0.9,), "horizons": (1,),
+                           "methods": (METHOD_ARF_LEARNED,), "runs": 1, "base_seed": 5, **axes})
+        with pytest.raises(ConfigError, match="q_sweep needs a one-cell grid"):
+            q_sweep(spec, {2: artifacts["Partition"]}, {1: hd, 2: hd})
 
 
 class TestRetrainOracleGuards:

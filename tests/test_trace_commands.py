@@ -1,17 +1,19 @@
-"""The traffic claim for the kernel modules, evaluation and the CLI: run by
-the CLI's four commands on tiny configs, every statement of models,
-training, adversarial, evaluation and cli runs except error paths and the
-statements NOT_RUN lists. The statements are listed by
+"""The traffic claim for every module of the package but `__init__`,
+`exceptions` (import runs all of both) and `__main__`: run by the CLI's
+four commands on tiny configs, every statement of each runs except error
+paths and the statements NOT_RUN lists. The statements are listed by
 tests/trace_commands.py and matched by their text, so the test does not
 move with line numbers."""
 import json
+import math
 import re
 import subprocess
 import sys
 from pathlib import Path
 
 TOOL = Path(__file__).with_name("trace_commands.py")
-MODULES = ("adversarial", "cli", "evaluation", "models", "training")
+MODULES = ("_util", "adversarial", "cli", "dataio", "evaluation", "missingness", "models",
+           "partition", "training")
 METHODS = ["imp-persistence", "imp-mean", "rf-learned", "arf-learned", "rf-fixed", "arf-fixed",
            "retrain-oracle"]
 
@@ -43,6 +45,7 @@ def tiny_config(out_dir: Path, family: str, shuffle: bool) -> dict:
 
 # The non-error statements that no command runs, by text.
 NOT_RUN = {
+    "_util": [],
     # greedy_split_feature's empty scope: every search it serves has a
     # feature left to split
     "adversarial": ["return None"],
@@ -77,7 +80,38 @@ NOT_RUN = {
         "p = math.erfc(abs(stat) / math.sqrt(2.0))",
         "return DMResult(statistic=float(stat), p_value=float(p), degenerate=False)",
     ],
+    "dataio": [],
+    "missingness": [
+        # bits_of: bits of another dtype than uint8 (every pattern the
+        # commands build is uint8), and the lines that build the message of
+        # a refused pattern
+        "if not ((bits == 0) | (bits == 1)).all():",
+        "bits = bits.astype(np.uint8)",
+        "flat = bits.reshape(-1, width)",
+        "if flat.max() > 1:",
+        "bad = np.flatnonzero((flat > allowed).any(axis=0))",
+    ],
     "models": [],
+    # _leaf_of, locate_rows and predict_deployed: routing and forecasting
+    # one row at a time, a library API the README documents and the
+    # benchmark's deploy step calls; the commands score whole test sets
+    # (predict_deployed_rows)
+    "partition": [
+        "route, sid = partition._route, 0",
+        "while route[sid] is not None:",
+        "feature, avail, miss = route[sid]",
+        "sid = miss if bits[feature] else avail",
+        "return sid",
+        "return _walk_rows(partition, _pattern_bits(partition.opt.params.arch, bits, ndim=2))",
+        "arch = partition.opt.params.arch",
+        "bits = _pattern_bits(arch, pattern, ndim=1)",
+        "try:",
+        "x = np.asarray(x, dtype=np.float64)",
+        "if x is None or x.shape != bits.shape:",
+        "subset = partition.subsets[_leaf_of(partition, bits)]",
+        "use_opt = bits.tobytes() == subset.opt_pattern.key()",
+        "return float(_predict_bits(subset.params_opt if use_opt else subset.params_adv, x, bits))",
+    ],
     "training": [],
 }
 
@@ -110,6 +144,18 @@ def test_only_error_paths_and_the_empty_scope_return_go_unrun(tmp_path):
                       "data": {"csv": str(tmp_path / "synth" / "synthetic.csv")},
                       "partition": {"mode": "fixed", "budget": 1}}
     del configs["csv"]["grid"], configs["csv"]["q_sweep"]
+    # noise on the synthetic measurements
+    configs["nn"]["data"]["synth"]["obs_noise_std"] = 0.1
+    # a series file without a weather column, with a blank line, and a grid
+    # of imp-mean only, whose two runs evaluate with --jobs 2: map_jobs's
+    # pool runs in the traced process, its workers' work goes unseen
+    bare = tmp_path / "bare.csv"
+    rows = [f"{t},{0.5 + 0.3 * math.sin(t / 7)},{0.5 + 0.3 * math.cos(t / 5)}" for t in range(300)]
+    bare.write_text("\n".join(["period,plant_0,plant_1", *rows[:150], "", *rows[150:]]) + "\n",
+                    encoding="utf-8")
+    configs["bare"] = {**configs["csv"], "out_dir": str(tmp_path / "bare"),
+                       "data": {"csv": str(bare)},
+                       "grid": {"p01": [0.2], "p11": [0.5], "methods": ["imp-mean"], "runs": 2}}
     path = {}
     for name, config in configs.items():
         path[name] = tmp_path / f"{name}.json"
@@ -118,7 +164,8 @@ def test_only_error_paths_and_the_empty_scope_return_go_unrun(tmp_path):
     commands += [f"{command} --config {path['lr']} --seed 2"
                  for command in ("train", "evaluate", "report")]
     commands += [f"synth --config {path['lr']} --out {tmp_path / 'synth'}",
-                 f"train --config {path['csv']}"]
+                 f"train --config {path['csv']}", f"train --config {path['bare']}",
+                 f"evaluate --config {path['bare']} --jobs 2"]
     modules = [arg for name in MODULES for arg in ("--module", name)]
     done = subprocess.run([sys.executable, str(TOOL), *commands, *modules], cwd=tmp_path,
                           capture_output=True, text=True, timeout=60)
