@@ -192,13 +192,10 @@ def greedy_split_feature(
     split: SplitScorer,
     params: ModelParams,
     scope: AdvSearchScope,
-) -> int | None:
+) -> int:
     """First round of the greedy search only: the single free feature whose
-    loss on the data split scores is largest (no acceptance test). None when
-    there is nothing to pick."""
+    loss on the data split scores is largest (no acceptance test)."""
     candidates = list(scope.free)
-    if not candidates:
-        return None
     losses = split.bind(params)(_with_each(scope.base.bits, candidates))
     return candidates[int(np.argmax(losses))]
 

@@ -521,7 +521,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON run config path")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers")
+        if name in ("train", "evaluate"):
+            p.add_argument("--jobs", type=int, default=1, help="parallel workers")
         p.add_argument("--out", default=None, help="override output directory")
     return parser
 
@@ -529,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.jobs < 1:
+        if "jobs" in args and args.jobs < 1:
             raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         cfg = load_run_config(args.config, args.seed, args.out)
         if args.command == "synth":

@@ -20,8 +20,9 @@ from typing import NamedTuple
 import numpy as np
 
 from ._util import derive_seed, map_jobs, open_utf8
+from .adversarial import SplitScorer
 from .dataio import Dataset, RawSeries, build_supervised, lagged_values, split_sequential
-from .exceptions import ConfigError, DataError, DomainError, SizeError
+from .exceptions import ConfigError, DataError, DomainError, NumericalError, SizeError
 from .missingness import (
     MissingnessConfig,
     MissingPattern,
@@ -31,7 +32,7 @@ from .missingness import (
     impute_persistence,
     simulate_markov,
 )
-from .models import Architecture, ModelParams, predict
+from .models import LR, Architecture, ModelParams, _decayed_mask, _layout, predict
 from .partition import (
     FixedPartition,
     Partition,
@@ -39,7 +40,7 @@ from .partition import (
     predict_fixed_rows,
     predict_grouped,
 )
-from .training import TrainConfig, train_nominal
+from .training import TrainConfig, check_fits, train_nominal
 
 METHOD_IMP_PERSISTENCE = "imp-persistence"
 METHOD_IMP_MEAN = "imp-mean"
@@ -194,12 +195,14 @@ class HorizonData:
 
 
 class RetrainOracle:
-    """Dedicated model of layout arch per realized pattern, trained on demand
+    """Dedicated model of layout arch per realized pattern, fitted on demand
     and cached.
 
-    Each pattern's training seed is derived from the pattern itself, so the
-    cache contents do not depend on encounter order. Guarded to small
-    maskable sets; the pattern space grows exponentially.
+    A linear model is the exact fit of its pattern on the train split
+    (_least_squares). A network trains from a seed derived from the pattern
+    itself, so the cache contents do not depend on encounter order. Guarded
+    to small maskable sets, since the pattern space grows exponentially, and
+    to layouts of the data's width and maskable set (check_fits).
     """
 
     def __init__(
@@ -210,11 +213,13 @@ class RetrainOracle:
         arch: Architecture,
     ):
         RetrainOracle.check_capacity(train)
+        check_fits(arch, train)
         self.train = train
         self.val = val
         self.cfg = cfg
         self.arch = arch
         self._cache: dict[bytes, ModelParams] = {}
+        self._scorer = SplitScorer(train.X, train.y, arch) if arch.family == LR else None
 
     @staticmethod
     def check_capacity(train: Dataset) -> None:
@@ -227,10 +232,34 @@ class RetrainOracle:
     def params_for(self, pattern: MissingPattern) -> ModelParams:
         key = pattern.key()
         if key not in self._cache:
-            seed = derive_seed(self.cfg.seed, "oracle", *pattern.missing_indices())
-            cfg = replace(self.cfg, seed=seed)
-            self._cache[key] = train_nominal(self.train, self.val, pattern, cfg, self.arch).params
+            if self._scorer is not None:
+                self._cache[key] = self._least_squares(pattern)
+            else:
+                seed = derive_seed(self.cfg.seed, "oracle", *pattern.missing_indices())
+                cfg = replace(self.cfg, seed=seed)
+                self._cache[key] = train_nominal(self.train, self.val, pattern, cfg,
+                                                 self.arch).params
         return self._cache[key]
+
+    def _least_squares(self, pattern: MissingPattern) -> ModelParams:
+        """The linear weights at pattern that minimise the train split's mean
+        squared error plus weight_decay times the decayed squared weights
+        (models._decayed_mask): (G_AA + weight_decay diag(m_A)) w_A = b_A over
+        the available columns A, from the scorer's G = X'X/n and b = X'y/n,
+        and 0 on the missing ones. An adaptive model's D is 0 too, since at
+        one pattern only w + D a is identified. NumericalError for a singular
+        system."""
+        arch = self.arch
+        params = ModelParams(arch, {name: np.zeros(shape) for name, shape in _layout(arch).items()})
+        avail = np.flatnonzero(pattern.bits == 0)
+        decay = np.broadcast_to(_decayed_mask(arch, "w"), arch.input_dim)[avail]
+        lhs = self._scorer.gram[np.ix_(avail, avail)] + self.cfg.weight_decay * np.diag(decay)
+        try:
+            params.arrays["w"][avail] = np.linalg.solve(lhs, self._scorer.xty[avail])
+        except np.linalg.LinAlgError:
+            raise NumericalError(f"the least-squares fit of the pattern missing "
+                                 f"{list(pattern.missing_indices())} is singular") from None
+        return params
 
     def predict_rows(self, X: np.ndarray, patterns: np.ndarray) -> np.ndarray:
         """Predict each row of X with the model of its pattern (one row of the

@@ -45,7 +45,7 @@ from .models import (
 from .training import TrainConfig, train_nominal
 
 RELGAP_FLOOR = 1e-12
-ARTIFACT_FORMAT = 2
+ARTIFACT_FORMAT = 3
 
 
 @dataclass(frozen=True)
@@ -175,8 +175,8 @@ class Partition:
 @dataclass
 class FixedPartition:
     """Equality-count partition: subsets[l] is the fit trained for exactly l
-    missing features, l = 0..budget, so a file stores position l as the
-    subset's count. DomainError for any other fit count, and from _layout."""
+    missing features, l = 0..budget, so a file's budget + 1 subsets state
+    the budget. DomainError for any other fit count, and from _layout."""
 
     budget: int
     subsets: list[Fit]
@@ -449,18 +449,6 @@ def bounds_table(partition: Partition) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _tree_to_json(partition: Partition, sid: int = 0) -> dict:
-    if partition._route[sid] is None:
-        return {"subset": sid}
-    feature, avail, miss = partition._route[sid]
-    return {"subset": sid, "feature": feature, "available": _tree_to_json(partition, avail),
-            "missing": _tree_to_json(partition, miss)}
-
-
-def _fixed_to_json(partition: Partition, sid: int) -> dict:
-    return {str(j): bit for j, bit in partition.fixed(sid).items()}
-
-
 def param_sets(artifact: Partition | FixedPartition | ModelParams) -> list[ModelParams]:
     """Every parameter set an artifact refers to, repeats included, in the
     order its file's table first uses them: learned subsets by id, opt
@@ -501,11 +489,11 @@ def _params_at(table: list[ModelParams], ref) -> ModelParams:
 
 def _lineage(partition: Partition, sid: int) -> dict:
     """How a file records subset sid's place in the growth: the leaf it was
-    split from, whether it kept that leaf's LB (the available child 2k - 1
-    does) and UB (the missing child 2k does, and the available child when
-    its split trained no adversarial fit), and its own split feature."""
+    split from, whether it kept that leaf's UB (the missing child 2k does,
+    and the available child 2k - 1 when its split trained no adversarial
+    fit), and its own split feature."""
     split, node = partition.splits[(sid - 1) // 2] if sid else None, partition._route[sid]
-    return {"parent_id": None if split is None else split.leaf, "lb_inherited": sid % 2 == 1,
+    return {"parent_id": None if split is None else split.leaf,
             "ub_inherited": sid > 0 and (sid % 2 == 0 or split.adv is None),
             "split_feature": None if node is None else node[0]}
 
@@ -516,18 +504,13 @@ def _learned_json(partition: Partition, refs: list[int]) -> dict:
     return {
         "format": ARTIFACT_FORMAT,
         "kind": "learned",
-        "uncertainty": _uncertainty_json(partition.opt.params.arch, partition.budget),
+        "budget": partition.budget,
         "config": asdict(partition.config),
-        "tree": _tree_to_json(partition),
         "leaf_ids": partition.leaf_ids,
         "subsets": {
             str(sid): {
-                "fixed": _fixed_to_json(partition, sid),
-                "opt_pattern": s.opt_pattern.bits.tolist(),
-                "free": list(s.free),
                 "LB": s.lower_bound,
                 "UB": s.upper_bound,
-                "relgap": s.relgap,
                 **_lineage(partition, sid),
                 "params_opt": refs[2 * sid],
                 "params_adv": refs[2 * sid + 1],
@@ -542,11 +525,6 @@ def partition_to_json(partition: Partition) -> dict:
     return {**_learned_json(partition, refs), "params": table}
 
 
-def _uncertainty_json(arch: Architecture, budget: int) -> dict:
-    """A partition file's "uncertainty" block."""
-    return {"n_features": arch.input_dim, "maskable": list(arch.maskable), "budget": budget}
-
-
 def _checked(value, types: tuple, what: str):
     """value when its JSON type is one of `types` (true and false count as no
     number); ParseError naming `what` otherwise, DomainError for a number
@@ -559,29 +537,18 @@ def _checked(value, types: tuple, what: str):
     return value
 
 
-def _budget_from_json(obj: dict) -> int:
-    """The budget of a file's uncertainty block; ParseError unless the block's
-    counts and indices are integers, DomainError unless 0 <= budget <= |maskable|."""
-    stored = obj["uncertainty"]
-    for value in (stored["n_features"], stored["budget"], *stored["maskable"]):
-        _checked(value, (int,), "an uncertainty set's counts and indices")
-    if not 0 <= stored["budget"] <= len(stored["maskable"]):
-        raise DomainError("budget must lie in [0, |maskable|]")
-    return stored["budget"]
-
-
 def partition_from_json(obj: dict) -> Partition:
-    """The partition a learned file describes, rebuilt from what its root
-    fits and splits need: subset 0's params_opt/LB and params_adv/UB; for
-    split k, the leaf it split (subset 2k - 1's parent_id), that leaf's
-    split_feature, subset 2k's params_opt/LB, and subset 2k - 1's
-    params_adv/UB unless its ub_inherited is true. Every other stored value
-    is derived (inherited bounds and references, lineage, patterns, free
-    sets, fixed, relgap, tree, leaf_ids): DomainError when one disagrees
-    (compared as JSON, so 1 is not true), when Partition refuses a split,
-    the ids are not 0..2k or a number is not finite. ParseError when the
-    subsets are no object keyed by decimal ids, or an entry or the config
-    holds a value of the wrong JSON type or a bad table reference."""
+    """The partition a learned file describes, rebuilt from its budget, its
+    config and what its root fits and splits need: subset 0's params_opt/LB
+    and params_adv/UB; for split k, the leaf it split (subset 2k - 1's
+    parent_id), that leaf's split_feature, subset 2k's params_opt/LB, and
+    subset 2k - 1's params_adv/UB unless its ub_inherited is true. The other
+    stored values are derived (leaf_ids, lineage, inherited bounds and
+    references): DomainError when one disagrees (compared as JSON, so 1 is
+    not true), when Partition refuses the budget or a split, the ids are not
+    0..2k or a number is not finite. ParseError when the subsets are no
+    object keyed by decimal ids, or an entry, the budget or the config holds
+    a value of the wrong JSON type or a bad table reference."""
     table = _table_from_json(obj)
     stored = _checked(obj["subsets"], (dict,), "a learned file's subsets")
     if not all(sid.isdecimal() and str(int(sid)) == sid for sid in stored):
@@ -592,14 +559,8 @@ def partition_from_json(obj: dict) -> Partition:
     number, index = (int, float), (int, type(None))
     for sid, s in enumerate(entries):
         for key, types in (("parent_id", index), ("split_feature", index), ("LB", number),
-                           ("UB", number), ("relgap", number), ("lb_inherited", (bool,)),
-                           ("ub_inherited", (bool,)), ("opt_pattern", (list,)),
-                           ("free", (list,))):
+                           ("UB", number), ("ub_inherited", (bool,))):
             _checked(s[key], types, f"subset {sid}'s {key}")
-        for key in ("opt_pattern", "free"):
-            if not all(type(v) is int for v in s[key]):
-                raise ParseError(f"subset {sid}'s {key} must hold integers only, "
-                                 f"got {s[key]!r:.60}")
         for key in ("params_opt", "params_adv"):
             _params_at(table, s[key])
     config = obj["config"]
@@ -616,7 +577,8 @@ def partition_from_json(obj: dict) -> Partition:
         feature = entries[leaf]["split_feature"] if leaf in range(2 * k - 1) else None
         adv = None if avail["ub_inherited"] else fit(avail, "params_adv", "UB")
         splits.append(Split(leaf, feature, fit(miss, "params_opt", "LB"), adv))
-    part = Partition(_budget_from_json(obj), PartitionConfig(**config),
+    part = Partition(_checked(obj["budget"], (int,), "a learned file's budget"),
+                     PartitionConfig(**config),
                      fit(entries[0], "params_opt", "LB"), fit(entries[0], "params_adv", "UB"),
                      splits)
     index = {id(params): i for i, params in enumerate(table)}
@@ -632,33 +594,24 @@ def fixed_to_json(fixed: FixedPartition) -> dict:
     return {
         "format": ARTIFACT_FORMAT,
         "kind": "fixed",
-        "uncertainty": _uncertainty_json(fixed.subsets[0].params.arch, fixed.budget),
-        "subsets": [
-            {"count": count, "val_loss": s.loss, "params": ref}
-            for count, (s, ref) in enumerate(zip(fixed.subsets, refs))
-        ],
+        "subsets": [{"val_loss": s.loss, "params": ref} for s, ref in zip(fixed.subsets, refs)],
         "params": table,
     }
 
 
 def fixed_from_json(obj: dict) -> FixedPartition:
-    """The fixed partition a file describes; ParseError unless its subsets
-    are a list whose counts are the integers 0..budget in order and whose
-    val_loss values are numbers."""
-    table, budget = _table_from_json(obj), _budget_from_json(obj)
+    """The fixed partition a file describes: subset l is the fit for l
+    missing features, so the budget is one less than the subset count.
+    ParseError unless its subsets are a list whose val_loss values are
+    numbers; DomainError (from FixedPartition) for an empty list."""
+    table = _table_from_json(obj)
     entries = _checked(obj["subsets"], (list,), "a fixed file's subsets")
-    counts = [s["count"] for s in entries]
-    if any(type(c) is not int for c in counts) or counts != list(range(budget + 1)):
-        raise ParseError(f"a fixed file's counts must be 0..{budget} in order, "
-                         f"got {counts!r:.80}")
     subsets = [
         Fit(_params_at(table, s["params"]),
             _checked(s["val_loss"], (int, float), f"subset {c}'s val_loss"))
         for c, s in enumerate(entries)
     ]
-    if obj["uncertainty"] != _uncertainty_json(subsets[0].params.arch, budget):
-        raise DomainError("the uncertainty block disagrees with the models' layout")
-    return FixedPartition(budget, subsets)
+    return FixedPartition(len(subsets) - 1, subsets)
 
 
 def save_artifact(obj: Partition | FixedPartition | ModelParams, path: str | Path) -> None:

@@ -164,6 +164,13 @@ def run_training_loop(
     )
 
 
+def check_fits(arch: Architecture, data: Dataset) -> None:
+    """DomainError when arch's input width or maskable set is not the data's."""
+    if (arch.input_dim, arch.maskable) != (data.p, data.maskable):
+        raise DomainError(f"a model of {arch.input_dim} inputs, maskable {list(arch.maskable)}, "
+                          f"cannot fit data of {data.p}, maskable {list(data.maskable)}")
+
+
 def train_nominal(
     train: Dataset,
     val: Dataset,
@@ -172,10 +179,7 @@ def train_nominal(
     arch: Architecture,
 ) -> TrainResult:
     """Fit one model of layout arch, initialised from cfg.seed, with a fixed
-    missing pattern applied to every batch. DomainError when arch's input
-    width or maskable set is not the data's."""
-    if (arch.input_dim, arch.maskable) != (train.p, train.maskable):
-        raise DomainError(f"a model of {arch.input_dim} inputs, maskable {list(arch.maskable)}, "
-                          f"cannot fit data of {train.p}, maskable {list(train.maskable)}")
+    missing pattern applied to every batch. DomainError from check_fits."""
+    check_fits(arch, train)
     constant = lambda params: pattern
     return run_training_loop(train, val, init_params(arch, cfg.seed), cfg, constant, constant)

@@ -3,7 +3,8 @@
     python tests/compare_outputs.py PARENT CHANGE
 
 Each checkout runs `train`, `evaluate` and `report` on the three
-perfbench/workloads/*.json at seeds 1-3 with --jobs 1 and --jobs 2, and on
+perfbench/workloads/*.json at seeds 1-3 with --jobs 1 and --jobs 2 (given
+to train and evaluate, the commands that take it), and on
 configs/paper-synthetic.json at seed 1 with --jobs 2 (57 commands). A
 checkout runs its own src/robustcast, with one BLAS thread, in a fresh
 temporary directory that holds copies of its configs, so every path the
@@ -43,8 +44,9 @@ def run_checkout(checkout: Path, work: Path) -> dict[str, bytes]:
         shutil.copyfile(checkout / config, work / config)
         out = f"runs/{name}"
         for command in ("train", "evaluate", "report"):
+            jobs_flag = [] if command == "report" else ["--jobs", str(jobs)]
             argv = [sys.executable, "-m", "robustcast", command, "--config", config,
-                    "--seed", str(seed), "--jobs", str(jobs), "--out", out]
+                    "--seed", str(seed), *jobs_flag, "--out", out]
             done = subprocess.run(argv, cwd=work, env=env, capture_output=True)
             print(f"{checkout}: exit {done.returncode}: {' '.join(argv[3:])}", flush=True)
             found[f"{name}/{command}.code"] = str(done.returncode).encode()

@@ -242,15 +242,17 @@ def test_criterion_4_partition_structure():
     inherit_ok = True
     for part in (part6, part3):
         records = partition_to_json(part)["subsets"]
-        for subset in records.values():
+        for sid, subset in records.items():
             if subset["parent_id"] is None:
                 continue
             parent = records[str(subset["parent_id"])]
-            if subset["lb_inherited"]:
+            # split k's available child, subset 2k - 1, keeps its parent's LB
+            lb_inherited = int(sid) % 2 == 1
+            if lb_inherited:
                 inherit_ok &= subset["LB"] == parent["LB"]
             if subset["ub_inherited"]:
                 inherit_ok &= subset["UB"] == parent["UB"]
-            inherit_ok &= subset["lb_inherited"] or subset["ub_inherited"]
+            inherit_ok &= lb_inherited or subset["ub_inherited"]
 
     ok = cover_ok and fixed_ok and recovery_ok and inherit_ok
     report(4, ok, f"cover={cover_ok} fixed={fixed_ok} recovery={recovery_ok} inheritance={inherit_ok}")

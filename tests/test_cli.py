@@ -16,7 +16,7 @@ from robustcast.exceptions import ConfigError
 from robustcast.dataio import gen_synthetic, load_csv, save_csv, RawSeries, SynthConfig
 from robustcast.evaluation import METHODS
 from robustcast.partition import (
-    Partition, PartitionConfig, learn_partition, load_artifact, partition_to_json, rel_gap,
+    Partition, PartitionConfig, learn_partition, load_artifact, partition_to_json,
 )
 from robustcast.training import TrainConfig
 
@@ -358,6 +358,15 @@ class TestTrain:
         assert main(["train", "--config", str(path), "--jobs", "0"]) == 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["synth", "report"])
+    def test_jobs_is_refused_where_nothing_runs_in_parallel(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, base_config(tmp_path / "out"))
+        with pytest.raises(SystemExit) as refused:
+            main([command, "--config", str(path), "--jobs", "2"])
+        assert refused.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_learned_mode_writes_partition_and_bounds(self, tmp_path):
         out = tmp_path / "out"
         path = write_config(tmp_path, base_config(
@@ -604,20 +613,14 @@ class TestEvaluate:
         path = write_config(tmp_path, base_config(out, grid=grid))
         assert main(["train", "--config", str(path)]) == 0
 
-        def free_feature_missing(obj):
-            subset = obj["subsets"]["1"]
-            subset["opt_pattern"][subset["free"][0]] = 1
-
         edits = {
             "arf-learned_h1.json": [
                 lambda obj: obj["subsets"]["0"].update(LB=float("nan")),
-                lambda obj: obj["subsets"]["2"].update(relgap=obj["subsets"]["2"]["relgap"] / 2),
                 lambda obj: obj["config"].update(max_subsets=1.5),
-                free_feature_missing,
             ],
             "arf-fixed_h1.json": [
-                lambda obj: obj.update(subsets=obj["subsets"][:-1]),
-                lambda obj: obj["subsets"][1].update(count="x"),
+                lambda obj: obj.update(subsets=[]),
+                lambda obj: obj["subsets"][1].update(val_loss="x"),
             ],
         }
         for name, cases in edits.items():
@@ -634,29 +637,6 @@ class TestEvaluate:
             artifact.write_text(original, encoding="utf-8")
         assert not (out / "grid.csv").exists()
 
-    @pytest.mark.parametrize("field", ["n_features", "maskable"])
-    def test_fixed_file_whose_uncertainty_block_disagrees_with_its_models_exits_3(
-        self, tmp_path, capsys, field
-    ):
-        out = tmp_path / "out"
-        grid = {"p01": [0.2], "p11": [0.5], "methods": ["arf-fixed"], "runs": 1}
-        path = write_config(tmp_path, base_config(out, grid=grid))
-        assert main(["train", "--config", str(path)]) == 0
-        artifact = out / "arf-fixed_h1.json"
-        obj = json.loads(artifact.read_text(encoding="utf-8"))
-        block = obj["uncertainty"]
-        if field == "n_features":
-            block["n_features"] += 1
-        else:
-            block["maskable"] = block["maskable"][1:] + [block["n_features"]]
-        artifact.write_text(json.dumps(obj), encoding="utf-8")
-        capsys.readouterr()
-        assert main(["evaluate", "--config", str(path)]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("data error:") and str(artifact) in err
-        assert "uncertainty block disagrees" in err
-        assert not (out / "grid.csv").exists()
-
     def test_learned_file_whose_inherited_copy_disagrees_exits_3(self, tmp_path, capsys):
         out = tmp_path / "out"
         grid = {"p01": [0.2], "p11": [0.5], "methods": ["arf-learned"], "runs": 1}
@@ -670,7 +650,6 @@ class TestEvaluate:
             subset = obj["subsets"]["2"]
             if doubled:
                 subset["UB"] *= 2
-                subset["relgap"] = rel_gap(subset["LB"], subset["UB"])
             else:
                 subset["ub_inherited"] = False
             artifact.write_text(json.dumps(obj), encoding="utf-8")
@@ -682,12 +661,13 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("case", ["another family", "another adaptivity",
                                       "another hidden width", "another budget",
-                                      "a fixed file of another budget", "another q_max",
+                                      "a fixed file of another budget",
+                                      "a fixed file one subset short", "another q_max",
                                       "another epsilon"])
     def test_artifact_of_another_family_or_adaptivity_exits_2(self, tmp_path, capsys, case):
         out = tmp_path / "out"
         grid = {"p01": [0.2], "p11": [0.5], "methods": ["arf-learned", "rf-learned"], "runs": 1}
-        if case == "a fixed file of another budget":
+        if case.startswith("a fixed file"):
             grid["methods"] = ["arf-fixed"]
         config = base_config(out, grid=grid)
         if case == "another hidden width":
@@ -711,6 +691,13 @@ class TestEvaluate:
         elif case == "another hidden width":
             config.update(hidden=[7, 7])
             match = "holds a model of another layout: hidden (3,) (run config: (7, 7))"
+        elif case == "a fixed file one subset short":
+            # a fixed file states its budget by its subset count
+            obj = json.loads(target.read_text(encoding="utf-8"))
+            budget = len(obj["subsets"]) - 1
+            obj["subsets"].pop()
+            target.write_text(json.dumps(obj), encoding="utf-8")
+            match = f"holds another uncertainty set: budget {budget - 1} (run config: {budget})"
         else:
             target.write_bytes((out / "rf-learned_h1.json").read_bytes())
             match = "holds a model of another layout: adaptive False (run config: True)"

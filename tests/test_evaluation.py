@@ -9,8 +9,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import robustcast.evaluation as evaluation
+from robustcast import training
 from robustcast._util import map_jobs
 from robustcast.dataio import (
+    Dataset,
     RawSeries,
     SynthConfig,
     build_supervised,
@@ -37,7 +39,7 @@ from robustcast.evaluation import (
     read_grid,
     run_grid,
 )
-from robustcast.exceptions import ConfigError, DataError, DomainError, SizeError
+from robustcast.exceptions import ConfigError, DataError, DomainError, NumericalError, SizeError
 from robustcast.missingness import (
     MissingnessConfig,
     MissingPattern,
@@ -582,6 +584,16 @@ class TestRetrainOracleGuards:
         assert str(refused.value) == \
             "retrain oracle limited to 10 maskable features; the data have 12"
 
+    @pytest.mark.parametrize("family", ["lr", "nn"])
+    def test_a_layout_of_another_width_is_refused_at_construction(self, family):
+        raw = gen_synthetic(SynthConfig(2, 400, 0.9, 0.4, 0.3, seed=9))
+        hd = HorizonData.build(raw, 0, 1, 1, 0.5, 0.2)
+        ds = hd.dataset
+        arch = Architecture(family, False, ds.p + 1, (3,) if family == "nn" else (),
+                            bias_index=ds.bias_index, maskable=ds.maskable)
+        with pytest.raises(DomainError, match="cannot fit data"):
+            RetrainOracle(hd.train, hd.val, TrainConfig(seed=0), arch)
+
     def test_cache_reuses_pattern_models(self):
         raw, hd, arch, cfg, base, budget = small_setup(seed=10)
         oracle = RetrainOracle(hd.train, hd.val, cfg, arch)
@@ -589,3 +601,41 @@ class TestRetrainOracleGuards:
         a = oracle.params_for(pat)
         b = oracle.params_for(pat)
         assert a is b
+
+
+class TestExactLinearOracle:
+    """A linear oracle model is the exact fit of its pattern on the train
+    split, with no training loop."""
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+    def test_the_weights_solve_the_patterns_least_squares(self, monkeypatch, weight_decay):
+        loops = []
+        monkeypatch.setattr(training, "run_training_loop", lambda *args: loops.append(args))
+        raw = gen_synthetic(SynthConfig(3, 600, 0.95, 0.6, 0.4, seed=11))
+        hd = HorizonData.build(raw, 0, 1, 1, 0.5, 0.2)
+        arch = lr_arch(hd.dataset)
+        cfg = TrainConfig(weight_decay=weight_decay, seed=0)
+        oracle = RetrainOracle(hd.train, hd.val, cfg, arch)
+        for missing in ([], [0, 2], [1, 3, 4]):
+            pattern = MissingPattern.from_missing(hd.dataset.p, missing)
+            w = oracle.params_for(pattern).arrays["w"]
+            avail = np.flatnonzero(pattern.bits == 0)
+            # the ridge term as extra rows: n * weight_decay * w_j^2 for every
+            # available column but the bias
+            X, y = hd.train.X[:, avail], hd.train.y
+            ridge = np.sqrt(len(y) * weight_decay) * np.diag((avail != arch.bias_index) * 1.0)
+            want = np.linalg.lstsq(np.vstack([X, ridge]), np.append(y, np.zeros(len(avail))),
+                                   rcond=None)[0]
+            np.testing.assert_allclose(w[avail], want, rtol=1e-9)
+            assert (w[missing] == 0.0).all()
+        assert loops == []
+
+    def test_a_singular_system_is_a_numerical_error(self):
+        rng = np.random.default_rng(3)
+        X = np.column_stack([rng.normal(size=(50, 2)), np.zeros(50), np.ones(50)])
+        ds = Dataset(X=X, y=rng.normal(size=50), bias_index=3, maskable=(0, 1, 2), horizon=1,
+                     max_lag=0, obs_periods=np.arange(50))
+        oracle = RetrainOracle(ds, ds, TrainConfig(seed=0), lr_arch(ds))
+        assert oracle.params_for(MissingPattern.from_missing(4, [2])).arrays["w"][2] == 0.0
+        with pytest.raises(NumericalError, match=r"missing \[\] is singular"):
+            oracle.params_for(MissingPattern.zeros(4))

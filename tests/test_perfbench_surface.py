@@ -120,13 +120,13 @@ def test_outputs_pass_the_benchmarks_check_at_the_reference_seed(path, tmp_path,
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src, **run.BLAS_ENV)
 
-    def robustcast(command):
+    def robustcast(command, *flags):
         subprocess.run([sys.executable, "-m", "robustcast", command, "--config", str(path),
-                        "--seed", str(run.REFERENCE_SEED), "--jobs", "1", "--out", str(out)],
+                        "--seed", str(run.REFERENCE_SEED), *flags, "--out", str(out)],
                        env=env, check=True, capture_output=True)
 
-    robustcast("train")
-    robustcast("evaluate")
+    robustcast("train", "--jobs", "1")
+    robustcast("evaluate", "--jobs", "1")
     assert checks.output_problems(config, out, reference) == []
     summary = (out / "summary.csv").read_bytes()
     robustcast("report")

@@ -46,9 +46,7 @@ def tiny_config(out_dir: Path, family: str, shuffle: bool) -> dict:
 # The non-error statements that no command runs, by text.
 NOT_RUN = {
     "_util": [],
-    # greedy_split_feature's empty scope: every search it serves has a
-    # feature left to split
-    "adversarial": ["return None"],
+    "adversarial": [],
     "cli": [
         # _kind_name's branches only build the message of a mistyped key
         "if isinstance(kind, list):",
@@ -92,11 +90,17 @@ NOT_RUN = {
         "bad = np.flatnonzero((flat > allowed).any(axis=0))",
     ],
     "models": [],
-    # _leaf_of, locate_rows and predict_deployed: routing and forecasting
-    # one row at a time, a library API the README documents and the
-    # benchmark's deploy step calls; the commands score whole test sets
-    # (predict_deployed_rows)
     "partition": [
+        # Partition.fixed: a subset's equality constraints, a library API the
+        # README documents, which the acceptance tests read; no file stores
+        # them
+        "subset = self.subsets[sid]",
+        "bits = subset.opt_pattern.bits",
+        "return {j: int(bits[j]) for j in self.opt.params.arch.maskable if j not in subset.free}",
+        # _leaf_of, locate_rows and predict_deployed: routing and forecasting
+        # one row at a time, a library API the README documents and the
+        # benchmark's deploy step calls; the commands score whole test sets
+        # (predict_deployed_rows)
         "route, sid = partition._route, 0",
         "while route[sid] is not None:",
         "feature, avail, miss = route[sid]",
@@ -132,7 +136,7 @@ def unrun_by_module(output: str) -> dict[str, list[tuple[bool, str]]]:
     return listed
 
 
-def test_only_error_paths_and_the_empty_scope_return_go_unrun(tmp_path):
+def test_only_error_paths_and_the_listed_statements_go_unrun(tmp_path):
     configs = {family: tiny_config(tmp_path / family, family, shuffle)
                for family, shuffle in (("nn", True), ("lr", False))}
     # lr sweeps a learned method that its grid does not score
