@@ -376,3 +376,90 @@ class TestMalformedFile:
         path.write_text(json.dumps(obj), encoding="utf-8")
         with pytest.raises(DomainError, match="narrow.json.*w"):
             load_artifact(path)
+
+
+def write_artifact(path: Path, kind: str) -> None:
+    """The golden learned file, a budget-3 fixed file or a bare nn model, at path."""
+    if kind == "learned":
+        path.write_bytes(GOLDEN.read_bytes())
+    elif kind == "fixed":
+        save_artifact(fixed_artifact(budget=3), path)
+    else:
+        save_artifact(nn_model(), path)
+
+
+def _drop(obj, keys: tuple) -> None:
+    for key in keys[:-1]:
+        obj = obj[key]
+    del obj[keys[-1]]
+
+
+LEARNED_SUBSET_KEYS = ("LB", "UB", "parent_id", "ub_inherited", "split_feature",
+                       "params_opt", "params_adv")
+
+
+class TestFormatThreeKeys:
+    """Format 3 states each value once: every key it writes is read. Of the
+    derived values format 2 also stored, a learned subset's make its entry
+    disagree with the derived one; the rest are not read."""
+
+    @pytest.mark.parametrize("kind, keys", [
+        *[pytest.param("learned", (key,), id=f"learned-{key}")
+          for key in ("kind", "budget", "config", "leaf_ids", "subsets", "params")],
+        *[pytest.param("learned", ("config", key), id=f"learned-config-{key}")
+          for key in ("max_subsets", "epsilon")],
+        *[pytest.param("learned", ("subsets", "3", key), id=f"learned-subset-{key}")
+          for key in LEARNED_SUBSET_KEYS],
+        *[pytest.param("fixed", (key,), id=f"fixed-{key}")
+          for key in ("kind", "subsets", "params")],
+        *[pytest.param("fixed", ("subsets", 1, key), id=f"fixed-subset-{key}")
+          for key in ("val_loss", "params")],
+        *[pytest.param("model", (key,), id=f"model-{key}") for key in ("kind", "model", "params")],
+    ])
+    def test_a_file_lacking_a_written_key_is_a_parse_error(self, tmp_path, kind, keys):
+        path = tmp_path / f"{kind}.json"
+        write_artifact(path, kind)
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        _drop(obj, keys)
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        with pytest.raises(ParseError, match=f"{kind}.json"):
+            load_artifact(path)
+
+    # the values format 2 stored beside each subset's lineage; a learned
+    # subset entry is compared whole with the one its fits and splits imply
+    @pytest.mark.parametrize("sid, key, value", [
+        pytest.param("4", "fixed", {"0": 1, "1": 1}, id="fixed"),
+        pytest.param("3", "opt_pattern", [0, 0, 0], id="opt-pattern"),
+        pytest.param("0", "free", [0, 1, 2], id="free"),
+        pytest.param("3", "relgap", 0.1, id="relgap"),
+        pytest.param("4", "lb_inherited", False, id="lb-inherited"),
+    ])
+    def test_a_learned_subset_holding_a_format_2_key_is_refused(self, tmp_path, sid, key, value):
+        obj = json.loads(GOLDEN.read_text(encoding="utf-8"))
+        obj["subsets"][sid][key] = value
+        path = tmp_path / "learned.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        with pytest.raises(DomainError, match="learned.json.*disagrees"):
+            load_artifact(path)
+
+    # each value contradicts the file it is added to; a loader that read it
+    # would refuse the file or load another partition
+    @pytest.mark.parametrize("kind, edit", [
+        pytest.param("learned", lambda obj: obj.update(tree={"subset": 0, "feature": 2}),
+                     id="tree"),
+        pytest.param("learned", lambda obj: obj.update(
+            uncertainty={"n_features": 9, "maskable": [5], "budget": 1}), id="learned-uncertainty"),
+        pytest.param("fixed", lambda obj: obj.update(
+            uncertainty={"n_features": 9, "maskable": [5], "budget": 1}), id="fixed-uncertainty"),
+        pytest.param("fixed", lambda obj: [s.update(count=-c)
+                                           for c, s in enumerate(obj["subsets"])], id="count"),
+    ])
+    def test_a_derived_value_left_in_the_file_is_not_read(self, tmp_path, kind, edit):
+        path = tmp_path / f"{kind}.json"
+        write_artifact(path, kind)
+        clean = path.read_bytes()
+        obj = json.loads(clean)
+        edit(obj)
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        save_artifact(load_artifact(path), tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == clean
