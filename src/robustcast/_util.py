@@ -51,11 +51,21 @@ def array_to_json(arr: np.ndarray) -> dict:
     return {"shape": list(a.shape), "f8": base64.b64encode(a.tobytes()).decode("ascii")}
 
 
+def only_keys(obj: dict, keys, what: str) -> dict:
+    """obj, a JSON object read from a file; ParseError naming `what` and the
+    first of its keys outside `keys`, the keys its writer writes."""
+    for key in obj:
+        if key not in keys:
+            raise ParseError(f"{what} holds the key {key!r}, which its writer never writes")
+    return obj
+
+
 def array_from_json(obj: dict) -> np.ndarray:
     """The array `array_to_json` encoded, as a fresh, owned, writeable float64
     array; ParseError when the shape is no list of counts, the base64 is
-    malformed or its byte count does not match the shape."""
-    shape = obj["shape"]
+    malformed, its byte count does not match the shape, or obj holds another
+    key (only_keys)."""
+    shape = only_keys(obj, ("shape", "f8"), "an array")["shape"]
     if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
         raise ParseError(f"array shape {shape!r} is not a list of counts")
     try:

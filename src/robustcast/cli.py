@@ -40,7 +40,6 @@ from .partition import (
     fixed_partition,
     learn_partition,
     load_artifact,
-    param_sets,
     save_artifact,
     truncate,
 )
@@ -299,18 +298,13 @@ def _horizon_data(cfg: RunConfig, raw: RawSeries) -> dict[int, HorizonData]:
     return hds
 
 
-def _arch_for(cfg: RunConfig, hd: HorizonData) -> Architecture:
-    """The model layout the run config gives at one horizon: its family,
-    adaptivity and hidden widths (none for lr), over the data's width, bias
-    feature and maskable features."""
+def _arch_for(cfg: RunConfig, hd: HorizonData, method: str) -> Architecture:
+    """The layout of `method`'s models at one horizon: the run config's
+    family and hidden widths (none for lr), the method's adaptivity
+    (METHODS), over the data's width, bias feature and maskable features."""
     hidden = cfg.hidden if cfg.family == "nn" else ()
-    return Architecture(cfg.family, cfg.adaptive, hd.dataset.p, hidden, hd.dataset.bias_index,
-                        hd.dataset.maskable)
-
-
-def _method_arch(arch: Architecture, method: str) -> Architecture:
-    """arch with the adaptivity of `method`'s models."""
-    return replace(arch, adaptive=METHODS[method].adaptive)
+    return Architecture(cfg.family, METHODS[method].adaptive, hd.dataset.p, hidden,
+                        hd.dataset.bias_index, hd.dataset.maskable)
 
 
 def _train_config(cfg: RunConfig, name: str, h: int) -> TrainConfig:
@@ -356,13 +350,14 @@ def cmd_synth(cfg: RunConfig) -> int:
     return 0
 
 
-def _train_one_method(method, cfg, hd, arch, budget, h, jobs, in_grid):
-    """Train and save the partition artifacts of one method at horizon h,
-    every model of layout arch, over the patterns with at most budget missing.
-    The imputation methods score the base model and the oracle trains at
-    evaluation, so neither has anything to train here."""
+def _train_one_method(method, cfg, hd, h, jobs, in_grid):
+    """Train and save the partition artifacts of one method at horizon h, of
+    its layout and the run config's budget. The imputation methods score the
+    base model and the oracle trains at evaluation, so neither has anything
+    to train here."""
     entry = METHODS[method]
     tcfg = _train_config(cfg, method, h)
+    arch, budget = _arch_for(cfg, hd, method), _budget_for(cfg, hd)
     out_dir = Path(cfg.out_dir)
     if entry.artifact is Partition:
         # Growth is greedy and seeds each subset by its id, so the tree for
@@ -400,27 +395,18 @@ def cmd_train(cfg: RunConfig, jobs: int = 1) -> int:
     if METHOD_RETRAIN_ORACLE in methods:
         for hd in hds.values():
             RetrainOracle.check_capacity(hd.train)
-    archs = {h: _arch_for(cfg, hd) for h, hd in hds.items()}  # refused before any write
-    _make_out_dir(cfg)
+    # the base model, which the imputation methods score, has their layout
+    base_archs = {h: _arch_for(cfg, hd, METHOD_IMP_PERSISTENCE) for h, hd in hds.items()}
+    _make_out_dir(cfg)  # after the layouts, so a bad hidden writes nothing
 
     for h, hd in hds.items():
-        arch = archs[h]
-        # the base model, which the imputation methods score, never adapts
-        base = train_nominal(
-            hd.train,
-            hd.val,
-            MissingPattern.zeros(hd.dataset.p),
-            _train_config(cfg, "base", h),
-            replace(arch, adaptive=False),
-        )
+        base = train_nominal(hd.train, hd.val, MissingPattern.zeros(hd.dataset.p),
+                             _train_config(cfg, "base", h), base_archs[h])
         save_artifact(base.params, _artifact_path(cfg.out_dir, "base", h))
         print(f"[h={h}] base model: validation loss {base.val_loss:.6e}")
         for method in methods:
             try:
-                _train_one_method(
-                    method, cfg, hd, _method_arch(arch, method), _budget_for(cfg, hd), h, jobs,
-                    in_grid=method in grid_methods,
-                )
+                _train_one_method(method, cfg, hd, h, jobs, in_grid=method in grid_methods)
             except RobustcastError as exc:
                 raise RobustcastError(f"training {method} at h={h} failed: {exc}") from exc
     return 0
@@ -437,11 +423,10 @@ def _refuse_other(path: Path, what: str, got, want) -> None:
 
 def _load_checked(path: Path, method: str, cfg: RunConfig, hd: HorizonData, q: int):
     """The artifact saved at path, which must exist, be of the kind its
-    method needs and hold only models of the layout the run config gives the
-    method at hd; a partition must also hold the run config's budget, and a
-    learned one be grown with its partition config to q subsets.
-    Anything else is a ConfigError (exit 2)."""
-    arch = _method_arch(_arch_for(cfg, hd), method)
+    method needs and hold models of the layout the run config gives the
+    method at hd (one layout: load_artifact refuses two); a partition must
+    also hold the run config's budget, and a learned one be grown with its
+    partition config to q subsets. Anything else is a ConfigError (exit 2)."""
     if not path.is_file():
         raise ConfigError(f"missing artifact {path}; run the train subcommand first")
     artifact, kind = load_artifact(path), METHODS[method].artifact
@@ -449,9 +434,7 @@ def _load_checked(path: Path, method: str, cfg: RunConfig, hd: HorizonData, q: i
         raise ConfigError(
             f"artifact {path} holds a {type(artifact).__name__}, its method needs a {kind.__name__}"
         )
-    # each distinct layout once, in first-use order, so the message is deterministic
-    for got in dict.fromkeys(params.arch for params in param_sets(artifact)):
-        _refuse_other(path, "a model of another layout", got, arch)
+    _refuse_other(path, "a model of another layout", artifact.arch, _arch_for(cfg, hd, method))
     if kind is not ModelParams and artifact.budget != _budget_for(cfg, hd):
         raise ConfigError(f"artifact {path} holds another uncertainty set: budget "
                           f"{artifact.budget} (run config: {_budget_for(cfg, hd)})")
@@ -468,8 +451,7 @@ def _load_artifacts(cfg: RunConfig, hds: dict[int, HorizonData]) -> dict:
             entry = METHODS[method]
             if entry.artifact is RetrainOracle:
                 artifacts[(method, h)] = RetrainOracle(
-                    hd.train, hd.val, _train_config(cfg, method, h),
-                    _method_arch(_arch_for(cfg, hd), method),
+                    hd.train, hd.val, _train_config(cfg, method, h), _arch_for(cfg, hd, method)
                 )
             else:
                 path = _artifact_path(cfg.out_dir, entry.stem, h)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._util import array_from_json, array_to_json
+from ._util import array_from_json, array_to_json, only_keys
 from .dataio import maskable_indices
 from .exceptions import ConfigError, DomainError, ParseError, SizeError
 from .missingness import MissingPattern, _masked
@@ -434,8 +434,10 @@ def params_from_json(obj: dict) -> ModelParams:
     """The parameter set `params_to_json` encoded, its hidden widths read as
     the W layers' output counts. DomainError when Architecture
     refuses the stored layout or the blocks are not the names and shapes
-    _layout gives it; ParseError (from array_from_json) when an array is
-    malformed."""
+    _layout gives it; ParseError for a malformed array or a key
+    params_to_json never writes."""
+    only_keys(obj, ("family", "adaptive", "n_features", "maskable", "bias_index", "arrays"),
+              "a model")
     if not isinstance(obj["arrays"], dict):
         raise ParseError("a model's arrays must be an object keyed by block name")
     arrays = {k: array_from_json(v) for k, v in obj["arrays"].items()}

@@ -17,18 +17,18 @@ constraints and the lineage a file records are derived from them.
 
 The uncertainty set is every pattern over the maskable features of a
 models.Architecture with at most `budget` missing: both trainers take the
-two, and a partition holds the budget and models of one layout (_layout).
+two, and a partition holds the budget and models of one layout, its `arch`.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from ._util import derive_seed, map_jobs, open_utf8
+from ._util import derive_seed, map_jobs, only_keys, open_utf8
 from .adversarial import (
     AdvSearchScope,
     SplitScorer,
@@ -111,14 +111,14 @@ class Partition:
     """A learned partition, held as the root's optimistic and adversarial
     fits and its splits in growth order (see the module docstring).
 
-    Construction derives `subsets`, subsets[i] being subset Ui, whose
-    inherited bounds and parameter sets are its leaf's own objects, and the
-    routing table, one entry per subset: (split feature, available child,
-    missing child), or None for a leaf. It raises DomainError for models of
-    more than one width or maskable set or a budget outside [0, |maskable|]
-    (_layout), and for a split whose leaf is no unsplit subset created
-    before it, whose feature is not free in that leaf, or whose leaf has no
-    budget room left."""
+    Construction derives `arch`, the one layout of its models, `subsets`,
+    subsets[i] being subset Ui, whose inherited bounds and parameter sets
+    are its leaf's own objects, and the routing table, one entry per subset:
+    (split feature, available child, missing child), or None for a leaf. It
+    raises DomainError for models of more than one layout or a budget
+    outside [0, |maskable|] (_set_layout), and for a split whose leaf is no
+    unsplit subset created before it, whose feature is not free in that
+    leaf, or whose leaf has no budget room left."""
 
     budget: int
     config: PartitionConfig
@@ -128,7 +128,7 @@ class Partition:
 
     def __post_init__(self):
         archs = [f.params.arch for s in self.splits for f in (s.opt, s.adv) if f is not None]
-        arch = _layout(self.budget, [self.opt.params.arch, self.adv.params.arch, *archs])
+        arch = _set_layout(self.budget, [self.opt.params.arch, self.adv.params.arch, *archs])
         subsets = [UncertaintySubset(MissingPattern.zeros(arch.input_dim), arch.maskable,
                                      self.opt.params, self.adv.params, self.opt.loss,
                                      self.adv.loss)]
@@ -151,6 +151,7 @@ class Partition:
             ]
             route[split.leaf] = (split.feature, 2 * k - 1, 2 * k)
             route += [None, None]
+        object.__setattr__(self, "arch", arch)
         object.__setattr__(self, "splits", tuple(self.splits))
         object.__setattr__(self, "subsets", tuple(subsets))
         object.__setattr__(self, "_route", route)
@@ -166,7 +167,7 @@ class Partition:
         longer free in it, with the bit its optimistic pattern holds there."""
         subset = self.subsets[sid]
         bits = subset.opt_pattern.bits
-        return {j: int(bits[j]) for j in self.opt.params.arch.maskable if j not in subset.free}
+        return {j: int(bits[j]) for j in self.arch.maskable if j not in subset.free}
 
     def max_relgap(self) -> float:
         return max(self.subsets[i].relgap for i in self.leaf_ids)
@@ -174,31 +175,34 @@ class Partition:
 
 @dataclass
 class FixedPartition:
-    """Equality-count partition: subsets[l] is the fit trained for exactly l
-    missing features, l = 0..budget, so a file's budget + 1 subsets state
-    the budget. DomainError for any other fit count, and from _layout."""
+    """Equality-count partition: subsets[l] is the fit for exactly l missing
+    features, l = 0..budget, so its fits state the budget; `arch` is their
+    one layout. DomainError (_set_layout) for no fits or two layouts."""
 
-    budget: int
     subsets: list[Fit]
 
     def __post_init__(self):
-        if self.budget < 0 or len(self.subsets) != self.budget + 1:
-            raise DomainError(f"budget {self.budget} needs budget + 1 fits, not {len(self.subsets)}")
-        _layout(self.budget, [fit.params.arch for fit in self.subsets])
+        self.arch = _set_layout(self.budget, [fit.params.arch for fit in self.subsets])
+
+    @property
+    def budget(self) -> int:
+        return len(self.subsets) - 1
 
 
-def _layout(budget: int, archs: list[Architecture]) -> Architecture:
-    """archs[0], whose width and maskable set gate every pattern; DomainError
-    unless all archs share them and budget lies in [0, |maskable|]. Both
-    trainers call it on their layout before any training."""
+def _set_layout(budget: int, archs: list[Architecture]) -> Architecture:
+    """archs[0], the one layout of a partition's models. DomainError unless
+    budget lies in [0, |maskable|], checked first so that budget -1 needs no
+    archs, or naming the first field in which another of archs differs.
+    Both trainers call it before any training."""
+    if not 0 <= budget <= len(archs[0].maskable):
+        raise DomainError(f"budget must lie in [0, |maskable|], got budget {budget}")
     arch = archs[0]
     for other in archs:
-        if (other.input_dim, other.maskable) != (arch.input_dim, arch.maskable):
-            raise DomainError(f"a model of {other.input_dim} inputs, maskable "
-                              f"{list(other.maskable)}, in a partition of {arch.input_dim} "
-                              f"features, maskable {list(arch.maskable)}")
-    if not 0 <= budget <= len(arch.maskable):
-        raise DomainError("budget must lie in [0, |maskable|]")
+        if other is not arch and other != arch:
+            raise DomainError(next(
+                f"a model of {f.name} {getattr(other, f.name)} in a partition of "
+                f"{f.name} {getattr(arch, f.name)}"
+                for f in fields(arch) if getattr(other, f.name) != getattr(arch, f.name)))
     return arch
 
 
@@ -217,7 +221,7 @@ def _pattern_bits(arch: Architecture, patterns, ndim: int) -> np.ndarray:
 def locate_rows(partition: Partition, bits: np.ndarray) -> np.ndarray:
     """The leaf subset id of every row of an (n, p) bit matrix, which passes
     the gate of the partition's models first."""
-    return _walk_rows(partition, _pattern_bits(partition.opt.params.arch, bits, ndim=2))
+    return _walk_rows(partition, _pattern_bits(partition.arch, bits, ndim=2))
 
 
 def _walk_rows(partition: Partition, bits: np.ndarray) -> np.ndarray:
@@ -247,14 +251,14 @@ def predict_deployed(partition: Partition, x: np.ndarray, pattern) -> float:
     DomainError; the slots the pattern marks missing are never read, so
     they may hold NaN. The forecast agrees with predict_deployed_rows to
     rounding (about 1e-16 relative), not bit for bit."""
-    arch = partition.opt.params.arch
-    bits = _pattern_bits(arch, pattern, ndim=1)
+    bits = _pattern_bits(partition.arch, pattern, ndim=1)
     try:
         x = np.asarray(x, dtype=np.float64)
     except (TypeError, ValueError):
         x = None
     if x is None or x.shape != bits.shape:
-        raise DomainError(f"a deployed row must be one vector of {arch.input_dim} numbers")
+        raise DomainError("a deployed row must be one vector of "
+                          f"{partition.arch.input_dim} numbers")
     subset = partition.subsets[_leaf_of(partition, bits)]
     use_opt = bits.tobytes() == subset.opt_pattern.key()
     return float(_predict_bits(subset.params_opt if use_opt else subset.params_adv, x, bits))
@@ -287,7 +291,7 @@ def predict_deployed_rows(partition: Partition, X: np.ndarray, patterns: np.ndar
     """Batched `predict_deployed` over an (n, p) bit matrix, one pattern per
     row: rows are grouped by (leaf, parameter choice) so each group runs one
     vectorized forward pass."""
-    bits = _pattern_bits(partition.opt.params.arch, patterns, ndim=2)
+    bits = _pattern_bits(partition.arch, patterns, ndim=2)
     leaf = _walk_rows(partition, bits)
     opt = np.array([s.opt_pattern.bits for s in partition.subsets])
     use_opt = (bits == opt[leaf]).all(axis=1)
@@ -303,7 +307,7 @@ def predict_fixed_rows(fixed: FixedPartition, X: np.ndarray, patterns: np.ndarra
     """Batched fixed-partition prediction over an (n, p) bit matrix: each row
     uses the subset of its missing count, clamped to the budget for
     deployment patterns that exceed it."""
-    bits = _pattern_bits(fixed.subsets[0].params.arch, patterns, ndim=2)
+    bits = _pattern_bits(fixed.arch, patterns, ndim=2)
     keys = np.minimum(bits.sum(axis=1), fixed.budget)
     return predict_grouped(X, keys, lambda key, rows: (fixed.subsets[key].params, bits[rows]))
 
@@ -336,7 +340,7 @@ def learn_partition(
     break to the lowest subset id. The loop stops at max_subsets, or when no
     leaf with room to split has a relative gap above epsilon.
     """
-    _layout(budget, [arch])
+    _set_layout(budget, [arch])
     base_seed = train_cfg.seed
 
     def nominal(subset_id: int, pattern: MissingPattern) -> Fit:
@@ -420,13 +424,13 @@ def fixed_partition(
     subset-0 parameters. Subsets are independent, so jobs > 1 trains them in
     a process pool without changing the result.
     """
-    _layout(budget, [arch])
+    _set_layout(budget, [arch])
     zero = MissingPattern.zeros(train.p)
     cfg0 = replace(train_cfg, seed=derive_seed(train_cfg.seed, "fixed", 0))
     base = train_nominal(train, val, zero, cfg0, arch)
     tasks = [(train, val, train_cfg, base.params, c) for c in range(1, budget + 1)]
     subsets = [Fit(base.params, base.val_loss), *map_jobs(_train_fixed_subset, tasks, jobs)]
-    return FixedPartition(budget, subsets)
+    return FixedPartition(subsets)
 
 
 def _train_fixed_subset(task) -> Fit:
@@ -547,8 +551,9 @@ def partition_from_json(obj: dict) -> Partition:
     references): DomainError when one disagrees (compared as JSON, so 1 is
     not true), when Partition refuses the budget or a split, the ids are not
     0..2k or a number is not finite. ParseError when the subsets are no
-    object keyed by decimal ids, or an entry, the budget or the config holds
-    a value of the wrong JSON type or a bad table reference."""
+    object keyed by decimal ids, an object holds a key the writer never
+    writes, or an entry, the budget or the config holds a value of the wrong
+    JSON type or a bad table reference."""
     table = _table_from_json(obj)
     stored = _checked(obj["subsets"], (dict,), "a learned file's subsets")
     if not all(sid.isdecimal() and str(int(sid)) == sid for sid in stored):
@@ -563,7 +568,7 @@ def partition_from_json(obj: dict) -> Partition:
             _checked(s[key], types, f"subset {sid}'s {key}")
         for key in ("params_opt", "params_adv"):
             _params_at(table, s[key])
-    config = obj["config"]
+    config = only_keys(obj["config"], [f.name for f in fields(PartitionConfig)], "config")
     _checked(config["max_subsets"], (int,), "config.max_subsets")
     _checked(config["epsilon"], (int, float), "config.epsilon")
 
@@ -583,35 +588,30 @@ def partition_from_json(obj: dict) -> Partition:
                      splits)
     index = {id(params): i for i, params in enumerate(table)}
     derived = _learned_json(part, [index[id(params)] for params in param_sets(part)])
+    only_keys(obj, (*derived, "params"), "a learned file")
+    for sid, s in enumerate(entries):
+        only_keys(s, derived["subsets"][str(sid)], f"subset {sid}")
     if json.dumps({key: obj[key] for key in derived}, sort_keys=True) \
             != json.dumps(derived, sort_keys=True):
         raise DomainError("a stored value disagrees with what the root fits and splits imply")
     return part
 
 
-def fixed_to_json(fixed: FixedPartition) -> dict:
-    table, refs = _param_table(fixed)
-    return {
-        "format": ARTIFACT_FORMAT,
-        "kind": "fixed",
-        "subsets": [{"val_loss": s.loss, "params": ref} for s, ref in zip(fixed.subsets, refs)],
-        "params": table,
-    }
-
-
 def fixed_from_json(obj: dict) -> FixedPartition:
     """The fixed partition a file describes: subset l is the fit for l
     missing features, so the budget is one less than the subset count.
     ParseError unless its subsets are a list whose val_loss values are
-    numbers; DomainError (from FixedPartition) for an empty list."""
-    table = _table_from_json(obj)
+    numbers and it holds no key its writer never writes; DomainError (from
+    FixedPartition) for an empty list."""
+    table = _table_from_json(only_keys(obj, ("format", "kind", "subsets", "params"),
+                                       "a fixed file"))
     entries = _checked(obj["subsets"], (list,), "a fixed file's subsets")
     subsets = [
-        Fit(_params_at(table, s["params"]),
+        Fit(_params_at(table, only_keys(s, ("val_loss", "params"), f"subset {c}")["params"]),
             _checked(s["val_loss"], (int, float), f"subset {c}'s val_loss"))
         for c, s in enumerate(entries)
     ]
-    return FixedPartition(len(subsets) - 1, subsets)
+    return FixedPartition(subsets)
 
 
 def save_artifact(obj: Partition | FixedPartition | ModelParams, path: str | Path) -> None:
@@ -620,18 +620,22 @@ def save_artifact(obj: Partition | FixedPartition | ModelParams, path: str | Pat
     the file refers to by index."""
     if isinstance(obj, Partition):
         payload = partition_to_json(obj)
-    elif isinstance(obj, FixedPartition):
-        payload = fixed_to_json(obj)
     else:
-        payload = {"format": ARTIFACT_FORMAT, "kind": "model", "model": 0,
-                   "params": [params_to_json(obj)]}
+        table, refs = _param_table(obj)
+        if isinstance(obj, FixedPartition):
+            payload = {"format": ARTIFACT_FORMAT, "kind": "fixed", "subsets": [
+                {"val_loss": s.loss, "params": r} for s, r in zip(obj.subsets, refs)]}
+        else:
+            payload = {"format": ARTIFACT_FORMAT, "kind": "model", "model": refs[0]}
+        payload["params"] = table
     Path(path).write_text(json.dumps(payload), encoding="utf-8")
 
 
 def load_artifact(path: str | Path):
     """The artifact saved at `path`. ParseError when the file is not UTF-8 or
-    valid JSON, lacks a key, holds a malformed array or a bad table index;
-    DomainError when it is of another format or a value is inadmissible."""
+    valid JSON, lacks a key or holds one its writer never writes, a malformed
+    array or a bad table index; DomainError when it is of another format or
+    a value is inadmissible (models of two layouts among them)."""
     try:
         with open_utf8(path) as fh:
             obj = json.load(fh)
@@ -647,6 +651,7 @@ def load_artifact(path: str | Path):
         if kind == "fixed":
             return fixed_from_json(obj)
         if kind == "model":
+            only_keys(obj, ("format", "kind", "model", "params"), "a model file")
             return _params_at(_table_from_json(obj), obj["model"])
     except (KeyError, TypeError) as exc:
         raise ParseError(f"artifact {path} is malformed: {exc!r}") from None

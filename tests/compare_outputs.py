@@ -4,18 +4,23 @@
 
 Each checkout runs `train`, `evaluate` and `report` on the three
 perfbench/workloads/*.json at seeds 1-3 with --jobs 1 and --jobs 2 (given
-to train and evaluate, the commands that take it), and on
-configs/paper-synthetic.json at seed 1 with --jobs 2 (57 commands). A
-checkout runs its own src/robustcast, with one BLAS thread, in a fresh
-temporary directory that holds copies of its configs, so every path the
-commands see or print is relative. Prints every out_dir file and every
-command output (exit code, stdout, stderr) that differs between the two
-checkouts, with its differing lines, and exits 1 if there is any;
-standard library only.
+to train and evaluate, the commands that take it), on
+configs/paper-synthetic.json at seed 1 with --jobs 2, and on a small plain
+run of all seven methods at seed 1 with --jobs 2 (60 commands); and it runs
+`train` alone on one small run without a grid block per partition.mode at
+seed 1 with --jobs 2 (3 commands; `evaluate` needs a grid block). The
+small runs' configs (GENERATED) are written by this script, so both
+checkouts run the same files. A checkout runs its own src/robustcast, with
+one BLAS thread, in a fresh temporary directory that holds copies of its
+configs, so every path the commands see or print is relative. Prints every
+out_dir file and every command output (exit code, stdout, stderr) that
+differs between the two checkouts, with its differing lines, and exits 1 if
+there is any; standard library only.
 """
 from __future__ import annotations
 
 import difflib
+import json
 import os
 import shutil
 import subprocess
@@ -24,13 +29,47 @@ import tempfile
 from pathlib import Path
 
 WORKLOADS = ("eval-grid", "lr-pipeline", "nn-train")
+METHODS = ["imp-persistence", "imp-mean", "rf-learned", "arf-learned", "rf-fixed", "arf-fixed",
+           "retrain-oracle"]
+
+
+def small(**overrides) -> dict:
+    """A run config over 2 plants and 400 periods with short training."""
+    return {
+        "seed": 1,
+        "data": {"synth": {"n_plants": 2, "n_periods": 400, "ar_coefficient": 0.95,
+                           "cross_plant_correlation": 0.5, "noise_std": 0.4}},
+        "max_lag": 1,
+        "horizons": [1, 2],
+        "family": "lr",
+        "train": {"learning_rate": 0.02, "max_iters": 30, "patience": 10, "batch_size": 64},
+        "partition": {"mode": "learned", "q_max": 3, "epsilon": 0.0},
+        **overrides,
+    }
+
+
+# the configs this script writes, by path relative to a work directory: a
+# plain run of every method (under "adaptive": false, only each method's name
+# fixes its models' adaptivity), and runs without a grid block, which train
+# the partition of their mode and adaptivity
+GENERATED = {
+    "generated/plain-all-methods.json": small(
+        adaptive=False, grid={"p01": [0.2], "p11": [0.5], "methods": METHODS, "runs": 2}),
+    "generated/no-grid-learned.json": small(family="nn", hidden=[3, 2], adaptive=True),
+    "generated/no-grid-fixed.json": small(
+        adaptive=False, partition={"mode": "fixed", "q_max": 3, "epsilon": 0.0, "budget": 1}),
+    "generated/no-grid-nominal.json": small(
+        adaptive=False, partition={"mode": "nominal", "q_max": 3, "epsilon": 0.0}),
+}
 
 
 def runs() -> list[tuple[str, str, int, int]]:
-    """(config path relative to a checkout, run name, seed, jobs) of each run."""
+    """(config path relative to a checkout or, for GENERATED, to a work
+    directory, run name, seed, jobs) of each run."""
     found = [(f"perfbench/workloads/{name}.json", f"{name}-s{seed}-j{jobs}", seed, jobs)
              for name in WORKLOADS for seed in (1, 2, 3) for jobs in (1, 2)]
-    return found + [("configs/paper-synthetic.json", "paper-synthetic-s1-j2", 1, 2)]
+    found += [("configs/paper-synthetic.json", "paper-synthetic-s1-j2", 1, 2)]
+    return found + [(config, f"{Path(config).stem}-s1-j2", 1, 2) for config in GENERATED]
 
 
 def run_checkout(checkout: Path, work: Path) -> dict[str, bytes]:
@@ -41,9 +80,13 @@ def run_checkout(checkout: Path, work: Path) -> dict[str, bytes]:
     found: dict[str, bytes] = {}
     for config, name, seed, jobs in runs():
         (work / config).parent.mkdir(parents=True, exist_ok=True)
-        shutil.copyfile(checkout / config, work / config)
+        if config in GENERATED:
+            (work / config).write_text(json.dumps(GENERATED[config]), encoding="utf-8")
+        else:
+            shutil.copyfile(checkout / config, work / config)
         out = f"runs/{name}"
-        for command in ("train", "evaluate", "report"):
+        has_grid = "grid" in json.loads((work / config).read_text(encoding="utf-8"))
+        for command in ("train", "evaluate", "report") if has_grid else ("train",):
             jobs_flag = [] if command == "report" else ["--jobs", str(jobs)]
             argv = [sys.executable, "-m", "robustcast", command, "--config", config,
                     "--seed", str(seed), *jobs_flag, "--out", out]

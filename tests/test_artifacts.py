@@ -36,9 +36,10 @@ FLOATS = st.one_of(st.sampled_from(SPECIAL), st.floats(width=64))
 def artifacts(draw):
     """A bare model, fixed partition or learned partition (tree depth 0-3)
     of either family, plain or adaptive. Sets are shared, copied, or copied
-    with another bias_index, as well as drawn afresh, so the table has
+    with one value's sign flipped, as well as drawn afresh, so the table has
     repeats of one object, repeats of one content, and near-repeats to keep
-    apart; a learned child's inherited sets are its parent's objects."""
+    apart; a learned child's inherited sets are its parent's objects. All
+    sets of one artifact share its layout."""
     family = draw(st.sampled_from(["lr", "nn"]))
     adaptive = draw(st.booleans())
     n_mask = draw(st.integers(0, 3))
@@ -56,12 +57,16 @@ def artifacts(draw):
         return replace(params, arrays=arrays)
 
     def reuse(params: ModelParams) -> ModelParams:
-        how = draw(st.sampled_from(["same", "copy", "bias", "fresh"]))
+        how = draw(st.sampled_from(["same", "copy", "sign", "fresh"]))
         if how == "same":
             return params
-        if how == "copy":
-            return replace(params, arrays={k: v.copy() for k, v in params.arrays.items()})
-        return replace(params, arch=replace(arch, bias_index=None)) if how == "bias" else fresh()
+        if how == "fresh":
+            return fresh()
+        arrays = {k: v.copy() for k, v in params.arrays.items()}
+        if how == "sign":  # another content by one bit (0.0 and NaN included)
+            first = next(iter(arrays.values()))
+            first.flat[0] = -first.flat[0]
+        return replace(params, arrays=arrays)
 
     kind = draw(st.sampled_from(["model", "fixed", "learned"]))
     if kind == "model":
@@ -70,7 +75,7 @@ def artifacts(draw):
         first = fresh()
         subsets = [Fit(first, 0.5)]
         subsets += [Fit(reuse(first), 0.5 + c) for c in range(1, n_mask + 1)]
-        return FixedPartition(budget=n_mask, subsets=subsets)
+        return FixedPartition(subsets)
     part = Partition(n_mask, PartitionConfig(max_subsets=5), Fit(fresh(), 0.1), Fit(fresh(), 0.2))
     depth = [0]
     for _ in range(draw(st.integers(0, 4))):
@@ -181,7 +186,7 @@ def fixed_artifact(budget: int) -> FixedPartition:
     for subset l."""
     arch = Architecture("lr", True, budget + 1, bias_index=budget, maskable=tuple(range(budget)))
     params = init_params(arch, seed=1)
-    return FixedPartition(budget, [Fit(params, c + 0.5) for c in range(budget + 1)])
+    return FixedPartition([Fit(params, c + 0.5) for c in range(budget + 1)])
 
 
 def _cut_one_float(block):
@@ -399,9 +404,9 @@ LEARNED_SUBSET_KEYS = ("LB", "UB", "parent_id", "ub_inherited", "split_feature",
 
 
 class TestFormatThreeKeys:
-    """Format 3 states each value once: every key it writes is read. Of the
-    derived values format 2 also stored, a learned subset's make its entry
-    disagree with the derived one; the rest are not read."""
+    """Format 3 states each value once: every key it writes is read, and a
+    key it never writes, such as a derived value format 2 stored, is refused
+    wherever it sits."""
 
     @pytest.mark.parametrize("kind, keys", [
         *[pytest.param("learned", (key,), id=f"learned-{key}")
@@ -425,8 +430,7 @@ class TestFormatThreeKeys:
         with pytest.raises(ParseError, match=f"{kind}.json"):
             load_artifact(path)
 
-    # the values format 2 stored beside each subset's lineage; a learned
-    # subset entry is compared whole with the one its fits and splits imply
+    # the values format 2 stored beside each subset's lineage
     @pytest.mark.parametrize("sid, key, value", [
         pytest.param("4", "fixed", {"0": 1, "1": 1}, id="fixed"),
         pytest.param("3", "opt_pattern", [0, 0, 0], id="opt-pattern"),
@@ -439,27 +443,54 @@ class TestFormatThreeKeys:
         obj["subsets"][sid][key] = value
         path = tmp_path / "learned.json"
         path.write_text(json.dumps(obj), encoding="utf-8")
-        with pytest.raises(DomainError, match="learned.json.*disagrees"):
+        with pytest.raises(ParseError, match=f"learned.json: subset {sid} holds the key '{key}'"):
             load_artifact(path)
 
-    # each value contradicts the file it is added to; a loader that read it
-    # would refuse the file or load another partition
-    @pytest.mark.parametrize("kind, edit", [
-        pytest.param("learned", lambda obj: obj.update(tree={"subset": 0, "feature": 2}),
+    # the other values format 2 stored, each contradicting the file it is
+    # added to
+    @pytest.mark.parametrize("kind, key, edit", [
+        pytest.param("learned", "tree", lambda obj: obj.update(tree={"subset": 0, "feature": 2}),
                      id="tree"),
-        pytest.param("learned", lambda obj: obj.update(
+        pytest.param("learned", "uncertainty", lambda obj: obj.update(
             uncertainty={"n_features": 9, "maskable": [5], "budget": 1}), id="learned-uncertainty"),
-        pytest.param("fixed", lambda obj: obj.update(
+        pytest.param("fixed", "uncertainty", lambda obj: obj.update(
             uncertainty={"n_features": 9, "maskable": [5], "budget": 1}), id="fixed-uncertainty"),
-        pytest.param("fixed", lambda obj: [s.update(count=-c)
-                                           for c, s in enumerate(obj["subsets"])], id="count"),
+        pytest.param("fixed", "count", lambda obj: [s.update(count=-c)
+                                                    for c, s in enumerate(obj["subsets"])],
+                     id="count"),
     ])
-    def test_a_derived_value_left_in_the_file_is_not_read(self, tmp_path, kind, edit):
+    def test_a_derived_value_left_in_the_file_is_refused(self, tmp_path, kind, key, edit):
         path = tmp_path / f"{kind}.json"
         write_artifact(path, kind)
-        clean = path.read_bytes()
-        obj = json.loads(clean)
+        obj = json.loads(path.read_bytes())
         edit(obj)
         path.write_text(json.dumps(obj), encoding="utf-8")
-        save_artifact(load_artifact(path), tmp_path / "again.json")
-        assert (tmp_path / "again.json").read_bytes() == clean
+        with pytest.raises(ParseError, match=f"{kind}.json: .* holds the key '{key}'"):
+            load_artifact(path)
+
+    # one unwritten key in each kind of object a file holds
+    @pytest.mark.parametrize("kind, keys", [
+        pytest.param("learned", (), id="learned"),
+        pytest.param("learned", ("config",), id="learned-config"),
+        pytest.param("learned", ("subsets", "3"), id="learned-subset"),
+        pytest.param("learned", ("params", 0), id="learned-table-entry"),
+        pytest.param("learned", ("params", 0, "arrays", "w"), id="learned-array"),
+        pytest.param("fixed", (), id="fixed"),
+        pytest.param("fixed", ("subsets", 1), id="fixed-subset"),
+        pytest.param("fixed", ("params", 0), id="fixed-table-entry"),
+        pytest.param("model", (), id="model"),
+        pytest.param("model", ("params", 0), id="model-table-entry"),
+        pytest.param("model", ("params", 0, "arrays", "W0"), id="model-array"),
+    ])
+    def test_a_key_no_writer_writes_is_a_parse_error(self, tmp_path, kind, keys):
+        path = tmp_path / f"{kind}.json"
+        write_artifact(path, kind)
+        obj = json.loads(path.read_bytes())
+        target = obj
+        for key in keys:
+            target = target[key]
+        target["extra"] = 1
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        with pytest.raises(ParseError, match=f"{kind}.json: .* holds the key 'extra', "
+                                             "which its writer never writes"):
+            load_artifact(path)

@@ -391,6 +391,17 @@ class TestTrain:
         artifact = load_artifact(out / "rf-fixed_h1.json")
         assert len(artifact.subsets) == 4
 
+    def test_each_method_name_fixes_its_models_adaptivity(self, tmp_path):
+        # with a grid block, "adaptive" picks nothing: arf-* models adapt,
+        # rf-* models and the base model do not
+        out = tmp_path / "out"
+        grid = {"p01": [0.2], "p11": [0.5], "methods": ["arf-learned", "rf-learned", "imp-mean"],
+                "runs": 1}
+        path = write_config(tmp_path, base_config(out, adaptive=False, grid=grid))
+        assert main(["train", "--config", str(path)]) == 0
+        assert [load_artifact(out / f"{stem}_h1.json").arch.adaptive
+                for stem in ("arf-learned", "rf-learned", "base")] == [True, False, False]
+
     def test_planted_dominant_feature_recovers_two_level_tree(self, tmp_path):
         # plant_0 carries the signal, plant_1 nearly duplicates it, plant_2 is
         # junk: the tree must split on plant_0's feature first, leave its
@@ -635,6 +646,23 @@ class TestEvaluate:
                 err = capsys.readouterr().err
                 assert err.startswith("data error:") and str(artifact) in err
             artifact.write_text(original, encoding="utf-8")
+        assert not (out / "grid.csv").exists()
+
+    def test_a_file_mixing_layouts_exits_3(self, tmp_path, capsys):
+        # an arf-learned file whose last table entry is a plain set
+        out = tmp_path / "out"
+        grid = {"p01": [0.2], "p11": [0.5], "methods": ["arf-learned", "rf-learned"], "runs": 1}
+        path = write_config(tmp_path, base_config(out, grid=grid))
+        assert main(["train", "--config", str(path)]) == 0
+        artifact, plain = out / "arf-learned_h1.json", out / "rf-learned_h1.json"
+        obj = json.loads(artifact.read_text(encoding="utf-8"))
+        obj["params"][-1] = json.loads(plain.read_text(encoding="utf-8"))["params"][-1]
+        artifact.write_text(json.dumps(obj), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(artifact) in err
+        assert "a model of adaptive False in a partition of adaptive True" in err
         assert not (out / "grid.csv").exists()
 
     def test_learned_file_whose_inherited_copy_disagrees_exits_3(self, tmp_path, capsys):
@@ -932,7 +960,7 @@ class TestQSweepCli:
             direct = learn_partition(
                 hd.train, hd.val, cli._budget_for(cfg, hd), PartitionConfig(q, 0.0),
                 replace(cfg.train, seed=derive_seed(cfg.seed, "train", method, h)),
-                cli._method_arch(cli._arch_for(cfg, hd), method),
+                cli._arch_for(cfg, hd, method),
             )
             assert (out / name).read_text() == json.dumps(partition_to_json(direct)), name
 

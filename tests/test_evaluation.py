@@ -535,7 +535,7 @@ class TestMethodArtifacts:
         return hd, {
             "ModelParams": params,
             "Partition": part,
-            "FixedPartition": FixedPartition(0, [Fit(params, 0.0)]),
+            "FixedPartition": FixedPartition([Fit(params, 0.0)]),
             "RetrainOracle": RetrainOracle(hd.train, hd.val, cfg, arch),
         }
 

@@ -8,7 +8,7 @@ import pytest
 from robustcast.dataio import Dataset, split_sequential
 from robustcast.exceptions import ConfigError, DomainError, ParseError
 from robustcast.missingness import MissingPattern
-from robustcast.models import Architecture, init_params, predict
+from robustcast.models import Architecture, init_params, params_to_json, predict
 from robustcast.partition import (
     Fit,
     FixedPartition,
@@ -501,7 +501,7 @@ class TestValidation:
         with pytest.raises(DomainError, match=r"budget must lie in \[0, \|maskable\|\]"):
             replace(part, budget=budget)
         with pytest.raises(DomainError):
-            FixedPartition(budget, [part.opt] * (budget + 1))
+            FixedPartition([part.opt] * (budget + 1))
 
     @pytest.mark.parametrize("budget", [-1, 4])
     @pytest.mark.parametrize("trainer", ["learn_partition", "fixed_partition"])
@@ -517,13 +517,13 @@ class TestValidation:
             getattr(partition, trainer)(train, val, budget, *args, quick_cfg(), toy_arch(3))
         assert fits == []
 
-    @pytest.mark.parametrize("budget, count", [(3, 2), (1, 3), (0, 0)])
-    def test_fixed_partition_holds_budget_plus_one_fits(self, budget, count):
-        # two fits for budget 3 would leave rows with 3 missing no subset
+    def test_a_fixed_partition_states_its_budget_by_its_fits(self):
+        # subset l holds the fit for l missing, so l = 0..budget
         fit = manual_partition().opt
-        FixedPartition(budget, [fit] * (budget + 1))
-        with pytest.raises(DomainError, match="needs budget \\+ 1 fits"):
-            FixedPartition(budget, [fit] * count)
+        for count in (1, 2, 4):
+            assert FixedPartition([fit] * count).budget == count - 1
+        with pytest.raises(DomainError, match="got budget -1"):
+            FixedPartition([])
 
     def test_partition_config(self):
         with pytest.raises(ConfigError):
@@ -542,18 +542,51 @@ class TestValidation:
         with pytest.raises(DomainError, match="repeat"):
             Architecture("lr", False, 3, maskable=(0, 0))
 
-    @pytest.mark.parametrize("arch", [Architecture("lr", False, 4, maskable=(0, 1, 2)),
-                                      Architecture("lr", False, 3, maskable=(0, 1))],
-                             ids=["another width", "another maskable set"])
-    def test_partition_of_models_over_another_set(self, arch):
+    @pytest.mark.parametrize("arch, match", [
+        (Architecture("lr", False, 4, maskable=(0, 1, 2)),
+         "input_dim 4 in a partition of input_dim 3"),
+        (Architecture("lr", False, 3, maskable=(0, 1)),
+         r"maskable \(0, 1\) in a partition of maskable \(0, 1, 2\)"),
+    ], ids=["another width", "another maskable set"])
+    def test_partition_of_models_over_another_set(self, arch, match):
         # the first model's pattern gate is every model's gate
         part = manual_partition()
         other = Fit(init_params(arch, 0), 0.3)
         for edit in ({"adv": other}, {"splits": [Split(0, 0, other, None)]}):
-            with pytest.raises(DomainError, match="in a partition of 3 features"):
+            with pytest.raises(DomainError, match=match):
                 replace(part, **edit)
-        with pytest.raises(DomainError, match="in a partition of 3 features"):
-            FixedPartition(part.budget, [part.opt, other, part.opt, part.opt])
+        with pytest.raises(DomainError, match=match):
+            FixedPartition([part.opt, other, part.opt, part.opt])
+
+    # layouts of one width and maskable set that differ in one more field
+    # (lr and nn differ in hidden widths too; family is named first)
+    @pytest.mark.parametrize("first, second, field", [
+        (Architecture("lr", False, 3, maskable=(0, 1)),
+         Architecture("nn", False, 3, (2,), maskable=(0, 1)), "family"),
+        (Architecture("lr", False, 3, maskable=(0, 1)),
+         Architecture("lr", True, 3, maskable=(0, 1)), "adaptive"),
+        (Architecture("nn", True, 3, (2,), maskable=(0, 1)),
+         Architecture("nn", True, 3, (2, 2), maskable=(0, 1)), "hidden"),
+        (Architecture("lr", False, 3, maskable=(0, 1)),
+         Architecture("lr", False, 3, bias_index=2, maskable=(0, 1)), "bias_index"),
+    ], ids=["family", "adaptivity", "hidden widths", "bias feature"])
+    def test_a_partition_holds_models_of_one_layout(self, tmp_path, first, second, field):
+        one, two = Fit(init_params(first, 0), 0.1), Fit(init_params(second, 1), 0.2)
+        match = rf"a model of {field} .* in a partition of {field} "
+        with pytest.raises(DomainError, match=match):
+            Partition(2, PartitionConfig(1, 0.0), one, two)
+        with pytest.raises(DomainError, match=match):
+            FixedPartition([one, two])
+        # a file whose table holds the second layout in place of the first's
+        # adversarial set
+        path = tmp_path / "learned.json"
+        save_artifact(Partition(2, PartitionConfig(1, 0.0), one, Fit(init_params(first, 1), 0.2)),
+                      path)
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        obj["params"][1] = params_to_json(two.params)
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        with pytest.raises(DomainError, match=f"learned.json: {match}"):
+            load_artifact(path)
 
 
 def _swap(subsets, a, b):

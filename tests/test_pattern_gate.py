@@ -72,7 +72,7 @@ def fixtures(p: int, maskable: tuple[int, ...], n: int):
     params = init_params(Architecture("lr", True, p, maskable=maskable), seed=0)
     params = params.from_vector(np.random.default_rng(1).normal(size=params.to_vector().size))
     learned = Partition(len(maskable), PartitionConfig(1, 0.0), Fit(params, 1.0), Fit(params, 2.0))
-    fixed = FixedPartition(len(maskable), [Fit(params, 1.0) for _ in range(len(maskable) + 1)])
+    fixed = FixedPartition([Fit(params, 1.0) for _ in range(len(maskable) + 1)])
     X = np.random.default_rng(2).uniform(0.5, 1.5, (n, p))
     return params, learned, fixed, X, X.sum(axis=1)
 

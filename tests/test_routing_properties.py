@@ -141,7 +141,7 @@ def test_fixed_rows_use_the_subset_route_fixed_picks(layout, n, seed):
         params.arrays["w"][:] = 0.0
         params.arrays["w"][-1] = float(count)
         subsets.append(Fit(params=params, loss=0.0))
-    fixed = FixedPartition(budget=budget, subsets=subsets)
+    fixed = FixedPartition(subsets)
     bits = random_bits(arch, n, seed)
     X = np.ones((n, p))
     routed = predict_fixed_rows(fixed, X, bits)

@@ -96,7 +96,7 @@ NOT_RUN = {
         # them
         "subset = self.subsets[sid]",
         "bits = subset.opt_pattern.bits",
-        "return {j: int(bits[j]) for j in self.opt.params.arch.maskable if j not in subset.free}",
+        "return {j: int(bits[j]) for j in self.arch.maskable if j not in subset.free}",
         # _leaf_of, locate_rows and predict_deployed: routing and forecasting
         # one row at a time, a library API the README documents and the
         # benchmark's deploy step calls; the commands score whole test sets
@@ -106,9 +106,8 @@ NOT_RUN = {
         "feature, avail, miss = route[sid]",
         "sid = miss if bits[feature] else avail",
         "return sid",
-        "return _walk_rows(partition, _pattern_bits(partition.opt.params.arch, bits, ndim=2))",
-        "arch = partition.opt.params.arch",
-        "bits = _pattern_bits(arch, pattern, ndim=1)",
+        "return _walk_rows(partition, _pattern_bits(partition.arch, bits, ndim=2))",
+        "bits = _pattern_bits(partition.arch, pattern, ndim=1)",
         "try:",
         "x = np.asarray(x, dtype=np.float64)",
         "if x is None or x.shape != bits.shape:",
