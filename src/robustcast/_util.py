@@ -1,9 +1,7 @@
 """Seed derivation, JSON and worker-pool helpers used by several modules."""
 from __future__ import annotations
 
-import base64
 import hashlib
-import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -44,13 +42,6 @@ def open_utf8(path, newline: str | None = None):
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def array_to_json(arr: np.ndarray) -> dict:
-    """Encode an array exactly: its shape and the base64 of its little-endian
-    float64 bytes in C order."""
-    a = np.asarray(arr, dtype="<f8")
-    return {"shape": list(a.shape), "f8": base64.b64encode(a.tobytes()).decode("ascii")}
-
-
 def only_keys(obj: dict, keys, what: str) -> dict:
     """obj, a JSON object read from a file; ParseError naming `what` and the
     first of its keys outside `keys`, the keys its writer writes."""
@@ -58,23 +49,6 @@ def only_keys(obj: dict, keys, what: str) -> dict:
         if key not in keys:
             raise ParseError(f"{what} holds the key {key!r}, which its writer never writes")
     return obj
-
-
-def array_from_json(obj: dict) -> np.ndarray:
-    """The array `array_to_json` encoded, as a fresh, owned, writeable float64
-    array; ParseError when the shape is no list of counts, the base64 is
-    malformed, its byte count does not match the shape, or obj holds another
-    key (only_keys)."""
-    shape = only_keys(obj, ("shape", "f8"), "an array")["shape"]
-    if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
-        raise ParseError(f"array shape {shape!r} is not a list of counts")
-    try:
-        raw = base64.b64decode(obj["f8"], validate=True)
-    except ValueError as exc:  # binascii.Error included
-        raise ParseError(f"array data is not base64: {exc}") from None
-    if len(raw) != 8 * math.prod(shape):
-        raise ParseError(f"array of shape {shape} holds {len(raw)} bytes, not 8 per float")
-    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
 
 
 def map_jobs(fn, tasks: list, jobs: int) -> list:

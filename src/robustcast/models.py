@@ -13,11 +13,13 @@ shift linearly with the missing pattern a (restricted to the maskable set):
 
 x(a) zeroes the missing coordinates. A model's layout (family, adaptivity,
 widths, bias feature and maskable set) is one Architecture, which every
-ModelParams holds and every routine here reads. Gradients are hand-derived;
-there is no autodiff dependency. All functions are pure; parameters are
-treated as immutable snapshots, except that a training run updates its own
-params in place through the flat vector their blocks are views of (see
-from_vector).
+ModelParams holds and every routine here reads; a file states it once, as
+dataclasses.asdict(arch) (arch_from_json reads it), and each model by its
+blocks' bytes (params_to_json, params_from_json). Gradients are
+hand-derived; there is no autodiff dependency. All functions are pure;
+parameters are treated as immutable snapshots, except that a training run
+updates its own params in place through the flat vector their blocks are
+views of (see from_vector).
 
 loss_and_grad takes its pattern, its weight decay and its buffers from one
 StepBuffers, made once per training run: the run's weight decay, the decay
@@ -28,11 +30,13 @@ and every mini-batch of the epoch applies it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import base64
+import math
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from ._util import array_from_json, array_to_json, only_keys
+from ._util import only_keys
 from .dataio import maskable_indices
 from .exceptions import ConfigError, DomainError, ParseError, SizeError
 from .missingness import MissingPattern, _masked
@@ -419,41 +423,42 @@ def loss_and_grad(
 
 
 def params_to_json(params: ModelParams) -> dict:
-    arch = params.arch
-    return {
-        "family": arch.family,
-        "adaptive": arch.adaptive,
-        "n_features": arch.input_dim,
-        "maskable": list(arch.maskable),
-        "bias_index": arch.bias_index,
-        "arrays": {name: array_to_json(params.arrays[name]) for name in params.block_names()},
-    }
+    """Each block, in block order, as the base64 of its little-endian float64
+    bytes in C order; the file states the layout once, as asdict(arch)."""
+    return {name: base64.b64encode(np.asarray(params.arrays[name], dtype="<f8").tobytes())
+            .decode("ascii") for name in params.block_names()}
 
 
-def params_from_json(obj: dict) -> ModelParams:
-    """The parameter set `params_to_json` encoded, its hidden widths read as
-    the W layers' output counts. DomainError when Architecture
-    refuses the stored layout or the blocks are not the names and shapes
-    _layout gives it; ParseError for a malformed array or a key
-    params_to_json never writes."""
-    only_keys(obj, ("family", "adaptive", "n_features", "maskable", "bias_index", "arrays"),
-              "a model")
-    if not isinstance(obj["arrays"], dict):
-        raise ParseError("a model's arrays must be an object keyed by block name")
-    arrays = {k: array_from_json(v) for k, v in obj["arrays"].items()}
-    # an absent or non-matrix W layer gets width -1, which Architecture refuses
-    w_layers = [arrays.get(f"W{m}") for m in range(sum(1 for k in arrays if k.startswith("W")))]
-    hidden = tuple(w.shape[0] if w is not None and w.ndim == 2 else -1 for w in w_layers)
+def arch_from_json(obj: dict) -> Architecture:
+    """The layout a file states as asdict(arch): ParseError unless it holds
+    exactly Architecture's fields, DomainError when Architecture refuses it."""
+    names = [f.name for f in fields(Architecture)]
+    missing = [name for name in names if name not in obj]
+    if missing:
+        raise ParseError(f"a layout lacks the key {missing[0]!r}")
     try:
-        arch = Architecture(obj["family"], obj["adaptive"], obj["n_features"], hidden,
-                            obj["bias_index"], obj["maskable"])
+        return Architecture(**only_keys(obj, names, "a layout"))
     except ConfigError as exc:
         raise DomainError(f"inadmissible model: {exc}") from None
+
+
+def params_from_json(obj: dict, arch: Architecture) -> ModelParams:
+    """The set `params_to_json` encoded, each block a fresh float64 array of
+    the shape the file's layout arch gives it. ParseError for an entry that
+    is no object or a block that is no base64 text; DomainError unless the
+    blocks are _layout(arch)'s, in its order, each 8 bytes per float."""
+    if not isinstance(obj, dict):
+        raise ParseError("a parameter set must be an object keyed by block name")
     layout = _layout(arch)
-    if list(arrays) != list(layout):
-        raise DomainError(f"{arch.family} blocks must be {list(layout)}, got {list(arrays)}")
-    bad = [f"{k} {arrays[k].shape} (need {shape})" for k, shape in layout.items()
-           if arrays[k].shape != shape]
-    if bad:
-        raise DomainError("parameter block shapes do not chain: " + ", ".join(bad))
+    if list(obj) != list(layout):
+        raise DomainError(f"{arch.family} blocks must be {list(layout)}, got {list(obj)}")
+    arrays = {}
+    for name, shape in layout.items():
+        try:
+            raw = base64.b64decode(obj[name], validate=True)
+        except (TypeError, ValueError) as exc:  # binascii.Error included
+            raise ParseError(f"block {name} is not base64 text: {exc}") from None
+        if len(raw) != 8 * math.prod(shape):
+            raise DomainError(f"block {name} holds {len(raw)} bytes, not 8 per float of {shape}")
+        arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
     return ModelParams(arch, arrays)

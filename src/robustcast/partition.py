@@ -18,6 +18,8 @@ constraints and the lineage a file records are derived from them.
 The uncertainty set is every pattern over the maskable features of a
 models.Architecture with at most `budget` missing: both trainers take the
 two, and a partition holds the budget and models of one layout, its `arch`.
+A file states that layout once, as its `layout`, and every set of its
+parameter table is read at it: a loaded file's sets share one Architecture.
 """
 from __future__ import annotations
 
@@ -40,12 +42,13 @@ from .dataio import Dataset
 from .exceptions import ConfigError, DomainError, ParseError
 from .missingness import MissingPattern
 from .models import (
-    Architecture, ModelParams, _batch, _predict_bits, params_from_json, params_to_json,
+    Architecture, ModelParams, _batch, _predict_bits, arch_from_json, params_from_json,
+    params_to_json,
 )
 from .training import TrainConfig, train_nominal
 
 RELGAP_FLOOR = 1e-12
-ARTIFACT_FORMAT = 3
+ARTIFACT_FORMAT = 4
 
 
 @dataclass(frozen=True)
@@ -464,10 +467,10 @@ def param_sets(artifact: Partition | FixedPartition | ModelParams) -> list[Model
     return [artifact]
 
 
-def _param_table(artifact) -> tuple[list[dict], list[int]]:
-    """The encoded sets of `param_sets(artifact)` with repeats of the same
-    content stored once, and the table index of each set in that order.
-    Keying on the encoding makes the table depend on the content alone."""
+def _param_table(artifact) -> tuple[dict, list[int]]:
+    """A file's `layout`, asdict(artifact.arch), and `params`, each distinct
+    encoded set of `param_sets(artifact)` once, keyed on its encoding so the
+    table depends on the content alone; and each set's table index, in order."""
     table, index, refs = [], {}, []
     for params in param_sets(artifact):
         encoded = params_to_json(params)
@@ -476,11 +479,13 @@ def _param_table(artifact) -> tuple[list[dict], list[int]]:
             index[key] = len(table)
             table.append(encoded)
         refs.append(index[key])
-    return table, refs
+    return {"layout": asdict(artifact.arch), "params": table}, refs
 
 
 def _table_from_json(obj: dict) -> list[ModelParams]:
-    return [params_from_json(p) for p in obj["params"]]
+    """The sets of a file's table, all read at the one layout it states."""
+    arch = arch_from_json(obj["layout"])
+    return [params_from_json(p, arch) for p in obj["params"]]
 
 
 def _params_at(table: list[ModelParams], ref) -> ModelParams:
@@ -525,8 +530,8 @@ def _learned_json(partition: Partition, refs: list[int]) -> dict:
 
 
 def partition_to_json(partition: Partition) -> dict:
-    table, refs = _param_table(partition)
-    return {**_learned_json(partition, refs), "params": table}
+    stored, refs = _param_table(partition)
+    return {**_learned_json(partition, refs), **stored}
 
 
 def _checked(value, types: tuple, what: str):
@@ -588,7 +593,7 @@ def partition_from_json(obj: dict) -> Partition:
                      splits)
     index = {id(params): i for i, params in enumerate(table)}
     derived = _learned_json(part, [index[id(params)] for params in param_sets(part)])
-    only_keys(obj, (*derived, "params"), "a learned file")
+    only_keys(obj, (*derived, "layout", "params"), "a learned file")
     for sid, s in enumerate(entries):
         only_keys(s, derived["subsets"][str(sid)], f"subset {sid}")
     if json.dumps({key: obj[key] for key in derived}, sort_keys=True) \
@@ -603,7 +608,7 @@ def fixed_from_json(obj: dict) -> FixedPartition:
     ParseError unless its subsets are a list whose val_loss values are
     numbers and it holds no key its writer never writes; DomainError (from
     FixedPartition) for an empty list."""
-    table = _table_from_json(only_keys(obj, ("format", "kind", "subsets", "params"),
+    table = _table_from_json(only_keys(obj, ("format", "kind", "subsets", "layout", "params"),
                                        "a fixed file"))
     entries = _checked(obj["subsets"], (list,), "a fixed file's subsets")
     subsets = [
@@ -616,33 +621,34 @@ def fixed_from_json(obj: dict) -> FixedPartition:
 
 def save_artifact(obj: Partition | FixedPartition | ModelParams, path: str | Path) -> None:
     """Serialize a deployable artifact (partition, fixed partition, or a bare
-    model) to JSON: one table of distinct parameter sets, which the rest of
-    the file refers to by index."""
+    model) to JSON: its models' layout and one table of distinct parameter
+    sets, which the rest of the file refers to by index."""
     if isinstance(obj, Partition):
         payload = partition_to_json(obj)
     else:
-        table, refs = _param_table(obj)
+        stored, refs = _param_table(obj)
         if isinstance(obj, FixedPartition):
             payload = {"format": ARTIFACT_FORMAT, "kind": "fixed", "subsets": [
                 {"val_loss": s.loss, "params": r} for s, r in zip(obj.subsets, refs)]}
         else:
             payload = {"format": ARTIFACT_FORMAT, "kind": "model", "model": refs[0]}
-        payload["params"] = table
+        payload.update(stored)
     Path(path).write_text(json.dumps(payload), encoding="utf-8")
 
 
 def load_artifact(path: str | Path):
     """The artifact saved at `path`. ParseError when the file is not UTF-8 or
-    valid JSON, lacks a key or holds one its writer never writes, a malformed
-    array or a bad table index; DomainError when it is of another format or
-    a value is inadmissible (models of two layouts among them)."""
+    valid JSON, lacks a key or holds one its writer never writes, or holds a
+    block that is no base64 text or a bad table index; DomainError when its
+    format is not the integer 4 or a value, such as its layout, is inadmissible."""
     try:
         with open_utf8(path) as fh:
             obj = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"artifact {path} is not valid JSON: {exc}") from None
     try:
-        if isinstance(obj, dict) and obj.get("format") != ARTIFACT_FORMAT:
+        if isinstance(obj, dict) and (type(obj.get("format")) is not int
+                                      or obj["format"] != ARTIFACT_FORMAT):
             raise DomainError(f"format {obj.get('format')!r} is not {ARTIFACT_FORMAT}; "
                               "retrain to write the current format")
         kind = obj["kind"]
@@ -651,7 +657,7 @@ def load_artifact(path: str | Path):
         if kind == "fixed":
             return fixed_from_json(obj)
         if kind == "model":
-            only_keys(obj, ("format", "kind", "model", "params"), "a model file")
+            only_keys(obj, ("format", "kind", "model", "layout", "params"), "a model file")
             return _params_at(_table_from_json(obj), obj["model"])
     except (KeyError, TypeError) as exc:
         raise ParseError(f"artifact {path} is malformed: {exc!r}") from None

@@ -15,7 +15,9 @@ one BLAS thread, in a fresh temporary directory that holds copies of its
 configs, so every path the commands see or print is relative. Prints every
 out_dir file and every command output (exit code, stdout, stderr) that
 differs between the two checkouts, with its differing lines, and exits 1 if
-there is any; standard library only.
+there is any; standard library only. A differing line longer than LONG
+characters, such as an artifact's one line of JSON, is shown as the offset
+of its first differing character and CONTEXT characters around it.
 """
 from __future__ import annotations
 
@@ -31,6 +33,7 @@ from pathlib import Path
 WORKLOADS = ("eval-grid", "lr-pipeline", "nn-train")
 METHODS = ["imp-persistence", "imp-mean", "rf-learned", "arf-learned", "rf-fixed", "arf-fixed",
            "retrain-oracle"]
+LONG, CONTEXT = 200, 60
 
 
 def small(**overrides) -> dict:
@@ -101,6 +104,37 @@ def run_checkout(checkout: Path, work: Path) -> dict[str, bytes]:
     return found
 
 
+def near_difference(line: str, other: str) -> str:
+    """line, or when it is longer than LONG characters, the offset of its
+    first character that differs from other (its counterpart in the other
+    checkout) and the CONTEXT characters of line around that offset."""
+    if len(line) <= LONG:
+        return line
+    at = next((k for k, (a, b) in enumerate(zip(line, other)) if a != b),
+              min(len(line), len(other)))
+    start = max(0, at - CONTEXT // 2)
+    return f"[{len(line)} characters, first difference at {at}] {line[start:start + CONTEXT]}"
+
+
+def diff_lines(parent: list[str], change: list[str]) -> list[str]:
+    """The unified diff of two files' lines without context, each long line
+    cut by near_difference against the line at its place on the other side
+    of its hunk (or against nothing)."""
+    lines = list(difflib.unified_diff(parent, change, "parent", "change", n=0, lineterm=""))
+    out, hunk = lines[:2], []
+    for line in [*lines[2:], "@@"]:
+        if not line.startswith("@@"):
+            hunk.append(line)
+            continue
+        sides = {sign: [text[1:] for text in hunk if text[0] == sign] for sign in "-+"}
+        for sign, other in (("-", sides["+"]), ("+", sides["-"])):
+            out += [sign + near_difference(text, other[k] if k < len(other) else "")
+                    for k, text in enumerate(sides[sign])]
+        out.append(line)
+        hunk = []
+    return out[:-1]
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__.strip().split("\n\n")[1], file=sys.stderr)
@@ -120,7 +154,7 @@ def main(argv: list[str]) -> int:
         print(f"differs: {key} (parent {sides[0]}, change {sides[1]})")
         lines = [side.get(key, b"").decode("utf-8", "replace").splitlines()
                  for side in (parent, change)]
-        for line in difflib.unified_diff(*lines, "parent", "change", n=0, lineterm=""):
+        for line in diff_lines(*lines):
             print(f"    {line}")
     print(f"{len(differ)} of {len(set(parent) | set(change))} outputs differ")
     return 1 if differ else 0

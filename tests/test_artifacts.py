@@ -1,6 +1,6 @@
-"""The artifact file format: one table of distinct parameter sets that the
-rest of the file refers to by index, each array stored as the base64 of its
-little-endian float64 bytes."""
+"""The artifact file format: the models' layout stated once, and one table
+of distinct parameter sets that the rest of the file refers to by index,
+each block stored as the base64 of its little-endian float64 bytes."""
 import base64
 import json
 import tempfile
@@ -161,20 +161,37 @@ class TestFormat:
         with pytest.raises(DomainError, match="learned_lr_q5_v1.json.*format"):
             load_artifact(GOLDEN_V1)
 
+    # the format must be the integer 4: Python's 4.0 and True equal 4
+    @pytest.mark.parametrize("kind", ["learned", "fixed", "model"])
     @pytest.mark.parametrize("edit", [
         pytest.param(lambda obj: obj.pop("format"), id="no-format"),
         pytest.param(lambda obj: obj.update(format=1), id="format-1"),
         pytest.param(lambda obj: obj.update(format=2), id="format-2"),
-        pytest.param(lambda obj: obj.update(format=4), id="format-4"),
-        pytest.param(lambda obj: obj.update(format="3"), id="format-text"),
+        pytest.param(lambda obj: obj.update(format=3), id="format-3"),
+        pytest.param(lambda obj: obj.update(format=5), id="format-5"),
+        pytest.param(lambda obj: obj.update(format=4.0), id="format-4.0"),
+        pytest.param(lambda obj: obj.update(format=True), id="format-true"),
+        pytest.param(lambda obj: obj.update(format="4"), id="format-text"),
     ])
-    def test_another_format_is_a_domain_error_naming_the_file(self, tmp_path, edit):
-        obj = json.loads(GOLDEN.read_text(encoding="utf-8"))
-        edit(obj)
+    def test_another_format_is_a_domain_error_naming_the_file(self, tmp_path, edit, kind):
         path = tmp_path / "old.json"
+        write_artifact(path, kind)
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        edit(obj)
         path.write_text(json.dumps(obj), encoding="utf-8")
         with pytest.raises(DomainError, match="old.json.*format.*retrain"):
             load_artifact(path)
+
+    @pytest.mark.parametrize("kind", ["learned", "fixed", "model"])
+    def test_a_loaded_file_builds_its_one_layout_once(self, tmp_path, monkeypatch, kind):
+        path = tmp_path / f"{kind}.json"
+        write_artifact(path, kind)
+        built, check = [], Architecture.__post_init__
+        monkeypatch.setattr(Architecture, "__post_init__",
+                            lambda arch: (built.append(arch), check(arch))[1])
+        artifact = load_artifact(path)
+        assert built == [artifact.arch]
+        assert all(params.arch is artifact.arch for params in param_sets(artifact))
 
 
 def nn_model() -> ModelParams:
@@ -189,16 +206,16 @@ def fixed_artifact(budget: int) -> FixedPartition:
     return FixedPartition([Fit(params, c + 0.5) for c in range(budget + 1)])
 
 
-def _cut_one_float(block):
-    block["f8"] = base64.b64encode(base64.b64decode(block["f8"])[:-8]).decode("ascii")
-
-
-def _shape(name, shape, floats=None):
+def _floats(name, floats):
+    """An edit giving block `name` of the first table entry `floats` zeros."""
     def edit(obj):
-        block = obj["params"][0]["arrays"][name]
-        block["shape"] = shape
-        if floats is not None:
-            block["f8"] = array_b64(np.zeros(floats))
+        obj["params"][0][name] = array_b64(np.zeros(floats))
+    return edit
+
+
+def _layout(**fields):
+    def edit(obj):
+        obj["layout"].update(fields)
     return edit
 
 
@@ -210,47 +227,49 @@ class TestMalformedFile:
     """Every malformed parameter block or table reference is a ParseError or
     DomainError naming the file, never an exception from deep in predict."""
 
+    # nn_model's layout: 3 inputs, hidden widths (4, 2), 2 maskable features
     @pytest.mark.parametrize("edit, error", [
-        pytest.param(lambda obj: _cut_one_float(obj["params"][0]["arrays"]["W0"]), ParseError,
-                     id="bytes-short-of-shape"),
-        pytest.param(lambda obj: obj["params"][0]["arrays"]["b0"].update(f8="AAAA!AAA"),
+        pytest.param(_floats("W0", 11), DomainError, id="bytes-short-of-shape"),
+        pytest.param(lambda obj: obj["params"][0].update(b0="AAAA!AAA"),
                      ParseError, id="not-base64"),
-        pytest.param(lambda obj: obj["params"][0]["arrays"]["b0"].update(f8="AAAAA"),
+        pytest.param(lambda obj: obj["params"][0].update(b0="AAAAA"),
                      ParseError, id="base64-bad-padding"),
-        pytest.param(lambda obj: obj["params"][0]["arrays"]["b0"].update(shape=[-4]),
-                     ParseError, id="negative-shape"),
+        pytest.param(lambda obj: obj["params"][0].update(b0=[0.0] * 4),
+                     ParseError, id="block-a-list"),
+        pytest.param(_layout(hidden=[4, -2]), DomainError, id="negative-hidden-width"),
         pytest.param(lambda obj: obj.update(model=1), ParseError, id="index-out-of-range"),
         pytest.param(lambda obj: obj.update(model=-1), ParseError, id="index-negative"),
         pytest.param(lambda obj: obj.update(model="0"), ParseError, id="index-text"),
         pytest.param(lambda obj: obj.update(model=0.0), ParseError, id="index-float"),
         pytest.param(lambda obj: obj.update(model=False), ParseError, id="index-bool"),
-        pytest.param(lambda obj: obj["params"][0]["arrays"].pop("w_out"), DomainError,
+        pytest.param(lambda obj: obj["params"][0].pop("w_out"), DomainError,
                      id="block-missing"),
-        pytest.param(lambda obj: obj["params"][0]["arrays"].update(
-            W9=obj["params"][0]["arrays"]["W1"]), DomainError, id="block-extra"),
-        pytest.param(lambda obj: obj["params"][0].update(adaptive=False), DomainError,
-                     id="blocks-of-another-adaptivity"),
-        pytest.param(lambda obj: obj["params"][0].update(family="lr"), DomainError,
+        pytest.param(lambda obj: obj["params"][0].update(W9=obj["params"][0]["W1"]),
+                     DomainError, id="block-extra"),
+        pytest.param(lambda obj: obj["params"][0].update(W0=obj["params"][0].pop("W0")),
+                     DomainError, id="blocks-out-of-order"),
+        pytest.param(_layout(adaptive=False), DomainError, id="blocks-of-another-adaptivity"),
+        pytest.param(_layout(family="lr", hidden=[]), DomainError,
                      id="blocks-of-another-family"),
-        pytest.param(lambda obj: obj["params"][0].update(family="gbm"), DomainError,
-                     id="unknown-family"),
-        pytest.param(_shape("W1", [4, 2]), DomainError, id="W-transposed"),
-        pytest.param(_shape("b1", [1], floats=1), DomainError, id="bias-narrower-than-W"),
-        pytest.param(_shape("w_out", [3], floats=3), DomainError, id="output-wider-than-W"),
-        pytest.param(_shape("D0", [2, 2], floats=4), DomainError, id="D-of-a-hidden-width"),
-        pytest.param(_shape("D_out", [2, 1], floats=2), DomainError, id="D-short-a-column"),
-        pytest.param(lambda obj: obj["params"][0].update(maskable=[0, 3]), DomainError,
-                     id="maskable-out-of-range"),
-        pytest.param(lambda obj: obj["params"][0].update(maskable=[1, 0]), DomainError,
-                     id="maskable-unsorted"),
-        pytest.param(lambda obj: obj["params"][0].update(bias_index=3), DomainError,
-                     id="bias-index-out-of-range"),
-        pytest.param(lambda obj: obj["params"][0].update(arrays=[]), ParseError,
-                     id="arrays-not-an-object"),
-        pytest.param(lambda obj: obj["params"][0].update(adaptive=False, arrays={
-            "w_out": {"shape": [3], "f8": array_b64([1.0, 2.0, 3.0])},
-            "b_out": {"shape": [1], "f8": array_b64([0.5])}}), DomainError,
-                     id="network-without-hidden-layer"),
+        pytest.param(_layout(family="gbm"), DomainError, id="unknown-family"),
+        pytest.param(_layout(hidden=[2, 4]), DomainError, id="hidden-widths-swapped"),
+        pytest.param(_floats("b1", 1), DomainError, id="bias-narrower-than-W"),
+        pytest.param(_floats("w_out", 3), DomainError, id="output-wider-than-W"),
+        pytest.param(_floats("D0", 4), DomainError, id="D-of-a-hidden-width"),
+        pytest.param(_floats("D_out", 2), DomainError, id="D-short-a-column"),
+        pytest.param(_layout(maskable=[0, 3]), DomainError, id="maskable-out-of-range"),
+        pytest.param(_layout(maskable=[1, 0]), DomainError, id="maskable-unsorted"),
+        pytest.param(_layout(bias_index=3), DomainError, id="bias-index-out-of-range"),
+        pytest.param(_layout(input_dim=3.0), DomainError, id="input-dim-float"),
+        pytest.param(_layout(adaptive=1), DomainError, id="adaptive-a-number"),
+        pytest.param(_layout(hidden=4), ParseError, id="hidden-not-a-list"),
+        pytest.param(lambda obj: obj.update(layout=[]), ParseError, id="layout-not-an-object"),
+        pytest.param(lambda obj: obj["params"].__setitem__(0, []), ParseError,
+                     id="entry-not-an-object"),
+        pytest.param(lambda obj: obj.update(layout=dict(obj["layout"], adaptive=False, hidden=[]),
+                                            params=[{"w_out": array_b64([1.0, 2.0, 3.0]),
+                                                     "b_out": array_b64([0.5])}]),
+                     DomainError, id="network-without-hidden-layer"),
     ])
     def test_a_malformed_model_is_rejected_naming_the_file(self, tmp_path, edit, error):
         path = tmp_path / "bad.json"
@@ -259,6 +278,20 @@ class TestMalformedFile:
         edit(obj)
         path.write_text(json.dumps(obj), encoding="utf-8")
         with pytest.raises(error, match="bad.json"):
+            load_artifact(path)
+
+    # nn_model's W0 is (4, 3), its b_out (1,) and its D_out (2, 2)
+    @pytest.mark.parametrize("name, floats", [
+        ("W0", 11), ("W0", 13), ("b_out", 0), ("b_out", 2), ("D_out", 3), ("D_out", 5),
+    ])
+    def test_a_block_of_another_float_count_is_a_domain_error_naming_it(self, tmp_path, name,
+                                                                          floats):
+        path = tmp_path / "bad.json"
+        save_artifact(nn_model(), path)
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        _floats(name, floats)(obj)
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        with pytest.raises(DomainError, match=f"bad.json: block {name} holds {8 * floats} bytes"):
             load_artifact(path)
 
     @pytest.mark.parametrize("key, ref", [
@@ -376,7 +409,7 @@ class TestMalformedFile:
 
     def test_a_linear_block_of_another_width_is_a_domain_error(self, tmp_path):
         obj = json.loads(GOLDEN.read_text(encoding="utf-8"))
-        obj["params"][3]["arrays"]["w"] = {"shape": [3], "f8": array_b64([1.0, 2.0, 3.0])}
+        obj["params"][3]["w"] = array_b64([1.0, 2.0, 3.0])
         path = tmp_path / "narrow.json"
         path.write_text(json.dumps(obj), encoding="utf-8")
         with pytest.raises(DomainError, match="narrow.json.*w"):
@@ -401,25 +434,31 @@ def _drop(obj, keys: tuple) -> None:
 
 LEARNED_SUBSET_KEYS = ("LB", "UB", "parent_id", "ub_inherited", "split_feature",
                        "params_opt", "params_adv")
+LAYOUT_KEYS = ("family", "adaptive", "input_dim", "hidden", "bias_index", "maskable")
 
 
-class TestFormatThreeKeys:
-    """Format 3 states each value once: every key it writes is read, and a
+class TestFormatKeys:
+    """Format 4 states each value once: every key it writes is read, and a
     key it never writes, such as a derived value format 2 stored, is refused
     wherever it sits."""
 
     @pytest.mark.parametrize("kind, keys", [
         *[pytest.param("learned", (key,), id=f"learned-{key}")
-          for key in ("kind", "budget", "config", "leaf_ids", "subsets", "params")],
+          for key in ("kind", "budget", "config", "leaf_ids", "subsets", "layout", "params")],
         *[pytest.param("learned", ("config", key), id=f"learned-config-{key}")
           for key in ("max_subsets", "epsilon")],
         *[pytest.param("learned", ("subsets", "3", key), id=f"learned-subset-{key}")
           for key in LEARNED_SUBSET_KEYS],
+        *[pytest.param("learned", ("layout", key), id=f"learned-layout-{key}")
+          for key in LAYOUT_KEYS],
         *[pytest.param("fixed", (key,), id=f"fixed-{key}")
-          for key in ("kind", "subsets", "params")],
+          for key in ("kind", "subsets", "layout", "params")],
         *[pytest.param("fixed", ("subsets", 1, key), id=f"fixed-subset-{key}")
           for key in ("val_loss", "params")],
-        *[pytest.param("model", (key,), id=f"model-{key}") for key in ("kind", "model", "params")],
+        pytest.param("fixed", ("layout", "maskable"), id="fixed-layout-maskable"),
+        *[pytest.param("model", (key,), id=f"model-{key}")
+          for key in ("kind", "model", "layout", "params")],
+        pytest.param("model", ("layout", "hidden"), id="model-layout-hidden"),
     ])
     def test_a_file_lacking_a_written_key_is_a_parse_error(self, tmp_path, kind, keys):
         path = tmp_path / f"{kind}.json"
@@ -427,7 +466,7 @@ class TestFormatThreeKeys:
         obj = json.loads(path.read_text(encoding="utf-8"))
         _drop(obj, keys)
         path.write_text(json.dumps(obj), encoding="utf-8")
-        with pytest.raises(ParseError, match=f"{kind}.json"):
+        with pytest.raises(ParseError, match=f"{kind}.json.*'{keys[-1]}'"):
             load_artifact(path)
 
     # the values format 2 stored beside each subset's lineage
@@ -473,14 +512,12 @@ class TestFormatThreeKeys:
         pytest.param("learned", (), id="learned"),
         pytest.param("learned", ("config",), id="learned-config"),
         pytest.param("learned", ("subsets", "3"), id="learned-subset"),
-        pytest.param("learned", ("params", 0), id="learned-table-entry"),
-        pytest.param("learned", ("params", 0, "arrays", "w"), id="learned-array"),
+        pytest.param("learned", ("layout",), id="learned-layout"),
         pytest.param("fixed", (), id="fixed"),
         pytest.param("fixed", ("subsets", 1), id="fixed-subset"),
-        pytest.param("fixed", ("params", 0), id="fixed-table-entry"),
+        pytest.param("fixed", ("layout",), id="fixed-layout"),
         pytest.param("model", (), id="model"),
-        pytest.param("model", ("params", 0), id="model-table-entry"),
-        pytest.param("model", ("params", 0, "arrays", "W0"), id="model-array"),
+        pytest.param("model", ("layout",), id="model-layout"),
     ])
     def test_a_key_no_writer_writes_is_a_parse_error(self, tmp_path, kind, keys):
         path = tmp_path / f"{kind}.json"

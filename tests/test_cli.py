@@ -577,21 +577,20 @@ class TestEvaluate:
         assert not (out / "grid.csv").exists()
 
     @pytest.mark.parametrize("case", ["w one float short of its shape",
-                                      "w one shorter with a matching shape", "w deleted"])
+                                      "w one float longer than its shape", "w deleted"])
     def test_malformed_parameter_block_exits_3(self, tmp_path, capsys, case):
         out = tmp_path / "out"
         path = write_config(tmp_path, base_config(out))
         assert main(["train", "--config", str(path)]) == 0
         artifact = out / "base_h1.json"
         obj = json.loads(artifact.read_text(encoding="utf-8"))
-        arrays = obj["params"][obj["model"]]["arrays"]
-        w = np.frombuffer(base64.b64decode(arrays["w"]["f8"]))
+        blocks = obj["params"][obj["model"]]
+        w = np.frombuffer(base64.b64decode(blocks["w"]))
         if case == "w deleted":
-            del arrays["w"]
+            del blocks["w"]
         else:
-            arrays["w"]["f8"] = base64.b64encode(w[:-1].tobytes()).decode("ascii")
-            if case == "w one shorter with a matching shape":
-                arrays["w"]["shape"] = [w.size - 1]
+            w = w[:-1] if case == "w one float short of its shape" else np.append(w, 0.0)
+            blocks["w"] = base64.b64encode(w.tobytes()).decode("ascii")
         artifact.write_text(json.dumps(obj), encoding="utf-8")
         capsys.readouterr()
         assert main(["evaluate", "--config", str(path)]) == 3
@@ -649,7 +648,7 @@ class TestEvaluate:
         assert not (out / "grid.csv").exists()
 
     def test_a_file_mixing_layouts_exits_3(self, tmp_path, capsys):
-        # an arf-learned file whose last table entry is a plain set
+        # an arf-learned file whose last table entry holds a plain set's blocks
         out = tmp_path / "out"
         grid = {"p01": [0.2], "p11": [0.5], "methods": ["arf-learned", "rf-learned"], "runs": 1}
         path = write_config(tmp_path, base_config(out, grid=grid))
@@ -662,7 +661,7 @@ class TestEvaluate:
         assert main(["evaluate", "--config", str(path)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error:") and str(artifact) in err
-        assert "a model of adaptive False in a partition of adaptive True" in err
+        assert "lr blocks must be ['w', 'D'], got ['w']" in err
         assert not (out / "grid.csv").exists()
 
     def test_learned_file_whose_inherited_copy_disagrees_exits_3(self, tmp_path, capsys):

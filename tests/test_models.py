@@ -1,4 +1,5 @@
-from dataclasses import replace
+import json
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from robustcast.models import (
     StepBuffers,
     _decayed_mask,
     _nn_forward,
+    arch_from_json,
     init_params,
     loss_and_grad,
     mse_loss,
@@ -180,7 +182,7 @@ class TestLayoutAgainstReference:
             got, want = params.arrays[name], ref[name]
             assert got.shape == want.shape == shapes[name], name
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
-        back = params_from_json(params_to_json(params))
+        back = params_from_json(params_to_json(params), arch_from_json(asdict(arch)))
         assert back.arch == arch and back.block_names() == names
         assert all(back.arrays[k].tobytes() == ref[k].tobytes() for k in names)
 
@@ -546,7 +548,13 @@ class TestSerialization:
         rng = np.random.default_rng(3)
         arch = Architecture("nn", True, 4, (3, 2), bias_index=3, maskable=(0, 1))
         params = randomized(init_params(arch, seed=1), rng)
-        back = params_from_json(params_to_json(params))
+        encoded = json.loads(json.dumps(params_to_json(params)))
+        assert list(encoded) == params.block_names()
+        assert all(type(block) is str for block in encoded.values())
+        layout = json.loads(json.dumps(asdict(arch)))
+        assert list(layout) == ["family", "adaptive", "input_dim", "hidden", "bias_index",
+                                "maskable"]
+        back = params_from_json(encoded, arch_from_json(layout))
         assert back.arch == params.arch
         for name in params.block_names():
             np.testing.assert_array_equal(back.arrays[name], params.arrays[name])

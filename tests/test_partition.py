@@ -1,5 +1,6 @@
 import json
-from dataclasses import replace
+import re
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -455,8 +456,12 @@ class TestSerialization:
         path = tmp_path / "learned.json"
         save_artifact(part, path)
         obj = json.loads(path.read_text(encoding="utf-8"))
-        assert list(obj) == ["format", "kind", "budget", "config", "leaf_ids", "subsets", "params"]
-        assert (obj["format"], obj["kind"], obj["budget"]) == (3, "learned", 3)
+        assert list(obj) == ["format", "kind", "budget", "config", "leaf_ids", "subsets",
+                             "layout", "params"]
+        assert (obj["format"], obj["kind"], obj["budget"]) == (4, "learned", 3)
+        assert obj["layout"] == json.loads(json.dumps(asdict(arch)))
+        blocks = part.opt.params.block_names()
+        assert [list(entry) for entry in obj["params"]] == [blocks] * len(obj["params"])
         assert [list(s) for s in obj["subsets"].values()] == [
             ["LB", "UB", "parent_id", "ub_inherited", "split_feature", "params_opt", "params_adv"]
         ] * len(part.subsets)
@@ -477,8 +482,10 @@ class TestSerialization:
         path = tmp_path / "fixed.json"
         save_artifact(fixed, path)
         obj = json.loads(path.read_text(encoding="utf-8"))
-        assert list(obj) == ["format", "kind", "subsets", "params"]
-        assert (obj["format"], obj["kind"]) == (3, "fixed")
+        assert list(obj) == ["format", "kind", "subsets", "layout", "params"]
+        assert (obj["format"], obj["kind"]) == (4, "fixed")
+        assert obj["layout"] == json.loads(json.dumps(asdict(toy_arch(2))))
+        assert [list(entry) for entry in obj["params"]] == [["w"]] * len(obj["params"])
         assert [list(s) for s in obj["subsets"]] == [["val_loss", "params"]] * 3
         back = load_artifact(path)
         assert back.budget == 2
@@ -570,22 +577,36 @@ class TestValidation:
         (Architecture("lr", False, 3, maskable=(0, 1)),
          Architecture("lr", False, 3, bias_index=2, maskable=(0, 1)), "bias_index"),
     ], ids=["family", "adaptivity", "hidden widths", "bias feature"])
-    def test_a_partition_holds_models_of_one_layout(self, tmp_path, first, second, field):
+    def test_a_partition_holds_models_of_one_layout(self, first, second, field):
         one, two = Fit(init_params(first, 0), 0.1), Fit(init_params(second, 1), 0.2)
         match = rf"a model of {field} .* in a partition of {field} "
         with pytest.raises(DomainError, match=match):
             Partition(2, PartitionConfig(1, 0.0), one, two)
         with pytest.raises(DomainError, match=match):
             FixedPartition([one, two])
-        # a file whose table holds the second layout in place of the first's
-        # adversarial set
+
+    # a file states one layout, so a layout of other blocks is what a table
+    # entry can differ in; one of another bias feature has the same blocks
+    @pytest.mark.parametrize("first, second", [
+        (Architecture("lr", False, 3, maskable=(0, 1)),
+         Architecture("nn", False, 3, (2,), maskable=(0, 1))),
+        (Architecture("lr", False, 3, maskable=(0, 1)),
+         Architecture("lr", True, 3, maskable=(0, 1))),
+        (Architecture("nn", True, 3, (2,), maskable=(0, 1)),
+         Architecture("nn", True, 3, (2, 2), maskable=(0, 1))),
+    ], ids=["family", "adaptivity", "hidden widths"])
+    def test_a_file_entry_of_another_layouts_blocks_is_a_domain_error(self, tmp_path, first,
+                                                                       second):
+        # the second layout's set in place of the first's adversarial set
         path = tmp_path / "learned.json"
-        save_artifact(Partition(2, PartitionConfig(1, 0.0), one, Fit(init_params(first, 1), 0.2)),
-                      path)
+        one, two = init_params(first, 0), init_params(second, 1)
+        save_artifact(Partition(2, PartitionConfig(1, 0.0), Fit(one, 0.1),
+                                Fit(init_params(first, 1), 0.2)), path)
         obj = json.loads(path.read_text(encoding="utf-8"))
-        obj["params"][1] = params_to_json(two.params)
+        obj["params"][1] = params_to_json(two)
         path.write_text(json.dumps(obj), encoding="utf-8")
-        with pytest.raises(DomainError, match=f"learned.json: {match}"):
+        match = f"{first.family} blocks must be {one.block_names()}, got {two.block_names()}"
+        with pytest.raises(DomainError, match="learned.json: " + re.escape(match)):
             load_artifact(path)
 
 
@@ -676,8 +697,11 @@ class TestGoldenArtifact:
     to the parameter table of format 2 by loading it with the format-1
     reader and saving it again, and to format 3, which drops the tree, the
     patterns, the gaps and the other values the loader derives, by loading
-    it with the format-2 reader and saving it with the format-3 writer;
-    test_artifacts.py checks that every array survived bit for bit."""
+    it with the format-2 reader and saving it with the format-3 writer, and
+    to format 4, which states the layout once and each block as its bytes
+    alone, by loading it with the format-3 reader and saving it with the
+    format-4 writer; test_artifacts.py checks that every array survived bit
+    for bit."""
 
     def test_load_then_save_reproduces_the_bytes(self, tmp_path):
         save_artifact(load_artifact(GOLDEN), tmp_path / "again.json")
