@@ -32,6 +32,10 @@ from .missingness import MissingPattern, _masked
 from .models import LR, Architecture, ModelParams, _adaptation, _nn_forward
 from .training import TrainConfig, TrainResult, run_training_loop
 
+# The most elements a temporary of the linear scorer may hold (8 MB of
+# float64): it scores a stack of patterns in chunks of rows that fit.
+_SCORE_ELEMENTS = 1 << 20
+
 
 @dataclass(frozen=True)
 class AdvSearchScope:
@@ -101,9 +105,13 @@ class SplitScorer:
         to the k full-data mean squared errors, checking the stack once.
 
         A linear model scores the stack in closed form (see the module
-        docstring). Every row is reduced in the same order whatever the stack
-        size (_row_sums), so a pattern that leaves v unchanged scores exactly
-        what the incumbent did and the >= acceptance test keeps it. A network
+        docstring), in consecutive chunks of rows whose temporaries hold at
+        most _SCORE_ELEMENTS elements each (one row may hold more beyond
+        1,024 features), so memory grows with the width squared, not cubed,
+        whatever the stack size. Every row is reduced in the same order
+        whatever the stack or chunk size (_row_sums), so chunking changes no
+        bit, and a pattern that leaves v unchanged scores exactly what the
+        incumbent did and the >= acceptance test keeps it. A network
         scores row by row: it masks X into the input buffer and runs
         _nn_forward into the layer buffers. Those are the operations of
         mse_loss in its order, so each loss is mse_loss's bit for bit, but
@@ -129,14 +137,20 @@ class SplitScorer:
             return score
         gram, xty, yty = self.gram, self.xty, self.yty
         w = params.arrays["w"]
+        # a row's temporaries hold p * |P| and p * p elements, and |P| < p
+        rows = max(1, _SCORE_ELEMENTS // arch.input_dim**2)
 
         def score(stack: np.ndarray) -> np.ndarray:
             stack = MissingPattern.bits_of(stack, arch.input_dim, arch.maskable, ndim=2)
-            a = _adaptation(arch, stack)
-            v = w if a is None else w + _row_sums(a[:, None, :] * params.arrays["D"])
-            v = _masked(v, stack)
-            quad = _row_sums((v[:, :, None] * v[:, None, :] * gram).reshape(len(v), -1))
-            return quad - 2.0 * _row_sums(v * xty) + yty
+            losses = np.empty(len(stack))
+            for start in range(0, len(stack), rows):
+                chunk = stack[start : start + rows]
+                a = _adaptation(arch, chunk)
+                v = w if a is None else w + _row_sums(a[:, None, :] * params.arrays["D"])
+                v = _masked(v, chunk)
+                quad = _row_sums((v[:, :, None] * v[:, None, :] * gram).reshape(len(v), -1))
+                losses[start : start + rows] = quad - 2.0 * _row_sums(v * xty) + yty
+            return losses
 
         return score
 

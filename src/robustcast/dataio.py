@@ -258,6 +258,11 @@ def gen_synthetic(cfg: SynthConfig) -> RawSeries:
         z_0 = noise_std * L u_0
         z_t = ar_coefficient * z_{t-1} + noise_std * L u_t
 
+    Each plant's recursion runs over Python floats from z_{-1} = 0: the same
+    IEEE multiply, then add, in the same order as a loop over periods of
+    whole (S,) vectors, so z equals that loop's bit for bit at a fraction of
+    its per-period overhead.
+
     Values are logistic(z + obs_noise_std * e_t) with e_t iid standard normal
     (drawn after all u); the weather column is the trailing mean of plant 0
     over WEATHER_WINDOW periods ending WEATHER_LAG periods before each row.
@@ -276,10 +281,14 @@ def gen_synthetic(cfg: SynthConfig) -> RawSeries:
     u = rng.standard_normal((t_periods, s))
     innov = cfg.noise_std * (u @ chol.T)
     z = np.empty((t_periods, s), dtype=np.float64)
-    prev = np.zeros(s)
-    for t in range(t_periods):
-        prev = cfg.ar_coefficient * prev + innov[t]
-        z[t] = prev
+    ar = cfg.ar_coefficient
+    for j in range(s):
+        path = innov[:, j].copy()
+        view, prev = memoryview(path), 0.0  # Python floats in, raw doubles back
+        for t, e in enumerate(view):
+            prev = ar * prev + e
+            view[t] = prev
+        z[:, j] = path
     if cfg.obs_noise_std > 0.0:
         z = z + cfg.obs_noise_std * rng.standard_normal((t_periods, s))
     values = 1.0 / (1.0 + np.exp(-z))

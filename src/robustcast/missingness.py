@@ -143,24 +143,26 @@ def simulate_markov(cfg: MissingnessConfig, n_periods: int, n_plants: int) -> Ob
     a_t = b_t it is reset to a_t whatever came before; elsewhere it keeps its
     value (a_t = 0, b_t = 1) or flips (a_t = 1, b_t = 0, only when
     p01 > p11). Its state is the value at the last reset XOR the parity of
-    the flips since then. DomainError for a negative size.
+    the flips since then. Each plant's mask is built as a run fill: the
+    resets cut the periods into runs, each reset's value XOR the flip parity
+    so far is repeated over its run, and XORing the parity again leaves the
+    flips since the reset. Boolean operations and gathers only, so the mask
+    equals the per-period chain exactly. DomainError for a negative size.
     """
     for name, size in (("n_periods", n_periods), ("n_plants", n_plants)):
         if size < 0:
             raise DomainError(f"{name} must be >= 0, got {size}")
-    u = np.empty((n_periods, n_plants), dtype=np.float64)
+    mask = np.empty((n_periods, n_plants), dtype=np.uint8)
     for s in range(n_plants):
-        u[:, s] = np.random.default_rng(derive_seed(cfg.seed, "plant", s)).random(n_periods)
-    a = u < cfg.p01
-    b = u < cfg.p11
-    a[:1] = b[:1] = False  # period 0: a reset to 0
-    flips = np.bitwise_xor.accumulate(a & ~b, axis=0)  # parity of the flips so far
-    last_reset = np.maximum.accumulate(
-        np.where(a == b, np.arange(n_periods)[:, None], 0), axis=0
-    )
-    # flips since the last reset = flips so far XOR flips up to that reset
-    state = np.take_along_axis(a ^ flips, last_reset, axis=0) ^ flips
-    return ObsMaskSeries(mask=state.view(np.uint8))
+        u = np.random.default_rng(derive_seed(cfg.seed, "plant", s)).random(n_periods)
+        a = u < cfg.p01
+        b = u < cfg.p11
+        a[:1] = b[:1] = False  # period 0: a reset to 0
+        flips = np.bitwise_xor.accumulate(a & ~b)  # parity of the flips so far
+        resets = np.flatnonzero(a == b)
+        runs = np.diff(resets, append=n_periods)
+        mask[:, s] = np.repeat(a[resets] ^ flips[resets], runs) ^ flips
+    return ObsMaskSeries(mask=mask)
 
 
 def expand_obs_mask(mask: ObsMaskSeries, ds: Dataset) -> np.ndarray:
@@ -197,16 +199,21 @@ def _masked(X: np.ndarray, bits: np.ndarray, out: np.ndarray | None = None) -> n
 
 def impute_persistence(values: np.ndarray, mask: ObsMaskSeries) -> np.ndarray:
     """Replace each masked entry with the most recent available value of the
-    same plant; leading gaps fall back to 0.0 on the normalized scale."""
+    same plant; leading gaps fall back to 0.0 on the normalized scale.
+
+    Each plant's column is a run fill: every available value is repeated
+    over its run up to the next available period, after a run of zeros
+    before the plant's first one. Gathers only, so each entry holds the
+    bits of the value it copies (or +0.0)."""
     values = np.asarray(values, dtype=np.float64)
     if values.shape != mask.mask.shape:
         raise DomainError("values and mask shapes disagree")
     t_periods = values.shape[0]
-    available = mask.mask == 0
-    idx = np.where(available, np.arange(t_periods)[:, None], -1)
-    idx = np.maximum.accumulate(idx, axis=0)
-    plant = np.broadcast_to(np.arange(values.shape[1]), values.shape)
-    filled = np.where(idx >= 0, values[np.maximum(idx, 0), plant], 0.0)
+    filled = np.empty(values.shape, dtype=np.float64)
+    for s in range(values.shape[1]):
+        starts = np.flatnonzero(mask.mask[:, s] == 0)
+        runs = np.diff(starts, prepend=0, append=t_periods)
+        filled[:, s] = np.repeat(np.concatenate(([0.0], values[starts, s])), runs)
     return filled
 
 

@@ -3,11 +3,12 @@ patience-based early stopping, returning the best-on-validation parameters.
 The model trained is named by one models.Architecture, which train_nominal
 takes alone and checks against the data. A run updates one flat vector in
 place (the blocks in block_names() order, with two Adam moment vectors of
-its length); its ModelParams are views of it. The run's StepBuffers, made
-once with its weight decay, carry what every step's loss_and_grad reads:
-each epoch's training pattern is bound to them once (StepBuffers.bind checks
-and expands it) and serves every mini-batch of the epoch, and each step
-writes its gradient into their flat vector, which adam_step reads as it is.
+its length and two scratch vectors every step overwrites); its ModelParams
+are views of it. The run's StepBuffers, made once with its weight decay,
+carry what every step's loss_and_grad reads: each epoch's training pattern
+is bound to them once (StepBuffers.bind checks and expands it) and serves
+every mini-batch of the epoch, and each step writes its gradient into their
+flat vector, which adam_step reads as it is.
 
 The same loop also powers adversarial training (the adversarial module swaps
 in a different pattern picker per epoch), which keeps the two code paths
@@ -69,17 +70,23 @@ def adam_step(
     v: np.ndarray,
     t: int,
     learning_rate: float,
+    scratch: tuple[np.ndarray, np.ndarray],
 ) -> None:
     """Standard bias-corrected Adam update number t (from 1), in place on the
     parameter vector theta and its moments m and v. g is the gradient laid
-    out as theta is: the blocks concatenated in block_names() order."""
+    out as theta is: the blocks concatenated in block_names() order. scratch
+    is two float64 vectors of theta's length that the step overwrites: the
+    textbook update's elementwise operations, in its order, write there
+    instead of into fresh temporaries, so the result is the same bits."""
+    a, b = scratch
     m *= ADAM_BETA1
-    m += (1.0 - ADAM_BETA1) * g
+    m += np.multiply(1.0 - ADAM_BETA1, g, a)
     v *= ADAM_BETA2
-    v += (1.0 - ADAM_BETA2) * g * g
-    m_hat = m / (1.0 - ADAM_BETA1**t)
-    v_hat = v / (1.0 - ADAM_BETA2**t)
-    theta -= learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    v += np.multiply(np.multiply(1.0 - ADAM_BETA2, g, a), g, a)
+    m_hat = np.divide(m, 1.0 - ADAM_BETA1**t, a)
+    v_hat = np.divide(v, 1.0 - ADAM_BETA2**t, b)
+    denom = np.add(np.sqrt(v_hat, b), ADAM_EPS, b)
+    theta -= np.divide(np.multiply(learning_rate, m_hat, a), denom, a)
 
 
 @dataclass
@@ -123,6 +130,7 @@ def run_training_loop(
     params = params0.from_vector(theta)
     work = StepBuffers(params, min(cfg.batch_size, train.n), cfg.weight_decay)
     m, v = np.zeros_like(theta), np.zeros_like(theta)
+    scratch = (np.empty_like(theta), np.empty_like(theta))
     best_theta = theta.copy()
     best_loss = np.inf
     best_iter = -1
@@ -143,7 +151,7 @@ def run_training_loop(
             if not math.isfinite(loss):
                 raise NumericalError(f"training loss is {loss} at iteration {k}")
             step += 1
-            adam_step(theta, work.grad, m, v, step, cfg.learning_rate)
+            adam_step(theta, work.grad, m, v, step, cfg.learning_rate, scratch)
         alpha_val = pick_val_pattern(params)
         val_loss = mse_loss(params, val.X, val.y, alpha_val)
         if not math.isfinite(val_loss):

@@ -6,9 +6,12 @@ Each checkout runs `train`, `evaluate` and `report` on the three
 perfbench/workloads/*.json at seeds 1-3 with --jobs 1 and --jobs 2 (given
 to train and evaluate, the commands that take it), on
 configs/paper-synthetic.json at seed 1 with --jobs 2, and on a small plain
-run of all seven methods at seed 1 with --jobs 2 (60 commands); and it runs
+run of all seven methods at seed 1 with --jobs 2 (60 commands); it runs
 `train` alone on one small run without a grid block per partition.mode at
-seed 1 with --jobs 2 (3 commands; `evaluate` needs a grid block). The
+seed 1 with --jobs 2 (3 commands; `evaluate` needs a grid block); and it
+runs `synth`, which writes the generated series as it is, on the three
+workloads at seeds 1-3 and on configs/paper-synthetic.json at seed 1 (10
+commands). The
 small runs' configs (GENERATED) are written by this script, so both
 checkouts run the same files. A checkout runs its own src/robustcast, with
 one BLAS thread, in a fresh temporary directory that holds copies of its
@@ -66,13 +69,17 @@ GENERATED = {
 }
 
 
-def runs() -> list[tuple[str, str, int, int]]:
+def runs() -> list[tuple[str, str, int, int | None]]:
     """(config path relative to a checkout or, for GENERATED, to a work
-    directory, run name, seed, jobs) of each run."""
+    directory, run name, seed, jobs) of each run; jobs is None for a `synth`
+    run, as synth takes no --jobs."""
     found = [(f"perfbench/workloads/{name}.json", f"{name}-s{seed}-j{jobs}", seed, jobs)
              for name in WORKLOADS for seed in (1, 2, 3) for jobs in (1, 2)]
     found += [("configs/paper-synthetic.json", "paper-synthetic-s1-j2", 1, 2)]
-    return found + [(config, f"{Path(config).stem}-s1-j2", 1, 2) for config in GENERATED]
+    found += [(config, f"{Path(config).stem}-s1-j2", 1, 2) for config in GENERATED]
+    found += [(f"perfbench/workloads/{name}.json", f"{name}-s{seed}-synth", seed, None)
+              for name in WORKLOADS for seed in (1, 2, 3)]
+    return found + [("configs/paper-synthetic.json", "paper-synthetic-s1-synth", 1, None)]
 
 
 def run_checkout(checkout: Path, work: Path) -> dict[str, bytes]:
@@ -88,9 +95,14 @@ def run_checkout(checkout: Path, work: Path) -> dict[str, bytes]:
         else:
             shutil.copyfile(checkout / config, work / config)
         out = f"runs/{name}"
-        has_grid = "grid" in json.loads((work / config).read_text(encoding="utf-8"))
-        for command in ("train", "evaluate", "report") if has_grid else ("train",):
-            jobs_flag = [] if command == "report" else ["--jobs", str(jobs)]
+        if jobs is None:
+            commands = ("synth",)
+        elif "grid" in json.loads((work / config).read_text(encoding="utf-8")):
+            commands = ("train", "evaluate", "report")
+        else:
+            commands = ("train",)
+        for command in commands:
+            jobs_flag = ["--jobs", str(jobs)] if command in ("train", "evaluate") else []
             argv = [sys.executable, "-m", "robustcast", command, "--config", config,
                     "--seed", str(seed), *jobs_flag, "--out", out]
             done = subprocess.run(argv, cwd=work, env=env, capture_output=True)

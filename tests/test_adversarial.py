@@ -1,10 +1,12 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from robustcast import adversarial
 from robustcast.adversarial import (
     AdvSearchScope,
     SplitScorer,
@@ -270,6 +272,43 @@ class TestRoundScorer:
             for i in range(len(stack)):
                 assert score(stack[i : i + 1])[0] == whole[i]
                 assert score(stack[i:])[0] == whole[i]
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_chunks_of_rows_score_what_one_chunk_does(self, monkeypatch, rows, adaptive):
+        rng = np.random.default_rng(rows + 2 * adaptive)
+        p, maskable = 9, tuple(range(8))
+        params = init_params(Architecture("lr", adaptive, p, maskable=maskable), seed=0)
+        params.arrays["w"] = rng.normal(0.0, 1.0, p)
+        if adaptive:
+            params.arrays["D"] = rng.normal(0.0, 1.0, params.arrays["D"].shape)
+        X = rng.normal(0.0, 1.0, (40, p)) * 10.0 ** rng.uniform(0.0, 3.0, p)
+        y = rng.normal(0.0, 1.0, 40)
+        stack = np.zeros((10, p), dtype=np.uint8)
+        stack[:, :8] = rng.uniform(size=(10, 8)) < 0.4
+        whole = pattern_losses(X, y, params)(stack)
+        monkeypatch.setattr(adversarial, "_SCORE_ELEMENTS", rows * p * p)
+        assert pattern_losses(X, y, params)(stack).tobytes() == whole.tobytes()
+
+    def test_a_wide_stack_is_scored_in_bounded_memory(self):
+        # 100 candidates over 401 features: one chunk would hold (100, 401,
+        # 401) float64 temporaries of 129 MB each
+        rng = np.random.default_rng(4)
+        p = 401
+        arch = Architecture("lr", True, p, bias_index=p - 1, maskable=tuple(range(p - 1)))
+        params = init_params(arch, seed=0)
+        params.arrays["D"] = rng.normal(0.0, 1.0, params.arrays["D"].shape)
+        score = pattern_losses(rng.normal(size=(60, p)), rng.normal(size=60), params)
+        stack = np.zeros((100, p), dtype=np.uint8)
+        stack[np.arange(100), np.arange(100)] = 1
+        tracemalloc.start()
+        try:
+            losses = score(stack)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(losses).all()
+        assert peak < 4 * 8 * adversarial._SCORE_ELEMENTS
 
     def test_base_outside_maskable_raises_even_without_a_round(self):
         params = lr_params([1.0, 1.0, 1.0], maskable=(0, 1))

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from robustcast.dataio import (
@@ -124,7 +124,54 @@ def weather_loop(values):
     return weather
 
 
+def synthetic_loop(cfg):
+    """values and weather as gen_synthetic computed them before its AR(1)
+    recursion ran per plant over Python floats: one step of whole (S,)
+    vectors per period. Kept as its oracle."""
+    corr = np.full((cfg.n_plants, cfg.n_plants), cfg.cross_plant_correlation)
+    np.fill_diagonal(corr, 1.0)
+    chol = np.linalg.cholesky(corr)
+    rng = np.random.default_rng(cfg.seed)
+    innov = cfg.noise_std * (rng.standard_normal((cfg.n_periods, cfg.n_plants)) @ chol.T)
+    z = np.empty((cfg.n_periods, cfg.n_plants))
+    prev = np.zeros(cfg.n_plants)
+    for t in range(cfg.n_periods):
+        prev = cfg.ar_coefficient * prev + innov[t]
+        z[t] = prev
+    if cfg.obs_noise_std > 0.0:
+        z = z + cfg.obs_noise_std * rng.standard_normal((cfg.n_periods, cfg.n_plants))
+    values = 1.0 / (1.0 + np.exp(-z))
+    return values, weather_loop(values)
+
+
+@st.composite
+def recursion_configs(draw):
+    """Configs at the recursion's edges: no memory or almost a unit root,
+    no innovation noise, one period, with and without measurement noise."""
+    return SynthConfig(
+        n_plants=draw(st.integers(1, 4)),
+        n_periods=draw(st.one_of(st.just(1), st.integers(1, 300))),
+        ar_coefficient=draw(st.one_of(st.sampled_from([0.0, float(np.nextafter(1.0, 0.0))]),
+                                      st.floats(0.0, 0.999))),
+        cross_plant_correlation=draw(st.floats(0.0, 0.999)),
+        noise_std=draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0))),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        obs_noise_std=draw(st.one_of(st.just(0.0), st.floats(0.01, 1.0))),
+    )
+
+
 class TestGenSynthetic:
+    @settings(max_examples=150, deadline=None)
+    @given(cfg=recursion_configs())
+    @example(cfg=SynthConfig(3, 1, 0.5, 0.2, 0.3, seed=1, obs_noise_std=0.1))
+    @example(cfg=SynthConfig(2, 50, 0.0, 0.9, 0.0, seed=2))
+    @example(cfg=SynthConfig(4, 8003, 0.97, 0.6, 0.5, seed=1, obs_noise_std=0.05))  # workload size
+    def test_per_plant_recursion_equals_the_per_period_vector_loop(self, cfg):
+        raw = gen_synthetic(cfg)
+        values, weather = synthetic_loop(cfg)
+        assert raw.values.tobytes() == values.tobytes()
+        assert raw.weather.tobytes() == weather.tobytes()
+
     @settings(max_examples=150, deadline=None)
     @given(cfg=synth_configs())
     def test_weather_equals_per_period_mean(self, cfg):

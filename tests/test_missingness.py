@@ -52,6 +52,8 @@ class TestSimulateMarkov:
     )
     @example(p01=0.9, p11=0.1, n_periods=400, n_plants=3, seed=0)  # flips happen
     @example(p01=1.0, p11=0.0, n_periods=7, n_plants=2, seed=1)  # flips every period
+    @example(p01=0.3, p11=1.0, n_periods=1, n_plants=2, seed=2)  # one period: only the reset
+    @example(p01=0.0, p11=0.4, n_periods=1, n_plants=3, seed=3)
     def test_scan_equals_per_period_loop(self, p01, p11, n_periods, n_plants, seed):
         cfg = MissingnessConfig(p01, p11, seed=seed)
         got = simulate_markov(cfg, n_periods, n_plants).mask
@@ -199,7 +201,34 @@ class TestMasked:
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+def persistence_loop(values, mask):
+    """The per-period forward fill that the run fill in impute_persistence
+    replaced, kept as its oracle."""
+    filled = np.zeros(values.shape)
+    for s in range(values.shape[1]):
+        last = 0.0
+        for t in range(values.shape[0]):
+            if mask[t, s] == 0:
+                last = values[t, s]
+            filled[t, s] = last
+    return filled
+
+
 class TestImputation:
+    @settings(max_examples=150, deadline=None)
+    @given(hnp.arrays(np.uint8, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=60),
+                      elements=st.integers(0, 1)))
+    @example(np.zeros((0, 3), dtype=np.uint8))  # no periods
+    @example(np.zeros((5, 0), dtype=np.uint8))  # no plants
+    # a plant never available, one with a leading gap, one available at 0
+    @example(np.array([[1, 1, 0], [1, 0, 0], [1, 1, 1], [1, 0, 1], [1, 1, 0]], dtype=np.uint8))
+    def test_run_fill_equals_per_period_forward_fill(self, mask):
+        values = np.random.default_rng(mask.size).uniform(0, 1, mask.shape)
+        got = impute_persistence(values, ObsMaskSeries(mask=mask))
+        want = persistence_loop(values, mask)
+        # bytes, so each gap holds the bits it copies and a leading gap +0.0
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_persistence_forward_fill(self):
         values = np.array([[0.5], [0.9], [0.9], [0.7]])
         mask = ObsMaskSeries(mask=np.array([[0], [1], [1], [0]], dtype=np.uint8))

@@ -65,7 +65,7 @@ class TestAdamStep:
 
     def test_zero_gradient_keeps_params(self):
         theta, m, v = self.make()
-        adam_step(theta, np.zeros(3), m, v, 1, 0.1)
+        adam_step(theta, np.zeros(3), m, v, 1, 0.1, (np.empty(3), np.empty(3)))
         np.testing.assert_array_equal(theta, self.make()[0])
 
     def test_first_step_is_signed_learning_rate(self):
@@ -73,16 +73,16 @@ class TestAdamStep:
         # up to eps, for any |g| >= 1e-3.
         for g in (1e-3, -0.5, 2.0, -1e-3):
             theta, m, v = self.make()
-            adam_step(theta, np.array([g, 0.0, 0.0]), m, v, 1, 0.01)
+            adam_step(theta, np.array([g, 0.0, 0.0]), m, v, 1, 0.01, (np.empty(3), np.empty(3)))
             delta = theta[0] - self.make()[0][0]
             assert abs(delta - (-0.01 * np.sign(g))) < 1e-6
 
     def test_update_is_deterministic(self):
         g = np.array([0.3, -0.1, 0.2])
         a, m, v = self.make()
-        adam_step(a, g, m, v, 1, 0.05)
+        adam_step(a, g, m, v, 1, 0.05, (np.empty(3), np.empty(3)))
         b, m2, v2 = self.make()
-        adam_step(b, g, m2, v2, 1, 0.05)
+        adam_step(b, g, m2, v2, 1, 0.05, (np.empty(3), np.empty(3)))
         np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("family, hidden", [("lr", ()), ("nn", (3, 4))])
@@ -97,14 +97,35 @@ class TestAdamStep:
         ref_v = {k: np.zeros_like(a) for k, a in params.arrays.items()}
         theta = params.to_vector()
         m, v = np.zeros_like(theta), np.zeros_like(theta)
+        scratch = (np.empty_like(theta), np.empty_like(theta))
         for t in range(1, 31):
             scale = 10.0 ** rng.uniform(-4, 1)
             grads = {k: scale * rng.normal(size=params.arrays[k].shape) for k in names}
             ref, ref_m, ref_v = reference_adam_step(ref, grads, ref_m, ref_v, t, 0.01)
-            adam_step(theta, np.concatenate([grads[k].ravel() for k in names]), m, v, t, 0.01)
+            g = np.concatenate([grads[k].ravel() for k in names])
+            adam_step(theta, g, m, v, t, 0.01, scratch)
             assert np.array_equal(theta, ref.to_vector())
             assert np.array_equal(m, np.concatenate([ref_m[k].ravel() for k in names]))
             assert np.array_equal(v, np.concatenate([ref_v[k].ravel() for k in names]))
+
+    @pytest.mark.parametrize("n", [1, 15, 182, 11_000])
+    def test_step_through_scratch_is_the_reference_bit_for_bit(self, n):
+        # random moments and steps far apart: each step must be the same 14
+        # roundings as the textbook update, whatever the state and t
+        rng = np.random.default_rng(n)
+        params = init_params(Architecture("lr", False, n), seed=0)
+        params = params.from_vector(rng.normal(size=n))
+        theta = params.to_vector()
+        m, v = rng.normal(size=n), rng.exponential(size=n)
+        ref, ref_m, ref_v = params, {"w": m.copy()}, {"w": v.copy()}
+        scratch = (np.full(n, np.nan), np.full(n, np.nan))
+        for t in (1, 2, 7, 150, 4_000):
+            g = 10.0 ** rng.uniform(-6, 2) * rng.normal(size=n)
+            ref, ref_m, ref_v = reference_adam_step(ref, {"w": g}, ref_m, ref_v, t, 0.003)
+            adam_step(theta, g, m, v, t, 0.003, scratch)
+            assert theta.tobytes() == ref.arrays["w"].tobytes()
+            assert m.tobytes() == ref_m["w"].tobytes()
+            assert v.tobytes() == ref_v["w"].tobytes()
 
 
 class TestTrainNominal:
@@ -278,6 +299,7 @@ def reference_run_training_loop(train, val, params0, cfg, pick_train_pattern, pi
     params = params0.from_vector(theta)
     names = params.block_names()
     m, v = np.zeros_like(theta), np.zeros_like(theta)
+    scratch = (np.empty_like(theta), np.empty_like(theta))
     best_theta = theta.copy()
     best_loss = np.inf
     best_iter = -1
@@ -300,7 +322,7 @@ def reference_run_training_loop(train, val, params0, cfg, pick_train_pattern, pi
                 raise NumericalError(f"training loss is {loss} at iteration {k}")
             n_steps += 1
             g = np.concatenate([grads[name].ravel() for name in names])
-            adam_step(theta, g, m, v, n_steps, cfg.learning_rate)
+            adam_step(theta, g, m, v, n_steps, cfg.learning_rate, scratch)
         alpha_val = pick_val_pattern(params)
         val_loss = mse_loss(params, val.X, val.y, alpha_val)
         if not math.isfinite(val_loss):
