@@ -28,7 +28,6 @@ from .exceptions import (
 from .missingness import (
     MissingnessConfig,
     MissingPattern,
-    ObsMaskSeries,
     expand_obs_mask,
     impute_mean,
     impute_persistence,

@@ -14,7 +14,6 @@ from .exceptions import ConfigError, DomainError
 __all__ = [
     "MissingPattern",
     "MissingnessConfig",
-    "ObsMaskSeries",
     "simulate_markov",
     "expand_obs_mask",
     "impute_persistence",
@@ -123,18 +122,9 @@ class MissingnessConfig:
             )
 
 
-@dataclass(frozen=True)
-class ObsMaskSeries:
-    """Plant-level availability mask, one row per period; 1 = measurement missing."""
-
-    mask: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "mask", MissingPattern.bits_of(self.mask, None, ndim=2))
-
-
-def simulate_markov(cfg: MissingnessConfig, n_periods: int, n_plants: int) -> ObsMaskSeries:
-    """Simulate one independent availability chain per plant.
+def simulate_markov(cfg: MissingnessConfig, n_periods: int, n_plants: int) -> np.ndarray:
+    """Simulate one independent availability chain per plant: the plant-level
+    mask, a (n_periods, n_plants) uint8 bit matrix, 1 = measurement missing.
 
     Every chain starts available at period 0, and plant s draws its uniforms
     u from its own seed-derived stream. A chain moves to 1 at period t iff
@@ -162,23 +152,25 @@ def simulate_markov(cfg: MissingnessConfig, n_periods: int, n_plants: int) -> Ob
         resets = np.flatnonzero(a == b)
         runs = np.diff(resets, append=n_periods)
         mask[:, s] = np.repeat(a[resets] ^ flips[resets], runs) ^ flips
-    return ObsMaskSeries(mask=mask)
+    return mask
 
 
-def expand_obs_mask(mask: ObsMaskSeries, ds: Dataset) -> np.ndarray:
-    """Translate plant-level missingness into per-row feature patterns,
-    returned as an (n, p) uint8 bit matrix with one pattern per row.
+def expand_obs_mask(mask: np.ndarray, ds: Dataset) -> np.ndarray:
+    """Translate a plant-level mask (simulate_markov's bit matrix, which
+    passes the pattern gate first) into per-row feature patterns, returned
+    as an (n, p) uint8 bit matrix with one pattern per row.
 
     The measurement columns are the mask's lagged values (dataio's column
     layout): the feature (plant s, lag k) of a row at period t is missing
     iff the plant-s measurement was missing at period t - k. Weather and
     bias are never missing.
     """
+    mask = MissingPattern.bits_of(mask, None, ndim=2)
     obs = ds.obs_periods
     # a negative period would wrap to the end of the mask silently
-    if obs.size and (obs.min() - ds.max_lag < 0 or obs.max() >= mask.mask.shape[0]):
+    if obs.size and (obs.min() - ds.max_lag < 0 or obs.max() >= mask.shape[0]):
         raise DomainError("observation period out of the mask's range")
-    lagged = lagged_values(mask.mask, obs, ds.max_lag)
+    lagged = lagged_values(mask, obs, ds.max_lag)
     bits = np.zeros((ds.n, ds.p), dtype=np.uint8)
     bits[:, : lagged.shape[1]] = lagged
     return bits
@@ -197,21 +189,23 @@ def _masked(X: np.ndarray, bits: np.ndarray, out: np.ndarray | None = None) -> n
     return np.bitwise_and(X.view(np.int64), keep, out=out.view(np.int64)).view(np.float64)
 
 
-def impute_persistence(values: np.ndarray, mask: ObsMaskSeries) -> np.ndarray:
-    """Replace each masked entry with the most recent available value of the
-    same plant; leading gaps fall back to 0.0 on the normalized scale.
+def impute_persistence(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Replace each entry a plant-level mask (a bit matrix, which passes the
+    pattern gate first) marks missing with the most recent available value
+    of the same plant; leading gaps fall back to 0.0 on the normalized scale.
 
     Each plant's column is a run fill: every available value is repeated
     over its run up to the next available period, after a run of zeros
     before the plant's first one. Gathers only, so each entry holds the
     bits of the value it copies (or +0.0)."""
     values = np.asarray(values, dtype=np.float64)
-    if values.shape != mask.mask.shape:
+    mask = MissingPattern.bits_of(mask, None, ndim=2)
+    if values.shape != mask.shape:
         raise DomainError("values and mask shapes disagree")
     t_periods = values.shape[0]
     filled = np.empty(values.shape, dtype=np.float64)
     for s in range(values.shape[1]):
-        starts = np.flatnonzero(mask.mask[:, s] == 0)
+        starts = np.flatnonzero(mask[:, s] == 0)
         runs = np.diff(starts, prepend=0, append=t_periods)
         filled[:, s] = np.repeat(np.concatenate(([0.0], values[starts, s])), runs)
     return filled

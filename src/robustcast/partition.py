@@ -12,14 +12,15 @@ partition is stored as the root's two fits and its splits in growth order:
 split k names the leaf it splits and the feature, and holds the missing
 child's optimistic fit and the available child's adversarial fit (or none,
 when that child kept its leaf's). It creates subsets 2k - 1 (available) and
-2k (missing). The subsets, routing, the leaf list, each subset's equality
-constraints and the lineage a file records are derived from them.
+2k (missing). The subsets, routing, the leaf list and each subset's equality
+constraints are derived from them.
 
 The uncertainty set is every pattern over the maskable features of a
 models.Architecture with at most `budget` missing: both trainers take the
 two, and a partition holds the budget and models of one layout, its `arch`.
-A file states that layout once, as its `layout`, and every set of its
-parameter table is read at it: a loaded file's sets share one Architecture.
+A file states that layout once, as its `layout`, and its parameter table
+holds the fits the artifact trained, each once, in order (param_sets), all
+read at that layout: a loaded file's sets share one Architecture.
 """
 from __future__ import annotations
 
@@ -48,7 +49,7 @@ from .models import (
 from .training import TrainConfig, train_nominal
 
 RELGAP_FLOOR = 1e-12
-ARTIFACT_FORMAT = 4
+ARTIFACT_FORMAT = 5
 
 
 @dataclass(frozen=True)
@@ -447,9 +448,8 @@ def bounds_table(partition: Partition) -> str:
     """Human-readable per-subset bounds in creation order: subset, split
     feature, upper bound, lower bound, relative gap (%)."""
     lines = ["subset,split_feature,UB,LB,relgap_pct"]
-    for sid, s in enumerate(partition.subsets):
-        feature = _lineage(partition, sid)["split_feature"]
-        split = "-" if feature is None else str(feature)
+    for sid, (s, node) in enumerate(zip(partition.subsets, partition._route)):
+        split = "-" if node is None else str(node[0])
         gap = s.relgap * 100.0
         gap_txt = "inf" if gap > 1e8 else f"{gap:.4f}"
         lines.append(f"U{sid},{split},{s.upper_bound:.6e},{s.lower_bound:.6e},{gap_txt}")
@@ -457,81 +457,60 @@ def bounds_table(partition: Partition) -> str:
 
 
 def param_sets(artifact: Partition | FixedPartition | ModelParams) -> list[ModelParams]:
-    """Every parameter set an artifact refers to, repeats included, in the
-    order its file's table first uses them: learned subsets by id, opt
-    before adv; fixed subsets in order; a bare model alone."""
+    """Every fit an artifact trained, once, in the order of its file's table:
+    a learned partition's root opt and adv fits, then each split's opt fit
+    and its adv fit when it trained one; fixed subsets in order; a bare
+    model alone."""
     if isinstance(artifact, Partition):
-        return [p for s in artifact.subsets for p in (s.params_opt, s.params_adv)]
+        fits = [artifact.opt, artifact.adv,
+                *(f for s in artifact.splits for f in (s.opt, s.adv) if f is not None)]
+        return [fit.params for fit in fits]
     if isinstance(artifact, FixedPartition):
         return [s.params for s in artifact.subsets]
     return [artifact]
 
 
-def _param_table(artifact) -> tuple[dict, list[int]]:
-    """A file's `layout`, asdict(artifact.arch), and `params`, each distinct
-    encoded set of `param_sets(artifact)` once, keyed on its encoding so the
-    table depends on the content alone; and each set's table index, in order."""
-    table, index, refs = [], {}, []
-    for params in param_sets(artifact):
-        encoded = params_to_json(params)
-        key = json.dumps(encoded)
-        if key not in index:
-            index[key] = len(table)
-            table.append(encoded)
-        refs.append(index[key])
-    return {"layout": asdict(artifact.arch), "params": table}, refs
+def _table_json(artifact) -> dict:
+    """A file's `layout`, asdict(artifact.arch), and `params`, the encoded
+    sets of `param_sets(artifact)`."""
+    return {"layout": asdict(artifact.arch),
+            "params": [params_to_json(params) for params in param_sets(artifact)]}
 
 
-def _table_from_json(obj: dict) -> list[ModelParams]:
-    """The sets of a file's table, all read at the one layout it states."""
+def _table(obj: dict, fits: int) -> list[ModelParams]:
+    """The sets of a file's table, all read at the one layout it states.
+    DomainError unless it holds `fits` sets, one per fit the rest of the file
+    states; ParseError when it is no list."""
     arch = arch_from_json(obj["layout"])
-    return [params_from_json(p, arch) for p in obj["params"]]
+    table = _checked(obj["params"], (list,), "a file's params")
+    if len(table) != fits:
+        raise DomainError(f"its table holds {len(table)} parameter sets, not the {fits} "
+                          "fits it states")
+    return [params_from_json(p, arch) for p in table]
 
 
-def _params_at(table: list[ModelParams], ref) -> ModelParams:
-    """The set a file's table holds at index `ref`; ParseError for anything
-    but an int in range."""
-    if type(ref) is not int or not 0 <= ref < len(table):
-        raise ParseError(f"parameter reference {ref!r} is no index into a table of {len(table)}")
-    return table[ref]
-
-
-def _lineage(partition: Partition, sid: int) -> dict:
-    """How a file records subset sid's place in the growth: the leaf it was
-    split from, whether it kept that leaf's UB (the missing child 2k does,
-    and the available child 2k - 1 when its split trained no adversarial
-    fit), and its own split feature."""
-    split, node = partition.splits[(sid - 1) // 2] if sid else None, partition._route[sid]
-    return {"parent_id": None if split is None else split.leaf,
-            "ub_inherited": sid > 0 and (sid % 2 == 0 or split.adv is None),
-            "split_feature": None if node is None else node[0]}
-
-
-def _learned_json(partition: Partition, refs: list[int]) -> dict:
-    """A learned file but its parameter table: refs[i] is the table index of
-    the i-th set of `param_sets(partition)`."""
+def _learned_json(partition: Partition) -> dict:
+    """A learned file but its parameter table: the budget, the config and
+    each split's leaf and whether it trained an adv fit, which the file's
+    fits need, and the leaf list and every subset's bounds and split feature,
+    which are derived."""
     return {
         "format": ARTIFACT_FORMAT,
         "kind": "learned",
         "budget": partition.budget,
         "config": asdict(partition.config),
+        "splits": [{"leaf": s.leaf, "adv": s.adv is not None} for s in partition.splits],
         "leaf_ids": partition.leaf_ids,
         "subsets": {
-            str(sid): {
-                "LB": s.lower_bound,
-                "UB": s.upper_bound,
-                **_lineage(partition, sid),
-                "params_opt": refs[2 * sid],
-                "params_adv": refs[2 * sid + 1],
-            }
-            for sid, s in enumerate(partition.subsets)
+            str(sid): {"LB": s.lower_bound, "UB": s.upper_bound,
+                       "split_feature": None if node is None else node[0]}
+            for sid, (s, node) in enumerate(zip(partition.subsets, partition._route))
         },
     }
 
 
 def partition_to_json(partition: Partition) -> dict:
-    stored, refs = _param_table(partition)
-    return {**_learned_json(partition, refs), **stored}
+    return {**_learned_json(partition), **_table_json(partition)}
 
 
 def _checked(value, types: tuple, what: str):
@@ -548,54 +527,51 @@ def _checked(value, types: tuple, what: str):
 
 def partition_from_json(obj: dict) -> Partition:
     """The partition a learned file describes, rebuilt from its budget, its
-    config and what its root fits and splits need: subset 0's params_opt/LB
-    and params_adv/UB; for split k, the leaf it split (subset 2k - 1's
-    parent_id), that leaf's split_feature, subset 2k's params_opt/LB, and
-    subset 2k - 1's params_adv/UB unless its ub_inherited is true. The other
-    stored values are derived (leaf_ids, lineage, inherited bounds and
-    references): DomainError when one disagrees (compared as JSON, so 1 is
-    not true), when Partition refuses the budget or a split, the ids are not
-    0..2k or a number is not finite. ParseError when the subsets are no
+    config, its splits and its table, whose fits' losses are read where the
+    file states them once: the root fits' at subset 0's LB and UB, split
+    k's opt fit's at subset 2k's LB and its adv fit's (when `adv` is true)
+    at subset 2k - 1's UB; split k's feature is its leaf's split_feature.
+    The other stored values are derived (leaf_ids, the other bounds and
+    split features): DomainError when one disagrees (compared as JSON, so 1
+    is not true), when Partition refuses the budget or a split, the ids are
+    not 0..2k for k splits, the table holds another number of sets than
+    the fits, or a number is not finite. ParseError when the subsets are no
     object keyed by decimal ids, an object holds a key the writer never
-    writes, or an entry, the budget or the config holds a value of the wrong
-    JSON type or a bad table reference."""
-    table = _table_from_json(obj)
+    writes, or a split, subset, the budget or the config holds a value of
+    the wrong JSON type."""
+    splits = _checked(obj["splits"], (list,), "a learned file's splits")
+    for k, s in enumerate(splits, 1):
+        only_keys(_checked(s, (dict,), f"split {k}"), ("leaf", "adv"), f"split {k}")
+        _checked(s["leaf"], (int,), f"split {k}'s leaf")
+        _checked(s["adv"], (bool,), f"split {k}'s adv")
     stored = _checked(obj["subsets"], (dict,), "a learned file's subsets")
     if not all(sid.isdecimal() and str(int(sid)) == sid for sid in stored):
         raise ParseError(f"subset ids {list(stored)!r:.80} are not all decimal integers")
-    if sorted(map(int, stored)) != list(range(len(stored))) or len(stored) % 2 == 0:
-        raise DomainError(f"subset ids must be 0..2k for k splits, got {sorted(map(int, stored))}")
-    entries = [stored[str(i)] for i in range(len(stored))]
-    number, index = (int, float), (int, type(None))
+    if sorted(map(int, stored)) != list(range(2 * len(splits) + 1)):
+        raise DomainError(f"subset ids must be 0..{2 * len(splits)} for {len(splits)} splits, "
+                          f"got {sorted(map(int, stored))}")
+    entries = [only_keys(stored[str(i)], ("LB", "UB", "split_feature"), f"subset {i}")
+               for i in range(len(stored))]
     for sid, s in enumerate(entries):
-        for key, types in (("parent_id", index), ("split_feature", index), ("LB", number),
-                           ("UB", number), ("ub_inherited", (bool,))):
+        for key, types in (("split_feature", (int, type(None))), ("LB", (int, float)),
+                           ("UB", (int, float))):
             _checked(s[key], types, f"subset {sid}'s {key}")
-        for key in ("params_opt", "params_adv"):
-            _params_at(table, s[key])
     config = only_keys(obj["config"], [f.name for f in fields(PartitionConfig)], "config")
     _checked(config["max_subsets"], (int,), "config.max_subsets")
     _checked(config["epsilon"], (int, float), "config.epsilon")
 
-    def fit(s: dict, params: str, loss: str) -> Fit:
-        return Fit(_params_at(table, s[params]), s[loss])
-
-    splits = []
-    for k in range(1, len(entries) // 2 + 1):
-        avail, miss = entries[2 * k - 1], entries[2 * k]
-        leaf = avail["parent_id"]
-        feature = entries[leaf]["split_feature"] if leaf in range(2 * k - 1) else None
-        adv = None if avail["ub_inherited"] else fit(avail, "params_adv", "UB")
-        splits.append(Split(leaf, feature, fit(miss, "params_opt", "LB"), adv))
+    table = iter(_table(obj, 2 + sum(1 + s["adv"] for s in splits)))
+    opt, adv = Fit(next(table), entries[0]["LB"]), Fit(next(table), entries[0]["UB"])
+    grown = []
+    for k, s in enumerate(splits, 1):
+        feature = entries[s["leaf"]]["split_feature"] if s["leaf"] in range(2 * k - 1) else None
+        split_opt = Fit(next(table), entries[2 * k]["LB"])
+        split_adv = Fit(next(table), entries[2 * k - 1]["UB"]) if s["adv"] else None
+        grown.append(Split(s["leaf"], feature, split_opt, split_adv))
     part = Partition(_checked(obj["budget"], (int,), "a learned file's budget"),
-                     PartitionConfig(**config),
-                     fit(entries[0], "params_opt", "LB"), fit(entries[0], "params_adv", "UB"),
-                     splits)
-    index = {id(params): i for i, params in enumerate(table)}
-    derived = _learned_json(part, [index[id(params)] for params in param_sets(part)])
+                     PartitionConfig(**config), opt, adv, grown)
+    derived = _learned_json(part)
     only_keys(obj, (*derived, "layout", "params"), "a learned file")
-    for sid, s in enumerate(entries):
-        only_keys(s, derived["subsets"][str(sid)], f"subset {sid}")
     if json.dumps({key: obj[key] for key in derived}, sort_keys=True) \
             != json.dumps(derived, sort_keys=True):
         raise DomainError("a stored value disagrees with what the root fits and splits imply")
@@ -603,44 +579,38 @@ def partition_from_json(obj: dict) -> Partition:
 
 
 def fixed_from_json(obj: dict) -> FixedPartition:
-    """The fixed partition a file describes: subset l is the fit for l
-    missing features, so the budget is one less than the subset count.
-    ParseError unless its subsets are a list whose val_loss values are
-    numbers and it holds no key its writer never writes; DomainError (from
-    FixedPartition) for an empty list."""
-    table = _table_from_json(only_keys(obj, ("format", "kind", "subsets", "layout", "params"),
-                                       "a fixed file"))
-    entries = _checked(obj["subsets"], (list,), "a fixed file's subsets")
-    subsets = [
-        Fit(_params_at(table, only_keys(s, ("val_loss", "params"), f"subset {c}")["params"]),
-            _checked(s["val_loss"], (int, float), f"subset {c}'s val_loss"))
-        for c, s in enumerate(entries)
-    ]
-    return FixedPartition(subsets)
+    """The fixed partition a file describes: params[l] and losses[l] are the
+    fit for l missing features, so the budget is one less than the fit
+    count. ParseError unless its losses are a list of numbers and it holds
+    no key its writer never writes; DomainError when its table holds
+    another number of sets, and (from FixedPartition) for no fits."""
+    only_keys(obj, ("format", "kind", "losses", "layout", "params"), "a fixed file")
+    losses = [_checked(loss, (int, float), f"subset {c}'s loss")
+              for c, loss in enumerate(_checked(obj["losses"], (list,), "a fixed file's losses"))]
+    return FixedPartition([Fit(params, loss)
+                           for params, loss in zip(_table(obj, len(losses)), losses)])
 
 
 def save_artifact(obj: Partition | FixedPartition | ModelParams, path: str | Path) -> None:
     """Serialize a deployable artifact (partition, fixed partition, or a bare
-    model) to JSON: its models' layout and one table of distinct parameter
-    sets, which the rest of the file refers to by index."""
+    model) to JSON: its models' layout and the table of the fits it trained,
+    each once, in order (param_sets), with what the rest of its kind needs."""
     if isinstance(obj, Partition):
         payload = partition_to_json(obj)
+    elif isinstance(obj, FixedPartition):
+        payload = {"format": ARTIFACT_FORMAT, "kind": "fixed",
+                   "losses": [s.loss for s in obj.subsets], **_table_json(obj)}
     else:
-        stored, refs = _param_table(obj)
-        if isinstance(obj, FixedPartition):
-            payload = {"format": ARTIFACT_FORMAT, "kind": "fixed", "subsets": [
-                {"val_loss": s.loss, "params": r} for s, r in zip(obj.subsets, refs)]}
-        else:
-            payload = {"format": ARTIFACT_FORMAT, "kind": "model", "model": refs[0]}
-        payload.update(stored)
+        payload = {"format": ARTIFACT_FORMAT, "kind": "model", **_table_json(obj)}
     Path(path).write_text(json.dumps(payload), encoding="utf-8")
 
 
 def load_artifact(path: str | Path):
     """The artifact saved at `path`. ParseError when the file is not UTF-8 or
     valid JSON, lacks a key or holds one its writer never writes, or holds a
-    block that is no base64 text or a bad table index; DomainError when its
-    format is not the integer 4 or a value, such as its layout, is inadmissible."""
+    block that is no base64 text; DomainError when its format is not the
+    integer 5, its table holds another number of sets than the fits it
+    states, or a value, such as its layout, is inadmissible."""
     try:
         with open_utf8(path) as fh:
             obj = json.load(fh)
@@ -657,8 +627,8 @@ def load_artifact(path: str | Path):
         if kind == "fixed":
             return fixed_from_json(obj)
         if kind == "model":
-            only_keys(obj, ("format", "kind", "model", "layout", "params"), "a model file")
-            return _params_at(_table_from_json(obj), obj["model"])
+            only_keys(obj, ("format", "kind", "layout", "params"), "a model file")
+            return _table(obj, 1)[0]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"artifact {path} is malformed: {exc!r}") from None
     except (ParseError, DomainError) as exc:

@@ -15,16 +15,24 @@ commands). The
 small runs' configs (GENERATED) are written by this script, so both
 checkouts run the same files. A checkout runs its own src/robustcast, with
 one BLAS thread, in a fresh temporary directory that holds copies of its
-configs, so every path the commands see or print is relative. Prints every
-out_dir file and every command output (exit code, stdout, stderr) that
-differs between the two checkouts, with its differing lines, and exits 1 if
-there is any; standard library only. A differing line longer than LONG
-characters, such as an artifact's one line of JSON, is shown as the offset
-of its first differing character and CONTEXT characters around it.
+configs, so every path the commands see or print is relative. Each
+checkout's own load_artifact also reads every out_dir artifact (*.json) and
+writes `digest` of what it returns as one more output,
+`<run>/out/<file>.loaded`: an artifact whose encoding alone changed differs
+in its bytes and not in its digest. The 73 commands give 561 outputs per
+checkout: 219 command outputs, 217 out_dir files (125 of them artifacts)
+and 125 digests. Prints every out_dir file, digest and
+command output (exit code, stdout, stderr) that differs between the two
+checkouts, with its differing lines, and exits 1 if there is any; standard
+library only. A differing line longer than LONG characters, such as an
+artifact's one line of JSON, is shown as the offset of its first differing
+character and CONTEXT characters around it.
 """
 from __future__ import annotations
 
+import dataclasses
 import difflib
+import hashlib
 import json
 import os
 import shutil
@@ -37,6 +45,7 @@ WORKLOADS = ("eval-grid", "lr-pipeline", "nn-train")
 METHODS = ["imp-persistence", "imp-mean", "rf-learned", "arf-learned", "rf-fixed", "arf-fixed",
            "retrain-oracle"]
 LONG, CONTEXT = 200, 60
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def small(**overrides) -> dict:
@@ -88,6 +97,7 @@ def run_checkout(checkout: Path, work: Path) -> dict[str, bytes]:
     env = {**os.environ, "PYTHONPATH": str(checkout.resolve() / "src"),
            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     found: dict[str, bytes] = {}
+    artifacts: dict[str, str] = {}  # the key of each *.json digest, and its path
     for config, name, seed, jobs in runs():
         (work / config).parent.mkdir(parents=True, exist_ok=True)
         if config in GENERATED:
@@ -112,8 +122,70 @@ def run_checkout(checkout: Path, work: Path) -> dict[str, bytes]:
             found[f"{name}/{command}.stderr"] = done.stderr
         for path in sorted((work / out).rglob("*")):
             if path.is_file():
-                found[f"{name}/out/{path.relative_to(work / out)}"] = path.read_bytes()
+                key = f"{name}/out/{path.relative_to(work / out)}"
+                found[key] = path.read_bytes()
+                if path.suffix == ".json":
+                    artifacts[f"{key}.loaded"] = str(path.relative_to(work))
+    code = (f"import sys; sys.path.append({str(ROOT)!r}); "
+            "from tests.compare_outputs import print_digests; print_digests(sys.argv[1:])")
+    done = subprocess.run([sys.executable, "-c", code, *artifacts.values()], cwd=work, env=env,
+                          capture_output=True, check=True)
+    digests = json.loads(done.stdout)
+    found.update({key: digests[path].encode() for key, path in artifacts.items()})
     return found
+
+
+def _sha256(params) -> str:
+    """The sha256 of a parameter set's block names, shapes and bytes."""
+    h = hashlib.sha256()
+    for name, block in params.arrays.items():
+        h.update(f"{name}{block.shape}".encode())
+        h.update(block.tobytes())
+    return h.hexdigest()
+
+
+def digest(artifact) -> str:
+    """What a loaded artifact holds, read from the objects load_artifact
+    returns, not from the file: its kind and layout; a bare model's set; a
+    fixed partition's subsets, each set and loss; a learned partition's
+    budget, config, leaf ids, splits (leaf, feature, whether it trained an
+    adversarial fit) and subsets, each with its bounds and both sets. A set
+    is shown as the sha256 of its blocks (_sha256), a number by its repr."""
+    from robustcast.partition import FixedPartition, Partition
+
+    kind = {Partition: "learned", FixedPartition: "fixed"}.get(type(artifact), "model")
+    lines = [f"kind {kind}", f"layout {json.dumps(dataclasses.asdict(artifact.arch))}"]
+    if kind == "model":
+        lines.append(f"params {_sha256(artifact)}")
+    elif kind == "fixed":
+        lines += [f"subset {c}: loss {s.loss!r} params {_sha256(s.params)}"
+                  for c, s in enumerate(artifact.subsets)]
+    else:
+        lines += [f"budget {artifact.budget}",
+                  f"config {json.dumps(dataclasses.asdict(artifact.config))}",
+                  f"leaf_ids {artifact.leaf_ids}"]
+        lines += [f"split {k}: leaf {s.leaf} feature {s.feature} adv {s.adv is not None}"
+                  for k, s in enumerate(artifact.splits, 1)]
+        lines += [f"subset {sid}: LB {s.lower_bound!r} UB {s.upper_bound!r} "
+                  f"opt {_sha256(s.params_opt)} adv {_sha256(s.params_adv)}"
+                  for sid, s in enumerate(artifact.subsets)]
+    return "\n".join(lines) + "\n"
+
+
+def print_digests(paths: list[str]) -> None:
+    """Print, as one JSON object keyed by path, the digest of the artifact
+    at each path, or the error loading it raises, as this process's
+    robustcast reads it."""
+    from robustcast.exceptions import RobustcastError
+    from robustcast.partition import load_artifact
+
+    found = {}
+    for path in paths:
+        try:
+            found[path] = digest(load_artifact(path))
+        except RobustcastError as exc:
+            found[path] = f"load error {type(exc).__name__}: {exc}\n"
+    print(json.dumps(found))
 
 
 def near_difference(line: str, other: str) -> str:

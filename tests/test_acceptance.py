@@ -33,7 +33,6 @@ from robustcast.partition import (
     fixed_partition,
     learn_partition,
     locate_rows,
-    partition_to_json,
 )
 from robustcast.training import TrainConfig, train_nominal
 from tests.conftest import (
@@ -238,21 +237,20 @@ def test_criterion_4_partition_structure():
         == {row.tobytes() for row in enumerate_patterns(arch3, 3)}
     )
 
-    # (d) bound-inheritance equalities on construction records
+    # (d) bound-inheritance equalities on the growth: split k's available
+    # child, subset 2k - 1, keeps its leaf's LB, and its UB unless the split
+    # trained an adversarial fit no worse than the leaf's; the missing child,
+    # subset 2k, keeps its leaf's UB
     inherit_ok = True
     for part in (part6, part3):
-        records = partition_to_json(part)["subsets"]
-        for sid, subset in records.items():
-            if subset["parent_id"] is None:
-                continue
-            parent = records[str(subset["parent_id"])]
-            # split k's available child, subset 2k - 1, keeps its parent's LB
-            lb_inherited = int(sid) % 2 == 1
-            if lb_inherited:
-                inherit_ok &= subset["LB"] == parent["LB"]
-            if subset["ub_inherited"]:
-                inherit_ok &= subset["UB"] == parent["UB"]
-            inherit_ok &= lb_inherited or subset["ub_inherited"]
+        for k, split in enumerate(part.splits, 1):
+            leaf, avail, miss = (part.subsets[i] for i in (split.leaf, 2 * k - 1, 2 * k))
+            inherit_ok &= avail.lower_bound == leaf.lower_bound
+            inherit_ok &= miss.upper_bound == leaf.upper_bound
+            if split.adv is None:
+                inherit_ok &= avail.upper_bound == leaf.upper_bound
+            else:
+                inherit_ok &= avail.upper_bound == split.adv.loss <= leaf.upper_bound
 
     ok = cover_ok and fixed_ok and recovery_ok and inherit_ok
     report(4, ok, f"cover={cover_ok} fixed={fixed_ok} recovery={recovery_ok} inheritance={inherit_ok}")
@@ -265,11 +263,11 @@ def test_criterion_5_markov_fidelity():
     mask = simulate_markov(cfg, steps, plants)
     worst01 = worst11 = 0.0
     for s in range(plants):
-        col = mask.mask[:, s].astype(int)
+        col = mask[:, s].astype(int)
         prev, cur = col[:-1], col[1:]
         worst01 = max(worst01, abs(cur[prev == 0].mean() - cfg.p01))
         worst11 = max(worst11, abs(cur[prev == 1].mean() - cfg.p11))
-    frac_err = abs(mask.mask.mean() - 2.0 / 3.0)
+    frac_err = abs(mask.mean() - 2.0 / 3.0)
     ok = worst01 < 0.01 and worst11 < 0.01 and frac_err < 0.02
     report(5, ok, f"|d01|={worst01:.4f} |d11|={worst11:.4f} |dfrac|={frac_err:.4f}")
 

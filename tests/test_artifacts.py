@@ -1,6 +1,6 @@
-"""The artifact file format: the models' layout stated once, and one table
-of distinct parameter sets that the rest of the file refers to by index,
-each block stored as the base64 of its little-endian float64 bytes."""
+"""The artifact file format: the models' layout stated once, and a table of
+the fits the artifact trained, each once, in order, each block stored as the
+base64 of its little-endian float64 bytes."""
 import base64
 import json
 import tempfile
@@ -36,10 +36,10 @@ FLOATS = st.one_of(st.sampled_from(SPECIAL), st.floats(width=64))
 def artifacts(draw):
     """A bare model, fixed partition or learned partition (tree depth 0-3)
     of either family, plain or adaptive. Sets are shared, copied, or copied
-    with one value's sign flipped, as well as drawn afresh, so the table has
-    repeats of one object, repeats of one content, and near-repeats to keep
-    apart; a learned child's inherited sets are its parent's objects. All
-    sets of one artifact share its layout."""
+    with one value's sign flipped, as well as drawn afresh, so fits repeat
+    one object, repeat one content, and nearly repeat one another; a learned
+    child's inherited sets are its parent's objects. All sets of one
+    artifact share its layout."""
     family = draw(st.sampled_from(["lr", "nn"]))
     adaptive = draw(st.booleans())
     n_mask = draw(st.integers(0, 3))
@@ -124,18 +124,31 @@ class TestRoundTrip:
 
     @settings(max_examples=120, deadline=None)
     @given(artifacts())
-    def test_the_table_holds_each_distinct_set_once(self, artifact):
+    def test_the_table_holds_each_trained_fit_once_in_order(self, artifact):
+        # equal contents stay apart: only the fits count, not their bytes
+        if isinstance(artifact, Partition):
+            fits = [artifact.opt, artifact.adv]
+            for split in artifact.splits:
+                fits += [split.opt] if split.adv is None else [split.opt, split.adv]
+            sets = [fit.params for fit in fits]
+        elif isinstance(artifact, FixedPartition):
+            sets = [fit.params for fit in artifact.subsets]
+        else:
+            sets = [artifact]
+        assert all(a is b for a, b in zip(param_sets(artifact), sets, strict=True))
         data, _ = saved(artifact)
-        table = [json.dumps(entry) for entry in json.loads(data)["params"]]
-        assert len(set(table)) == len(table)
-        assert len(table) == len({(p.arch, blocks(p)) for p in param_sets(artifact)})
+        assert json.loads(data)["params"] == [
+            {name: array_b64(block) for name, block in params.arrays.items()} for params in sets]
 
     def test_inherited_sets_are_stored_once(self):
-        # the golden tree's 9 subsets refer to 18 sets, 10 of them distinct
+        # the golden tree's root fits and its 4 splits, each of which trained
+        # both fits: its 9 subsets use 18 sets, 10 of them its own
         obj = json.loads(GOLDEN.read_text(encoding="utf-8"))
-        refs = [s[k] for s in obj["subsets"].values() for k in ("params_opt", "params_adv")]
-        assert (len(refs), len(obj["params"])) == (18, 10)
-        assert sorted(set(refs)) == list(range(10))
+        assert [split["adv"] for split in obj["splits"]] == [True] * 4
+        assert (len(obj["subsets"]), len(obj["params"])) == (9, 10)
+        part = load_artifact(GOLDEN)
+        used = [p for s in part.subsets for p in (s.params_opt, s.params_adv)]
+        assert len(used) == 18 and len({id(p) for p in used}) == 10
 
 
 GOLDEN = Path(__file__).parent / "data" / "learned_lr_q5.json"
@@ -149,7 +162,7 @@ class TestFormat:
         part = load_artifact(GOLDEN)
         assert list(range(len(part.subsets))) == sorted(int(sid) for sid in v1["subsets"])
         for sid, subset in v1["subsets"].items():
-            for key in ("params_opt", "params_adv"):
+            for key in ("params_opt", "params_adv"):  # the v1 file's keys
                 expected, loaded = subset[key], getattr(part.subsets[int(sid)], key)
                 assert list(loaded.arrays) == list(expected["arrays"])
                 for name, block in expected["arrays"].items():
@@ -161,17 +174,17 @@ class TestFormat:
         with pytest.raises(DomainError, match="learned_lr_q5_v1.json.*format"):
             load_artifact(GOLDEN_V1)
 
-    # the format must be the integer 4: Python's 4.0 and True equal 4
+    # the format must be the integer 5: Python's 5.0 equals 5
     @pytest.mark.parametrize("kind", ["learned", "fixed", "model"])
     @pytest.mark.parametrize("edit", [
         pytest.param(lambda obj: obj.pop("format"), id="no-format"),
         pytest.param(lambda obj: obj.update(format=1), id="format-1"),
         pytest.param(lambda obj: obj.update(format=2), id="format-2"),
         pytest.param(lambda obj: obj.update(format=3), id="format-3"),
-        pytest.param(lambda obj: obj.update(format=5), id="format-5"),
-        pytest.param(lambda obj: obj.update(format=4.0), id="format-4.0"),
+        pytest.param(lambda obj: obj.update(format=4), id="format-4"),
+        pytest.param(lambda obj: obj.update(format=5.0), id="format-5.0"),
         pytest.param(lambda obj: obj.update(format=True), id="format-true"),
-        pytest.param(lambda obj: obj.update(format="4"), id="format-text"),
+        pytest.param(lambda obj: obj.update(format="5"), id="format-text"),
     ])
     def test_another_format_is_a_domain_error_naming_the_file(self, tmp_path, edit, kind):
         path = tmp_path / "old.json"
@@ -224,7 +237,7 @@ def array_b64(values) -> str:
 
 
 class TestMalformedFile:
-    """Every malformed parameter block or table reference is a ParseError or
+    """Every malformed parameter block, table or split is a ParseError or
     DomainError naming the file, never an exception from deep in predict."""
 
     # nn_model's layout: 3 inputs, hidden widths (4, 2), 2 maskable features
@@ -237,11 +250,13 @@ class TestMalformedFile:
         pytest.param(lambda obj: obj["params"][0].update(b0=[0.0] * 4),
                      ParseError, id="block-a-list"),
         pytest.param(_layout(hidden=[4, -2]), DomainError, id="negative-hidden-width"),
-        pytest.param(lambda obj: obj.update(model=1), ParseError, id="index-out-of-range"),
-        pytest.param(lambda obj: obj.update(model=-1), ParseError, id="index-negative"),
-        pytest.param(lambda obj: obj.update(model="0"), ParseError, id="index-text"),
-        pytest.param(lambda obj: obj.update(model=0.0), ParseError, id="index-float"),
-        pytest.param(lambda obj: obj.update(model=False), ParseError, id="index-bool"),
+        pytest.param(lambda obj: obj["params"].append(obj["params"][0]), DomainError,
+                     id="table-of-two-sets"),
+        pytest.param(lambda obj: obj.update(params=[]), DomainError, id="table-empty"),
+        pytest.param(lambda obj: obj.update(params=obj["params"][0]), ParseError,
+                     id="table-an-object"),
+        pytest.param(lambda obj: obj.update(params="W0"), ParseError, id="table-text"),
+        pytest.param(lambda obj: obj.update(model=0), ParseError, id="format-4-model-index"),
         pytest.param(lambda obj: obj["params"][0].pop("w_out"), DomainError,
                      id="block-missing"),
         pytest.param(lambda obj: obj["params"][0].update(W9=obj["params"][0]["W1"]),
@@ -294,12 +309,12 @@ class TestMalformedFile:
         with pytest.raises(DomainError, match=f"bad.json: block {name} holds {8 * floats} bytes"):
             load_artifact(path)
 
-    @pytest.mark.parametrize("key, ref", [
-        ("params_opt", 10), ("params_adv", -1), ("params_opt", None), ("params_adv", 1.0),
+    @pytest.mark.parametrize("key, value", [
+        ("leaf", "1"), ("leaf", None), ("leaf", 1.0), ("adv", 1),
     ])
-    def test_a_bad_subset_reference_is_a_parse_error(self, tmp_path, key, ref):
+    def test_a_split_value_of_the_wrong_type_is_a_parse_error(self, tmp_path, key, value):
         obj = json.loads(GOLDEN.read_text(encoding="utf-8"))
-        obj["subsets"]["4"][key] = ref
+        obj["splits"][1][key] = value
         path = tmp_path / "ref.json"
         path.write_text(json.dumps(obj), encoding="utf-8")
         with pytest.raises(ParseError, match="ref.json"):
@@ -311,8 +326,7 @@ class TestMalformedFile:
         pytest.param(lambda obj: obj["subsets"].update(x=obj["subsets"].pop("8")), id="id-x"),
         pytest.param(lambda obj: obj["subsets"]["3"].update(LB="0.005"), id="LB-text"),
         pytest.param(lambda obj: obj["subsets"]["3"].update(UB=True), id="UB-bool"),
-        pytest.param(lambda obj: obj["subsets"]["3"].update(ub_inherited="no"),
-                     id="ub-inherited-text"),
+        pytest.param(lambda obj: obj["splits"][2].update(adv="no"), id="adv-text"),
         pytest.param(lambda obj: obj.update(budget=1.5), id="budget-1.5"),
     ])
     def test_a_malformed_learned_file_is_a_parse_error(self, tmp_path, edit):
@@ -334,14 +348,14 @@ class TestMalformedFile:
                      id="max-subsets-bool"),
         pytest.param(lambda obj: obj["config"].update(epsilon=True), ParseError,
                      id="epsilon-bool"),
-        pytest.param(lambda obj: obj["subsets"]["4"].update(parent_id=1.0), ParseError,
-                     id="parent-id-float"),
-        pytest.param(lambda obj: obj["subsets"]["1"].update(parent_id=False), ParseError,
-                     id="parent-id-bool"),
+        pytest.param(lambda obj: obj["splits"][1].update(leaf=1.0), ParseError,
+                     id="leaf-float"),
+        pytest.param(lambda obj: obj["splits"][0].update(leaf=False), ParseError,
+                     id="leaf-bool"),
         pytest.param(lambda obj: obj["subsets"]["0"].update(split_feature=1.0), ParseError,
                      id="split-feature-float"),
-        pytest.param(lambda obj: obj["subsets"]["0"].update(parent_id=0), DomainError,
-                     id="root-with-a-parent"),
+        pytest.param(lambda obj: obj["splits"][1].update(leaf=0), DomainError,
+                     id="root-split-twice"),
         pytest.param(lambda obj: obj.update(budget=4), DomainError, id="budget-above-maskable"),
     ])
     def test_an_inconsistent_learned_file_exits_3(self, tmp_path, edit, error):
@@ -353,8 +367,8 @@ class TestMalformedFile:
             load_artifact(path)
 
     @pytest.mark.parametrize("edit", [
-        pytest.param(lambda obj: obj.update(subsets={"0": obj["subsets"][0]}), id="an-object"),
-        pytest.param(lambda obj: obj["subsets"][2].update(val_loss="x"), id="val-loss-text"),
+        pytest.param(lambda obj: obj.update(losses={"0": obj["losses"][0]}), id="an-object"),
+        pytest.param(lambda obj: obj["losses"].__setitem__(2, "x"), id="loss-text"),
     ])
     def test_a_malformed_fixed_file_is_a_parse_error(self, tmp_path, edit):
         path = tmp_path / "fixed.json"
@@ -366,11 +380,11 @@ class TestMalformedFile:
             load_artifact(path)
 
     def test_a_fixed_file_without_subsets_is_a_domain_error(self, tmp_path):
-        # its subset count states a budget of -1
+        # its fit count states a budget of -1
         path = tmp_path / "fixed.json"
         save_artifact(fixed_artifact(budget=3), path)
         obj = json.loads(path.read_text(encoding="utf-8"))
-        obj["subsets"] = []
+        obj["losses"], obj["params"] = [], []
         path.write_text(json.dumps(obj), encoding="utf-8")
         with pytest.raises(DomainError, match="fixed.json.*budget -1"):
             load_artifact(path)
@@ -379,7 +393,7 @@ class TestMalformedFile:
         path = tmp_path / "fixed.json"
         save_artifact(fixed_artifact(budget=3), path)
         obj = json.loads(path.read_text(encoding="utf-8"))
-        obj["subsets"] = obj["subsets"][:3]
+        obj["losses"], obj["params"] = obj["losses"][:3], obj["params"][:3]
         path.write_text(json.dumps(obj), encoding="utf-8")
         back = load_artifact(path)
         assert back.budget == 2
@@ -390,10 +404,10 @@ class TestMalformedFile:
                      id="epsilon-NaN"),
         pytest.param("learned", lambda obj: obj["config"].update(epsilon=float("inf")),
                      id="epsilon-Infinity"),
-        pytest.param("fixed", lambda obj: obj["subsets"][2].update(val_loss=float("nan")),
-                     id="val-loss-NaN"),
-        pytest.param("fixed", lambda obj: obj["subsets"][0].update(val_loss=float("-inf")),
-                     id="val-loss-minus-Infinity"),
+        pytest.param("fixed", lambda obj: obj["losses"].__setitem__(2, float("nan")),
+                     id="loss-NaN"),
+        pytest.param("fixed", lambda obj: obj["losses"].__setitem__(0, float("-inf")),
+                     id="loss-minus-Infinity"),
     ])
     def test_a_number_that_is_not_finite_is_a_domain_error(self, tmp_path, kind, edit):
         path = tmp_path / f"{kind}.json"
@@ -432,32 +446,32 @@ def _drop(obj, keys: tuple) -> None:
     del obj[keys[-1]]
 
 
-LEARNED_SUBSET_KEYS = ("LB", "UB", "parent_id", "ub_inherited", "split_feature",
-                       "params_opt", "params_adv")
+LEARNED_SUBSET_KEYS = ("LB", "UB", "split_feature")
 LAYOUT_KEYS = ("family", "adaptive", "input_dim", "hidden", "bias_index", "maskable")
 
 
 class TestFormatKeys:
-    """Format 4 states each value once: every key it writes is read, and a
-    key it never writes, such as a derived value format 2 stored, is refused
-    wherever it sits."""
+    """Format 5 states each value once: every key it writes is read, and a
+    key it never writes, such as a derived value format 2 stored or a
+    reference format 4 stored, is refused wherever it sits."""
 
     @pytest.mark.parametrize("kind, keys", [
         *[pytest.param("learned", (key,), id=f"learned-{key}")
-          for key in ("kind", "budget", "config", "leaf_ids", "subsets", "layout", "params")],
+          for key in ("kind", "budget", "config", "splits", "leaf_ids", "subsets", "layout",
+                      "params")],
         *[pytest.param("learned", ("config", key), id=f"learned-config-{key}")
           for key in ("max_subsets", "epsilon")],
         *[pytest.param("learned", ("subsets", "3", key), id=f"learned-subset-{key}")
           for key in LEARNED_SUBSET_KEYS],
+        *[pytest.param("learned", ("splits", 1, key), id=f"learned-split-{key}")
+          for key in ("leaf", "adv")],
         *[pytest.param("learned", ("layout", key), id=f"learned-layout-{key}")
           for key in LAYOUT_KEYS],
         *[pytest.param("fixed", (key,), id=f"fixed-{key}")
-          for key in ("kind", "subsets", "layout", "params")],
-        *[pytest.param("fixed", ("subsets", 1, key), id=f"fixed-subset-{key}")
-          for key in ("val_loss", "params")],
+          for key in ("kind", "losses", "layout", "params")],
         pytest.param("fixed", ("layout", "maskable"), id="fixed-layout-maskable"),
         *[pytest.param("model", (key,), id=f"model-{key}")
-          for key in ("kind", "model", "layout", "params")],
+          for key in ("kind", "layout", "params")],
         pytest.param("model", ("layout", "hidden"), id="model-layout-hidden"),
     ])
     def test_a_file_lacking_a_written_key_is_a_parse_error(self, tmp_path, kind, keys):
@@ -469,15 +483,20 @@ class TestFormatKeys:
         with pytest.raises(ParseError, match=f"{kind}.json.*'{keys[-1]}'"):
             load_artifact(path)
 
-    # the values format 2 stored beside each subset's lineage
+    # the values format 2 stored beside each subset's lineage, and the
+    # lineage and table references format 4 stored
     @pytest.mark.parametrize("sid, key, value", [
         pytest.param("4", "fixed", {"0": 1, "1": 1}, id="fixed"),
         pytest.param("3", "opt_pattern", [0, 0, 0], id="opt-pattern"),
         pytest.param("0", "free", [0, 1, 2], id="free"),
         pytest.param("3", "relgap", 0.1, id="relgap"),
         pytest.param("4", "lb_inherited", False, id="lb-inherited"),
+        pytest.param("3", "parent_id", 1, id="parent-id"),
+        pytest.param("4", "ub_inherited", True, id="ub-inherited"),
+        pytest.param("3", "params_opt", 0, id="params-opt"),
+        pytest.param("4", "params_adv", 3, id="params-adv"),
     ])
-    def test_a_learned_subset_holding_a_format_2_key_is_refused(self, tmp_path, sid, key, value):
+    def test_a_learned_subset_holding_an_older_key_is_refused(self, tmp_path, sid, key, value):
         obj = json.loads(GOLDEN.read_text(encoding="utf-8"))
         obj["subsets"][sid][key] = value
         path = tmp_path / "learned.json"
@@ -485,8 +504,8 @@ class TestFormatKeys:
         with pytest.raises(ParseError, match=f"learned.json: subset {sid} holds the key '{key}'"):
             load_artifact(path)
 
-    # the other values format 2 stored, each contradicting the file it is
-    # added to
+    # the other values format 2 stored, and the fixed subsets and model
+    # reference format 4 stored, each contradicting the file it is added to
     @pytest.mark.parametrize("kind, key, edit", [
         pytest.param("learned", "tree", lambda obj: obj.update(tree={"subset": 0, "feature": 2}),
                      id="tree"),
@@ -494,9 +513,10 @@ class TestFormatKeys:
             uncertainty={"n_features": 9, "maskable": [5], "budget": 1}), id="learned-uncertainty"),
         pytest.param("fixed", "uncertainty", lambda obj: obj.update(
             uncertainty={"n_features": 9, "maskable": [5], "budget": 1}), id="fixed-uncertainty"),
-        pytest.param("fixed", "count", lambda obj: [s.update(count=-c)
-                                                    for c, s in enumerate(obj["subsets"])],
-                     id="count"),
+        pytest.param("fixed", "subsets", lambda obj: obj.update(
+            subsets=[{"val_loss": 9.0, "params": 0, "count": c} for c in range(4)]),
+                     id="fixed-subsets"),
+        pytest.param("model", "model", lambda obj: obj.update(model=1), id="model"),
     ])
     def test_a_derived_value_left_in_the_file_is_refused(self, tmp_path, kind, key, edit):
         path = tmp_path / f"{kind}.json"
@@ -514,7 +534,7 @@ class TestFormatKeys:
         pytest.param("learned", ("subsets", "3"), id="learned-subset"),
         pytest.param("learned", ("layout",), id="learned-layout"),
         pytest.param("fixed", (), id="fixed"),
-        pytest.param("fixed", ("subsets", 1), id="fixed-subset"),
+        pytest.param("learned", ("splits", 1), id="learned-split"),
         pytest.param("fixed", ("layout",), id="fixed-layout"),
         pytest.param("model", (), id="model"),
         pytest.param("model", ("layout",), id="model-layout"),
@@ -530,4 +550,50 @@ class TestFormatKeys:
         path.write_text(json.dumps(obj), encoding="utf-8")
         with pytest.raises(ParseError, match=f"{kind}.json: .* holds the key 'extra', "
                                              "which its writer never writes"):
+            load_artifact(path)
+
+
+class TestTableHoldsTheFits:
+    """A file's table holds the fits the rest of the file states, each once:
+    a learned file's root fits and each split's opt fit and trained adv fit,
+    a fixed file's one fit per loss, a model file's one set. A set more or
+    fewer is a DomainError naming the file, never a set that loads unused."""
+
+    # the golden file states 10 fits, the budget-3 fixed file 4, a model 1
+    @pytest.mark.parametrize("kind, fits", [("learned", 10), ("fixed", 4), ("model", 1)])
+    @pytest.mark.parametrize("change", [1, -1], ids=["a-set-more", "a-set-fewer"])
+    def test_a_table_of_another_length_is_a_domain_error(self, tmp_path, kind, fits, change):
+        path = tmp_path / f"{kind}.json"
+        write_artifact(path, kind)
+        obj = json.loads(path.read_bytes())
+        assert len(obj["params"]) == fits
+        if change > 0:
+            obj["params"].append(obj["params"][0])
+        else:
+            obj["params"].pop()
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        held = fits + change
+        with pytest.raises(DomainError, match=f"{kind}.json: its table holds {held} parameter "
+                                              f"sets, not the {fits} fits it states"):
+            load_artifact(path)
+
+    @pytest.mark.parametrize("losses", [3, 5])
+    def test_fixed_losses_of_another_length_are_a_domain_error(self, tmp_path, losses):
+        path = tmp_path / "fixed.json"
+        write_artifact(path, "fixed")
+        obj = json.loads(path.read_bytes())
+        obj["losses"] = [c + 0.5 for c in range(losses)]
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        with pytest.raises(DomainError, match="fixed.json: its table holds 4 parameter sets, "
+                                              f"not the {losses} fits it states"):
+            load_artifact(path)
+
+    def test_a_split_that_claims_another_adv_fit_is_a_domain_error(self, tmp_path):
+        # the flag alone decides which table entry is whose fit
+        obj = json.loads(GOLDEN.read_bytes())
+        obj["splits"][3]["adv"] = False
+        path = tmp_path / "learned.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        with pytest.raises(DomainError, match="learned.json: its table holds 10 parameter sets, "
+                                              "not the 9 fits it states"):
             load_artifact(path)

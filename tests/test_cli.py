@@ -584,7 +584,7 @@ class TestEvaluate:
         assert main(["train", "--config", str(path)]) == 0
         artifact = out / "base_h1.json"
         obj = json.loads(artifact.read_text(encoding="utf-8"))
-        blocks = obj["params"][obj["model"]]
+        blocks = obj["params"][0]
         w = np.frombuffer(base64.b64decode(blocks["w"]))
         if case == "w deleted":
             del blocks["w"]
@@ -629,8 +629,8 @@ class TestEvaluate:
                 lambda obj: obj["config"].update(max_subsets=1.5),
             ],
             "arf-fixed_h1.json": [
-                lambda obj: obj.update(subsets=[]),
-                lambda obj: obj["subsets"][1].update(val_loss="x"),
+                lambda obj: obj.update(losses=[], params=[]),
+                lambda obj: obj["losses"].__setitem__(1, "x"),
             ],
         }
         for name, cases in edits.items():
@@ -664,6 +664,27 @@ class TestEvaluate:
         assert "lr blocks must be ['w', 'D'], got ['w']" in err
         assert not (out / "grid.csv").exists()
 
+    def test_a_table_holding_a_set_more_than_its_fits_exits_3(self, tmp_path, capsys):
+        # a set nothing in the file uses, appended to each kind of artifact
+        out = tmp_path / "out"
+        grid = {"p01": [0.2], "p11": [0.5], "methods": ["arf-learned", "arf-fixed", "imp-mean"],
+                "runs": 1}
+        path = write_config(tmp_path, base_config(out, grid=grid))
+        assert main(["train", "--config", str(path)]) == 0
+        for name in ("arf-learned_h1.json", "arf-fixed_h1.json", "base_h1.json"):
+            artifact = out / name
+            original = artifact.read_text(encoding="utf-8")
+            obj = json.loads(original)
+            obj["params"].append(obj["params"][-1])
+            artifact.write_text(json.dumps(obj), encoding="utf-8")
+            capsys.readouterr()
+            assert main(["evaluate", "--config", str(path)]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("data error:") and str(artifact) in err
+            assert "its table holds" in err
+            artifact.write_text(original, encoding="utf-8")
+        assert not (out / "grid.csv").exists()
+
     def test_learned_file_whose_inherited_copy_disagrees_exits_3(self, tmp_path, capsys):
         out = tmp_path / "out"
         grid = {"p01": [0.2], "p11": [0.5], "methods": ["arf-learned"], "runs": 1}
@@ -671,14 +692,15 @@ class TestEvaluate:
         assert main(["train", "--config", str(path)]) == 0
         artifact = out / "arf-learned_h1.json"
         original = artifact.read_text(encoding="utf-8")
-        # subset 2 is the first split's missing child: it keeps the root's UB
+        # subset 2 is the first split's missing child: it keeps the root's UB;
+        # the split's adv flag states whether subset 1 keeps it too, and so
+        # which of the table's sets are whose
         for doubled in (True, False):
             obj = json.loads(original)
-            subset = obj["subsets"]["2"]
             if doubled:
-                subset["UB"] *= 2
+                obj["subsets"]["2"]["UB"] *= 2
             else:
-                subset["ub_inherited"] = False
+                obj["splits"][0]["adv"] = not obj["splits"][0]["adv"]
             artifact.write_text(json.dumps(obj), encoding="utf-8")
             capsys.readouterr()
             assert main(["evaluate", "--config", str(path)]) == 3
@@ -719,10 +741,11 @@ class TestEvaluate:
             config.update(hidden=[7, 7])
             match = "holds a model of another layout: hidden (3,) (run config: (7, 7))"
         elif case == "a fixed file one subset short":
-            # a fixed file states its budget by its subset count
+            # a fixed file states its budget by its fit count
             obj = json.loads(target.read_text(encoding="utf-8"))
-            budget = len(obj["subsets"]) - 1
-            obj["subsets"].pop()
+            budget = len(obj["losses"]) - 1
+            obj["losses"].pop()
+            obj["params"].pop()
             target.write_text(json.dumps(obj), encoding="utf-8")
             match = f"holds another uncertainty set: budget {budget - 1} (run config: {budget})"
         else:

@@ -12,7 +12,6 @@ from robustcast.exceptions import ConfigError, DomainError
 from robustcast.missingness import (
     MissingnessConfig,
     MissingPattern,
-    ObsMaskSeries,
     _masked,
     column_means,
     expand_obs_mask,
@@ -56,7 +55,7 @@ class TestSimulateMarkov:
     @example(p01=0.0, p11=0.4, n_periods=1, n_plants=3, seed=3)
     def test_scan_equals_per_period_loop(self, p01, p11, n_periods, n_plants, seed):
         cfg = MissingnessConfig(p01, p11, seed=seed)
-        got = simulate_markov(cfg, n_periods, n_plants).mask
+        got = simulate_markov(cfg, n_periods, n_plants)
         want = markov_loop(cfg, n_periods, n_plants)
         assert got.dtype == want.dtype and got.shape == want.shape
         np.testing.assert_array_equal(got, want)
@@ -68,24 +67,24 @@ class TestSimulateMarkov:
 
     def test_never_missing_when_p01_zero(self):
         mask = simulate_markov(MissingnessConfig(0.0, 0.9, seed=1), 500, 3)
-        assert mask.mask.sum() == 0
+        assert mask.sum() == 0
 
     def test_forced_transitions(self):
         mask = simulate_markov(MissingnessConfig(1.0, 1.0, seed=1), 50, 2)
-        assert np.all(mask.mask[0] == 0)
-        assert np.all(mask.mask[1:] == 1)
+        assert np.all(mask[0] == 0)
+        assert np.all(mask[1:] == 1)
 
     def test_stationary_fraction(self):
         # Stationary missing probability of the 2-state chain:
         # p01 / (p01 + 1 - p11) = 0.2 / 0.3 = 2/3.
         mask = simulate_markov(MissingnessConfig(0.2, 0.9, seed=42), 100_000, 1)
-        assert abs(mask.mask.mean() - 2.0 / 3.0) < 0.02
+        assert abs(mask.mean() - 2.0 / 3.0) < 0.02
 
     def test_empirical_transition_frequencies(self):
         cfg = MissingnessConfig(0.2, 0.9, seed=3)
         mask = simulate_markov(cfg, 100_000, 2)
         for s in range(2):
-            col = mask.mask[:, s].astype(int)
+            col = mask[:, s].astype(int)
             prev, cur = col[:-1], col[1:]
             f01 = cur[prev == 0].mean()
             f11 = cur[prev == 1].mean()
@@ -96,7 +95,7 @@ class TestSimulateMarkov:
         cfg = MissingnessConfig(0.3, 0.5, seed=5)
         a = simulate_markov(cfg, 200, 4)
         b = simulate_markov(cfg, 200, 4)
-        np.testing.assert_array_equal(a.mask, b.mask)
+        np.testing.assert_array_equal(a, b)
 
     def test_invalid_probability(self):
         with pytest.raises(ConfigError):
@@ -110,7 +109,7 @@ class TestExpandObsMask:
 
     def test_zero_mask_zero_patterns(self):
         ds = self.make_ds()
-        mask = ObsMaskSeries(mask=np.zeros((30, 2), dtype=np.uint8))
+        mask = np.zeros((30, 2), dtype=np.uint8)
         bits = expand_obs_mask(mask, ds)
         assert bits.shape == (ds.n, ds.p) and bits.dtype == np.uint8
         assert not bits.any()
@@ -121,7 +120,7 @@ class TestExpandObsMask:
         t_star, s_star = 10, 1
         grid = np.zeros((30, 2), dtype=np.uint8)
         grid[t_star, s_star] = 1
-        bits = expand_obs_mask(ObsMaskSeries(mask=grid), ds)
+        bits = expand_obs_mask(grid, ds)
         for i, row in enumerate(bits):
             t = int(ds.obs_periods[i])
             expected = set()
@@ -134,24 +133,24 @@ class TestExpandObsMask:
 
     def test_all_ones_mask_saturates_maskable(self):
         ds = self.make_ds()
-        mask = ObsMaskSeries(mask=np.ones((30, 2), dtype=np.uint8))
+        mask = np.ones((30, 2), dtype=np.uint8)
         bits = expand_obs_mask(mask, ds)
         assert np.all(bits.sum(axis=1) == len(ds.maskable))
 
     def test_never_sets_bits_outside_maskable(self):
         ds = self.make_ds()
         rng = np.random.default_rng(0)
-        mask = ObsMaskSeries(mask=(rng.random((30, 2)) < 0.5).astype(np.uint8))
+        mask = (rng.random((30, 2)) < 0.5).astype(np.uint8)
         MissingPattern.bits_of(expand_obs_mask(mask, ds), ds.p, ds.maskable, ndim=2)
 
     def test_period_outside_the_mask_raises(self):
         # a negative period index would otherwise wrap to the mask's end
         ds = self.make_ds()
-        mask = ObsMaskSeries(mask=np.zeros((30, 2), dtype=np.uint8))
+        mask = np.zeros((30, 2), dtype=np.uint8)
         with pytest.raises(DomainError, match="out of the mask's range"):
             expand_obs_mask(mask, replace(ds, obs_periods=ds.obs_periods - 1))
         with pytest.raises(DomainError, match="out of the mask's range"):
-            expand_obs_mask(ObsMaskSeries(mask=mask.mask[:-2]), ds)
+            expand_obs_mask(mask[:-2], ds)
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 4), st.integers(0, 3), st.integers(1, 3), st.integers(0, 30),
@@ -165,12 +164,12 @@ class TestExpandObsMask:
         ds = build_supervised(raw, 0, max_lag, horizon)
         start = data.draw(st.integers(0, ds.n - 1))
         ds = ds.rows(start, data.draw(st.integers(start + 1, ds.n)))
-        mask = ObsMaskSeries(mask=(rng.random((t_periods, s_plants)) < 0.4).astype(np.uint8))
+        mask = (rng.random((t_periods, s_plants)) < 0.4).astype(np.uint8)
         # the reference: one (plant, lag) measurement column at a time
         want = np.zeros((ds.n, ds.p), dtype=np.uint8)
         for plant in range(s_plants):
             for lag in range(max_lag + 1):
-                want[:, plant * (max_lag + 1) + lag] = mask.mask[ds.obs_periods - lag, plant]
+                want[:, plant * (max_lag + 1) + lag] = mask[ds.obs_periods - lag, plant]
         got = expand_obs_mask(mask, ds)
         assert got.dtype == np.uint8 and got.flags.c_contiguous
         np.testing.assert_array_equal(got, want)
@@ -224,31 +223,31 @@ class TestImputation:
     @example(np.array([[1, 1, 0], [1, 0, 0], [1, 1, 1], [1, 0, 1], [1, 1, 0]], dtype=np.uint8))
     def test_run_fill_equals_per_period_forward_fill(self, mask):
         values = np.random.default_rng(mask.size).uniform(0, 1, mask.shape)
-        got = impute_persistence(values, ObsMaskSeries(mask=mask))
+        got = impute_persistence(values, mask)
         want = persistence_loop(values, mask)
         # bytes, so each gap holds the bits it copies and a leading gap +0.0
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_persistence_forward_fill(self):
         values = np.array([[0.5], [0.9], [0.9], [0.7]])
-        mask = ObsMaskSeries(mask=np.array([[0], [1], [1], [0]], dtype=np.uint8))
+        mask = np.array([[0], [1], [1], [0]], dtype=np.uint8)
         filled = impute_persistence(values, mask)
         np.testing.assert_allclose(filled[:, 0], [0.5, 0.5, 0.5, 0.7])
 
     def test_persistence_identity_without_missing(self):
         values = np.array([[0.1, 0.2], [0.3, 0.4]])
-        mask = ObsMaskSeries(mask=np.zeros((2, 2), dtype=np.uint8))
+        mask = np.zeros((2, 2), dtype=np.uint8)
         np.testing.assert_array_equal(impute_persistence(values, mask), values)
 
     def test_persistence_leading_gap_zero_fallback(self):
         values = np.array([[0.9], [0.4]])
-        mask = ObsMaskSeries(mask=np.array([[1], [0]], dtype=np.uint8))
+        mask = np.array([[1], [0]], dtype=np.uint8)
         np.testing.assert_allclose(impute_persistence(values, mask)[:, 0], [0.0, 0.4])
 
     def test_persistence_idempotent(self):
         rng = np.random.default_rng(2)
         values = rng.uniform(0, 1, (50, 3))
-        mask = ObsMaskSeries(mask=(rng.random((50, 3)) < 0.4).astype(np.uint8))
+        mask = (rng.random((50, 3)) < 0.4).astype(np.uint8)
         once = impute_persistence(values, mask)
         twice = impute_persistence(once, mask)
         np.testing.assert_array_equal(once, twice)

@@ -456,15 +456,16 @@ class TestSerialization:
         path = tmp_path / "learned.json"
         save_artifact(part, path)
         obj = json.loads(path.read_text(encoding="utf-8"))
-        assert list(obj) == ["format", "kind", "budget", "config", "leaf_ids", "subsets",
-                             "layout", "params"]
-        assert (obj["format"], obj["kind"], obj["budget"]) == (4, "learned", 3)
+        assert list(obj) == ["format", "kind", "budget", "config", "splits", "leaf_ids",
+                             "subsets", "layout", "params"]
+        assert (obj["format"], obj["kind"], obj["budget"]) == (5, "learned", 3)
         assert obj["layout"] == json.loads(json.dumps(asdict(arch)))
+        assert obj["splits"] == [{"leaf": s.leaf, "adv": s.adv is not None} for s in part.splits]
         blocks = part.opt.params.block_names()
-        assert [list(entry) for entry in obj["params"]] == [blocks] * len(obj["params"])
+        fits = 2 + sum(1 + (s.adv is not None) for s in part.splits)
+        assert [list(entry) for entry in obj["params"]] == [blocks] * fits
         assert [list(s) for s in obj["subsets"].values()] == [
-            ["LB", "UB", "parent_id", "ub_inherited", "split_feature", "params_opt", "params_adv"]
-        ] * len(part.subsets)
+            ["LB", "UB", "split_feature"]] * len(part.subsets)
         back = load_artifact(path)
         assert (back.budget, back.config) == (part.budget, part.config)
         assert (back.leaf_ids, back._route) == (part.leaf_ids, part._route)
@@ -482,11 +483,11 @@ class TestSerialization:
         path = tmp_path / "fixed.json"
         save_artifact(fixed, path)
         obj = json.loads(path.read_text(encoding="utf-8"))
-        assert list(obj) == ["format", "kind", "subsets", "layout", "params"]
-        assert (obj["format"], obj["kind"]) == (4, "fixed")
+        assert list(obj) == ["format", "kind", "losses", "layout", "params"]
+        assert (obj["format"], obj["kind"]) == (5, "fixed")
         assert obj["layout"] == json.loads(json.dumps(asdict(toy_arch(2))))
-        assert [list(entry) for entry in obj["params"]] == [["w"]] * len(obj["params"])
-        assert [list(s) for s in obj["subsets"]] == [["val_loss", "params"]] * 3
+        assert [list(entry) for entry in obj["params"]] == [["w"]] * 3
+        assert obj["losses"] == [s.loss for s in fixed.subsets]
         back = load_artifact(path)
         assert back.budget == 2
         for got, want in zip(back.subsets, fixed.subsets, strict=True):
@@ -619,24 +620,25 @@ class TestSubsetsFormTheTree:
     subsets and the routing table, and refuses a split that does not grow
     the tree; a file whose subsets form no tree of splits does not load."""
 
+    # the example's splits are (leaf 0, feature 0) and (leaf 2, feature 1)
     @pytest.mark.parametrize("edit", [
-        pytest.param(lambda subsets: subsets.pop("4"), id="missing-id"),
-        pytest.param(lambda subsets: subsets.pop("0"), id="no-root"),
-        pytest.param(lambda subsets: subsets["4"].update(parent_id=1), id="split-siblings"),
-        pytest.param(lambda subsets: subsets["3"].update(parent_id=4), id="later-parent"),
-        pytest.param(lambda subsets: subsets["1"].update(parent_id=None), id="orphan"),
-        pytest.param(lambda subsets: subsets["2"].update(split_feature=None), id="unsplit"),
-        pytest.param(lambda subsets: subsets["1"].update(split_feature=2), id="split-leaf"),
-        pytest.param(lambda subsets: subsets["2"].update(split_feature=0), id="fixed-split"),
-        pytest.param(lambda subsets: _swap(subsets, "3", "4"), id="wrong-id"),
-        pytest.param(lambda subsets: subsets.update({"5": dict(subsets["3"]),
-                                                     "6": dict(subsets["4"])}),
+        pytest.param(lambda obj: obj["subsets"].pop("4"), id="missing-id"),
+        pytest.param(lambda obj: obj["subsets"].pop("0"), id="no-root"),
+        pytest.param(lambda obj: obj["splits"][1].update(leaf=1), id="split-sibling"),
+        pytest.param(lambda obj: obj["splits"][1].update(leaf=4), id="later-leaf"),
+        pytest.param(lambda obj: obj["splits"][0].update(leaf=-1), id="negative-leaf"),
+        pytest.param(lambda obj: obj["subsets"]["2"].update(split_feature=None), id="unsplit"),
+        pytest.param(lambda obj: obj["subsets"]["1"].update(split_feature=2), id="split-leaf"),
+        pytest.param(lambda obj: obj["subsets"]["2"].update(split_feature=0), id="fixed-split"),
+        pytest.param(lambda obj: _swap(obj["splits"], 0, 1), id="splits-out-of-order"),
+        pytest.param(lambda obj: obj["subsets"].update({"5": dict(obj["subsets"]["3"]),
+                                                        "6": dict(obj["subsets"]["4"])}),
                      id="split-twice"),
     ])
     def test_subsets_that_form_no_tree_are_rejected(self, edit):
         obj = partition_to_json(manual_partition())
         partition_from_json(json.loads(json.dumps(obj)))
-        edit(obj["subsets"])
+        edit(obj)
         with pytest.raises(DomainError):
             partition_from_json(json.loads(json.dumps(obj)))
 
@@ -679,6 +681,15 @@ GOLDEN_ROUTES = {(0, 0, 0): 3, (0, 0, 1): 3, (0, 1, 0): 5, (0, 1, 1): 5,
                  (1, 0, 0): 4, (1, 0, 1): 4, (1, 1, 0): 7, (1, 1, 1): 8}
 
 
+def _drop_adv_fit(split: int, entry: int):
+    """An edit stating that a split trained no adv fit, its set (table entry
+    `entry`) dropped, so that its available child claims its leaf's UB."""
+    def edit(obj):
+        obj["splits"][split]["adv"] = False
+        del obj["params"][entry]
+    return edit
+
+
 def _scaled_bound(sid: str, key: str, factor: float):
     """An edit scaling one stored bound."""
     def edit(obj):
@@ -700,8 +711,11 @@ class TestGoldenArtifact:
     it with the format-2 reader and saving it with the format-3 writer, and
     to format 4, which states the layout once and each block as its bytes
     alone, by loading it with the format-3 reader and saving it with the
-    format-4 writer; test_artifacts.py checks that every array survived bit
-    for bit."""
+    format-4 writer, and to format 5, whose table holds each fit once in
+    growth order and whose splits replace the lineage and table references,
+    by loading it with the format-4 reader and saving it with the format-5
+    writer; test_artifacts.py checks that every array survived bit for
+    bit."""
 
     def test_load_then_save_reproduces_the_bytes(self, tmp_path):
         save_artifact(load_artifact(GOLDEN), tmp_path / "again.json")
@@ -720,7 +734,7 @@ class TestGoldenArtifact:
         pytest.param(lambda obj: obj.update(leaf_ids=[3, 4, 5, 8, 7]), id="leaf-order"),
         pytest.param(lambda obj: obj.update(leaf_ids=[3, 4, 5, 7]), id="leaf-missing"),
         pytest.param(lambda obj: obj["subsets"]["0"].update(split_feature=0), id="split-feature"),
-        pytest.param(lambda obj: obj["subsets"]["7"].update(parent_id=5), id="parent-id"),
+        pytest.param(lambda obj: obj["splits"][3].update(leaf=5), id="split-of-another-leaf"),
     ])
     def test_a_stored_value_the_subsets_contradict_is_rejected(self, tmp_path, edit):
         obj = json.loads(GOLDEN.read_text(encoding="utf-8"))
@@ -731,17 +745,15 @@ class TestGoldenArtifact:
             load_artifact(path)
 
     # subset 3 is split 2's available child, 4 its missing child; both kept
-    # what split 2 inherits from subset 1 (LB 0.00593 and table entry 0 for
-    # 3, UB 0.0346 and table entry 2 for 4)
+    # what split 2 inherits from subset 1 (LB 0.00593 and the root's opt fit,
+    # table entry 0, for 3; UB 0.0346 and split 1's adv fit, table entry 3,
+    # for 4), and subset 3's UB is split 2's adv fit's, table entry 5
     @pytest.mark.parametrize("edit", [
-        pytest.param(lambda obj: obj["subsets"]["0"].update(ub_inherited=True),
-                     id="root-ub-inherited"),
-        pytest.param(lambda obj: obj["subsets"]["4"].update(ub_inherited=False),
-                     id="missing-ub-not-inherited"),
+        pytest.param(_drop_adv_fit(1, 5), id="available-ub-inherited"),
+        pytest.param(lambda obj: _swap(obj["splits"], 1, 2), id="splits-swapped"),
         pytest.param(_scaled_bound("3", "LB", 0.5), id="available-inherited-LB-halved"),
         pytest.param(_scaled_bound("4", "UB", 2.0), id="missing-inherited-UB-doubled"),
-        pytest.param(lambda obj: obj["subsets"]["4"].update(params_adv=1),
-                     id="missing-inherited-params-adv-elsewhere"),
+        pytest.param(lambda obj: obj["splits"][2].update(leaf=1), id="inherited-from-elsewhere"),
     ])
     def test_an_inherited_copy_that_disagrees_is_rejected(self, tmp_path, edit):
         obj = json.loads(GOLDEN.read_text(encoding="utf-8"))

@@ -10,7 +10,10 @@ from hypothesis import strategies as st
 
 from robustcast.adversarial import AdvSearchScope
 from robustcast.exceptions import DomainError
-from robustcast.missingness import MissingPattern, ObsMaskSeries, impute_mean
+from robustcast.dataio import SynthConfig, build_supervised, gen_synthetic
+from robustcast.missingness import (
+    MissingPattern, expand_obs_mask, impute_mean, impute_persistence,
+)
 from robustcast.models import Architecture, StepBuffers, init_params, mse_loss, predict
 from robustcast.partition import (
     FixedPartition,
@@ -144,8 +147,12 @@ def test_pattern_rejects_what_is_not_one_bit_vector(bits):
 
 @pytest.mark.parametrize("mask", [[[0.6, 1.0]], [[0, 2]], [[-1, 0]], [0, 1]])
 def test_obs_mask_rejects_what_is_not_a_bit_matrix(mask):
-    with pytest.raises(DomainError):
-        ObsMaskSeries(mask=mask)
+    # both readers of a plant-level mask gate it before its shape is compared
+    ds = build_supervised(gen_synthetic(SynthConfig(2, 30, 0.9, 0.3, 0.2, seed=6)), 0, 1, 1)
+    with pytest.raises(DomainError, match="pattern bits"):
+        expand_obs_mask(mask, ds)
+    with pytest.raises(DomainError, match="pattern bits"):
+        impute_persistence(np.zeros(np.shape(mask)), mask)
 
 
 def test_negative_maskable_index_does_not_wrap_onto_the_bias():
