@@ -29,7 +29,7 @@ from ._util import rng_for
 from .dataio import Dataset, maskable_indices
 from .exceptions import DomainError, SizeError
 from .missingness import MissingPattern, _masked
-from .models import LR, Architecture, ModelParams, _adaptation, _nn_forward
+from .models import LR, Architecture, ModelParams, _adaptation, _nn_forward, _shifts
 from .training import TrainConfig, TrainResult, run_training_loop
 
 # The most elements a temporary of the linear scorer may hold (8 MB of
@@ -130,7 +130,8 @@ class SplitScorer:
                 losses = np.empty(len(stack))
                 for i, bits in enumerate(stack):
                     _masked(X, bits, out=xm)
-                    preds = _nn_forward(params, xm, _adaptation(arch, bits), layers)[0]
+                    preds = _nn_forward(params, xm, _shifts(params, _adaptation(arch, bits)),
+                                        layers)[0]
                     losses[i] = np.mean((preds - y) ** 2)
                 return losses
 

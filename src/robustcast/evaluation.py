@@ -264,16 +264,21 @@ class RetrainOracle:
     def predict_rows(self, X: np.ndarray, patterns: np.ndarray) -> np.ndarray:
         """Predict each row of X with the model of its pattern (one row of the
         (n, p) bit matrix, which passes the pattern gate for the oracle's
-        layout); rows sharing a pattern run one forward pass."""
+        layout); rows sharing a pattern run one forward pass. A pattern is
+        keyed by its maskable bits read as one binary number, the first
+        maskable feature highest (check_capacity keeps it in an int64), so
+        the groups run in the patterns' lexicographic order; each group's
+        bits are those of its first row."""
         arch = self.arch
         patterns = MissingPattern.bits_of(patterns, arch.input_dim, arch.maskable, ndim=2)
-        uniq, keys = np.unique(patterns, axis=0, return_inverse=True)
+        weights = np.left_shift(1, np.arange(len(arch.maskable))[::-1], dtype=np.int64)
+        keys = patterns.take(arch.maskable_cols, axis=1) @ weights
 
         def group(key, rows):
-            bits = uniq[key]
+            bits = patterns[rows[0]]
             return self.params_for(MissingPattern(bits=bits)), bits
 
-        return predict_grouped(X, keys.reshape(-1), group)
+        return predict_grouped(X, keys, group)
 
 
 class Method(NamedTuple):

@@ -178,12 +178,24 @@ def expand_obs_mask(mask: np.ndarray, ds: Dataset) -> np.ndarray:
 
 def _masked(X: np.ndarray, bits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """float64 X with +0.0 in the slots the uint8 bits (one pattern, or one
-    per row) mark missing, written into `out` when given; every rule that
-    hides a missing input runs this. A missing slot is never read, so it may
-    hold NaN: each float's bits are ANDed with bits - 1, all ones where the
-    feature is present and 0 where it is missing. (np.where branches per
-    element, slower on mixed patterns; multiplying by 0 keeps NaN.)"""
-    keep = np.subtract(bits, 1, dtype=np.int64)
+    per row) mark missing, written into `out` when given: _hide(X,
+    _keep(bits), out). Every rule that hides a missing input runs _hide,
+    through this or with the mask a one-pattern plan keeps (models._plan)."""
+    return _hide(X, _keep(bits), out)
+
+
+def _keep(bits: np.ndarray) -> np.ndarray:
+    """The int64 mask that hides the slots the uint8 bits mark missing:
+    bits - 1, all ones where the feature is present and 0 where it is
+    missing."""
+    return np.subtract(bits, 1, dtype=np.int64)
+
+
+def _hide(X: np.ndarray, keep: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """float64 X with each float's bits ANDed with the mask keep (_keep),
+    written into `out` when given: +0.0 in a missing slot, which is never
+    read, so it may hold NaN. (np.where branches per element, slower on
+    mixed patterns; multiplying by 0 keeps NaN.)"""
     if out is None:
         return (X.view(np.int64) & keep).view(np.float64)
     return np.bitwise_and(X.view(np.int64), keep, out=out.view(np.int64)).view(np.float64)

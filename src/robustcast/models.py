@@ -33,13 +33,14 @@ from __future__ import annotations
 import base64
 import math
 from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from ._util import only_keys
 from .dataio import maskable_indices
 from .exceptions import ConfigError, DomainError, ParseError, SizeError
-from .missingness import MissingPattern, _masked
+from .missingness import MissingPattern, _hide, _keep, _masked
 
 LR = "lr"
 NN = "nn"
@@ -213,19 +214,51 @@ def _predict_bits(params: ModelParams, X: np.ndarray, bits: np.ndarray):
     of them, at one (p,) pattern or at an (n, p) matrix with one pattern per
     row.
 
-    Every prediction runs this one kernel; _masked hides the missing slots."""
+    Every prediction runs this one kernel; at one pattern it is the plan of
+    params and bits (_plan) run over X (_run_plan), the split a deployed
+    partition caches per pattern. _masked hides the missing slots."""
+    if bits.ndim == 1:
+        return _run_plan(_plan(params, bits), X)
     xm = _masked(X, bits)
     a = _adaptation(params.arch, bits)
     if params.arch.family == LR:
         preds = xm @ params.arrays["w"]
         if a is not None:
-            d = params.arrays["D"]
-            if a.ndim == 2:
-                preds = preds + np.einsum("ij,ij->i", xm, a @ d.T)
-            else:
-                preds = preds + xm @ (d @ a)
+            preds = preds + np.einsum("ij,ij->i", xm, a @ params.arrays["D"].T)
         return preds
     return _nn_forward(params, xm, a)[0]
+
+
+class Plan(NamedTuple):
+    """What a forecast at one pattern needs besides its rows (_plan): the
+    params, the mask that hides the pattern's missing slots
+    (missingness._keep) and, for an adaptive model, each adaptive block's
+    product with the pattern's adaptation (_shifts), or None. Its own arrays
+    are read-only."""
+
+    params: ModelParams
+    keep: np.ndarray
+    shifts: tuple[np.ndarray, ...] | None
+
+
+def _plan(params: ModelParams, bits: np.ndarray) -> Plan:
+    """The plan of params at one (p,) pattern bits that has passed the gate:
+    all the work of a forecast that does not depend on its rows."""
+    plan = Plan(params, _keep(bits), _shifts(params, _adaptation(params.arch, bits)))
+    for array in (plan.keep, *(plan.shifts or ())):
+        array.setflags(write=False)
+    return plan
+
+
+def _run_plan(plan: Plan, X: np.ndarray):
+    """The forecasts of float64 X, one (p,) row (a scalar) or an (n, p)
+    batch, at the plan's pattern."""
+    params, shifts = plan.params, plan.shifts
+    xm = _hide(X, plan.keep)
+    if params.arch.family == LR:
+        preds = xm @ params.arrays["w"]
+        return preds if shifts is None else preds + xm @ shifts[0]
+    return _nn_forward(params, xm, shifts)[0]
 
 
 def _adaptation(arch: Architecture, bits: np.ndarray) -> np.ndarray | None:
@@ -237,11 +270,24 @@ def _adaptation(arch: Architecture, bits: np.ndarray) -> np.ndarray | None:
     return bits.take(arch.maskable_cols, axis=-1).astype(np.float64)
 
 
-def _nn_forward(params: ModelParams, xm: np.ndarray, a: np.ndarray | None,
+def _shifts(params: ModelParams, a: np.ndarray | None) -> tuple[np.ndarray, ...] | None:
+    """The product of each adaptive block with one pattern's adaptation a
+    (_adaptation), in block order: D @ a for the linear family, each Dm @ a
+    and then D_out @ a for a network. None when a is None."""
+    if a is None:
+        return None
+    arrays = params.arrays
+    if params.arch.family == LR:
+        return (arrays["D"] @ a,)
+    return (*(arrays[f"D{m}"] @ a for m in range(len(params.arch.hidden))), arrays["D_out"] @ a)
+
+
+def _nn_forward(params: ModelParams, xm: np.ndarray, adapt,
                 layers: list[np.ndarray] | None = None):
     """Forward pass over the masked inputs xm, an (n, p) batch or one (p,)
-    row, at the adaptation a (_adaptation: None, one vector, or one row per
-    row of xm); returns (predictions, gs).
+    row, adapted by `adapt`: None for no adaptation, one pattern's shifts
+    (_shifts) or, for one pattern per row of xm, the (n, |P|) matrix of
+    their adaptations (_adaptation); returns (predictions, gs).
 
     gs[m] is the input of hidden layer m and gs[-1] the output of the last
     one, which is all backprop needs: a ReLU unit is active exactly where its
@@ -252,30 +298,25 @@ def _nn_forward(params: ModelParams, xm: np.ndarray, a: np.ndarray | None,
     then holds the caller's buffers, of which only the last two are intact.
     """
     arch = params.arch
-    adaptive = a is not None
-    per_row = adaptive and a.ndim == 2
+    per_row = isinstance(adapt, np.ndarray)
     gs = [xm]
     for m in range(len(arch.hidden)):
         g, w = gs[-1], params.arrays[f"W{m}"]
         z = g @ w.T if layers is None else np.matmul(g, w.T, out=layers[m])
         z += params.arrays[f"b{m}"]
-        if adaptive:
-            d = params.arrays[f"D{m}"]
-            if per_row:
-                z += np.einsum("ij,ij->i", g, a @ d.T)[:, None]
-            else:
-                z += (g @ (d @ a))[..., None]
+        if per_row:
+            z += np.einsum("ij,ij->i", g, adapt @ params.arrays[f"D{m}"].T)[:, None]
+        elif adapt is not None:
+            z += (g @ adapt[m])[..., None]
         if m:
             np.maximum(z, 0.0, out=z)
         gs.append(z)
     g = gs[-1]
     preds = g @ params.arrays["w_out"] + params.arrays["b_out"][0]
-    if adaptive:
-        d_out = params.arrays["D_out"]
-        if per_row:
-            preds = preds + np.einsum("ij,ij->i", g, a @ d_out.T)
-        else:
-            preds = preds + g @ (d_out @ a)
+    if per_row:
+        preds = preds + np.einsum("ij,ij->i", g, adapt @ params.arrays["D_out"].T)
+    elif adapt is not None:
+        preds = preds + g @ adapt[-1]
     return preds, gs
 
 
@@ -373,14 +414,15 @@ def loss_and_grad(
     xm = _masked(X, work.bits, out=work.xm[:n])
     resid = work.resid[:n]
     a = work.a
+    shifts = _shifts(params, a)
 
     if arch.family == LR:
         w = params.arrays["w"]
-        w_eff = w + params.arrays["D"] @ a if a is not None else w
+        w_eff = w + shifts[0] if a is not None else w
         np.matmul(xm, w_eff, out=resid)
         resid -= y
     else:
-        preds, gs = _nn_forward(params, xm, a)
+        preds, gs = _nn_forward(params, xm, shifts)
         np.subtract(preds, y, out=resid)
     loss = float(np.add.reduce(np.square(resid, out=work.sq[:n])) / n)
     r = np.multiply(resid, 2.0 / n, out=resid)
@@ -395,7 +437,7 @@ def loss_and_grad(
         w_eff = params.arrays["w_out"]
         if a is not None:
             np.multiply(g_out[:, None], a, out=grads["D_out"])
-            w_eff = w_eff + params.arrays["D_out"] @ a
+            w_eff = w_eff + shifts[-1]
         dg = np.multiply(r[:, None], w_eff)
         for m in range(len(arch.hidden) - 1, -1, -1):
             # dg becomes delta, the gradient at layer m's pre-activation
@@ -410,7 +452,7 @@ def loss_and_grad(
             if m:  # the gradient at layer 0's inputs is never read
                 dg = dg @ params.arrays[f"W{m}"]
                 if a is not None:
-                    dg += np.multiply(srow[:, None], params.arrays[f"D{m}"] @ a)
+                    dg += np.multiply(srow[:, None], shifts[m])
 
     weight_decay = work.weight_decay
     if weight_decay:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -43,13 +44,17 @@ from .dataio import Dataset
 from .exceptions import ConfigError, DomainError, ParseError
 from .missingness import MissingPattern
 from .models import (
-    Architecture, ModelParams, _batch, _predict_bits, arch_from_json, params_from_json,
-    params_to_json,
+    Architecture, ModelParams, Plan, _batch, _plan, _predict_bits, _run_plan, arch_from_json,
+    params_from_json, params_to_json,
 )
 from .training import TrainConfig, train_nominal
 
 RELGAP_FLOOR = 1e-12
 ARTIFACT_FORMAT = 5
+# The most deployment plans a partition keeps (see predict_deployed).
+PLAN_CACHE_ENTRIES = 4096
+# Serializes every change to a plan cache: making room is check-then-act.
+_PLANS_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -118,11 +123,14 @@ class Partition:
     Construction derives `arch`, the one layout of its models, `subsets`,
     subsets[i] being subset Ui, whose inherited bounds and parameter sets
     are its leaf's own objects, and the routing table, one entry per subset:
-    (split feature, available child, missing child), or None for a leaf. It
-    raises DomainError for models of more than one layout or a budget
-    outside [0, |maskable|] (_set_layout), and for a split whose leaf is no
-    unsplit subset created before it, whose feature is not free in that
-    leaf, or whose leaf has no budget room left."""
+    (split feature, available child, missing child), or None for a leaf.
+    It also starts an empty cache of deployment plans (_deployment_plan),
+    which is no part of its value: equality and pickling ignore it, and a
+    copy or an unpickled partition starts with an empty one. It raises
+    DomainError for models of more than one layout or a budget outside
+    [0, |maskable|] (_set_layout), and for a split whose leaf is no unsplit
+    subset created before it, whose feature is not free in that leaf, or
+    whose leaf has no budget room left."""
 
     budget: int
     config: PartitionConfig
@@ -159,6 +167,13 @@ class Partition:
         object.__setattr__(self, "splits", tuple(self.splits))
         object.__setattr__(self, "subsets", tuple(subsets))
         object.__setattr__(self, "_route", route)
+        object.__setattr__(self, "_plans", {})
+
+    def __getstate__(self) -> dict:
+        return {name: value for name, value in self.__dict__.items() if name != "_plans"}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, _plans={})
 
     @property
     def leaf_ids(self) -> list[int]:
@@ -249,23 +264,57 @@ def predict_deployed(partition: Partition, x: np.ndarray, pattern) -> float:
 
     The pattern (a MissingPattern or one bit vector, of any missing count:
     deployment never clamps to the budget) passes its models' layout gate
-    once and is routed to its leaf, which uses its optimistic parameters when
+    and is routed to its leaf, which uses its optimistic parameters when
     the pattern equals its optimistic pattern exactly, otherwise its
     adversarial ones. x must be one vector of n_features numbers, or
     DomainError; the slots the pattern marks missing are never read, so
     they may hold NaN. The forecast agrees with predict_deployed_rows to
-    rounding (about 1e-16 relative), not bit for bit."""
-    bits = _pattern_bits(partition.arch, pattern, ndim=1)
+    rounding (about 1e-16 relative), not bit for bit.
+
+    Everything but x's part is the pattern's plan (models._plan), which the
+    partition caches (_deployment_plan). A uint8 vector, or a
+    MissingPattern, whose bytes equal a cached pattern's runs its plan at
+    once: it equals a pattern that passed the gate. Any other pattern passes
+    the gate first. Each call checks x and runs the same operations on it,
+    so a cached plan gives the same forecast bits as a fresh one."""
+    bits = pattern.bits if isinstance(pattern, MissingPattern) else pattern
+    plan = None
+    if isinstance(bits, np.ndarray) and bits.dtype == np.uint8 and bits.ndim == 1:
+        plan = partition._plans.get(bits.tobytes())
+    if plan is None:
+        plan = _deployment_plan(partition, _pattern_bits(partition.arch, pattern, ndim=1))
     try:
         x = np.asarray(x, dtype=np.float64)
     except (TypeError, ValueError):
         x = None
-    if x is None or x.shape != bits.shape:
+    if x is None or x.shape != plan.keep.shape:
         raise DomainError("a deployed row must be one vector of "
                           f"{partition.arch.input_dim} numbers")
-    subset = partition.subsets[_leaf_of(partition, bits)]
-    use_opt = bits.tobytes() == subset.opt_pattern.key()
-    return float(_predict_bits(subset.params_opt if use_opt else subset.params_adv, x, bits))
+    return float(_run_plan(plan, x))
+
+
+def _deployment_plan(partition: Partition, bits: np.ndarray) -> Plan:
+    """The plan predict_deployed runs for one pattern's bits, which have
+    passed the gate: that of its leaf's optimistic parameters when bits
+    equal the leaf's optimistic pattern, else of its adversarial ones.
+
+    Each partition object caches its plans, keyed by the bits' bytes, and
+    holds at most PLAN_CACHE_ENTRIES: when it is full, a new plan replaces
+    the oldest one (first in, first out), and a dropped plan is built again
+    when its pattern returns. Lookups take no lock; a change to the cache
+    takes _PLANS_LOCK."""
+    key = bits.tobytes()
+    plans = partition._plans
+    plan = plans.get(key)
+    if plan is None:
+        subset = partition.subsets[_leaf_of(partition, bits)]
+        use_opt = key == subset.opt_pattern.key()
+        plan = _plan(subset.params_opt if use_opt else subset.params_adv, bits)
+        with _PLANS_LOCK:
+            while key not in plans and len(plans) >= PLAN_CACHE_ENTRIES:
+                del plans[next(iter(plans))]
+            plans[key] = plan
+    return plan
 
 
 def predict_grouped(X: np.ndarray, keys: np.ndarray, group) -> np.ndarray:

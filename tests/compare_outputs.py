@@ -19,14 +19,18 @@ configs, so every path the commands see or print is relative. Each
 checkout's own load_artifact also reads every out_dir artifact (*.json) and
 writes `digest` of what it returns as one more output,
 `<run>/out/<file>.loaded`: an artifact whose encoding alone changed differs
-in its bytes and not in its digest. The 73 commands give 561 outputs per
-checkout: 219 command outputs, 217 out_dir files (125 of them artifacts)
-and 125 digests. Prints every out_dir file, digest and
-command output (exit code, stdout, stderr) that differs between the two
-checkouts, with its differing lines, and exits 1 if there is any; standard
-library only. A differing line longer than LONG characters, such as an
-artifact's one line of JSON, is shown as the offset of its first differing
-character and CONTEXT characters around it.
+in its bytes and not in its digest. A learned partition's digest also
+holds the sha256 of its one-row forecasts (predict_deployed) on
+DEPLOY_ROWS seeded rows, each asked twice, so a change to one-row
+deployment that moves a forecast bit differs in its digest. The 73
+commands give 561 outputs per checkout: 219 command outputs, 217 out_dir
+files (125 of them artifacts, 60 of those learned) and 125 digests.
+Prints every out_dir file, digest and command output (exit code, stdout,
+stderr) that differs between the two checkouts, with its differing lines,
+and exits 1 if there is any; standard library only. A differing line
+longer than LONG characters, such as an artifact's one line of JSON, is
+shown as the offset of its first differing character and CONTEXT
+characters around it.
 """
 from __future__ import annotations
 
@@ -45,6 +49,8 @@ WORKLOADS = ("eval-grid", "lr-pipeline", "nn-train")
 METHODS = ["imp-persistence", "imp-mean", "rf-learned", "arf-learned", "rf-fixed", "arf-fixed",
            "retrain-oracle"]
 LONG, CONTEXT = 200, 60
+# the rows on which a learned partition's digest asks for forecasts
+DEPLOY_ROWS = 64
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -144,13 +150,35 @@ def _sha256(params) -> str:
     return h.hexdigest()
 
 
+def _deploy_sha256(part) -> str:
+    """The sha256 of the float64 forecasts predict_deployed gives for
+    DEPLOY_ROWS rows drawn from default_rng(0), each at a pattern over the
+    maskable features (the first rows at the subsets' optimistic patterns,
+    so both parameter choices run): all rows once, then all again, so each
+    is asked with its plan fresh or cached and then cached."""
+    import numpy as np
+
+    from robustcast.partition import predict_deployed
+
+    arch = part.arch
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(DEPLOY_ROWS, arch.input_dim))
+    bits = np.zeros(X.shape, dtype=np.uint8)
+    bits[:, list(arch.maskable)] = rng.random((DEPLOY_ROWS, len(arch.maskable))) < 0.5
+    for i, subset in enumerate(part.subsets[:DEPLOY_ROWS]):
+        bits[i] = subset.opt_pattern.bits
+    forecasts = [predict_deployed(part, x, b) for _ in range(2) for x, b in zip(X, bits)]
+    return hashlib.sha256(np.array(forecasts, dtype=np.float64).tobytes()).hexdigest()
+
+
 def digest(artifact) -> str:
     """What a loaded artifact holds, read from the objects load_artifact
     returns, not from the file: its kind and layout; a bare model's set; a
     fixed partition's subsets, each set and loss; a learned partition's
     budget, config, leaf ids, splits (leaf, feature, whether it trained an
-    adversarial fit) and subsets, each with its bounds and both sets. A set
-    is shown as the sha256 of its blocks (_sha256), a number by its repr."""
+    adversarial fit) and subsets, each with its bounds and both sets, and
+    the sha256 of its one-row forecasts (_deploy_sha256). A set is shown as
+    the sha256 of its blocks (_sha256), a number by its repr."""
     from robustcast.partition import FixedPartition, Partition
 
     kind = {Partition: "learned", FixedPartition: "fixed"}.get(type(artifact), "model")
@@ -169,6 +197,7 @@ def digest(artifact) -> str:
         lines += [f"subset {sid}: LB {s.lower_bound!r} UB {s.upper_bound!r} "
                   f"opt {_sha256(s.params_opt)} adv {_sha256(s.params_adv)}"
                   for sid, s in enumerate(artifact.subsets)]
+        lines.append(f"deploy {_deploy_sha256(artifact)}")
     return "\n".join(lines) + "\n"
 
 

@@ -24,6 +24,7 @@ from robustcast.missingness import (
 from robustcast.models import (
     Architecture,
     _nn_forward,
+    _shifts,
     init_params,
     mse_loss,
     predict,
@@ -167,7 +168,8 @@ def test_criterion_3_reduction_identities():
     # pattern is the forward pass over the unmasked inputs
     X, zero = rng.uniform(0, 1, (5, p)), MissingPattern.zeros(p)
     no_shift = np.zeros(len(maskable))
-    identity = np.array_equal(predict(adap, X, zero), _nn_forward(adap, X, no_shift)[0])
+    identity = np.array_equal(predict(adap, X, zero),
+                              _nn_forward(adap, X, _shifts(adap, no_shift))[0])
 
     # adversarial training with no free features is a nominal fine-tune
     raw = gen_synthetic(SynthConfig(2, 1500, 0.95, 0.5, 0.4, seed=31, obs_noise_std=0.2))

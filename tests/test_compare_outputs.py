@@ -1,14 +1,17 @@
 """tests/compare_outputs.py prints a differing file as a unified diff without
 context, but shows a long line only near its first difference, and digests
-what each artifact loads, whatever its encoding."""
+what each artifact loads, whatever its encoding, and what a learned one
+forecasts row by row."""
 import difflib
 import json
 from dataclasses import asdict, replace
 from pathlib import Path
 
+import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
+from robustcast import partition
 from robustcast.partition import Fit, FixedPartition, load_artifact
 from tests.compare_outputs import CONTEXT, LONG, diff_lines, digest, print_digests
 
@@ -44,6 +47,12 @@ def test_a_long_line_without_a_counterpart_differs_at_its_start():
     ]
 
 
+def label(line: str) -> str:
+    """What a digest line is about: `subset 3` for a subset's line, the
+    first word of a line without a colon, such as `deploy`."""
+    return line.split(":")[0] if ":" in line else line.split(" ")[0]
+
+
 def _copy(params):
     return replace(params, arrays={k: v.copy() for k, v in params.arrays.items()})
 
@@ -58,12 +67,28 @@ def test_a_digest_shows_each_subset_and_split_and_not_how_sets_are_shared():
     # a copy of the root's opt set, which subsets 1 and 3 inherit, digests alike
     assert digest(replace(part, opt=Fit(_copy(part.opt.params), part.opt.loss))) == \
         digest(part)
-    # one bit of it changes the line of each subset that uses it
+    # one bit of it changes the line of each subset that uses it, and the
+    # forecasts of the rows that reach one of them
     flipped = _copy(part.opt.params)
     flipped.arrays["w"].view("u8")[0] ^= 1
     changed = digest(replace(part, opt=Fit(flipped, part.opt.loss))).splitlines()
-    assert {line.split(":")[0] for line, other in zip(lines, changed, strict=True)
-            if line != other} == {"subset 0", "subset 1", "subset 3"}
+    assert {label(line) for line, other in zip(lines, changed, strict=True)
+            if line != other} == {"subset 0", "subset 1", "subset 3", "deploy"}
+
+
+def test_a_learned_digest_holds_its_one_row_forecasts_cold_or_warm(monkeypatch):
+    part = load_artifact(GOLDEN)
+    first = digest(part)  # builds the plans of its rows' patterns
+    assert part._plans
+    assert digest(part) == first  # every plan cached
+    assert [label(line) for line in first.splitlines()].count("deploy") == 1
+    # one-row deployment that moves a forecast by one bit shows in the digest
+    run = partition._run_plan
+    monkeypatch.setattr(partition, "_run_plan",
+                        lambda plan, x: np.nextafter(run(plan, x), np.inf))
+    moved = digest(replace(part)).splitlines()
+    assert [label(line) for line, other in zip(first.splitlines(), moved, strict=True)
+            if line != other] == ["deploy"]
 
 
 def test_a_fixed_digest_lists_each_fit_shared_or_not():

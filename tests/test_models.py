@@ -13,6 +13,7 @@ from robustcast.models import (
     StepBuffers,
     _decayed_mask,
     _nn_forward,
+    _shifts,
     arch_from_json,
     init_params,
     loss_and_grad,
@@ -429,7 +430,7 @@ def reference_loss_and_grad(params, X, y, alpha, weight_decay=0.0):
     else:
         adaptive = arch.adaptive and bool(arch.maskable)
         a = bits[list(arch.maskable)].astype(np.float64) if adaptive else None
-        preds, gs = _nn_forward(params, xm, a)
+        preds, gs = _nn_forward(params, xm, _shifts(params, a))
         resid = preds - y
         loss = float(np.mean(resid**2))
         r = (2.0 / n) * resid

@@ -91,29 +91,49 @@ NOT_RUN = {
     ],
     "models": [],
     "partition": [
+        # Partition.__getstate__ and __setstate__: a pickled partition leaves
+        # its plan cache out and an unpickled one starts with an empty cache;
+        # no command pickles a partition
+        'return {name: value for name, value in self.__dict__.items() if name != "_plans"}',
+        "self.__dict__.update(state, _plans={})",
         # Partition.fixed: a subset's equality constraints, a library API the
         # README documents, which the acceptance tests read; no file stores
         # them
         "subset = self.subsets[sid]",
         "bits = subset.opt_pattern.bits",
         "return {j: int(bits[j]) for j in self.arch.maskable if j not in subset.free}",
-        # _leaf_of, locate_rows and predict_deployed: routing and forecasting
-        # one row at a time, a library API the README documents and the
-        # benchmark's deploy step calls; the commands score whole test sets
-        # (predict_deployed_rows)
+        # _leaf_of, locate_rows, predict_deployed and _deployment_plan:
+        # routing and forecasting one row at a time, a library API the README
+        # documents and the benchmark's deploy step calls; the commands score
+        # whole test sets (predict_deployed_rows)
         "route, sid = partition._route, 0",
         "while route[sid] is not None:",
         "feature, avail, miss = route[sid]",
         "sid = miss if bits[feature] else avail",
         "return sid",
         "return _walk_rows(partition, _pattern_bits(partition.arch, bits, ndim=2))",
-        "bits = _pattern_bits(partition.arch, pattern, ndim=1)",
+        "bits = pattern.bits if isinstance(pattern, MissingPattern) else pattern",
+        "plan = None",
+        "if isinstance(bits, np.ndarray) and bits.dtype == np.uint8 and bits.ndim == 1:",
+        "plan = partition._plans.get(bits.tobytes())",
+        "if plan is None:",
+        "plan = _deployment_plan(partition, _pattern_bits(partition.arch, pattern, ndim=1))",
         "try:",
         "x = np.asarray(x, dtype=np.float64)",
-        "if x is None or x.shape != bits.shape:",
+        "if x is None or x.shape != plan.keep.shape:",
+        "return float(_run_plan(plan, x))",
+        "key = bits.tobytes()",
+        "plans = partition._plans",
+        "plan = plans.get(key)",
+        "if plan is None:",
         "subset = partition.subsets[_leaf_of(partition, bits)]",
-        "use_opt = bits.tobytes() == subset.opt_pattern.key()",
-        "return float(_predict_bits(subset.params_opt if use_opt else subset.params_adv, x, bits))",
+        "use_opt = key == subset.opt_pattern.key()",
+        "plan = _plan(subset.params_opt if use_opt else subset.params_adv, bits)",
+        "with _PLANS_LOCK:",
+        "while key not in plans and len(plans) >= PLAN_CACHE_ENTRIES:",
+        "del plans[next(iter(plans))]",
+        "plans[key] = plan",
+        "return plan",
     ],
     "training": [],
 }
