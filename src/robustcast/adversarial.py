@@ -29,7 +29,7 @@ from ._util import rng_for
 from .dataio import Dataset, maskable_indices
 from .exceptions import DomainError, SizeError
 from .missingness import MissingPattern, _masked
-from .models import LR, Architecture, ModelParams, _adaptation, _nn_forward, _shifts
+from .models import LR, Architecture, ModelParams, _adaptation, _batch, _plan, _run_plan, _targets
 from .training import TrainConfig, TrainResult, run_training_loop
 
 # The most elements a temporary of the linear scorer may hold (8 MB of
@@ -72,15 +72,16 @@ class SplitScorer:
     activation buffer per hidden layer. Both depend on the data and the
     model's layout, arch, not on its parameters, so training builds one per
     split and binds each search's parameters. The buffers make one scorer
-    unfit for concurrent searches.
+    unfit for concurrent searches. DomainError unless X holds rows of the
+    layout's width and y one number per row, SizeError for no rows.
     """
 
     def __init__(self, X: np.ndarray, y: np.ndarray, arch: Architecture):
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        y = np.asarray(y, dtype=np.float64)
+        X = _batch(X, arch.input_dim)
         n = X.shape[0]
         if n == 0:
             raise SizeError("pattern scoring needs a non-empty data set")
+        y = _targets(y, n)
         self.arch = arch
         if arch.family == LR:
             self.gram = X.T @ X / n
@@ -112,10 +113,11 @@ class SplitScorer:
         whatever the stack or chunk size (_row_sums), so chunking changes no
         bit, and a pattern that leaves v unchanged scores exactly what the
         incumbent did and the >= acceptance test keeps it. A network
-        scores row by row: it masks X into the input buffer and runs
-        _nn_forward into the layer buffers. Those are the operations of
-        mse_loss in its order, so each loss is mse_loss's bit for bit, but
-        no activation is allocated per candidate.
+        scores row by row: it runs the row's plan (models._plan) over X,
+        masking into the input buffer and running the layers into the layer
+        buffers. Those are the operations of mse_loss in its order, so each
+        loss is mse_loss's bit for bit, but no activation is allocated per
+        candidate.
         """
         arch = params.arch
         if arch != self.arch:
@@ -129,9 +131,7 @@ class SplitScorer:
                 stack = MissingPattern.bits_of(stack, arch.input_dim, arch.maskable, ndim=2)
                 losses = np.empty(len(stack))
                 for i, bits in enumerate(stack):
-                    _masked(X, bits, out=xm)
-                    preds = _nn_forward(params, xm, _shifts(params, _adaptation(arch, bits)),
-                                        layers)[0]
+                    preds = _run_plan(_plan(params, bits), X, out=xm, layers=layers)
                     losses[i] = np.mean((preds - y) ** 2)
                 return losses
 

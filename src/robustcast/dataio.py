@@ -110,6 +110,8 @@ class Dataset:
         object.__setattr__(self, "X", np.asarray(self.X, dtype=np.float64))
         object.__setattr__(self, "y", np.asarray(self.y, dtype=np.float64))
         object.__setattr__(self, "obs_periods", np.asarray(self.obs_periods, dtype=np.int64))
+        if self.X.ndim != 2:
+            raise DomainError(f"X must be a matrix, one row per period, got shape {self.X.shape}")
         n, p = self.X.shape
         if self.y.shape != (n,) or self.obs_periods.shape != (n,):
             raise DomainError("X, y, obs_periods row counts disagree")

@@ -229,9 +229,18 @@ def column_means(ds: Dataset) -> np.ndarray:
 
 def impute_mean(x: np.ndarray, pattern, means: np.ndarray) -> np.ndarray:
     """Replace missing coordinates, which are never read (_masked), with
-    precomputed training-set column means. The pattern is one MissingPattern
-    or bit vector for every row of x, or an (n, p) bit matrix, one per row."""
+    precomputed training-set column means. x is one row or an (n, p) batch;
+    the pattern is one MissingPattern or bit vector for every row of x, or
+    for a batch an (n, p) bit matrix, one per row. DomainError for another
+    shape of either, or means that are not one number per column."""
     x = np.asarray(x, dtype=np.float64)
+    means = np.asarray(means, dtype=np.float64)
+    if x.ndim not in (1, 2):
+        raise DomainError(f"x must be one row or a batch of rows, got shape {x.shape}")
     bits = MissingPattern.bits_of(pattern, x.shape[-1])
-    return _masked(x, bits) + np.asarray(means, dtype=np.float64) * bits
+    if bits.ndim == 2 and (x.ndim != 2 or len(bits) != len(x)):
+        raise DomainError(f"{bits.shape[0]} patterns for x of shape {x.shape}")
+    if means.shape != (x.shape[-1],):
+        raise DomainError(f"means must hold one number per column of x, got shape {means.shape}")
+    return _masked(x, bits) + means * bits
 

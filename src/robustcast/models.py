@@ -208,6 +208,18 @@ def _batch(X, width: int | None) -> np.ndarray:
     return X
 
 
+def _targets(y, n: int) -> np.ndarray:
+    """y as float64 targets of an n-row batch; DomainError unless it holds
+    one number per row, a vector of n."""
+    try:
+        y = np.asarray(y, dtype=np.float64)
+    except (TypeError, ValueError):
+        y = None
+    if y is None or y.shape != (n,):
+        raise DomainError(f"y must hold one number per row of X, {n} numbers")
+    return y
+
+
 def _predict_bits(params: ModelParams, X: np.ndarray, bits: np.ndarray):
     """The forecasts of float64 X at pattern bits that have passed the gate:
     one (p,) row at one (p,) pattern gives a scalar, an (n, p) batch gives n
@@ -250,15 +262,17 @@ def _plan(params: ModelParams, bits: np.ndarray) -> Plan:
     return plan
 
 
-def _run_plan(plan: Plan, X: np.ndarray):
+def _run_plan(plan: Plan, X: np.ndarray, out: np.ndarray | None = None,
+              layers: list[np.ndarray] | None = None):
     """The forecasts of float64 X, one (p,) row (a scalar) or an (n, p)
-    batch, at the plan's pattern."""
+    batch, at the plan's pattern. The masked inputs go into `out` and a
+    network's activations into `layers` when given (_hide, _nn_forward)."""
     params, shifts = plan.params, plan.shifts
-    xm = _hide(X, plan.keep)
+    xm = _hide(X, plan.keep, out)
     if params.arch.family == LR:
         preds = xm @ params.arrays["w"]
         return preds if shifts is None else preds + xm @ shifts[0]
-    return _nn_forward(params, xm, shifts)[0]
+    return _nn_forward(params, xm, shifts, layers)[0]
 
 
 def _adaptation(arch: Architecture, bits: np.ndarray) -> np.ndarray | None:
@@ -339,10 +353,10 @@ def _decayed_mask(arch: Architecture, name: str) -> np.ndarray | float:
 
 def mse_loss(params: ModelParams, X: np.ndarray, y: np.ndarray, alpha) -> float:
     """Plain mean squared error at the given pattern (no decay term); this is
-    the quantity reported as validation loss and used for bounds."""
+    the quantity reported as validation loss and used for bounds. X passes
+    predict's checks, and y must hold one number per row (_targets)."""
     preds = predict(params, X, alpha)
-    y = np.asarray(y, dtype=np.float64)
-    return float(np.mean((preds - y) ** 2))
+    return float(np.mean((preds - _targets(y, len(preds))) ** 2))
 
 
 class StepBuffers:
@@ -394,16 +408,17 @@ def loss_and_grad(
     The gradient is written into the flat vector work.grad of the caller's
     StepBuffers, built for this layout and at least n rows; the returned
     blocks are views of it, valid, like the rest of work, until the next
-    call with that work.
+    call with that work. DomainError unless X holds rows of the layout's
+    width (_batch) and y one number per row (_targets).
     """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    y = np.asarray(y, dtype=np.float64)
+    arch = params.arch
+    X = _batch(X, arch.input_dim)
     n = X.shape[0]
     if n == 0:
         raise SizeError("empty batch")
     if n > work.rows:
         raise SizeError(f"batch of {n} rows exceeds buffers for {work.rows}")
-    arch = params.arch
+    y = _targets(y, n)
     # the usual case, params and buffers sharing one Architecture, costs no
     # field comparison
     if work.arch is not arch and work.arch != arch:

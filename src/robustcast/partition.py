@@ -4,16 +4,17 @@ deployed predictor.
 
 A learned partition is a binary tree: each internal node tests one feature's
 availability, each leaf is a subset carrying an optimistic pattern (all free
-features available), two trained parameter sets, and validation-loss bounds.
-Splitting always targets the leaf with the largest relative gap; the child
-that keeps the split feature available inherits the optimistic side, the
-child that fixes it missing inherits the adversarial side. So a learned
-partition is stored as the root's two fits and its splits in growth order:
-split k names the leaf it splits and the feature, and holds the missing
-child's optimistic fit and the available child's adversarial fit (or none,
-when that child kept its leaf's). It creates subsets 2k - 1 (available) and
-2k (missing). The subsets, routing, the leaf list and each subset's equality
-constraints are derived from them.
+features available) and two fits, each a trained parameter set and its
+validation loss (the optimistic fit's is the lower bound, the adversarial
+fit's the upper). Splitting always targets the leaf with the largest
+relative gap; the child that keeps the split feature available inherits the
+leaf's optimistic fit, the child that fixes it missing its adversarial fit.
+So a learned partition is stored as the root's two fits and its splits in
+growth order: split k names the leaf it splits and the feature, and holds
+the missing child's optimistic fit and the available child's adversarial fit
+(or none, when that child kept its leaf's). It creates subsets 2k - 1
+(available) and 2k (missing). The subsets, routing, the leaf list and each
+subset's equality constraints are derived from them.
 
 The uncertainty set is every pattern over the maskable features of a
 models.Architecture with at most `budget` missing: both trainers take the
@@ -99,20 +100,19 @@ class Split:
 @dataclass(frozen=True)
 class UncertaintySubset:
     """One cell of a partition, derived from its root fits and splits: its
-    optimistic pattern, the features still free in it, both parameter sets
-    and their validation-loss bounds. Its id is its position in the
-    partition's subsets."""
+    optimistic pattern, the features still free in it, and its two fits,
+    `opt` (whose loss is its lower bound) and `adv` (its upper bound), each
+    a fit the partition trained. Its id is its position in the partition's
+    subsets."""
 
     opt_pattern: MissingPattern
     free: tuple[int, ...]
-    params_opt: ModelParams
-    params_adv: ModelParams
-    lower_bound: float
-    upper_bound: float
+    opt: Fit
+    adv: Fit
 
     @property
     def relgap(self) -> float:
-        return rel_gap(self.lower_bound, self.upper_bound)
+        return rel_gap(self.opt.loss, self.adv.loss)
 
 
 @dataclass(frozen=True)
@@ -121,9 +121,9 @@ class Partition:
     fits and its splits in growth order (see the module docstring).
 
     Construction derives `arch`, the one layout of its models, `subsets`,
-    subsets[i] being subset Ui, whose inherited bounds and parameter sets
-    are its leaf's own objects, and the routing table, one entry per subset:
-    (split feature, available child, missing child), or None for a leaf.
+    subsets[i] being subset Ui, whose inherited fits are its leaf's own Fit
+    objects, and the routing table, one entry per subset: (split feature,
+    available child, missing child), or None for a leaf.
     It also starts an empty cache of deployment plans (_deployment_plan),
     which is no part of its value: equality and pickling ignore it, and a
     copy or an unpickled partition starts with an empty one. It raises
@@ -139,11 +139,9 @@ class Partition:
     splits: tuple[Split, ...] = ()
 
     def __post_init__(self):
-        archs = [f.params.arch for s in self.splits for f in (s.opt, s.adv) if f is not None]
-        arch = _set_layout(self.budget, [self.opt.params.arch, self.adv.params.arch, *archs])
+        arch = _set_layout(self.budget, [p.arch for p in param_sets(self)])
         subsets = [UncertaintySubset(MissingPattern.zeros(arch.input_dim), arch.maskable,
-                                     self.opt.params, self.adv.params, self.opt.loss,
-                                     self.adv.loss)]
+                                     self.opt, self.adv)]
         route = [None]
         for k, split in enumerate(self.splits, 1):
             fresh = split.leaf in range(2 * k - 1) and route[split.leaf] is None
@@ -153,13 +151,10 @@ class Partition:
                                   f"{split.feature!r}: no unsplit subset below {2 * k - 1} "
                                   "with that feature free and budget room left")
             free = tuple(j for j in leaf.free if j != split.feature)
-            adv = Fit(leaf.params_adv, leaf.upper_bound) if split.adv is None else split.adv
             subsets += [
-                UncertaintySubset(leaf.opt_pattern, free, leaf.params_opt, adv.params,
-                                  leaf.lower_bound, adv.loss),
+                UncertaintySubset(leaf.opt_pattern, free, leaf.opt, split.adv or leaf.adv),
                 UncertaintySubset(leaf.opt_pattern.with_missing(split.feature), free,
-                                  split.opt.params, leaf.params_adv, split.opt.loss,
-                                  leaf.upper_bound),
+                                  split.opt, leaf.adv),
             ]
             route[split.leaf] = (split.feature, 2 * k - 1, 2 * k)
             route += [None, None]
@@ -309,7 +304,7 @@ def _deployment_plan(partition: Partition, bits: np.ndarray) -> Plan:
     if plan is None:
         subset = partition.subsets[_leaf_of(partition, bits)]
         use_opt = key == subset.opt_pattern.key()
-        plan = _plan(subset.params_opt if use_opt else subset.params_adv, bits)
+        plan = _plan((subset.opt if use_opt else subset.adv).params, bits)
         with _PLANS_LOCK:
             while key not in plans and len(plans) >= PLAN_CACHE_ENTRIES:
                 del plans[next(iter(plans))]
@@ -351,7 +346,7 @@ def predict_deployed_rows(partition: Partition, X: np.ndarray, patterns: np.ndar
 
     def group(key, rows):
         subset = partition.subsets[key // 2]
-        return (subset.params_opt if key % 2 else subset.params_adv), bits[rows]
+        return (subset.opt if key % 2 else subset.adv).params, bits[rows]
 
     return predict_grouped(X, 2 * leaf + use_opt, group)
 
@@ -421,17 +416,17 @@ def learn_partition(
         chosen = max(gaps, key=gaps.get)  # the first maximum: the lowest id on ties
         parent = part.subsets[chosen]
 
-        j_star = greedy_split_feature(SplitScorer(train.X, train.y, arch), parent.params_opt,
+        j_star = greedy_split_feature(SplitScorer(train.X, train.y, arch), parent.opt.params,
                                       scope(parent.free, parent.opt_pattern))
         free_child = tuple(j for j in parent.free if j != j_star)
         avail_id, miss_id = len(part.subsets), len(part.subsets) + 1
 
-        adv = adversarial(avail_id, scope(free_child, parent.opt_pattern), parent.params_opt)
+        adv = adversarial(avail_id, scope(free_child, parent.opt_pattern), parent.opt.params)
         # The child's subset is contained in the parent's, so the parent's
         # adversarial parameters stay admissible; keep them when the fresh
         # fit scores worse on validation (best-of-two selection keeps the
         # upper bound from regressing above the parent's).
-        adv = adv if adv.loss <= parent.upper_bound else None
+        adv = adv if adv.loss <= parent.adv.loss else None
         opt = nominal(miss_id, parent.opt_pattern.with_missing(j_star))
         part = replace(part, splits=(*part.splits, Split(chosen, j_star, opt, adv)))
 
@@ -501,7 +496,7 @@ def bounds_table(partition: Partition) -> str:
         split = "-" if node is None else str(node[0])
         gap = s.relgap * 100.0
         gap_txt = "inf" if gap > 1e8 else f"{gap:.4f}"
-        lines.append(f"U{sid},{split},{s.upper_bound:.6e},{s.lower_bound:.6e},{gap_txt}")
+        lines.append(f"U{sid},{split},{s.adv.loss:.6e},{s.opt.loss:.6e},{gap_txt}")
     return "\n".join(lines) + "\n"
 
 
@@ -551,7 +546,7 @@ def _learned_json(partition: Partition) -> dict:
         "splits": [{"leaf": s.leaf, "adv": s.adv is not None} for s in partition.splits],
         "leaf_ids": partition.leaf_ids,
         "subsets": {
-            str(sid): {"LB": s.lower_bound, "UB": s.upper_bound,
+            str(sid): {"LB": s.opt.loss, "UB": s.adv.loss,
                        "split_feature": None if node is None else node[0]}
             for sid, (s, node) in enumerate(zip(partition.subsets, partition._route))
         },

@@ -150,6 +150,17 @@ def _sha256(params) -> str:
     return h.hexdigest()
 
 
+def _subset_fits(subset) -> tuple:
+    """(optimistic set, LB, adversarial set, UB) of a learned subset. It
+    bridges a change of the record's layout, so that this script digests a
+    checkout of either side: the subset holds `opt` and `adv` fits, or, in
+    checkouts before that change, the four fields params_opt, lower_bound,
+    params_adv and upper_bound."""
+    if hasattr(subset, "opt"):
+        return subset.opt.params, subset.opt.loss, subset.adv.params, subset.adv.loss
+    return subset.params_opt, subset.lower_bound, subset.params_adv, subset.upper_bound
+
+
 def _deploy_sha256(part) -> str:
     """The sha256 of the float64 forecasts predict_deployed gives for
     DEPLOY_ROWS rows drawn from default_rng(0), each at a pattern over the
@@ -194,9 +205,8 @@ def digest(artifact) -> str:
                   f"leaf_ids {artifact.leaf_ids}"]
         lines += [f"split {k}: leaf {s.leaf} feature {s.feature} adv {s.adv is not None}"
                   for k, s in enumerate(artifact.splits, 1)]
-        lines += [f"subset {sid}: LB {s.lower_bound!r} UB {s.upper_bound!r} "
-                  f"opt {_sha256(s.params_opt)} adv {_sha256(s.params_adv)}"
-                  for sid, s in enumerate(artifact.subsets)]
+        lines += [f"subset {sid}: LB {lb!r} UB {ub!r} opt {_sha256(opt)} adv {_sha256(adv)}"
+                  for sid, (opt, lb, adv, ub) in enumerate(map(_subset_fits, artifact.subsets))]
         lines.append(f"deploy {_deploy_sha256(artifact)}")
     return "\n".join(lines) + "\n"
 

@@ -239,20 +239,20 @@ def test_criterion_4_partition_structure():
         == {row.tobytes() for row in enumerate_patterns(arch3, 3)}
     )
 
-    # (d) bound-inheritance equalities on the growth: split k's available
-    # child, subset 2k - 1, keeps its leaf's LB, and its UB unless the split
-    # trained an adversarial fit no worse than the leaf's; the missing child,
-    # subset 2k, keeps its leaf's UB
+    # (d) bound inheritance on the growth, by identity: split k's available
+    # child, subset 2k - 1, holds its leaf's own optimistic fit (its LB), and
+    # its leaf's adversarial fit (its UB) unless the split trained one no
+    # worse than the leaf's; the missing child, subset 2k, holds its leaf's
+    # own adversarial fit
     inherit_ok = True
     for part in (part6, part3):
         for k, split in enumerate(part.splits, 1):
             leaf, avail, miss = (part.subsets[i] for i in (split.leaf, 2 * k - 1, 2 * k))
-            inherit_ok &= avail.lower_bound == leaf.lower_bound
-            inherit_ok &= miss.upper_bound == leaf.upper_bound
+            inherit_ok &= avail.opt is leaf.opt and miss.adv is leaf.adv
             if split.adv is None:
-                inherit_ok &= avail.upper_bound == leaf.upper_bound
+                inherit_ok &= avail.adv is leaf.adv
             else:
-                inherit_ok &= avail.upper_bound == split.adv.loss <= leaf.upper_bound
+                inherit_ok &= avail.adv is split.adv and split.adv.loss <= leaf.adv.loss
 
     ok = cover_ok and fixed_ok and recovery_ok and inherit_ok
     report(4, ok, f"cover={cover_ok} fixed={fixed_ok} recovery={recovery_ok} inheritance={inherit_ok}")

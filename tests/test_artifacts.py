@@ -85,8 +85,8 @@ def artifacts(draw):
         leaf = draw(st.sampled_from(leaves))
         parent = part.subsets[leaf]
         j = draw(st.sampled_from(parent.free))
-        adv = draw(st.sampled_from([None, Fit(reuse(parent.params_adv), 0.2)]))
-        split = Split(leaf, j, Fit(reuse(parent.params_opt), 0.1), adv)
+        adv = draw(st.sampled_from([None, Fit(reuse(parent.adv.params), 0.2)]))
+        split = Split(leaf, j, Fit(reuse(parent.opt.params), 0.1), adv)
         part = replace(part, splits=(*part.splits, split))
         depth += [depth[leaf] + 1] * 2
     return part
@@ -142,13 +142,13 @@ class TestRoundTrip:
 
     def test_inherited_sets_are_stored_once(self):
         # the golden tree's root fits and its 4 splits, each of which trained
-        # both fits: its 9 subsets use 18 sets, 10 of them its own
+        # both fits: its 9 subsets hold 18 fits, 10 of them distinct objects
         obj = json.loads(GOLDEN.read_text(encoding="utf-8"))
         assert [split["adv"] for split in obj["splits"]] == [True] * 4
         assert (len(obj["subsets"]), len(obj["params"])) == (9, 10)
         part = load_artifact(GOLDEN)
-        used = [p for s in part.subsets for p in (s.params_opt, s.params_adv)]
-        assert len(used) == 18 and len({id(p) for p in used}) == 10
+        used = [f for s in part.subsets for f in (s.opt, s.adv)]
+        assert len(used) == 18 and len({id(f) for f in used}) == 10
 
 
 GOLDEN = Path(__file__).parent / "data" / "learned_lr_q5.json"
@@ -162,8 +162,9 @@ class TestFormat:
         part = load_artifact(GOLDEN)
         assert list(range(len(part.subsets))) == sorted(int(sid) for sid in v1["subsets"])
         for sid, subset in v1["subsets"].items():
-            for key in ("params_opt", "params_adv"):  # the v1 file's keys
-                expected, loaded = subset[key], getattr(part.subsets[int(sid)], key)
+            for key, fit in (("params_opt", "opt"), ("params_adv", "adv")):  # the v1 file's keys
+                expected = subset[key]
+                loaded = getattr(part.subsets[int(sid)], fit).params
                 assert list(loaded.arrays) == list(expected["arrays"])
                 for name, block in expected["arrays"].items():
                     want = np.asarray(block["data"], dtype=np.float64).reshape(block["shape"])

@@ -6,6 +6,7 @@ import difflib
 import json
 from dataclasses import asdict, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import given
@@ -13,7 +14,9 @@ from hypothesis import strategies as st
 
 from robustcast import partition
 from robustcast.partition import Fit, FixedPartition, load_artifact
-from tests.compare_outputs import CONTEXT, LONG, diff_lines, digest, print_digests
+from tests.compare_outputs import (
+    CONTEXT, LONG, _subset_fits, diff_lines, digest, print_digests,
+)
 
 GOLDEN = Path(__file__).parent / "data" / "learned_lr_q5.json"
 
@@ -74,6 +77,15 @@ def test_a_digest_shows_each_subset_and_split_and_not_how_sets_are_shared():
     changed = digest(replace(part, opt=Fit(flipped, part.opt.loss))).splitlines()
     assert {label(line) for line, other in zip(lines, changed, strict=True)
             if line != other} == {"subset 0", "subset 1", "subset 3", "deploy"}
+
+
+def test_a_subset_digests_alike_in_either_record_layout():
+    # a checkout before subsets held their fits stored them as four fields
+    for subset in load_artifact(GOLDEN).subsets:
+        old = SimpleNamespace(params_opt=subset.opt.params, lower_bound=subset.opt.loss,
+                              params_adv=subset.adv.params, upper_bound=subset.adv.loss)
+        fits = (subset.opt.params, subset.opt.loss, subset.adv.params, subset.adv.loss)
+        assert _subset_fits(old) == _subset_fits(subset) == fits
 
 
 def test_a_learned_digest_holds_its_one_row_forecasts_cold_or_warm(monkeypatch):

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from robustcast.adversarial import SplitScorer
+from robustcast.dataio import Dataset
 from robustcast.exceptions import DomainError, SizeError
-from robustcast.missingness import MissingPattern
+from robustcast.missingness import MissingPattern, impute_mean
 from robustcast.models import (
     Architecture,
     StepBuffers,
@@ -542,6 +544,53 @@ class TestLossAndGradAgainstReference:
             loss_and_grad(params, np.ones((4, 3)), np.ones(4), work)
         work.bind(np.zeros(3, dtype=np.uint8))
         assert loss_and_grad(params, np.ones((4, 3)), np.ones(4), work)[0] >= 0.0
+
+
+class BatchCase:
+    """Five rows of four features (the last the bias, never missing), their
+    targets, one pattern per row, and the models and buffers of both
+    families at that layout."""
+
+    def __init__(self):
+        rng = np.random.default_rng(0)
+        self.X, self.y = rng.normal(size=(5, 4)), rng.normal(size=5)
+        self.bits = np.zeros((5, 4), dtype=np.uint8)
+        self.bits[:, :3] = rng.random((5, 3)) < 0.5
+        self.wide = np.hstack([self.X, self.X[:, :1]])
+        self.lr = randomized(init_params(Architecture("lr", True, 4, (), 3, (0, 1, 2)), 0), rng)
+        self.nn = randomized(init_params(Architecture("nn", True, 4, (3,), 3, (0, 1, 2)), 0), rng)
+        self.work = StepBuffers(self.nn, 5, 0.0)
+        self.work.bind(self.bits[0])
+
+    def score(self, params, X, y):
+        return SplitScorer(X, y, params.arch).bind(params)(self.bits)
+
+    def dataset(self, X):
+        return Dataset(X=X, y=np.zeros(5), bias_index=3, maskable=(0, 1, 2), horizon=1,
+                       max_lag=1, obs_periods=np.arange(5))
+
+
+# Each call hands a batch of the wrong shape to a routine that, without its
+# check, returned a wrong number or raised numpy's own error.
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda c: mse_loss(c.nn, c.X, c.y[:, None], c.bits[0]), id="mse-column-y"),
+    pytest.param(lambda c: mse_loss(c.lr, c.X, c.y[:1], c.bits), id="mse-one-y"),
+    pytest.param(lambda c: c.score(c.nn, c.X, c.y[:1]), id="nn-scorer-one-y"),
+    pytest.param(lambda c: c.score(c.nn, c.X, c.y[:, None]), id="nn-scorer-column-y"),
+    pytest.param(lambda c: c.score(c.lr, c.X, c.y[:, None]), id="lr-scorer-column-y"),
+    pytest.param(lambda c: c.score(c.nn, c.wide, c.y), id="nn-scorer-wide-x"),
+    pytest.param(lambda c: c.score(c.lr, c.wide, c.y), id="lr-scorer-wide-x"),
+    pytest.param(lambda c: loss_and_grad(c.nn, c.X, c.y[:1], c.work), id="step-one-y"),
+    pytest.param(lambda c: loss_and_grad(c.nn, c.wide, c.y, c.work), id="step-wide-x"),
+    pytest.param(lambda c: impute_mean(c.X[:1], c.bits, np.zeros(4)), id="impute-one-row"),
+    pytest.param(lambda c: impute_mean(c.X[:3], c.bits, np.zeros(4)), id="impute-three-rows"),
+    pytest.param(lambda c: impute_mean(c.X, c.bits, np.zeros(3)), id="impute-short-means"),
+    pytest.param(lambda c: c.dataset(c.X[:, 0]), id="dataset-vector-x"),
+    pytest.param(lambda c: c.dataset(c.X[:, :, None]), id="dataset-rank-3-x"),
+])
+def test_a_batch_of_the_wrong_shape_is_a_domain_error(call):
+    with pytest.raises(DomainError):
+        call(BatchCase())
 
 
 class TestSerialization:

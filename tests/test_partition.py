@@ -179,12 +179,12 @@ class TestLearnPartition:
         assert part.splits
         for k, split in enumerate(part.splits, 1):
             parent, avail, miss = (part.subsets[i] for i in (split.leaf, 2 * k - 1, 2 * k))
-            # the available child keeps its parent's LB, the missing child its UB
-            assert avail.lower_bound == parent.lower_bound
-            assert avail.params_opt is parent.params_opt
-            assert miss.upper_bound == parent.upper_bound
-            if split.adv is None:
-                assert avail.upper_bound == parent.upper_bound
+            # the available child holds its parent's own optimistic fit (its
+            # LB), the missing child the parent's own adversarial fit (its UB)
+            assert avail.opt is parent.opt
+            assert miss.adv is parent.adv
+            assert avail.adv is (parent.adv if split.adv is None else split.adv)
+            assert miss.opt is split.opt
 
     def test_leaf_count_bounded_and_epsilon_stop(self):
         ds = toy_dataset(3, seed=9)
@@ -237,7 +237,7 @@ class TestPredictDeployed:
         adv = replace(part.opt.params, arrays={"w": np.array([-1.0, -1.0, -1.0])})
         first = replace(part.splits[0], adv=Fit(adv, 0.2))
         part = replace(part, opt=Fit(opt, 0.1), splits=[first, part.splits[1]])
-        assert part.subsets[1].params_opt is opt and part.subsets[1].params_adv is adv
+        assert part.subsets[1].opt.params is opt and part.subsets[1].adv.params is adv
         x = np.array([1.0, 1.0, 1.0])
         zero = MissingPattern.zeros(3)
         assert predict_deployed(part, x, zero) == pytest.approx(3.0)
@@ -471,9 +471,10 @@ class TestSerialization:
         assert (back.leaf_ids, back._route) == (part.leaf_ids, part._route)
         for got, want in zip(back.subsets, part.subsets, strict=True):
             assert (got.opt_pattern.key(), got.free) == (want.opt_pattern.key(), want.free)
-            assert (got.lower_bound, got.upper_bound) == (want.lower_bound, want.upper_bound)
-            for name in ("params_opt", "params_adv"):
-                assert same_params(getattr(got, name), getattr(want, name))
+            for name in ("opt", "adv"):
+                got_fit, want_fit = getattr(got, name), getattr(want, name)
+                assert got_fit.loss == want_fit.loss
+                assert same_params(got_fit.params, want_fit.params)
 
     def test_a_fixed_file_holds_the_documented_keys_and_loads_back(self, tmp_path):
         ds = toy_dataset(2, seed=27)

@@ -26,6 +26,7 @@ from robustcast.partition import (
     PartitionConfig,
     Split,
     locate_rows,
+    param_sets,
     predict_deployed,
     predict_deployed_rows,
     predict_fixed_rows,
@@ -116,6 +117,18 @@ def test_every_row_reaches_the_leaf_locate_finds(part, n, seed):
 
 
 @SETTINGS
+@given(part=partitions())
+def test_every_subset_holds_fit_objects_the_partition_trained(part):
+    # inheriting a fit shares the leaf's own object: the subsets hold exactly
+    # the trained fits, whose sets are param_sets(part), and no copy
+    trained = [part.opt, part.adv,
+               *(f for s in part.splits for f in (s.opt, s.adv) if f is not None)]
+    assert [id(f.params) for f in trained] == [id(p) for p in param_sets(part)]
+    held = {id(f) for s in part.subsets for f in (s.opt, s.adv)}
+    assert held == {id(f) for f in trained}
+
+
+@SETTINGS
 @given(part=partitions(), n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
 def test_each_pattern_meets_the_constraints_of_exactly_the_leaf_it_reaches(part, n, seed):
     bits = random_bits(part.opt.params.arch, n, seed, leaf_opt_patterns(part))
@@ -170,7 +183,7 @@ def kernel_forecast(part: Partition, x: np.ndarray, bits: np.ndarray) -> float:
     ones."""
     subset = part.subsets[locate(part, bits)]
     exact = np.array_equal(bits, subset.opt_pattern.bits)
-    return float(_predict_bits(subset.params_opt if exact else subset.params_adv, x, bits))
+    return float(_predict_bits((subset.opt if exact else subset.adv).params, x, bits))
 
 
 def deploy_case(part: Partition, n: int, seed: int):

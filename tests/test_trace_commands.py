@@ -93,7 +93,8 @@ NOT_RUN = {
     "partition": [
         # Partition.__getstate__ and __setstate__: a pickled partition leaves
         # its plan cache out and an unpickled one starts with an empty cache;
-        # no command pickles a partition
+        # `evaluate --jobs 2` pickles partitions for its workers, but in the
+        # pool's feeder thread and its workers, which the trace does not see
         'return {name: value for name, value in self.__dict__.items() if name != "_plans"}',
         "self.__dict__.update(state, _plans={})",
         # Partition.fixed: a subset's equality constraints, a library API the
@@ -128,7 +129,7 @@ NOT_RUN = {
         "if plan is None:",
         "subset = partition.subsets[_leaf_of(partition, bits)]",
         "use_opt = key == subset.opt_pattern.key()",
-        "plan = _plan(subset.params_opt if use_opt else subset.params_adv, bits)",
+        "plan = _plan((subset.opt if use_opt else subset.adv).params, bits)",
         "with _PLANS_LOCK:",
         "while key not in plans and len(plans) >= PLAN_CACHE_ENTRIES:",
         "del plans[next(iter(plans))]",

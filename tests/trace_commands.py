@@ -14,8 +14,10 @@ counts as run when a line of its header (for a compound statement, the
 lines before its body) fires a line event, or when the first statement
 of its body runs. Statements that compile to no instruction (docstrings,
 `global`) are not listed. An error path, a `raise` or a statement of an
-`except` clause, is marked `err`. Work done in worker processes (`--jobs`
-above 1) is not seen: trace with `--jobs 1`.
+`except` clause, is marked `err`. sys.settrace sees only this process's
+main thread, so work done with `--jobs` above 1 in worker processes, or in
+a process pool's threads here (its feeder thread pickles the tasks), is
+not seen: trace with `--jobs 1`.
 """
 from __future__ import annotations
 
