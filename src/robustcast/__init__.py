@@ -35,7 +35,6 @@ from .missingness import (
 )
 from .models import Architecture, ModelParams, init_params, loss_and_grad, predict
 from .partition import (
-    Fit,
     FixedPartition,
     Partition,
     PartitionConfig,
@@ -52,6 +51,6 @@ from .adversarial import (
     train_adversarial,
 )
 from .evaluation import GridRow, GridSpec, dm_test, emit_report, nrmse, q_sweep, run_grid
-from .training import TrainConfig, TrainResult, adam_step, train_nominal
+from .training import Fit, TrainConfig, adam_step, train_nominal
 
 __version__ = "0.1.0"

@@ -30,7 +30,7 @@ from .dataio import Dataset, maskable_indices
 from .exceptions import DomainError, SizeError
 from .missingness import MissingPattern, _masked
 from .models import LR, Architecture, ModelParams, _adaptation, _batch, _plan, _run_plan, _targets
-from .training import TrainConfig, TrainResult, run_training_loop
+from .training import Fit, TrainConfig, run_training_loop
 
 # The most elements a temporary of the linear scorer may hold (8 MB of
 # float64): it scores a stack of patterns in chunks of rows that fit.
@@ -221,7 +221,7 @@ def train_adversarial(
     scope: AdvSearchScope,
     cfg: TrainConfig,
     warm: ModelParams,
-) -> TrainResult:
+) -> Fit:
     """Adversarial training over the scope.
 
     Starts from warm, the optimistic parameters trained at the base
@@ -257,7 +257,7 @@ def train_sampled_adversarial(
     count: int,
     cfg: TrainConfig,
     warm: ModelParams,
-) -> TrainResult:
+) -> Fit:
     """Sampling variant for equality-budget subsets, starting from
     warm: each iteration draws one fresh uniform pattern with exactly
     `count` features missing for the training epoch and another for the

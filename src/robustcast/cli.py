@@ -403,7 +403,7 @@ def cmd_train(cfg: RunConfig, jobs: int = 1) -> int:
         base = train_nominal(hd.train, hd.val, MissingPattern.zeros(hd.dataset.p),
                              _train_config(cfg, "base", h), base_archs[h])
         save_artifact(base.params, _artifact_path(cfg.out_dir, "base", h))
-        print(f"[h={h}] base model: validation loss {base.val_loss:.6e}")
+        print(f"[h={h}] base model: validation loss {base.loss:.6e}")
         for method in methods:
             try:
                 _train_one_method(method, cfg, hd, h, jobs, in_grid=method in grid_methods)

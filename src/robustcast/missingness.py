@@ -180,7 +180,8 @@ def _masked(X: np.ndarray, bits: np.ndarray, out: np.ndarray | None = None) -> n
     """float64 X with +0.0 in the slots the uint8 bits (one pattern, or one
     per row) mark missing, written into `out` when given: _hide(X,
     _keep(bits), out). Every rule that hides a missing input runs _hide,
-    through this or with the mask a one-pattern plan keeps (models._plan)."""
+    through this or with the mask a one-pattern plan (models._plan) or the
+    training step's buffers (models.StepBuffers) keep."""
     return _hide(X, _keep(bits), out)
 
 

@@ -245,8 +245,8 @@ class Plan(NamedTuple):
     """What a forecast at one pattern needs besides its rows (_plan): the
     params, the mask that hides the pattern's missing slots
     (missingness._keep) and, for an adaptive model, each adaptive block's
-    product with the pattern's adaptation (_shifts), or None. Its own arrays
-    are read-only."""
+    product with the pattern's adaptation (_shifts), or None. A plan a
+    partition caches has read-only arrays (partition.predict_deployed)."""
 
     params: ModelParams
     keep: np.ndarray
@@ -256,10 +256,7 @@ class Plan(NamedTuple):
 def _plan(params: ModelParams, bits: np.ndarray) -> Plan:
     """The plan of params at one (p,) pattern bits that has passed the gate:
     all the work of a forecast that does not depend on its rows."""
-    plan = Plan(params, _keep(bits), _shifts(params, _adaptation(params.arch, bits)))
-    for array in (plan.keep, *(plan.shifts or ())):
-        array.setflags(write=False)
-    return plan
+    return Plan(params, _keep(bits), _shifts(params, _adaptation(params.arch, bits)))
 
 
 def _run_plan(plan: Plan, X: np.ndarray, out: np.ndarray | None = None,
@@ -379,16 +376,16 @@ class StepBuffers:
         self.xm = np.empty((rows, self.arch.input_dim))
         self.resid = np.empty(rows)
         self.sq = np.empty(rows)
-        self.bits = self.a = None
+        self.keep = self.a = None
 
     def bind(self, pattern) -> None:
         """Apply pattern, one pattern for a whole batch, to the calls that
         follow: DomainError unless it passes MissingPattern.bits_of as one
         0/1 vector of the layout's width marking only maskable features.
-        Keeps its bits and its adaptation a (_adaptation)."""
+        Keeps its mask (missingness._keep) and adaptation a (_adaptation)."""
         arch = self.arch
-        self.bits = MissingPattern.bits_of(pattern, arch.input_dim, arch.maskable, ndim=1)
-        self.a = _adaptation(arch, self.bits)
+        bits = MissingPattern.bits_of(pattern, arch.input_dim, arch.maskable, ndim=1)
+        self.keep, self.a = _keep(bits), _adaptation(arch, bits)
 
 
 def loss_and_grad(
@@ -423,10 +420,10 @@ def loss_and_grad(
     # field comparison
     if work.arch is not arch and work.arch != arch:
         raise DomainError("buffers built for another model layout")
-    if work.bits is None:
+    if work.keep is None:
         raise DomainError("no pattern bound to the buffers")
     grads = work.blocks
-    xm = _masked(X, work.bits, out=work.xm[:n])
+    xm = _hide(X, work.keep, out=work.xm[:n])
     resid = work.resid[:n]
     a = work.a
     shifts = _shifts(params, a)

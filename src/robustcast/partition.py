@@ -4,11 +4,12 @@ deployed predictor.
 
 A learned partition is a binary tree: each internal node tests one feature's
 availability, each leaf is a subset carrying an optimistic pattern (all free
-features available) and two fits, each a trained parameter set and its
-validation loss (the optimistic fit's is the lower bound, the adversarial
-fit's the upper). Splitting always targets the leaf with the largest
-relative gap; the child that keeps the split feature available inherits the
-leaf's optimistic fit, the child that fixes it missing its adversarial fit.
+features available) and two fits, each the training.Fit its trainer
+returned: a parameter set and its validation loss (the optimistic fit's is
+the lower bound, the adversarial fit's the upper). Splitting always targets
+the leaf with the largest relative gap; the child that keeps the split
+feature available inherits the leaf's optimistic fit, the child that fixes
+it missing its adversarial fit.
 So a learned partition is stored as the root's two fits and its splits in
 growth order: split k names the leaf it splits and the feature, and holds
 the missing child's optimistic fit and the available child's adversarial fit
@@ -45,10 +46,10 @@ from .dataio import Dataset
 from .exceptions import ConfigError, DomainError, ParseError
 from .missingness import MissingPattern
 from .models import (
-    Architecture, ModelParams, Plan, _batch, _plan, _predict_bits, _run_plan, arch_from_json,
+    Architecture, ModelParams, _batch, _plan, _predict_bits, _run_plan, arch_from_json,
     params_from_json, params_to_json,
 )
-from .training import TrainConfig, train_nominal
+from .training import Fit, TrainConfig, train_nominal
 
 RELGAP_FLOOR = 1e-12
 ARTIFACT_FORMAT = 5
@@ -74,14 +75,6 @@ def rel_gap(lower: float, upper: float) -> float:
     """(UB - LB) / LB with a small floor so a perfect optimistic fit cannot
     divide by zero; values above 1e6 should be displayed as infinite."""
     return (upper - lower) / max(lower, RELGAP_FLOOR)
-
-
-@dataclass(frozen=True)
-class Fit:
-    """One trained parameter set and its validation loss."""
-
-    params: ModelParams
-    loss: float
 
 
 @dataclass(frozen=True)
@@ -124,7 +117,7 @@ class Partition:
     subsets[i] being subset Ui, whose inherited fits are its leaf's own Fit
     objects, and the routing table, one entry per subset: (split feature,
     available child, missing child), or None for a leaf.
-    It also starts an empty cache of deployment plans (_deployment_plan),
+    It also starts an empty cache of deployment plans (predict_deployed),
     which is no part of its value: equality and pickling ignore it, and a
     copy or an unpickled partition starts with an empty one. It raises
     DomainError for models of more than one layout or a budget outside
@@ -267,17 +260,31 @@ def predict_deployed(partition: Partition, x: np.ndarray, pattern) -> float:
     rounding (about 1e-16 relative), not bit for bit.
 
     Everything but x's part is the pattern's plan (models._plan), which the
-    partition caches (_deployment_plan). A uint8 vector, or a
+    partition caches, keyed by the gated bits' bytes. A uint8 vector, or a
     MissingPattern, whose bytes equal a cached pattern's runs its plan at
     once: it equals a pattern that passed the gate. Any other pattern passes
-    the gate first. Each call checks x and runs the same operations on it,
-    so a cached plan gives the same forecast bits as a fresh one."""
+    the gate, and its plan is made, frozen (its arrays read-only) and cached
+    under its bytes. A partition holds at most PLAN_CACHE_ENTRIES plans, and
+    when it is full a new plan replaces the oldest (first in, first out).
+    Lookups take no lock; a change to the cache takes _PLANS_LOCK. Each call
+    checks x and runs the same operations on it, so a cached plan gives the
+    same forecast bits as a fresh one."""
     bits = pattern.bits if isinstance(pattern, MissingPattern) else pattern
     plan = None
     if isinstance(bits, np.ndarray) and bits.dtype == np.uint8 and bits.ndim == 1:
         plan = partition._plans.get(bits.tobytes())
     if plan is None:
-        plan = _deployment_plan(partition, _pattern_bits(partition.arch, pattern, ndim=1))
+        bits = _pattern_bits(partition.arch, pattern, ndim=1)
+        key = bits.tobytes()
+        subset = partition.subsets[_leaf_of(partition, bits)]
+        plan = _plan((subset.opt if key == subset.opt_pattern.key() else subset.adv).params, bits)
+        for array in (plan.keep, *(plan.shifts or ())):
+            array.setflags(write=False)
+        plans = partition._plans
+        with _PLANS_LOCK:
+            while key not in plans and len(plans) >= PLAN_CACHE_ENTRIES:
+                del plans[next(iter(plans))]
+            plans[key] = plan
     try:
         x = np.asarray(x, dtype=np.float64)
     except (TypeError, ValueError):
@@ -286,30 +293,6 @@ def predict_deployed(partition: Partition, x: np.ndarray, pattern) -> float:
         raise DomainError("a deployed row must be one vector of "
                           f"{partition.arch.input_dim} numbers")
     return float(_run_plan(plan, x))
-
-
-def _deployment_plan(partition: Partition, bits: np.ndarray) -> Plan:
-    """The plan predict_deployed runs for one pattern's bits, which have
-    passed the gate: that of its leaf's optimistic parameters when bits
-    equal the leaf's optimistic pattern, else of its adversarial ones.
-
-    Each partition object caches its plans, keyed by the bits' bytes, and
-    holds at most PLAN_CACHE_ENTRIES: when it is full, a new plan replaces
-    the oldest one (first in, first out), and a dropped plan is built again
-    when its pattern returns. Lookups take no lock; a change to the cache
-    takes _PLANS_LOCK."""
-    key = bits.tobytes()
-    plans = partition._plans
-    plan = plans.get(key)
-    if plan is None:
-        subset = partition.subsets[_leaf_of(partition, bits)]
-        use_opt = key == subset.opt_pattern.key()
-        plan = _plan((subset.opt if use_opt else subset.adv).params, bits)
-        with _PLANS_LOCK:
-            while key not in plans and len(plans) >= PLAN_CACHE_ENTRIES:
-                del plans[next(iter(plans))]
-            plans[key] = plan
-    return plan
 
 
 def predict_grouped(X: np.ndarray, keys: np.ndarray, group) -> np.ndarray:
@@ -393,13 +376,11 @@ def learn_partition(
 
     def nominal(subset_id: int, pattern: MissingPattern) -> Fit:
         cfg = replace(train_cfg, seed=derive_seed(base_seed, "part-opt", subset_id))
-        res = train_nominal(train, val, pattern, cfg, arch)
-        return Fit(res.params, res.val_loss)
+        return train_nominal(train, val, pattern, cfg, arch)
 
     def adversarial(subset_id: int, scope: AdvSearchScope, warm: ModelParams) -> Fit:
         cfg = replace(train_cfg, seed=derive_seed(base_seed, "part-adv", subset_id))
-        res = train_adversarial(train, val, scope, cfg, warm)
-        return Fit(res.params, res.val_loss)
+        return train_adversarial(train, val, scope, cfg, warm)
 
     def scope(free: tuple[int, ...], base: MissingPattern) -> AdvSearchScope:
         return AdvSearchScope(free=free, budget=budget, base=base)
@@ -477,15 +458,13 @@ def fixed_partition(
     cfg0 = replace(train_cfg, seed=derive_seed(train_cfg.seed, "fixed", 0))
     base = train_nominal(train, val, zero, cfg0, arch)
     tasks = [(train, val, train_cfg, base.params, c) for c in range(1, budget + 1)]
-    subsets = [Fit(base.params, base.val_loss), *map_jobs(_train_fixed_subset, tasks, jobs)]
-    return FixedPartition(subsets)
+    return FixedPartition([base, *map_jobs(_train_fixed_subset, tasks, jobs)])
 
 
 def _train_fixed_subset(task) -> Fit:
     train, val, train_cfg, warm, count = task
     cfg = replace(train_cfg, seed=derive_seed(train_cfg.seed, "fixed", count))
-    res = train_sampled_adversarial(train, val, count, cfg, warm)
-    return Fit(res.params, res.val_loss)
+    return train_sampled_adversarial(train, val, count, cfg, warm)
 
 
 def bounds_table(partition: Partition) -> str:

@@ -1,14 +1,15 @@
 """Nominal model training: mini-batch Adam with per-epoch validation and
-patience-based early stopping, returning the best-on-validation parameters.
+patience-based early stopping, returning the best-on-validation parameters
+as a Fit, the record a partition holds.
 The model trained is named by one models.Architecture, which train_nominal
 takes alone and checks against the data. A run updates one flat vector in
 place (the blocks in block_names() order, with two Adam moment vectors of
 its length and two scratch vectors every step overwrites); its ModelParams
 are views of it. The run's StepBuffers, made once with its weight decay,
 carry what every step's loss_and_grad reads: each epoch's training pattern
-is bound to them once (StepBuffers.bind checks and expands it) and serves
-every mini-batch of the epoch, and each step writes its gradient into their
-flat vector, which adam_step reads as it is.
+is bound to them once (StepBuffers.bind checks it and keeps its mask) and
+serves every mini-batch of the epoch, and each step writes its gradient
+into their flat vector, which adam_step reads as it is.
 
 The same loop also powers adversarial training (the adversarial module swaps
 in a different pattern picker per epoch), which keeps the two code paths
@@ -89,15 +90,17 @@ def adam_step(
     theta -= np.divide(np.multiply(learning_rate, m_hat, a), denom, a)
 
 
-@dataclass
-class TrainResult:
-    """Best-on-validation parameters, their validation loss, the number of
-    iterations run and the iteration the parameters come from."""
+@dataclass(frozen=True)
+class Fit:
+    """Best-on-validation parameters, their validation loss, the iterations
+    run and the one the parameters come from: patience stopped the run when
+    iterations - 1 - best_iteration reached it, else max_iters did. A fit
+    read from a file has None for both counts."""
 
     params: ModelParams
-    val_loss: float
-    iterations: int
-    best_iteration: int
+    loss: float
+    iterations: int | None = None
+    best_iteration: int | None = None
 
 
 PatternPicker = Callable[[ModelParams], MissingPattern]
@@ -110,7 +113,7 @@ def run_training_loop(
     cfg: TrainConfig,
     pick_train_pattern: PatternPicker,
     pick_val_pattern: PatternPicker,
-) -> TrainResult:
+) -> Fit:
     """Mini-batch Adam with per-epoch validation and patience.
 
     One iteration is one pass over mini-batches, contiguous row slices of
@@ -118,7 +121,7 @@ def run_training_loop(
     when cfg.shuffle is set). The training pattern for an epoch is picked and
     bound before its updates, so an inadmissible one raises DomainError before
     the epoch's first update; the validation pattern is picked after them.
-    Returns the parameters with the lowest validation mean squared error seen.
+    Returns the Fit of the parameters with the lowest validation MSE seen.
     A non-finite training (mini-batch) or validation loss raises NumericalError
     naming the iteration: a diverged fit never improves on the best, so it
     would otherwise end as the initial params. params0 is left unchanged; the
@@ -164,12 +167,7 @@ def run_training_loop(
         else:
             phi += 1
         k += 1
-    return TrainResult(
-        params=params0.from_vector(best_theta),
-        val_loss=float(best_loss),
-        iterations=k,
-        best_iteration=best_iter,
-    )
+    return Fit(params0.from_vector(best_theta), float(best_loss), k, best_iter)
 
 
 def check_fits(arch: Architecture, data: Dataset) -> None:
@@ -185,7 +183,7 @@ def train_nominal(
     pattern: MissingPattern,
     cfg: TrainConfig,
     arch: Architecture,
-) -> TrainResult:
+) -> Fit:
     """Fit one model of layout arch, initialised from cfg.seed, with a fixed
     missing pattern applied to every batch. DomainError from check_fits."""
     check_fits(arch, train)

@@ -39,7 +39,7 @@ from robustcast.models import Architecture, StepBuffers, loss_and_grad, mse_loss
 from robustcast.partition import (
     FixedPartition, Partition, PartitionConfig, learn_partition, truncate,
 )
-from robustcast.training import TrainConfig, TrainResult, run_training_loop, train_nominal
+from robustcast.training import Fit, TrainConfig, run_training_loop, train_nominal
 
 TREND_SYNTH = SynthConfig(
     n_plants=4,
@@ -79,7 +79,7 @@ def split_feature_on(X, y, scope, params):
     return greedy_split_feature(SplitScorer(X, y, params.arch), params, scope)
 
 
-def finetune(train, val, pattern: MissingPattern, cfg: TrainConfig, params) -> TrainResult:
+def finetune(train, val, pattern: MissingPattern, cfg: TrainConfig, params) -> Fit:
     """Nominal training at a fixed pattern that continues from params (with
     fresh optimizer state), leaving them unchanged: the run_training_loop
     call train_nominal makes, from params in place of cfg.seed's."""

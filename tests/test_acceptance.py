@@ -181,7 +181,7 @@ def test_criterion_3_reduction_identities():
     theta_opt = train_nominal(train, val, pat, cfg, arch2).params
     adv = train_adversarial(train, val, AdvSearchScope(free=(), budget=2, base=pat), cfg, theta_opt)
     fine = finetune(train, val, pat, cfg, theta_opt)
-    gap = abs(adv.val_loss - fine.val_loss)
+    gap = abs(adv.loss - fine.loss)
     ok = exact and identity and gap < 1e-9
     report(3, ok, f"forward equality exact={exact}, mask identity={identity}, finetune gap={gap:.1e}")
 
@@ -337,7 +337,7 @@ def test_criterion_8_early_stopping_contract(val_losses):
             violations += 1
         if res.best_iteration < res.iterations - 1 - cfg.patience:
             violations += 1
-        if len(val_losses) != res.iterations or res.val_loss != min(val_losses):
+        if len(val_losses) != res.iterations or res.loss != min(val_losses):
             violations += 1
     ok = violations == 0
     report(8, ok, f"10 trainings, {violations} contract violations")

@@ -472,7 +472,7 @@ class TestTrainAdversarial:
         scope = AdvSearchScope(free=(), budget=2, base=base)
         adv = train_adversarial(train, val, scope, cfg, theta_opt)
         fine = finetune(train, val, base, cfg, theta_opt)
-        assert abs(adv.val_loss - fine.val_loss) < 1e-9
+        assert abs(adv.loss - fine.loss) < 1e-9
 
     def test_zero_budget_matches_empty_free_set(self):
         ds = useless_feature_dataset(seed=4, noise=0.05)
@@ -487,7 +487,7 @@ class TestTrainAdversarial:
         empty = train_adversarial(
             train, val, AdvSearchScope(free=(), budget=0, base=zero), cfg, theta_opt
         )
-        assert abs(gamma0.val_loss - empty.val_loss) < 1e-12
+        assert abs(gamma0.loss - empty.loss) < 1e-12
 
     def test_adversarial_beats_optimistic_on_worst_case(self):
         # Noiseless line plus a useless feature, budget 1: brute-force
@@ -522,7 +522,7 @@ class TestTrainAdversarial:
         running_min = np.inf
         for loss in val_losses:
             running_min = min(running_min, loss)
-            assert res.val_loss <= running_min + 1e-15
+            assert res.loss <= running_min + 1e-15
 
 
 class TestTrainSampledAdversarial:
@@ -535,7 +535,7 @@ class TestTrainSampledAdversarial:
         warm = train_nominal(train, val, zero, cfg, arch).params
         sampled = train_sampled_adversarial(train, val, 0, cfg, warm)
         fine = finetune(train, val, zero, cfg, warm)
-        assert abs(sampled.val_loss - fine.val_loss) < 1e-12
+        assert abs(sampled.loss - fine.loss) < 1e-12
 
     def test_deterministic(self):
         ds = useless_feature_dataset(seed=8, noise=0.1)
@@ -545,7 +545,7 @@ class TestTrainSampledAdversarial:
         warm = train_nominal(train, val, MissingPattern.zeros(3), cfg, arch).params
         a = train_sampled_adversarial(train, val, 1, cfg, warm)
         b = train_sampled_adversarial(train, val, 1, cfg, warm)
-        assert a.val_loss == b.val_loss
+        assert a.loss == b.loss
         for name in a.params.block_names():
             np.testing.assert_array_equal(a.params.arrays[name], b.params.arrays[name])
 

@@ -213,7 +213,7 @@ def nn_model() -> ModelParams:
 
 
 def fixed_artifact(budget: int) -> FixedPartition:
-    """A fixed partition over `budget` maskable features, val_loss l + 0.5
+    """A fixed partition over `budget` maskable features, loss l + 0.5
     for subset l."""
     arch = Architecture("lr", True, budget + 1, bias_index=budget, maskable=tuple(range(budget)))
     params = init_params(arch, seed=1)

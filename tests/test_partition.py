@@ -774,3 +774,69 @@ class TestGoldenArtifact:
         path.write_text(edit(GOLDEN.read_text(encoding="utf-8")), encoding="utf-8")
         with pytest.raises(ParseError, match="corrupt.json"):
             load_artifact(path)
+
+
+def trained_fits(artifact) -> list[Fit]:
+    """Every fit an artifact holds, once, in its file's table order."""
+    if isinstance(artifact, FixedPartition):
+        return list(artifact.subsets)
+    return [artifact.opt, artifact.adv,
+            *(f for s in artifact.splits for f in (s.opt, s.adv) if f is not None)]
+
+
+class TestTrainedFits:
+    """A partition holds the Fit objects its trainers return, counts
+    included, and a file holds their params and losses only."""
+
+    # splits twice for both families, and both stop reasons occur
+    CFG = TrainConfig(learning_rate=3e-2, max_iters=6, patience=2, batch_size=64, seed=3)
+
+    @staticmethod
+    def layout(family):
+        hidden = (5,) if family == "nn" else ()
+        return Architecture(family, True, 4, hidden, bias_index=3, maskable=(0, 1, 2))
+
+    @pytest.fixture(params=["lr", "nn"])
+    def trained(self, request, monkeypatch):
+        """(learned, fixed, every fit the trainers returned, in call order),
+        trained in-process on a tiny adaptive layout of the family."""
+        import robustcast.partition as partition
+
+        returned = []
+        for name in ("train_nominal", "train_adversarial", "train_sampled_adversarial"):
+            def recorded(*args, trainer=getattr(partition, name)):
+                returned.append(trainer(*args))
+                return returned[-1]
+            monkeypatch.setattr(partition, name, recorded)
+        train, val, _ = split_sequential(toy_dataset(3, n=200, seed=2), 0.6, 0.25)
+        arch = self.layout(request.param)
+        learned = learn_partition(train, val, 2, PartitionConfig(3, 0.0), self.CFG, arch)
+        fixed = fixed_partition(train, val, 2, self.CFG, arch)
+        return learned, fixed, returned
+
+    def test_each_fit_is_its_trainers_own_with_a_derivable_stop(self, trained):
+        learned, fixed, returned = trained
+        assert len(learned.splits) == 2
+        fixed_returned = returned[-len(fixed.subsets):]
+        assert all(a is b for a, b in zip(trained_fits(fixed), fixed_returned, strict=True))
+        stops = set()
+        for fit in trained_fits(learned) + trained_fits(fixed):
+            assert any(fit is r for r in returned)
+            assert 1 <= fit.iterations <= self.CFG.max_iters
+            assert 0 <= fit.best_iteration < fit.iterations
+            assert fit.iterations == self.CFG.max_iters \
+                or fit.iterations - 1 - fit.best_iteration == self.CFG.patience
+            stops.add(fit.iterations == self.CFG.max_iters)
+        assert stops == {True, False}
+
+    def test_a_loaded_fit_has_no_counts_and_saves_the_same_bytes(self, trained, tmp_path):
+        for artifact in trained[:2]:
+            path, again = tmp_path / "trained.json", tmp_path / "again.json"
+            save_artifact(artifact, path)
+            loaded = load_artifact(path)
+            for got, want in zip(trained_fits(loaded), trained_fits(artifact), strict=True):
+                assert (got.iterations, got.best_iteration) == (None, None)
+                assert got.params.to_vector().tobytes() == want.params.to_vector().tobytes()
+                assert got.loss == want.loss
+            save_artifact(loaded, again)
+            assert again.read_bytes() == path.read_bytes()

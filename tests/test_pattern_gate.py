@@ -81,10 +81,11 @@ def fixtures(p: int, maskable: tuple[int, ...], n: int):
 
 
 def bound_bits(params, bits) -> np.ndarray:
-    """The pattern bits StepBuffers.bind keeps for bits."""
+    """The pattern bits StepBuffers.bind keeps for bits, read back from the
+    mask it keeps (missingness._keep: bits - 1)."""
     work = StepBuffers(params, 1, 0.0)
     work.bind(bits)
-    return work.bits
+    return work.keep + 1
 
 
 # name -> (ranks it takes, checks support, call(fixtures, bits))

@@ -103,7 +103,7 @@ NOT_RUN = {
         "subset = self.subsets[sid]",
         "bits = subset.opt_pattern.bits",
         "return {j: int(bits[j]) for j in self.arch.maskable if j not in subset.free}",
-        # _leaf_of, locate_rows, predict_deployed and _deployment_plan:
+        # _leaf_of, locate_rows and predict_deployed:
         # routing and forecasting one row at a time, a library API the README
         # documents and the benchmark's deploy step calls; the commands score
         # whole test sets (predict_deployed_rows)
@@ -118,23 +118,21 @@ NOT_RUN = {
         "if isinstance(bits, np.ndarray) and bits.dtype == np.uint8 and bits.ndim == 1:",
         "plan = partition._plans.get(bits.tobytes())",
         "if plan is None:",
-        "plan = _deployment_plan(partition, _pattern_bits(partition.arch, pattern, ndim=1))",
-        "try:",
-        "x = np.asarray(x, dtype=np.float64)",
-        "if x is None or x.shape != plan.keep.shape:",
-        "return float(_run_plan(plan, x))",
+        "bits = _pattern_bits(partition.arch, pattern, ndim=1)",
         "key = bits.tobytes()",
-        "plans = partition._plans",
-        "plan = plans.get(key)",
-        "if plan is None:",
         "subset = partition.subsets[_leaf_of(partition, bits)]",
-        "use_opt = key == subset.opt_pattern.key()",
-        "plan = _plan((subset.opt if use_opt else subset.adv).params, bits)",
+        "plan = _plan((subset.opt if key == subset.opt_pattern.key() else subset.adv).params, bits)",
+        "for array in (plan.keep, *(plan.shifts or ())):",
+        "array.setflags(write=False)",
+        "plans = partition._plans",
         "with _PLANS_LOCK:",
         "while key not in plans and len(plans) >= PLAN_CACHE_ENTRIES:",
         "del plans[next(iter(plans))]",
         "plans[key] = plan",
-        "return plan",
+        "try:",
+        "x = np.asarray(x, dtype=np.float64)",
+        "if x is None or x.shape != plan.keep.shape:",
+        "return float(_run_plan(plan, x))",
     ],
     "training": [],
 }

@@ -15,8 +15,8 @@ from robustcast.training import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
+    Fit,
     TrainConfig,
-    TrainResult,
     adam_step,
     run_training_loop,
     train_nominal,
@@ -155,7 +155,7 @@ class TestTrainNominal:
         theta0 = init_params(LINE_ARCH, cfg.seed)
         res = train_nominal(train, val, MissingPattern.zeros(2), cfg, LINE_ARCH)
         initial_val = mse_loss(theta0, val.X, val.y, MissingPattern.zeros(2))
-        assert res.val_loss <= initial_val
+        assert res.loss <= initial_val
 
     def test_reported_loss_is_trace_minimum(self, val_losses):
         ds = line_dataset(n=300, noise=0.2, seed=5)
@@ -163,9 +163,9 @@ class TestTrainNominal:
         cfg = TrainConfig(learning_rate=5e-3, max_iters=60, patience=8, batch_size=64, seed=3)
         res = train_nominal(train, val, MissingPattern.zeros(2), cfg, LINE_ARCH)
         assert len(val_losses) == res.iterations
-        assert res.val_loss == pytest.approx(min(val_losses))
+        assert res.loss == pytest.approx(min(val_losses))
         assert res.best_iteration == min(
-            (k for k, loss in enumerate(val_losses) if loss == res.val_loss)
+            (k for k, loss in enumerate(val_losses) if loss == res.loss)
         )
 
     def test_early_stopping_contract(self):
@@ -187,7 +187,7 @@ class TestTrainNominal:
         b = train_nominal(train, val, MissingPattern.zeros(ds.p), cfg, arch)
         for name in a.params.block_names():
             np.testing.assert_array_equal(a.params.arrays[name], b.params.arrays[name])
-        assert a.val_loss == b.val_loss
+        assert a.loss == b.loss
 
     def test_empty_split_errors(self):
         ds = line_dataset(n=10)
@@ -203,7 +203,7 @@ class TestTrainNominal:
         cfg = TrainConfig(learning_rate=1e-2, max_iters=30, patience=30, batch_size=64, seed=4)
         first = train_nominal(train, val, MissingPattern.zeros(2), cfg, LINE_ARCH)
         resumed = finetune(train, val, MissingPattern.zeros(2), cfg, first.params)
-        assert resumed.val_loss <= first.val_loss + 1e-12
+        assert resumed.loss <= first.loss + 1e-12
 
     def test_a_layout_the_data_does_not_have_is_refused(self):
         train, val = self.split(line_dataset(n=100))
@@ -283,15 +283,15 @@ class TestInPlaceUpdates:
         cfg = TrainConfig(learning_rate=0.3, max_iters=30, patience=30, batch_size=16, seed=3)
         res = train_nominal(train, val, zero, cfg, LINE_ARCH)
         assert res.best_iteration < res.iterations - 1
-        assert val_losses[-1] != res.val_loss
-        assert mse_loss(res.params, val.X, val.y, zero) == res.val_loss
+        assert val_losses[-1] != res.loss
+        assert mse_loss(res.params, val.X, val.y, zero) == res.loss
 
 
 def reference_run_training_loop(train, val, params0, cfg, pick_train_pattern, pick_val_pattern):
     """run_training_loop as it was before each epoch bound its pattern once:
     every batch binds the picked pattern, which checks it, to buffers of its
     own for its loss_and_grad (conftest.step), and the blocks are concatenated into the
-    gradient vector Adam reads. Returns the TrainResult and every epoch's
+    gradient vector Adam reads. Returns the Fit and every epoch's
     validation loss."""
     if train.n == 0 or val.n == 0:
         raise SizeError("training and validation splits must be non-empty")
@@ -336,12 +336,7 @@ def reference_run_training_loop(train, val, params0, cfg, pick_train_pattern, pi
         else:
             phi += 1
         k += 1
-    return TrainResult(
-        params=params0.from_vector(best_theta),
-        val_loss=float(best_loss),
-        iterations=k,
-        best_iteration=best_iter,
-    ), losses
+    return Fit(params0.from_vector(best_theta), float(best_loss), k, best_iter), losses
 
 
 def bits_of_float(x) -> bytes:
@@ -387,7 +382,7 @@ class TestLoopAgainstReference:
         want, want_losses = reference_run_training_loop(train, val, params0, cfg,
                                                         *self.pickers(train, 7))
         assert got.params.to_vector().tobytes() == want.params.to_vector().tobytes()
-        assert bits_of_float(got.val_loss) == bits_of_float(want.val_loss)
+        assert bits_of_float(got.loss) == bits_of_float(want.loss)
         assert [bits_of_float(loss) for loss in val_losses] == \
             [bits_of_float(loss) for loss in want_losses]
         assert (got.iterations, got.best_iteration) == (want.iterations, want.best_iteration)
