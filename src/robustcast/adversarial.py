@@ -11,10 +11,11 @@ loss at pattern a is a quadratic form in the effective weights
 v = (w + D a_P) * (1 - a): with the Gram statistics G = X'X/n, b = X'y/n and
 c = y'y/n of the split, the loss is v'Gv - 2 v'b + c, so a round of k
 candidates costs O(k p^2) rather than k predictions over the split. The
-network family runs one forward pass per candidate into buffers kept for the
-split, with the operations of mse_loss in their order, so each loss is
-mse_loss's bit for bit. What a split contributes (G, b and c, or the buffers)
-is a SplitScorer, the one input form of both searches: training makes one
+network family runs one forward pass per candidate, its activations going
+into layer buffers kept for the split, with the operations of mse_loss in
+their order, so each loss is mse_loss's bit for bit. What a split
+contributes (G, b and c, or the split and its layer buffers) is a
+SplitScorer, the one input form of both searches: training makes one
 per split and reuses it in every search, and partition growth makes one per
 split feature it picks.
 """
@@ -68,12 +69,12 @@ class SplitScorer:
     """What scoring patterns on one data split keeps between searches.
 
     A linear model keeps the split's Gram statistics G, b and c; a network
-    keeps the split, an (n, p) masked-input buffer and an (n, width)
-    activation buffer per hidden layer. Both depend on the data and the
-    model's layout, arch, not on its parameters, so training builds one per
-    split and binds each search's parameters. The buffers make one scorer
-    unfit for concurrent searches. DomainError unless X holds rows of the
-    layout's width and y one number per row, SizeError for no rows.
+    keeps the split and an (n, width) activation buffer per hidden layer.
+    Both depend on the data and the model's layout, arch, not on its
+    parameters, so training builds one per split and binds each search's
+    parameters. The buffers make one scorer unfit for concurrent searches.
+    DomainError unless X holds rows of the layout's width and y one number
+    per row, SizeError for no rows.
     """
 
     def __init__(self, X: np.ndarray, y: np.ndarray, arch: Architecture):
@@ -89,10 +90,11 @@ class SplitScorer:
             self.yty = float(y @ y) / n
         else:
             self.X, self.y = X, y
-            self.xm = np.empty_like(X)
-            # Layer m reads only layer m - 1's output, so the layers take the
-            # two halves of one block in turn: less memory held through
-            # training, and one block to hand back when the scorer goes.
+            # Fresh activations per candidate made nn 4x50 `train` 3.8-4.8 s
+            # against 2.5-2.7 s with this block (fresh processes, one BLAS
+            # thread), likely the allocator returning and refaulting their
+            # pages. Layer m reads only layer m - 1's output, so the layers
+            # take the two halves of one block in turn.
             widths = arch.hidden
             half = n * max(widths)
             block = np.empty(2 * half)
@@ -114,10 +116,9 @@ class SplitScorer:
         bit, and a pattern that leaves v unchanged scores exactly what the
         incumbent did and the >= acceptance test keeps it. A network
         scores row by row: it runs the row's plan (models._plan) over X,
-        masking into the input buffer and running the layers into the layer
-        buffers. Those are the operations of mse_loss in its order, so each
-        loss is mse_loss's bit for bit, but no activation is allocated per
-        candidate.
+        running the layers into the layer buffers. Those are the operations
+        of mse_loss in its order, so each loss is mse_loss's bit for bit, but
+        no activation is allocated per candidate.
         """
         arch = params.arch
         if arch != self.arch:
@@ -125,13 +126,13 @@ class SplitScorer:
                               f"{self.arch}")
 
         if arch.family != LR:
-            X, y, xm, layers = self.X, self.y, self.xm, self.layers
+            X, y, layers = self.X, self.y, self.layers
 
             def score(stack: np.ndarray) -> np.ndarray:
                 stack = MissingPattern.bits_of(stack, arch.input_dim, arch.maskable, ndim=2)
                 losses = np.empty(len(stack))
                 for i, bits in enumerate(stack):
-                    preds = _run_plan(_plan(params, bits), X, out=xm, layers=layers)
+                    preds = _run_plan(_plan(params, bits), X, layers=layers)
                     losses[i] = np.mean((preds - y) ** 2)
                 return losses
 

@@ -176,13 +176,12 @@ def expand_obs_mask(mask: np.ndarray, ds: Dataset) -> np.ndarray:
     return bits
 
 
-def _masked(X: np.ndarray, bits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """float64 X with +0.0 in the slots the uint8 bits (one pattern, or one
-    per row) mark missing, written into `out` when given: _hide(X,
-    _keep(bits), out). Every rule that hides a missing input runs _hide,
-    through this or with the mask a one-pattern plan (models._plan) or the
-    training step's buffers (models.StepBuffers) keep."""
-    return _hide(X, _keep(bits), out)
+def _masked(X: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """A fresh float64 X with +0.0 in the slots the uint8 bits (one pattern,
+    or one per row) mark missing: _hide(X, _keep(bits)). Every rule that
+    hides a missing input runs _hide, through this or with the mask a plan
+    (models._plan) or the training step (models.StepBuffers) keeps."""
+    return _hide(X, _keep(bits))
 
 
 def _keep(bits: np.ndarray) -> np.ndarray:
@@ -192,14 +191,12 @@ def _keep(bits: np.ndarray) -> np.ndarray:
     return np.subtract(bits, 1, dtype=np.int64)
 
 
-def _hide(X: np.ndarray, keep: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """float64 X with each float's bits ANDed with the mask keep (_keep),
-    written into `out` when given: +0.0 in a missing slot, which is never
-    read, so it may hold NaN. (np.where branches per element, slower on
-    mixed patterns; multiplying by 0 keeps NaN.)"""
-    if out is None:
-        return (X.view(np.int64) & keep).view(np.float64)
-    return np.bitwise_and(X.view(np.int64), keep, out=out.view(np.int64)).view(np.float64)
+def _hide(X: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """A fresh float64 X with each float's bits ANDed with the mask keep
+    (_keep): +0.0 in a missing slot, which is never read, so it may hold
+    NaN. (np.where branches per element, slower on mixed patterns;
+    multiplying by 0 keeps NaN.)"""
+    return (X.view(np.int64) & keep).view(np.float64)
 
 
 def impute_persistence(values: np.ndarray, mask: np.ndarray) -> np.ndarray:

@@ -21,12 +21,10 @@ parameters are treated as immutable snapshots, except that a training run
 updates its own params in place through the flat vector their blocks are
 views of (see from_vector).
 
-loss_and_grad takes its pattern, its weight decay and its buffers from one
-StepBuffers, made once per training run: the run's weight decay, the decay
-masks, the row buffers and the flat vector the gradient is written into.
-What a call writes there stays valid until the next call with those
-buffers. The run binds each epoch's pattern to them once (StepBuffers.bind)
-and every mini-batch of the epoch applies it.
+loss_and_grad takes its pattern, its weight decay and the flat vector its
+gradient goes into from one StepBuffers, made once per training run and
+holding no rows; the run binds each epoch's pattern to it once
+(StepBuffers.bind) and every mini-batch of the epoch applies it.
 """
 from __future__ import annotations
 
@@ -118,6 +116,11 @@ class ModelParams:
 
     arch: Architecture
     arrays: dict[str, np.ndarray]
+
+    def __eq__(self, other) -> bool:
+        """The same layout and the same bytes in every block, in block order."""
+        return isinstance(other, ModelParams) and self.arch == other.arch and all(
+            self.arrays[k].tobytes() == other.arrays[k].tobytes() for k in self.block_names())
 
     def block_names(self) -> list[str]:
         """Canonical block order used for vectorization and optimizer state."""
@@ -259,13 +262,12 @@ def _plan(params: ModelParams, bits: np.ndarray) -> Plan:
     return Plan(params, _keep(bits), _shifts(params, _adaptation(params.arch, bits)))
 
 
-def _run_plan(plan: Plan, X: np.ndarray, out: np.ndarray | None = None,
-              layers: list[np.ndarray] | None = None):
+def _run_plan(plan: Plan, X: np.ndarray, layers: list[np.ndarray] | None = None):
     """The forecasts of float64 X, one (p,) row (a scalar) or an (n, p)
-    batch, at the plan's pattern. The masked inputs go into `out` and a
-    network's activations into `layers` when given (_hide, _nn_forward)."""
+    batch, at the plan's pattern. A network's activations go into `layers`
+    when given (_nn_forward)."""
     params, shifts = plan.params, plan.shifts
-    xm = _hide(X, plan.keep, out)
+    xm = _hide(X, plan.keep)
     if params.arch.family == LR:
         preds = xm @ params.arrays["w"]
         return preds if shifts is None else preds + xm @ shifts[0]
@@ -302,12 +304,11 @@ def _nn_forward(params: ModelParams, xm: np.ndarray, adapt,
 
     gs[m] is the input of hidden layer m and gs[-1] the output of the last
     one, which is all backprop needs: a ReLU unit is active exactly where its
-    output is > 0. Each layer's pre-activation is summed in place,
-    into layers[m] when the caller gives (n, width_m) buffers for it, so a
-    scorer running many forwards allocates no activations per pass. Layer m
-    reads only gs[m], so layers[m] may share memory with layers[m - 2]; gs
-    then holds the caller's buffers, of which only the last two are intact.
-    """
+    output is > 0. Each layer's pre-activation is summed in place, into
+    layers[m] when the caller gives (n, width_m) buffers (the network
+    scorer's, adversarial.SplitScorer). Layer m reads only gs[m], so
+    layers[m] may share memory with layers[m - 2]; gs then holds the
+    caller's buffers, of which only the last two are intact."""
     arch = params.arch
     per_row = isinstance(adapt, np.ndarray)
     gs = [xm]
@@ -357,25 +358,19 @@ def mse_loss(params: ModelParams, X: np.ndarray, y: np.ndarray, alpha) -> float:
 
 
 class StepBuffers:
-    """What the loss_and_grad calls of one training run reuse, sized once for
-    batches of up to `rows` rows: the flat gradient vector `grad` (blocks in
-    block_names() order, the layout adam_step reads) with a view per block
-    in `blocks`, each block's weight-decay mask (_decayed_mask) and the run's
-    weight_decay, and the masked-input and residual rows, all for the layout
-    `arch`. bind(pattern) sets the pattern every following call applies. A
-    call overwrites the rest, so what it returns stays valid until the next
-    call with these buffers."""
+    """What the loss_and_grad calls of one training run reuse, for the layout
+    `arch` and batches of any size: the flat gradient vector `grad` (blocks
+    in block_names() order, the layout adam_step reads) with a view per
+    block in `blocks`, each block's weight-decay mask (_decayed_mask) and the
+    run's weight_decay. bind(pattern) sets the pattern every following call
+    applies. A call overwrites the gradient, valid until the next call."""
 
-    def __init__(self, params: ModelParams, rows: int, weight_decay: float):
+    def __init__(self, params: ModelParams, weight_decay: float):
         self.arch = params.arch
-        self.rows = rows
         self.weight_decay = weight_decay
         self.grad = np.empty(sum(block.size for block in params.arrays.values()))
         self.blocks = params.from_vector(self.grad).arrays
         self.decay = {name: _decayed_mask(self.arch, name) for name in self.blocks}
-        self.xm = np.empty((rows, self.arch.input_dim))
-        self.resid = np.empty(rows)
-        self.sq = np.empty(rows)
         self.keep = self.a = None
 
     def bind(self, pattern) -> None:
@@ -403,18 +398,16 @@ def loss_and_grad(
     is.
 
     The gradient is written into the flat vector work.grad of the caller's
-    StepBuffers, built for this layout and at least n rows; the returned
-    blocks are views of it, valid, like the rest of work, until the next
-    call with that work. DomainError unless X holds rows of the layout's
-    width (_batch) and y one number per row (_targets).
+    StepBuffers, built for this layout; the returned blocks are views of it,
+    valid until the next call with that work. The masked inputs and the
+    residuals are fresh arrays of the batch. DomainError unless X holds rows
+    of the layout's width (_batch) and y one number per row (_targets).
     """
     arch = params.arch
     X = _batch(X, arch.input_dim)
     n = X.shape[0]
     if n == 0:
         raise SizeError("empty batch")
-    if n > work.rows:
-        raise SizeError(f"batch of {n} rows exceeds buffers for {work.rows}")
     y = _targets(y, n)
     # the usual case, params and buffers sharing one Architecture, costs no
     # field comparison
@@ -423,20 +416,17 @@ def loss_and_grad(
     if work.keep is None:
         raise DomainError("no pattern bound to the buffers")
     grads = work.blocks
-    xm = _hide(X, work.keep, out=work.xm[:n])
-    resid = work.resid[:n]
+    xm = _hide(X, work.keep)
     a = work.a
     shifts = _shifts(params, a)
 
     if arch.family == LR:
         w = params.arrays["w"]
-        w_eff = w + shifts[0] if a is not None else w
-        np.matmul(xm, w_eff, out=resid)
-        resid -= y
+        resid = xm @ (w + shifts[0] if a is not None else w) - y
     else:
         preds, gs = _nn_forward(params, xm, shifts)
-        np.subtract(preds, y, out=resid)
-    loss = float(np.add.reduce(np.square(resid, out=work.sq[:n])) / n)
+        resid = preds - y
+    loss = float(np.add.reduce(np.square(resid)) / n)
     r = np.multiply(resid, 2.0 / n, out=resid)
 
     if arch.family == LR:

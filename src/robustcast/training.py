@@ -131,7 +131,7 @@ def run_training_loop(
         raise SizeError("training and validation splits must be non-empty")
     theta = params0.to_vector()
     params = params0.from_vector(theta)
-    work = StepBuffers(params, min(cfg.batch_size, train.n), cfg.weight_decay)
+    work = StepBuffers(params, cfg.weight_decay)
     m, v = np.zeros_like(theta), np.zeros_like(theta)
     scratch = (np.empty_like(theta), np.empty_like(theta))
     best_theta = theta.copy()

@@ -1,33 +1,37 @@
-"""Time two checkouts of this repository against each other in one process:
+"""Time two checkouts of this repository against each other, every round in
+a fresh process:
 
     python tests/ab_time.py PARENT CHANGE --workload W --command train|evaluate|deploy
         [--rounds N] [--seed S]
 
-Each checkout's src/robustcast is copied into a temporary directory under a
-package name of its own (rc_parent, rc_change), so both trees import side
-by side in this process; every import inside the package must be relative,
-and the script stops with an error naming the line of an absolute
-`robustcast` import. One BLAS thread is set before numpy loads.
+Each checkout's src/robustcast is copied into one temporary directory under
+a package name of its own (rc_parent, rc_change, names of equal length);
+every import inside the package must be relative, and the script stops with
+an error naming the line of an absolute `robustcast` import. Each side and
+round runs in its own `sys.executable` child, which imports that side's
+tree from the temporary directory, runs the command and reports its time,
+so neither side's allocations warm the other's heap. One BLAS thread is set
+before numpy loads.
 
 A command runs the workload perfbench/workloads/W.json of CHANGE at the seed
 (default 1) with --jobs 1, each side writing its own out_dir:
 - train: `robustcast train`, timed in every round;
 - evaluate: one untimed train, then `robustcast evaluate` timed in every
   round;
-- deploy: one untimed train, then every round serves DEPLOY_ROWS seeded
-  rows, each at a seeded pattern, through predict_deployed on a fresh copy
-  of the first learned artifact (*learned_h*.json) twice; the time is the
-  median call of the second pass, whose plans are all cached.
+- deploy: one untimed train, then every round loads the first learned
+  artifact (*learned_h*.json), so its plan cache starts empty, and serves
+  DEPLOY_ROWS seeded rows, each at a seeded pattern, through
+  predict_deployed twice; the time is the median call of the second pass,
+  whose plans are all cached, and the child writes its forecasts.
 
 Rounds alternate which side runs first. The script prints each side's
 median and quartiles, the change's median relative to the parent's, and in
 how many rounds the change was faster. It then compares the two out_dirs
 file by file (after the last round, so an evaluate run compares its
-evaluate outputs too) and, for deploy, the forecasts bit for bit, and exits
-1 if anything differs. Timing both trees in one process leaves out what a
-comparison of two checkouts carries besides the code: the paths, the
-environment and the allocator state of separate processes. Standard library
-and numpy only.
+evaluate outputs too) and, for deploy, the last round's forecasts bit for
+bit, and exits 1 if anything differs. What a comparison of two checkouts
+carries besides the code and the process, such as the environment, is left
+out. Standard library and numpy only.
 """
 from __future__ import annotations
 
@@ -38,13 +42,12 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse
 import contextlib
-import dataclasses
-import gc
 import importlib
 import io
 import re
 import shutil
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -54,10 +57,11 @@ import numpy as np
 
 DEPLOY_ROWS = 2000
 ABSOLUTE_IMPORT = re.compile(r"^[ \t]*(from|import)[ \t]+robustcast\b", re.MULTILINE)
+CHILD = "--child"
 
 
-def load_tree(checkout: Path, name: str, into: Path):
-    """The package `name`: checkout's src/robustcast copied into `into`."""
+def copy_tree(checkout: Path, name: str, into: Path) -> None:
+    """checkout's src/robustcast copied into `into` as the package `name`."""
     src = checkout / "src" / "robustcast"
     for path in sorted(src.glob("*.py")):
         match = ABSOLUTE_IMPORT.search(path.read_text(encoding="utf-8"))
@@ -66,29 +70,25 @@ def load_tree(checkout: Path, name: str, into: Path):
             sys.exit(f"{path}:{line}: an absolute robustcast import; a copy under another "
                      "name would import the installed package instead")
     shutil.copytree(src, into / name, ignore=shutil.ignore_patterns("__pycache__"))
-    return importlib.import_module(name)
 
 
 class Side:
-    """One checkout's package, its out_dir and its timings."""
+    """One checkout's package in the temporary directory, its out_dir, its
+    forecasts file and its timings."""
 
-    def __init__(self, label: str, pkg, work: Path, config: Path, seed: int):
+    def __init__(self, label: str, work: Path, config: Path, seed: int):
         self.label, self.times = label, []
-        self.out = work / f"out_{label}"
-        self.cli = importlib.import_module(f"{pkg.__name__}.cli")
-        self.partition = importlib.import_module(f"{pkg.__name__}.partition")
-        self.args = ["--config", str(config), "--seed", str(seed), "--out", str(self.out)]
-        self.part = self.forecasts = None
+        self.out, self.forecasts = work / f"out_{label}", work / f"forecasts_{label}"
+        self.child = [sys.executable, str(Path(__file__).resolve()), CHILD, str(work),
+                      f"rc_{label}", str(config), str(seed), str(self.out), str(self.forecasts)]
 
-    def run(self, command: str) -> None:
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = self.cli.main([command, *self.args, "--jobs", "1"])
-        if code != 0:
-            sys.exit(f"{self.label}: `{command}` exited {code}")
-
-    def learned(self):
-        path = sorted(self.out.glob("*learned_h*.json"))[0]
-        return self.partition.load_artifact(path)
+    def run(self, command: str) -> float:
+        """The time the command took in a fresh child process."""
+        done = subprocess.run([*self.child, command], capture_output=True, text=True)
+        if done.returncode != 0:
+            sys.exit(done.stderr.strip() or f"{self.label}: `{command}` exited "
+                     f"{done.returncode}")
+        return float(done.stdout.split()[-1])
 
 
 def deploy_case(part, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -101,23 +101,35 @@ def deploy_case(part, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return X, bits
 
 
-def time_round(side: Side, command: str, case) -> float:
-    gc.collect()
+def child(work: str, name: str, config: str, seed: str, out: str, forecasts: str,
+          command: str) -> int:
+    """Run one side's command once and print its time: seconds for train and
+    evaluate, microseconds per call for deploy."""
+    sys.path.insert(0, work)
+    cli = importlib.import_module(f"{name}.cli")
+    partition = importlib.import_module(f"{name}.partition")
     if command != "deploy":
         start = time.perf_counter()
-        side.run(command)
-        return time.perf_counter() - start
-    part = dataclasses.replace(side.part)  # an empty plan cache
-    X, bits = case
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main([command, "--config", config, "--seed", seed, "--out", out,
+                             "--jobs", "1"])
+        elapsed = time.perf_counter() - start
+        if code != 0:
+            sys.exit(f"{name}: `{command}` exited {code}")
+        print(elapsed)
+        return 0
+    part = partition.load_artifact(sorted(Path(out).glob("*learned_h*.json"))[0])
+    X, bits = deploy_case(part, int(seed))
     for _ in range(2):
-        out = np.empty(len(X))
+        preds = np.empty(len(X))
         calls = []
         for i in range(len(X)):
             start = time.perf_counter_ns()
-            out[i] = side.partition.predict_deployed(part, X[i], bits[i])
+            preds[i] = partition.predict_deployed(part, X[i], bits[i])
             calls.append(time.perf_counter_ns() - start)
-    side.forecasts = out
-    return statistics.median(calls) / 1e3
+    Path(forecasts).write_bytes(preds.tobytes())
+    print(statistics.median(calls) / 1e3)
+    return 0
 
 
 def differing_files(a: Path, b: Path) -> list[str]:
@@ -129,6 +141,8 @@ def differing_files(a: Path, b: Path) -> list[str]:
 
 
 def main() -> int:
+    if sys.argv[1:2] == [CHILD]:
+        return child(*sys.argv[2:])
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
@@ -142,21 +156,16 @@ def main() -> int:
     config = (args.change / "perfbench" / "workloads" / f"{args.workload}.json").resolve()
     with tempfile.TemporaryDirectory(prefix="ab_time_") as tmp:
         work = Path(tmp)
-        sys.path.insert(0, str(work))
-        sides = [Side(label, load_tree(checkout.resolve(), f"rc_{label}", work), work, config,
-                      args.seed)
-                 for label, checkout in (("parent", args.parent), ("change", args.change))]
-        case = None
+        sides = []
+        for label, checkout in (("parent", args.parent), ("change", args.change)):
+            copy_tree(checkout.resolve(), f"rc_{label}", work)
+            sides.append(Side(label, work, config, args.seed))
         if args.command != "train":
             for side in sides:
                 side.run("train")
-        if args.command == "deploy":
-            for side in sides:
-                side.part = side.learned()
-            case = deploy_case(sides[0].part, args.seed)
         for r in range(args.rounds):
             for side in (sides if r % 2 == 0 else sides[::-1]):
-                side.times.append(time_round(side, args.command, case))
+                side.times.append(side.run(args.command))
 
         unit = "us per call" if args.command == "deploy" else "s"
         for side in sides:
@@ -169,7 +178,7 @@ def main() -> int:
 
         differ = differing_files(parent.out, change.out)
         if args.command == "deploy" and \
-                parent.forecasts.tobytes() != change.forecasts.tobytes():
+                parent.forecasts.read_bytes() != change.forecasts.read_bytes():
             differ.append("the deployed forecasts")
         for name in differ:
             print(f"differs: {name}")

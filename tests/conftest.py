@@ -61,9 +61,9 @@ LIGHT_CELL = (0.05, 0.0)
 
 
 def step(params, X, y, alpha, weight_decay: float = 0.0):
-    """loss_and_grad on one batch at pattern alpha: buffers made for this
-    batch and weight_decay, alpha bound to them, then the step."""
-    work = StepBuffers(params, np.atleast_2d(X).shape[0], weight_decay)
+    """loss_and_grad on one batch at pattern alpha: buffers made for
+    weight_decay, alpha bound to them, then the step."""
+    work = StepBuffers(params, weight_decay)
     work.bind(alpha)
     return loss_and_grad(params, X, y, work)
 

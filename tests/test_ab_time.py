@@ -1,5 +1,6 @@
-"""tests/ab_time.py times two trees in one process and compares what they
-write, and refuses a tree that a copy under another name would not isolate."""
+"""tests/ab_time.py times two trees, every round in a fresh process, and
+compares what they write, and refuses a tree that a copy under another name
+would not isolate."""
 import shutil
 import subprocess
 import sys
@@ -33,3 +34,19 @@ def test_an_absolute_import_is_refused_with_its_line(tmp_path):
     done = ab_time(tmp_path, "--workload", "lr-pipeline", "--command", "train", "--rounds", "2")
     assert done.returncode == 1
     assert f"{util}:4: an absolute robustcast import" in done.stderr
+
+
+def test_every_round_runs_in_a_fresh_process(tmp_path):
+    # the parent tree's cli records the id of each process that imports it
+    shutil.copytree(ROOT / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    pids = tmp_path / "pids.txt"
+    cli = tmp_path / "src" / "robustcast" / "cli.py"
+    lines = cli.read_text(encoding="utf-8").splitlines(keepends=True)
+    at = next(i for i, line in enumerate(lines) if line.startswith("from __future__")) + 1
+    lines.insert(at, f"import os\nwith open({str(pids)!r}, 'a') as _f:\n"
+                     "    _f.write(f'{os.getpid()}\\n')\n")
+    cli.write_text("".join(lines), encoding="utf-8")
+    done = ab_time(tmp_path, "--workload", "lr-pipeline", "--command", "train", "--rounds", "2")
+    assert done.returncode == 0, done.stderr
+    assert len(set(pids.read_text(encoding="utf-8").split())) >= 2

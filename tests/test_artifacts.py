@@ -151,6 +151,41 @@ class TestRoundTrip:
         assert len(used) == 18 and len({id(f) for f in used}) == 10
 
 
+class TestEquality:
+    """Artifacts compare by value: ModelParams are equal when their layout
+    and every block's bytes are, so two loads of one file are equal and a
+    file with one block entry changed loads unequal."""
+
+    @pytest.mark.parametrize("kind", ["learned", "fixed"])
+    def test_two_loads_of_one_file_compare_equal(self, tmp_path, kind):
+        path = tmp_path / f"{kind}.json"
+        write_artifact(path, kind)
+        first, second = load_artifact(path), load_artifact(path)
+        assert first == second and not first != second
+
+    @pytest.mark.parametrize("kind", ["learned", "fixed"])
+    def test_a_copy_with_one_block_entry_changed_compares_unequal(self, tmp_path, kind):
+        path, changed = tmp_path / f"{kind}.json", tmp_path / f"{kind}_changed.json"
+        write_artifact(path, kind)
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        table = obj["params"][-1]
+        name = next(iter(table))
+        values = np.frombuffer(base64.b64decode(table[name]), dtype="<f8").copy()
+        values[-1] = np.nextafter(values[-1], np.inf)
+        table[name] = array_b64(values)
+        changed.write_text(json.dumps(obj), encoding="utf-8")
+        assert load_artifact(path) != load_artifact(changed)
+
+    def test_params_compare_bytes_not_values(self):
+        params = init_params(Architecture("lr", True, 3, bias_index=2, maskable=(0, 1)), seed=0)
+        def with_w(w):
+            return replace(params, arrays={**params.arrays, "w": np.array(w)})
+        assert with_w([np.nan, 1.0, 2.0]) == with_w([np.nan, 1.0, 2.0])
+        assert with_w([0.0, 1.0, 2.0]) != with_w([-0.0, 1.0, 2.0])
+        assert params != replace(params, arch=replace(params.arch, maskable=(0,)))
+        assert params != params.arrays
+
+
 GOLDEN = Path(__file__).parent / "data" / "learned_lr_q5.json"
 GOLDEN_V1 = Path(__file__).parent / "data" / "learned_lr_q5_v1.json"
 

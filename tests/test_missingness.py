@@ -190,12 +190,7 @@ class TestMasked:
         special = data.draw(st.sampled_from([np.nan, np.inf, -np.inf, -0.0]), label="special")
         X = np.where(bits == 1, special, X)
         want = np.where(bits == 1, 0.0, X)
-        if data.draw(st.booleans(), label="out"):
-            out = np.full(shape, 7.0)
-            got = _masked(X, bits, out=out)
-            assert np.shares_memory(got, out) and out.tobytes() == got.tobytes()
-        else:
-            got = _masked(X, bits)
+        got = _masked(X, bits)
         # bytes, so every masked slot is +0.0 and every kept one X's own float
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 

@@ -83,7 +83,7 @@ def fixtures(p: int, maskable: tuple[int, ...], n: int):
 def bound_bits(params, bits) -> np.ndarray:
     """The pattern bits StepBuffers.bind keeps for bits, read back from the
     mask it keeps (missingness._keep: bits - 1)."""
-    work = StepBuffers(params, 1, 0.0)
+    work = StepBuffers(params, 0.0)
     work.bind(bits)
     return work.keep + 1
 
